@@ -706,7 +706,7 @@ fn solve_ranks(
             // (selected by `consistent_epoch` before this pass started).
             let ckpt = store.load(epoch)?;
             start_step = ckpt.step as usize;
-            solver.state.restore_fields(&ckpt.fields);
+            solver.restore_fields(&ckpt.fields);
             solver.step = start_step;
             if let (Some(saved), false) = (ckpt.field("workflow_pgv"), pgv.is_empty()) {
                 pgv.copy_from_slice(saved);
@@ -755,7 +755,7 @@ fn solve_ranks(
                         agg.flush_traced(env.writer, &mut ctx.telem)?;
                     }
                     env.writer.sync()?;
-                    let mut fields = solver.state.checkpoint_fields();
+                    let mut fields = solver.checkpoint_fields();
                     fields.push(("workflow_pgv".to_string(), pgv.clone()));
                     if solver.lts_active() {
                         let align =

@@ -254,6 +254,9 @@ pub enum ConfigError {
     /// of the shell/interior split; the unsplit step has no interior-only
     /// phase for thieves to help with.
     SchedNeedsOverlap,
+    /// `abc` describes a layer the boundary code cannot build on
+    /// `dims`; the message names the offending parameter.
+    BadAbsorbingLayer(String),
 }
 
 impl std::fmt::Display for ConfigError {
@@ -286,6 +289,7 @@ impl std::fmt::Display for ConfigError {
                 "opts.sched requires the shell/interior overlap split \
                  (set opts.overlap or drop opts.sched)"
             ),
+            ConfigError::BadAbsorbingLayer(why) => write!(f, "bad absorbing layer: {why}"),
         }
     }
 }
@@ -419,7 +423,45 @@ impl SolverConfig {
                 return Err(ConfigError::SchedNeedsOverlap);
             }
         }
-        Ok(())
+        self.validate_abc().map_err(ConfigError::BadAbsorbingLayer)
+    }
+
+    /// The absorbing layer must be buildable on `dims`. Both kinds need a
+    /// usable width and strength. M-PML layers must also fit: opposite
+    /// lo/hi layers may not overlap and the bottom layer may not reach the
+    /// free surface, because a cell damped from both sides has no
+    /// undamped interior to absorb for. Overlapping Cerjan sponges are
+    /// well defined (the factors multiply) and small grids use them.
+    fn validate_abc(&self) -> Result<(), String> {
+        let d = self.dims;
+        match self.abc {
+            AbcKind::None => Ok(()),
+            AbcKind::Sponge { width, amp } => {
+                if width == 0 {
+                    return Err("sponge width must be at least 1 cell".into());
+                }
+                if !(amp > 0.0 && amp < 1.0) {
+                    return Err(format!("sponge amp {amp} must be in (0, 1)"));
+                }
+                Ok(())
+            }
+            AbcKind::Mpml { width, pmax } => {
+                if width < 2 {
+                    return Err(format!("M-PML width {width} must be at least 2 cells"));
+                }
+                if !(pmax.is_finite() && pmax >= 0.0) {
+                    return Err(format!("M-PML pmax {pmax} must be finite and non-negative"));
+                }
+                if 2 * width > d.nx || 2 * width > d.ny || width > d.nz {
+                    return Err(format!(
+                        "M-PML width {width} does not fit {}x{}x{} \
+                         (needs 2*width <= nx, ny and width <= nz)",
+                        d.nx, d.ny, d.nz
+                    ));
+                }
+                Ok(())
+            }
+        }
     }
 
     /// A small default box for tests and examples.
@@ -489,6 +531,47 @@ mod tests {
         assert!(cfg.validate().is_ok(), "sync engine without overlap is fine");
         let msg = ConfigError::OverlapNeedsAsyncEngine.to_string();
         assert!(msg.contains("asynchronous"), "{msg}");
+    }
+
+    #[test]
+    fn validate_rejects_unbuildable_absorbing_layers() {
+        let on = |dims: Dims3, abc: AbcKind| {
+            let mut cfg = SolverConfig::small(dims, 100.0, 1e-3, 4);
+            cfg.abc = abc;
+            cfg.validate()
+        };
+        let d = Dims3::new(24, 24, 16);
+        let why = |abc: AbcKind| -> String {
+            match on(d, abc) {
+                Err(ConfigError::BadAbsorbingLayer(why)) => why,
+                other => panic!("{abc:?} must be rejected, got {other:?}"),
+            }
+        };
+        assert!(why(AbcKind::Mpml { width: 1, pmax: 0.3 }).contains("at least 2"));
+        assert!(why(AbcKind::Mpml { width: 6, pmax: -0.1 }).contains("pmax"));
+        assert!(why(AbcKind::Mpml { width: 6, pmax: f64::NAN }).contains("pmax"));
+        assert!(why(AbcKind::Mpml { width: 6, pmax: f64::INFINITY }).contains("pmax"));
+        // 2·13 > 24 in x/y; 17 > 16 in z.
+        assert!(why(AbcKind::Mpml { width: 13, pmax: 0.3 }).contains("does not fit"));
+        assert!(matches!(
+            on(Dims3::new(40, 40, 16), AbcKind::Mpml { width: 17, pmax: 0.3 }),
+            Err(ConfigError::BadAbsorbingLayer(_))
+        ));
+        assert!(why(AbcKind::Sponge { width: 0, amp: 0.92 }).contains("width"));
+        assert!(why(AbcKind::Sponge { width: 8, amp: 1.0 }).contains("amp"));
+        assert!(why(AbcKind::Sponge { width: 8, amp: f64::NAN }).contains("amp"));
+        let msg = ConfigError::BadAbsorbingLayer("x".into()).to_string();
+        assert!(msg.contains("absorbing layer"), "{msg}");
+
+        for ok in [
+            AbcKind::None,
+            AbcKind::Mpml { width: 8, pmax: 0.0 },
+            AbcKind::Mpml { width: 12, pmax: 0.3 },
+            // Overlapping sponges are well defined and small grids use them.
+            AbcKind::Sponge { width: 30, amp: 0.92 },
+        ] {
+            assert_eq!(on(d, ok), Ok(()), "{ok:?}");
+        }
     }
 
     #[test]

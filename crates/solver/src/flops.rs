@@ -21,6 +21,15 @@ pub const STRESS_FLOPS: u64 = 77;
 /// (5) plus `Δ − dt·ζ` (2) ≈ 7;×6 components = 42.
 pub const ATTEN_FLOPS: u64 = 42;
 
+/// M-PML correction per *zone* cell per step (`pml.rs`), on top of
+/// [`per_point`]. Velocity pass: 9 D4 brackets × 5, 9 ψ updates
+/// `b·ψ + a·D` × 3, and per component `dth·r·(px + py + pz)` with its
+/// accumulate (5) × 3 — 87 in all. Stress pass: 9 brackets × 5, 9 ψ
+/// updates × 3, `2μ` (1), the trace (2), normal components
+/// `dth·(λ·tr + 2μ·p)` with accumulate (5) × 3 and shear components
+/// `dth·μ·(p1 + p2)` with accumulate (4) × 3 — 102 in all.
+pub const MPML_FLOPS: u64 = 87 + 102;
+
 /// Flops per interior point per full time step.
 pub const fn per_point(attenuation: bool) -> u64 {
     VELOCITY_FLOPS + STRESS_FLOPS + if attenuation { ATTEN_FLOPS } else { 0 }
@@ -35,6 +44,11 @@ pub struct FlopCounter {
 impl FlopCounter {
     pub fn add_step(&mut self, points: usize, attenuation: bool) {
         self.total += points as u64 * per_point(attenuation);
+    }
+
+    /// The M-PML correction of one step over `zone_cells` cells.
+    pub fn add_mpml(&mut self, zone_cells: usize) {
+        self.total += zone_cells as u64 * MPML_FLOPS;
     }
 
     /// Sustained flop rate over `seconds` of wall time.
@@ -70,6 +84,18 @@ mod tests {
         assert_eq!(c.total, 1000 * 137 + 1000 * 179);
         assert!(c.rate(2.0) > 0.0);
         assert_eq!(c.rate(0.0), 0.0);
+    }
+
+    #[test]
+    fn mpml_census_on_known_grid() {
+        // 40³, width 10: the zone is everything outside the 20 × 20 × 30
+        // clear core (x/y lo+hi layers, z bottom layer only).
+        let zone = 40 * 40 * 40 - 20 * 20 * 30;
+        let mut c = FlopCounter::default();
+        c.add_step(40 * 40 * 40, false);
+        c.add_mpml(zone);
+        assert_eq!(MPML_FLOPS, 189);
+        assert_eq!(c.total, 64_000 * 137 + 52_000 * 189);
     }
 
     #[test]

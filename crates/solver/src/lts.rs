@@ -283,6 +283,7 @@ impl LtsRuntime {
             .map(|c| {
                 let rate = c.rate;
                 let dt_c = cfg.dt * f64::from(rate);
+                let win = Win { i0: 0, i1: d.nx, j0: 0, j1: d.ny, k0: c.k0, k1: c.k1 };
                 let (atten, mpml, sponge) = if rate == 1 {
                     // Borrow the solver's global-dt operators.
                     (None, None, None)
@@ -301,7 +302,19 @@ impl LtsRuntime {
                             Some(Sponge::new(sub, width, amp.powi(rate as i32), cfg.free_surface)),
                         ),
                         AbcKind::Mpml { width, pmax } => (
-                            Some(Mpml::new(sub, med, width, pmax, dt_c, cfg.q_band.1.max(0.5), 1e-4)),
+                            Some(
+                                Mpml::for_window(
+                                    sub,
+                                    med,
+                                    width,
+                                    pmax,
+                                    dt_c,
+                                    cfg.q_band.1.max(0.5),
+                                    1e-4,
+                                    win,
+                                )
+                                .with_backend(crate::simd::backend_for(&cfg.opts)),
+                            ),
                             None,
                         ),
                         AbcKind::None => (None, None),
@@ -309,7 +322,7 @@ impl LtsRuntime {
                     (atten, mpml, sponge)
                 };
                 LtsCluster {
-                    win: Win { i0: 0, i1: d.nx, j0: 0, j1: d.ny, k0: c.k0, k1: c.k1 },
+                    win,
                     rate,
                     atten,
                     mpml,

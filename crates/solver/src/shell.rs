@@ -70,6 +70,18 @@ impl Win {
         }
     }
 
+    /// The cells in both windows (may come out empty).
+    pub fn intersect(&self, o: Win) -> Win {
+        Win {
+            i0: self.i0.max(o.i0),
+            i1: self.i1.min(o.i1),
+            j0: self.j0.max(o.j0),
+            j1: self.j1.min(o.j1),
+            k0: self.k0.max(o.k0),
+            k1: self.k1.min(o.k1),
+        }
+    }
+
     pub fn contains(&self, idx: Idx3) -> bool {
         (self.i0..self.i1).contains(&idx.i)
             && (self.j0..self.j1).contains(&idx.j)

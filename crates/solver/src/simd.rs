@@ -84,6 +84,17 @@ pub fn detect() -> SimdBackend {
     })
 }
 
+/// The backend `opts` select for passes that have no scalar twin of their
+/// own: the widest available when `opts.simd` rides on the optimized
+/// layout, else the width-1 instantiation.
+pub(crate) fn backend_for(opts: &crate::config::SolverOpts) -> SimdBackend {
+    if opts.simd && opts.reciprocal_media {
+        detect()
+    } else {
+        SimdBackend::Scalar
+    }
+}
+
 /// SIMD velocity update — bit-identical to
 /// `update_velocity(…, optimized = true)`.
 pub fn update_velocity_simd(state: &mut WaveState, med: &Medium, dth: f32, block: BlockSpec) {
@@ -256,7 +267,7 @@ unsafe fn stress_sse2(
 /// `WIDTH` consecutive f32 lanes and the four arithmetic ops the kernels
 /// need. Arithmetic methods are safe to *call* but instantiating the x86
 /// impls off-CPU is UB — upheld by the `available()` assert at dispatch.
-trait Lanes: Copy {
+pub(crate) trait Lanes: Copy {
     const WIDTH: usize;
     /// # Safety
     /// `p .. p + WIDTH` must be readable.
@@ -304,7 +315,7 @@ impl Lanes for f32 {
 }
 
 #[cfg(target_arch = "x86_64")]
-mod x86 {
+pub(crate) mod x86 {
     use super::Lanes;
     use core::arch::x86_64::*;
 
@@ -396,19 +407,38 @@ mod x86 {
 /// Raw field pointers for the velocity body (Copy, so the inner loops can
 /// pass them freely without borrow juggling).
 #[derive(Clone, Copy)]
-struct VelPtrs {
-    vx: *mut f32,
-    vy: *mut f32,
-    vz: *mut f32,
-    sxx: *const f32,
-    syy: *const f32,
-    szz: *const f32,
-    sxy: *const f32,
-    sxz: *const f32,
-    syz: *const f32,
-    rx: *const f32,
-    ry: *const f32,
-    rz: *const f32,
+pub(crate) struct VelPtrs {
+    pub vx: *mut f32,
+    pub vy: *mut f32,
+    pub vz: *mut f32,
+    pub sxx: *const f32,
+    pub syy: *const f32,
+    pub szz: *const f32,
+    pub sxy: *const f32,
+    pub sxz: *const f32,
+    pub syz: *const f32,
+    pub rx: *const f32,
+    pub ry: *const f32,
+    pub rz: *const f32,
+}
+
+impl VelPtrs {
+    pub fn new(state: &mut WaveState, med: &Medium) -> Self {
+        Self {
+            vx: state.vx.as_mut_slice().as_mut_ptr(),
+            vy: state.vy.as_mut_slice().as_mut_ptr(),
+            vz: state.vz.as_mut_slice().as_mut_ptr(),
+            sxx: state.sxx.as_slice().as_ptr(),
+            syy: state.syy.as_slice().as_ptr(),
+            szz: state.szz.as_slice().as_ptr(),
+            sxy: state.sxy.as_slice().as_ptr(),
+            sxz: state.sxz.as_slice().as_ptr(),
+            syz: state.syz.as_slice().as_ptr(),
+            rx: med.rhox_inv.as_ref().expect("precompute() not called").as_slice().as_ptr(),
+            ry: med.rhoy_inv.as_ref().expect("precompute() not called").as_slice().as_ptr(),
+            rz: med.rhoz_inv.as_ref().expect("precompute() not called").as_slice().as_ptr(),
+        }
+    }
 }
 
 /// One velocity chunk: lanes `[o, o + WIDTH)` of all three components,
@@ -472,20 +502,7 @@ unsafe fn velocity_body<V: Lanes>(
     win: Win,
 ) {
     let (sy, sz, base) = layout(state);
-    let p = VelPtrs {
-        vx: state.vx.as_mut_slice().as_mut_ptr(),
-        vy: state.vy.as_mut_slice().as_mut_ptr(),
-        vz: state.vz.as_mut_slice().as_mut_ptr(),
-        sxx: state.sxx.as_slice().as_ptr(),
-        syy: state.syy.as_slice().as_ptr(),
-        szz: state.szz.as_slice().as_ptr(),
-        sxy: state.sxy.as_slice().as_ptr(),
-        sxz: state.sxz.as_slice().as_ptr(),
-        syz: state.syz.as_slice().as_ptr(),
-        rx: med.rhox_inv.as_ref().expect("precompute() not called").as_slice().as_ptr(),
-        ry: med.rhoy_inv.as_ref().expect("precompute() not called").as_slice().as_ptr(),
-        rz: med.rhoz_inv.as_ref().expect("precompute() not called").as_slice().as_ptr(),
-    };
+    let p = VelPtrs::new(state, med);
     for (jr, kr) in blocked_tiles_range(win.j0, win.j1, win.k0, win.k1, block) {
         for k in kr {
             for j in jr.clone() {
@@ -506,21 +523,42 @@ unsafe fn velocity_body<V: Lanes>(
 
 /// Raw field pointers for the stress body.
 #[derive(Clone, Copy)]
-struct StressPtrs {
-    vx: *const f32,
-    vy: *const f32,
-    vz: *const f32,
-    sxx: *mut f32,
-    syy: *mut f32,
-    szz: *mut f32,
-    sxy: *mut f32,
-    sxz: *mut f32,
-    syz: *mut f32,
-    lam: *const f32,
-    mu: *const f32,
-    mxy: *const f32,
-    mxz: *const f32,
-    myz: *const f32,
+pub(crate) struct StressPtrs {
+    pub vx: *const f32,
+    pub vy: *const f32,
+    pub vz: *const f32,
+    pub sxx: *mut f32,
+    pub syy: *mut f32,
+    pub szz: *mut f32,
+    pub sxy: *mut f32,
+    pub sxz: *mut f32,
+    pub syz: *mut f32,
+    pub lam: *const f32,
+    pub mu: *const f32,
+    pub mxy: *const f32,
+    pub mxz: *const f32,
+    pub myz: *const f32,
+}
+
+impl StressPtrs {
+    pub fn new(state: &mut WaveState, med: &Medium) -> Self {
+        Self {
+            vx: state.vx.as_slice().as_ptr(),
+            vy: state.vy.as_slice().as_ptr(),
+            vz: state.vz.as_slice().as_ptr(),
+            sxx: state.sxx.as_mut_slice().as_mut_ptr(),
+            syy: state.syy.as_mut_slice().as_mut_ptr(),
+            szz: state.szz.as_mut_slice().as_mut_ptr(),
+            sxy: state.sxy.as_mut_slice().as_mut_ptr(),
+            sxz: state.sxz.as_mut_slice().as_mut_ptr(),
+            syz: state.syz.as_mut_slice().as_mut_ptr(),
+            lam: med.lam.as_slice().as_ptr(),
+            mu: med.mu.as_slice().as_ptr(),
+            mxy: med.mu_xy.as_ref().expect("precompute() not called").as_slice().as_ptr(),
+            mxz: med.mu_xz.as_ref().expect("precompute() not called").as_slice().as_ptr(),
+            myz: med.mu_yz.as_ref().expect("precompute() not called").as_slice().as_ptr(),
+        }
+    }
 }
 
 /// Memory-variable and constant-Q coefficient pointers (attenuation only).
@@ -633,7 +671,7 @@ unsafe fn stress_chunk<V: Lanes>(
 /// # Safety
 /// `f + o .. f + o + WIDTH` must be in bounds.
 #[inline(always)]
-unsafe fn accumulate<V: Lanes>(f: *mut f32, o: usize, delta: V) {
+pub(crate) unsafe fn accumulate<V: Lanes>(f: *mut f32, o: usize, delta: V) {
     V::load(f.add(o) as *const f32).add(delta).store(f.add(o));
 }
 
@@ -652,22 +690,7 @@ unsafe fn stress_body<V: Lanes>(
     win: Win,
 ) {
     let (sy, sz, base) = layout(state);
-    let p = StressPtrs {
-        vx: state.vx.as_slice().as_ptr(),
-        vy: state.vy.as_slice().as_ptr(),
-        vz: state.vz.as_slice().as_ptr(),
-        sxx: state.sxx.as_mut_slice().as_mut_ptr(),
-        syy: state.syy.as_mut_slice().as_mut_ptr(),
-        szz: state.szz.as_mut_slice().as_mut_ptr(),
-        sxy: state.sxy.as_mut_slice().as_mut_ptr(),
-        sxz: state.sxz.as_mut_slice().as_mut_ptr(),
-        syz: state.syz.as_mut_slice().as_mut_ptr(),
-        lam: med.lam.as_slice().as_ptr(),
-        mu: med.mu.as_slice().as_ptr(),
-        mxy: med.mu_xy.as_ref().expect("precompute() not called").as_slice().as_ptr(),
-        mxz: med.mu_xz.as_ref().expect("precompute() not called").as_slice().as_ptr(),
-        myz: med.mu_yz.as_ref().expect("precompute() not called").as_slice().as_ptr(),
-    };
+    let p = StressPtrs::new(state, med);
     // Anelasticity engages exactly when the scalar kernel's `if let` does:
     // memory variables allocated *and* coefficients supplied.
     let an = match (state.mem.as_mut(), atten) {

@@ -208,15 +208,10 @@ impl Solver {
             _ => None,
         };
         let mpml = match cfg.abc {
-            AbcKind::Mpml { width, pmax } => Some(Mpml::new(
-                &sub,
-                &med,
-                width,
-                pmax,
-                cfg.dt,
-                cfg.q_band.1.max(0.5),
-                1e-4,
-            )),
+            AbcKind::Mpml { width, pmax } => Some(
+                Mpml::new(&sub, &med, width, pmax, cfg.dt, cfg.q_band.1.max(0.5), 1e-4)
+                    .with_backend(crate::simd::backend_for(&cfg.opts)),
+            ),
             _ => None,
         };
         let injector = SourceInjector::new(source, cfg.h);
@@ -269,6 +264,37 @@ impl Solver {
     /// Per-cluster substep/time accounting (empty when LTS is not armed).
     pub fn lts_stats(&self) -> Vec<awp_telemetry::LtsClusterStat> {
         self.lts.as_ref().map(LtsRuntime::stats).unwrap_or_default()
+    }
+
+    /// Everything a bit-exact restart needs, as named checkpoint fields:
+    /// the wavefield ([`WaveState::checkpoint_fields`]) plus the M-PML ψ
+    /// memory of the solver (`mpml_psi{box}`) and of each LTS cluster that
+    /// owns a dt-scaled instance (`lts{cluster}_mpml_psi{box}`).
+    pub fn checkpoint_fields(&self) -> Vec<(String, Vec<f32>)> {
+        let mut out = self.state.checkpoint_fields();
+        if let Some(p) = &self.mpml {
+            out.extend(p.checkpoint_fields("mpml_"));
+        }
+        for (c, cl) in self.lts.iter().flat_map(|rt| rt.clusters.iter().enumerate()) {
+            if let Some(p) = &cl.mpml {
+                out.extend(p.checkpoint_fields(&format!("lts{c}_mpml_")));
+            }
+        }
+        out
+    }
+
+    /// Inverse of [`Solver::checkpoint_fields`] (arm LTS first: cluster ψ
+    /// is restored into the armed runtime). Unknown names are ignored.
+    pub fn restore_fields(&mut self, fields: &[(String, Vec<f32>)]) {
+        self.state.restore_fields(fields);
+        if let Some(p) = &mut self.mpml {
+            p.restore_fields("mpml_", fields);
+        }
+        for (c, cl) in self.lts.iter_mut().flat_map(|rt| rt.clusters.iter_mut().enumerate()) {
+            if let Some(p) = &mut cl.mpml {
+                p.restore_fields(&format!("lts{c}_mpml_"), fields);
+            }
+        }
     }
 
     /// Heap-touching events in the exchange staging arena (flat across
@@ -777,6 +803,9 @@ impl Solver {
             cl.fires += 1;
             cl.ns += tc.elapsed().as_nanos() as u64;
             self.flops.add_step(w.count(), self.cfg.attenuation);
+            if let Some(p) = rt.clusters[c].mpml.as_ref().or(self.mpml.as_ref()) {
+                self.flops.add_mpml(p.zone_cells_win(w));
+            }
         }
 
         // Sub-phase 3: velocity sponge of every firing cluster, after all
@@ -877,6 +906,9 @@ impl Solver {
             self.recorder.record(&self.state);
         });
         self.flops.add_step(self.sub.dims.count(), self.cfg.attenuation);
+        if let Some(p) = &self.mpml {
+            self.flops.add_mpml(p.zone_cells());
+        }
         self.step += 1;
     }
 
@@ -1204,6 +1236,9 @@ impl Solver {
         ctx.ledger.add(Category::Output, el);
         ctx.telem.span_at(TelPhase::Output, t0, el);
         self.flops.add_step(self.sub.dims.count(), self.cfg.attenuation);
+        if let Some(p) = &self.mpml {
+            self.flops.add_mpml(p.zone_cells());
+        }
         self.step += 1;
         self.health_probe(ctx);
     }
@@ -1332,7 +1367,7 @@ impl Solver {
             let tc = Instant::now();
             if use_overlap {
                 for s in self.shell.shells {
-                    let sw = intersect_k(s, w.k0, w.k1);
+                    let sw = s.intersect(w);
                     if sw.is_empty() {
                         continue;
                     }
@@ -1359,7 +1394,7 @@ impl Solver {
                     &mut self.arena,
                     kr,
                 );
-                let iw = intersect_k(self.shell.interior, w.k0, w.k1);
+                let iw = self.shell.interior.intersect(w);
                 if !iw.is_empty() {
                     let t0 = Instant::now();
                     if let Some(planes) = sched_planes {
@@ -1456,7 +1491,7 @@ impl Solver {
             let tc = Instant::now();
             if use_overlap {
                 for s in self.shell.shells {
-                    let sw = intersect_k(s, w.k0, w.k1);
+                    let sw = s.intersect(w);
                     if sw.is_empty() {
                         continue;
                     }
@@ -1486,7 +1521,7 @@ impl Solver {
                     &mut self.arena,
                     kr,
                 );
-                let iw = intersect_k(self.shell.interior, w.k0, w.k1);
+                let iw = self.shell.interior.intersect(w);
                 if !iw.is_empty() {
                     let t0 = Instant::now();
                     if let Some(planes) = sched_planes {
@@ -1561,6 +1596,9 @@ impl Solver {
             cl.fires += 1;
             cl.ns += tc.elapsed().as_nanos() as u64;
             self.flops.add_step(w.count(), self.cfg.attenuation);
+            if let Some(p) = rt.clusters[c].mpml.as_ref().or(self.mpml.as_ref()) {
+                self.flops.add_mpml(p.zone_cells_win(w));
+            }
         }
 
         // Sub-phase 3: velocity sponge of every firing cluster.
@@ -1590,16 +1628,6 @@ impl Solver {
         ctx.telem.span_at(TelPhase::Output, t0, el);
         self.lts = Some(rt);
         self.step += 1;
-    }
-}
-
-/// Clamp a window's k-range to `[k0, k1)` (may come out empty). Used to
-/// restrict the shell/interior split to one LTS cluster's slab.
-fn intersect_k(w: Win, k0: usize, k1: usize) -> Win {
-    Win {
-        k0: w.k0.max(k0),
-        k1: w.k1.min(k1),
-        ..w
     }
 }
 

@@ -223,6 +223,55 @@ fn hybrid_overlap_matches_scalar_plain() {
 }
 
 #[test]
+fn mpml_split_matches_fused_on_subdomains_narrower_than_the_layer() {
+    // 4 parts along x leave 5-cell subdomains under a 6-cell layer: the
+    // edge ranks are zone from face to face, their neighbours hold one
+    // column of the x layers without touching an x face, and every shell
+    // window cuts through zone boxes. SIMD + overlap must still equal the
+    // fused scalar pass, on 4 and on 8 ranks.
+    let d = Dims3::new(20, 18, 14);
+    let (mesh, src, stations, mut cfg) = overlap_fixture(d, 24);
+    cfg.abc = AbcKind::Mpml { width: 6, pmax: 0.2 };
+    for parts in [[4, 1, 1], [4, 2, 1]] {
+        let decomp = Decomp3::new(d, parts);
+        let meshes = partition_mesh_direct(&mesh, &decomp);
+        cfg.opts.overlap = false;
+        cfg.opts.simd = false;
+        let fused = run_parallel(&cfg, parts, &meshes, &src, &stations);
+        cfg.opts.overlap = true;
+        cfg.opts.simd = true;
+        let split = run_parallel(&cfg, parts, &meshes, &src, &stations);
+        assert_eq!(rank_fields(&fused), rank_fields(&split), "{parts:?}");
+    }
+}
+
+#[test]
+fn mpml_memory_follows_each_ranks_zone_cells() {
+    // ψ is held for zone cells only: 18 f32 per cell on every rank, the
+    // rank zones tile the global zone, and `zone_fraction` reports the
+    // same cells the allocation covers.
+    let d = Dims3::new(20, 18, 14);
+    let (mesh, src, stations, cfg) = overlap_fixture(d, 1);
+    let width = cfg.abc.width();
+    let global_zone = d.count() - (d.nx - 2 * width) * (d.ny - 2 * width) * (d.nz - width);
+    for parts in [[1, 1, 1], [2, 1, 1], [2, 2, 1], [2, 2, 2]] {
+        let decomp = Decomp3::new(d, parts);
+        let meshes = partition_mesh_direct(&mesh, &decomp);
+        let mut zone = 0;
+        for (rank, local) in meshes.iter().enumerate() {
+            let sub = decomp.subdomain(rank);
+            let solver = Solver::new(cfg.clone(), sub, local, &src, &stations);
+            let pml = solver.mpml.as_ref().expect("fixture uses M-PML");
+            assert_eq!(pml.psi_bytes(), 18 * 4 * pml.zone_cells(), "{parts:?} rank {rank}");
+            let frac = pml.zone_cells() as f64 / sub.dims.count() as f64;
+            assert_eq!(pml.zone_fraction(), frac, "{parts:?} rank {rank}");
+            zone += pml.zone_cells();
+        }
+        assert_eq!(zone, global_zone, "{parts:?}");
+    }
+}
+
+#[test]
 fn overlap_steady_state_is_allocation_free() {
     // After warmup has sized the pooled halo buffers, the split timestep's
     // send-early/recv-late pipeline must never touch the heap again.

@@ -11,7 +11,7 @@ echo "=== BUILD DONE ==="
 cargo clippy --workspace -- -D warnings 2>&1 | grep -E "^(error|warning)" | head -20
 echo "clippy exit ${PIPESTATUS[0]}"
 echo "=== CLIPPY DONE ==="
-cargo test --workspace 2>&1 | tee results/logs/test_output.log | grep -E "test result|FAILED|error\[" | tail -60
+cargo test --workspace --no-fail-fast 2>&1 | tee results/logs/test_output.log | grep -E "test result|FAILED|error\[" | tail -60
 echo "=== TESTS DONE ==="
 # Smoke-run the examples and CLI.
 timeout 600 ./target/release/examples/quickstart > results/logs/example_quickstart.log 2>&1; echo "quickstart exit $?"
