@@ -34,12 +34,12 @@ use awp_pario::throttle::OpenThrottle;
 use awp_pario::Md5;
 use awp_solver::boundary::owns_free_surface;
 use awp_solver::config::SolverConfig;
-use awp_solver::solver::{exchange_material_halos, Solver};
+use awp_solver::solver::{exchange_material_halos, update_pgv, Solver};
 use awp_solver::stations::{surface_velocities, Seismogram, Station};
 use awp_solver::LtsPlan;
 use awp_source::kinematic::KinematicSource;
 use awp_telemetry::{LiveStats, Registry};
-use awp_vcluster::fault::{FaultPlan, FaultReport, WatchdogConfig};
+use awp_vcluster::fault::{FaultKind, FaultPlan, FaultReport, WatchdogConfig};
 use awp_vcluster::schedule::SchedulePlan;
 use awp_vcluster::{
     Cluster, DeadLetterStats, HostTopology, RecoveryEvent, RetryPolicy, Supervisor,
@@ -458,8 +458,14 @@ impl WorkflowSession {
                     .map(|r| r.expect("no faults in this pass"))
                     .collect::<Vec<_>>();
             }
-            if let Some(first_fault_step) =
-                pass_faults.iter().filter_map(|f| f.step).min()
+            // A rank torn down because a peer faulted reports `Aborted` at
+            // whatever step it had reached, which can be one behind the
+            // fault that caused it; it does not date the failure.
+            if let Some(first_fault_step) = pass_faults
+                .iter()
+                .filter(|f| f.kind != FaultKind::Aborted)
+                .filter_map(|f| f.step)
+                .min()
             {
                 failed_at.get_or_insert(first_fault_step as usize);
             }
@@ -731,17 +737,7 @@ fn solve_ranks(
                 let mut rec = surface_velocities(&solver.state, 1);
                 rec.resize(env.plan.rank_len, 0.0);
                 agg.record_traced(step, &rec, env.writer, &mut ctx.telem)?;
-                for j in 0..sub.dims.ny {
-                    for i in 0..sub.dims.nx {
-                        let vx = solver.state.vx.get(i as isize, j as isize, 0);
-                        let vy = solver.state.vy.get(i as isize, j as isize, 0);
-                        let h = (vx * vx + vy * vy).sqrt();
-                        let p = &mut pgv[i + sub.dims.nx * j];
-                        if h > *p {
-                            *p = h;
-                        }
-                    }
-                }
+                update_pgv(&solver.state, &mut pgv);
             }
             if let Some(every) = env.checkpoint_every {
                 let done = step + 1;

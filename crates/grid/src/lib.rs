@@ -12,13 +12,16 @@
 //!   neighbour lookup, matching the paper's Fig. 5;
 //! * [`Face`] halo extraction/injection used by the ghost-cell exchange;
 //! * cache-blocked loop driving (paper §IV.B, the kblock/jblock scheme);
-//! * effective-media averaging (harmonic Lamé means, arithmetic density).
+//! * effective-media averaging (harmonic Lamé means, arithmetic density);
+//! * [`fpmode::FlushGuard`] — the flush-subnormals floating-point mode all
+//!   wavefield arithmetic runs under.
 
 pub mod array3;
 pub mod blocking;
 pub mod decomp;
 pub mod dims;
 pub mod face;
+pub mod fpmode;
 pub mod media;
 pub mod stagger;
 

@@ -16,6 +16,7 @@ use crate::outputs::RuptureResult;
 use crate::prestress::FaultPrestress;
 use awp_grid::array3::Array3;
 use awp_grid::dims::Dims3;
+use awp_grid::fpmode::{self, FlushGuard};
 use awp_grid::HALO;
 use serde::{Deserialize, Serialize};
 
@@ -194,12 +195,14 @@ impl RuptureSolver {
 
     /// One time step.
     pub fn step(&mut self) {
+        let _ftz = FlushGuard::enter();
         let d = self.cfg.dims;
         let dth = (self.cfg.dt / self.cfg.h) as f32;
         let t = self.step as f64 * self.cfg.dt;
 
         // --- Velocity update (2nd order) ---
         for k in 0..d.nz as isize {
+            debug_assert!(fpmode::is_flushing());
             let rho = self.model.rho(k as usize) as f32;
             let rho_z = 0.5 * (rho + self.model.rho((k + 1) as usize) as f32);
             for j in 0..d.ny as isize {
@@ -266,6 +269,7 @@ impl RuptureSolver {
 
         // --- Stress update (2nd order) ---
         for k in 0..d.nz as isize {
+            debug_assert!(fpmode::is_flushing());
             let lam = self.model.lam(k as usize) as f32;
             let mu = self.model.mu(k as usize) as f32;
             let mu_z = 0.5 * (mu + self.model.mu((k + 1) as usize) as f32);
@@ -436,6 +440,27 @@ mod tests {
         assert!(t_mid.is_finite(), "rupture must reach mid-fault");
         assert!(t_far.is_finite(), "rupture must traverse the fault");
         assert!(t_hypo < t_mid && t_mid < t_far, "{t_hypo} {t_mid} {t_far}");
+    }
+
+    #[test]
+    fn stepping_leaves_no_subnormal_and_the_callers_mode_alone() {
+        let (cfg, model, ps) = small_setup(7, 0.62);
+        let before = fpmode::control_word();
+        let mut solver = RuptureSolver::new(cfg, model, ps);
+        // 60 steps in, the faint leading edge is still crossing the box:
+        // without the guard ~7000 values here are subnormal.
+        for _ in 0..60 {
+            solver.step();
+        }
+        assert_eq!(fpmode::control_word(), before);
+        let s = &solver;
+        let fields = [&s.vx, &s.vy, &s.vz, &s.sxx, &s.syy, &s.szz, &s.sxy, &s.sxz, &s.syz];
+        assert!(s.vx.max_abs() > 0.0, "the fault must have radiated");
+        let subnormal: usize = fields
+            .iter()
+            .map(|f| f.as_slice().iter().filter(|v| v.is_subnormal()).count())
+            .sum();
+        assert_eq!(subnormal, 0, "subnormal wavefield values after 60 steps");
     }
 
     #[test]

@@ -17,6 +17,7 @@ use crate::shell::Win;
 use crate::state::WaveState;
 use awp_grid::decomp::Subdomain;
 use awp_grid::face::Face;
+use awp_grid::fpmode::FlushGuard;
 
 /// Zero-stress imaging applied after each stress update on ranks owning
 /// the top (k = 0) face.
@@ -32,6 +33,7 @@ pub fn apply_free_surface_stress(state: &mut WaveState) {
 /// the fused full-plane pass). Reads stay within the window's own columns
 /// (k ≤ 2 — guaranteed by the shell plan's fold rule).
 pub fn apply_free_surface_stress_win(state: &mut WaveState, win: Win) {
+    let _ftz = FlushGuard::enter();
     let d = state.dims;
     for j in win.j0 as isize..win.j1 as isize {
         for i in win.i0 as isize..win.i1 as isize {
@@ -58,6 +60,7 @@ pub fn apply_free_surface_stress_win(state: &mut WaveState, win: Win) {
 /// 3 = σyz; σxy needs none) — the overlap path applies each group's
 /// condition just before that group's halo exchange starts (§IV.C).
 pub fn apply_free_surface_stress_group(state: &mut WaveState, group: usize) {
+    let _ftz = FlushGuard::enter();
     let d = state.dims;
     for j in 0..d.ny as isize {
         for i in 0..d.nx as isize {
@@ -96,6 +99,7 @@ pub fn apply_free_surface_stress_group(state: &mut WaveState, group: usize) {
 /// on ranks owning the top face, so the following stress update sees
 /// consistent above-surface values.
 pub fn apply_free_surface_velocity(state: &mut WaveState, med: &Medium, h: f32) {
+    let _ftz = FlushGuard::enter();
     let d = state.dims;
     for j in 0..d.ny as isize {
         for i in 0..d.nx as isize {
@@ -192,6 +196,7 @@ impl Sponge {
         if win.is_empty() {
             return;
         }
+        let _ftz = FlushGuard::enter();
         for k in win.k0..win.k1 {
             let gk = self.gz[k];
             for j in win.j0..win.j1 {

@@ -16,6 +16,7 @@ use crate::medium::Medium;
 use crate::shell::Win;
 use crate::state::WaveState;
 use awp_grid::blocking::{for_each_blocked, for_each_blocked_range, BlockSpec};
+use awp_grid::fpmode::{self, FlushGuard};
 use awp_grid::{C1, C2};
 
 /// Shared padded-layout strides: `(sy, sz, base)` with `base` the offset of
@@ -35,6 +36,7 @@ pub fn update_velocity(
     block: BlockSpec,
     optimized: bool,
 ) {
+    let _ftz = FlushGuard::enter();
     let d = state.dims;
     if optimized {
         // The fused optimized pass is the windowed pass over the whole
@@ -53,6 +55,7 @@ pub fn update_velocity(
         let rho = med.rho.as_slice();
         // Legacy path: unblocked, per-point divisions (the pre-§IV.B code).
         for_each_blocked(d.ny, d.nz, BlockSpec::UNBLOCKED, |j, k| {
+            debug_assert!(fpmode::is_flushing());
             let row = base + sy * j + sz * k;
             for i in 0..d.nx {
                 let o = row + i;
@@ -103,6 +106,7 @@ pub fn update_velocity_win(
     if win.is_empty() {
         return;
     }
+    let _ftz = FlushGuard::enter();
     let (sy, sz, base) = layout(state);
     let WaveState { vx, vy, vz, sxx, syy, szz, sxy, sxz, syz, .. } = state;
     let (vx, vy, vz) = (vx.as_mut_slice(), vy.as_mut_slice(), vz.as_mut_slice());
@@ -112,6 +116,7 @@ pub fn update_velocity_win(
     let ry = med.rhoy_inv.as_ref().expect("precompute() not called").as_slice();
     let rz = med.rhoz_inv.as_ref().expect("precompute() not called").as_slice();
     for_each_blocked_range(win.j0, win.j1, win.k0, win.k1, block, |j, k| {
+        debug_assert!(fpmode::is_flushing());
         let row = base + sy * j + sz * k;
         for i in win.i0..win.i1 {
             let o = row + i;
@@ -154,6 +159,7 @@ pub fn update_stress(
     block: BlockSpec,
     optimized: bool,
 ) {
+    let _ftz = FlushGuard::enter();
     let d = state.dims;
     if optimized {
         // Fused optimized = windowed over the whole grid (see
@@ -185,6 +191,7 @@ pub fn update_stress(
     let run_block = BlockSpec::UNBLOCKED;
     {
         for_each_blocked(d.ny, d.nz, run_block, |j, k| {
+            debug_assert!(fpmode::is_flushing());
             let row = base + sy * j + sz * k;
             for i in 0..d.nx {
                 let o = row + i;
@@ -274,6 +281,7 @@ pub fn update_stress_win(
     if win.is_empty() {
         return;
     }
+    let _ftz = FlushGuard::enter();
     let (sy, sz, base) = layout(state);
     let WaveState { vx, vy, vz, sxx, syy, szz, sxy, sxz, syz, mem, .. } = state;
     let (vx, vy, vz) = (vx.as_slice(), vy.as_slice(), vz.as_slice());
@@ -296,6 +304,7 @@ pub fn update_stress_win(
     let mxz_ = med.mu_xz.as_ref().expect("precompute() not called").as_slice();
     let myz_ = med.mu_yz.as_ref().expect("precompute() not called").as_slice();
     for_each_blocked_range(win.j0, win.j1, win.k0, win.k1, block, |j, k| {
+        debug_assert!(fpmode::is_flushing());
         let row = base + sy * j + sz * k;
         for i in win.i0..win.i1 {
             let o = row + i;

@@ -9,12 +9,16 @@
 //! the paper found, the hybrid path trades intra-rank imbalance for thread
 //! overhead: it is exposed as an option (`SolverOpts::hybrid`), not a
 //! default.
+//!
+//! The flush-subnormals mode (`awp_grid::fpmode`) is per thread and the
+//! planes run on pool workers, so each plane closure enters its own guard.
 
 use crate::attenuation::Attenuation;
 use crate::kernels::layout;
 use crate::medium::Medium;
 use crate::shell::Win;
 use crate::state::WaveState;
+use awp_grid::fpmode::FlushGuard;
 use awp_grid::{C1, C2};
 use rayon::prelude::*;
 use std::sync::{Arc, Mutex, OnceLock};
@@ -87,6 +91,7 @@ fn velocity_mt_body(state: &mut WaveState, med: &Medium, dth: f32, win: Win) {
         if kp < 2 + win.k0 || kp >= 2 + win.k1 {
             return;
         }
+        let _ftz = FlushGuard::enter();
         let zoff = kp * sz;
         for j in win.j0..win.j1 {
             let row = 2 + sy * (j + 2);
@@ -109,6 +114,7 @@ fn velocity_mt_body(state: &mut WaveState, med: &Medium, dth: f32, win: Win) {
         if kp < 2 + win.k0 || kp >= 2 + win.k1 {
             return;
         }
+        let _ftz = FlushGuard::enter();
         let zoff = kp * sz;
         for j in win.j0..win.j1 {
             let row = 2 + sy * (j + 2);
@@ -131,6 +137,7 @@ fn velocity_mt_body(state: &mut WaveState, med: &Medium, dth: f32, win: Win) {
         if kp < 2 + win.k0 || kp >= 2 + win.k1 {
             return;
         }
+        let _ftz = FlushGuard::enter();
         let zoff = kp * sz;
         for j in win.j0..win.j1 {
             let row = 2 + sy * (j + 2);
@@ -222,6 +229,7 @@ fn stress_mt_body(
                             if kp < 2 + win.k0 || kp >= 2 + win.k1 {
                                 return;
                             }
+                            let _ftz = FlushGuard::enter();
                             let zoff = kp * sz;
                             for j in win.j0..win.j1 {
                                 let row = 2 + sy * (j + 2);
@@ -241,6 +249,7 @@ fn stress_mt_body(
                             if kp < 2 + win.k0 || kp >= 2 + win.k1 {
                                 return;
                             }
+                            let _ftz = FlushGuard::enter();
                             let zoff = kp * sz;
                             for j in win.j0..win.j1 {
                                 let row = 2 + sy * (j + 2);

@@ -61,6 +61,7 @@ use awp_cvm::lts::{clusters_from_profile, rate_profile, theoretical_speedup, Clu
 use awp_cvm::mesh::Mesh;
 use awp_grid::array3::Array3;
 use awp_grid::decomp::Subdomain;
+use awp_grid::fpmode;
 use awp_grid::stagger::Component;
 
 /// Highest cluster count the runtime accepts: cluster indices share the
@@ -244,6 +245,7 @@ fn blend_plane(a: &mut Array3, k: usize, prev: &[f32], w_prev: f32) {
     let d = a.interior();
     let w_live = 1.0 - w_prev;
     for j in 0..d.ny {
+        debug_assert!(fpmode::is_flushing());
         let row = a.offset(0, j as isize, k as isize);
         let live = &mut a.as_mut_slice()[row..row + d.nx];
         for (v, p) in live.iter_mut().zip(&prev[j * d.nx..(j + 1) * d.nx]) {
@@ -408,6 +410,8 @@ mod tests {
 
     #[test]
     fn blend_plane_midpoint_and_restore_roundtrip() {
+        // The steppers that call `blend_plane` hold the guard; so must we.
+        let _ftz = fpmode::FlushGuard::enter();
         let d = Dims3::new(4, 3, 3);
         let mut a = Array3::new(d, 2);
         a.map_interior(|idx, _| (idx.i + 10 * idx.j + 100 * idx.k) as f32);

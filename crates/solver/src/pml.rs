@@ -39,6 +39,7 @@ use crate::simd::{accumulate, Lanes, SimdBackend, StressPtrs, VelPtrs};
 use crate::state::WaveState;
 use awp_grid::decomp::Subdomain;
 use awp_grid::dims::Dims3;
+use awp_grid::fpmode::{self, FlushGuard};
 use awp_grid::{C1, C2};
 
 /// Number of ψ memory terms per zone cell (9 velocity-pass + 9
@@ -342,6 +343,7 @@ impl Mpml {
     }
 
     fn run<P: Pass>(&mut self, p: P, lay: (usize, usize, usize), dth: f32, win: Win) {
+        let _ftz = FlushGuard::enter();
         match self.backend {
             #[cfg(target_arch = "x86_64")]
             // SAFETY: `with_backend`/`detect` only select available
@@ -612,6 +614,7 @@ unsafe fn rows<V: Lanes, P: Pass>(
                     }
                     expanded = level;
                 }
+                debug_assert!(fpmode::is_flushing());
                 let o = base + w.i0 + sy * j + sz * k;
                 let q = psi.add(((k - b.win.k0) * nj + (j - b.win.j0)) * ni + (w.i0 - b.win.i0));
                 let mut c = 0;
@@ -724,6 +727,7 @@ mod tests {
         }
 
         fn apply_velocity_win(&mut self, state: &mut WaveState, med: &Medium, dth: f32, win: Win) {
+            let _ftz = FlushGuard::enter();
             let (sy, sz, base) = layout(state);
             let rx = med.rhox_inv.as_ref().unwrap().as_slice();
             let ry = med.rhoy_inv.as_ref().unwrap().as_slice();
@@ -766,6 +770,7 @@ mod tests {
         }
 
         fn apply_stress_win(&mut self, state: &mut WaveState, med: &Medium, dth: f32, win: Win) {
+            let _ftz = FlushGuard::enter();
             let (sy, sz, base) = layout(state);
             let lam = med.lam.as_slice();
             let mu = med.mu.as_slice();

@@ -11,6 +11,7 @@
 
 use awp_cvm::mesh::Mesh;
 use awp_grid::dims::{Dims3, Idx3};
+use awp_grid::fpmode::FlushGuard;
 use awp_source::kinematic::KinematicSource;
 use crate::stations::{Seismogram, Station};
 
@@ -153,6 +154,7 @@ impl ReferenceSolver {
 
     /// Advance one step, injecting the source at time `t`.
     pub fn step(&mut self, source: &KinematicSource) {
+        let _ftz = FlushGuard::enter();
         let t = self.step as f64 * self.dt;
         let dth = self.dt / self.h;
         let d = self.d;

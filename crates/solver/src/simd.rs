@@ -27,6 +27,7 @@ use crate::medium::Medium;
 use crate::shell::Win;
 use crate::state::WaveState;
 use awp_grid::blocking::{blocked_tiles_range, BlockSpec};
+use awp_grid::fpmode::{self, FlushGuard};
 use awp_grid::{C1, C2};
 use std::sync::OnceLock;
 
@@ -169,6 +170,7 @@ pub fn update_velocity_backend_win(
     if win.is_empty() {
         return;
     }
+    let _ftz = FlushGuard::enter();
     match backend {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: availability asserted above.
@@ -212,6 +214,7 @@ pub fn update_stress_backend_win(
     if win.is_empty() {
         return;
     }
+    let _ftz = FlushGuard::enter();
     match backend {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: availability asserted above.
@@ -506,6 +509,7 @@ unsafe fn velocity_body<V: Lanes>(
     for (jr, kr) in blocked_tiles_range(win.j0, win.j1, win.k0, win.k1, block) {
         for k in kr {
             for j in jr.clone() {
+                debug_assert!(fpmode::is_flushing());
                 let row = base + sy * j + sz * k;
                 let mut i = win.i0;
                 while i + V::WIDTH <= win.i1 {
@@ -710,6 +714,7 @@ unsafe fn stress_body<V: Lanes>(
     for (jr, kr) in blocked_tiles_range(win.j0, win.j1, win.k0, win.k1, block) {
         for k in kr {
             for j in jr.clone() {
+                debug_assert!(fpmode::is_flushing());
                 let row = base + sy * j + sz * k;
                 let mut i = win.i0;
                 while i + V::WIDTH <= win.i1 {

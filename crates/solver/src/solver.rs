@@ -32,6 +32,7 @@ use crate::stations::{Seismogram, Station, StationRecorder};
 use awp_cvm::mesh::Mesh;
 use awp_grid::blocking::BlockSpec;
 use awp_grid::decomp::{Decomp3, Subdomain};
+use awp_grid::fpmode::FlushGuard;
 use awp_grid::stagger::Component;
 use awp_source::kinematic::KinematicSource;
 use awp_source::partition::partition_spatial;
@@ -832,6 +833,9 @@ impl Solver {
     /// Advance one step without communication (serial / interior of the
     /// parallel step). `ledger` receives phase timings.
     pub fn step_serial(&mut self, ledger: &mut TimeLedger) {
+        // Covers the stepper's own arithmetic (the LTS ghost blends) and
+        // makes the kernels' guards below nested ones.
+        let _ftz = FlushGuard::enter();
         if self.lts.is_some() {
             return self.step_serial_lts(ledger);
         }
@@ -1015,6 +1019,9 @@ impl Solver {
     /// them. Overlap only requires the asynchronous engine (validated at
     /// construction) and the optimized data layout.
     pub fn step_parallel(&mut self, ctx: &mut RankCtx) {
+        // As in `step_serial`; the rank thread keeps the mode across the
+        // halo exchanges, which only copy.
+        let _ftz = FlushGuard::enter();
         if self.lts.is_some() {
             self.step_parallel_lts(ctx);
             self.health_probe(ctx);
@@ -1633,7 +1640,8 @@ impl Solver {
 
 /// Track per-surface-cell peak horizontal velocity into a local PGV map
 /// (only meaningful on ranks owning the free surface).
-fn update_pgv(state: &WaveState, pgv: &mut [f32]) {
+pub fn update_pgv(state: &WaveState, pgv: &mut [f32]) {
+    let _ftz = FlushGuard::enter();
     let d = state.dims;
     debug_assert_eq!(pgv.len(), d.nx * d.ny);
     for j in 0..d.ny {

@@ -11,6 +11,7 @@
 
 use crate::state::WaveState;
 use awp_grid::dims::Idx3;
+use awp_grid::fpmode::FlushGuard;
 use awp_source::kinematic::KinematicSource;
 
 /// One precomputed injection entry.
@@ -72,6 +73,7 @@ impl SourceInjector {
     /// window's stress update; windows partition the grid, so every entry
     /// fires exactly once per step).
     pub fn inject_win(&self, state: &mut WaveState, t: f64, dt: f64, win: crate::shell::Win) {
+        let _ftz = FlushGuard::enter();
         for e in &self.entries {
             if !win.contains(e.idx) {
                 continue;
@@ -106,6 +108,7 @@ impl SourceInjector {
     /// Add this time step's moment release to the stress field. `t` is the
     /// current simulation time, `dt` the solver step.
     pub fn inject(&self, state: &mut WaveState, t: f64, dt: f64) {
+        let _ftz = FlushGuard::enter();
         for e in &self.entries {
             let rate = sample_rate(&e.rate, t - e.t0, self.dt_src);
             if rate == 0.0 {

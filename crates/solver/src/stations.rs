@@ -3,6 +3,7 @@
 use crate::state::WaveState;
 use awp_grid::decomp::Subdomain;
 use awp_grid::dims::Idx3;
+use awp_grid::fpmode::FlushGuard;
 use awp_grid::stagger::Component;
 use serde::{Deserialize, Serialize};
 
@@ -124,6 +125,7 @@ impl StationRecorder {
 
     /// Sample the wavefield at every local station.
     pub fn record(&mut self, state: &WaveState) {
+        let _ftz = FlushGuard::enter();
         for (_, l, vx, vy, vz) in &mut self.slots {
             let (i, j, k) = (l.i as isize, l.j as isize, l.k as isize);
             vx.push(state.vx.get(i, j, k) as f64);

@@ -48,6 +48,19 @@ echo "=== OVERLAP SMOKE DONE ==="
 # decomposition (>=1.05x required multi-core, no-regression on 1 core).
 timeout 900 ./target/release/bench_kernels --smoke --gate > results/logs/bench_kernels.log 2>&1; echo "bench_gate exit $?"
 echo "=== BENCH GATE DONE ==="
+# Subnormal gate: wavefield arithmetic runs flushed (awp_grid::fpmode), so
+# the benchmark's own traced smoke run of each solver workload must pass
+# every check and find no subnormal value at its slowest step.
+for w in loh1-serial loh1-mpml basin-lts; do
+  cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+    --workload "$w" --smoke --trace 1 2>/dev/null | tail -1 | python3 -c '
+import json, sys
+r = json.loads(sys.stdin.read())
+frac = r["metrics"]["solver.subnormal_frac"]["value"]
+assert r["failed"] == 0 and frac == 0, (r["failed"], frac)
+print(sys.argv[1], "failed 0, subnormal_frac 0")' "$w"; echo "subnormal_gate_$w exit $?"
+done
+echo "=== SUBNORMAL GATE DONE ==="
 # Telemetry smoke: a profiled workflow must print nonzero phase totals and
 # a load-imbalance ratio, and the Chrome trace must be well-formed (the awp
 # binary parses it back and exits nonzero on schema violations; disabled-
