@@ -1,6 +1,6 @@
 //! Ablation benches over the solver's design choices: each DESIGN.md
 //! optimisation toggled independently on a full solver step, plus the
-//! physics options (attenuation, ABC kind, hybrid threading).
+//! physics options (attenuation, ABC kind).
 
 use awp_cvm::mesh::MeshGenerator;
 use awp_cvm::model::LayeredModel;
@@ -49,7 +49,6 @@ fn bench_step_ablation(c: &mut Criterion) {
         ("v72_baseline", Box::new(|_c: &mut SolverConfig| {})),
         ("no_reciprocal_media", Box::new(|c| c.opts.reciprocal_media = false)),
         ("no_cache_blocking", Box::new(|c| c.opts.block = awp_grid::blocking::BlockSpec::UNBLOCKED)),
-        ("hybrid_threads", Box::new(|c| c.opts.hybrid = true)),
         ("anelastic", Box::new(|c| c.attenuation = true)),
         ("mpml_abc", Box::new(|c| c.abc = AbcKind::Mpml { width: 10, pmax: 0.3 })),
         ("no_abc", Box::new(|c| c.abc = AbcKind::None)),

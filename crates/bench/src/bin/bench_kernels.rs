@@ -52,7 +52,7 @@ use awp_solver::simd::{detect, update_stress_simd, update_velocity_simd, SimdBac
 use awp_solver::solver::{partition_mesh_direct, try_run_parallel_decomp, Solver};
 use awp_solver::state::WaveState;
 use awp_solver::telemetry::{Counter as TelCounter, Phase as TelPhase, Registry};
-use awp_solver::{run_parallel_with, LtsOpts, LtsPlan, SchedOpts, SolverConfig};
+use awp_solver::{LtsOpts, LtsPlan, SchedOpts, SolverConfig};
 use awp_source::kinematic::KinematicSource;
 use awp_source::moment::MomentTensor;
 use awp_source::stf::Stf;
@@ -206,7 +206,8 @@ fn time_overlap(
     for _ in 0..reps {
         let registry = telemetry.then(|| Registry::new(4));
         let t0 = Instant::now();
-        let results = run_parallel_with(&cfg, parts, &meshes, &src, &[], registry);
+        let results = try_run_parallel_decomp(&cfg, decomp, &meshes, &src, &[], registry, None)
+            .expect("valid overlap workload");
         let wall = t0.elapsed().as_secs_f64();
         black_box(&results);
         if wall < best {

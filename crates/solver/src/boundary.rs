@@ -22,9 +22,7 @@ use awp_grid::fpmode::FlushGuard;
 /// Zero-stress imaging applied after each stress update on ranks owning
 /// the top (k = 0) face.
 pub fn apply_free_surface_stress(state: &mut WaveState) {
-    for group in [0usize, 2, 3] {
-        apply_free_surface_stress_group(state, group);
-    }
+    apply_free_surface_stress_win(state, Win::full(state.dims));
 }
 
 /// Free-surface stress imaging over a window's (i, j) footprint only (the
@@ -37,6 +35,7 @@ pub fn apply_free_surface_stress_win(state: &mut WaveState, win: Win) {
     let d = state.dims;
     for j in win.j0 as isize..win.j1 as isize {
         for i in win.i0 as isize..win.i1 as isize {
+            // σzz: node on the surface is zero; antisymmetric above.
             state.szz.set(i, j, 0, 0.0);
             let s1 = state.szz.get(i, j, 1);
             state.szz.set(i, j, -1, -s1);
@@ -44,6 +43,8 @@ pub fn apply_free_surface_stress_win(state: &mut WaveState, win: Win) {
                 let s2 = state.szz.get(i, j, 2);
                 state.szz.set(i, j, -2, -s2);
             }
+            // σxz, σyz: staggered half a cell below the surface plane →
+            // antisymmetric image about z = 0 (σxy needs none).
             let x0 = state.sxz.get(i, j, 0);
             state.sxz.set(i, j, -1, -x0);
             let x1 = state.sxz.get(i, j, 1);
@@ -52,45 +53,6 @@ pub fn apply_free_surface_stress_win(state: &mut WaveState, win: Win) {
             state.syz.set(i, j, -1, -y0);
             let y1 = state.syz.get(i, j, 1);
             state.syz.set(i, j, -2, -y1);
-        }
-    }
-}
-
-/// Free-surface imaging for one stress group (0 = normals, 2 = σxz,
-/// 3 = σyz; σxy needs none) — the overlap path applies each group's
-/// condition just before that group's halo exchange starts (§IV.C).
-pub fn apply_free_surface_stress_group(state: &mut WaveState, group: usize) {
-    let _ftz = FlushGuard::enter();
-    let d = state.dims;
-    for j in 0..d.ny as isize {
-        for i in 0..d.nx as isize {
-            match group {
-                0 => {
-                    // σzz: node on the surface is zero; antisymmetric above.
-                    state.szz.set(i, j, 0, 0.0);
-                    let s1 = state.szz.get(i, j, 1);
-                    state.szz.set(i, j, -1, -s1);
-                    if d.nz > 2 {
-                        let s2 = state.szz.get(i, j, 2);
-                        state.szz.set(i, j, -2, -s2);
-                    }
-                }
-                2 => {
-                    // σxz: staggered half a cell below the surface plane →
-                    // antisymmetric image about z = 0.
-                    let x0 = state.sxz.get(i, j, 0);
-                    state.sxz.set(i, j, -1, -x0);
-                    let x1 = state.sxz.get(i, j, 1);
-                    state.sxz.set(i, j, -2, -x1);
-                }
-                3 => {
-                    let y0 = state.syz.get(i, j, 0);
-                    state.syz.set(i, j, -1, -y0);
-                    let y1 = state.syz.get(i, j, 1);
-                    state.syz.set(i, j, -2, -y1);
-                }
-                _ => {}
-            }
         }
     }
 }
@@ -174,17 +136,12 @@ impl Sponge {
 
     /// Damp all nine wavefield components.
     pub fn apply(&self, state: &mut WaveState) {
-        self.apply_components(state, &awp_grid::stagger::Component::ALL);
-    }
-
-    /// Damp a subset of components (the overlap path damps each stress
-    /// group before its exchange starts).
-    pub fn apply_components(&self, state: &mut WaveState, comps: &[awp_grid::stagger::Component]) {
         let win = Win::full(state.dims);
-        self.apply_components_win(state, comps, win);
+        self.apply_components_win(state, &awp_grid::stagger::Component::ALL, win);
     }
 
-    /// Windowed sponge pass (shell/interior split). Per-cell multiplicative
+    /// Damp `comps` inside `win` (the stepper damps the stresses window by
+    /// window and the velocities cluster by cluster). Per-cell multiplicative
     /// damping, so restricting to a window is bit-exact: the row fast-path
     /// skip only skips multiplications by exactly 1.0 (an IEEE identity).
     pub fn apply_components_win(

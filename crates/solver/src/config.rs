@@ -60,22 +60,12 @@ pub struct SolverOpts {
     pub simd: bool,
     /// §IV.C computation/communication overlap via the shell/interior
     /// split timestep: boundary slabs update first, halo sends launch, the
-    /// interior updates while messages fly. Composes with `simd`, `hybrid`
-    /// and M-PML; requires the asynchronous engine
+    /// interior updates while messages fly. Composes with `simd`, M-PML
+    /// and LTS; requires the asynchronous engine
     /// (`SolverConfig::validate` rejects the combination otherwise).
     pub overlap: bool,
     /// §IV.A synchronous vs asynchronous engine.
     pub comm_mode: CommModeOpt,
-    /// §IV.D hybrid MPI/OpenMP mode: intra-rank thread parallelism via
-    /// Rayon. "While the hybrid approach reduces the load imbalance, it
-    /// introduced significant idle thread overhead" — off by default, as
-    /// in the paper's production runs.
-    pub hybrid: bool,
-    /// Worker count for the hybrid path: 0 uses rayon's global pool, any
-    /// other value runs the kernels on a dedicated pool of exactly that
-    /// many threads (deterministic on 1-core CI).
-    #[serde(default)]
-    pub threads: usize,
     /// Insert a global barrier every step (the redundant synchronisation
     /// the paper removes; kept togglable to measure T_sync).
     pub per_step_barrier: bool,
@@ -86,10 +76,10 @@ pub struct SolverOpts {
     /// explicit opt-in ([`SolverOpts::optimized_lts`]) because a
     /// multi-rate schedule is a different — O(dt)-equivalent but not
     /// bit-identical — numerical scheme whenever the medium warrants ≥ 2
-    /// rates. With a cluster census of 1 the solver delegates to the plain
-    /// path and is bit-exact. Requires `reciprocal_media` (the windowed
-    /// kernels assume the optimized layout) and, in parallel runs, a
-    /// z-unpartitioned decomposition (`parts[2] == 1`).
+    /// rates. A cluster census of 1 *is* single-rate stepping, bit for
+    /// bit. Requires `reciprocal_media` (the windowed kernels assume the
+    /// optimized layout) and, in parallel runs, a z-unpartitioned
+    /// decomposition (`parts[2] == 1`).
     #[serde(default)]
     pub lts: Option<LtsOpts>,
     /// Cooperative work-stealing tile scheduler: decompose each rank's
@@ -97,10 +87,10 @@ pub struct SolverOpts {
     /// per-rank dispatch queues, and let ranks that finish early (or park
     /// in `finish_exchange`) steal tiles from lagging peers. `None` keeps
     /// the one-thread-per-rank path. Requires `overlap` (tiles are the
-    /// interior window of the shell/interior split) and conflicts with the
-    /// `hybrid`/`threads` intra-rank pool — the scheduler *is* the
-    /// intra-host thread budget ([`ConfigError::SchedConflictsWithHybrid`]).
-    /// Bit-exact with the unscheduled path under any steal order.
+    /// interior window of the shell/interior split). Bit-exact with the
+    /// unscheduled path under any steal order. This is the repo's answer
+    /// to §IV.D's load imbalance; the paper's hybrid MPI/OpenMP mode lost
+    /// to pure MPI there and is not reproduced.
     #[serde(default)]
     pub sched: Option<SchedOpts>,
     /// Simulation-health sentinel cadence (`--health-every N`): every N
@@ -181,11 +171,9 @@ impl SolverOpts {
             block: BlockSpec::JAGUAR,
             reduced_comm: true,
             simd: true,
-            overlap: true, // shell/interior split: overlap composes with simd/hybrid/M-PML
+            overlap: true, // shell/interior split: overlap composes with simd/M-PML/LTS
             comm_mode: CommModeOpt::Asynchronous,
             per_step_barrier: false,
-            hybrid: false,
-            threads: 0,
             lts: None,
             sched: None,
             health_every: 0,
@@ -210,8 +198,6 @@ impl SolverOpts {
             overlap: false,
             comm_mode: CommModeOpt::Synchronous,
             per_step_barrier: true,
-            hybrid: false,
-            threads: 0,
             lts: None,
             sched: None,
             health_every: 0,
@@ -245,11 +231,6 @@ pub enum ConfigError {
     /// `opts.lts.min_slab` must be ≥ 4: a fine cluster reads two ghost
     /// planes from its coarse neighbour, which must not span a cluster.
     LtsSlabTooThin,
-    /// `opts.sched` conflicts with the `hybrid`/`threads` intra-rank pool:
-    /// both claim the host's spare cores, and arbitrating a shared budget
-    /// silently would make wall-clock numbers unattributable. Pick one
-    /// thread strategy per run.
-    SchedConflictsWithHybrid,
     /// `opts.sched` requires `opts.overlap`: tiles are the interior window
     /// of the shell/interior split; the unsplit step has no interior-only
     /// phase for thieves to help with.
@@ -278,11 +259,6 @@ impl std::fmt::Display for ConfigError {
             ConfigError::LtsSlabTooThin => write!(
                 f,
                 "opts.lts.min_slab must be at least 4 (two stencil half-widths)"
-            ),
-            ConfigError::SchedConflictsWithHybrid => write!(
-                f,
-                "opts.sched conflicts with the hybrid/threads intra-rank pool \
-                 (disable opts.hybrid and set opts.threads = 0, or drop opts.sched)"
             ),
             ConfigError::SchedNeedsOverlap => write!(
                 f,
@@ -415,13 +391,8 @@ impl SolverConfig {
                 return Err(ConfigError::LtsSlabTooThin);
             }
         }
-        if self.opts.sched.is_some() {
-            if self.opts.hybrid || self.opts.threads > 0 {
-                return Err(ConfigError::SchedConflictsWithHybrid);
-            }
-            if !self.opts.overlap {
-                return Err(ConfigError::SchedNeedsOverlap);
-            }
+        if self.opts.sched.is_some() && !self.opts.overlap {
+            return Err(ConfigError::SchedNeedsOverlap);
         }
         self.validate_abc().map_err(ConfigError::BadAbsorbingLayer)
     }
@@ -578,7 +549,6 @@ mod tests {
     fn optimized_enables_overlap_split() {
         let o = SolverOpts::optimized();
         assert!(o.overlap && o.simd, "v-next default: overlap composes with simd");
-        assert_eq!(o.threads, 0, "global pool unless pinned");
     }
 
     #[test]
@@ -609,21 +579,11 @@ mod tests {
         let mut cfg = SolverConfig::small(Dims3::new(8, 8, 8), 100.0, 1e-3, 4);
         cfg.opts = SolverOpts::optimized_sched();
         assert!(cfg.validate().is_ok());
-        // Thread-budget arbitration: the scheduler and the hybrid pool both
-        // claim the host's spare cores — conflicting configs are rejected
-        // up front, whichever knob expresses the conflict.
-        cfg.opts.hybrid = true;
-        assert_eq!(cfg.validate(), Err(ConfigError::SchedConflictsWithHybrid));
-        cfg.opts.hybrid = false;
-        cfg.opts.threads = 2;
-        assert_eq!(cfg.validate(), Err(ConfigError::SchedConflictsWithHybrid));
-        cfg.opts.threads = 0;
-        assert!(cfg.validate().is_ok());
         // Tiles are the interior window of the overlap split.
         cfg.opts.overlap = false;
         assert_eq!(cfg.validate(), Err(ConfigError::SchedNeedsOverlap));
-        let msg = ConfigError::SchedConflictsWithHybrid.to_string();
-        assert!(msg.contains("hybrid"), "{msg}");
+        let msg = ConfigError::SchedNeedsOverlap.to_string();
+        assert!(msg.contains("overlap"), "{msg}");
     }
 
     #[test]

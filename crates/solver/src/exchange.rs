@@ -140,27 +140,14 @@ pub struct PendingExchange {
     reqs: Vec<PendingRecv>,
 }
 
-/// Post receives and eager sends for a plan (asynchronous engine only).
+/// Post receives and eager sends for a plan (asynchronous engine only),
+/// restricted to the k-planes `[kr.0, kr.1)`: only that slice of each X/Y
+/// face travels (Z faces ship whole — the LTS driver requires a
+/// z-unpartitioned decomposition, so its plans carry no active Z entries).
 /// Outgoing slabs are staged in arena buffers and moved into the mailbox.
-pub fn start_exchange(
-    state: &WaveState,
-    sub: &Subdomain,
-    ctx: &mut RankCtx,
-    plan: &[FieldPlan],
-    phase: Phase,
-    step: u64,
-    arena: &mut HaloArena,
-) -> PendingExchange {
-    let kr = (0, state.dims.nz);
-    start_exchange_k(state, sub, ctx, plan, phase, step, arena, kr)
-}
-
-/// [`start_exchange`] restricted to the k-planes `[kr.0, kr.1)`: only that
-/// slice of each X/Y face travels (Z faces would ship whole — the LTS
-/// driver requires a z-unpartitioned decomposition, so plans carry no
-/// active Z entries). Local time stepping calls this once per firing
-/// dt-cluster with the cluster's k-range and a cluster-disambiguated
-/// `step` tag.
+/// The stepper calls this once per firing dt-cluster with the cluster's
+/// k-range — the full extent under global dt — and, for multi-rate plans,
+/// a cluster-disambiguated `step` tag.
 #[allow(clippy::too_many_arguments)]
 pub fn start_exchange_k(
     state: &WaveState,
@@ -313,7 +300,7 @@ pub fn finish_exchange(
 
 /// Full exchange of a plan, dispatching on the engine:
 ///
-/// * asynchronous — `start_exchange` + `finish_exchange`;
+/// * asynchronous — `start_exchange_k` + `finish_exchange`;
 /// * synchronous — the legacy ordered rendezvous: per axis, even-coordinate
 ///   ranks send first (the cascading pattern whose accumulated latency the
 ///   paper eliminates).
@@ -564,7 +551,9 @@ mod tests {
                 .into_iter()
                 .filter(|p| p.comp == Component::Vx)
                 .collect();
-            let pending = start_exchange(&st, &sub, ctx, &plan, Phase::Velocity, 7, &mut arena);
+            let kr = (0, st.dims.nz);
+            let pending =
+                start_exchange_k(&st, &sub, ctx, &plan, Phase::Velocity, 7, &mut arena, kr);
             finish_exchange(&mut st, ctx, pending, &mut arena);
             // Check one halo value against the global function.
             let mut err: f32 = 0.0;

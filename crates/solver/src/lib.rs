@@ -8,9 +8,8 @@
 //! * [`medium`] — per-rank material arrays with the reciprocal-storage
 //!   optimisation of §IV.B and effective-media averaging;
 //! * [`state`] — the nine wavefield arrays plus anelastic memory variables;
-//! * [`kernels`]/[`kernels_mt`]/[`simd`] — the hot velocity/stress update
-//!   loops (single-threaded, hybrid OpenMP-style Rayon §IV.D, and
-//!   runtime-dispatched explicit-SIMD variants), in *optimised*
+//! * [`kernels`]/[`simd`] — the hot velocity/stress update loops (scalar
+//!   and runtime-dispatched explicit-SIMD), the scalar ones in *optimised*
 //!   (precomputed reciprocals, cache blocking) and *legacy* (inline
 //!   divisions, unblocked) variants so the paper's §IV.B gains can be
 //!   measured;
@@ -28,8 +27,10 @@
 //!   computation/communication overlap (§IV.C);
 //! * [`sourceinj`] — kinematic moment-rate source insertion;
 //! * [`stations`] — seismogram recording and surface-velocity capture;
-//! * [`solver`] — serial and rank-parallel drivers with Eq. (7) phase
-//!   timing;
+//! * [`lts`] — the plan of dt-clusters the stepper walks: one cluster for
+//!   global time stepping, a rate-2ᵏ ladder under local time stepping;
+//! * [`solver`] — the one stepper and the serial and rank-parallel drivers
+//!   around it, with Eq. (7) phase timing;
 //! * [`reference`] — an independent 2nd-order solver used as the Fig. 3
 //!   cross-verification partner;
 //! * [`flops`] — per-point floating-point operation accounting feeding the
@@ -42,7 +43,6 @@ pub mod config;
 pub mod exchange;
 pub mod flops;
 pub mod kernels;
-pub mod kernels_mt;
 pub mod lts;
 pub mod medium;
 pub mod pml;
@@ -57,12 +57,12 @@ pub mod stations;
 pub use arena::HaloArena;
 pub use awp_telemetry as telemetry;
 pub use config::{AbcKind, CodeVersion, ConfigError, LtsOpts, SchedOpts, SolverConfig, SolverOpts};
-pub use lts::{LtsPlan, LtsRuntime};
+pub use lts::LtsPlan;
 pub use medium::Medium;
 pub use shell::{ShellPlan, Win};
 pub use simd::SimdBackend;
 pub use solver::{
-    run_parallel, run_parallel_with, try_run_parallel, try_run_parallel_with, RankResult, Solver,
+    run_parallel, try_run_parallel, try_run_parallel_decomp, RankResult, Solver,
 };
 pub use state::WaveState;
 pub use stations::{Station, StationRecorder};

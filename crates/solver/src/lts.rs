@@ -11,7 +11,8 @@
 //!
 //! # Schedule and interface coupling
 //!
-//! One base tick runs in lock-step sub-phases across all firing clusters:
+//! One base tick (`Solver::step`, which walks the [`StepPlan`] built here)
+//! runs in lock-step sub-phases across all firing clusters:
 //!
 //! 1. **prev-capture** — for every interface whose coarse side fires, the
 //!    two coarse edge planes of `v` and of the z-coupled stresses are
@@ -55,7 +56,8 @@ use crate::boundary::Sponge;
 use crate::config::{AbcKind, LtsOpts, SolverConfig};
 use crate::medium::Medium;
 use crate::pml::Mpml;
-use crate::shell::Win;
+use crate::exchange::Phase;
+use crate::shell::{ShellPlan, Win};
 use crate::state::WaveState;
 use awp_cvm::lts::{clusters_from_profile, rate_profile, theoretical_speedup, ClusterSpec};
 use awp_cvm::mesh::Mesh;
@@ -117,21 +119,45 @@ impl LtsPlan {
     }
 }
 
-/// One cluster's runtime state: its window, cadence, and — for rates > 1 —
-/// private dt-dependent operators (attenuation coefficients, M-PML
-/// profiles and sponge amplitudes are all functions of the step size, so a
-/// cluster stepping `rate·dt` needs its own). Rate-1 clusters borrow the
-/// solver's global-dt operators.
-pub(crate) struct LtsCluster {
-    pub win: Win,
-    pub rate: u32,
+/// The dt-dependent operators of one step size: attenuation coefficients,
+/// M-PML profiles and sponge amplitudes are all functions of `dt`, so a
+/// cluster stepping `rate·dt` owns a set built for that step. A rate-1
+/// cluster owns none and steps with the solver's.
+#[derive(Default)]
+pub(crate) struct Operators {
     pub atten: Option<Attenuation>,
     pub mpml: Option<Mpml>,
     pub sponge: Option<Sponge>,
+}
+
+/// One cluster of the step plan: its window and cadence, the windows the
+/// shell/interior split visits inside it, and its private operators.
+pub(crate) struct StepCluster {
+    pub win: Win,
+    pub rate: u32,
+    /// The non-empty `shell ∩ win` slabs, in [`ShellPlan`] order.
+    pub shells: Vec<Win>,
+    /// `interior ∩ win` (may be empty).
+    pub interior: Win,
+    pub own: Operators,
     /// Substeps executed (telemetry).
     pub fires: u64,
-    /// Compute nanoseconds accumulated inside this cluster's phases.
+    /// Nanoseconds accumulated inside this cluster's phases.
     pub ns: u64,
+}
+
+impl StepCluster {
+    fn new(win: Win, rate: u32, shell: &ShellPlan, own: Operators) -> Self {
+        Self {
+            win,
+            rate,
+            shells: shell.shells.iter().map(|s| s.intersect(win)).filter(|s| !s.is_empty()).collect(),
+            interior: shell.interior.intersect(win),
+            own,
+            fires: 0,
+            ns: 0,
+        }
+    }
 }
 
 /// One fine↔coarse interface: the bookkeeping for the two ghost
@@ -201,22 +227,23 @@ impl LtsInterface {
         }
     }
 
-    /// Fine velocity phase, coarse idle: σ ghosts at the midpoint.
-    pub fn blend_stress(&mut self, state: &mut WaveState) {
-        self.blend(state, &S_COMPS, 3, 0.5);
+    /// Overwrite the ghosts the fine cluster's `phase` reads: its velocity
+    /// phase runs while the coarse side idles and reads σ at the midpoint;
+    /// its stress phase runs when the coarse side fires too and reads v at
+    /// the ¾ point.
+    pub fn blend_ghosts(&mut self, state: &mut WaveState, phase: Phase) {
+        match phase {
+            Phase::Velocity => self.blend(state, &S_COMPS, 3, 0.5),
+            Phase::Stress => self.blend(state, &V_COMPS, 0, 0.25),
+        }
     }
 
-    pub fn restore_stress(&mut self, state: &mut WaveState) {
-        self.restore(state, &S_COMPS, 3);
-    }
-
-    /// Fine stress phase, coarse firing: v ghosts at the ¾ point.
-    pub fn blend_velocity(&mut self, state: &mut WaveState) {
-        self.blend(state, &V_COMPS, 0, 0.25);
-    }
-
-    pub fn restore_velocity(&mut self, state: &mut WaveState) {
-        self.restore(state, &V_COMPS, 0);
+    /// Put back the live values [`Self::blend_ghosts`] overwrote.
+    pub fn restore_ghosts(&mut self, state: &mut WaveState, phase: Phase) {
+        match phase {
+            Phase::Velocity => self.restore(state, &S_COMPS, 3),
+            Phase::Stress => self.restore(state, &V_COMPS, 0),
+        }
     }
 }
 
@@ -254,25 +281,36 @@ fn blend_plane(a: &mut Array3, k: usize, prev: &[f32], w_prev: f32) {
     }
 }
 
-/// Per-rank LTS runtime the solver steps through. Built by
-/// `Solver::enable_lts` from an [`LtsPlan`]; `None` (single cluster,
-/// or a plan too fragmented for the tag space) means the solver keeps the
-/// fused global-dt path bit-exactly.
-pub struct LtsRuntime {
-    pub(crate) clusters: Vec<LtsCluster>,
-    pub(crate) interfaces: Vec<LtsInterface>,
-    pub max_rate: u32,
-    pub specs: Vec<ClusterSpec>,
+/// What one rank's `Solver::step` walks each base tick: the clusters and
+/// the interfaces between them. Global time stepping is the plan with one
+/// rate-1 cluster over the whole grid, no private operators and no
+/// interfaces.
+pub(crate) struct StepPlan {
+    pub clusters: Vec<StepCluster>,
+    pub interfaces: Vec<LtsInterface>,
 }
 
-impl LtsRuntime {
-    /// Build the runtime for one rank. `specs` must come from the global
-    /// profile (identical on every rank); the rank's subdomain must span
-    /// the full z extent (enforced by the drivers via the single-z-part
-    /// config rule).
-    pub(crate) fn build(cfg: &SolverConfig, sub: &Subdomain, med: &Medium, specs: &[ClusterSpec]) -> Option<Self> {
+impl StepPlan {
+    /// The single-cluster (global dt) plan.
+    pub fn global(sub: &Subdomain, shell: &ShellPlan) -> Self {
+        let one = StepCluster::new(Win::full(sub.dims), 1, shell, Operators::default());
+        Self { clusters: vec![one], interfaces: Vec::new() }
+    }
+
+    /// The plan for `specs`, which must come from the global profile
+    /// (identical on every rank); the rank's subdomain must span the full
+    /// z extent (enforced by the drivers via the single-z-part config
+    /// rule). A census of one cluster, or one too fragmented for the tag
+    /// space, yields [`StepPlan::global`].
+    pub fn build(
+        cfg: &SolverConfig,
+        sub: &Subdomain,
+        med: &Medium,
+        shell: &ShellPlan,
+        specs: &[ClusterSpec],
+    ) -> Self {
         if specs.len() < 2 || specs.len() > MAX_CLUSTERS {
-            return None;
+            return Self::global(sub, shell);
         }
         debug_assert_eq!(
             specs.last().unwrap().k1,
@@ -280,31 +318,32 @@ impl LtsRuntime {
             "cluster partition must cover the rank's full z extent"
         );
         let d = sub.dims;
-        let clusters: Vec<LtsCluster> = specs
+        let clusters = specs
             .iter()
             .map(|c| {
                 let rate = c.rate;
                 let dt_c = cfg.dt * f64::from(rate);
-                let win = Win { i0: 0, i1: d.nx, j0: 0, j1: d.ny, k0: c.k0, k1: c.k1 };
-                let (atten, mpml, sponge) = if rate == 1 {
-                    // Borrow the solver's global-dt operators.
-                    (None, None, None)
-                } else {
-                    let atten = cfg.attenuation.then(|| {
+                let win = Win { k0: c.k0, k1: c.k1, ..Win::full(d) };
+                let mut own = Operators::default();
+                if rate > 1 {
+                    own.atten = cfg.attenuation.then(|| {
                         Attenuation::new(med, dt_c, cfg.q_band.0, cfg.q_band.1, sub.origin)
                     });
-                    let (mpml, sponge) = match cfg.abc {
-                        AbcKind::Sponge { width, amp } => (
-                            None,
-                            // amp^rate: the Cerjan profile is exp(−(a·d)²)
-                            // with a ∝ √(−ln amp), so raising amp to the
-                            // rate yields exactly profile^rate per fire —
-                            // the damping a rate-1 cluster accumulates
-                            // over the same interval.
-                            Some(Sponge::new(sub, width, amp.powi(rate as i32), cfg.free_surface)),
-                        ),
-                        AbcKind::Mpml { width, pmax } => (
-                            Some(
+                    match cfg.abc {
+                        // amp^rate: the Cerjan profile is exp(−(a·d)²) with
+                        // a ∝ √(−ln amp), so raising amp to the rate yields
+                        // exactly profile^rate per fire — the damping a
+                        // rate-1 cluster accumulates over the same interval.
+                        AbcKind::Sponge { width, amp } => {
+                            own.sponge = Some(Sponge::new(
+                                sub,
+                                width,
+                                amp.powi(rate as i32),
+                                cfg.free_surface,
+                            ));
+                        }
+                        AbcKind::Mpml { width, pmax } => {
+                            own.mpml = Some(
                                 Mpml::for_window(
                                     sub,
                                     med,
@@ -316,22 +355,12 @@ impl LtsRuntime {
                                     win,
                                 )
                                 .with_backend(crate::simd::backend_for(&cfg.opts)),
-                            ),
-                            None,
-                        ),
-                        AbcKind::None => (None, None),
-                    };
-                    (atten, mpml, sponge)
-                };
-                LtsCluster {
-                    win,
-                    rate,
-                    atten,
-                    mpml,
-                    sponge,
-                    fires: 0,
-                    ns: 0,
+                            );
+                        }
+                        AbcKind::None => {}
+                    }
                 }
+                StepCluster::new(win, rate, shell, own)
             })
             .collect();
         let plane_len = d.nx * d.ny;
@@ -348,21 +377,12 @@ impl LtsRuntime {
             };
             interfaces.push(LtsInterface::new(fine, coarse, planes, plane_len));
         }
-        Some(Self {
-            max_rate: specs.iter().map(|c| c.rate).max().unwrap_or(1),
-            specs: specs.to_vec(),
-            clusters,
-            interfaces,
-        })
+        Self { clusters, interfaces }
     }
 
-    pub fn cluster_count(&self) -> usize {
-        self.clusters.len()
-    }
-
-    /// Does cluster `c` advance on base tick `n`?
-    pub fn fires(&self, c: usize, tick: u64) -> bool {
-        tick % u64::from(self.clusters[c].rate) == 0
+    /// More than one cluster: the schedule differs from global dt.
+    pub fn is_multi_rate(&self) -> bool {
+        self.clusters.len() > 1
     }
 
     /// Per-cluster accounting for telemetry.

@@ -18,7 +18,7 @@
 //!
 //! Corners are therefore owned by exactly one slab, and every cell within
 //! halo depth of a communicating face lies in some shell slab (the face
-//! extraction in `exchange::start_exchange` reads only such cells).
+//! extraction in `exchange::start_exchange_k` reads only such cells).
 //!
 //! **Free-surface fold rule**: stress imaging at the k = 0 surface reads a
 //! column's k ∈ {0, 1, 2} stresses *after* their update but *before* the

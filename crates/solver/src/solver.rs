@@ -2,30 +2,30 @@
 //! the virtual cluster, following the flow of the paper's Fig. 6 ("wave
 //! mode"): update velocities → share with neighbours → update stresses →
 //! share → repeat, with Eq. (7) phase timing.
+//!
+//! There is one stepper, [`Solver::step_serial`] and
+//! [`Solver::step_parallel`] being its two entry points. It walks a
+//! precomputed plan of dt-clusters (`crate::lts`): global time stepping is
+//! the plan with a single rate-1 cluster, and a serial run is a step with
+//! no communicator.
 
 use crate::arena::HaloArena;
 use crate::attenuation::Attenuation;
 use crate::boundary::{
-    apply_free_surface_stress, apply_free_surface_stress_win, apply_free_surface_velocity,
-    owns_free_surface, Sponge,
+    apply_free_surface_stress_win, apply_free_surface_velocity, owns_free_surface, Sponge,
 };
 use crate::config::{AbcKind, ConfigError, SolverConfig};
 use crate::exchange::{
-    exchange, exchange_k, finish_exchange, full_plan, reduced_stress_plan,
-    reduced_velocity_plan, start_exchange, start_exchange_k, FieldPlan, Phase,
+    exchange_k, finish_exchange, full_plan, reduced_stress_plan, reduced_velocity_plan,
+    start_exchange_k, FieldPlan, Phase,
 };
 use crate::flops::FlopCounter;
-use crate::lts::{LtsCluster, LtsPlan, LtsRuntime, MAX_CLUSTERS};
 use crate::kernels::{update_stress, update_stress_win, update_velocity, update_velocity_win};
-use crate::kernels_mt::{
-    update_stress_mt, update_stress_mt_win, update_velocity_mt, update_velocity_mt_win,
-};
+use crate::lts::{LtsInterface, LtsPlan, StepPlan, MAX_CLUSTERS};
 use crate::medium::Medium;
 use crate::pml::Mpml;
 use crate::shell::{ShellPlan, Win};
-use crate::simd::{
-    update_stress_simd, update_stress_simd_win, update_velocity_simd, update_velocity_simd_win,
-};
+use crate::simd::{update_stress_backend_win, update_velocity_backend_win, SimdBackend};
 use crate::sourceinj::SourceInjector;
 use crate::state::WaveState;
 use crate::stations::{Seismogram, Station, StationRecorder};
@@ -38,80 +38,254 @@ use awp_source::kinematic::KinematicSource;
 use awp_source::partition::partition_spatial;
 use awp_telemetry::{
     CausalKind, Counter as TelCounter, HistKind as TelHistKind, Phase as TelPhase, Recorder,
-    Registry, Snapshot, NO_PEER,
+    Registry, Snapshot, NO_CLUSTER, NO_PEER,
 };
 use awp_vcluster::cluster::RankCtx;
 use awp_vcluster::sched::fold_counters;
-use awp_vcluster::{Category, Cluster, ExecSlot, HostTopology, SchedulePlan, Tile, TimeLedger};
+use awp_vcluster::{
+    Category, Cluster, CommMode, ExecSlot, HostTopology, SchedulePlan, Tile, TimeLedger,
+};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Kernel backend for one window of the shell/interior split.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Backend {
-    Scalar,
-    Simd,
-    Hybrid,
-}
-
-/// A scheduler [`Tile`] viewed as a kernel window.
-fn win_of(t: Tile) -> Win {
-    Win { i0: t.i0, i1: t.i1, j0: t.j0, j1: t.j1, k0: t.k0, k1: t.k1 }
-}
-
-/// A kernel window viewed as a scheduler [`Tile`].
-fn tile_of(w: Win) -> Tile {
-    Tile { i0: w.i0, i1: w.i1, j0: w.j0, j1: w.j1, k0: w.k0, k1: w.k1 }
-}
-
-/// Executor context for a velocity tile batch: raw pointers into the owner
-/// rank's solver, valid from `submit` to `run_to_completion` per the
-/// [`ExecSlot`] contract. Tiles partition the window into disjoint k-slabs
-/// and the velocity kernel writes only velocity components of its own
-/// cells while reading stresses (which the batch never writes), so the
-/// concurrent mutable accesses through `state` never alias a written cell.
-struct VelTileCtx {
-    state: *mut WaveState,
-    med: *const Medium,
-    dth: f32,
+/// The update loops this solver runs, resolved once at construction: the
+/// legacy (inline-division, full-grid only) loops without
+/// `reciprocal_media`, else the optimized scalar loops of `kernels.rs` or —
+/// with `simd` — the widest vector backend the CPU has.
+#[derive(Debug, Clone, Copy)]
+struct Kernels {
+    backend: SimdBackend,
+    optimized: bool,
     block: BlockSpec,
-    simd: bool,
 }
 
-unsafe fn run_velocity_tile(p: *const (), t: Tile) {
-    let c = unsafe { &*(p as *const VelTileCtx) };
-    let state = unsafe { &mut *c.state };
-    let med = unsafe { &*c.med };
-    if c.simd {
-        update_velocity_simd_win(state, med, c.dth, c.block, win_of(t));
-    } else {
-        update_velocity_win(state, med, c.dth, c.block, win_of(t));
+impl Kernels {
+    fn velocity(self, state: &mut WaveState, med: &Medium, dth: f32, w: Win) {
+        match self.backend {
+            SimdBackend::Scalar if !self.optimized => {
+                // `validate()` keeps the legacy layout away from the
+                // overlap split and from LTS, the only sources of windows.
+                debug_assert_eq!(w, Win::full(state.dims), "legacy kernels are full-grid only");
+                update_velocity(state, med, dth, self.block, false);
+            }
+            SimdBackend::Scalar => update_velocity_win(state, med, dth, self.block, w),
+            simd => update_velocity_backend_win(state, med, dth, self.block, w, simd),
+        }
+    }
+
+    fn stress(
+        self,
+        state: &mut WaveState,
+        med: &Medium,
+        atten: Option<&Attenuation>,
+        dth: f32,
+        dt: f32,
+        w: Win,
+    ) {
+        match self.backend {
+            SimdBackend::Scalar if !self.optimized => {
+                debug_assert_eq!(w, Win::full(state.dims), "legacy kernels are full-grid only");
+                update_stress(state, med, atten, dth, dt, self.block, false);
+            }
+            SimdBackend::Scalar => update_stress_win(state, med, atten, dth, dt, self.block, w),
+            simd => update_stress_backend_win(state, med, atten, dth, dt, self.block, w, simd),
+        }
     }
 }
 
-/// Executor context for a stress tile batch (same aliasing argument as
-/// [`VelTileCtx`], with the field roles swapped: tiles write stresses and
-/// memory variables of their own cells, read velocities). `atten` is null
+/// Executor context for one tile batch: raw pointers into the owner rank's
+/// solver, valid from `submit` to `run_to_completion` per the [`ExecSlot`]
+/// contract. Tiles partition the window into disjoint k-slabs and both
+/// kernels are cell-pure — the velocity kernel writes only velocity
+/// components of its own cells while reading stresses, the stress kernel
+/// writes only stresses and memory variables of its own cells while reading
+/// velocities, and a batch runs one of the two — so the concurrent mutable
+/// accesses through `state` never alias a written cell. `atten` is null
 /// when attenuation is off.
-struct StressTileCtx {
+struct TileCtx {
+    kernels: Kernels,
+    phase: Phase,
     state: *mut WaveState,
     med: *const Medium,
     atten: *const Attenuation,
     dth: f32,
     dt: f32,
-    block: BlockSpec,
-    simd: bool,
 }
 
-unsafe fn run_stress_tile(p: *const (), t: Tile) {
-    let c = unsafe { &*(p as *const StressTileCtx) };
+unsafe fn run_tile(p: *const (), t: Tile) {
+    let c = unsafe { &*(p as *const TileCtx) };
     let state = unsafe { &mut *c.state };
     let med = unsafe { &*c.med };
-    let atten = unsafe { c.atten.as_ref() };
-    if c.simd {
-        update_stress_simd_win(state, med, atten, c.dth, c.dt, c.block, win_of(t));
-    } else {
-        update_stress_win(state, med, atten, c.dth, c.dt, c.block, win_of(t));
+    let w = Win { i0: t.i0, i1: t.i1, j0: t.j0, j1: t.j1, k0: t.k0, k1: t.k1 };
+    match c.phase {
+        Phase::Velocity => c.kernels.velocity(state, med, c.dth, w),
+        Phase::Stress => {
+            c.kernels.stress(state, med, unsafe { c.atten.as_ref() }, c.dth, c.dt, w)
+        }
+    }
+}
+
+/// Where a step's messages and timings go: a rank of the virtual cluster,
+/// or — a serial run — nowhere, with the caller's ledger.
+enum Comm<'a> {
+    Serial { ledger: &'a mut TimeLedger, tel: &'a mut Recorder },
+    Rank(&'a mut RankCtx),
+}
+
+impl Comm<'_> {
+    fn rank(&mut self) -> Option<&mut RankCtx> {
+        match self {
+            Comm::Serial { .. } => None,
+            Comm::Rank(ctx) => Some(ctx),
+        }
+    }
+
+    fn tel(&mut self) -> &mut Recorder {
+        match self {
+            Comm::Serial { tel, .. } => tel,
+            Comm::Rank(ctx) => &mut ctx.telem,
+        }
+    }
+
+    fn ledger(&mut self) -> &mut TimeLedger {
+        match self {
+            Comm::Serial { ledger, .. } => ledger,
+            Comm::Rank(ctx) => &mut ctx.ledger,
+        }
+    }
+
+    /// Close the interval opened at `t0`: one clock read feeds both the
+    /// coarse Eq. (7) ledger and the telemetry phase span.
+    fn charge(&mut self, cat: Category, phase: TelPhase, t0: Instant) {
+        let el = t0.elapsed();
+        self.ledger().add(cat, el);
+        self.tel().span_at(phase, t0, el);
+    }
+}
+
+/// What every window pass of one step shares.
+struct Pass<'a> {
+    kernels: Kernels,
+    med: &'a Medium,
+    injector: &'a SourceInjector,
+    /// This rank images the free surface.
+    on_surface: bool,
+}
+
+/// What one firing cluster steps with this tick: its step sizes and the
+/// dt-dependent operators — its own, or (rate 1) the solver's.
+struct ClusterOps<'a> {
+    dth: f32,
+    dt: f64,
+    /// Source time: the σ update spans base ticks `n..n+rate`, so the
+    /// source term applies at its centre (rate 1 ⇒ `n·dt`).
+    t_src: f64,
+    atten: Option<&'a Attenuation>,
+    mpml: Option<&'a mut Mpml>,
+    sponge: Option<&'a Sponge>,
+}
+
+impl Pass<'_> {
+    /// Run one kernel over `w`: inline, or — `tile_planes` — as disjoint-write
+    /// k-slab tiles on this rank's dispatch queue, parking on the batch
+    /// barrier (helping lagging peers while waiting). Only the cell-pure
+    /// kernel is tiled; boundary work stays owner-side, after the barrier,
+    /// which keeps the pass bit-exact under any steal schedule.
+    fn kernel(
+        &self,
+        phase: Phase,
+        state: &mut WaveState,
+        ops: &ClusterOps,
+        w: Win,
+        tile_planes: Option<usize>,
+        comm: &mut Comm,
+    ) {
+        let (dth, dt) = (ops.dth, ops.dt as f32);
+        let (Some(planes), Some(ctx)) = (tile_planes, comm.rank()) else {
+            return match phase {
+                Phase::Velocity => self.kernels.velocity(state, self.med, dth, w),
+                Phase::Stress => self.kernels.stress(state, self.med, ops.atten, dth, dt, w),
+            };
+        };
+        let sched = Arc::clone(ctx.sched().expect("tiled pass requires an attached scheduler"));
+        let rank = ctx.rank();
+        let tiles =
+            Tile { i0: w.i0, i1: w.i1, j0: w.j0, j1: w.j1, k0: w.k0, k1: w.k1 }.split_k(planes);
+        ctx.telem.observe_count(TelHistKind::QueueDepth, tiles.len() as u64);
+        let tctx = TileCtx {
+            kernels: self.kernels,
+            phase,
+            state,
+            med: self.med,
+            atten: ops.atten.map_or(std::ptr::null(), |a| a as *const Attenuation),
+            dth,
+            dt,
+        };
+        // SAFETY: `tctx` outlives the batch (submit → run_to_completion,
+        // both below, on this stack frame); tiles write disjoint cells and
+        // the kernels are cell-pure, so concurrent executors never write
+        // the same memory (see `awp_vcluster::sched` module docs).
+        unsafe {
+            let exec = ExecSlot::new(&tctx as *const TileCtx as *const (), run_tile);
+            sched.submit(rank, exec, &tiles);
+        }
+        sched.run_to_completion(rank);
+    }
+
+    /// Velocity phase over one window: kernel update then the M-PML
+    /// velocity correction, both restricted to `w`. The M-PML work is
+    /// recorded as a nested `Boundary` span (inclusive: it also counts
+    /// toward the enclosing window-phase span).
+    fn velocity_win(
+        &self,
+        state: &mut WaveState,
+        ops: &mut ClusterOps,
+        w: Win,
+        tiles: Option<usize>,
+        comm: &mut Comm,
+    ) {
+        self.kernel(Phase::Velocity, state, ops, w, tiles, comm);
+        if let Some(p) = ops.mpml.as_deref_mut() {
+            let t0 = comm.tel().start();
+            p.apply_velocity_win(state, self.med, ops.dth, w);
+            comm.tel().finish(t0, TelPhase::Boundary);
+        }
+    }
+
+    /// Stress phase over one window: kernel update → M-PML correction →
+    /// source injection → free-surface imaging (surface-touching windows
+    /// only) → stress sponge. Boundary-condition work and source injection
+    /// are recorded as nested `Boundary`/`Source` spans inside the
+    /// window-phase span.
+    fn stress_win(
+        &self,
+        state: &mut WaveState,
+        ops: &mut ClusterOps,
+        w: Win,
+        tiles: Option<usize>,
+        comm: &mut Comm,
+    ) {
+        self.kernel(Phase::Stress, state, ops, w, tiles, comm);
+        let tel = comm.tel();
+        if let Some(p) = ops.mpml.as_deref_mut() {
+            let t0 = tel.start();
+            p.apply_stress_win(state, self.med, ops.dth, w);
+            tel.finish(t0, TelPhase::Boundary);
+        }
+        let t0 = tel.start();
+        self.injector.inject_win(state, ops.t_src, ops.dt, w);
+        tel.finish(t0, TelPhase::Source);
+        let images = self.on_surface && w.k0 == 0;
+        if images || ops.sponge.is_some() {
+            let t0 = tel.start();
+            if images {
+                apply_free_surface_stress_win(state, w);
+            }
+            if let Some(sp) = ops.sponge {
+                sp.apply_components_win(state, &Component::STRESSES, w);
+            }
+            tel.finish(t0, TelPhase::Boundary);
+        }
     }
 }
 
@@ -128,14 +302,15 @@ pub struct Solver {
     pub recorder: StationRecorder,
     pub step: usize,
     pub flops: FlopCounter,
+    kernels: Kernels,
     vel_plan: Vec<FieldPlan>,
     str_plan: Vec<FieldPlan>,
     /// Precomputed shell/interior decomposition for the overlap timestep.
     shell: ShellPlan,
     /// Pooled halo staging buffers (zero-copy exchange path).
     arena: HaloArena,
-    /// Armed local-time-stepping runtime (`None` ⇒ fused global-dt path).
-    lts: Option<LtsRuntime>,
+    /// The dt-clusters [`Solver::step`] walks (one, unless LTS is armed).
+    plan: StepPlan,
 }
 
 /// Output of one rank's run.
@@ -155,9 +330,9 @@ pub struct RankResult {
     /// (`Phase::{Send, Wait, Inject}` replace the old `ExchangeStats`),
     /// comm counters, and latency histograms. Empty/disabled unless the run
     /// was started with a telemetry registry
-    /// ([`run_parallel_with`]/[`try_run_parallel_with`]) — the
-    /// overlap-efficiency bench reads the `Wait` total to measure how much
-    /// communication the split timestep hid.
+    /// ([`try_run_parallel_decomp`]) — the overlap-efficiency bench reads
+    /// the `Wait` total to measure how much communication the split
+    /// timestep hid.
     pub telemetry: Snapshot,
     pub sub: Subdomain,
 }
@@ -208,10 +383,11 @@ impl Solver {
             }
             _ => None,
         };
+        let backend = crate::simd::backend_for(&cfg.opts);
         let mpml = match cfg.abc {
             AbcKind::Mpml { width, pmax } => Some(
                 Mpml::new(&sub, &med, width, pmax, cfg.dt, cfg.q_band.1.max(0.5), 1e-4)
-                    .with_backend(crate::simd::backend_for(&cfg.opts)),
+                    .with_backend(backend),
             ),
             _ => None,
         };
@@ -226,7 +402,13 @@ impl Solver {
             )
         };
         let shell = ShellPlan::new(&sub, cfg.free_surface && owns_free_surface(&sub));
+        let kernels = Kernels {
+            backend,
+            optimized: cfg.opts.reciprocal_media,
+            block: cfg.opts.block,
+        };
         Ok(Self {
+            plan: StepPlan::global(&sub, &shell),
             cfg,
             sub,
             med,
@@ -238,33 +420,37 @@ impl Solver {
             recorder,
             step: 0,
             flops: FlopCounter::default(),
+            kernels,
             vel_plan,
             str_plan,
             shell,
             arena: HaloArena::new(),
-            lts: None,
         })
     }
 
     /// Arm clustered local time stepping from a plan derived from the
     /// *global* velocity structure (so all ranks agree on the partition).
-    /// Returns `true` when a multi-rate runtime is active; single-cluster
+    /// Returns `true` when a multi-rate schedule is active; single-cluster
     /// plans — uniform media, or a profile whose CFL headroom never
-    /// reaches one octave — leave the solver on the fused global-dt path,
-    /// which is the bit-exact degenerate case of the LTS schedule.
+    /// reaches one octave — are global time stepping, the bit-exact
+    /// degenerate case of the LTS schedule.
     pub fn enable_lts(&mut self, plan: &LtsPlan) -> bool {
-        self.lts = LtsRuntime::build(&self.cfg, &self.sub, &self.med, &plan.clusters);
-        self.lts.is_some()
+        self.plan = StepPlan::build(&self.cfg, &self.sub, &self.med, &self.shell, &plan.clusters);
+        self.lts_active()
     }
 
     /// Is a multi-rate LTS schedule driving this solver?
     pub fn lts_active(&self) -> bool {
-        self.lts.is_some()
+        self.plan.is_multi_rate()
     }
 
-    /// Per-cluster substep/time accounting (empty when LTS is not armed).
+    /// Per-cluster substep/time accounting (empty under global dt).
     pub fn lts_stats(&self) -> Vec<awp_telemetry::LtsClusterStat> {
-        self.lts.as_ref().map(LtsRuntime::stats).unwrap_or_default()
+        if self.lts_active() {
+            self.plan.stats()
+        } else {
+            Vec::new()
+        }
     }
 
     /// Everything a bit-exact restart needs, as named checkpoint fields:
@@ -276,8 +462,8 @@ impl Solver {
         if let Some(p) = &self.mpml {
             out.extend(p.checkpoint_fields("mpml_"));
         }
-        for (c, cl) in self.lts.iter().flat_map(|rt| rt.clusters.iter().enumerate()) {
-            if let Some(p) = &cl.mpml {
+        for (c, cl) in self.plan.clusters.iter().enumerate() {
+            if let Some(p) = &cl.own.mpml {
                 out.extend(p.checkpoint_fields(&format!("lts{c}_mpml_")));
             }
         }
@@ -285,14 +471,14 @@ impl Solver {
     }
 
     /// Inverse of [`Solver::checkpoint_fields`] (arm LTS first: cluster ψ
-    /// is restored into the armed runtime). Unknown names are ignored.
+    /// is restored into the armed plan). Unknown names are ignored.
     pub fn restore_fields(&mut self, fields: &[(String, Vec<f32>)]) {
         self.state.restore_fields(fields);
         if let Some(p) = &mut self.mpml {
             p.restore_fields("mpml_", fields);
         }
-        for (c, cl) in self.lts.iter_mut().flat_map(|rt| rt.clusters.iter_mut().enumerate()) {
-            if let Some(p) = &mut cl.mpml {
+        for (c, cl) in self.plan.clusters.iter_mut().enumerate() {
+            if let Some(p) = &mut cl.own.mpml {
                 p.restore_fields(&format!("lts{c}_mpml_"), fields);
             }
         }
@@ -309,962 +495,213 @@ impl Solver {
         &self.shell
     }
 
-    fn dth(&self) -> f32 {
-        (self.cfg.dt / self.cfg.h) as f32
-    }
-
-    /// Velocity phase over one window: kernel update then the M-PML
-    /// velocity correction, both restricted to `w`. The M-PML work is
-    /// recorded as a nested `Boundary` span (inclusive: it also counts
-    /// toward the enclosing window-phase span).
-    fn velocity_win(&mut self, w: Win, dth: f32, block: BlockSpec, backend: Backend, tel: &mut Recorder) {
-        match backend {
-            Backend::Hybrid => update_velocity_mt_win(
-                &mut self.state,
-                &self.med,
-                dth,
-                w,
-                self.cfg.opts.threads,
-            ),
-            Backend::Simd => update_velocity_simd_win(&mut self.state, &self.med, dth, block, w),
-            Backend::Scalar => update_velocity_win(&mut self.state, &self.med, dth, block, w),
-        }
-        if let Some(p) = &mut self.mpml {
-            let t0 = tel.start();
-            p.apply_velocity_win(&mut self.state, &self.med, dth, w);
-            tel.finish(t0, TelPhase::Boundary);
-        }
-    }
-
-    /// Stress phase over one window, in the fused pass's order: kernel
-    /// update → M-PML correction → source injection → free-surface imaging
-    /// (surface-touching windows only) → stress sponge. Boundary-condition
-    /// work (M-PML, free surface, sponge) and source injection are recorded
-    /// as nested `Boundary`/`Source` spans inside the window-phase span.
-    #[allow(clippy::too_many_arguments)]
-    fn stress_win(
-        &mut self,
-        w: Win,
-        t: f64,
-        on_surface: bool,
-        dth: f32,
-        block: BlockSpec,
-        backend: Backend,
-        tel: &mut Recorder,
-    ) {
-        let dt = self.cfg.dt as f32;
-        match backend {
-            Backend::Hybrid => update_stress_mt_win(
-                &mut self.state,
-                &self.med,
-                self.atten.as_ref(),
-                dth,
-                dt,
-                w,
-                self.cfg.opts.threads,
-            ),
-            Backend::Simd => update_stress_simd_win(
-                &mut self.state,
-                &self.med,
-                self.atten.as_ref(),
-                dth,
-                dt,
-                block,
-                w,
-            ),
-            Backend::Scalar => update_stress_win(
-                &mut self.state,
-                &self.med,
-                self.atten.as_ref(),
-                dth,
-                dt,
-                block,
-                w,
-            ),
-        }
-        if let Some(p) = &mut self.mpml {
-            let t0 = tel.start();
-            p.apply_stress_win(&mut self.state, &self.med, dth, w);
-            tel.finish(t0, TelPhase::Boundary);
-        }
-        let t0 = tel.start();
-        self.injector.inject_win(&mut self.state, t, self.cfg.dt, w);
-        tel.finish(t0, TelPhase::Source);
-        if (on_surface && w.k0 == 0) || self.sponge.is_some() {
-            let t0 = tel.start();
-            if on_surface && w.k0 == 0 {
-                apply_free_surface_stress_win(&mut self.state, w);
-            }
-            if let Some(sp) = &self.sponge {
-                sp.apply_components_win(&mut self.state, &Component::STRESSES, w);
-            }
-            tel.finish(t0, TelPhase::Boundary);
-        }
-    }
-
-    /// Run a window's velocity kernel as disjoint-write k-slab tiles on
-    /// this rank's dispatch queue, then park on the batch barrier (helping
-    /// lagging peers while waiting). Only the cell-pure kernel is tiled —
-    /// boundary work stays owner-side, after the barrier.
-    fn tiled_velocity_kernel(
-        &mut self,
-        w: Win,
-        dth: f32,
-        block: BlockSpec,
-        simd: bool,
-        ctx: &mut RankCtx,
-        planes: usize,
-    ) {
-        let sched = Arc::clone(ctx.sched().expect("tiled path requires an attached scheduler"));
-        let rank = ctx.rank();
-        let tiles = tile_of(w).split_k(planes);
-        ctx.telem.observe_count(TelHistKind::QueueDepth, tiles.len() as u64);
-        let tctx = VelTileCtx { state: &mut self.state, med: &self.med, dth, block, simd };
-        // SAFETY: `tctx` outlives the batch (submit → run_to_completion,
-        // both below, on this stack frame); tiles write disjoint cells and
-        // the kernel is cell-pure, so concurrent executors never write the
-        // same memory (see `awp_vcluster::sched` module docs).
-        unsafe {
-            let exec = ExecSlot::new(&tctx as *const VelTileCtx as *const (), run_velocity_tile);
-            sched.submit(rank, exec, &tiles);
-        }
-        sched.run_to_completion(rank);
-    }
-
-    /// Stress-kernel counterpart of [`Self::tiled_velocity_kernel`].
-    /// `atten` is the effective attenuation for this window (null ⇒ none;
-    /// LTS clusters pass their dt-scaled override).
-    #[allow(clippy::too_many_arguments)]
-    fn tiled_stress_kernel(
-        &mut self,
-        w: Win,
-        atten: *const Attenuation,
-        dth: f32,
-        dt: f32,
-        block: BlockSpec,
-        simd: bool,
-        ctx: &mut RankCtx,
-        planes: usize,
-    ) {
-        let sched = Arc::clone(ctx.sched().expect("tiled path requires an attached scheduler"));
-        let rank = ctx.rank();
-        let tiles = tile_of(w).split_k(planes);
-        ctx.telem.observe_count(TelHistKind::QueueDepth, tiles.len() as u64);
-        let tctx = StressTileCtx {
-            state: &mut self.state,
-            med: &self.med,
-            atten,
-            dth,
-            dt,
-            block,
-            simd,
-        };
-        // SAFETY: as in `tiled_velocity_kernel` — context outlives the
-        // batch, tiles are disjoint-write.
-        unsafe {
-            let exec = ExecSlot::new(&tctx as *const StressTileCtx as *const (), run_stress_tile);
-            sched.submit(rank, exec, &tiles);
-        }
-        sched.run_to_completion(rank);
-    }
-
-    /// [`Self::velocity_win`] with the kernel tiled onto the scheduler.
-    /// The M-PML tail runs owner-side after the batch barrier, in the
-    /// untiled path's exact order — bit-exact under any steal schedule.
-    fn velocity_win_sched(
-        &mut self,
-        w: Win,
-        dth: f32,
-        block: BlockSpec,
-        backend: Backend,
-        ctx: &mut RankCtx,
-        planes: usize,
-    ) {
-        debug_assert_ne!(backend, Backend::Hybrid, "validate() rejects sched+hybrid");
-        self.tiled_velocity_kernel(w, dth, block, backend == Backend::Simd, ctx, planes);
-        if let Some(p) = &mut self.mpml {
-            let t0 = ctx.telem.start();
-            p.apply_velocity_win(&mut self.state, &self.med, dth, w);
-            ctx.telem.finish(t0, TelPhase::Boundary);
-        }
-    }
-
-    /// [`Self::stress_win`] with the kernel tiled onto the scheduler. The
-    /// non-cell-pure tail (M-PML → source injection → free surface →
-    /// sponge) runs owner-side after the batch barrier, in the untiled
-    /// pass's order.
-    #[allow(clippy::too_many_arguments)]
-    fn stress_win_sched(
-        &mut self,
-        w: Win,
-        t: f64,
-        on_surface: bool,
-        dth: f32,
-        block: BlockSpec,
-        backend: Backend,
-        ctx: &mut RankCtx,
-        planes: usize,
-    ) {
-        debug_assert_ne!(backend, Backend::Hybrid, "validate() rejects sched+hybrid");
-        let dt = self.cfg.dt as f32;
-        let atten = self.atten.as_ref().map_or(std::ptr::null(), |a| a as *const Attenuation);
-        self.tiled_stress_kernel(w, atten, dth, dt, block, backend == Backend::Simd, ctx, planes);
-        if let Some(p) = &mut self.mpml {
-            let t0 = ctx.telem.start();
-            p.apply_stress_win(&mut self.state, &self.med, dth, w);
-            ctx.telem.finish(t0, TelPhase::Boundary);
-        }
-        let t0 = ctx.telem.start();
-        self.injector.inject_win(&mut self.state, t, self.cfg.dt, w);
-        ctx.telem.finish(t0, TelPhase::Source);
-        if (on_surface && w.k0 == 0) || self.sponge.is_some() {
-            let t0 = ctx.telem.start();
-            if on_surface && w.k0 == 0 {
-                apply_free_surface_stress_win(&mut self.state, w);
-            }
-            if let Some(sp) = &self.sponge {
-                sp.apply_components_win(&mut self.state, &Component::STRESSES, w);
-            }
-            ctx.telem.finish(t0, TelPhase::Boundary);
-        }
-    }
-
-    /// [`Self::lts_velocity_win`] with the kernel tiled onto the scheduler
-    /// (cluster-rate dt, cluster M-PML override in the owner-side tail).
-    #[allow(clippy::too_many_arguments)]
-    fn lts_velocity_win_sched(
-        &mut self,
-        cl: &mut LtsCluster,
-        w: Win,
-        dth_c: f32,
-        block: BlockSpec,
-        backend: Backend,
-        ctx: &mut RankCtx,
-        planes: usize,
-    ) {
-        debug_assert_ne!(backend, Backend::Hybrid, "validate() rejects sched+hybrid");
-        self.tiled_velocity_kernel(w, dth_c, block, backend == Backend::Simd, ctx, planes);
-        if let Some(p) = cl.mpml.as_mut().or(self.mpml.as_mut()) {
-            let t0 = ctx.telem.start();
-            p.apply_velocity_win(&mut self.state, &self.med, dth_c, w);
-            ctx.telem.finish(t0, TelPhase::Boundary);
-        }
-    }
-
-    /// [`Self::lts_stress_win`] with the kernel tiled onto the scheduler
-    /// (cluster-rate dt and attenuation; cluster boundary overrides in the
-    /// owner-side tail, fused order preserved).
-    #[allow(clippy::too_many_arguments)]
-    fn lts_stress_win_sched(
-        &mut self,
-        cl: &mut LtsCluster,
-        w: Win,
-        t_mid: f64,
-        dt_c: f64,
-        on_surface: bool,
-        dth_c: f32,
-        block: BlockSpec,
-        backend: Backend,
-        ctx: &mut RankCtx,
-        planes: usize,
-    ) {
-        debug_assert_ne!(backend, Backend::Hybrid, "validate() rejects sched+hybrid");
-        let atten = cl
-            .atten
-            .as_ref()
-            .or(self.atten.as_ref())
-            .map_or(std::ptr::null(), |a| a as *const Attenuation);
-        self.tiled_stress_kernel(
-            w,
-            atten,
-            dth_c,
-            dt_c as f32,
-            block,
-            backend == Backend::Simd,
-            ctx,
-            planes,
-        );
-        if let Some(p) = cl.mpml.as_mut().or(self.mpml.as_mut()) {
-            let t0 = ctx.telem.start();
-            p.apply_stress_win(&mut self.state, &self.med, dth_c, w);
-            ctx.telem.finish(t0, TelPhase::Boundary);
-        }
-        let t0 = ctx.telem.start();
-        self.injector.inject_win(&mut self.state, t_mid, dt_c, w);
-        ctx.telem.finish(t0, TelPhase::Source);
-        let surface_win = on_surface && w.k0 == 0;
-        if surface_win || cl.sponge.is_some() || self.sponge.is_some() {
-            let t0 = ctx.telem.start();
-            if surface_win {
-                apply_free_surface_stress_win(&mut self.state, w);
-            }
-            if let Some(sp) = cl.sponge.as_ref().or(self.sponge.as_ref()) {
-                sp.apply_components_win(&mut self.state, &Component::STRESSES, w);
-            }
-            ctx.telem.finish(t0, TelPhase::Boundary);
-        }
-    }
-
-    /// Velocity phase of one LTS cluster window: like [`Self::velocity_win`]
-    /// but with the cluster's dt-scaled operators (rate-1 clusters fall
-    /// back to the solver's global-dt M-PML).
-    fn lts_velocity_win(
-        &mut self,
-        cl: &mut LtsCluster,
-        w: Win,
-        dth_c: f32,
-        block: BlockSpec,
-        backend: Backend,
-        tel: &mut Recorder,
-    ) {
-        match backend {
-            Backend::Hybrid => update_velocity_mt_win(
-                &mut self.state,
-                &self.med,
-                dth_c,
-                w,
-                self.cfg.opts.threads,
-            ),
-            Backend::Simd => {
-                update_velocity_simd_win(&mut self.state, &self.med, dth_c, block, w)
-            }
-            Backend::Scalar => update_velocity_win(&mut self.state, &self.med, dth_c, block, w),
-        }
-        if let Some(p) = cl.mpml.as_mut().or(self.mpml.as_mut()) {
-            let t0 = tel.start();
-            p.apply_velocity_win(&mut self.state, &self.med, dth_c, w);
-            tel.finish(t0, TelPhase::Boundary);
-        }
-    }
-
-    /// Stress phase of one LTS cluster window, in the fused pass's order
-    /// (kernel → M-PML → source at the substep midpoint → free-surface
-    /// imaging → stress sponge), using the cluster's dt-scaled operators.
-    #[allow(clippy::too_many_arguments)]
-    fn lts_stress_win(
-        &mut self,
-        cl: &mut LtsCluster,
-        w: Win,
-        t_mid: f64,
-        dt_c: f64,
-        on_surface: bool,
-        dth_c: f32,
-        block: BlockSpec,
-        backend: Backend,
-        tel: &mut Recorder,
-    ) {
-        let atten = cl.atten.as_ref().or(self.atten.as_ref());
-        match backend {
-            Backend::Hybrid => update_stress_mt_win(
-                &mut self.state,
-                &self.med,
-                atten,
-                dth_c,
-                dt_c as f32,
-                w,
-                self.cfg.opts.threads,
-            ),
-            Backend::Simd => update_stress_simd_win(
-                &mut self.state,
-                &self.med,
-                atten,
-                dth_c,
-                dt_c as f32,
-                block,
-                w,
-            ),
-            Backend::Scalar => update_stress_win(
-                &mut self.state,
-                &self.med,
-                atten,
-                dth_c,
-                dt_c as f32,
-                block,
-                w,
-            ),
-        }
-        if let Some(p) = cl.mpml.as_mut().or(self.mpml.as_mut()) {
-            let t0 = tel.start();
-            p.apply_stress_win(&mut self.state, &self.med, dth_c, w);
-            tel.finish(t0, TelPhase::Boundary);
-        }
-        let t0 = tel.start();
-        self.injector.inject_win(&mut self.state, t_mid, dt_c, w);
-        tel.finish(t0, TelPhase::Source);
-        let surface_win = on_surface && w.k0 == 0;
-        if surface_win || cl.sponge.is_some() || self.sponge.is_some() {
-            let t0 = tel.start();
-            if surface_win {
-                apply_free_surface_stress_win(&mut self.state, w);
-            }
-            if let Some(sp) = cl.sponge.as_ref().or(self.sponge.as_ref()) {
-                sp.apply_components_win(&mut self.state, &Component::STRESSES, w);
-            }
-            tel.finish(t0, TelPhase::Boundary);
-        }
-    }
-
-    /// One serial base tick of the LTS schedule (see `crate::lts` module
-    /// docs for the sub-phase structure and interface interpolation).
-    fn step_serial_lts(&mut self, ledger: &mut TimeLedger) {
-        let mut rt = self.lts.take().expect("lts runtime armed");
+    /// One base tick (see the `crate::lts` module docs for the schedule and
+    /// the interface interpolation). Every cluster that fires on this tick
+    /// runs its velocity phase, then every firing cluster its stress phase,
+    /// and a phase is: blend the interface ghosts → shell windows → start
+    /// the halo sends → interior window → restore the ghosts → finish the
+    /// exchange.
+    ///
+    /// With overlap on (§IV.C) the shell — the planes that feed outgoing
+    /// ghost faces — is updated first and every halo send starts
+    /// immediately, so the interior core is updated while the messages
+    /// fly: "While the value of v is computed, the exchange of u can be
+    /// performed simultaneously". Because the velocity pass reads only
+    /// stresses and the stress pass reads only velocities, per-cell updates
+    /// are window-order invariant and the split is bit-exact against the
+    /// fused pass, which is the same walk with no shell windows and the
+    /// whole cluster as interior. The fused pass is what runs without a
+    /// communicator, on the synchronous engine and on the legacy layout.
+    ///
+    /// Each firing cluster exchanges only its own k-range of the x/y halos
+    /// (ranks never split z under LTS — validated by the drivers — so
+    /// z-plan entries have no neighbour and drop out). Multi-rate plans
+    /// pack the cluster index into the low bits of the tag's step field
+    /// (`tick << 4 | c`, cluster count ≤ [`MAX_CLUSTERS`]), keeping every
+    /// cluster-phase exchange in its own tag space.
+    fn step(&mut self, mut comm: Comm) {
         let n = self.step as u64;
-        let dth = self.dth();
-        let block = self.cfg.opts.block;
-        let optimized = self.cfg.opts.reciprocal_media;
-        let hybrid = self.cfg.opts.hybrid && optimized;
-        let simd = self.cfg.opts.simd && optimized && !hybrid;
-        let backend = if hybrid {
-            Backend::Hybrid
-        } else if simd {
-            Backend::Simd
-        } else {
-            Backend::Scalar
-        };
+        let dt = self.cfg.dt;
+        let dth = (dt / self.cfg.h) as f32;
         let on_surface = self.cfg.free_surface && owns_free_surface(&self.sub);
-        let mut tel = Recorder::disabled();
+        let opts = self.cfg.opts;
+        let async_rank = comm.rank().is_some_and(|ctx| ctx.mode() == CommMode::Asynchronous);
+        let split = opts.overlap && async_rank && opts.reciprocal_media;
+        // Interior tiles go on the work-stealing scheduler when both the
+        // config asks for it and the cluster carries one; shells stay
+        // owner-side (they gate the halo sends and are too thin to split).
+        let tiles = opts
+            .sched
+            .filter(|_| split && comm.rank().is_some_and(|ctx| ctx.sched().is_some()))
+            .map(|s| s.tile_planes);
+        let Solver {
+            sub, med, state, atten, sponge, mpml, injector, flops, vel_plan, str_plan, arena, ..
+        } = self;
+        let multi = self.plan.is_multi_rate();
+        let StepPlan { clusters, interfaces } = &mut self.plan;
+        let pass = Pass { kernels: self.kernels, med, injector, on_surface };
+        comm.tel().set_step(n);
         let mut firing = [false; MAX_CLUSTERS];
-        for (i, c) in rt.clusters.iter().enumerate() {
-            firing[i] = n % u64::from(c.rate) == 0;
+        for (f, c) in firing.iter_mut().zip(clusters.iter()) {
+            *f = n % u64::from(c.rate) == 0;
         }
 
-        let t_tick = Instant::now();
-        // Sub-phase 0: snapshot coarse edge planes on coarse firing ticks.
-        for f in &mut rt.interfaces {
-            if firing[f.coarse] {
-                f.capture_prev(&self.state);
-            }
+        // Snapshot the coarse edge planes on coarse firing ticks.
+        for f in interfaces.iter_mut().filter(|f| firing[f.coarse]) {
+            f.capture_prev(state);
         }
 
-        // Sub-phase 1: velocity phases. A fine cluster whose coarse
-        // neighbour idles this tick reads midpoint-interpolated σ ghosts.
-        for c in 0..rt.clusters.len() {
-            if !firing[c] {
-                continue;
-            }
-            let tc = Instant::now();
-            for f in &mut rt.interfaces {
-                if f.fine == c && !firing[f.coarse] {
-                    f.blend_stress(&mut self.state);
+        for phase in [Phase::Velocity, Phase::Stress] {
+            let (halo, shell_span, interior_span) = match phase {
+                Phase::Velocity => {
+                    (&*vel_plan, TelPhase::VelocityShell, TelPhase::VelocityInterior)
+                }
+                Phase::Stress => (&*str_plan, TelPhase::StressShell, TelPhase::StressInterior),
+            };
+            // One window of a cluster phase, timed into the ledger and `span`.
+            let window =
+                |state: &mut WaveState, ops: &mut ClusterOps, w, tiles, comm: &mut Comm, span| {
+                    let t0 = Instant::now();
+                    match phase {
+                        Phase::Velocity => pass.velocity_win(state, ops, w, tiles, comm),
+                        Phase::Stress => pass.stress_win(state, ops, w, tiles, comm),
+                    }
+                    comm.charge(Category::Comp, span, t0);
+                };
+            for (c, cl) in clusters.iter_mut().enumerate().filter(|(c, _)| firing[*c]) {
+                let tc = Instant::now();
+                if multi {
+                    comm.tel().set_cluster(c as u8);
+                }
+                if multi && phase == Phase::Velocity {
+                    // Cluster-tick causal anchor: tag = cluster index,
+                    // bytes = rate (one mark per firing cluster per tick).
+                    let rate = u64::from(cl.rate);
+                    comm.tel().causal_mark(CausalKind::ClusterTick, NO_PEER, c as u64, rate);
+                }
+                if phase == Phase::Stress && on_surface && cl.win.k0 == 0 {
+                    // Velocity imaging precedes every stress window of the
+                    // surface cluster (only its windows reach the mirrored
+                    // halo planes — deeper clusters start ≥ min_slab ≥ 4
+                    // planes down, beyond the stencil's reach of 2).
+                    let t0 = Instant::now();
+                    apply_free_surface_velocity(state, med, self.cfg.h as f32);
+                    comm.charge(Category::Comp, TelPhase::Boundary, t0);
+                }
+                // A fine cluster's velocity phase interpolates while its
+                // coarse neighbour idles, its stress phase while the
+                // neighbour fires too.
+                let ghosts = |f: &&mut LtsInterface| {
+                    f.fine == c && firing[f.coarse] == (phase == Phase::Stress)
+                };
+                for f in interfaces.iter_mut().filter(ghosts) {
+                    f.blend_ghosts(state, phase);
+                }
+                let rate = f64::from(cl.rate);
+                let mut ops = ClusterOps {
+                    dth: dth * cl.rate as f32,
+                    dt: dt * rate,
+                    t_src: (n as f64 + (rate - 1.0) * 0.5) * dt,
+                    atten: cl.own.atten.as_ref().or(atten.as_ref()),
+                    mpml: cl.own.mpml.as_mut().or(mpml.as_mut()),
+                    sponge: cl.own.sponge.as_ref().or(sponge.as_ref()),
+                };
+                let (shells, interior) =
+                    if split { (&cl.shells[..], cl.interior) } else { (&[][..], cl.win) };
+                let kr = (cl.win.k0, cl.win.k1);
+                let tag = if multi { (n << 4) | c as u64 } else { n };
+                for &w in shells {
+                    window(state, &mut ops, w, None, &mut comm, shell_span);
+                }
+                let pending = comm
+                    .rank()
+                    .filter(|_| split)
+                    .map(|ctx| start_exchange_k(state, sub, ctx, halo, phase, tag, arena, kr));
+                if !interior.is_empty() {
+                    window(state, &mut ops, interior, tiles, &mut comm, interior_span);
+                }
+                // Drop the ghost overwrites before the halo injection so
+                // the blend window stays as narrow as possible; messages
+                // only ever carry this cluster's own k-range, so the
+                // blended coarse planes never leak into a send.
+                for f in interfaces.iter_mut().filter(ghosts) {
+                    f.restore_ghosts(state, phase);
+                }
+                if let Some(ctx) = comm.rank() {
+                    match pending {
+                        Some(p) => finish_exchange(state, ctx, p, arena),
+                        None => exchange_k(state, sub, ctx, halo, phase, tag, arena, kr),
+                    }
+                }
+                cl.ns += tc.elapsed().as_nanos() as u64;
+                if phase == Phase::Stress {
+                    cl.fires += 1;
+                    flops.add_step(cl.win.count(), self.cfg.attenuation);
+                    if let Some(p) = ops.mpml {
+                        flops.add_mpml(p.zone_cells_win(cl.win));
+                    }
                 }
             }
-            let w = rt.clusters[c].win;
-            let dth_c = dth * rt.clusters[c].rate as f32;
-            self.lts_velocity_win(&mut rt.clusters[c], w, dth_c, block, backend, &mut tel);
-            for f in &mut rt.interfaces {
-                if f.fine == c && !firing[f.coarse] {
-                    f.restore_stress(&mut self.state);
-                }
-            }
-            rt.clusters[c].ns += tc.elapsed().as_nanos() as u64;
         }
 
-        // Sub-phase 2: stress phases. Free-surface velocity imaging runs
-        // just before the surface cluster's phase (only its windows reach
-        // the mirrored halo planes — deeper clusters start ≥ min_slab ≥ 4
-        // planes down, beyond the stencil's reach of 2). A fine cluster
-        // whose coarse neighbour also fires reads ¾-interpolated v ghosts.
-        for c in 0..rt.clusters.len() {
-            if !firing[c] {
-                continue;
-            }
-            let tc = Instant::now();
-            if on_surface && rt.clusters[c].win.k0 == 0 {
-                apply_free_surface_velocity(&mut self.state, &self.med, self.cfg.h as f32);
-            }
-            for f in &mut rt.interfaces {
-                if f.fine == c && firing[f.coarse] {
-                    f.blend_velocity(&mut self.state);
+        // Velocity sponge of every firing cluster, after *all* stress
+        // phases have read the undamped velocities.
+        for (c, cl) in clusters.iter().enumerate().filter(|(c, _)| firing[*c]) {
+            if let Some(sp) = cl.own.sponge.as_ref().or(sponge.as_ref()) {
+                if multi {
+                    comm.tel().set_cluster(c as u8);
                 }
-            }
-            let w = rt.clusters[c].win;
-            let rate = rt.clusters[c].rate;
-            let dth_c = dth * rate as f32;
-            let dt_c = self.cfg.dt * f64::from(rate);
-            // Substep midpoint: the σ update spans base ticks n..n+rate, so
-            // the source term applies at its centre (rate 1 ⇒ n·dt, fused).
-            let t_mid = (n as f64 + (f64::from(rate) - 1.0) * 0.5) * self.cfg.dt;
-            self.lts_stress_win(
-                &mut rt.clusters[c],
-                w,
-                t_mid,
-                dt_c,
-                on_surface,
-                dth_c,
-                block,
-                backend,
-                &mut tel,
-            );
-            for f in &mut rt.interfaces {
-                if f.fine == c && firing[f.coarse] {
-                    f.restore_velocity(&mut self.state);
-                }
-            }
-            let cl = &mut rt.clusters[c];
-            cl.fires += 1;
-            cl.ns += tc.elapsed().as_nanos() as u64;
-            self.flops.add_step(w.count(), self.cfg.attenuation);
-            if let Some(p) = rt.clusters[c].mpml.as_ref().or(self.mpml.as_ref()) {
-                self.flops.add_mpml(p.zone_cells_win(w));
+                let t0 = Instant::now();
+                sp.apply_components_win(state, &Component::VELOCITIES, cl.win);
+                comm.charge(Category::Comp, TelPhase::Boundary, t0);
             }
         }
-
-        // Sub-phase 3: velocity sponge of every firing cluster, after all
-        // stress phases read the undamped velocities (fused semantics).
-        for cl in &mut rt.clusters {
-            let fires = n % u64::from(cl.rate) == 0;
-            if !fires {
-                continue;
-            }
-            let w = cl.win;
-            if let Some(sp) = cl.sponge.as_ref().or(self.sponge.as_ref()) {
-                sp.apply_components_win(&mut self.state, &Component::VELOCITIES, w);
-            }
+        if multi {
+            comm.tel().set_cluster(NO_CLUSTER);
         }
-        ledger.add(Category::Comp, t_tick.elapsed());
 
-        ledger.time(Category::Output, || {
-            self.recorder.record(&self.state);
-        });
-        self.lts = Some(rt);
+        if let Some(ctx) = comm.rank().filter(|_| opts.per_step_barrier) {
+            ctx.barrier();
+        }
+        let t0 = Instant::now();
+        self.recorder.record(state);
+        comm.charge(Category::Output, TelPhase::Output, t0);
         self.step += 1;
+        if let Some(ctx) = comm.rank() {
+            self.health_probe(ctx, n);
+        }
     }
 
-    /// Advance one step without communication (serial / interior of the
-    /// parallel step). `ledger` receives phase timings.
+    /// Advance one step without communication. `ledger` receives phase
+    /// timings.
     pub fn step_serial(&mut self, ledger: &mut TimeLedger) {
         // Covers the stepper's own arithmetic (the LTS ghost blends) and
-        // makes the kernels' guards below nested ones.
+        // makes the kernels' guards nested ones.
         let _ftz = FlushGuard::enter();
-        if self.lts.is_some() {
-            return self.step_serial_lts(ledger);
-        }
-        let t = self.step as f64 * self.cfg.dt;
-        let dth = self.dth();
-        let block = self.cfg.opts.block;
-        let optimized = self.cfg.opts.reciprocal_media;
-        let on_surface = self.cfg.free_surface && owns_free_surface(&self.sub);
-
-        let hybrid = self.cfg.opts.hybrid && optimized;
-        // SIMD rides on the optimized (reciprocal-media) data layout; the
-        // hybrid path keeps its own Rayon kernels.
-        let simd = self.cfg.opts.simd && optimized && !hybrid;
-        ledger.time(Category::Comp, || {
-            if hybrid {
-                update_velocity_mt(&mut self.state, &self.med, dth, self.cfg.opts.threads);
-            } else if simd {
-                update_velocity_simd(&mut self.state, &self.med, dth, block);
-            } else {
-                update_velocity(&mut self.state, &self.med, dth, block, optimized);
-            }
-            if let Some(p) = &mut self.mpml {
-                p.apply_velocity(&mut self.state, &self.med, dth);
-            }
-        });
-        // (parallel drivers exchange velocity halos here)
-        ledger.time(Category::Comp, || {
-            if on_surface {
-                apply_free_surface_velocity(&mut self.state, &self.med, self.cfg.h as f32);
-            }
-            if hybrid {
-                update_stress_mt(
-                    &mut self.state,
-                    &self.med,
-                    self.atten.as_ref(),
-                    dth,
-                    self.cfg.dt as f32,
-                    self.cfg.opts.threads,
-                );
-            } else if simd {
-                update_stress_simd(
-                    &mut self.state,
-                    &self.med,
-                    self.atten.as_ref(),
-                    dth,
-                    self.cfg.dt as f32,
-                    block,
-                );
-            } else {
-                update_stress(
-                    &mut self.state,
-                    &self.med,
-                    self.atten.as_ref(),
-                    dth,
-                    self.cfg.dt as f32,
-                    block,
-                    optimized,
-                );
-            }
-            if let Some(p) = &mut self.mpml {
-                p.apply_stress(&mut self.state, &self.med, dth);
-            }
-            self.injector.inject(&mut self.state, t, self.cfg.dt);
-            if on_surface {
-                apply_free_surface_stress(&mut self.state);
-            }
-            if let Some(sp) = &self.sponge {
-                sp.apply(&mut self.state);
-            }
-        });
-        ledger.time(Category::Output, || {
-            self.recorder.record(&self.state);
-        });
-        self.flops.add_step(self.sub.dims.count(), self.cfg.attenuation);
-        if let Some(p) = &self.mpml {
-            self.flops.add_mpml(p.zone_cells());
-        }
-        self.step += 1;
+        self.step(Comm::Serial { ledger, tel: &mut Recorder::disabled() });
     }
 
-    /// Replace the source injector (used by the temporal-partition driver
-    /// when a new source window is loaded).
-    pub fn set_source(&mut self, source: &KinematicSource) {
-        self.injector = SourceInjector::new(source, self.cfg.h);
-    }
-
-    /// Serial run with *temporal source partitioning* (paper §III.D /
-    /// Eq. 7's φT_reinit term): the moment-rate histories are windowed
-    /// into segments of `window` source samples; each segment is loaded
-    /// only when the simulation enters its time range, with the swap cost
-    /// charged to the `Reinit` ledger category. M8 used 36 such loops of
-    /// 3000 steps each.
-    pub fn run_serial_windowed(
-        cfg: SolverConfig,
-        mesh: &Mesh,
-        source: &KinematicSource,
-        stations: &[Station],
-        window: usize,
-    ) -> RankResult {
-        use awp_source::partition::TemporalPartition;
-        let decomp = Decomp3::new(cfg.dims, [1, 1, 1]);
-        let sub = decomp.subdomain(0);
-        let tp = TemporalPartition::new(source, window);
-        let mut solver = Solver::new(cfg.clone(), sub, mesh, &tp.segments[0], stations);
-        if let Some(lo) = cfg.opts.lts {
-            solver.enable_lts(&LtsPlan::from_mesh(mesh, cfg.dt, lo));
-        }
-        let mut current_seg = 0usize;
-        let mut ledger = TimeLedger::new();
-        let mut pgv = vec![0.0f32; cfg.dims.nx * cfg.dims.ny];
-        for step in 0..cfg.steps {
-            let t = step as f64 * cfg.dt;
-            let seg = tp.segment_for(t);
-            if seg != current_seg {
-                ledger.time(Category::Reinit, || {
-                    solver.set_source(&tp.segments[seg]);
-                });
-                current_seg = seg;
-            }
-            solver.step_serial(&mut ledger);
-            update_pgv(&solver.state, &mut pgv);
-        }
-        RankResult {
-            rank: 0,
-            seismograms: solver.recorder.into_seismograms(),
-            ledger,
-            flops: solver.flops.total,
-            steps: cfg.steps,
-            surface: Some(crate::stations::surface_velocities(&solver.state, 1)),
-            pgv_map: pgv,
-            telemetry: Snapshot::default(),
-            sub,
-        }
-    }
-
-    /// Serial convenience: run the whole configuration on one rank.
-    pub fn run_serial(
-        cfg: SolverConfig,
-        mesh: &Mesh,
-        source: &KinematicSource,
-        stations: &[Station],
-    ) -> RankResult {
-        let decomp = Decomp3::new(cfg.dims, [1, 1, 1]);
-        let sub = decomp.subdomain(0);
-        let mut solver = Solver::new(cfg.clone(), sub, mesh, source, stations);
-        if let Some(lo) = cfg.opts.lts {
-            solver.enable_lts(&LtsPlan::from_mesh(mesh, cfg.dt, lo));
-        }
-        let mut ledger = TimeLedger::new();
-        let mut pgv = vec![0.0f32; cfg.dims.nx * cfg.dims.ny];
-        for _ in 0..cfg.steps {
-            solver.step_serial(&mut ledger);
-            update_pgv(&solver.state, &mut pgv);
-        }
-        RankResult {
-            rank: 0,
-            seismograms: solver.recorder.into_seismograms(),
-            ledger,
-            flops: solver.flops.total,
-            steps: cfg.steps,
-            surface: Some(crate::stations::surface_velocities(&solver.state, 1)),
-            pgv_map: pgv,
-            telemetry: Snapshot::default(),
-            sub,
-        }
-    }
-
-    /// One full parallel step (velocity → exchange → stress → exchange),
-    /// honouring the configured engine, overlap and barrier options.
-    ///
-    /// With overlap on (§IV.C) each pass runs as a *shell/interior split*:
-    /// the boundary shell — the planes that feed outgoing ghost faces — is
-    /// updated first, every halo send starts immediately, and the interior
-    /// core is updated with the full-strength backend (SIMD, blocked,
-    /// optionally Rayon) while the messages fly: "While the value of v is
-    /// computed, the exchange of u can be performed simultaneously".
-    /// Because the velocity pass reads only stresses and the stress pass
-    /// reads only velocities, per-cell updates are window-order invariant
-    /// and the split is bit-exact against the fused pass — which lets it
-    /// compose with SIMD, hybrid threading and M-PML instead of excluding
-    /// them. Overlap only requires the asynchronous engine (validated at
-    /// construction) and the optimized data layout.
+    /// Advance one step as a rank of the virtual cluster (velocity →
+    /// exchange → stress → exchange), honouring the configured engine,
+    /// overlap and barrier options.
     pub fn step_parallel(&mut self, ctx: &mut RankCtx) {
         // As in `step_serial`; the rank thread keeps the mode across the
         // halo exchanges, which only copy.
         let _ftz = FlushGuard::enter();
-        if self.lts.is_some() {
-            self.step_parallel_lts(ctx);
-            self.health_probe(ctx);
-            return;
-        }
-        let t = self.step as f64 * self.cfg.dt;
-        let dth = self.dth();
-        let block = self.cfg.opts.block;
-        let optimized = self.cfg.opts.reciprocal_media;
-        let hybrid = self.cfg.opts.hybrid && optimized;
-        let simd = self.cfg.opts.simd && optimized && !hybrid;
-        let on_surface = self.cfg.free_surface && owns_free_surface(&self.sub);
-        let step_tag = self.step as u64;
-        ctx.telem.set_step(step_tag);
-        let use_overlap = self.cfg.opts.overlap
-            && ctx.mode() == awp_vcluster::CommMode::Asynchronous
-            && optimized;
-        // Shell slabs are thin (≤2 planes): spawning a thread pool on them
-        // costs more than the update, so the shell always runs single
-        // threaded (SIMD when available) and only the interior goes hybrid.
-        let shell_backend = if self.cfg.opts.simd && optimized {
-            Backend::Simd
-        } else {
-            Backend::Scalar
-        };
-        let interior_backend = if hybrid { Backend::Hybrid } else { shell_backend };
-        // Interior tiles go on the work-stealing scheduler when both the
-        // config asks for it and the cluster carries one; shells stay
-        // owner-side (they gate the halo sends and are too thin to split).
-        let sched_planes = self
-            .cfg
-            .opts
-            .sched
-            .filter(|_| use_overlap && ctx.sched().is_some())
-            .map(|s| s.tile_planes);
-
-        // Velocity phase. Each compute interval is measured once and feeds
-        // both the coarse Eq. (7) ledger (Category::Comp) and the telemetry
-        // phase span — one clock read, two sinks.
-        if use_overlap {
-            for w in self.shell.shells {
-                let t0 = Instant::now();
-                self.velocity_win(w, dth, block, shell_backend, &mut ctx.telem);
-                let el = t0.elapsed();
-                ctx.ledger.add(Category::Comp, el);
-                ctx.telem.span_at(TelPhase::VelocityShell, t0, el);
-            }
-            let pending = start_exchange(
-                &self.state,
-                &self.sub,
-                ctx,
-                &self.vel_plan,
-                Phase::Velocity,
-                step_tag,
-                &mut self.arena,
-            );
-            let interior = self.shell.interior;
-            let t0 = Instant::now();
-            if let Some(planes) = sched_planes {
-                self.velocity_win_sched(interior, dth, block, interior_backend, ctx, planes);
-            } else {
-                self.velocity_win(interior, dth, block, interior_backend, &mut ctx.telem);
-            }
-            let el = t0.elapsed();
-            ctx.ledger.add(Category::Comp, el);
-            ctx.telem.span_at(TelPhase::VelocityInterior, t0, el);
-            finish_exchange(&mut self.state, ctx, pending, &mut self.arena);
-        } else {
-            // Fused pass: the whole velocity update is one Interior span.
-            let t0 = Instant::now();
-            if hybrid {
-                update_velocity_mt(&mut self.state, &self.med, dth, self.cfg.opts.threads);
-            } else if simd {
-                update_velocity_simd(&mut self.state, &self.med, dth, block);
-            } else {
-                update_velocity(&mut self.state, &self.med, dth, block, optimized);
-            }
-            if let Some(p) = &mut self.mpml {
-                let tb = ctx.telem.start();
-                p.apply_velocity(&mut self.state, &self.med, dth);
-                ctx.telem.finish(tb, TelPhase::Boundary);
-            }
-            let el = t0.elapsed();
-            ctx.ledger.add(Category::Comp, el);
-            ctx.telem.span_at(TelPhase::VelocityInterior, t0, el);
-            exchange(
-                &mut self.state,
-                &self.sub,
-                ctx,
-                &self.vel_plan,
-                Phase::Velocity,
-                step_tag,
-                &mut self.arena,
-            );
-        }
-
-        // Stress phase.
-        if use_overlap {
-            // Velocity imaging must precede every stress window (all of
-            // them read the mirrored velocities near the surface).
-            if on_surface {
-                let t0 = Instant::now();
-                apply_free_surface_velocity(&mut self.state, &self.med, self.cfg.h as f32);
-                let el = t0.elapsed();
-                ctx.ledger.add(Category::Comp, el);
-                ctx.telem.span_at(TelPhase::Boundary, t0, el);
-            }
-            for w in self.shell.shells {
-                let t0 = Instant::now();
-                self.stress_win(w, t, on_surface, dth, block, shell_backend, &mut ctx.telem);
-                let el = t0.elapsed();
-                ctx.ledger.add(Category::Comp, el);
-                ctx.telem.span_at(TelPhase::StressShell, t0, el);
-            }
-            let pending = start_exchange(
-                &self.state,
-                &self.sub,
-                ctx,
-                &self.str_plan,
-                Phase::Stress,
-                step_tag,
-                &mut self.arena,
-            );
-            let interior = self.shell.interior;
-            let t0 = Instant::now();
-            if let Some(planes) = sched_planes {
-                self.stress_win_sched(interior, t, on_surface, dth, block, interior_backend, ctx, planes);
-            } else {
-                self.stress_win(interior, t, on_surface, dth, block, interior_backend, &mut ctx.telem);
-            }
-            let el = t0.elapsed();
-            ctx.ledger.add(Category::Comp, el);
-            ctx.telem.span_at(TelPhase::StressInterior, t0, el);
-            // The velocity sponge runs after every stress window has read
-            // the undamped velocities; it commutes with the in-flight
-            // stress messages because it touches no stress component.
-            if let Some(sp) = &self.sponge {
-                let t0 = Instant::now();
-                sp.apply_components(&mut self.state, &Component::VELOCITIES);
-                let el = t0.elapsed();
-                ctx.ledger.add(Category::Comp, el);
-                ctx.telem.span_at(TelPhase::Boundary, t0, el);
-            }
-            finish_exchange(&mut self.state, ctx, pending, &mut self.arena);
-        } else {
-            let t0 = Instant::now();
-            if on_surface {
-                let tb = ctx.telem.start();
-                apply_free_surface_velocity(&mut self.state, &self.med, self.cfg.h as f32);
-                ctx.telem.finish(tb, TelPhase::Boundary);
-            }
-            if hybrid {
-                update_stress_mt(
-                    &mut self.state,
-                    &self.med,
-                    self.atten.as_ref(),
-                    dth,
-                    self.cfg.dt as f32,
-                    self.cfg.opts.threads,
-                );
-            } else if simd {
-                update_stress_simd(
-                    &mut self.state,
-                    &self.med,
-                    self.atten.as_ref(),
-                    dth,
-                    self.cfg.dt as f32,
-                    block,
-                );
-            } else {
-                update_stress(
-                    &mut self.state,
-                    &self.med,
-                    self.atten.as_ref(),
-                    dth,
-                    self.cfg.dt as f32,
-                    block,
-                    optimized,
-                );
-            }
-            if let Some(p) = &mut self.mpml {
-                let tb = ctx.telem.start();
-                p.apply_stress(&mut self.state, &self.med, dth);
-                ctx.telem.finish(tb, TelPhase::Boundary);
-            }
-            let tb = ctx.telem.start();
-            self.injector.inject(&mut self.state, t, self.cfg.dt);
-            ctx.telem.finish(tb, TelPhase::Source);
-            if on_surface || self.sponge.is_some() {
-                let tb = ctx.telem.start();
-                if on_surface {
-                    apply_free_surface_stress(&mut self.state);
-                }
-                if let Some(sp) = &self.sponge {
-                    sp.apply(&mut self.state);
-                }
-                ctx.telem.finish(tb, TelPhase::Boundary);
-            }
-            let el = t0.elapsed();
-            ctx.ledger.add(Category::Comp, el);
-            ctx.telem.span_at(TelPhase::StressInterior, t0, el);
-            exchange(
-                &mut self.state,
-                &self.sub,
-                ctx,
-                &self.str_plan,
-                Phase::Stress,
-                step_tag,
-                &mut self.arena,
-            );
-        }
-
-        if self.cfg.opts.per_step_barrier {
-            ctx.barrier();
-        }
-        let t0 = Instant::now();
-        self.recorder.record(&self.state);
-        let el = t0.elapsed();
-        ctx.ledger.add(Category::Output, el);
-        ctx.telem.span_at(TelPhase::Output, t0, el);
-        self.flops.add_step(self.sub.dims.count(), self.cfg.attenuation);
-        if let Some(p) = &self.mpml {
-            self.flops.add_mpml(p.zone_cells());
-        }
-        self.step += 1;
-        self.health_probe(ctx);
+        self.step(Comm::Rank(ctx));
     }
 
     /// Simulation-health sentinel (`--health-every N`): scan the shell
-    /// slabs of the velocity field for non-finite values and the peak |v|
-    /// watermark. The shells bound every halo that left this rank, so
-    /// corruption is caught at the cheapest surface before it spreads to
-    /// peers. Emits a structured Health causal event (tag 1 = non-finite
-    /// found, bytes = watermark f32 bits) and aborts the run with a clear
-    /// error instead of letting NaNs silently reach the outputs.
-    fn health_probe(&mut self, ctx: &mut RankCtx) {
+    /// slabs of the velocity field after step `step` for non-finite values
+    /// and the peak |v| watermark. The shells bound every halo that left
+    /// this rank, so corruption is caught at the cheapest surface before it
+    /// spreads to peers. Emits a structured Health causal event (tag 1 =
+    /// non-finite found, bytes = watermark f32 bits) and aborts the run
+    /// with a clear error instead of letting NaNs silently reach the
+    /// outputs.
+    fn health_probe(&self, ctx: &mut RankCtx, step: u64) {
         let every = self.cfg.opts.health_every;
-        if every == 0 {
-            return;
-        }
-        // `step` was just incremented: probe the step that completed.
-        let step = (self.step as u64).saturating_sub(1);
-        if step % every != 0 {
+        if every == 0 || step % every != 0 {
             return;
         }
         let mut peak = 0.0f32;
@@ -1302,339 +739,78 @@ impl Solver {
         }
     }
 
-    /// One parallel base tick of the LTS schedule. Same sub-phase structure
-    /// as [`Self::step_serial_lts`], with each firing cluster running its
-    /// own *k-windowed* x/y halo exchange at the cluster's cadence (ranks
-    /// never split z under LTS — validated by the drivers — so z-plan
-    /// entries have no neighbour and naturally drop out). Message tags pack
-    /// the cluster index into the low bits of the step field
-    /// (`tick << 4 | c`, cluster count ≤ [`MAX_CLUSTERS`]), keeping every
-    /// cluster-phase exchange in its own tag space. With overlap on, the
-    /// shell/interior split is intersected with the cluster's k-slab, so
-    /// LTS composes with the hidden-communication path unchanged.
-    fn step_parallel_lts(&mut self, ctx: &mut RankCtx) {
-        let mut rt = self.lts.take().expect("lts runtime armed");
-        let n = self.step as u64;
-        ctx.telem.set_step(n);
-        let dth = self.dth();
-        let block = self.cfg.opts.block;
-        let optimized = self.cfg.opts.reciprocal_media;
-        let hybrid = self.cfg.opts.hybrid && optimized;
-        let on_surface = self.cfg.free_surface && owns_free_surface(&self.sub);
-        let use_overlap = self.cfg.opts.overlap
-            && ctx.mode() == awp_vcluster::CommMode::Asynchronous
-            && optimized;
-        let shell_backend = if self.cfg.opts.simd && optimized {
-            Backend::Simd
-        } else {
-            Backend::Scalar
-        };
-        let interior_backend = if hybrid { Backend::Hybrid } else { shell_backend };
-        let sched_planes = self
-            .cfg
-            .opts
-            .sched
-            .filter(|_| use_overlap && ctx.sched().is_some())
-            .map(|s| s.tile_planes);
-        let mut firing = [false; MAX_CLUSTERS];
-        for (i, c) in rt.clusters.iter().enumerate() {
-            firing[i] = n % u64::from(c.rate) == 0;
-        }
+    /// Replace the source injector (used by the temporal-partition driver
+    /// when a new source window is loaded).
+    pub fn set_source(&mut self, source: &KinematicSource) {
+        self.injector = SourceInjector::new(source, self.cfg.h);
+    }
 
-        // Sub-phase 0: snapshot coarse edge planes on coarse firing ticks.
-        for f in &mut rt.interfaces {
-            if firing[f.coarse] {
-                f.capture_prev(&self.state);
-            }
+    /// The serial run loop: one rank over the whole grid, LTS armed from
+    /// the mesh when configured. `before_step` runs ahead of each step.
+    fn run_serial_with(
+        cfg: SolverConfig,
+        mesh: &Mesh,
+        source: &KinematicSource,
+        stations: &[Station],
+        mut before_step: impl FnMut(&mut Solver, &mut TimeLedger),
+    ) -> RankResult {
+        let sub = Decomp3::new(cfg.dims, [1, 1, 1]).subdomain(0);
+        let mut solver = Solver::new(cfg.clone(), sub, mesh, source, stations);
+        if let Some(lo) = cfg.opts.lts {
+            solver.enable_lts(&LtsPlan::from_mesh(mesh, cfg.dt, lo));
         }
+        let mut ledger = TimeLedger::new();
+        let mut pgv = vec![0.0f32; cfg.dims.nx * cfg.dims.ny];
+        for _ in 0..cfg.steps {
+            before_step(&mut solver, &mut ledger);
+            solver.step_serial(&mut ledger);
+            update_pgv(&solver.state, &mut pgv);
+        }
+        RankResult {
+            rank: 0,
+            seismograms: solver.recorder.into_seismograms(),
+            ledger,
+            flops: solver.flops.total,
+            steps: cfg.steps,
+            surface: Some(crate::stations::surface_velocities(&solver.state, 1)),
+            pgv_map: pgv,
+            telemetry: Snapshot::default(),
+            sub,
+        }
+    }
 
-        // Sub-phase 1: velocity phases.
-        for c in 0..rt.clusters.len() {
-            if !firing[c] {
-                continue;
+    /// Serial run with *temporal source partitioning* (paper §III.D /
+    /// Eq. 7's φT_reinit term): the moment-rate histories are windowed
+    /// into segments of `window` source samples; each segment is loaded
+    /// only when the simulation enters its time range, with the swap cost
+    /// charged to the `Reinit` ledger category. M8 used 36 such loops of
+    /// 3000 steps each.
+    pub fn run_serial_windowed(
+        cfg: SolverConfig,
+        mesh: &Mesh,
+        source: &KinematicSource,
+        stations: &[Station],
+        window: usize,
+    ) -> RankResult {
+        let tp = awp_source::partition::TemporalPartition::new(source, window);
+        let mut current_seg = 0usize;
+        Self::run_serial_with(cfg, mesh, &tp.segments[0], stations, |solver, ledger| {
+            let seg = tp.segment_for(solver.step as f64 * solver.cfg.dt);
+            if seg != current_seg {
+                ledger.time(Category::Reinit, || solver.set_source(&tp.segments[seg]));
+                current_seg = seg;
             }
-            ctx.telem.set_cluster(c as u8);
-            // Cluster-tick causal anchor: tag = cluster index, bytes = rate
-            // (one mark per firing cluster per base tick, velocity phase).
-            ctx.telem.causal_mark(
-                CausalKind::ClusterTick,
-                NO_PEER,
-                c as u64,
-                u64::from(rt.clusters[c].rate),
-            );
-            for f in &mut rt.interfaces {
-                if f.fine == c && !firing[f.coarse] {
-                    f.blend_stress(&mut self.state);
-                }
-            }
-            let w = rt.clusters[c].win;
-            let dth_c = dth * rt.clusters[c].rate as f32;
-            let kr = (w.k0, w.k1);
-            let tag_step = (n << 4) | c as u64;
-            let tc = Instant::now();
-            if use_overlap {
-                for s in self.shell.shells {
-                    let sw = s.intersect(w);
-                    if sw.is_empty() {
-                        continue;
-                    }
-                    let t0 = Instant::now();
-                    self.lts_velocity_win(
-                        &mut rt.clusters[c],
-                        sw,
-                        dth_c,
-                        block,
-                        shell_backend,
-                        &mut ctx.telem,
-                    );
-                    let el = t0.elapsed();
-                    ctx.ledger.add(Category::Comp, el);
-                    ctx.telem.span_at(TelPhase::VelocityShell, t0, el);
-                }
-                let pending = start_exchange_k(
-                    &self.state,
-                    &self.sub,
-                    ctx,
-                    &self.vel_plan,
-                    Phase::Velocity,
-                    tag_step,
-                    &mut self.arena,
-                    kr,
-                );
-                let iw = self.shell.interior.intersect(w);
-                if !iw.is_empty() {
-                    let t0 = Instant::now();
-                    if let Some(planes) = sched_planes {
-                        self.lts_velocity_win_sched(
-                            &mut rt.clusters[c],
-                            iw,
-                            dth_c,
-                            block,
-                            interior_backend,
-                            ctx,
-                            planes,
-                        );
-                    } else {
-                        self.lts_velocity_win(
-                            &mut rt.clusters[c],
-                            iw,
-                            dth_c,
-                            block,
-                            interior_backend,
-                            &mut ctx.telem,
-                        );
-                    }
-                    let el = t0.elapsed();
-                    ctx.ledger.add(Category::Comp, el);
-                    ctx.telem.span_at(TelPhase::VelocityInterior, t0, el);
-                }
-                // Drop the ghost overwrites before the halo injection so
-                // the blend window stays as narrow as possible; messages
-                // only ever carry this cluster's own k-range, so the
-                // blended coarse planes never leak into a send.
-                for f in &mut rt.interfaces {
-                    if f.fine == c && !firing[f.coarse] {
-                        f.restore_stress(&mut self.state);
-                    }
-                }
-                finish_exchange(&mut self.state, ctx, pending, &mut self.arena);
-            } else {
-                let t0 = Instant::now();
-                self.lts_velocity_win(
-                    &mut rt.clusters[c],
-                    w,
-                    dth_c,
-                    block,
-                    interior_backend,
-                    &mut ctx.telem,
-                );
-                let el = t0.elapsed();
-                ctx.ledger.add(Category::Comp, el);
-                ctx.telem.span_at(TelPhase::VelocityInterior, t0, el);
-                for f in &mut rt.interfaces {
-                    if f.fine == c && !firing[f.coarse] {
-                        f.restore_stress(&mut self.state);
-                    }
-                }
-                exchange_k(
-                    &mut self.state,
-                    &self.sub,
-                    ctx,
-                    &self.vel_plan,
-                    Phase::Velocity,
-                    tag_step,
-                    &mut self.arena,
-                    kr,
-                );
-            }
-            rt.clusters[c].ns += tc.elapsed().as_nanos() as u64;
-        }
+        })
+    }
 
-        // Sub-phase 2: stress phases.
-        for c in 0..rt.clusters.len() {
-            if !firing[c] {
-                continue;
-            }
-            ctx.telem.set_cluster(c as u8);
-            if on_surface && rt.clusters[c].win.k0 == 0 {
-                let t0 = Instant::now();
-                apply_free_surface_velocity(&mut self.state, &self.med, self.cfg.h as f32);
-                let el = t0.elapsed();
-                ctx.ledger.add(Category::Comp, el);
-                ctx.telem.span_at(TelPhase::Boundary, t0, el);
-            }
-            for f in &mut rt.interfaces {
-                if f.fine == c && firing[f.coarse] {
-                    f.blend_velocity(&mut self.state);
-                }
-            }
-            let w = rt.clusters[c].win;
-            let rate = rt.clusters[c].rate;
-            let dth_c = dth * rate as f32;
-            let dt_c = self.cfg.dt * f64::from(rate);
-            let t_mid = (n as f64 + (f64::from(rate) - 1.0) * 0.5) * self.cfg.dt;
-            let kr = (w.k0, w.k1);
-            let tag_step = (n << 4) | c as u64;
-            let tc = Instant::now();
-            if use_overlap {
-                for s in self.shell.shells {
-                    let sw = s.intersect(w);
-                    if sw.is_empty() {
-                        continue;
-                    }
-                    let t0 = Instant::now();
-                    self.lts_stress_win(
-                        &mut rt.clusters[c],
-                        sw,
-                        t_mid,
-                        dt_c,
-                        on_surface,
-                        dth_c,
-                        block,
-                        shell_backend,
-                        &mut ctx.telem,
-                    );
-                    let el = t0.elapsed();
-                    ctx.ledger.add(Category::Comp, el);
-                    ctx.telem.span_at(TelPhase::StressShell, t0, el);
-                }
-                let pending = start_exchange_k(
-                    &self.state,
-                    &self.sub,
-                    ctx,
-                    &self.str_plan,
-                    Phase::Stress,
-                    tag_step,
-                    &mut self.arena,
-                    kr,
-                );
-                let iw = self.shell.interior.intersect(w);
-                if !iw.is_empty() {
-                    let t0 = Instant::now();
-                    if let Some(planes) = sched_planes {
-                        self.lts_stress_win_sched(
-                            &mut rt.clusters[c],
-                            iw,
-                            t_mid,
-                            dt_c,
-                            on_surface,
-                            dth_c,
-                            block,
-                            interior_backend,
-                            ctx,
-                            planes,
-                        );
-                    } else {
-                        self.lts_stress_win(
-                            &mut rt.clusters[c],
-                            iw,
-                            t_mid,
-                            dt_c,
-                            on_surface,
-                            dth_c,
-                            block,
-                            interior_backend,
-                            &mut ctx.telem,
-                        );
-                    }
-                    let el = t0.elapsed();
-                    ctx.ledger.add(Category::Comp, el);
-                    ctx.telem.span_at(TelPhase::StressInterior, t0, el);
-                }
-                for f in &mut rt.interfaces {
-                    if f.fine == c && firing[f.coarse] {
-                        f.restore_velocity(&mut self.state);
-                    }
-                }
-                finish_exchange(&mut self.state, ctx, pending, &mut self.arena);
-            } else {
-                let t0 = Instant::now();
-                self.lts_stress_win(
-                    &mut rt.clusters[c],
-                    w,
-                    t_mid,
-                    dt_c,
-                    on_surface,
-                    dth_c,
-                    block,
-                    interior_backend,
-                    &mut ctx.telem,
-                );
-                let el = t0.elapsed();
-                ctx.ledger.add(Category::Comp, el);
-                ctx.telem.span_at(TelPhase::StressInterior, t0, el);
-                for f in &mut rt.interfaces {
-                    if f.fine == c && firing[f.coarse] {
-                        f.restore_velocity(&mut self.state);
-                    }
-                }
-                exchange_k(
-                    &mut self.state,
-                    &self.sub,
-                    ctx,
-                    &self.str_plan,
-                    Phase::Stress,
-                    tag_step,
-                    &mut self.arena,
-                    kr,
-                );
-            }
-            let cl = &mut rt.clusters[c];
-            cl.fires += 1;
-            cl.ns += tc.elapsed().as_nanos() as u64;
-            self.flops.add_step(w.count(), self.cfg.attenuation);
-            if let Some(p) = rt.clusters[c].mpml.as_ref().or(self.mpml.as_ref()) {
-                self.flops.add_mpml(p.zone_cells_win(w));
-            }
-        }
-
-        // Sub-phase 3: velocity sponge of every firing cluster.
-        for (c, cl) in rt.clusters.iter_mut().enumerate() {
-            if !firing[c] {
-                continue;
-            }
-            let w = cl.win;
-            if let Some(sp) = cl.sponge.as_ref().or(self.sponge.as_ref()) {
-                ctx.telem.set_cluster(c as u8);
-                let t0 = Instant::now();
-                sp.apply_components_win(&mut self.state, &Component::VELOCITIES, w);
-                let el = t0.elapsed();
-                ctx.ledger.add(Category::Comp, el);
-                ctx.telem.span_at(TelPhase::Boundary, t0, el);
-            }
-        }
-        ctx.telem.set_cluster(awp_telemetry::NO_CLUSTER);
-
-        if self.cfg.opts.per_step_barrier {
-            ctx.barrier();
-        }
-        let t0 = Instant::now();
-        self.recorder.record(&self.state);
-        let el = t0.elapsed();
-        ctx.ledger.add(Category::Output, el);
-        ctx.telem.span_at(TelPhase::Output, t0, el);
-        self.lts = Some(rt);
-        self.step += 1;
+    /// Serial convenience: run the whole configuration on one rank.
+    pub fn run_serial(
+        cfg: SolverConfig,
+        mesh: &Mesh,
+        source: &KinematicSource,
+        stations: &[Station],
+    ) -> RankResult {
+        Self::run_serial_with(cfg, mesh, source, stations, |_, _| {})
     }
 }
 
@@ -1658,9 +834,9 @@ pub fn update_pgv(state: &WaveState, pgv: &mut [f32]) {
 }
 
 /// Run a configuration across `parts` ranks of the virtual cluster,
-/// partitioning the mesh and source internally. `meshes` must hold one
-/// local mesh per rank (use `awp_pario::partition` or
-/// [`partition_mesh_direct`]).
+/// partitioning the source internally. `meshes` must hold one local mesh
+/// per rank (use `awp_pario::partition` or [`partition_mesh_direct`]).
+/// Panics on an invalid configuration.
 pub fn run_parallel(
     cfg: &SolverConfig,
     parts: [usize; 3],
@@ -1669,22 +845,6 @@ pub fn run_parallel(
     stations: &[Station],
 ) -> Vec<RankResult> {
     try_run_parallel(cfg, parts, meshes, source, stations)
-        .expect("invalid solver configuration")
-}
-
-/// [`run_parallel`] with an optional telemetry registry: when `Some`, every
-/// rank records phase spans / counters / histograms, each `RankResult`
-/// carries the rank's snapshot, and the registry can produce the aggregate
-/// [`awp_telemetry::TelemetryReport`] and Chrome trace after the run.
-pub fn run_parallel_with(
-    cfg: &SolverConfig,
-    parts: [usize; 3],
-    meshes: &[Mesh],
-    source: &KinematicSource,
-    stations: &[Station],
-    telemetry: Option<Arc<Registry>>,
-) -> Vec<RankResult> {
-    try_run_parallel_with(cfg, parts, meshes, source, stations, telemetry)
         .expect("invalid solver configuration")
 }
 
@@ -1699,45 +859,21 @@ pub fn try_run_parallel(
     source: &KinematicSource,
     stations: &[Station],
 ) -> Result<Vec<RankResult>, ConfigError> {
-    try_run_parallel_with(cfg, parts, meshes, source, stations, None)
-}
-
-/// Fallible, telemetry-aware driver (see [`run_parallel_with`]).
-pub fn try_run_parallel_with(
-    cfg: &SolverConfig,
-    parts: [usize; 3],
-    meshes: &[Mesh],
-    source: &KinematicSource,
-    stations: &[Station],
-    telemetry: Option<Arc<Registry>>,
-) -> Result<Vec<RankResult>, ConfigError> {
-    try_run_parallel_sched(cfg, parts, meshes, source, stations, telemetry, None)
-}
-
-/// Fallible driver with an optional [`SchedulePlan`]: when `Some`, the
-/// virtual cluster deterministically perturbs message delivery order and
-/// wait-all polling per the plan's seed. The schedule fuzzer in
-/// `awp-verify` drives this to assert that results are bit-exact under
-/// any legal completion order; production paths pass `None` and keep the
-/// plain FIFO mailboxes.
-#[allow(clippy::too_many_arguments)]
-pub fn try_run_parallel_sched(
-    cfg: &SolverConfig,
-    parts: [usize; 3],
-    meshes: &[Mesh],
-    source: &KinematicSource,
-    stations: &[Station],
-    telemetry: Option<Arc<Registry>>,
-    schedule: Option<Arc<SchedulePlan>>,
-) -> Result<Vec<RankResult>, ConfigError> {
     let decomp = Decomp3::new(cfg.dims, parts);
-    try_run_parallel_decomp(cfg, decomp, meshes, source, stations, telemetry, schedule)
+    try_run_parallel_decomp(cfg, decomp, meshes, source, stations, None, None)
 }
 
-/// Lowest-level fallible driver: takes an explicit (possibly skewed)
-/// [`Decomp3`] instead of a balanced `parts` split. The scheduler bench
-/// uses this to construct a deliberately imbalanced decomposition and
-/// measure how much wall-clock work stealing recovers.
+/// The general fallible driver: takes an explicit (possibly skewed)
+/// [`Decomp3`] instead of a balanced `parts` split — the scheduler bench
+/// constructs a deliberately imbalanced one to measure how much wall-clock
+/// work stealing recovers. With a telemetry registry every rank records
+/// phase spans / counters / histograms, each `RankResult` carries the
+/// rank's snapshot, and the registry can produce the aggregate
+/// [`awp_telemetry::TelemetryReport`] and Chrome trace after the run. With
+/// a [`SchedulePlan`] the virtual cluster deterministically perturbs
+/// message delivery order and wait-all polling per the plan's seed; the
+/// schedule fuzzer in `awp-verify` drives this to assert that results are
+/// bit-exact under any legal completion order.
 #[allow(clippy::too_many_arguments)]
 pub fn try_run_parallel_decomp(
     cfg: &SolverConfig,
@@ -1812,7 +948,7 @@ pub fn try_run_parallel_decomp(
         RankResult {
             rank,
             seismograms: solver.recorder.into_seismograms(),
-            ledger: solver_ledger(ctx),
+            ledger: ctx.ledger.clone(),
             flops: solver.flops.total,
             steps: cfg.steps,
             surface: owns_free_surface(&sub)
@@ -1822,10 +958,6 @@ pub fn try_run_parallel_decomp(
             sub,
         }
     }))
-}
-
-fn solver_ledger(ctx: &RankCtx) -> TimeLedger {
-    ctx.ledger.clone()
 }
 
 /// Exchange the raw material halos once at startup (5 arrays), replacing

@@ -108,33 +108,7 @@ impl SourceInjector {
     /// Add this time step's moment release to the stress field. `t` is the
     /// current simulation time, `dt` the solver step.
     pub fn inject(&self, state: &mut WaveState, t: f64, dt: f64) {
-        let _ftz = FlushGuard::enter();
-        for e in &self.entries {
-            let rate = sample_rate(&e.rate, t - e.t0, self.dt_src);
-            if rate == 0.0 {
-                continue;
-            }
-            let s = -(rate * dt) as f32;
-            let (i, j, k) = (e.idx.i as isize, e.idx.j as isize, e.idx.k as isize);
-            if e.m[0] != 0.0 {
-                state.sxx.add(i, j, k, e.m[0] * s);
-            }
-            if e.m[1] != 0.0 {
-                state.syy.add(i, j, k, e.m[1] * s);
-            }
-            if e.m[2] != 0.0 {
-                state.szz.add(i, j, k, e.m[2] * s);
-            }
-            if e.m[3] != 0.0 {
-                state.sxy.add(i, j, k, e.m[3] * s);
-            }
-            if e.m[4] != 0.0 {
-                state.sxz.add(i, j, k, e.m[4] * s);
-            }
-            if e.m[5] != 0.0 {
-                state.syz.add(i, j, k, e.m[5] * s);
-            }
-        }
+        self.inject_win(state, t, dt, crate::shell::Win::full(state.dims));
     }
 }
 

@@ -2,8 +2,8 @@
 //!
 //! Three properties pin the LTS subsystem:
 //! 1. **Degenerate exactness**: a medium whose CFL profile yields a single
-//!    cluster must leave results bit-identical to the fused global-dt path
-//!    (the LTS runtime declines to arm and the solver never branches).
+//!    cluster must leave results bit-identical to global dt (it is the
+//!    same one-cluster plan) and read as not armed.
 //! 2. **Decomposition invariance**: with a genuine multi-rate ladder the
 //!    parallel LTS step (k-windowed per-cluster halo exchange, overlap
 //!    split intersected with cluster slabs) must be bit-exact against the
@@ -17,7 +17,7 @@ use awp_cvm::mesh::MeshGenerator;
 use awp_cvm::model::LayeredModel;
 use awp_grid::decomp::Decomp3;
 use awp_grid::dims::{Dims3, Idx3};
-use awp_solver::solver::{partition_mesh_direct, try_run_parallel_sched, Solver};
+use awp_solver::solver::{partition_mesh_direct, try_run_parallel_decomp, Solver};
 use awp_solver::{
     run_parallel, try_run_parallel, ConfigError, LtsOpts, LtsPlan, RankResult, SolverConfig,
     Station,
@@ -125,8 +125,18 @@ fn single_cluster_media_stay_bitexact_with_lts_enabled() {
     assert_eq!(
         station_series(std::slice::from_ref(&fused)),
         station_series(std::slice::from_ref(&lts_serial)),
-        "single-cluster LTS must delegate to the fused serial path"
+        "single-cluster LTS must be global dt"
     );
+    assert_eq!(fused.pgv_map, lts_serial.pgv_map);
+    assert_eq!(fused.flops, lts_serial.flops);
+    // The delegation contract callers branch on: a collapsed plan reads
+    // as not armed, before and after stepping.
+    let sub = Decomp3::new(d, [1, 1, 1]).subdomain(0);
+    let mut solver = Solver::new(cfg.clone(), sub, &mesh, &src, &stations);
+    assert!(!solver.enable_lts(&LtsPlan::from_mesh(&mesh, cfg.dt, LtsOpts::new())));
+    solver.step_serial(&mut awp_vcluster::TimeLedger::new());
+    assert!(!solver.lts_active());
+    assert!(solver.lts_stats().is_empty());
     for parts in [[2, 1, 1], [2, 2, 1], [4, 2, 1]] {
         let meshes = partition_mesh_direct(&mesh, &Decomp3::new(d, parts));
         let results = run_parallel(&cfg, parts, &meshes, &src, &stations);
@@ -144,7 +154,9 @@ fn lts_parallel_matches_lts_serial_bitwise() {
     cfg.opts.lts = Some(LtsOpts::new());
     let serial = Solver::run_serial(cfg.clone(), &mesh, &src, &stations);
     assert!(serial.flops > 0);
-    for parts in [[2, 1, 1], [2, 2, 1], [1, 4, 1], [4, 2, 1]] {
+    // [8,1,1] leaves 3-cell subdomains — two shell slabs and no interior —
+    // and [1,10,1] 2-cell ones, where the y-hi slab is empty as well.
+    for parts in [[2, 1, 1], [2, 2, 1], [1, 4, 1], [4, 2, 1], [8, 1, 1], [1, 10, 1]] {
         let meshes = partition_mesh_direct(&mesh, &Decomp3::new(d_of(&cfg), parts));
         let results = run_parallel(&cfg, parts, &meshes, &src, &stations);
         assert_eq!(
@@ -181,13 +193,14 @@ fn lts_stays_bitexact_under_schedule_fuzzing() {
     let (mut cfg, mesh, src, stations) = basin_fixture(24);
     cfg.opts.lts = Some(LtsOpts::new());
     let parts = [2, 2, 1];
-    let meshes = partition_mesh_direct(&mesh, &Decomp3::new(cfg.dims, parts));
-    let baseline = try_run_parallel_sched(&cfg, parts, &meshes, &src, &stations, None, None)
+    let decomp = Decomp3::new(cfg.dims, parts);
+    let meshes = partition_mesh_direct(&mesh, &decomp);
+    let baseline = try_run_parallel_decomp(&cfg, decomp, &meshes, &src, &stations, None, None)
         .expect("valid LTS workload");
     for seed in 101..104 {
         let plan = SchedulePlan::with_bounds(seed, 3, 4);
         let fuzzed =
-            try_run_parallel_sched(&cfg, parts, &meshes, &src, &stations, None, Some(plan))
+            try_run_parallel_decomp(&cfg, decomp, &meshes, &src, &stations, None, Some(plan))
                 .expect("valid LTS workload");
         assert_eq!(
             station_series(&baseline),

@@ -4,9 +4,10 @@
 use awp_cvm::mesh::{Mesh, MeshGenerator};
 use awp_cvm::model::HomogeneousModel;
 use awp_grid::dims::{Dims3, Idx3};
-use awp_solver::config::{AbcKind, SolverConfig};
+use awp_solver::config::{AbcKind, LtsOpts, SolverConfig};
 use awp_solver::solver::{partition_mesh_direct, run_parallel, Solver};
 use awp_solver::stations::Station;
+use awp_solver::LtsPlan;
 use awp_source::kinematic::KinematicSource;
 use awp_source::moment::MomentTensor;
 use awp_source::stf::Stf;
@@ -352,32 +353,56 @@ fn mpml_absorbs_better_than_sponge() {
 #[test]
 fn checkpoint_restart_is_bit_exact() {
     // Under M-PML the ψ memory variables are part of the state: a restart
-    // that drops them diverges in every field.
-    for abc in [AbcKind::default_sponge(), AbcKind::m8()] {
-        let d = Dims3::new(24, 24, 16);
-        let h = 100.0;
-        let dt = 0.007;
-        let mesh = rock_mesh(d, h);
+    // that drops them diverges in every field. Under LTS each coarse
+    // cluster holds ψ of its own; the homogeneous medium's plan collapses
+    // to the one-cluster (global dt) plan, the basin's is multi-rate.
+    let (sponge, m8) = (AbcKind::default_sponge(), AbcKind::m8());
+    for (abc, basin, lts) in [
+        (sponge, false, false),
+        (m8, false, false),
+        (m8, false, true),
+        (sponge, true, true),
+        (m8, true, true),
+    ] {
+        let (d, h, dt, mesh) = if basin {
+            let (d, h) = (Dims3::new(24, 24, 32), 150.0);
+            let model = awp_cvm::model::LayeredModel::basin_over_rock(24.0 * h);
+            (d, h, 0.012, MeshGenerator::new(&model, d, h).generate())
+        } else {
+            let (d, h) = (Dims3::new(24, 24, 16), 100.0);
+            (d, h, 0.007, rock_mesh(d, h))
+        };
         let src = explosion(Idx3::new(8, 8, 6), dt);
         let mut cfg = SolverConfig::small(d, h, dt, 40);
         cfg.abc = abc;
+        let plan = LtsPlan::from_mesh(&mesh, dt, LtsOpts::new());
+        assert_eq!(plan.is_multi_rate(), basin, "{:?}", plan.clusters);
         let sub = awp_grid::decomp::Decomp3::new(d, [1, 1, 1]).subdomain(0);
         let stations = [Station::new("a", Idx3::new(3, 3, 0))];
+        let armed = || {
+            let mut s = Solver::new(cfg.clone(), sub, &mesh, &src, &stations);
+            if lts {
+                assert_eq!(s.enable_lts(&plan), basin);
+            }
+            s
+        };
         let mut ledger = awp_vcluster::TimeLedger::new();
-        // Interrupted run: 20 steps, snapshot, restore into a new solver, 20 more.
-        let mut s1 = Solver::new(cfg.clone(), sub, &mesh, &src, &stations);
+        // Interrupted run: 20 steps (a multiple of the ladder's slowest
+        // rate, so every cluster is aligned), snapshot, restore into a new
+        // solver, 20 more.
+        let mut s1 = armed();
         for _ in 0..20 {
             s1.step_serial(&mut ledger);
         }
         let snapshot = s1.checkpoint_fields();
-        let mut s2 = Solver::new(cfg.clone(), sub, &mesh, &src, &stations);
+        let mut s2 = armed();
         s2.restore_fields(&snapshot);
         s2.step = s1.step;
         for _ in 0..20 {
             s2.step_serial(&mut ledger);
         }
         // Continuous run.
-        let mut s3 = Solver::new(cfg, sub, &mesh, &src, &stations);
+        let mut s3 = armed();
         for _ in 0..40 {
             s3.step_serial(&mut ledger);
         }
@@ -385,31 +410,9 @@ fn checkpoint_restart_is_bit_exact() {
         assert_eq!(
             s2.checkpoint_fields(),
             s3.checkpoint_fields(),
-            "restart must be bit-exact under {abc:?}"
+            "restart must be bit-exact under {abc:?}, basin {basin}, lts {lts}"
         );
     }
-}
-
-#[test]
-fn hybrid_threaded_solver_matches_default() {
-    // §IV.D: the MPI/OpenMP-style hybrid mode must reproduce the pure
-    // rank-parallel results exactly.
-    let d = Dims3::new(24, 20, 16);
-    let h = 100.0;
-    let dt = 0.007;
-    let mesh = rock_mesh(d, h);
-    let stations = [Station::new("a", Idx3::new(5, 5, 0))];
-    let src = explosion(Idx3::new(12, 10, 8), dt);
-    let mut cfg = SolverConfig::small(d, h, dt, 60);
-    cfg.attenuation = true;
-    let plain = Solver::run_serial(cfg.clone(), &mesh, &src, &stations);
-    cfg.opts.hybrid = true;
-    // Pin the pool size so the run is deterministic on 1-core CI hosts.
-    cfg.opts.threads = 2;
-    let hybrid = Solver::run_serial(cfg, &mesh, &src, &stations);
-    assert_eq!(plain.seismograms[0].vx, hybrid.seismograms[0].vx);
-    assert_eq!(plain.seismograms[0].vz, hybrid.seismograms[0].vz);
-    assert_eq!(plain.pgv_map, hybrid.pgv_map);
 }
 
 #[test]
@@ -474,7 +477,7 @@ fn stations_outside_subdomain_are_ignored() {
 #[test]
 fn long_run_with_all_features_stays_finite() {
     // Failure-injection-style soak: attenuation + M-PML + free surface +
-    // hybrid threading + a strong source, 500 steps.
+    // a strong source, 500 steps.
     let d = Dims3::new(24, 24, 20);
     let h = 150.0;
     let dt = 0.01;
@@ -482,8 +485,6 @@ fn long_run_with_all_features_stays_finite() {
     let mut cfg = SolverConfig::small(d, h, dt, 500);
     cfg.attenuation = true;
     cfg.abc = AbcKind::Mpml { width: 6, pmax: 0.3 };
-    cfg.opts.hybrid = true;
-    cfg.opts.threads = 2;
     cfg.q_band = (0.2, 6.0);
     let src = KinematicSource::point(
         Idx3::new(12, 12, 10),

@@ -18,7 +18,7 @@ use awp_cvm::mesh::MeshGenerator;
 use awp_cvm::model::{HomogeneousModel, LayeredModel};
 use awp_grid::decomp::Decomp3;
 use awp_grid::dims::{Dims3, Idx3};
-use awp_solver::solver::{partition_mesh_direct, try_run_parallel_sched};
+use awp_solver::solver::{partition_mesh_direct, try_run_parallel_decomp};
 use awp_solver::{AbcKind, LtsOpts, RankResult, SchedOpts, SolverConfig, Station};
 use awp_source::kinematic::KinematicSource;
 use awp_source::moment::MomentTensor;
@@ -179,7 +179,8 @@ fn workload(spec: &FuzzSpec) -> (SolverConfig, Vec<awp_cvm::mesh::Mesh>, Kinemat
 pub fn run_fuzz(spec: &FuzzSpec) -> FuzzResult {
     let (cfg, meshes, source, stations) = workload(spec);
     let ranks = spec.parts[0] * spec.parts[1] * spec.parts[2];
-    let baseline = try_run_parallel_sched(&cfg, spec.parts, &meshes, &source, &stations, None, None)
+    let decomp = Decomp3::new(cfg.dims, spec.parts);
+    let baseline = try_run_parallel_decomp(&cfg, decomp, &meshes, &source, &stations, None, None)
         .expect("fuzz workload config is valid");
     let baseline_fingerprint = fingerprint(&baseline);
 
@@ -187,7 +188,7 @@ pub fn run_fuzz(spec: &FuzzSpec) -> FuzzResult {
     for seed in spec.base_seed..spec.base_seed + spec.seeds {
         let plan = SchedulePlan::with_bounds(seed, spec.max_defer, spec.max_depth);
         let fuzzed =
-            try_run_parallel_sched(&cfg, spec.parts, &meshes, &source, &stations, None, Some(plan))
+            try_run_parallel_decomp(&cfg, decomp, &meshes, &source, &stations, None, Some(plan))
                 .expect("fuzz workload config is valid");
         if !bit_identical(&baseline, &fuzzed) {
             mismatched.push(seed);
@@ -373,10 +374,10 @@ pub fn run_steal_fuzz(spec: &StealFuzzSpec) -> StealFuzzResult {
         let decomp = Decomp3::new(dims, parts);
         let meshes = partition_mesh_direct(&mesh, &decomp);
         let baseline =
-            try_run_parallel_sched(&cfg_off, parts, &meshes, &source, &stations, None, None)
+            try_run_parallel_decomp(&cfg_off, decomp, &meshes, &source, &stations, None, None)
                 .expect("steal workload config is valid");
         let unseeded =
-            try_run_parallel_sched(&cfg_on, parts, &meshes, &source, &stations, None, None)
+            try_run_parallel_decomp(&cfg_on, decomp, &meshes, &source, &stations, None, None)
                 .expect("sched workload config is valid");
         let unseeded_passed = bit_identical(&baseline, &unseeded);
         let n_seeds = if spec.decomps.last() == Some(&parts) {
@@ -387,8 +388,8 @@ pub fn run_steal_fuzz(spec: &StealFuzzSpec) -> StealFuzzResult {
         let mut mismatched = Vec::new();
         for seed in spec.base_seed..spec.base_seed + n_seeds {
             let plan = SchedulePlan::with_bounds(seed, spec.max_defer, spec.max_depth);
-            let fuzzed = try_run_parallel_sched(
-                &cfg_on, parts, &meshes, &source, &stations, None, Some(plan),
+            let fuzzed = try_run_parallel_decomp(
+                &cfg_on, decomp, &meshes, &source, &stations, None, Some(plan),
             )
             .expect("sched workload config is valid");
             if !bit_identical(&baseline, &fuzzed) {
@@ -498,7 +499,8 @@ mod tests {
         plan: Option<std::sync::Arc<SchedulePlan>>,
     ) -> Vec<Snapshot> {
         let reg = Registry::with_capacity(parts.iter().product(), 4096);
-        try_run_parallel_sched(cfg, parts, meshes, source, stations, Some(Arc::clone(&reg)), plan)
+        let decomp = Decomp3::new(cfg.dims, parts);
+        try_run_parallel_decomp(cfg, decomp, meshes, source, stations, Some(Arc::clone(&reg)), plan)
             .expect("traced workload config is valid");
         let snaps = reg.snapshots();
         assert!(snaps.iter().all(|s| s.dropped_causal == 0), "causal ring overflowed");
@@ -568,13 +570,13 @@ mod tests {
     fn armed_tracing_keeps_results_bit_exact() {
         let spec = tiny();
         let (cfg, meshes, source, stations) = workload(&spec);
+        let decomp = Decomp3::new(cfg.dims, spec.parts);
         let bare =
-            try_run_parallel_sched(&cfg, spec.parts, &meshes, &source, &stations, None, None)
-                .unwrap();
+            try_run_parallel_decomp(&cfg, decomp, &meshes, &source, &stations, None, None).unwrap();
         let reg = Registry::with_capacity(4, 4096);
-        let traced = try_run_parallel_sched(
+        let traced = try_run_parallel_decomp(
             &cfg,
-            spec.parts,
+            decomp,
             &meshes,
             &source,
             &stations,
@@ -588,10 +590,11 @@ mod tests {
     #[test]
     fn fingerprint_tracks_observable_state() {
         let (cfg, meshes, source, stations) = workload(&tiny());
-        let a = try_run_parallel_sched(&cfg, [2, 2, 1], &meshes, &source, &stations, None, None)
-            .unwrap();
-        let mut b = try_run_parallel_sched(&cfg, [2, 2, 1], &meshes, &source, &stations, None, None)
-            .unwrap();
+        let decomp = Decomp3::new(cfg.dims, [2, 2, 1]);
+        let a =
+            try_run_parallel_decomp(&cfg, decomp, &meshes, &source, &stations, None, None).unwrap();
+        let mut b =
+            try_run_parallel_decomp(&cfg, decomp, &meshes, &source, &stations, None, None).unwrap();
         assert!(bit_identical(&a, &b), "identical configs replay bit-exactly");
         assert_eq!(fingerprint(&a), fingerprint(&b));
         // Any single-bit output perturbation must flip both detectors.

@@ -39,6 +39,8 @@ echo "=== EXAMPLES DONE ==="
 # Overlap smoke: the shell/interior split timestep must stay bit-exact to
 # the fused path across decompositions/backends (property + cluster tests).
 cargo test --release -p awp-solver --test shell_overlap 2>&1 | grep -E "test result|FAILED"; echo "overlap_smoke exit ${PIPESTATUS[0]}"
+# Absolute pins: every stepping path must reproduce its recorded hash.
+cargo test --release -p awp-solver --test step_golden 2>&1 | grep -E "test result|FAILED"; echo "step_golden exit ${PIPESTATUS[0]}"
 echo "=== OVERLAP SMOKE DONE ==="
 # Perf regression gate: nonzero exit if the SIMD kernels are slower than
 # scalar, the steady-state exchange path allocates (arena ledger), the
@@ -48,19 +50,22 @@ echo "=== OVERLAP SMOKE DONE ==="
 # decomposition (>=1.05x required multi-core, no-regression on 1 core).
 timeout 900 ./target/release/bench_kernels --smoke --gate > results/logs/bench_kernels.log 2>&1; echo "bench_gate exit $?"
 echo "=== BENCH GATE DONE ==="
-# Subnormal gate: wavefield arithmetic runs flushed (awp_grid::fpmode), so
-# the benchmark's own traced smoke run of each solver workload must pass
-# every check and find no subnormal value at its slowest step.
-for w in loh1-serial loh1-mpml basin-lts; do
+# Perfbench gate: the benchmark's own traced smoke run of all six
+# workloads must pass every check, so the one stepper is exercised through
+# run_serial, core::workflow, the ensemble engine and the serve miss path.
+# Wavefield arithmetic runs flushed (awp_grid::fpmode), so the three solver
+# workloads must also find no subnormal value at their slowest step.
+for w in loh1-serial loh1-mpml basin-lts shakeout-workflow catalog-ensemble serve-mix; do
   cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
     --workload "$w" --smoke --trace 1 2>/dev/null | tail -1 | python3 -c '
 import json, sys
 r = json.loads(sys.stdin.read())
-frac = r["metrics"]["solver.subnormal_frac"]["value"]
+solver = sys.argv[1] in ("loh1-serial", "loh1-mpml", "basin-lts")
+frac = r["metrics"]["solver.subnormal_frac"]["value"] if solver else 0
 assert r["failed"] == 0 and frac == 0, (r["failed"], frac)
-print(sys.argv[1], "failed 0, subnormal_frac 0")' "$w"; echo "subnormal_gate_$w exit $?"
+print(sys.argv[1], "failed 0" + ", subnormal_frac 0" * solver)' "$w"; echo "perfbench_gate_$w exit $?"
 done
-echo "=== SUBNORMAL GATE DONE ==="
+echo "=== PERFBENCH GATE DONE ==="
 # Telemetry smoke: a profiled workflow must print nonzero phase totals and
 # a load-imbalance ratio, and the Chrome trace must be well-formed (the awp
 # binary parses it back and exits nonzero on schema violations; disabled-
