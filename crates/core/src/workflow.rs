@@ -36,7 +36,7 @@ use awp_solver::boundary::owns_free_surface;
 use awp_solver::config::SolverConfig;
 use awp_solver::solver::{exchange_material_halos, update_pgv, Solver};
 use awp_solver::stations::{surface_velocities, Seismogram, Station};
-use awp_solver::LtsPlan;
+use awp_solver::{global_vp_max, LtsPlan};
 use awp_source::kinematic::KinematicSource;
 use awp_telemetry::{LiveStats, Registry};
 use awp_vcluster::fault::{FaultKind, FaultPlan, FaultReport, WatchdogConfig};
@@ -394,6 +394,7 @@ impl WorkflowSession {
             checkpoint_every,
             keep_checkpoints: self.keep_checkpoints,
             lts_plan: &lts_plan,
+            vp_max: global_vp_max([&*run.mesh]),
             fault_plan: self.fault_plan.clone(),
             watchdog: self.watchdog,
             schedule: self.schedule.clone(),
@@ -625,6 +626,9 @@ struct SolveEnv<'a> {
     /// Cluster ladder for local time stepping, computed from the global
     /// mesh (`None` = fused global-dt stepping).
     lts_plan: &'a Option<LtsPlan>,
+    /// Maximum P speed of the global mesh: like the cluster ladder, a
+    /// quantity every rank must agree on (it scales the M-PML profile).
+    vp_max: f64,
     fault_plan: Option<Arc<FaultPlan>>,
     watchdog: Option<WatchdogConfig>,
     schedule: Option<Arc<SchedulePlan>>,
@@ -687,8 +691,10 @@ fn solve_ranks(
             Some(meshes) => meshes[rank].clone(),
             None => read_prepartitioned(env.parts_dir, rank, Some(env.throttle))?,
         };
+        let sources = &env.rank_sources[rank];
         let mut solver =
-            Solver::new(cfg.clone(), sub, &local, &env.rank_sources[rank], env.stations);
+            Solver::try_new_rank(cfg.clone(), sub, &local, sources, env.stations, env.vp_max)
+                .expect("invalid solver configuration");
         exchange_material_halos(&mut solver.med, &sub, ctx);
         solver.med.precompute();
         if let Some(plan) = env.lts_plan {

@@ -13,7 +13,8 @@
 //!   pool stays balanced and — once each pooled buffer has grown to the
 //!   largest face it has carried — steady state performs zero allocations.
 //! * **request lists** — `take_reqs`/`put_reqs` recycle the
-//!   `Vec<PendingRecv>` that tracks one started exchange.
+//!   `Vec<PendingRecv>` that tracks the started exchanges of one cluster
+//!   phase (every slab of the overlap pipeline appends to the one list).
 //!
 //! The `allocations` ledger counts every event that had to touch the heap
 //! (pool miss or capacity growth). Tests and the bench gate assert it stays
@@ -28,6 +29,8 @@ use crate::exchange::PendingRecv;
 pub struct HaloArena {
     bufs: Vec<Vec<f32>>,
     req_lists: Vec<Vec<PendingRecv>>,
+    /// Capacity of the request list last handed out by `take_reqs`.
+    req_cap: usize,
     allocs: u64,
 }
 
@@ -76,23 +79,21 @@ impl HaloArena {
         self.bufs.push(b);
     }
 
-    /// Take a cleared request list for one started exchange.
+    /// Take a cleared request list for the exchanges of one cluster phase.
     pub fn take_reqs(&mut self) -> Vec<PendingRecv> {
-        match self.req_lists.pop() {
-            Some(mut v) => {
-                v.clear();
-                v
-            }
-            None => {
-                self.allocs += 1;
-                Vec::new()
-            }
-        }
+        let mut v = self.req_lists.pop().unwrap_or_else(|| {
+            self.allocs += 1;
+            Vec::new()
+        });
+        v.clear();
+        self.req_cap = v.capacity();
+        v
     }
 
-    /// Return a request list once the exchange completed. Capacity growth
+    /// Return a request list once its exchanges completed. Capacity growth
     /// since `take_reqs` counts as allocation activity.
     pub fn put_reqs(&mut self, v: Vec<PendingRecv>) {
+        self.allocs += u64::from(v.capacity() > self.req_cap);
         self.req_lists.push(v);
     }
 

@@ -25,11 +25,11 @@ pub fn apply_free_surface_stress(state: &mut WaveState) {
     apply_free_surface_stress_win(state, Win::full(state.dims));
 }
 
-/// Free-surface stress imaging over a window's (i, j) footprint only (the
-/// shell/interior split images each surface-touching window right after
-/// its stress update; footprints partition the plane, so the union equals
+/// Free-surface stress imaging over a window's (i, j) footprint only (a
+/// windowed step images each surface-touching window right after its
+/// stress update; footprints partition the plane, so the union equals
 /// the fused full-plane pass). Reads stay within the window's own columns
-/// (k ≤ 2 — guaranteed by the shell plan's fold rule).
+/// (k ≤ 2 — guaranteed by `shell::MIN_SLAB_PLANES`).
 pub fn apply_free_surface_stress_win(state: &mut WaveState, win: Win) {
     let _ftz = FlushGuard::enter();
     let d = state.dims;

@@ -56,11 +56,12 @@ pub struct SolverOpts {
     /// Explicit-SIMD kernel backend (runtime-dispatched AVX2/SSE2 with a
     /// portable scalar fallback). Requires `reciprocal_media`; bit-exact
     /// with the scalar optimized kernels, so it composes freely with every
-    /// equivalence test — including the shell/interior overlap split.
+    /// equivalence test — including the overlap slab pipeline.
     pub simd: bool,
-    /// §IV.C computation/communication overlap via the shell/interior
-    /// split timestep: boundary slabs update first, halo sends launch, the
-    /// interior updates while messages fly. Composes with `simd`, M-PML
+    /// §IV.C computation/communication overlap via the k-slab pipeline
+    /// (`crate::shell`): the window is walked as a few full-row k-slabs and
+    /// each slab's halo sends fly while the next slabs update; off, the
+    /// fused pass exchanges after the whole window. Composes with `simd`, M-PML
     /// and LTS; requires the asynchronous engine
     /// (`SolverConfig::validate` rejects the combination otherwise).
     pub overlap: bool,
@@ -82,19 +83,19 @@ pub struct SolverOpts {
     /// decomposition (`parts[2] == 1`).
     #[serde(default)]
     pub lts: Option<LtsOpts>,
-    /// Cooperative work-stealing tile scheduler: decompose each rank's
-    /// interior velocity/stress update into disjoint-write k-slab tiles on
+    /// Cooperative work-stealing tile scheduler: decompose each pipeline
+    /// slab's velocity/stress update into disjoint-write k-slab tiles on
     /// per-rank dispatch queues, and let ranks that finish early (or park
     /// in `finish_exchange`) steal tiles from lagging peers. `None` keeps
-    /// the one-thread-per-rank path. Requires `overlap` (tiles are the
-    /// interior window of the shell/interior split). Bit-exact with the
+    /// the one-thread-per-rank path. Requires `overlap` (tiles are cut
+    /// from the slabs of the overlap pipeline). Bit-exact with the
     /// unscheduled path under any steal order. This is the repo's answer
     /// to §IV.D's load imbalance; the paper's hybrid MPI/OpenMP mode lost
     /// to pure MPI there and is not reproduced.
     #[serde(default)]
     pub sched: Option<SchedOpts>,
     /// Simulation-health sentinel cadence (`--health-every N`): every N
-    /// steps each rank scans its shell slabs for non-finite velocities and
+    /// steps each rank scans its halo-feeding slabs for non-finite velocities and
     /// records the |v| watermark, aborting with a clear `sim-health:` error
     /// on NaN/Inf instead of writing garbage outputs. 0 (the default)
     /// disables the probe entirely.
@@ -171,7 +172,7 @@ impl SolverOpts {
             block: BlockSpec::JAGUAR,
             reduced_comm: true,
             simd: true,
-            overlap: true, // shell/interior split: overlap composes with simd/M-PML/LTS
+            overlap: true, // k-slab pipeline: composes with simd/M-PML/LTS
             comm_mode: CommModeOpt::Asynchronous,
             per_step_barrier: false,
             lts: None,
@@ -231,9 +232,8 @@ pub enum ConfigError {
     /// `opts.lts.min_slab` must be ≥ 4: a fine cluster reads two ghost
     /// planes from its coarse neighbour, which must not span a cluster.
     LtsSlabTooThin,
-    /// `opts.sched` requires `opts.overlap`: tiles are the interior window
-    /// of the shell/interior split; the unsplit step has no interior-only
-    /// phase for thieves to help with.
+    /// `opts.sched` requires `opts.overlap`: tiles are cut from the slabs
+    /// of the overlap pipeline; the fused step submits none.
     SchedNeedsOverlap,
     /// `abc` describes a layer the boundary code cannot build on
     /// `dims`; the message names the offending parameter.
@@ -262,7 +262,7 @@ impl std::fmt::Display for ConfigError {
             ),
             ConfigError::SchedNeedsOverlap => write!(
                 f,
-                "opts.sched requires the shell/interior overlap split \
+                "opts.sched requires the overlap slab pipeline \
                  (set opts.overlap or drop opts.sched)"
             ),
             ConfigError::BadAbsorbingLayer(why) => write!(f, "bad absorbing layer: {why}"),

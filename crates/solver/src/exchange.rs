@@ -118,8 +118,11 @@ fn faces_of(axis: Axis) -> (Face, Face) {
 }
 
 /// One outstanding receive of a started exchange: where the message comes
-/// from and where its slab goes. Stored contiguously so completion needs no
-/// scratch vector (MPI_Waitall used to force a second request array here).
+/// from and where its slab goes. A cluster phase keeps them in one list
+/// borrowed from the [`HaloArena`] (`take_reqs`): every
+/// [`start_exchange_k`] of the phase appends to it and [`finish_exchange`]
+/// drains and returns it, so completion needs no scratch vector
+/// (MPI_Waitall used to force a second request array here).
 #[derive(Debug, Clone, Copy)]
 pub struct PendingRecv {
     src: usize,
@@ -134,20 +137,26 @@ pub struct PendingRecv {
     done: bool,
 }
 
-/// A started (asynchronous) exchange awaiting completion. The request list
-/// is borrowed from the [`HaloArena`] and returned on finish.
-pub struct PendingExchange {
-    reqs: Vec<PendingRecv>,
+/// Low bits of the tag's step field that carry the slab index.
+const SLAB_BITS: u32 = 2;
+const _: () = assert!(crate::shell::MAX_SLABS <= 1 << SLAB_BITS && crate::lts::MAX_CLUSTERS <= 16);
+
+/// The step field of a halo message's tag: base tick, dt-cluster and slab
+/// of the overlap pipeline, so every cluster-phase slab exchanges in its
+/// own tag space.
+pub fn tag_step(tick: u64, cluster: usize, slab: usize) -> u64 {
+    debug_assert!(cluster < crate::lts::MAX_CLUSTERS && slab < crate::shell::MAX_SLABS);
+    (((tick << 4) | cluster as u64) << SLAB_BITS) | slab as u64
 }
 
 /// Post receives and eager sends for a plan (asynchronous engine only),
 /// restricted to the k-planes `[kr.0, kr.1)`: only that slice of each X/Y
-/// face travels (Z faces ship whole — the LTS driver requires a
-/// z-unpartitioned decomposition, so its plans carry no active Z entries).
-/// Outgoing slabs are staged in arena buffers and moved into the mailbox.
-/// The stepper calls this once per firing dt-cluster with the cluster's
-/// k-range — the full extent under global dt — and, for multi-rate plans,
-/// a cluster-disambiguated `step` tag.
+/// face travels. A Z face ships whole, once per phase — its low face with
+/// the slice that starts at k = 0, its high face with the one that ends at
+/// nz, under slab index 0 (the two sides of a z link reach it in different
+/// slabs). Outgoing slabs are staged in arena buffers and moved into the
+/// mailbox; the receives join `reqs`. The stepper calls this once per
+/// slab of a firing dt-cluster with a [`tag_step`] `step`.
 #[allow(clippy::too_many_arguments)]
 pub fn start_exchange_k(
     state: &WaveState,
@@ -158,7 +167,8 @@ pub fn start_exchange_k(
     step: u64,
     arena: &mut HaloArena,
     kr: (usize, usize),
-) -> PendingExchange {
+    reqs: &mut Vec<PendingRecv>,
+) {
     // Guarded at solver construction (`SolverConfig::validate`): a bad
     // engine/overlap combination is a ConfigError before any rank thread
     // spawns, so this cannot fire on a validated configuration.
@@ -168,65 +178,46 @@ pub fn start_exchange_k(
         "overlapped exchange needs the async engine"
     );
     let t_send = ctx.telem.start();
-    let mut reqs = arena.take_reqs();
+    let nz = state.dims.nz;
     for p in plan {
         let (f_lo, f_hi) = faces_of(p.axis);
+        let z = p.axis == Axis::Z;
+        let step = if z { step & !((1 << SLAB_BITS) - 1) } else { step };
+        // The neighbour across `f`, if that face travels with this slice.
+        let link = |f: Face| {
+            let here = !z || if f.is_low() { kr.0 == 0 } else { kr.1 == nz };
+            sub.neighbor(f).filter(|_| here)
+        };
         // Post receives first.
-        if let Some(nb) = sub.neighbor(f_lo) {
-            if p.recv_lo > 0 {
-                let tag = make_tag(phase as u8, p.comp.id() as u8, f_lo.id() as u8, step);
+        for (f, width) in [(f_lo, p.recv_lo), (f_hi, p.recv_hi)] {
+            if let Some(src) = link(f).filter(|_| width > 0) {
+                let tag = make_tag(phase as u8, p.comp.id() as u8, f.id() as u8, step);
                 reqs.push(PendingRecv {
-                    src: nb,
+                    src,
                     tag,
                     comp: p.comp,
-                    face: f_lo,
-                    width: p.recv_lo,
+                    face: f,
+                    width,
                     k0: kr.0,
                     k1: kr.1,
                     done: false,
                 });
             }
         }
-        if let Some(nb) = sub.neighbor(f_hi) {
-            if p.recv_hi > 0 {
-                let tag = make_tag(phase as u8, p.comp.id() as u8, f_hi.id() as u8, step);
-                reqs.push(PendingRecv {
-                    src: nb,
-                    tag,
-                    comp: p.comp,
-                    face: f_hi,
-                    width: p.recv_hi,
-                    k0: kr.0,
-                    k1: kr.1,
-                    done: false,
-                });
-            }
-        }
-        // Send to the low neighbour: our low-side layers land in its *high*
-        // halo, so the width is the receiver's recv_hi; the receiver posted
-        // the matching irecv with its f_hi face id.
-        if let Some(nb) = sub.neighbor(f_lo) {
-            if p.recv_hi > 0 {
+        // Our low-side layers land in the low neighbour's *high* halo, so
+        // the width is the receiver's recv_hi and the tag carries its f_hi
+        // face id (the irecv it posted); symmetrically for the high side.
+        for (f, width) in [(f_lo, p.recv_hi), (f_hi, p.recv_lo)] {
+            if let Some(nb) = link(f).filter(|_| width > 0) {
                 let field = state.field(p.comp);
-                let mut buf = arena.take_buf(face_len_k(field, f_lo, p.recv_hi, kr.0, kr.1));
-                extract_face_k(field, f_lo, p.recv_hi, kr.0, kr.1, &mut buf);
-                let tag = make_tag(phase as u8, p.comp.id() as u8, f_hi.id() as u8, step);
-                ctx.send(nb, tag, buf);
-            }
-        }
-        // Send to the high neighbour: our high-side layers fill its low halo.
-        if let Some(nb) = sub.neighbor(f_hi) {
-            if p.recv_lo > 0 {
-                let field = state.field(p.comp);
-                let mut buf = arena.take_buf(face_len_k(field, f_hi, p.recv_lo, kr.0, kr.1));
-                extract_face_k(field, f_hi, p.recv_lo, kr.0, kr.1, &mut buf);
-                let tag = make_tag(phase as u8, p.comp.id() as u8, f_lo.id() as u8, step);
+                let mut buf = arena.take_buf(face_len_k(field, f, width, kr.0, kr.1));
+                extract_face_k(field, f, width, kr.0, kr.1, &mut buf);
+                let tag = make_tag(phase as u8, p.comp.id() as u8, f.opposite().id() as u8, step);
                 ctx.send(nb, tag, buf);
             }
         }
     }
     ctx.telem.finish(t_send, TelPhase::Send);
-    PendingExchange { reqs }
 }
 
 /// Complete a started exchange: drain every posted receive (MPI_Waitall)
@@ -237,12 +228,11 @@ pub fn start_exchange_k(
 pub fn finish_exchange(
     state: &mut WaveState,
     ctx: &mut RankCtx,
-    pending: PendingExchange,
+    mut reqs: Vec<PendingRecv>,
     arena: &mut HaloArena,
 ) {
     let t_all = ctx.telem.start();
     let mut inject_ns = 0u64;
-    let PendingExchange { mut reqs } = pending;
     let mut remaining = reqs.len();
     while remaining > 0 {
         let mut progressed = false;
@@ -287,7 +277,7 @@ pub fn finish_exchange(
     }
     arena.put_reqs(reqs);
     // Split the completion interval into its two meanings: time blocked on
-    // neighbours (wait, the overlap-sensitive term the shell/interior split
+    // neighbours (wait, the overlap-sensitive term the slab pipeline
     // exists to shrink) and time spent copying arrived slabs into ghosts
     // (inject, presented as one span following the wait).
     if let Some(t0) = t_all {
@@ -332,8 +322,9 @@ pub fn exchange_k(
 ) {
     match ctx.mode() {
         CommMode::Asynchronous => {
-            let pending = start_exchange_k(state, sub, ctx, plan, phase, step, arena, kr);
-            finish_exchange(state, ctx, pending, arena);
+            let mut reqs = arena.take_reqs();
+            start_exchange_k(state, sub, ctx, plan, phase, step, arena, kr, &mut reqs);
+            finish_exchange(state, ctx, reqs, arena);
         }
         CommMode::Synchronous => {
             // The rendezvous path interleaves sends and receives; the whole
@@ -551,10 +542,15 @@ mod tests {
                 .into_iter()
                 .filter(|p| p.comp == Component::Vx)
                 .collect();
-            let kr = (0, st.dims.nz);
-            let pending =
-                start_exchange_k(&st, &sub, ctx, &plan, Phase::Velocity, 7, &mut arena, kr);
-            finish_exchange(&mut st, ctx, pending, &mut arena);
+            // Two slabs, as the pipeline posts them, drained by one finish.
+            let mut reqs = arena.take_reqs();
+            for (s, kr) in [(0, 2), (2, st.dims.nz)].into_iter().enumerate() {
+                let step = tag_step(7, 0, s);
+                start_exchange_k(
+                    &st, &sub, ctx, &plan, Phase::Velocity, step, &mut arena, kr, &mut reqs,
+                );
+            }
+            finish_exchange(&mut st, ctx, reqs, &mut arena);
             // Check one halo value against the global function.
             let mut err: f32 = 0.0;
             if sub.neighbor(Face::XHi).is_some() {

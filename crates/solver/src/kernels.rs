@@ -40,8 +40,8 @@ pub fn update_velocity(
     let d = state.dims;
     if optimized {
         // The fused optimized pass is the windowed pass over the whole
-        // grid — one loop body, so shell/interior splits are bit-exact to
-        // the fused sweep by construction.
+        // grid — one loop body, so windowed walks are bit-exact to the
+        // fused sweep by construction.
         update_velocity_win(state, med, dth, block, Win::full(d));
         return;
     }
@@ -93,9 +93,9 @@ pub fn update_velocity(
 
 /// Windowed velocity update: the optimized loop body of
 /// [`update_velocity`] restricted to `win` (half-open local ranges). The
-/// §IV.C shell/interior split runs this over each shell slab, then the
-/// interior; because every cell's update reads only (frozen) stresses, any
-/// disjoint cover of the grid produces bits identical to the fused sweep.
+/// §IV.C overlap pipeline runs this over each k-slab in turn; because
+/// every cell's update reads only (frozen) stresses, any disjoint cover
+/// of the grid produces bits identical to the fused sweep.
 pub fn update_velocity_win(
     state: &mut WaveState,
     med: &Medium,

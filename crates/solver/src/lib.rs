@@ -58,8 +58,8 @@ pub use arena::HaloArena;
 pub use awp_telemetry as telemetry;
 pub use config::{AbcKind, CodeVersion, ConfigError, LtsOpts, SchedOpts, SolverConfig, SolverOpts};
 pub use lts::LtsPlan;
-pub use medium::Medium;
-pub use shell::{ShellPlan, Win};
+pub use medium::{global_vp_max, Medium};
+pub use shell::Win;
 pub use simd::SimdBackend;
 pub use solver::{
     run_parallel, try_run_parallel, try_run_parallel_decomp, RankResult, Solver,

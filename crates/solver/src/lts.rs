@@ -57,7 +57,7 @@ use crate::config::{AbcKind, LtsOpts, SolverConfig};
 use crate::medium::Medium;
 use crate::pml::Mpml;
 use crate::exchange::Phase;
-use crate::shell::{ShellPlan, Win};
+use crate::shell::{k_slabs, Win};
 use crate::state::WaveState;
 use awp_cvm::lts::{clusters_from_profile, rate_profile, theoretical_speedup, ClusterSpec};
 use awp_cvm::mesh::Mesh;
@@ -67,10 +67,10 @@ use awp_grid::fpmode;
 use awp_grid::stagger::Component;
 
 /// Highest cluster count the runtime accepts: cluster indices share the
-/// message-tag step field with the tick number (`step = tick << 4 | c`),
-/// so they must fit in 4 bits. Real CFL profiles produce a handful of
-/// octave bands; an adversarial profile that exceeds this simply falls
-/// back to global time stepping.
+/// message-tag step field with the tick number and the slab index
+/// (`exchange::tag_step`), so they must fit in 4 bits. Real CFL profiles
+/// produce a handful of octave bands; an adversarial profile that exceeds
+/// this simply falls back to global time stepping.
 pub const MAX_CLUSTERS: usize = 16;
 
 /// The velocity components interpolated across a coarse interface plane.
@@ -130,15 +130,14 @@ pub(crate) struct Operators {
     pub sponge: Option<Sponge>,
 }
 
-/// One cluster of the step plan: its window and cadence, the windows the
-/// shell/interior split visits inside it, and its private operators.
+/// One cluster of the step plan: its window and cadence, the slabs the
+/// overlap pipeline walks it as, and its private operators.
 pub(crate) struct StepCluster {
     pub win: Win,
     pub rate: u32,
-    /// The non-empty `shell ∩ win` slabs, in [`ShellPlan`] order.
-    pub shells: Vec<Win>,
-    /// `interior ∩ win` (may be empty).
-    pub interior: Win,
+    /// [`k_slabs`] of `win`, top first — or, on a rank alone on its grid
+    /// (nothing to overlap), `win` whole.
+    pub slabs: Vec<Win>,
     pub own: Operators,
     /// Substeps executed (telemetry).
     pub fires: u64,
@@ -147,16 +146,9 @@ pub(crate) struct StepCluster {
 }
 
 impl StepCluster {
-    fn new(win: Win, rate: u32, shell: &ShellPlan, own: Operators) -> Self {
-        Self {
-            win,
-            rate,
-            shells: shell.shells.iter().map(|s| s.intersect(win)).filter(|s| !s.is_empty()).collect(),
-            interior: shell.interior.intersect(win),
-            own,
-            fires: 0,
-            ns: 0,
-        }
+    fn new(win: Win, rate: u32, sub: &Subdomain, own: Operators) -> Self {
+        let slabs = if sub.decomp.rank_count() > 1 { k_slabs(win) } else { vec![win] };
+        Self { win, rate, slabs, own, fires: 0, ns: 0 }
     }
 }
 
@@ -292,8 +284,8 @@ pub(crate) struct StepPlan {
 
 impl StepPlan {
     /// The single-cluster (global dt) plan.
-    pub fn global(sub: &Subdomain, shell: &ShellPlan) -> Self {
-        let one = StepCluster::new(Win::full(sub.dims), 1, shell, Operators::default());
+    pub fn global(sub: &Subdomain) -> Self {
+        let one = StepCluster::new(Win::full(sub.dims), 1, sub, Operators::default());
         Self { clusters: vec![one], interfaces: Vec::new() }
     }
 
@@ -306,11 +298,11 @@ impl StepPlan {
         cfg: &SolverConfig,
         sub: &Subdomain,
         med: &Medium,
-        shell: &ShellPlan,
+        vp_max: f64,
         specs: &[ClusterSpec],
     ) -> Self {
         if specs.len() < 2 || specs.len() > MAX_CLUSTERS {
-            return Self::global(sub, shell);
+            return Self::global(sub);
         }
         debug_assert_eq!(
             specs.last().unwrap().k1,
@@ -346,7 +338,8 @@ impl StepPlan {
                             own.mpml = Some(
                                 Mpml::for_window(
                                     sub,
-                                    med,
+                                    med.h,
+                                    vp_max,
                                     width,
                                     pmax,
                                     dt_c,
@@ -360,7 +353,7 @@ impl StepPlan {
                         AbcKind::None => {}
                     }
                 }
-                StepCluster::new(win, rate, shell, own)
+                StepCluster::new(win, rate, sub, own)
             })
             .collect();
         let plane_len = d.nx * d.ny;

@@ -31,6 +31,28 @@ pub struct Medium {
     pub mu_yz: Option<Array3>,
 }
 
+/// Squared P speed of one cell as the solver sees it (f32 moduli widened
+/// to f64). The maxima below take one root at the end: `sqrt` is monotone,
+/// so that is the maximum of the per-cell roots, bit for bit.
+fn p_speed_sq(rho: f32, lam: f32, mu: f32) -> f64 {
+    (lam as f64 + 2.0 * mu as f64) / rho as f64
+}
+
+/// The largest [`Medium::vp_max`] the media built from `meshes` would
+/// report, without building them: the global maximum P speed of a grid
+/// given as its per-rank (or one whole) meshes. Exactly the serial run's
+/// value, so a decomposed run that scales by it matches serial bit for bit.
+pub fn global_vp_max<'a>(meshes: impl IntoIterator<Item = &'a Mesh>) -> f64 {
+    let mut m = 0.0f64;
+    for mesh in meshes {
+        for ((&rho, &vp), &vs) in mesh.rho.iter().zip(&mesh.vp).zip(&mesh.vs) {
+            let (lam, mu) = lame_from_speeds(rho, vp, vs);
+            m = m.max(p_speed_sq(rho, lam, mu));
+        }
+    }
+    m.sqrt()
+}
+
 impl Medium {
     /// Build from a local mesh (interior only). Halo cells start as
     /// clamped copies of the nearest interior cell; ranks with neighbours
@@ -167,14 +189,12 @@ impl Medium {
         for k in 0..d.nz as isize {
             for j in 0..d.ny as isize {
                 for i in 0..d.nx as isize {
-                    let rho = self.rho.get(i, j, k) as f64;
-                    let lam = self.lam.get(i, j, k) as f64;
-                    let mu = self.mu.get(i, j, k) as f64;
-                    m = m.max(((lam + 2.0 * mu) / rho).sqrt());
+                    let (rho, lam, mu) = (&self.rho, &self.lam, &self.mu);
+                    m = m.max(p_speed_sq(rho.get(i, j, k), lam.get(i, j, k), mu.get(i, j, k)));
                 }
             }
         }
-        m
+        m.sqrt()
     }
 }
 

@@ -92,11 +92,13 @@ fn axis_profile(n: usize, width: usize, d0: f64, lo: bool, hi: bool) -> Vec<f64>
 
 /// The three global damping profiles for a subdomain's decomposition
 /// (x lo/hi, y lo/hi, z bottom; the top is the free surface), quadratic
-/// with theoretical reflection coefficient `r0`.
-fn global_profiles(sub: &Subdomain, med: &Medium, width: usize, r0: f64) -> [Vec<f64>; 3] {
+/// with theoretical reflection coefficient `r0`. `vp_max` is the maximum
+/// P speed of the *global* grid, so the profiles are functions of global
+/// quantities only and every rank of every decomposition builds the same.
+fn global_profiles(sub: &Subdomain, h: f64, vp_max: f64, width: usize, r0: f64) -> [Vec<f64>; 3] {
     assert!(width >= 2, "PML width must be at least 2 cells");
-    let l = width as f64 * med.h;
-    let d0 = -3.0 * med.vp_max() * r0.ln() / (2.0 * l);
+    let l = width as f64 * h;
+    let d0 = -3.0 * vp_max * r0.ln() / (2.0 * l);
     let g = sub.decomp.global;
     [
         axis_profile(g.nx, width, d0, true, true),
@@ -188,19 +190,22 @@ pub struct Mpml {
 }
 
 impl Mpml {
-    /// Build for a subdomain. `width` cells per absorbing face (x lo/hi,
-    /// y lo/hi, z bottom; the top is the free surface), quadratic profile
+    /// Build for a subdomain of a grid with spacing `h` and global maximum
+    /// P speed `vp_max`. `width` cells per absorbing face (x lo/hi, y
+    /// lo/hi, z bottom; the top is the free surface), quadratic profile
     /// with theoretical reflection coefficient `r0`.
+    #[allow(clippy::too_many_arguments)]
     pub fn new(
         sub: &Subdomain,
-        med: &Medium,
+        h: f64,
+        vp_max: f64,
         width: usize,
         pmax: f64,
         dt: f64,
         f0: f64,
         r0: f64,
     ) -> Self {
-        Self::for_window(sub, med, width, pmax, dt, f0, r0, Win::full(sub.dims))
+        Self::for_window(sub, h, vp_max, width, pmax, dt, f0, r0, Win::full(sub.dims))
     }
 
     /// [`Mpml::new`] restricted to the zone cells inside `win` (an LTS
@@ -208,7 +213,8 @@ impl Mpml {
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn for_window(
         sub: &Subdomain,
-        med: &Medium,
+        h: f64,
+        vp_max: f64,
         width: usize,
         pmax: f64,
         dt: f64,
@@ -216,7 +222,7 @@ impl Mpml {
         r0: f64,
         win: Win,
     ) -> Self {
-        let global = global_profiles(sub, med, width, r0);
+        let global = global_profiles(sub, h, vp_max, width, r0);
         let (o, n) = (sub.origin, sub.dims);
         let local =
             [&global[0][o.i..o.i + n.nx], &global[1][o.j..o.j + n.ny], &global[2][o.k..o.k + n.nz]];
@@ -299,7 +305,7 @@ impl Mpml {
         self.apply_velocity_win(state, med, dth, win);
     }
 
-    /// Windowed velocity-pass correction (shell/interior split). The ψ
+    /// Windowed velocity-pass correction (overlap slabs, tiles). The ψ
     /// update at a cell reads only that cell's ψ and the frozen
     /// cross-field derivatives, so restricting to a window is bit-exact.
     pub fn apply_velocity_win(&mut self, state: &mut WaveState, med: &Medium, dth: f32, win: Win) {
@@ -646,7 +652,6 @@ unsafe fn rows_sse2<P: Pass>(pml: &mut Mpml, p: P, lay: (usize, usize, usize), d
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::shell::ShellPlan;
     use awp_cvm::mesh::MeshGenerator;
     use awp_cvm::model::HomogeneousModel;
     use awp_grid::array3::Array3;
@@ -671,7 +676,7 @@ mod tests {
 
     impl Reference {
         fn new(sub: &Subdomain, med: &Medium, width: usize, pmax: f64) -> Self {
-            let g = global_profiles(sub, med, width, R0);
+            let g = global_profiles(sub, med.h, med.vp_max(), width, R0);
             let (o, n) = (sub.origin, sub.dims);
             Self {
                 d: [
@@ -831,7 +836,7 @@ mod tests {
     fn setup(d: Dims3, width: usize) -> (Subdomain, Medium, Mpml) {
         let sub = Decomp3::new(d, [1, 1, 1]).subdomain(0);
         let med = rock(d);
-        let pml = Mpml::new(&sub, &med, width, 0.1, DT, F0, R0);
+        let pml = Mpml::new(&sub, med.h, med.vp_max(), width, 0.1, DT, F0, R0);
         (sub, med, pml)
     }
 
@@ -1018,7 +1023,8 @@ mod tests {
         for pmax in [0.1, 0.0] {
             for backend in backends() {
                 let what = format!("pmax {pmax} on {}", backend.name());
-                let mut pml = Mpml::new(&sub, &med, 5, pmax, DT, F0, R0).with_backend(backend);
+                let mut pml = Mpml::new(&sub, med.h, med.vp_max(), 5, pmax, DT, F0, R0)
+                    .with_backend(backend);
                 let mut r = Reference::new(&sub, &med, 5, pmax);
                 let mut fast = random_state(d, 0xfeed);
                 let mut slow = fast.clone();
@@ -1037,7 +1043,8 @@ mod tests {
         }
     }
 
-    /// Shell slabs then interior, as the overlap timestep cuts them.
+    /// Two-cell face boxes around a core: windows that cut through every
+    /// zone box along all three axes.
     #[test]
     fn fast_pass_matches_reference_over_shell_windows() {
         let d = Dims3::new(20, 18, 16);
@@ -1045,8 +1052,14 @@ mod tests {
         let mut r = Reference::new(&sub, &med, 5, 0.1);
         let mut fast = random_state(d, 0x1234);
         let mut slow = fast.clone();
-        let plan = ShellPlan::from_widths(d, [2, 2, 2, 0, 0, 2], false);
-        let wins: Vec<Win> = plan.shells.into_iter().chain([plan.interior]).collect();
+        let full = Win::full(d);
+        let wins = [
+            Win { i1: 2, ..full },
+            Win { i0: 18, ..full },
+            Win { i0: 2, i1: 18, j1: 2, ..full },
+            Win { i0: 2, i1: 18, j0: 2, k0: 14, ..full },
+            Win { i0: 2, i1: 18, j0: 2, k1: 14, ..full },
+        ];
         for _ in 0..2 {
             for w in &wins {
                 pml.apply_velocity_win(&mut fast, &med, 0.01, *w);
@@ -1068,8 +1081,10 @@ mod tests {
         let (sub, med, whole) = setup(d, 5);
         let slab = |k0, k1| Win { k0, k1, ..Win::full(d) };
         let wins = [slab(0, 4), slab(4, 9), slab(9, 16)];
-        let mut parts: Vec<Mpml> =
-            wins.iter().map(|&w| Mpml::for_window(&sub, &med, 5, 0.1, DT, F0, R0, w)).collect();
+        let mut parts: Vec<Mpml> = wins
+            .iter()
+            .map(|&w| Mpml::for_window(&sub, med.h, med.vp_max(), 5, 0.1, DT, F0, R0, w))
+            .collect();
         for (p, w) in parts.iter().zip(&wins) {
             assert_eq!(p.zone_cells(), whole.zone_cells_win(*w));
             assert_eq!(p.psi_bytes(), N_PSI * 4 * p.zone_cells());
@@ -1157,7 +1172,8 @@ mod tests {
                 let sub = decomp.subdomain(rank);
                 let what = format!("{parts:?} rank {rank}");
                 let med = rock(sub.dims);
-                let pml = std::cell::RefCell::new(Mpml::new(&sub, &med, width, 0.1, DT, F0, R0));
+                let pml = Mpml::new(&sub, med.h, med.vp_max(), width, 0.1, DT, F0, R0);
+                let pml = std::cell::RefCell::new(pml);
                 let (la, lb) = (cut(&a, &sub), cut(&b, &sub));
                 let (va, sb) = rounds(
                     &mut |st| pml.borrow_mut().apply_velocity(st, &med, 0.01),
@@ -1199,7 +1215,7 @@ mod tests {
         assert_eq!(fields.iter().map(|(_, v)| v.len() * 4).sum::<usize>(), pml.psi_bytes());
         fields.push(("lts1_mpml_psi0".into(), vec![7.0; 3]));
         fields.push(("vx".into(), vec![7.0; 3]));
-        let mut fresh = Mpml::new(&sub, &med, 5, 0.1, DT, F0, R0);
+        let mut fresh = Mpml::new(&sub, med.h, med.vp_max(), 5, 0.1, DT, F0, R0);
         fresh.restore_fields("mpml_", &fields);
         for (a, b) in fresh.boxes.iter().zip(&pml.boxes) {
             assert_eq!(a.psi, b.psi);

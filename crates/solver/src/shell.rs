@@ -1,44 +1,40 @@
-//! Shell/interior decomposition of a rank's subdomain (paper §IV.C).
+//! Index windows and the k-slab pipeline of the overlap timestep (paper
+//! §IV.C).
 //!
-//! The overlap timestep updates the *shell* — the boundary slabs whose
-//! cells feed outgoing ghost faces — first, launches every halo send, then
-//! updates the *interior* core with the full-strength backend while the
-//! messages are in flight. This module precomputes that decomposition as
-//! seven disjoint windows (six face slabs + the core) that together cover
-//! the local grid exactly once, so the split pass visits the same per-cell
-//! update set as the fused pass and stays bit-exact.
+//! "While the value of v is computed, the exchange of u can be performed
+//! simultaneously": with overlap on, a rank walks each firing cluster's
+//! window as a short list of **k-slabs** — full-(i, j) boxes, so every
+//! kernel pass stays a contiguous full-row sweep whichever axis the grid
+//! is cut along — and after each slab posts that slab's k-range of every
+//! x/y face. Slab *s*'s messages fly while slabs *s+1…* compute, and one
+//! completion at the end of the phase drains them all. The velocity pass
+//! reads only stresses and the stress pass only velocities, so per-cell
+//! updates are window-order invariant and the walk is bit-exact against
+//! the fused single-window pass.
 //!
-//! Slab assembly (widths are the halo depth, 2, on faces with a
-//! neighbour, 0 otherwise):
-//!
-//! * z-lo / z-hi slabs span the full (i, j) plane;
-//! * y-lo / y-hi slabs span the full i extent over the remaining k range;
-//! * x-lo / x-hi slabs cover the remaining (j, k) core rectangle;
-//! * the interior is what is left.
-//!
-//! Corners are therefore owned by exactly one slab, and every cell within
-//! halo depth of a communicating face lies in some shell slab (the face
-//! extraction in `exchange::start_exchange_k` reads only such cells).
-//!
-//! **Free-surface fold rule**: stress imaging at the k = 0 surface reads a
-//! column's k ∈ {0, 1, 2} stresses *after* their update but *before* the
-//! sponge damps them. The split pass images per window (footprint = the
-//! window's (i, j) range, triggered by `k0 == 0`), which is only
-//! equivalent to the fused schedule if each imaged column's k ≤ 2 cells
-//! live in the window doing the imaging. On surface-owning ranks the z-lo
-//! width is 0 (no neighbour below the free surface), so this holds
-//! whenever the z-hi slab starts at k ≥ 3; for pathologically thin
-//! subdomains (nz − width < 3) the plan folds the whole k range into the
-//! z-hi slab — correctness is preserved and only the (degenerate) overlap
-//! window is lost.
+//! The slab rule ([`k_slabs`]) is fixed, not an option: at most
+//! [`MAX_SLABS`] slabs (the tag's step field carries the slab index in 2
+//! bits), none thinner than [`MIN_SLAB_PLANES`] planes. A slab holding
+//! k = 0 therefore holds k ≤ 2 as well, which the free-surface stress
+//! imaging needs: it reads a column's k ∈ {0, 1, 2} stresses after their
+//! update and before the sponge damps them, and images per window
+//! (triggered by `k0 == 0`). The halo depth ([`SHELL_WIDTH`]) fits any
+//! slab too, so the z-lo face is final after the first slab and the z-hi
+//! face after the last. Windows under twice the minimum stay whole.
 
 use awp_grid::decomp::Subdomain;
 use awp_grid::dims::{Dims3, Idx3};
 use awp_grid::face::Face;
 
 /// Halo depth of the 4th-order stencil: cells within this distance of a
-/// communicating face must be final before that face's send starts.
+/// communicating face travel in that face's messages.
 pub const SHELL_WIDTH: usize = 2;
+
+/// Most slabs one cluster window is walked as.
+pub const MAX_SLABS: usize = 4;
+
+/// Thinnest slab the rule cuts (planes).
+pub const MIN_SLAB_PLANES: usize = 4;
 
 /// A half-open index window `[i0, i1) × [j0, j1) × [k0, k1)` in local
 /// (unpadded) coordinates.
@@ -89,64 +85,35 @@ impl Win {
     }
 }
 
-/// Precomputed shell/interior decomposition for one rank.
-#[derive(Debug, Clone, Copy)]
-pub struct ShellPlan {
-    /// Disjoint boundary slabs (some may be empty on non-communicating
-    /// faces), ordered z-lo, z-hi, y-lo, y-hi, x-lo, x-hi.
-    pub shells: [Win; 6],
-    /// The core updated while halo messages are in flight.
-    pub interior: Win,
+/// Cut `win` into its pipeline slabs: `(planes / MIN_SLAB_PLANES)` clamped
+/// to `1..=MAX_SLABS` near-equal k-ranges, top first. A function of the
+/// k-range alone, so x/y neighbours — which share it — cut identically
+/// and each slab's message meets a receive of the same shape. (A rank
+/// alone on its grid has nothing to overlap and walks `win` whole.)
+pub fn k_slabs(win: Win) -> Vec<Win> {
+    let n = win.k1 - win.k0;
+    let s = (n / MIN_SLAB_PLANES).clamp(1, MAX_SLABS);
+    (0..s).map(|t| Win { k0: win.k0 + n * t / s, k1: win.k0 + n * (t + 1) / s, ..win }).collect()
 }
 
-impl ShellPlan {
-    /// Build the plan for a subdomain: width-`SHELL_WIDTH` slabs on faces
-    /// with a neighbour. `surface_imaging` is true when this rank applies
-    /// the free-surface stress imaging (enables the fold rule above).
-    pub fn new(sub: &Subdomain, surface_imaging: bool) -> Self {
-        let w = |f: Face| if sub.neighbor(f).is_some() { SHELL_WIDTH } else { 0 };
-        Self::from_widths(
-            sub.dims,
-            [w(Face::XLo), w(Face::XHi), w(Face::YLo), w(Face::YHi), w(Face::ZLo), w(Face::ZHi)],
-            surface_imaging,
-        )
-    }
-
-    /// Build from explicit per-face widths `[x_lo, x_hi, y_lo, y_hi, z_lo,
-    /// z_hi]` (exposed for property tests over arbitrary shell shapes).
-    pub fn from_widths(d: Dims3, widths: [usize; 6], surface_imaging: bool) -> Self {
-        let [wx_lo, wx_hi, wy_lo, wy_hi, wz_lo, wz_hi] = widths;
-        let ix0 = wx_lo.min(d.nx);
-        let ix1 = d.nx.saturating_sub(wx_hi).max(ix0);
-        let jy0 = wy_lo.min(d.ny);
-        let jy1 = d.ny.saturating_sub(wy_hi).max(jy0);
-        let kz0 = wz_lo.min(d.nz);
-        let mut kz1 = d.nz.saturating_sub(wz_hi).max(kz0);
-        // Free-surface fold rule: keep every imaged column's k ≤ 2 cells
-        // inside the window that images it (see module docs).
-        if surface_imaging && wz_hi > 0 && kz1 < 3 {
-            kz1 = kz0;
+/// The cells within halo depth of each communicating face of `sub`: one
+/// slab per such face, spanning the other two axes (slabs of different
+/// faces overlap along the edges). Every value that leaves the rank comes
+/// from one of them.
+pub fn halo_feeding_slabs(sub: &Subdomain) -> impl Iterator<Item = Win> + '_ {
+    let d = sub.dims;
+    Face::ALL.into_iter().filter(|&f| sub.neighbor(f).is_some()).map(move |f| {
+        let mut w = Win::full(d);
+        match f {
+            Face::XLo => w.i1 = SHELL_WIDTH.min(d.nx),
+            Face::XHi => w.i0 = d.nx.saturating_sub(SHELL_WIDTH),
+            Face::YLo => w.j1 = SHELL_WIDTH.min(d.ny),
+            Face::YHi => w.j0 = d.ny.saturating_sub(SHELL_WIDTH),
+            Face::ZLo => w.k1 = SHELL_WIDTH.min(d.nz),
+            Face::ZHi => w.k0 = d.nz.saturating_sub(SHELL_WIDTH),
         }
-        let shells = [
-            // z-lo / z-hi: full (i, j) plane.
-            Win { i0: 0, i1: d.nx, j0: 0, j1: d.ny, k0: 0, k1: kz0 },
-            Win { i0: 0, i1: d.nx, j0: 0, j1: d.ny, k0: kz1, k1: d.nz },
-            // y-lo / y-hi: full i over the remaining k range.
-            Win { i0: 0, i1: d.nx, j0: 0, j1: jy0, k0: kz0, k1: kz1 },
-            Win { i0: 0, i1: d.nx, j0: jy1, j1: d.ny, k0: kz0, k1: kz1 },
-            // x-lo / x-hi: the remaining (j, k) core rectangle.
-            Win { i0: 0, i1: ix0, j0: jy0, j1: jy1, k0: kz0, k1: kz1 },
-            Win { i0: ix1, i1: d.nx, j0: jy0, j1: jy1, k0: kz0, k1: kz1 },
-        ];
-        let interior = Win { i0: ix0, i1: ix1, j0: jy0, j1: jy1, k0: kz0, k1: kz1 };
-        ShellPlan { shells, interior }
-    }
-
-    /// Cells in the shell slabs (diagnostics: the work done before the
-    /// sends go out).
-    pub fn shell_cells(&self) -> usize {
-        self.shells.iter().map(Win::count).sum()
-    }
+        w
+    })
 }
 
 #[cfg(test)]
@@ -154,80 +121,40 @@ mod tests {
     use super::*;
     use awp_grid::decomp::Decomp3;
 
-    fn assert_exact_cover(d: Dims3, plan: &ShellPlan) {
-        let mut seen = vec![0u8; d.nx * d.ny * d.nz];
-        let mut mark = |w: &Win| {
-            if w.is_empty() {
-                return;
-            }
+    fn assert_exact_cover(within: Win, wins: &[Win]) {
+        let d = Dims3::new(within.i1, within.j1, within.k1);
+        let mut seen = vec![0u8; d.count()];
+        for w in wins {
+            assert!(!w.is_empty(), "empty window {w:?}");
             for k in w.k0..w.k1 {
                 for j in w.j0..w.j1 {
                     for i in w.i0..w.i1 {
-                        assert!(i < d.nx && j < d.ny && k < d.nz, "window exceeds grid");
+                        assert!(within.contains(Idx3::new(i, j, k)), "{w:?} leaves {within:?}");
                         seen[i + d.nx * (j + d.ny * k)] += 1;
                     }
                 }
             }
-        };
-        for w in &plan.shells {
-            mark(w);
         }
-        mark(&plan.interior);
-        assert!(
-            seen.iter().all(|&c| c == 1),
-            "shell+interior must cover every cell exactly once ({d:?})"
-        );
+        let covered = seen.iter().map(|&c| c as usize).sum::<usize>();
+        assert!(seen.iter().all(|&c| c <= 1) && covered == within.count(), "{within:?}: {wins:?}");
     }
 
     #[test]
-    fn covers_exactly_once_across_shapes_and_widths() {
-        let dims = [
-            Dims3::new(16, 12, 10),
-            Dims3::new(13, 11, 9),
-            Dims3::new(8, 8, 8),
-            Dims3::new(7, 5, 4),
-            Dims3::new(5, 3, 3),
-            Dims3::new(3, 2, 2),
-            Dims3::new(9, 1, 1),
-            Dims3::new(33, 4, 3),
-        ];
-        let widths = [
-            [2, 2, 2, 2, 2, 2],
-            [0, 0, 0, 0, 0, 0],
-            [2, 0, 0, 2, 0, 2],
-            [0, 2, 2, 0, 2, 0],
-            [2, 2, 0, 0, 0, 2],
-        ];
-        for d in dims {
-            for w in widths {
-                for surface in [false, true] {
-                    assert_exact_cover(d, &ShellPlan::from_widths(d, w, surface));
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn shell_contains_all_halo_feeding_cells() {
-        // Every cell within SHELL_WIDTH of a communicating face must be in
-        // some shell slab (it may be extracted into an outgoing message).
-        let d = Dims3::new(10, 9, 8);
-        let w = [2, 2, 0, 2, 0, 2];
-        let plan = ShellPlan::from_widths(d, w, false);
-        for k in 0..d.nz {
-            for j in 0..d.ny {
-                for i in 0..d.nx {
-                    let near = (w[0] > 0 && i < w[0])
-                        || (w[1] > 0 && i >= d.nx - w[1])
-                        || (w[2] > 0 && j < w[2])
-                        || (w[3] > 0 && j >= d.ny - w[3])
-                        || (w[4] > 0 && k < w[4])
-                        || (w[5] > 0 && k >= d.nz - w[5]);
-                    let idx = Idx3::new(i, j, k);
-                    let in_shell = plan.shells.iter().any(|s| s.contains(idx));
-                    if near {
-                        assert!(in_shell, "halo-feeding cell {idx:?} not in shell");
-                        assert!(!plan.interior.contains(idx));
+    fn slabs_cover_exactly_once_across_shapes_and_ranges() {
+        // The rule reads the k-range only; two footprints are plenty.
+        for d in [Dims3::new(33, 4, 21), Dims3::new(3, 1, 64)] {
+            // The whole grid and every LTS-style cluster range inside it.
+            for k0 in 0..d.nz {
+                for k1 in k0 + 1..=d.nz {
+                    let win = Win { k0, k1, ..Win::full(d) };
+                    let slabs = k_slabs(win);
+                    assert_exact_cover(win, &slabs);
+                    let n = k1 - k0;
+                    assert_eq!(slabs.len(), (n / MIN_SLAB_PLANES).clamp(1, MAX_SLABS), "{win:?}");
+                    for (s, w) in slabs.iter().enumerate() {
+                        assert_eq!((w.i0, w.i1, w.j0, w.j1), (0, d.nx, 0, d.ny), "full rows");
+                        assert!(w.k1 - w.k0 >= MIN_SLAB_PLANES.min(n), "thin {w:?} of {win:?}");
+                        assert_eq!(w.k0, if s == 0 { k0 } else { slabs[s - 1].k1 }, "top first");
                     }
                 }
             }
@@ -235,39 +162,68 @@ mod tests {
     }
 
     #[test]
-    fn surface_fold_keeps_imaged_columns_whole() {
-        // Thin subdomain with a bottom neighbour: the z-hi slab would start
-        // at k < 3, so the plan folds the full column into it.
-        let d = Dims3::new(8, 8, 4);
-        let plan = ShellPlan::from_widths(d, [2, 2, 2, 2, 0, 2], true);
-        assert_exact_cover(d, &plan);
-        for w in plan.shells.iter().chain(std::iter::once(&plan.interior)) {
-            if !w.is_empty() && w.k0 == 0 {
-                assert!(w.k1 >= 3.min(d.nz), "imaging window truncates its columns: {w:?}");
+    fn surface_slab_keeps_imaged_columns_whole() {
+        // The slab that images the free surface (k0 = 0) must hold every
+        // k ≤ 2 plane of its columns, and the z-hi face (last two planes)
+        // must not reach back into an earlier slab.
+        for nz in 1..40 {
+            let d = Dims3::new(8, 8, nz);
+            let slabs = k_slabs(Win::full(d));
+            assert!(slabs[0].k1 >= 3.min(nz), "nz {nz}: imaging window truncates its columns");
+            let last = slabs.last().unwrap();
+            assert!(last.k1 - last.k0 >= SHELL_WIDTH.min(nz), "nz {nz}: z-hi face spans slabs");
+        }
+        // The degenerate heights the overlap suite runs.
+        let count = |nz| k_slabs(Win::full(Dims3::new(8, 8, nz))).len();
+        assert_eq!([count(4), count(5), count(7), count(9), count(21)], [1, 1, 1, 2, 4]);
+    }
+
+    #[test]
+    fn shell_contains_all_halo_feeding_cells() {
+        // A cell is in some face slab iff it lies within SHELL_WIDTH of a
+        // communicating face (it may be extracted into an outgoing message).
+        let d = Dims3::new(10, 9, 8);
+        let dec = Decomp3::new(Dims3::new(30, 18, 8), [3, 2, 1]);
+        for r in 0..dec.rank_count() {
+            let sub = dec.subdomain(r);
+            assert_eq!(sub.dims, d);
+            let has = |f| sub.neighbor(f).is_some();
+            let slabs: Vec<Win> = halo_feeding_slabs(&sub).collect();
+            for k in 0..d.nz {
+                for j in 0..d.ny {
+                    for i in 0..d.nx {
+                        let near = (has(Face::XLo) && i < SHELL_WIDTH)
+                            || (has(Face::XHi) && i >= d.nx - SHELL_WIDTH)
+                            || (has(Face::YLo) && j < SHELL_WIDTH)
+                            || (has(Face::YHi) && j >= d.ny - SHELL_WIDTH)
+                            || (has(Face::ZLo) && k < SHELL_WIDTH)
+                            || (has(Face::ZHi) && k >= d.nz - SHELL_WIDTH);
+                        let idx = Idx3::new(i, j, k);
+                        assert_eq!(slabs.iter().any(|s| s.contains(idx)), near, "rank {r} {idx:?}");
+                    }
+                }
             }
         }
     }
 
     #[test]
     fn serial_subdomain_is_all_interior() {
-        let d = Dims3::new(12, 10, 8);
-        let sub = Decomp3::new(d, [1, 1, 1]).subdomain(0);
-        let plan = ShellPlan::new(&sub, true);
-        assert_eq!(plan.shell_cells(), 0);
-        assert_eq!(plan.interior, Win::full(d));
+        let sub = Decomp3::new(Dims3::new(12, 10, 32), [1, 1, 1]).subdomain(0);
+        assert_eq!(halo_feeding_slabs(&sub).count(), 0);
     }
 
     #[test]
     fn decomposed_subdomains_cover_and_split() {
-        let d = Dims3::new(16, 14, 12);
+        let d = Dims3::new(16, 14, 24);
         let dec = Decomp3::new(d, [2, 2, 2]);
         for r in 0..dec.rank_count() {
             let sub = dec.subdomain(r);
-            let plan = ShellPlan::new(&sub, sub.on_boundary(Face::ZLo));
-            assert_exact_cover(sub.dims, &plan);
-            // Every rank in a 2×2×2 split communicates on three faces.
-            assert!(plan.shell_cells() > 0);
-            assert!(plan.interior.count() > 0);
+            let slabs = k_slabs(Win::full(sub.dims));
+            assert_exact_cover(Win::full(sub.dims), &slabs);
+            // 12 planes per rank: three slabs to pipeline, and every rank
+            // of a 2×2×2 split communicates on three faces.
+            assert_eq!(slabs.len(), 3);
+            assert_eq!(halo_feeding_slabs(&sub).count(), 3);
         }
     }
 }

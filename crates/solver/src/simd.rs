@@ -103,7 +103,7 @@ pub fn update_velocity_simd(state: &mut WaveState, med: &Medium, dth: f32, block
     update_velocity_backend_win(state, med, dth, block, win, detect());
 }
 
-/// Windowed SIMD velocity update (shell/interior split): bit-identical to
+/// Windowed SIMD velocity update (overlap slabs, tiles): bit-identical to
 /// the fused pass restricted to `win`, because the vector loop restarts at
 /// `win.i0` with the same expression tree (unaligned loads, no FMA) and
 /// per-cell updates are window-invariant.
@@ -872,13 +872,19 @@ mod tests {
 
     #[test]
     fn windowed_shell_interior_union_matches_fused() {
-        // Running the seven shell/interior windows (any order) must be
-        // bit-identical to the fused full-domain pass, per backend.
-        use crate::shell::ShellPlan;
+        // Running two-cell face boxes and the core they leave (any order)
+        // must be bit-identical to the fused full-domain pass, per backend.
         for backend in backends() {
             for (seed, &(nx, ny, nz)) in DIMS.iter().enumerate() {
                 let d = Dims3::new(nx, ny, nz);
-                let plan = ShellPlan::from_widths(d, [2, 2, 0, 2, 2, 0], false);
+                let (full, i1, j1) = (Win::full(d), (nx - 2).max(2), ny.saturating_sub(2));
+                let wins = [
+                    Win { i1: 2, ..full },
+                    Win { i0: i1, ..full },
+                    Win { i0: 2, i1, j0: j1, ..full },
+                    Win { i0: 2, i1, j1, k1: 2.min(nz), ..full },
+                    Win { i0: 2, i1, j1, k0: 2.min(nz), ..full },
+                ];
                 let (med, st) = setup(d, 0x5eed + seed as u64);
                 let at = Attenuation::new(&med, 1e-3, 0.1, 3.0, Idx3::new(0, 0, 0));
                 let mut fused = st.clone();
@@ -887,10 +893,10 @@ mod tests {
                 let b = BlockSpec::new(3, 2);
                 update_velocity_backend(&mut fused, &med, 0.01, b, backend);
                 update_stress_backend(&mut fused, &med, Some(&at), 0.01, 1e-3, b, backend);
-                for w in plan.shells.iter().chain(std::iter::once(&plan.interior)) {
+                for w in &wins {
                     update_velocity_backend_win(&mut split, &med, 0.01, b, *w, backend);
                 }
-                for w in plan.shells.iter().chain(std::iter::once(&plan.interior)) {
+                for w in &wins {
                     update_stress_backend_win(
                         &mut split,
                         &med,

@@ -17,14 +17,14 @@ use crate::boundary::{
 use crate::config::{AbcKind, ConfigError, SolverConfig};
 use crate::exchange::{
     exchange_k, finish_exchange, full_plan, reduced_stress_plan, reduced_velocity_plan,
-    start_exchange_k, FieldPlan, Phase,
+    start_exchange_k, tag_step, FieldPlan, Phase,
 };
 use crate::flops::FlopCounter;
 use crate::kernels::{update_stress, update_stress_win, update_velocity, update_velocity_win};
 use crate::lts::{LtsInterface, LtsPlan, StepPlan, MAX_CLUSTERS};
-use crate::medium::Medium;
+use crate::medium::{global_vp_max, Medium};
 use crate::pml::Mpml;
-use crate::shell::{ShellPlan, Win};
+use crate::shell::{halo_feeding_slabs, Win};
 use crate::simd::{update_stress_backend_win, update_velocity_backend_win, SimdBackend};
 use crate::sourceinj::SourceInjector;
 use crate::state::WaveState;
@@ -303,10 +303,11 @@ pub struct Solver {
     pub step: usize,
     pub flops: FlopCounter,
     kernels: Kernels,
+    /// Maximum P speed of the global grid: the M-PML damping scale, which
+    /// every rank of a decomposition must agree on.
+    vp_max: f64,
     vel_plan: Vec<FieldPlan>,
     str_plan: Vec<FieldPlan>,
-    /// Precomputed shell/interior decomposition for the overlap timestep.
-    shell: ShellPlan,
     /// Pooled halo staging buffers (zero-copy exchange path).
     arena: HaloArena,
     /// The dt-clusters [`Solver::step`] walks (one, unless LTS is armed).
@@ -354,7 +355,9 @@ impl Solver {
     /// Fallible constructor: checks option consistency
     /// (`SolverConfig::validate`) before building anything, so a bad
     /// engine/overlap combination fails the run gracefully instead of
-    /// panicking a rank thread mid-step.
+    /// panicking a rank thread mid-step. Takes `mesh`'s own maximum P speed
+    /// for the global one — right when `sub` is the whole grid; a rank of a
+    /// decomposed heterogeneous grid wants [`Solver::try_new_rank`].
     pub fn try_new(
         cfg: SolverConfig,
         sub: Subdomain,
@@ -362,11 +365,28 @@ impl Solver {
         source: &KinematicSource,
         stations: &[Station],
     ) -> Result<Self, ConfigError> {
+        Self::try_new_rank(cfg, sub, mesh, source, stations, 0.0)
+    }
+
+    /// [`Solver::try_new`] for one rank of a decomposed grid: `vp_max` is
+    /// the maximum P speed over *all* ranks' meshes ([`global_vp_max`]), so
+    /// the CFL guard and the M-PML damping profile are functions of the
+    /// global grid and parallel ≡ serial on heterogeneous media. A value
+    /// below the local maximum is raised to it.
+    pub fn try_new_rank(
+        cfg: SolverConfig,
+        sub: Subdomain,
+        mesh: &Mesh,
+        source: &KinematicSource,
+        stations: &[Station],
+        vp_max: f64,
+    ) -> Result<Self, ConfigError> {
         cfg.validate()?;
         assert_eq!(mesh.dims, sub.dims, "mesh does not match subdomain");
         let mut med = Medium::from_mesh(mesh);
+        let vp_max = vp_max.max(med.vp_max());
         // CFL guard.
-        let dt_max = 6.0 * cfg.h / (7.0 * 3.0f64.sqrt() * med.vp_max());
+        let dt_max = 6.0 * cfg.h / (7.0 * 3.0f64.sqrt() * vp_max);
         assert!(
             cfg.dt <= dt_max * 1.0001,
             "dt {} violates the CFL bound {dt_max}",
@@ -386,7 +406,7 @@ impl Solver {
         let backend = crate::simd::backend_for(&cfg.opts);
         let mpml = match cfg.abc {
             AbcKind::Mpml { width, pmax } => Some(
-                Mpml::new(&sub, &med, width, pmax, cfg.dt, cfg.q_band.1.max(0.5), 1e-4)
+                Mpml::new(&sub, med.h, vp_max, width, pmax, cfg.dt, cfg.q_band.1.max(0.5), 1e-4)
                     .with_backend(backend),
             ),
             _ => None,
@@ -401,14 +421,13 @@ impl Solver {
                 full_plan(&Component::STRESSES),
             )
         };
-        let shell = ShellPlan::new(&sub, cfg.free_surface && owns_free_surface(&sub));
         let kernels = Kernels {
             backend,
             optimized: cfg.opts.reciprocal_media,
             block: cfg.opts.block,
         };
         Ok(Self {
-            plan: StepPlan::global(&sub, &shell),
+            plan: StepPlan::global(&sub),
             cfg,
             sub,
             med,
@@ -421,9 +440,9 @@ impl Solver {
             step: 0,
             flops: FlopCounter::default(),
             kernels,
+            vp_max,
             vel_plan,
             str_plan,
-            shell,
             arena: HaloArena::new(),
         })
     }
@@ -435,7 +454,8 @@ impl Solver {
     /// reaches one octave — are global time stepping, the bit-exact
     /// degenerate case of the LTS schedule.
     pub fn enable_lts(&mut self, plan: &LtsPlan) -> bool {
-        self.plan = StepPlan::build(&self.cfg, &self.sub, &self.med, &self.shell, &plan.clusters);
+        self.plan =
+            StepPlan::build(&self.cfg, &self.sub, &self.med, self.vp_max, &plan.clusters);
         self.lts_active()
     }
 
@@ -490,35 +510,31 @@ impl Solver {
         self.arena.allocations()
     }
 
-    /// The shell/interior decomposition the overlap timestep uses.
-    pub fn shell_plan(&self) -> &ShellPlan {
-        &self.shell
-    }
-
     /// One base tick (see the `crate::lts` module docs for the schedule and
     /// the interface interpolation). Every cluster that fires on this tick
     /// runs its velocity phase, then every firing cluster its stress phase,
-    /// and a phase is: blend the interface ghosts → shell windows → start
-    /// the halo sends → interior window → restore the ghosts → finish the
-    /// exchange.
+    /// and a phase is: blend the interface ghosts → per slab [update the
+    /// window → start that slab's halo sends] → restore the ghosts →
+    /// finish the exchange.
     ///
-    /// With overlap on (§IV.C) the shell — the planes that feed outgoing
-    /// ghost faces — is updated first and every halo send starts
-    /// immediately, so the interior core is updated while the messages
-    /// fly: "While the value of v is computed, the exchange of u can be
-    /// performed simultaneously". Because the velocity pass reads only
-    /// stresses and the stress pass reads only velocities, per-cell updates
-    /// are window-order invariant and the split is bit-exact against the
-    /// fused pass, which is the same walk with no shell windows and the
-    /// whole cluster as interior. The fused pass is what runs without a
-    /// communicator, on the synchronous engine and on the legacy layout.
+    /// With overlap on (§IV.C) the cluster's window is walked as the
+    /// full-row k-slabs of `crate::shell` and each slab's k-range of the
+    /// x/y faces is posted as soon as the slab is done, so its messages
+    /// fly while the next slabs compute: "While the value of v is computed,
+    /// the exchange of u can be performed simultaneously". Because the
+    /// velocity pass reads only stresses and the stress pass reads only
+    /// velocities, per-cell updates are window-order invariant and the
+    /// pipeline is bit-exact against the fused pass, which is the same
+    /// walk with the whole cluster as its one slab and a blocking exchange
+    /// after it. The fused pass is what runs without a communicator, on
+    /// the synchronous engine and on the legacy layout.
     ///
     /// Each firing cluster exchanges only its own k-range of the x/y halos
     /// (ranks never split z under LTS — validated by the drivers — so
-    /// z-plan entries have no neighbour and drop out). Multi-rate plans
-    /// pack the cluster index into the low bits of the tag's step field
-    /// (`tick << 4 | c`, cluster count ≤ [`MAX_CLUSTERS`]), keeping every
-    /// cluster-phase exchange in its own tag space.
+    /// z-plan entries have no neighbour and drop out). The tag's step field
+    /// packs tick, cluster (≤ [`MAX_CLUSTERS`]) and slab index
+    /// (`exchange::tag_step`), keeping every slab of every cluster phase
+    /// in its own tag space.
     fn step(&mut self, mut comm: Comm) {
         let n = self.step as u64;
         let dt = self.cfg.dt;
@@ -527,9 +543,9 @@ impl Solver {
         let opts = self.cfg.opts;
         let async_rank = comm.rank().is_some_and(|ctx| ctx.mode() == CommMode::Asynchronous);
         let split = opts.overlap && async_rank && opts.reciprocal_media;
-        // Interior tiles go on the work-stealing scheduler when both the
-        // config asks for it and the cluster carries one; shells stay
-        // owner-side (they gate the halo sends and are too thin to split).
+        // Each slab's tiles go on the work-stealing scheduler when both the
+        // config asks for it and the cluster carries one; the owner starts
+        // the slab's sends after its batch barrier.
         let tiles = opts
             .sched
             .filter(|_| split && comm.rank().is_some_and(|ctx| ctx.sched().is_some()))
@@ -552,22 +568,10 @@ impl Solver {
         }
 
         for phase in [Phase::Velocity, Phase::Stress] {
-            let (halo, shell_span, interior_span) = match phase {
-                Phase::Velocity => {
-                    (&*vel_plan, TelPhase::VelocityShell, TelPhase::VelocityInterior)
-                }
-                Phase::Stress => (&*str_plan, TelPhase::StressShell, TelPhase::StressInterior),
+            let (halo, span) = match phase {
+                Phase::Velocity => (&*vel_plan, TelPhase::VelocityInterior),
+                Phase::Stress => (&*str_plan, TelPhase::StressInterior),
             };
-            // One window of a cluster phase, timed into the ledger and `span`.
-            let window =
-                |state: &mut WaveState, ops: &mut ClusterOps, w, tiles, comm: &mut Comm, span| {
-                    let t0 = Instant::now();
-                    match phase {
-                        Phase::Velocity => pass.velocity_win(state, ops, w, tiles, comm),
-                        Phase::Stress => pass.stress_win(state, ops, w, tiles, comm),
-                    }
-                    comm.charge(Category::Comp, span, t0);
-                };
             for (c, cl) in clusters.iter_mut().enumerate().filter(|(c, _)| firing[*c]) {
                 let tc = Instant::now();
                 if multi {
@@ -606,19 +610,19 @@ impl Solver {
                     mpml: cl.own.mpml.as_mut().or(mpml.as_mut()),
                     sponge: cl.own.sponge.as_ref().or(sponge.as_ref()),
                 };
-                let (shells, interior) =
-                    if split { (&cl.shells[..], cl.interior) } else { (&[][..], cl.win) };
-                let kr = (cl.win.k0, cl.win.k1);
-                let tag = if multi { (n << 4) | c as u64 } else { n };
-                for &w in shells {
-                    window(state, &mut ops, w, None, &mut comm, shell_span);
-                }
-                let pending = comm
-                    .rank()
-                    .filter(|_| split)
-                    .map(|ctx| start_exchange_k(state, sub, ctx, halo, phase, tag, arena, kr));
-                if !interior.is_empty() {
-                    window(state, &mut ops, interior, tiles, &mut comm, interior_span);
+                let slabs = if split { &cl.slabs[..] } else { std::slice::from_ref(&cl.win) };
+                let mut pending = split.then(|| arena.take_reqs());
+                for (s, &w) in slabs.iter().enumerate() {
+                    let t0 = Instant::now();
+                    match phase {
+                        Phase::Velocity => pass.velocity_win(state, &mut ops, w, tiles, &mut comm),
+                        Phase::Stress => pass.stress_win(state, &mut ops, w, tiles, &mut comm),
+                    }
+                    comm.charge(Category::Comp, span, t0);
+                    if let (Some(ctx), Some(p)) = (comm.rank(), pending.as_mut()) {
+                        let (tag, kr) = (tag_step(n, c, s), (w.k0, w.k1));
+                        start_exchange_k(state, sub, ctx, halo, phase, tag, arena, kr, p);
+                    }
                 }
                 // Drop the ghost overwrites before the halo injection so
                 // the blend window stays as narrow as possible; messages
@@ -630,7 +634,10 @@ impl Solver {
                 if let Some(ctx) = comm.rank() {
                     match pending {
                         Some(p) => finish_exchange(state, ctx, p, arena),
-                        None => exchange_k(state, sub, ctx, halo, phase, tag, arena, kr),
+                        None => {
+                            let (tag, kr) = (tag_step(n, c, 0), (cl.win.k0, cl.win.k1));
+                            exchange_k(state, sub, ctx, halo, phase, tag, arena, kr)
+                        }
                     }
                 }
                 cl.ns += tc.elapsed().as_nanos() as u64;
@@ -691,11 +698,11 @@ impl Solver {
         self.step(Comm::Rank(ctx));
     }
 
-    /// Simulation-health sentinel (`--health-every N`): scan the shell
-    /// slabs of the velocity field after step `step` for non-finite values
-    /// and the peak |v| watermark. The shells bound every halo that left
-    /// this rank, so corruption is caught at the cheapest surface before it
-    /// spreads to peers. Emits a structured Health causal event (tag 1 =
+    /// Simulation-health sentinel (`--health-every N`): scan the
+    /// halo-feeding slabs of the velocity field after step `step` for
+    /// non-finite values and the peak |v| watermark. They hold every value
+    /// that left this rank, so corruption is caught at the cheapest surface
+    /// before it spreads to peers. Emits a structured Health causal event (tag 1 =
     /// non-finite found, bytes = watermark f32 bits) and aborts the run
     /// with a clear error instead of letting NaNs silently reach the
     /// outputs.
@@ -706,22 +713,17 @@ impl Solver {
         }
         let mut peak = 0.0f32;
         let mut finite = true;
-        for w in self.shell.shells {
+        for w in halo_feeding_slabs(&self.sub) {
             for k in w.k0..w.k1 {
                 for j in w.j0..w.j1 {
                     for i in w.i0..w.i1 {
                         let (i, j, k) = (i as isize, j as isize, k as isize);
-                        let m = self
-                            .state
-                            .vx
-                            .get(i, j, k)
-                            .abs()
-                            .max(self.state.vy.get(i, j, k).abs())
-                            .max(self.state.vz.get(i, j, k).abs());
-                        if m.is_finite() {
-                            peak = peak.max(m);
-                        } else {
-                            finite = false;
+                        let st = &self.state;
+                        // `f32::max` drops a NaN operand, so test each
+                        // component before folding the watermark.
+                        for v in [st.vx.get(i, j, k), st.vy.get(i, j, k), st.vz.get(i, j, k)] {
+                            finite &= v.is_finite();
+                            peak = peak.max(v.abs());
                         }
                     }
                 }
@@ -904,6 +906,7 @@ pub fn try_run_parallel_decomp(
         }
         LtsPlan::from_profile(&prof, cfg.h, cfg.dt, lo)
     });
+    let vp_max = global_vp_max(meshes);
     let sources = partition_spatial(source, &decomp);
     let mut cluster = Cluster::new(n, cfg.opts.comm_mode.into());
     if let Some(reg) = telemetry {
@@ -918,7 +921,9 @@ pub fn try_run_parallel_decomp(
     Ok(cluster.run(|ctx| {
         let rank = ctx.rank();
         let sub = decomp.subdomain(rank);
-        let mut solver = Solver::new(cfg.clone(), sub, &meshes[rank], &sources[rank], stations);
+        let mut solver =
+            Solver::try_new_rank(cfg.clone(), sub, &meshes[rank], &sources[rank], stations, vp_max)
+                .expect("validated above");
         // One-time material halo exchange so seam media match the serial
         // run exactly.
         exchange_material_halos(&mut solver.med, &sub, ctx);

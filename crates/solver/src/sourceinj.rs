@@ -69,7 +69,7 @@ impl SourceInjector {
     }
 
     /// Moment release restricted to subfaults inside `win` (the
-    /// shell/interior split injects each window's sources right after that
+    /// windowed step injects each window's sources right after that
     /// window's stress update; windows partition the grid, so every entry
     /// fires exactly once per step).
     pub fn inject_win(&self, state: &mut WaveState, t: f64, dt: f64, win: crate::shell::Win) {

@@ -1,12 +1,13 @@
-//! Shell/interior split timestep (§IV.C) — equivalence and steady-state
-//! properties.
+//! Overlap timestep (§IV.C, the k-slab pipeline of `awp_solver::shell`) —
+//! equivalence and steady-state properties.
 //!
-//! The overlap path exists only because the split is *bit-exact* against
-//! the fused kernels: the velocity pass reads only stresses and the stress
-//! pass reads only velocities, so per-cell updates are window-order
-//! invariant. These tests pin that claim across backends, grid shapes and
-//! rank decompositions, and pin the operational guarantees around it
-//! (allocation-free steady state, construction-time config validation).
+//! The overlap path exists only because a windowed walk is *bit-exact*
+//! against the fused kernels: the velocity pass reads only stresses and the
+//! stress pass reads only velocities, so per-cell updates are window-order
+//! invariant. These tests pin that claim across backends, grid shapes,
+//! window shapes and rank decompositions — pipelined ≡ fused ≡ serial —
+//! and pin the operational guarantees around it (allocation-free steady
+//! state, construction-time config validation, the health sentinel).
 
 use awp_cvm::mesh::{Mesh, MeshGenerator};
 use awp_cvm::model::LayeredModel;
@@ -22,12 +23,13 @@ use awp_solver::simd::{
 use awp_solver::solver::partition_mesh_direct;
 use awp_solver::state::MemoryVars;
 use awp_solver::{
-    run_parallel, try_run_parallel, AbcKind, ConfigError, Medium, ShellPlan, Solver, SolverConfig,
-    Station, WaveState, Win,
+    global_vp_max, run_parallel, try_run_parallel, try_run_parallel_decomp, AbcKind, ConfigError,
+    LtsOpts, Medium, RankResult, SchedOpts, Solver, SolverConfig, Station, WaveState, Win,
 };
 use awp_source::kinematic::KinematicSource;
 use awp_source::moment::MomentTensor;
 use awp_source::stf::Stf;
+use awp_vcluster::{Cluster, CommMode, FaultKind, SchedulePlan};
 
 /// Random-field fixture: LOH.1 layered medium + xorshift-filled wavefield.
 fn setup(d: Dims3, seed: u64) -> (Medium, WaveState) {
@@ -70,8 +72,8 @@ const DIMS: [(usize, usize, usize); 8] = [
     (33, 4, 3),
 ];
 
-/// Width patterns emulating different neighbour layouts (which faces have
-/// a rank across them): all faces, one axis only, asymmetric, none.
+/// Face-box widths `[x_lo, x_hi, y_lo, y_hi, z_lo, z_hi]` peeled off the
+/// grid before the core: all faces, one axis only, asymmetric, none.
 const WIDTHS: [[usize; 6]; 5] = [
     [2, 2, 2, 2, 2, 2],
     [2, 2, 0, 0, 0, 0],
@@ -80,11 +82,32 @@ const WIDTHS: [[usize; 6]; 5] = [
     [0, 0, 0, 0, 0, 0],
 ];
 
-fn run_windows<F: FnMut(&mut WaveState, Win)>(plan: &ShellPlan, st: &mut WaveState, mut f: F) {
-    for w in plan.shells {
+/// The boxes of `d` cut `widths` cells in from each face: thin shells
+/// (rows shorter than any vector) around an interior, covering the grid
+/// exactly once.
+fn shell_and_interior(d: Dims3, widths: [usize; 6]) -> Vec<Win> {
+    let edges = |n: usize, lo: usize, hi: usize| {
+        let mut e = vec![0, lo.min(n), n.saturating_sub(hi).max(lo.min(n)), n];
+        e.dedup();
+        e
+    };
+    let [xl, xh, yl, yh, zl, zh] = widths;
+    let (ei, ej, ek) = (edges(d.nx, xl, xh), edges(d.ny, yl, yh), edges(d.nz, zl, zh));
+    let mut out = Vec::new();
+    for k in ek.windows(2) {
+        for j in ej.windows(2) {
+            for i in ei.windows(2) {
+                out.push(Win { i0: i[0], i1: i[1], j0: j[0], j1: j[1], k0: k[0], k1: k[1] });
+            }
+        }
+    }
+    out
+}
+
+fn run_windows<F: FnMut(&mut WaveState, Win)>(wins: &[Win], st: &mut WaveState, mut f: F) {
+    for &w in wins {
         f(st, w);
     }
-    f(st, plan.interior);
 }
 
 #[test]
@@ -93,9 +116,9 @@ fn shell_interior_union_matches_fused_scalar() {
     for (i, &(nx, ny, nz)) in DIMS.iter().enumerate() {
         let d = Dims3::new(nx, ny, nz);
         for (j, &widths) in WIDTHS.iter().enumerate() {
-            let plan = ShellPlan::from_widths(d, widths, false);
+            let plan = shell_and_interior(d, widths);
             assert_eq!(
-                plan.shell_cells() + plan.interior.count(),
+                plan.iter().map(Win::count).sum::<usize>(),
                 d.count(),
                 "windows must partition {d:?} under {widths:?}"
             );
@@ -130,7 +153,7 @@ fn shell_interior_union_matches_fused_simd() {
     for (i, &(nx, ny, nz)) in DIMS.iter().enumerate() {
         let d = Dims3::new(nx, ny, nz);
         for (j, &widths) in WIDTHS.iter().enumerate() {
-            let plan = ShellPlan::from_widths(d, widths, false);
+            let plan = shell_and_interior(d, widths);
             let (med, st) = setup(d, 0x5a5a_0000 + (i * 16 + j) as u64);
             let mut fused = st.clone();
             let mut split = st;
@@ -147,61 +170,173 @@ fn shell_interior_union_matches_fused_simd() {
     }
 }
 
-fn overlap_fixture(d: Dims3, steps: usize) -> (Mesh, KinematicSource, [Station; 1], SolverConfig) {
-    let h = 150.0;
-    let dt = 0.009;
-    let m = LayeredModel::loh1();
-    let mesh = MeshGenerator::new(&m, d, h).generate();
+type Fixture = (Mesh, KinematicSource, Vec<Station>, SolverConfig);
+
+/// A point source `src_k` planes down in `model` with stations in every
+/// octant (two at depth, so z-split bottom ranks are observed too) and all
+/// the features the overlap path composes with: M-PML, free surface,
+/// attenuation.
+fn fixture(model: &LayeredModel, d: Dims3, h: f64, dt: f64, src_k: usize, steps: usize) -> Fixture {
+    let mesh = MeshGenerator::new(model, d, h).generate();
     let src = KinematicSource::point(
-        Idx3::new(d.nx / 2, d.ny / 2, d.nz / 2),
+        Idx3::new(d.nx / 2, d.ny / 2, src_k),
         MomentTensor::strike_slip(0.3),
         5.0e16,
         Stf::Brune { tau: 0.1 },
         dt,
     );
-    let stations = [Station::new("a", Idx3::new(3, 3, 0))];
+    let stations = vec![
+        Station::new("a", Idx3::new(3, 3, 0)),
+        Station::new("b", Idx3::new(d.nx - 3, d.ny - 4, 0)),
+        Station::new("deep", Idx3::new(d.nx - 4, 3, d.nz - 2)),
+        Station::new("seam", Idx3::new(d.nx / 2, d.ny / 2 - 1, d.nz / 2)),
+    ];
     let mut cfg = SolverConfig::small(d, h, dt, steps);
-    // All the features the old overlap path had to exclude, together:
-    // M-PML absorbing boundaries, free surface, attenuation.
     cfg.abc = AbcKind::Mpml { width: 4, pmax: 0.2 };
     cfg.attenuation = true;
     (mesh, src, stations, cfg)
 }
 
-fn rank_fields(results: &[awp_solver::RankResult]) -> Vec<(usize, Vec<f32>, Vec<f64>)> {
-    let mut v: Vec<_> = results
+fn overlap_fixture(d: Dims3, steps: usize) -> Fixture {
+    fixture(&LayeredModel::loh1(), d, 150.0, 0.009, d.nz / 2, steps)
+}
+
+/// What a run produced, independent of how the grid was cut: the stitched
+/// surface velocities and PGV map, and every seismogram by station name.
+#[derive(PartialEq)]
+struct Observed {
+    surface: Vec<f32>,
+    pgv: Vec<f32>,
+    seis: Vec<Series>,
+}
+
+/// Station name and its vx, vy, vz records.
+type Series = (String, Vec<f64>, Vec<f64>, Vec<f64>);
+
+fn observed(d: Dims3, results: &[RankResult]) -> Observed {
+    let mut surface = vec![0.0f32; 3 * d.nx * d.ny];
+    let mut pgv = vec![0.0f32; d.nx * d.ny];
+    for r in results {
+        let (Some(local), sub) = (&r.surface, &r.sub) else { continue };
+        for j in 0..sub.dims.ny {
+            for i in 0..sub.dims.nx {
+                let (l, g) = (i + sub.dims.nx * j, sub.origin.i + i + d.nx * (sub.origin.j + j));
+                surface[3 * g..3 * g + 3].copy_from_slice(&local[3 * l..3 * l + 3]);
+                pgv[g] = r.pgv_map[l];
+            }
+        }
+    }
+    let mut seis: Vec<_> = results
         .iter()
-        .map(|r| {
-            let seis = r
-                .seismograms
-                .first()
-                .map(|s| s.vx.clone())
-                .unwrap_or_default();
-            (r.rank, r.surface.clone().unwrap_or_default(), seis)
-        })
+        .flat_map(|r| &r.seismograms)
+        .map(|s| (s.station.name.clone(), s.vx.clone(), s.vy.clone(), s.vz.clone()))
         .collect();
-    v.sort_by_key(|(r, _, _)| *r);
-    v
+    seis.sort_by(|a, b| a.0.cmp(&b.0));
+    assert!(pgv.iter().any(|&v| v > 0.0), "the compared run must carry signal");
+    Observed { surface, pgv, seis }
+}
+
+fn run_decomp(cfg: &SolverConfig, decomp: Decomp3, fx: &Fixture) -> Vec<RankResult> {
+    let meshes = partition_mesh_direct(&fx.0, &decomp);
+    try_run_parallel_decomp(cfg, decomp, &meshes, &fx.1, &fx.2, None, None).expect("valid config")
+}
+
+/// Pipelined ≡ fused ≡ serial for `cfg` (overlap is set here) on `decomp`.
+fn assert_pipelined_fused_serial_agree(cfg: &SolverConfig, decomp: Decomp3, fx: &Fixture) {
+    let mut cfg = cfg.clone();
+    let serial = Solver::run_serial(cfg.clone(), &fx.0, &fx.1, &fx.2);
+    let serial = observed(cfg.dims, std::slice::from_ref(&serial));
+    cfg.opts.overlap = false;
+    let fused = observed(cfg.dims, &run_decomp(&cfg, decomp, fx));
+    cfg.opts.overlap = true;
+    let pipelined = observed(cfg.dims, &run_decomp(&cfg, decomp, fx));
+    let what = format!("{:?} skew {:?}", decomp.parts, decomp.skew);
+    assert!(fused == serial, "fused must be bit-exact against serial for {what}");
+    assert!(pipelined == serial, "slab pipeline must be bit-exact against serial for {what}");
 }
 
 #[test]
 fn overlap_matches_plain_across_decompositions_with_all_features() {
-    let d = Dims3::new(20, 18, 14);
-    let (mesh, src, stations, mut cfg) = overlap_fixture(d, 24);
-    // [1,1,1] is the rank with no neighbours: overlap on, yet every shell
-    // window is empty and the interior is the whole grid.
-    for parts in [[1, 1, 1], [2, 1, 1], [2, 2, 1], [2, 2, 2]] {
-        let decomp = Decomp3::new(d, parts);
-        let meshes = partition_mesh_direct(&mesh, &decomp);
-        cfg.opts.overlap = false;
-        let plain = run_parallel(&cfg, parts, &meshes, &src, &stations);
-        cfg.opts.overlap = true;
-        let overlapped = run_parallel(&cfg, parts, &meshes, &src, &stations);
-        assert_eq!(
-            rank_fields(&plain),
-            rank_fields(&overlapped),
-            "shell/interior overlap must be bit-exact for {parts:?}"
-        );
+    // nz = 20 pipelines four slabs on z-whole ranks and two on z-split ones.
+    let d = Dims3::new(20, 18, 20);
+    let fx = overlap_fixture(d, 24);
+    // [1,1,1] is the rank with no neighbours: overlap on, yet its one slab
+    // is the whole grid and nothing is posted.
+    let cuts = [[1, 1, 1], [2, 1, 1], [1, 2, 1], [1, 1, 2], [2, 2, 1], [2, 2, 2]];
+    for parts in cuts {
+        assert_pipelined_fused_serial_agree(&fx.3, Decomp3::new(d, parts), &fx);
+    }
+    // A skewed cut: rank 0 is wider and taller than its neighbours, and the
+    // z parts (13 + 7 planes) pipeline three slabs against one.
+    let skewed = Decomp3::new(d, [2, 1, 2]).with_skew(0, 3).with_skew(2, 3);
+    assert_pipelined_fused_serial_agree(&fx.3, skewed, &fx);
+}
+
+#[test]
+fn mpml_on_a_basin_is_decomposition_invariant() {
+    // Soft basin over rock under the paper's M-PML: the damping scale is
+    // the *global* maximum Vp. A z-cut leaves the top ranks all basin
+    // (Vp 1500 of 6000), so a rank-local scale would build a 4× weaker
+    // layer there and parallel would drift from serial.
+    let d = Dims3::new(24, 20, 24);
+    let h = 150.0;
+    let mut fx = fixture(&LayeredModel::basin_over_rock(14.0 * h), d, h, 0.012, 4, 40);
+    fx.3.abc = AbcKind::m8();
+    let locals = partition_mesh_direct(&fx.0, &Decomp3::new(d, [1, 1, 2]));
+    assert!(global_vp_max([&locals[0]]) < 0.5 * global_vp_max(&locals), "top rank is all basin");
+    for parts in [[1, 1, 1], [1, 1, 2], [2, 1, 2], [2, 2, 2]] {
+        assert_pipelined_fused_serial_agree(&fx.3, Decomp3::new(d, parts), &fx);
+    }
+}
+
+#[test]
+fn thin_surface_ranks_degenerate_to_one_or_two_slabs() {
+    // A surface-owning rank over a z-hi neighbour, 4/5/7/9 planes tall: the
+    // slab rule gives one slab (nothing to pipeline, free-surface imaging
+    // and both z faces in the same window) or, at 9, two.
+    // (h = 100 m keeps LOH.1's layer floor, 10 planes down, off every seam:
+    // material corner halos are clamped, not exchanged, so a contrast
+    // exactly on a seam next to a global boundary is a separate, older
+    // parallel ≢ serial.)
+    for nz in [4, 5, 7, 9] {
+        let d = Dims3::new(16, 14, 2 * nz);
+        let fx = fixture(&LayeredModel::loh1(), d, 100.0, 0.006, nz, 16);
+        let decomp = Decomp3::new(d, [2, 1, 2]);
+        assert_eq!(decomp.subdomain(0).dims.nz, nz);
+        assert_pipelined_fused_serial_agree(&fx.3, decomp, &fx);
+    }
+}
+
+#[test]
+fn lts_clusters_pipeline_their_own_slabs() {
+    // LTS × overlap on [2,2,1]: every firing cluster walks its own k-range
+    // as slabs (the 20-plane basin cluster as four, the thin rock clusters
+    // whole) under cluster- and slab-disambiguated tags.
+    let d = Dims3::new(24, 20, 32);
+    let h = 150.0;
+    let mut fx = fixture(&LayeredModel::basin_over_rock(24.0 * h), d, h, 0.012, 4, 40);
+    fx.3.opts.lts = Some(LtsOpts::new());
+    assert_pipelined_fused_serial_agree(&fx.3, Decomp3::new(d, [2, 2, 1]), &fx);
+}
+
+#[test]
+fn scheduled_slabs_are_steal_order_invariant() {
+    // With sched on each slab is a tile batch and the owner posts the
+    // slab's sends after its barrier; fuzzed steal and delivery orders must
+    // not show in the result.
+    let d = Dims3::new(20, 18, 20);
+    let fx = overlap_fixture(d, 12);
+    let mut cfg = fx.3.clone();
+    cfg.opts.sched = Some(SchedOpts { tile_planes: 2 });
+    let serial = observed(d, &[Solver::run_serial(fx.3.clone(), &fx.0, &fx.1, &fx.2)]);
+    let decomp = Decomp3::new(d, [2, 2, 1]).with_skew(0, 4);
+    let meshes = partition_mesh_direct(&fx.0, &decomp);
+    for seed in 0..4 {
+        let plan = SchedulePlan::with_bounds(0x51ab_0000 + seed, 2, 3);
+        let fuzzed =
+            try_run_parallel_decomp(&cfg, decomp, &meshes, &fx.1, &fx.2, None, Some(plan))
+                .expect("valid config");
+        assert!(observed(d, &fuzzed) == serial, "seed {seed}");
     }
 }
 
@@ -209,22 +344,21 @@ fn overlap_matches_plain_across_decompositions_with_all_features() {
 fn mpml_split_matches_fused_on_subdomains_narrower_than_the_layer() {
     // 4 parts along x leave 5-cell subdomains under a 6-cell layer: the
     // edge ranks are zone from face to face, their neighbours hold one
-    // column of the x layers without touching an x face, and every shell
-    // window cuts through zone boxes. SIMD + overlap must still equal the
-    // fused scalar pass, on 4 and on 8 ranks.
+    // column of the x layers without touching an x face, and every slab
+    // cuts through zone boxes. SIMD + overlap must still equal the fused
+    // scalar pass, on 4 and on 8 ranks.
     let d = Dims3::new(20, 18, 14);
-    let (mesh, src, stations, mut cfg) = overlap_fixture(d, 24);
+    let fx = overlap_fixture(d, 24);
+    let mut cfg = fx.3.clone();
     cfg.abc = AbcKind::Mpml { width: 6, pmax: 0.2 };
     for parts in [[4, 1, 1], [4, 2, 1]] {
-        let decomp = Decomp3::new(d, parts);
-        let meshes = partition_mesh_direct(&mesh, &decomp);
         cfg.opts.overlap = false;
         cfg.opts.simd = false;
-        let fused = run_parallel(&cfg, parts, &meshes, &src, &stations);
+        let fused = observed(d, &run_decomp(&cfg, Decomp3::new(d, parts), &fx));
         cfg.opts.overlap = true;
         cfg.opts.simd = true;
-        let split = run_parallel(&cfg, parts, &meshes, &src, &stations);
-        assert_eq!(rank_fields(&fused), rank_fields(&split), "{parts:?}");
+        let split = observed(d, &run_decomp(&cfg, Decomp3::new(d, parts), &fx));
+        assert!(fused == split, "{parts:?}");
     }
 }
 
@@ -256,15 +390,16 @@ fn mpml_memory_follows_each_ranks_zone_cells() {
 
 #[test]
 fn overlap_steady_state_is_allocation_free() {
-    // After warmup has sized the pooled halo buffers, the split timestep's
-    // send-early/recv-late pipeline must never touch the heap again.
-    let d = Dims3::new(16, 14, 12);
+    // After warmup has sized the pooled halo buffers — one per slab, face
+    // and field now — the pipeline's send-early/recv-late path must never
+    // touch the heap again, and one request list serves a whole phase.
+    let d = Dims3::new(16, 14, 16);
     let (mesh, src, stations, cfg) = overlap_fixture(d, 1);
     let parts = [2, 2, 1];
     let decomp = Decomp3::new(d, parts);
     let meshes = partition_mesh_direct(&mesh, &decomp);
     let sources = awp_source::partition::partition_spatial(&src, &decomp);
-    let cluster = awp_vcluster::Cluster::new(4, awp_vcluster::CommMode::Asynchronous);
+    let cluster = Cluster::new(4, CommMode::Asynchronous);
     let flat: Vec<bool> = cluster.run(|ctx| {
         let sub = decomp.subdomain(ctx.rank());
         let mut solver = Solver::new(
@@ -286,6 +421,59 @@ fn overlap_steady_state_is_allocation_free() {
         solver.arena_allocations() == warm
     });
     assert!(flat.iter().all(|&f| f), "overlap path allocated in steady state: {flat:?}");
+}
+
+#[test]
+fn health_probe_catches_a_nan_behind_every_communicating_face() {
+    // A non-finite velocity within halo depth of a face with a neighbour
+    // must abort that rank with the `sim-health:` message at the next
+    // probe; ranks 0 and 7 of a 2×2×2 cut cover all six faces.
+    let d = Dims3::new(16, 14, 12);
+    let (mesh, src, stations, mut cfg) = overlap_fixture(d, 1);
+    cfg.opts.health_every = 1;
+    let decomp = Decomp3::new(d, [2, 2, 2]);
+    let meshes = partition_mesh_direct(&mesh, &decomp);
+    let sources = awp_source::partition::partition_spatial(&src, &decomp);
+    let n = decomp.subdomain(0).dims;
+    let (ci, cj, ck) = (n.nx as isize / 2, n.ny as isize / 2, n.nz as isize / 2);
+    // One cell in from the face, mid-face in the other two axes: inside
+    // that face's slab only.
+    let cases = [
+        (0, (n.nx as isize - 2, cj, ck)),
+        (0, (ci, n.ny as isize - 2, ck)),
+        (0, (ci, cj, n.nz as isize - 2)),
+        (7, (1, cj, ck)),
+        (7, (ci, 1, ck)),
+        (7, (ci, cj, 1)),
+    ];
+    for (victim, (i, j, k)) in cases {
+        let cluster = Cluster::new(8, CommMode::Asynchronous);
+        let outcome = cluster.try_run(|ctx| {
+            let rank = ctx.rank();
+            let sub = decomp.subdomain(rank);
+            let mut solver =
+                Solver::new(cfg.clone(), sub, &meshes[rank], &sources[rank], &stations);
+            if rank == victim {
+                solver.state.vz.set(i, j, k, f32::NAN);
+            }
+            solver.step_parallel(ctx);
+        });
+        let report = outcome[victim].as_ref().expect_err("the victim rank must abort");
+        assert_eq!(report.kind, FaultKind::Panic, "{report}");
+        assert!(report.detail.contains("sim-health:"), "{report}");
+    }
+    // The mid-subdomain cell is behind no face: the probe does not scan it.
+    let cluster = Cluster::new(8, CommMode::Asynchronous);
+    let outcome = cluster.try_run(|ctx| {
+        let rank = ctx.rank();
+        let sub = decomp.subdomain(rank);
+        let mut solver = Solver::new(cfg.clone(), sub, &meshes[rank], &sources[rank], &stations);
+        if rank == 0 {
+            solver.state.vz.set(2, 2, 2, f32::NAN);
+        }
+        solver.step_parallel(ctx);
+    });
+    assert!(outcome.iter().all(Result::is_ok), "an interior NaN is not the sentinel's to find");
 }
 
 #[test]
@@ -315,34 +503,32 @@ fn overlap_on_sync_engine_is_rejected_at_construction() {
 fn overlap_records_exchange_phase_timing() {
     // The per-phase breakdown the bench reads must be populated: a
     // multi-rank overlap run with telemetry attached records send, wait,
-    // inject and the four split compute phases on every rank.
+    // inject and the slab compute phases on every rank, one send span and
+    // one message set per slab.
     use awp_solver::telemetry::{Counter, Phase, Registry};
     let d = Dims3::new(16, 14, 12);
     let (mesh, src, stations, cfg) = overlap_fixture(d, 10);
     let parts = [2, 1, 1];
-    let meshes = partition_mesh_direct(&mesh, &Decomp3::new(d, parts));
-    let reg = Registry::new(2);
     let decomp = Decomp3::new(d, parts);
-    let results = awp_solver::try_run_parallel_decomp(
-        &cfg,
-        decomp,
-        &meshes,
-        &src,
-        &stations,
-        Some(reg.clone()),
-        None,
-    )
-    .expect("valid overlap workload");
+    let meshes = partition_mesh_direct(&mesh, &decomp);
+    let reg = Registry::new(2);
+    let results =
+        try_run_parallel_decomp(&cfg, decomp, &meshes, &src, &stations, Some(reg.clone()), None)
+            .expect("valid overlap workload");
+    // Reduced plans: 3 velocity + 3 stress components cross an x face,
+    // each in the three slabs 12 planes cut into. On top: the five material
+    // arrays of the startup halo exchange.
+    let msgs = (3 + 3) * 3 * cfg.steps as u64 + 5;
     for r in &results {
         let tel = &r.telemetry;
         assert!(tel.enabled, "rank {} has no telemetry", r.rank);
         assert!(tel.phase_ns(Phase::Send) > 0, "rank {} recorded no send time", r.rank);
         assert!(tel.phase_ns(Phase::Inject) > 0, "rank {} recorded no inject time", r.rank);
-        assert!(tel.phase_ns(Phase::VelocityShell) > 0, "rank {} missing shell spans", r.rank);
-        assert!(tel.phase_ns(Phase::VelocityInterior) > 0, "rank {} missing interior", r.rank);
-        assert!(tel.phase_ns(Phase::StressShell) > 0, "rank {}", r.rank);
+        assert!(tel.phase_ns(Phase::VelocityInterior) > 0, "rank {} missing slabs", r.rank);
         assert!(tel.phase_ns(Phase::StressInterior) > 0, "rank {}", r.rank);
-        assert!(tel.counter(Counter::MsgsSent) > 0, "rank {} counted no sends", r.rank);
+        // Slabs are full-row windows; nothing is a shell any more.
+        assert_eq!(tel.phase_ns(Phase::VelocityShell) + tel.phase_ns(Phase::StressShell), 0);
+        assert_eq!(tel.counter(Counter::MsgsSent), msgs, "rank {}", r.rank);
     }
     // Cross-rank report exists and carries the headline ratios.
     let rep = reg.report();

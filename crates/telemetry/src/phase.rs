@@ -6,15 +6,16 @@
 
 /// A timed phase of the per-rank timestep / IO loop.
 ///
-/// The variants mirror the paper's §V breakdown: the four compute passes of
-/// the shell/interior split, the three legs of the halo exchange
+/// The variants mirror the paper's §V breakdown: the velocity and stress
+/// compute passes, the three legs of the halo exchange
 /// (post sends / wait for receives / inject into ghosts), boundary-condition
 /// work (M-PML, free surface, sponge), source injection, synchronization, and
 /// the two pario phases (checkpoint epochs, station/volume output).
 ///
-/// In non-overlapped (fused) stepping the whole velocity/stress pass is
-/// recorded under the `*Interior` variant and the `*Shell` variants stay
-/// empty.
+/// Every velocity/stress window — the one fused pass, or each slab of the
+/// overlap pipeline — is recorded under the `*Interior` variant. The
+/// `*Shell` variants date from the shell-first overlap split; nothing
+/// records them now and they read 0 (kept for readers that name them).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(u8)]
 pub enum Phase {

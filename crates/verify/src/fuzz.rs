@@ -143,7 +143,7 @@ fn workload(spec: &FuzzSpec) -> (SolverConfig, Vec<awp_cvm::mesh::Mesh>, Kinemat
     let mut cfg = SolverConfig::small(dims, h, dt, spec.steps);
     // M-PML + free surface + the overlap/simd/async engine: the full
     // communication surface (halo exchanges both phases, reduced-comm
-    // widths, shell/interior split) is what the fuzzer must not be able
+    // widths, per-slab sends of the overlap pipeline) is what the fuzzer must not be able
     // to break.
     cfg.abc = AbcKind::Mpml { width: 6, pmax: 0.3 };
     cfg.free_surface = true;

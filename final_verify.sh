@@ -36,8 +36,9 @@ grep -q "whole-run restarts: 0" results/logs/cli_recover_stall.log; echo "recove
 timeout 600 ./target/release/s7b_memory > results/logs/s7b_memory.log 2>&1; echo "s7b exit $?"
 timeout 600 ./target/release/s7c_resilience > results/logs/s7c_resilience.log 2>&1; echo "s7c exit $?"
 echo "=== EXAMPLES DONE ==="
-# Overlap smoke: the shell/interior split timestep must stay bit-exact to
-# the fused path across decompositions/backends (property + cluster tests).
+# Overlap smoke: the k-slab pipelined timestep must stay bit-exact to the
+# fused and serial paths across decompositions/backends (property + cluster
+# tests; the suite keeps its file name).
 cargo test --release -p awp-solver --test shell_overlap 2>&1 | grep -E "test result|FAILED"; echo "overlap_smoke exit ${PIPESTATUS[0]}"
 # Absolute pins: every stepping path must reproduce its recorded hash.
 cargo test --release -p awp-solver --test step_golden 2>&1 | grep -E "test result|FAILED"; echo "step_golden exit ${PIPESTATUS[0]}"
@@ -73,7 +74,7 @@ echo "=== PERFBENCH GATE DONE ==="
 timeout 900 ./target/release/awp workflow shakeout-k 24 12 --profile --trace-out results/logs/profile_trace.json.tmp > results/logs/cli_profile.log 2>&1; echo "profile exit $?"
 grep -q "chrome trace" results/logs/cli_profile.log; echo "trace_written exit $?"
 grep -q "load imbalance" results/logs/cli_profile.log; echo "imbalance_printed exit $?"
-grep -Eq "velocity_shell +[1-9]" results/logs/cli_profile.log; echo "phase_nonzero exit $?"
+grep -Eq "velocity_interior +[1-9]" results/logs/cli_profile.log; echo "phase_nonzero exit $?"
 grep -q '"traceEvents"' results/logs/profile_trace.json.tmp; echo "trace_json exit $?"
 echo "=== TELEMETRY SMOKE DONE ==="
 # Live stats endpoint smoke: `awp stats --smoke` runs a scheduler-armed

@@ -29,8 +29,8 @@ fn workflow_telemetry_end_to_end() {
         telem.hidden_comm_fraction
     );
     for ph in [
-        Phase::VelocityShell,
-        Phase::StressShell,
+        Phase::VelocityInterior,
+        Phase::StressInterior,
         Phase::Send,
         Phase::Wait,
         Phase::Inject,
@@ -76,9 +76,15 @@ fn workflow_telemetry_end_to_end() {
         "one track per rank"
     );
     for (pid, names) in &names_by_pid {
-        for want in
-            ["velocity_shell", "stress_shell", "send", "wait", "inject", "boundary", "checkpoint"]
-        {
+        for want in [
+            "velocity_interior",
+            "stress_interior",
+            "send",
+            "wait",
+            "inject",
+            "boundary",
+            "checkpoint",
+        ] {
             assert!(names.contains(want), "rank {pid} track missing phase '{want}': {names:?}");
         }
     }
