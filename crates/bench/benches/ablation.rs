@@ -48,7 +48,7 @@ fn bench_step_ablation(c: &mut Criterion) {
     let variants: Vec<Variant> = vec![
         ("v72_baseline", Box::new(|_c: &mut SolverConfig| {})),
         ("no_reciprocal_media", Box::new(|c| c.opts.reciprocal_media = false)),
-        ("no_cache_blocking", Box::new(|c| c.opts.block = awp_grid::blocking::BlockSpec::UNBLOCKED)),
+        ("cache_blocking_16x8", Box::new(|c| c.opts.block = awp_grid::blocking::BlockSpec::JAGUAR)),
         ("anelastic", Box::new(|c| c.attenuation = true)),
         ("mpml_abc", Box::new(|c| c.abc = AbcKind::Mpml { width: 10, pmax: 0.3 })),
         ("no_abc", Box::new(|c| c.abc = AbcKind::None)),

@@ -38,33 +38,18 @@ impl BlockSpec {
 /// ordered k-block outermost, mirroring the paper's
 /// `do kk / do jj / do k / do j` restructuring.
 pub fn blocked_tiles(nj: usize, nk: usize, spec: BlockSpec) -> Vec<(Range<usize>, Range<usize>)> {
-    let kb = spec.kblock.max(1);
-    let jb = spec.jblock.max(1);
-    let mut tiles = Vec::new();
-    let mut kk = 0;
-    while kk < nk {
-        let ke = (kk.saturating_add(kb)).min(nk);
-        let mut jj = 0;
-        while jj < nj {
-            let je = (jj.saturating_add(jb)).min(nj);
-            tiles.push((jj..je, kk..ke));
-            jj = je;
-        }
-        kk = ke;
-    }
-    tiles
+    blocked_tiles_range(0, nj, 0, nk, spec).collect()
+}
+
+/// `lo..hi` cut into consecutive ranges of at most `b` (≥ 1) indices.
+fn blocks(lo: usize, hi: usize, b: usize) -> impl Iterator<Item = Range<usize>> + Clone {
+    (lo..hi).step_by(b).map(move |s| s..s.saturating_add(b).min(hi))
 }
 
 /// Run `body(j, k)` over every (j, k) pair in blocked order.
 #[inline]
-pub fn for_each_blocked(nj: usize, nk: usize, spec: BlockSpec, mut body: impl FnMut(usize, usize)) {
-    for (jr, kr) in blocked_tiles(nj, nk, spec) {
-        for k in kr.clone() {
-            for j in jr.clone() {
-                body(j, k);
-            }
-        }
-    }
+pub fn for_each_blocked(nj: usize, nk: usize, spec: BlockSpec, body: impl FnMut(usize, usize)) {
+    for_each_blocked_range(0, nj, 0, nk, spec, body)
 }
 
 /// Tile an arbitrary sub-rectangle `j0..j1` × `k0..k1` into (j-range,
@@ -78,22 +63,9 @@ pub fn blocked_tiles_range(
     k0: usize,
     k1: usize,
     spec: BlockSpec,
-) -> Vec<(Range<usize>, Range<usize>)> {
-    let kb = spec.kblock.max(1);
-    let jb = spec.jblock.max(1);
-    let mut tiles = Vec::new();
-    let mut kk = k0;
-    while kk < k1 {
-        let ke = (kk.saturating_add(kb)).min(k1);
-        let mut jj = j0;
-        while jj < j1 {
-            let je = (jj.saturating_add(jb)).min(j1);
-            tiles.push((jj..je, kk..ke));
-            jj = je;
-        }
-        kk = ke;
-    }
-    tiles
+) -> impl Iterator<Item = (Range<usize>, Range<usize>)> {
+    let (kb, jb) = (spec.kblock.max(1), spec.jblock.max(1));
+    blocks(k0, k1, kb).flat_map(move |kr| blocks(j0, j1, jb).map(move |jr| (jr, kr.clone())))
 }
 
 /// Run `body(j, k)` over every (j, k) pair of a sub-rectangle in blocked
@@ -108,7 +80,7 @@ pub fn for_each_blocked_range(
     mut body: impl FnMut(usize, usize),
 ) {
     for (jr, kr) in blocked_tiles_range(j0, j1, k0, k1, spec) {
-        for k in kr.clone() {
+        for k in kr {
             for j in jr.clone() {
                 body(j, k);
             }
@@ -241,7 +213,7 @@ mod tests {
     #[test]
     fn full_range_matches_blocked_tiles() {
         assert_eq!(
-            blocked_tiles_range(0, 125, 0, 125, BlockSpec::JAGUAR),
+            blocked_tiles_range(0, 125, 0, 125, BlockSpec::JAGUAR).collect::<Vec<_>>(),
             blocked_tiles(125, 125, BlockSpec::JAGUAR)
         );
     }

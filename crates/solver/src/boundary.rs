@@ -14,6 +14,7 @@
 
 use crate::medium::Medium;
 use crate::shell::Win;
+use crate::sourceinj::SourceInjector;
 use crate::state::WaveState;
 use awp_grid::decomp::Subdomain;
 use awp_grid::face::Face;
@@ -140,15 +141,25 @@ impl Sponge {
         self.apply_components_win(state, &awp_grid::stagger::Component::ALL, win);
     }
 
-    /// Damp `comps` inside `win` (the stepper damps the stresses window by
-    /// window and the velocities cluster by cluster). Per-cell multiplicative
-    /// damping, so restricting to a window is bit-exact: the row fast-path
-    /// skip only skips multiplications by exactly 1.0 (an IEEE identity).
+    /// Damp `comps` inside `win`. Per-cell multiplicative damping, so
+    /// restricting to a window is bit-exact: the row fast-path skip only
+    /// skips multiplications by exactly 1.0 (an IEEE identity).
     pub fn apply_components_win(
         &self,
         state: &mut WaveState,
         comps: &[awp_grid::stagger::Component],
         win: Win,
+    ) {
+        self.damp_rows(state, comps, win, |_, _| true);
+    }
+
+    /// Damp the (j, k) rows of `win` that `pick` selects.
+    fn damp_rows(
+        &self,
+        state: &mut WaveState,
+        comps: &[awp_grid::stagger::Component],
+        win: Win,
+        pick: impl Fn(usize, usize) -> bool,
     ) {
         if win.is_empty() {
             return;
@@ -156,7 +167,7 @@ impl Sponge {
         let _ftz = FlushGuard::enter();
         for k in win.k0..win.k1 {
             let gk = self.gz[k];
-            for j in win.j0..win.j1 {
+            for j in (win.j0..win.j1).filter(|&j| pick(j, k)) {
                 let gjk = self.gy[j] * gk;
                 if gjk == 1.0 && self.gx[win.i0..win.i1].iter().all(|&g| g == 1.0) {
                     continue;
@@ -173,9 +184,48 @@ impl Sponge {
         }
     }
 
+    /// The per-cell x factors and the (y·z) factor of row (j, k): a cell's
+    /// damping is `gx[i] * gjk`, the product [`Sponge::apply`] forms.
+    #[inline]
+    pub(crate) fn row_factors(&self, j: usize, k: usize) -> (&[f32], f32) {
+        (&self.gx, self.gy[j] * self.gz[k])
+    }
+
     /// Damping factor at a local cell (diagnostics/tests).
     pub fn factor(&self, i: usize, j: usize, k: usize) -> f32 {
         self.gx[i] * self.gy[j] * self.gz[k]
+    }
+}
+
+/// The sponge work a stress row walk does on its way (`simd::stress_body`):
+/// it damps each stress value as it stores it, and each row's epilogue
+/// retires the velocity sponge two planes behind. Same factors, same
+/// product, same bits as the separate pass.
+#[derive(Clone, Copy)]
+pub(crate) struct SpongeFold<'a> {
+    pub sponge: &'a Sponge,
+    /// Rows holding a source cell wait for the moment to be added.
+    pub sources: &'a SourceInjector,
+    /// Planes `k < imaged` wait too: 3 in a cluster that images the free
+    /// surface (the imaging reads them undamped), else 0 — or all of them,
+    /// when the loops that run are not the ones that fold.
+    pub imaged: usize,
+    /// Velocity planes `[.0, .1)` the walk damps: v row (j, k − 2) right
+    /// after stress row (j, k), its last reader in a k-major full-row walk.
+    pub retire: (usize, usize),
+}
+
+impl SpongeFold<'_> {
+    /// Does stress row (j, k) keep the order kernel → inject → image → damp?
+    #[inline]
+    pub fn defers(&self, j: usize, k: usize) -> bool {
+        k < self.imaged || self.sources.touches_row(j, k)
+    }
+
+    /// Damp the stress rows of `win` the walk left alone.
+    pub fn damp_deferred(&self, state: &mut WaveState, win: Win) {
+        let stresses = &awp_grid::stagger::Component::STRESSES;
+        self.sponge.damp_rows(state, stresses, win, |j, k| self.defers(j, k));
     }
 }
 

@@ -48,15 +48,21 @@ pub struct SolverOpts {
     /// ("we store the reciprocals of mu and lam") instead of dividing in
     /// the inner loops.
     pub reciprocal_media: bool,
-    /// §IV.B cache blocking of the (k, j) loop nest.
+    /// §IV.B cache blocking of the (k, j) loop nest. An ablation toggle:
+    /// the Table-2 presets from v7.1 on carry the paper's 16/8, but on the
+    /// vector backends blocking measures slower than the plain k-major
+    /// walk (EXPERIMENTS.md row BLK), and only that walk can retire the
+    /// velocity sponge behind itself, so [`SolverOpts::optimized`] runs
+    /// unblocked.
     pub block: BlockSpec,
     /// §IV.A reduced algorithm-level communication (per-field per-axis
     /// minimal halo widths instead of blanket 2-cell exchanges).
     pub reduced_comm: bool,
-    /// Explicit-SIMD kernel backend (runtime-dispatched AVX2/SSE2 with a
-    /// portable scalar fallback). Requires `reciprocal_media`; bit-exact
-    /// with the scalar optimized kernels, so it composes freely with every
-    /// equivalence test — including the overlap slab pipeline.
+    /// Run the optimized kernel body at the widest vector width the CPU
+    /// has (runtime-dispatched AVX2/SSE2); off, the same body runs at
+    /// width 1. Requires `reciprocal_media`; every width is bit-exact with
+    /// the others, so it composes freely with every equivalence test —
+    /// including the overlap slab pipeline.
     pub simd: bool,
     /// §IV.C computation/communication overlap via the k-slab pipeline
     /// (`crate::shell`): the window is walked as a few full-row k-slabs and
@@ -165,11 +171,12 @@ impl From<CommModeOpt> for CommMode {
 }
 
 impl SolverOpts {
-    /// Everything on — AWP-ODC v7.2.
+    /// Everything that pays on this code — AWP-ODC v7.2 minus the cache
+    /// blocking, plus the vector backend and the overlap pipeline.
     pub fn optimized() -> Self {
         Self {
             reciprocal_media: true,
-            block: BlockSpec::JAGUAR,
+            block: BlockSpec::UNBLOCKED,
             reduced_comm: true,
             simd: true,
             overlap: true, // k-slab pipeline: composes with simd/M-PML/LTS
@@ -487,6 +494,9 @@ mod tests {
             // The explicit-SIMD backend postdates the paper's v7.2; the
             // Table-2 presets stay scalar so version contrasts are honest.
             o.simd = false;
+            // ... and keep the paper's 16/8 blocking, which `optimized()`
+            // dropped after measuring it.
+            o.block = BlockSpec::JAGUAR;
             o
         });
     }

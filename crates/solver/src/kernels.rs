@@ -3,19 +3,23 @@
 //! Two code paths per kernel:
 //!
 //! * **optimized** — reads precomputed reciprocal densities and harmonic
-//!   shear moduli (no divisions in the loop) and runs under cache blocking;
-//!   this is the §IV.B production kernel;
+//!   shear moduli (no divisions in the loop); this is the §IV.B production
+//!   kernel, and it lives in `crate::simd` as one lane-generic body whose
+//!   width-1 instantiation is what `optimized = true` runs here;
 //! * **legacy** — recomputes `1/ρ̄` and the 4-point harmonic `μ` with
 //!   inline divisions every iteration and runs unblocked, reproducing the
 //!   pre-optimisation cost so Table 2 / Fig. 13 contrasts are measurable.
 //!
-//! Both paths compute identical mathematics; tests pin them to each other.
+//! Both paths compute identical mathematics; tests pin them to each other,
+//! and pin the lane-generic body to the slice-indexed loops of
+//! [`reference`], which exist only under `#[cfg(test)]`.
 
 use crate::attenuation::Attenuation;
 use crate::medium::Medium;
 use crate::shell::Win;
+use crate::simd::{update_stress_backend_win, update_velocity_backend_win, SimdBackend};
 use crate::state::WaveState;
-use awp_grid::blocking::{for_each_blocked, for_each_blocked_range, BlockSpec};
+use awp_grid::blocking::{for_each_blocked, BlockSpec};
 use awp_grid::fpmode::{self, FlushGuard};
 use awp_grid::{C1, C2};
 
@@ -39,11 +43,10 @@ pub fn update_velocity(
     let _ftz = FlushGuard::enter();
     let d = state.dims;
     if optimized {
-        // The fused optimized pass is the windowed pass over the whole
-        // grid — one loop body, so windowed walks are bit-exact to the
-        // fused sweep by construction.
-        update_velocity_win(state, med, dth, block, Win::full(d));
-        return;
+        // The windowed pass over the whole grid: one loop body, so windowed
+        // walks are bit-exact to the fused sweep by construction.
+        let (w, scalar) = (Win::full(d), SimdBackend::Scalar);
+        return update_velocity_backend_win(state, med, dth, block, w, scalar);
     }
     let (sy, sz, base) = layout(state);
     let WaveState { vx, vy, vz, sxx, syy, szz, sxy, sxz, syz, .. } = state;
@@ -91,63 +94,6 @@ pub fn update_velocity(
     }
 }
 
-/// Windowed velocity update: the optimized loop body of
-/// [`update_velocity`] restricted to `win` (half-open local ranges). The
-/// §IV.C overlap pipeline runs this over each k-slab in turn; because
-/// every cell's update reads only (frozen) stresses, any disjoint cover
-/// of the grid produces bits identical to the fused sweep.
-pub fn update_velocity_win(
-    state: &mut WaveState,
-    med: &Medium,
-    dth: f32,
-    block: BlockSpec,
-    win: Win,
-) {
-    if win.is_empty() {
-        return;
-    }
-    let _ftz = FlushGuard::enter();
-    let (sy, sz, base) = layout(state);
-    let WaveState { vx, vy, vz, sxx, syy, szz, sxy, sxz, syz, .. } = state;
-    let (vx, vy, vz) = (vx.as_mut_slice(), vy.as_mut_slice(), vz.as_mut_slice());
-    let (sxx, syy, szz) = (sxx.as_slice(), syy.as_slice(), szz.as_slice());
-    let (sxy, sxz, syz) = (sxy.as_slice(), sxz.as_slice(), syz.as_slice());
-    let rx = med.rhox_inv.as_ref().expect("precompute() not called").as_slice();
-    let ry = med.rhoy_inv.as_ref().expect("precompute() not called").as_slice();
-    let rz = med.rhoz_inv.as_ref().expect("precompute() not called").as_slice();
-    for_each_blocked_range(win.j0, win.j1, win.k0, win.k1, block, |j, k| {
-        debug_assert!(fpmode::is_flushing());
-        let row = base + sy * j + sz * k;
-        for i in win.i0..win.i1 {
-            let o = row + i;
-            vx[o] += dth
-                * rx[o]
-                * (C1 * (sxx[o + 1] - sxx[o])
-                    + C2 * (sxx[o + 2] - sxx[o - 1])
-                    + C1 * (sxy[o] - sxy[o - sy])
-                    + C2 * (sxy[o + sy] - sxy[o - 2 * sy])
-                    + C1 * (sxz[o] - sxz[o - sz])
-                    + C2 * (sxz[o + sz] - sxz[o - 2 * sz]));
-            vy[o] += dth
-                * ry[o]
-                * (C1 * (sxy[o] - sxy[o - 1])
-                    + C2 * (sxy[o + 1] - sxy[o - 2])
-                    + C1 * (syy[o + sy] - syy[o])
-                    + C2 * (syy[o + 2 * sy] - syy[o - sy])
-                    + C1 * (syz[o] - syz[o - sz])
-                    + C2 * (syz[o + sz] - syz[o - 2 * sz]));
-            vz[o] += dth
-                * rz[o]
-                * (C1 * (sxz[o] - sxz[o - 1])
-                    + C2 * (sxz[o + 1] - sxz[o - 2])
-                    + C1 * (syz[o] - syz[o - sy])
-                    + C2 * (syz[o + sy] - syz[o - 2 * sy])
-                    + C1 * (szz[o + sz] - szz[o])
-                    + C2 * (szz[o + 2 * sz] - szz[o - sz]));
-        }
-    });
-}
-
 /// Update the six stress components one step: `σ += Δt·(λ(∇·v)I + μ(∇v +
 /// ∇vᵀ))` (Eq. 1b), with optional memory-variable anelasticity.
 pub fn update_stress(
@@ -162,10 +108,8 @@ pub fn update_stress(
     let _ftz = FlushGuard::enter();
     let d = state.dims;
     if optimized {
-        // Fused optimized = windowed over the whole grid (see
-        // `update_velocity`).
-        update_stress_win(state, med, atten, dth, dt, block, Win::full(d));
-        return;
+        let (w, scalar) = (Win::full(d), SimdBackend::Scalar);
+        return update_stress_backend_win(state, med, atten, dth, dt, block, w, scalar);
     }
     let (sy, sz, base) = layout(state);
     let WaveState { vx, vy, vz, sxx, syy, szz, sxy, sxz, syz, mem, .. } = state;
@@ -265,95 +209,155 @@ fn anelastic(delta: f32, zeta: &mut f32, a: f32, c: f32, dt: f32) -> f32 {
     delta - dt * z
 }
 
-/// Windowed stress update: the optimized loop body of [`update_stress`]
-/// restricted to `win`. Reads only (frozen) velocities and each cell's own
-/// memory variables, so disjoint windows compose bit-exactly with the
-/// fused sweep in any order.
-pub fn update_stress_win(
-    state: &mut WaveState,
-    med: &Medium,
-    atten: Option<&Attenuation>,
-    dth: f32,
-    dt: f32,
-    block: BlockSpec,
-    win: Win,
-) {
-    if win.is_empty() {
-        return;
-    }
-    let _ftz = FlushGuard::enter();
-    let (sy, sz, base) = layout(state);
-    let WaveState { vx, vy, vz, sxx, syy, szz, sxy, sxz, syz, mem, .. } = state;
-    let (vx, vy, vz) = (vx.as_slice(), vy.as_slice(), vz.as_slice());
-    let (sxx, syy, szz) = (sxx.as_mut_slice(), syy.as_mut_slice(), szz.as_mut_slice());
-    let (sxy, sxz, syz) = (sxy.as_mut_slice(), sxz.as_mut_slice(), syz.as_mut_slice());
-    let lam = med.lam.as_slice();
-    let mu = med.mu.as_slice();
-    let mut mem_slices = mem.as_mut().map(|m| {
-        (
-            m.xx.as_mut_slice(),
-            m.yy.as_mut_slice(),
-            m.zz.as_mut_slice(),
-            m.xy.as_mut_slice(),
-            m.xz.as_mut_slice(),
-            m.yz.as_mut_slice(),
-        )
-    });
-    let at = atten.map(|a| (a.decay.as_slice(), a.cs.as_slice(), a.cp.as_slice()));
-    let mxy_ = med.mu_xy.as_ref().expect("precompute() not called").as_slice();
-    let mxz_ = med.mu_xz.as_ref().expect("precompute() not called").as_slice();
-    let myz_ = med.mu_yz.as_ref().expect("precompute() not called").as_slice();
-    for_each_blocked_range(win.j0, win.j1, win.k0, win.k1, block, |j, k| {
-        debug_assert!(fpmode::is_flushing());
-        let row = base + sy * j + sz * k;
-        for i in win.i0..win.i1 {
-            let o = row + i;
-            let exx = C1 * (vx[o] - vx[o - 1]) + C2 * (vx[o + 1] - vx[o - 2]);
-            let eyy = C1 * (vy[o] - vy[o - sy]) + C2 * (vy[o + sy] - vy[o - 2 * sy]);
-            let ezz = C1 * (vz[o] - vz[o - sz]) + C2 * (vz[o + sz] - vz[o - 2 * sz]);
-            let tr = exx + eyy + ezz;
-            let l = lam[o];
-            let m2 = 2.0 * mu[o];
-            let dxy = dth
-                * mxy_[o]
-                * (C1 * (vx[o + sy] - vx[o])
-                    + C2 * (vx[o + 2 * sy] - vx[o - sy])
-                    + C1 * (vy[o + 1] - vy[o])
-                    + C2 * (vy[o + 2] - vy[o - 1]));
-            let dxz = dth
-                * mxz_[o]
-                * (C1 * (vx[o + sz] - vx[o])
-                    + C2 * (vx[o + 2 * sz] - vx[o - sz])
-                    + C1 * (vz[o + 1] - vz[o])
-                    + C2 * (vz[o + 2] - vz[o - 1]));
-            let dyz = dth
-                * myz_[o]
-                * (C1 * (vy[o + sz] - vy[o])
-                    + C2 * (vy[o + 2 * sz] - vy[o - sz])
-                    + C1 * (vz[o + sy] - vz[o])
-                    + C2 * (vz[o + 2 * sy] - vz[o - sy]));
-            let dxx = dth * (l * tr + m2 * exx);
-            let dyy = dth * (l * tr + m2 * eyy);
-            let dzz = dth * (l * tr + m2 * ezz);
-            if let (Some((zxx, zyy, zzz, zxy, zxz, zyz)), Some((a, cs, cp))) =
-                (&mut mem_slices, &at)
-            {
-                sxx[o] += anelastic(dxx, &mut zxx[o], a[o], cp[o], dt);
-                syy[o] += anelastic(dyy, &mut zyy[o], a[o], cp[o], dt);
-                szz[o] += anelastic(dzz, &mut zzz[o], a[o], cp[o], dt);
-                sxy[o] += anelastic(dxy, &mut zxy[o], a[o], cs[o], dt);
-                sxz[o] += anelastic(dxz, &mut zxz[o], a[o], cs[o], dt);
-                syz[o] += anelastic(dyz, &mut zyz[o], a[o], cs[o], dt);
-            } else {
-                sxx[o] += dxx;
-                syy[o] += dyy;
-                szz[o] += dzz;
-                sxy[o] += dxy;
-                sxz[o] += dxz;
-                syz[o] += dyz;
-            }
+/// The optimized update as plain slice-indexed loops: the reference the
+/// lane-generic body of `crate::simd` is pinned to, bit for bit, on every
+/// backend — and, inside the stepper (`solver::fold_tests`), the
+/// separate-pass walk the folded one is pinned to.
+#[cfg(test)]
+pub(crate) mod reference {
+    use super::*;
+    use awp_grid::blocking::for_each_blocked_range;
+
+    /// Windowed velocity update over `win` (half-open local ranges).
+    pub(crate) fn update_velocity_win(
+        state: &mut WaveState,
+        med: &Medium,
+        dth: f32,
+        block: BlockSpec,
+        win: Win,
+    ) {
+        if win.is_empty() {
+            return;
         }
-    });
+        let _ftz = FlushGuard::enter();
+        let (sy, sz, base) = layout(state);
+        let WaveState { vx, vy, vz, sxx, syy, szz, sxy, sxz, syz, .. } = state;
+        let (vx, vy, vz) = (vx.as_mut_slice(), vy.as_mut_slice(), vz.as_mut_slice());
+        let (sxx, syy, szz) = (sxx.as_slice(), syy.as_slice(), szz.as_slice());
+        let (sxy, sxz, syz) = (sxy.as_slice(), sxz.as_slice(), syz.as_slice());
+        let rx = med.rhox_inv.as_ref().expect("precompute() not called").as_slice();
+        let ry = med.rhoy_inv.as_ref().expect("precompute() not called").as_slice();
+        let rz = med.rhoz_inv.as_ref().expect("precompute() not called").as_slice();
+        for_each_blocked_range(win.j0, win.j1, win.k0, win.k1, block, |j, k| {
+            debug_assert!(fpmode::is_flushing());
+            let row = base + sy * j + sz * k;
+            for i in win.i0..win.i1 {
+                let o = row + i;
+                vx[o] += dth
+                    * rx[o]
+                    * (C1 * (sxx[o + 1] - sxx[o])
+                        + C2 * (sxx[o + 2] - sxx[o - 1])
+                        + C1 * (sxy[o] - sxy[o - sy])
+                        + C2 * (sxy[o + sy] - sxy[o - 2 * sy])
+                        + C1 * (sxz[o] - sxz[o - sz])
+                        + C2 * (sxz[o + sz] - sxz[o - 2 * sz]));
+                vy[o] += dth
+                    * ry[o]
+                    * (C1 * (sxy[o] - sxy[o - 1])
+                        + C2 * (sxy[o + 1] - sxy[o - 2])
+                        + C1 * (syy[o + sy] - syy[o])
+                        + C2 * (syy[o + 2 * sy] - syy[o - sy])
+                        + C1 * (syz[o] - syz[o - sz])
+                        + C2 * (syz[o + sz] - syz[o - 2 * sz]));
+                vz[o] += dth
+                    * rz[o]
+                    * (C1 * (sxz[o] - sxz[o - 1])
+                        + C2 * (sxz[o + 1] - sxz[o - 2])
+                        + C1 * (syz[o] - syz[o - sy])
+                        + C2 * (syz[o + sy] - syz[o - 2 * sy])
+                        + C1 * (szz[o + sz] - szz[o])
+                        + C2 * (szz[o + 2 * sz] - szz[o - sz]));
+            }
+        });
+    }
+
+    /// Windowed stress update over `win`, with optional anelasticity.
+    pub(crate) fn update_stress_win(
+        state: &mut WaveState,
+        med: &Medium,
+        atten: Option<&Attenuation>,
+        dth: f32,
+        dt: f32,
+        block: BlockSpec,
+        win: Win,
+    ) {
+        if win.is_empty() {
+            return;
+        }
+        let _ftz = FlushGuard::enter();
+        let (sy, sz, base) = layout(state);
+        let WaveState { vx, vy, vz, sxx, syy, szz, sxy, sxz, syz, mem, .. } = state;
+        let (vx, vy, vz) = (vx.as_slice(), vy.as_slice(), vz.as_slice());
+        let (sxx, syy, szz) = (sxx.as_mut_slice(), syy.as_mut_slice(), szz.as_mut_slice());
+        let (sxy, sxz, syz) = (sxy.as_mut_slice(), sxz.as_mut_slice(), syz.as_mut_slice());
+        let lam = med.lam.as_slice();
+        let mu = med.mu.as_slice();
+        let mut mem_slices = mem.as_mut().map(|m| {
+            (
+                m.xx.as_mut_slice(),
+                m.yy.as_mut_slice(),
+                m.zz.as_mut_slice(),
+                m.xy.as_mut_slice(),
+                m.xz.as_mut_slice(),
+                m.yz.as_mut_slice(),
+            )
+        });
+        let at = atten.map(|a| (a.decay.as_slice(), a.cs.as_slice(), a.cp.as_slice()));
+        let mxy_ = med.mu_xy.as_ref().expect("precompute() not called").as_slice();
+        let mxz_ = med.mu_xz.as_ref().expect("precompute() not called").as_slice();
+        let myz_ = med.mu_yz.as_ref().expect("precompute() not called").as_slice();
+        for_each_blocked_range(win.j0, win.j1, win.k0, win.k1, block, |j, k| {
+            debug_assert!(fpmode::is_flushing());
+            let row = base + sy * j + sz * k;
+            for i in win.i0..win.i1 {
+                let o = row + i;
+                let exx = C1 * (vx[o] - vx[o - 1]) + C2 * (vx[o + 1] - vx[o - 2]);
+                let eyy = C1 * (vy[o] - vy[o - sy]) + C2 * (vy[o + sy] - vy[o - 2 * sy]);
+                let ezz = C1 * (vz[o] - vz[o - sz]) + C2 * (vz[o + sz] - vz[o - 2 * sz]);
+                let tr = exx + eyy + ezz;
+                let l = lam[o];
+                let m2 = 2.0 * mu[o];
+                let dxy = dth
+                    * mxy_[o]
+                    * (C1 * (vx[o + sy] - vx[o])
+                        + C2 * (vx[o + 2 * sy] - vx[o - sy])
+                        + C1 * (vy[o + 1] - vy[o])
+                        + C2 * (vy[o + 2] - vy[o - 1]));
+                let dxz = dth
+                    * mxz_[o]
+                    * (C1 * (vx[o + sz] - vx[o])
+                        + C2 * (vx[o + 2 * sz] - vx[o - sz])
+                        + C1 * (vz[o + 1] - vz[o])
+                        + C2 * (vz[o + 2] - vz[o - 1]));
+                let dyz = dth
+                    * myz_[o]
+                    * (C1 * (vy[o + sz] - vy[o])
+                        + C2 * (vy[o + 2 * sz] - vy[o - sz])
+                        + C1 * (vz[o + sy] - vz[o])
+                        + C2 * (vz[o + 2 * sy] - vz[o - sy]));
+                let dxx = dth * (l * tr + m2 * exx);
+                let dyy = dth * (l * tr + m2 * eyy);
+                let dzz = dth * (l * tr + m2 * ezz);
+                if let (Some((zxx, zyy, zzz, zxy, zxz, zyz)), Some((a, cs, cp))) =
+                    (&mut mem_slices, &at)
+                {
+                    sxx[o] += anelastic(dxx, &mut zxx[o], a[o], cp[o], dt);
+                    syy[o] += anelastic(dyy, &mut zyy[o], a[o], cp[o], dt);
+                    szz[o] += anelastic(dzz, &mut zzz[o], a[o], cp[o], dt);
+                    sxy[o] += anelastic(dxy, &mut zxy[o], a[o], cs[o], dt);
+                    sxz[o] += anelastic(dxz, &mut zxz[o], a[o], cs[o], dt);
+                    syz[o] += anelastic(dyz, &mut zyz[o], a[o], cs[o], dt);
+                } else {
+                    sxx[o] += dxx;
+                    syy[o] += dyy;
+                    szz[o] += dzz;
+                    sxy[o] += dxy;
+                    sxz[o] += dxz;
+                    syz[o] += dyz;
+                }
+            }
+        });
+    }
 }
 
 #[cfg(test)]

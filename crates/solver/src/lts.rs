@@ -19,11 +19,17 @@
 //!    snapshotted (they become the `prev` endpoint for interpolation
 //!    during the coarse cluster's next `rate` ticks);
 //! 2. **velocity phases** of every firing cluster;
-//! 3. **stress phases** of every firing cluster (free-surface velocity
-//!    imaging runs just before the surface cluster's stress phase);
-//! 4. **velocity sponge** of every firing cluster (after *all* stress
-//!    phases, so same-tick stress reads see undamped velocities — the
-//!    fused schedule's semantics).
+//! 3. **stress phases** of every firing cluster, top to bottom
+//!    (free-surface velocity imaging runs just before the surface
+//!    cluster's stress phase). Under a sponge the stress walk of cluster
+//!    `[k0, k1)` also retires the velocity sponge of planes `[k0, k1 − 2)`
+//!    two planes behind itself (`boundary::SpongeFold`): their only
+//!    remaining same-tick readers are the walk's own earlier rows. The
+//!    last two planes stay undamped — the cluster below, whose phase comes
+//!    later, still reads them and, as a fine side, blends them;
+//! 4. **velocity sponge** of every firing cluster on the planes its walk
+//!    did not retire (after *all* stress phases, so same-tick stress
+//!    reads see undamped velocities — the fused schedule's semantics).
 //!
 //! Because adjacent clusters always differ by exactly one octave (the
 //! clustering pass enforces the 2× adjacency rule), cross-cluster ghost

@@ -1,27 +1,27 @@
-//! Explicit-SIMD backends for the optimized leapfrog kernels (§IV.B taken
-//! to its conclusion: after reciprocal media and cache blocking, the x
-//! inner loop is pure unit-stride streaming arithmetic — exactly the shape
-//! vector units want).
+//! The optimized leapfrog kernels: one lane-generic body per update (§IV.B
+//! taken to its conclusion: after reciprocal media the x inner loop is pure
+//! unit-stride streaming arithmetic — exactly the shape vector units want).
 //!
 //! Strategy:
 //!
 //! * one generic kernel body per update, written against the tiny [`Lanes`]
 //!   abstraction and marked `#[inline(always)]`;
-//! * `#[target_feature]` wrappers monomorphise it for 8-lane AVX2 and
-//!   4-lane SSE2 (`core::arch` intrinsics), a `f32` instantiation serves as
-//!   the portable fallback *and* the ragged row tail;
+//! * `#[target_feature]` wrappers monomorphise it for the vector widths
+//!   of [`SimdBackend`] (`core::arch` intrinsics); the `f32` instantiation
+//!   is the portable backend, what `SolverOpts::simd = false` runs, *and*
+//!   the ragged row tail;
 //! * runtime dispatch via `is_x86_feature_detected!`, probed once.
 //!
-//! **Bit-exactness.** Every operation in the optimized kernels is a
-//! lane-independent IEEE-754 f32 add/sub/mul/div; the bodies here mirror
-//! the scalar expression trees of `kernels.rs` exactly (same association,
-//! no FMA contraction — intrinsics never fuse). A vector lane therefore
-//! computes the identical rounding sequence as the scalar loop, and the
-//! property tests below pin every backend to the scalar kernels bit for
-//! bit. This is what lets `SolverOpts::simd` default on without disturbing
-//! any of the serial/parallel/overlap equivalence tests.
+//! **Bit-exactness.** Every operation in the kernels is a lane-independent
+//! IEEE-754 f32 add/sub/mul/div with the association of the slice-indexed
+//! loops in `kernels::reference` (no FMA contraction — intrinsics never
+//! fuse). A vector lane therefore computes the identical rounding sequence
+//! at any width, and the property tests below pin every backend to that
+//! reference bit for bit. This is what lets `SolverOpts::simd` default on
+//! without disturbing any of the serial/parallel/overlap equivalence tests.
 
 use crate::attenuation::Attenuation;
+use crate::boundary::SpongeFold;
 use crate::kernels::layout;
 use crate::medium::Medium;
 use crate::shell::Win;
@@ -103,20 +103,6 @@ pub fn update_velocity_simd(state: &mut WaveState, med: &Medium, dth: f32, block
     update_velocity_backend_win(state, med, dth, block, win, detect());
 }
 
-/// Windowed SIMD velocity update (overlap slabs, tiles): bit-identical to
-/// the fused pass restricted to `win`, because the vector loop restarts at
-/// `win.i0` with the same expression tree (unaligned loads, no FMA) and
-/// per-cell updates are window-invariant.
-pub fn update_velocity_simd_win(
-    state: &mut WaveState,
-    med: &Medium,
-    dth: f32,
-    block: BlockSpec,
-    win: Win,
-) {
-    update_velocity_backend_win(state, med, dth, block, win, detect());
-}
-
 /// SIMD stress update (optional attenuation) — bit-identical to
 /// `update_stress(…, optimized = true)`.
 pub fn update_stress_simd(
@@ -131,33 +117,11 @@ pub fn update_stress_simd(
     update_stress_backend_win(state, med, atten, dth, dt, block, win, detect());
 }
 
-/// Windowed SIMD stress update — see [`update_velocity_simd_win`].
-pub fn update_stress_simd_win(
-    state: &mut WaveState,
-    med: &Medium,
-    atten: Option<&Attenuation>,
-    dth: f32,
-    dt: f32,
-    block: BlockSpec,
-    win: Win,
-) {
-    update_stress_backend_win(state, med, atten, dth, dt, block, win, detect());
-}
-
-/// Velocity update on an explicit backend (benches and pinning tests;
-/// panics if the CPU lacks the feature).
-pub fn update_velocity_backend(
-    state: &mut WaveState,
-    med: &Medium,
-    dth: f32,
-    block: BlockSpec,
-    backend: SimdBackend,
-) {
-    let win = Win::full(state.dims);
-    update_velocity_backend_win(state, med, dth, block, win, backend);
-}
-
-/// Windowed velocity update on an explicit backend.
+/// Velocity update over `win` (overlap slabs, tiles) on an explicit
+/// backend; panics if the CPU lacks it. Bit-identical to the fused pass
+/// restricted to `win`: the vector loop restarts at `win.i0` with the same
+/// expression tree (unaligned loads, no FMA) and per-cell updates are
+/// window-invariant.
 pub fn update_velocity_backend_win(
     state: &mut WaveState,
     med: &Medium,
@@ -184,21 +148,8 @@ pub fn update_velocity_backend_win(
     }
 }
 
-/// Stress update on an explicit backend.
-pub fn update_stress_backend(
-    state: &mut WaveState,
-    med: &Medium,
-    atten: Option<&Attenuation>,
-    dth: f32,
-    dt: f32,
-    block: BlockSpec,
-    backend: SimdBackend,
-) {
-    let win = Win::full(state.dims);
-    update_stress_backend_win(state, med, atten, dth, dt, block, win, backend);
-}
-
-/// Windowed stress update on an explicit backend.
+/// Stress update over `win` on an explicit backend — see
+/// [`update_velocity_backend_win`].
 #[allow(clippy::too_many_arguments)]
 pub fn update_stress_backend_win(
     state: &mut WaveState,
@@ -210,6 +161,23 @@ pub fn update_stress_backend_win(
     win: Win,
     backend: SimdBackend,
 ) {
+    stress_backend_win_fold(state, med, atten, dth, dt, block, win, backend, None);
+}
+
+/// [`update_stress_backend_win`] with the sponge folded into the row walk
+/// (see [`SpongeFold`]); `None` is the plain update.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn stress_backend_win_fold(
+    state: &mut WaveState,
+    med: &Medium,
+    atten: Option<&Attenuation>,
+    dth: f32,
+    dt: f32,
+    block: BlockSpec,
+    win: Win,
+    backend: SimdBackend,
+    fold: Option<&SpongeFold>,
+) {
     assert!(backend.available(), "{} not supported by this CPU", backend.name());
     if win.is_empty() {
         return;
@@ -218,12 +186,12 @@ pub fn update_stress_backend_win(
     match backend {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: availability asserted above.
-        SimdBackend::Avx2 => unsafe { stress_avx2(state, med, atten, dth, dt, block, win) },
+        SimdBackend::Avx2 => unsafe { stress_avx2(state, med, atten, dth, dt, block, win, fold) },
         #[cfg(target_arch = "x86_64")]
         // SAFETY: availability asserted above.
-        SimdBackend::Sse2 => unsafe { stress_sse2(state, med, atten, dth, dt, block, win) },
+        SimdBackend::Sse2 => unsafe { stress_sse2(state, med, atten, dth, dt, block, win, fold) },
         // SAFETY: as for the velocity fallback.
-        _ => unsafe { stress_body::<f32>(state, med, atten, dth, dt, block, win) },
+        _ => unsafe { stress_body::<f32>(state, med, atten, dth, dt, block, win, fold) },
     }
 }
 
@@ -241,6 +209,7 @@ unsafe fn velocity_sse2(state: &mut WaveState, med: &Medium, dth: f32, block: Bl
 
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
+#[allow(clippy::too_many_arguments)]
 unsafe fn stress_avx2(
     state: &mut WaveState,
     med: &Medium,
@@ -249,12 +218,14 @@ unsafe fn stress_avx2(
     dt: f32,
     block: BlockSpec,
     win: Win,
+    fold: Option<&SpongeFold>,
 ) {
-    stress_body::<x86::V8>(state, med, atten, dth, dt, block, win)
+    stress_body::<x86::V8>(state, med, atten, dth, dt, block, win, fold)
 }
 
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "sse2")]
+#[allow(clippy::too_many_arguments)]
 unsafe fn stress_sse2(
     state: &mut WaveState,
     med: &Medium,
@@ -263,8 +234,9 @@ unsafe fn stress_sse2(
     dt: f32,
     block: BlockSpec,
     win: Win,
+    fold: Option<&SpongeFold>,
 ) {
-    stress_body::<x86::V4>(state, med, atten, dth, dt, block, win)
+    stress_body::<x86::V4>(state, med, atten, dth, dt, block, win, fold)
 }
 
 /// `WIDTH` consecutive f32 lanes and the four arithmetic ops the kernels
@@ -528,9 +500,10 @@ unsafe fn velocity_body<V: Lanes>(
 /// Raw field pointers for the stress body.
 #[derive(Clone, Copy)]
 pub(crate) struct StressPtrs {
-    pub vx: *const f32,
-    pub vy: *const f32,
-    pub vz: *const f32,
+    /// Read by the update; written only by a folded velocity sponge.
+    pub vx: *mut f32,
+    pub vy: *mut f32,
+    pub vz: *mut f32,
     pub sxx: *mut f32,
     pub syy: *mut f32,
     pub szz: *mut f32,
@@ -547,9 +520,9 @@ pub(crate) struct StressPtrs {
 impl StressPtrs {
     pub fn new(state: &mut WaveState, med: &Medium) -> Self {
         Self {
-            vx: state.vx.as_slice().as_ptr(),
-            vy: state.vy.as_slice().as_ptr(),
-            vz: state.vz.as_slice().as_ptr(),
+            vx: state.vx.as_mut_slice().as_mut_ptr(),
+            vy: state.vy.as_mut_slice().as_mut_ptr(),
+            vz: state.vz.as_mut_slice().as_mut_ptr(),
             sxx: state.sxx.as_mut_slice().as_mut_ptr(),
             syy: state.syy.as_mut_slice().as_mut_ptr(),
             szz: state.szz.as_mut_slice().as_mut_ptr(),
@@ -596,11 +569,15 @@ unsafe fn anelastic_chunk<V: Lanes>(delta: V, zp: *mut f32, o: usize, a: V, c: V
 
 /// One stress chunk: lanes `[o, o + WIDTH)` of all six components (plus
 /// memory variables when attenuation is on), mirroring the scalar
-/// expression tree term for term.
+/// expression tree term for term. With `damp` — the row's Cerjan factors
+/// `(gx at lane 0, gy·gz)` — each updated stress is multiplied by
+/// `gx·(gy·gz)` before it is stored, which is what damping the stored
+/// value in a later pass computes.
 ///
 /// # Safety
-/// Same bounds contract as [`vel_chunk`].
+/// Same bounds contract as [`vel_chunk`]; `damp.0 .. + WIDTH` readable.
 #[inline(always)]
+#[allow(clippy::too_many_arguments)]
 unsafe fn stress_chunk<V: Lanes>(
     p: StressPtrs,
     an: Option<AnelasticPtrs>,
@@ -609,7 +586,13 @@ unsafe fn stress_chunk<V: Lanes>(
     sz: usize,
     dth: f32,
     dt: f32,
+    damp: Option<(*const f32, f32)>,
 ) {
+    let g = damp.map(|(gx, gjk)| V::load(gx).mul(V::splat(gjk)));
+    let put = |f: *mut f32, delta: V| {
+        let s = V::load(f.add(o) as *const f32).add(delta);
+        g.map_or(s, |g| s.mul(g)).store(f.add(o));
+    };
     let c1 = V::splat(C1);
     let c2 = V::splat(C2);
     let dthv = V::splat(dth);
@@ -652,20 +635,20 @@ unsafe fn stress_chunk<V: Lanes>(
             let cs = V::load(an.cs.add(o));
             let cp = V::load(an.cp.add(o));
             let dtv = V::splat(dt);
-            accumulate::<V>(p.sxx, o, anelastic_chunk::<V>(dxx, an.zxx, o, a, cp, dtv));
-            accumulate::<V>(p.syy, o, anelastic_chunk::<V>(dyy, an.zyy, o, a, cp, dtv));
-            accumulate::<V>(p.szz, o, anelastic_chunk::<V>(dzz, an.zzz, o, a, cp, dtv));
-            accumulate::<V>(p.sxy, o, anelastic_chunk::<V>(dxy, an.zxy, o, a, cs, dtv));
-            accumulate::<V>(p.sxz, o, anelastic_chunk::<V>(dxz, an.zxz, o, a, cs, dtv));
-            accumulate::<V>(p.syz, o, anelastic_chunk::<V>(dyz, an.zyz, o, a, cs, dtv));
+            put(p.sxx, anelastic_chunk::<V>(dxx, an.zxx, o, a, cp, dtv));
+            put(p.syy, anelastic_chunk::<V>(dyy, an.zyy, o, a, cp, dtv));
+            put(p.szz, anelastic_chunk::<V>(dzz, an.zzz, o, a, cp, dtv));
+            put(p.sxy, anelastic_chunk::<V>(dxy, an.zxy, o, a, cs, dtv));
+            put(p.sxz, anelastic_chunk::<V>(dxz, an.zxz, o, a, cs, dtv));
+            put(p.syz, anelastic_chunk::<V>(dyz, an.zyz, o, a, cs, dtv));
         }
         None => {
-            accumulate::<V>(p.sxx, o, dxx);
-            accumulate::<V>(p.syy, o, dyy);
-            accumulate::<V>(p.szz, o, dzz);
-            accumulate::<V>(p.sxy, o, dxy);
-            accumulate::<V>(p.sxz, o, dxz);
-            accumulate::<V>(p.syz, o, dyz);
+            put(p.sxx, dxx);
+            put(p.syy, dyy);
+            put(p.szz, dzz);
+            put(p.sxy, dxy);
+            put(p.sxz, dxz);
+            put(p.syz, dyz);
         }
     }
 }
@@ -679,11 +662,40 @@ pub(crate) unsafe fn accumulate<V: Lanes>(f: *mut f32, o: usize, delta: V) {
     V::load(f.add(o) as *const f32).add(delta).store(f.add(o));
 }
 
-/// Generic stress driver — see [`velocity_body`].
+/// `f[o..o + n] *= gx[..n] · gjk` for the three velocities: the Cerjan
+/// factor of one row, formed as [`crate::boundary::Sponge::apply`] forms it.
+///
+/// # Safety
+/// `f + o .. f + o + n` must be in bounds for every field, `gx .. gx + n`
+/// readable.
+#[inline(always)]
+unsafe fn damp_row<V: Lanes>(fields: [*mut f32; 3], o: usize, gx: *const f32, gjk: f32, n: usize) {
+    let mut i = 0;
+    while i + V::WIDTH <= n {
+        let g = V::load(gx.add(i)).mul(V::splat(gjk));
+        for f in fields {
+            V::load(f.add(o + i) as *const f32).mul(g).store(f.add(o + i));
+        }
+        i += V::WIDTH;
+    }
+    while i < n {
+        let g = *gx.add(i) * gjk;
+        for f in fields {
+            *f.add(o + i) *= g;
+        }
+        i += 1;
+    }
+}
+
+/// Generic stress driver — see [`velocity_body`]. With a `fold` the walk
+/// does the sponge's work while the rows are in cache: a row's stresses
+/// are damped as they are stored, and its epilogue retires the velocity
+/// row two planes behind.
 ///
 /// # Safety
 /// Caller must ensure `V`'s instruction set is available.
 #[inline(always)]
+#[allow(clippy::too_many_arguments)]
 unsafe fn stress_body<V: Lanes>(
     state: &mut WaveState,
     med: &Medium,
@@ -692,6 +704,7 @@ unsafe fn stress_body<V: Lanes>(
     dt: f32,
     block: BlockSpec,
     win: Win,
+    fold: Option<&SpongeFold>,
 ) {
     let (sy, sz, base) = layout(state);
     let p = StressPtrs::new(state, med);
@@ -716,14 +729,21 @@ unsafe fn stress_body<V: Lanes>(
             for j in jr.clone() {
                 debug_assert!(fpmode::is_flushing());
                 let row = base + sy * j + sz * k;
+                let damp = fold.filter(|f| !f.defers(j, k)).map(|f| f.sponge.row_factors(j, k));
+                let at = |i: usize| damp.map(|(gx, gjk)| (gx[i..].as_ptr(), gjk));
                 let mut i = win.i0;
                 while i + V::WIDTH <= win.i1 {
-                    stress_chunk::<V>(p, an, row + i, sy, sz, dth, dt);
+                    stress_chunk::<V>(p, an, row + i, sy, sz, dth, dt, at(i));
                     i += V::WIDTH;
                 }
                 while i < win.i1 {
-                    stress_chunk::<f32>(p, an, row + i, sy, sz, dth, dt);
+                    stress_chunk::<f32>(p, an, row + i, sy, sz, dth, dt, at(i));
                     i += 1;
+                }
+                if let Some(f) = fold.filter(|f| (f.retire.0 + 2..f.retire.1 + 2).contains(&k)) {
+                    let (gx, gjk) = f.sponge.row_factors(j, k - 2);
+                    let (o, n) = (row + win.i0 - 2 * sz, win.i1 - win.i0);
+                    damp_row::<V>([p.vx, p.vy, p.vz], o, gx[win.i0..].as_ptr(), gjk, n);
                 }
             }
         }
@@ -731,9 +751,9 @@ unsafe fn stress_body<V: Lanes>(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use crate::kernels::{update_stress, update_velocity};
+    use crate::kernels::reference::{update_stress_win, update_velocity_win};
     use crate::state::MemoryVars;
     use awp_cvm::mesh::MeshGenerator;
     use awp_cvm::model::LayeredModel;
@@ -759,7 +779,8 @@ mod tests {
         (med, st)
     }
 
-    fn backends() -> Vec<SimdBackend> {
+    /// Every backend this CPU can run (shared with `solver::fold_tests`).
+    pub(crate) fn backends() -> Vec<SimdBackend> {
         [SimdBackend::Avx2, SimdBackend::Sse2, SimdBackend::Scalar]
             .into_iter()
             .filter(|b| b.available())
@@ -811,8 +832,9 @@ mod tests {
                 let (med, st) = setup(d, 0x9e3779b9 + seed as u64);
                 let mut scalar = st.clone();
                 let mut simd = st;
-                update_velocity(&mut scalar, &med, 0.01, BlockSpec::JAGUAR, true);
-                update_velocity_backend(&mut simd, &med, 0.01, BlockSpec::JAGUAR, backend);
+                let (b, w) = (BlockSpec::JAGUAR, Win::full(d));
+                update_velocity_win(&mut scalar, &med, 0.01, b, w);
+                update_velocity_backend_win(&mut simd, &med, 0.01, b, w, backend);
                 assert_bits_equal(&scalar, &simd, &format!("{} {d:?}", backend.name()));
             }
         }
@@ -826,16 +848,9 @@ mod tests {
                 let (med, st) = setup(d, 0xdeadbeef + seed as u64);
                 let mut scalar = st.clone();
                 let mut simd = st;
-                update_stress(&mut scalar, &med, None, 0.01, 1e-3, BlockSpec::new(3, 2), true);
-                update_stress_backend(
-                    &mut simd,
-                    &med,
-                    None,
-                    0.01,
-                    1e-3,
-                    BlockSpec::new(3, 2),
-                    backend,
-                );
+                let (b, w) = (BlockSpec::new(3, 2), Win::full(d));
+                update_stress_win(&mut scalar, &med, None, 0.01, 1e-3, b, w);
+                update_stress_backend_win(&mut simd, &med, None, 0.01, 1e-3, b, w, backend);
                 assert_bits_equal(&scalar, &simd, &format!("{} {d:?}", backend.name()));
             }
         }
@@ -852,16 +867,9 @@ mod tests {
             let mut simd = scalar.clone();
             // Multiple steps so memory-variable feedback is exercised.
             for _ in 0..3 {
-                update_stress(&mut scalar, &med, Some(&at), 0.01, 1e-3, BlockSpec::JAGUAR, true);
-                update_stress_backend(
-                    &mut simd,
-                    &med,
-                    Some(&at),
-                    0.01,
-                    1e-3,
-                    BlockSpec::JAGUAR,
-                    backend,
-                );
+                let (b, w) = (BlockSpec::JAGUAR, Win::full(d));
+                update_stress_win(&mut scalar, &med, Some(&at), 0.01, 1e-3, b, w);
+                update_stress_backend_win(&mut simd, &med, Some(&at), 0.01, 1e-3, b, w, backend);
             }
             assert_bits_equal(&scalar, &simd, backend.name());
             let (ms, mv) = (scalar.mem.unwrap(), simd.mem.unwrap());
@@ -890,23 +898,14 @@ mod tests {
                 let mut fused = st.clone();
                 fused.mem = Some(MemoryVars::new(d));
                 let mut split = fused.clone();
-                let b = BlockSpec::new(3, 2);
-                update_velocity_backend(&mut fused, &med, 0.01, b, backend);
-                update_stress_backend(&mut fused, &med, Some(&at), 0.01, 1e-3, b, backend);
+                let (b, at) = (BlockSpec::new(3, 2), Some(&at));
+                update_velocity_backend_win(&mut fused, &med, 0.01, b, full, backend);
+                update_stress_backend_win(&mut fused, &med, at, 0.01, 1e-3, b, full, backend);
                 for w in &wins {
                     update_velocity_backend_win(&mut split, &med, 0.01, b, *w, backend);
                 }
                 for w in &wins {
-                    update_stress_backend_win(
-                        &mut split,
-                        &med,
-                        Some(&at),
-                        0.01,
-                        1e-3,
-                        b,
-                        *w,
-                        backend,
-                    );
+                    update_stress_backend_win(&mut split, &med, at, 0.01, 1e-3, b, *w, backend);
                 }
                 assert_bits_equal(&fused, &split, &format!("{} {d:?}", backend.name()));
                 let (mf, ms) = (fused.mem.unwrap(), split.mem.unwrap());

@@ -13,6 +13,7 @@ use crate::arena::HaloArena;
 use crate::attenuation::Attenuation;
 use crate::boundary::{
     apply_free_surface_stress_win, apply_free_surface_velocity, owns_free_surface, Sponge,
+    SpongeFold,
 };
 use crate::config::{AbcKind, ConfigError, SolverConfig};
 use crate::exchange::{
@@ -20,12 +21,12 @@ use crate::exchange::{
     start_exchange_k, tag_step, FieldPlan, Phase,
 };
 use crate::flops::FlopCounter;
-use crate::kernels::{update_stress, update_stress_win, update_velocity, update_velocity_win};
+use crate::kernels::{update_stress, update_velocity};
 use crate::lts::{LtsInterface, LtsPlan, StepPlan, MAX_CLUSTERS};
 use crate::medium::{global_vp_max, Medium};
 use crate::pml::Mpml;
 use crate::shell::{halo_feeding_slabs, Win};
-use crate::simd::{update_stress_backend_win, update_velocity_backend_win, SimdBackend};
+use crate::simd::{stress_backend_win_fold, update_velocity_backend_win, SimdBackend};
 use crate::sourceinj::SourceInjector;
 use crate::state::WaveState;
 use crate::stations::{Seismogram, Station, StationRecorder};
@@ -48,31 +49,51 @@ use awp_vcluster::{
 use std::sync::Arc;
 use std::time::Instant;
 
-/// The update loops this solver runs, resolved once at construction: the
-/// legacy (inline-division, full-grid only) loops without
-/// `reciprocal_media`, else the optimized scalar loops of `kernels.rs` or —
-/// with `simd` — the widest vector backend the CPU has.
+/// The update loops this solver runs, resolved once at construction.
+#[derive(Debug, Clone, Copy)]
+enum Loops {
+    /// The inline-division, full-grid-only loops of `kernels.rs` (no
+    /// `reciprocal_media`): the Table 2 / Fig. 13 ladder.
+    Legacy,
+    /// The lane-generic body of `crate::simd` at the widest width the CPU
+    /// has — or, without `simd`, at width 1.
+    Lanes(SimdBackend),
+    /// The slice-indexed loops of `kernels::reference`, folding nothing
+    /// (kernel → inject → image → damp over whole windows): the
+    /// separate-pass stepper `fold_tests` holds the folded walk to.
+    #[cfg(test)]
+    Reference,
+}
+
 #[derive(Debug, Clone, Copy)]
 struct Kernels {
-    backend: SimdBackend,
-    optimized: bool,
+    loops: Loops,
     block: BlockSpec,
 }
 
 impl Kernels {
+    /// Does the stress walk fold the sponge in? Only the lane body does.
+    fn folds(self) -> bool {
+        matches!(self.loops, Loops::Lanes(_))
+    }
+
     fn velocity(self, state: &mut WaveState, med: &Medium, dth: f32, w: Win) {
-        match self.backend {
-            SimdBackend::Scalar if !self.optimized => {
-                // `validate()` keeps the legacy layout away from the
-                // overlap split and from LTS, the only sources of windows.
+        match self.loops {
+            Loops::Legacy => {
+                // `validate()` keeps the legacy layout away from the overlap
+                // pipeline and from LTS, the only sources of windows.
                 debug_assert_eq!(w, Win::full(state.dims), "legacy kernels are full-grid only");
                 update_velocity(state, med, dth, self.block, false);
             }
-            SimdBackend::Scalar => update_velocity_win(state, med, dth, self.block, w),
-            simd => update_velocity_backend_win(state, med, dth, self.block, w, simd),
+            Loops::Lanes(b) => update_velocity_backend_win(state, med, dth, self.block, w, b),
+            #[cfg(test)]
+            Loops::Reference => {
+                crate::kernels::reference::update_velocity_win(state, med, dth, self.block, w)
+            }
         }
     }
 
+    #[allow(clippy::too_many_arguments)]
     fn stress(
         self,
         state: &mut WaveState,
@@ -81,14 +102,21 @@ impl Kernels {
         dth: f32,
         dt: f32,
         w: Win,
+        fold: Option<&SpongeFold>,
     ) {
-        match self.backend {
-            SimdBackend::Scalar if !self.optimized => {
+        let block = self.block;
+        match self.loops {
+            Loops::Legacy => {
                 debug_assert_eq!(w, Win::full(state.dims), "legacy kernels are full-grid only");
-                update_stress(state, med, atten, dth, dt, self.block, false);
+                update_stress(state, med, atten, dth, dt, block, false);
             }
-            SimdBackend::Scalar => update_stress_win(state, med, atten, dth, dt, self.block, w),
-            simd => update_stress_backend_win(state, med, atten, dth, dt, self.block, w, simd),
+            Loops::Lanes(b) => {
+                stress_backend_win_fold(state, med, atten, dth, dt, block, w, b, fold)
+            }
+            #[cfg(test)]
+            Loops::Reference => {
+                crate::kernels::reference::update_stress_win(state, med, atten, dth, dt, block, w)
+            }
         }
     }
 }
@@ -99,10 +127,11 @@ impl Kernels {
 /// kernels are cell-pure — the velocity kernel writes only velocity
 /// components of its own cells while reading stresses, the stress kernel
 /// writes only stresses and memory variables of its own cells while reading
-/// velocities, and a batch runs one of the two — so the concurrent mutable
-/// accesses through `state` never alias a written cell. `atten` is null
-/// when attenuation is off.
-struct TileCtx {
+/// velocities (a tiled walk retires no velocity plane: a neighbouring tile
+/// may still read it), and a batch runs one of the two — so the concurrent
+/// mutable accesses through `state` never alias a written cell. `atten` is
+/// null when attenuation is off.
+struct TileCtx<'a> {
     kernels: Kernels,
     phase: Phase,
     state: *mut WaveState,
@@ -110,6 +139,7 @@ struct TileCtx {
     atten: *const Attenuation,
     dth: f32,
     dt: f32,
+    fold: Option<SpongeFold<'a>>,
 }
 
 unsafe fn run_tile(p: *const (), t: Tile) {
@@ -120,7 +150,8 @@ unsafe fn run_tile(p: *const (), t: Tile) {
     match c.phase {
         Phase::Velocity => c.kernels.velocity(state, med, c.dth, w),
         Phase::Stress => {
-            c.kernels.stress(state, med, unsafe { c.atten.as_ref() }, c.dth, c.dt, w)
+            let atten = unsafe { c.atten.as_ref() };
+            c.kernels.stress(state, med, atten, c.dth, c.dt, w, c.fold.as_ref())
         }
     }
 }
@@ -182,7 +213,8 @@ struct ClusterOps<'a> {
     t_src: f64,
     atten: Option<&'a Attenuation>,
     mpml: Option<&'a mut Mpml>,
-    sponge: Option<&'a Sponge>,
+    /// The stress sponge: what of it the walk applies, what waits.
+    fold: Option<SpongeFold<'a>>,
 }
 
 impl Pass<'_> {
@@ -204,7 +236,9 @@ impl Pass<'_> {
         let (Some(planes), Some(ctx)) = (tile_planes, comm.rank()) else {
             return match phase {
                 Phase::Velocity => self.kernels.velocity(state, self.med, dth, w),
-                Phase::Stress => self.kernels.stress(state, self.med, ops.atten, dth, dt, w),
+                Phase::Stress => {
+                    self.kernels.stress(state, self.med, ops.atten, dth, dt, w, ops.fold.as_ref())
+                }
             };
         };
         let sched = Arc::clone(ctx.sched().expect("tiled pass requires an attached scheduler"));
@@ -220,6 +254,7 @@ impl Pass<'_> {
             atten: ops.atten.map_or(std::ptr::null(), |a| a as *const Attenuation),
             dth,
             dt,
+            fold: ops.fold,
         };
         // SAFETY: `tctx` outlives the batch (submit → run_to_completion,
         // both below, on this stack frame); tiles write disjoint cells and
@@ -252,11 +287,13 @@ impl Pass<'_> {
         }
     }
 
-    /// Stress phase over one window: kernel update → M-PML correction →
-    /// source injection → free-surface imaging (surface-touching windows
-    /// only) → stress sponge. Boundary-condition work and source injection
-    /// are recorded as nested `Boundary`/`Source` spans inside the
-    /// window-phase span.
+    /// Stress phase over one window: kernel update (which, under a sponge,
+    /// damps every row it does not defer — `SpongeFold`) → M-PML
+    /// correction → source injection → free-surface imaging
+    /// (surface-touching windows only) → sponge on the deferred rows.
+    /// Boundary-condition work outside the kernel and source injection are
+    /// recorded as nested `Boundary`/`Source` spans inside the window-phase
+    /// span.
     fn stress_win(
         &self,
         state: &mut WaveState,
@@ -276,13 +313,13 @@ impl Pass<'_> {
         self.injector.inject_win(state, ops.t_src, ops.dt, w);
         tel.finish(t0, TelPhase::Source);
         let images = self.on_surface && w.k0 == 0;
-        if images || ops.sponge.is_some() {
+        if images || ops.fold.is_some() {
             let t0 = tel.start();
             if images {
                 apply_free_surface_stress_win(state, w);
             }
-            if let Some(sp) = ops.sponge {
-                sp.apply_components_win(state, &Component::STRESSES, w);
+            if let Some(fold) = &ops.fold {
+                fold.damp_deferred(state, w);
             }
             tel.finish(t0, TelPhase::Boundary);
         }
@@ -421,11 +458,8 @@ impl Solver {
                 full_plan(&Component::STRESSES),
             )
         };
-        let kernels = Kernels {
-            backend,
-            optimized: cfg.opts.reciprocal_media,
-            block: cfg.opts.block,
-        };
+        let loops = if cfg.opts.reciprocal_media { Loops::Lanes(backend) } else { Loops::Legacy };
+        let kernels = Kernels { loops, block: cfg.opts.block };
         Ok(Self {
             plan: StepPlan::global(&sub),
             cfg,
@@ -512,10 +546,14 @@ impl Solver {
 
     /// One base tick (see the `crate::lts` module docs for the schedule and
     /// the interface interpolation). Every cluster that fires on this tick
-    /// runs its velocity phase, then every firing cluster its stress phase,
-    /// and a phase is: blend the interface ghosts → per slab [update the
-    /// window → start that slab's halo sends] → restore the ghosts →
-    /// finish the exchange.
+    /// runs its velocity phase, then every firing cluster — top to bottom —
+    /// its stress phase, and a phase is: blend the interface ghosts → per
+    /// slab [update the window → start that slab's halo sends] → restore
+    /// the ghosts → finish the exchange. Under a sponge the stress update
+    /// of a window is kernel (damping each row it does not defer, and the
+    /// velocity row two planes behind) → inject → image → damp the
+    /// deferred rows (`SpongeFold`); the tick ends with the velocity sponge
+    /// on the planes no walk retired.
     ///
     /// With overlap on (§IV.C) the cluster's window is walked as the
     /// full-row k-slabs of `crate::shell` and each slab's k-range of the
@@ -555,7 +593,17 @@ impl Solver {
         } = self;
         let multi = self.plan.is_multi_rate();
         let StepPlan { clusters, interfaces } = &mut self.plan;
-        let pass = Pass { kernels: self.kernels, med, injector, on_surface };
+        let kernels = self.kernels;
+        let pass = Pass { kernels, med, injector, on_surface };
+        // Where the stress walk of cluster window `w` stops retiring the
+        // velocity sponge (`SpongeFold::retire` = `[w.k0, here)`); the rest
+        // waits for the end of the tick. Row (j, k − 2) is final after
+        // stress row (j, k) only in a plain k-major walk with no tile beside
+        // it, and the lag never reaches the last two planes — the two the
+        // cluster below, whose stress phase comes later (clusters run top
+        // to bottom), still reads and blends.
+        let retires = kernels.folds() && kernels.block == BlockSpec::UNBLOCKED && tiles.is_none();
+        let retired_to = |w: Win| if retires { w.k1.saturating_sub(2).max(w.k0) } else { w.k0 };
         comm.tel().set_step(n);
         let mut firing = [false; MAX_CLUSTERS];
         for (f, c) in firing.iter_mut().zip(clusters.iter()) {
@@ -602,13 +650,23 @@ impl Solver {
                     f.blend_ghosts(state, phase);
                 }
                 let rate = f64::from(cl.rate);
+                let sponge = cl.own.sponge.as_ref().or(sponge.as_ref());
                 let mut ops = ClusterOps {
                     dth: dth * cl.rate as f32,
                     dt: dt * rate,
                     t_src: (n as f64 + (rate - 1.0) * 0.5) * dt,
                     atten: cl.own.atten.as_ref().or(atten.as_ref()),
                     mpml: cl.own.mpml.as_mut().or(mpml.as_mut()),
-                    sponge: cl.own.sponge.as_ref().or(sponge.as_ref()),
+                    fold: sponge.map(|sponge| SpongeFold {
+                        sponge,
+                        sources: injector,
+                        imaged: match (kernels.folds(), on_surface && cl.win.k0 == 0) {
+                            (false, _) => usize::MAX,
+                            (true, true) => 3,
+                            (true, false) => 0,
+                        },
+                        retire: (cl.win.k0, retired_to(cl.win)),
+                    }),
                 };
                 let slabs = if split { &cl.slabs[..] } else { std::slice::from_ref(&cl.win) };
                 let mut pending = split.then(|| arena.take_reqs());
@@ -651,15 +709,17 @@ impl Solver {
             }
         }
 
-        // Velocity sponge of every firing cluster, after *all* stress
-        // phases have read the undamped velocities.
+        // Velocity sponge of every firing cluster on the planes its stress
+        // walk did not retire, after *all* stress phases have read the
+        // undamped velocities.
         for (c, cl) in clusters.iter().enumerate().filter(|(c, _)| firing[*c]) {
             if let Some(sp) = cl.own.sponge.as_ref().or(sponge.as_ref()) {
                 if multi {
                     comm.tel().set_cluster(c as u8);
                 }
                 let t0 = Instant::now();
-                sp.apply_components_win(state, &Component::VELOCITIES, cl.win);
+                let rest = Win { k0: retired_to(cl.win), ..cl.win };
+                sp.apply_components_win(state, &Component::VELOCITIES, rest);
                 comm.charge(Category::Comp, TelPhase::Boundary, t0);
             }
         }
@@ -965,98 +1025,86 @@ pub fn try_run_parallel_decomp(
     }))
 }
 
-/// Exchange the raw material halos once at startup (5 arrays), replacing
-/// the clamped placeholders at rank seams with true neighbour values.
+/// Fill the raw material halos once at startup (5 arrays) with what the
+/// serial run holds there: true neighbour values across rank seams,
+/// nearest-interior copies beyond global boundaries — edges and corners
+/// included, which `Medium::precompute`'s four-cell harmonic means read
+/// diagonally. The axes go one after another and each slab spans the
+/// halos of the axes already done (x, then y including the x-halos, then z
+/// including both), so a corner value arrives in up to three hops.
 ///
 /// Uses parity-ordered blocking sends so it is deadlock-free under both
 /// the eager asynchronous engine and the rendezvous synchronous one.
 pub fn exchange_material_halos(med: &mut Medium, sub: &Subdomain, ctx: &mut RankCtx) {
-    use awp_grid::face::{extract_face, face_len, inject_halo, Axis, Face};
+    use awp_grid::array3::Array3;
+    use awp_grid::face::{Axis, Face};
     use awp_vcluster::message::make_tag;
     // Material phase id 7 (outside Velocity/Stress).
     const PHASE: u8 = 7;
-    // One-shot startup exchange, but it rides the same zero-copy protocol
-    // as the per-step path: pooled staged sends, received vectors recycled.
-    let mut arena = HaloArena::new();
-    for fid in 0u8..5 {
+    const W: isize = 2;
+    let n = [sub.dims.nx as isize, sub.dims.ny as isize, sub.dims.nz as isize];
+    let fields = [&mut med.rho, &mut med.lam, &mut med.mu, &mut med.qs, &mut med.qp];
+    for (fid, field) in fields.into_iter().enumerate() {
         for axis in Axis::ALL {
-            let (f_lo, f_hi) = match axis {
-                Axis::X => (Face::XLo, Face::XHi),
-                Axis::Y => (Face::YLo, Face::YHi),
-                Axis::Z => (Face::ZLo, Face::ZHi),
+            let a = axis.index();
+            // Visit `layers` along `axis` × the interior of the axes still
+            // to come × the halo-extended range of the axes already done.
+            let slab = |layers: std::ops::Range<isize>, f: &mut dyn FnMut([isize; 3])| {
+                let span = |ax: usize| match ax.cmp(&a) {
+                    std::cmp::Ordering::Less => -W..n[ax] + W,
+                    std::cmp::Ordering::Equal => layers.clone(),
+                    std::cmp::Ordering::Greater => 0..n[ax],
+                };
+                for k in span(2) {
+                    for j in span(1) {
+                        span(0).for_each(|i| f([i, j, k]));
+                    }
+                }
             };
-            let even = sub.coords[axis.index()] % 2 == 0;
-            // Direction 1: low → high (fills low halos of the high rank).
-            let send_hi = |med: &Medium, ctx: &mut RankCtx, arena: &mut HaloArena| {
-                if let Some(nb) = sub.neighbor(f_hi) {
-                    let field = material_array(med, fid);
-                    let mut buf = arena.take_buf(face_len(field, f_hi, 2));
-                    extract_face(field, f_hi, 2, &mut buf);
-                    let tag = make_tag(PHASE, fid, f_lo.id() as u8, 0);
+            let (lo, hi) = (Face::ALL[2 * a], Face::ALL[2 * a + 1]);
+            let even = sub.coords[a] % 2 == 0;
+            // Low → high fills the low halos of the high rank, then back.
+            for (from, into) in [(hi, lo), (lo, hi)] {
+                let tag = make_tag(PHASE, fid as u8, into.id() as u8, 0);
+                let send = |field: &Array3, ctx: &mut RankCtx| {
+                    let Some(nb) = sub.neighbor(from) else { return };
+                    let mut buf = Vec::new();
+                    let inner = if from.is_low() { 0..W } else { n[a] - W..n[a] };
+                    slab(inner, &mut |[i, j, k]| buf.push(field.get(i, j, k)));
                     ctx.send(nb, tag, buf);
+                };
+                let fill = |field: &mut Array3, ctx: &mut RankCtx| {
+                    let halo = if into.is_low() { -W..0 } else { n[a]..n[a] + W };
+                    match sub.neighbor(into) {
+                        Some(nb) => {
+                            let data = ctx.recv(nb, tag).into_f32();
+                            let mut next = data.iter();
+                            slab(halo, &mut |[i, j, k]| {
+                                field.set(i, j, k, *next.next().expect("material slab too short"))
+                            });
+                            assert!(next.next().is_none(), "material slab too long");
+                        }
+                        // `Medium::clamp_halos` left the right copies, except
+                        // of halo cells an earlier axis has since received.
+                        None if sub.decomp.parts[..a].iter().any(|&p| p > 1) => {
+                            slab(halo, &mut |p| {
+                                let mut q = p;
+                                q[a] = p[a].clamp(0, n[a] - 1);
+                                field.set(p[0], p[1], p[2], field.get(q[0], q[1], q[2]));
+                            })
+                        }
+                        None => {}
+                    }
+                };
+                if even {
+                    send(field, ctx);
+                    fill(field, ctx);
+                } else {
+                    fill(field, ctx);
+                    send(field, ctx);
                 }
-            };
-            let recv_lo = |med: &mut Medium, ctx: &mut RankCtx, arena: &mut HaloArena| {
-                if let Some(nb) = sub.neighbor(f_lo) {
-                    let tag = make_tag(PHASE, fid, f_lo.id() as u8, 0);
-                    let data = ctx.recv(nb, tag).into_f32();
-                    inject_halo(material_array_mut(med, fid), f_lo, 2, &data);
-                    arena.put_buf(data);
-                }
-            };
-            if even {
-                send_hi(med, ctx, &mut arena);
-                recv_lo(med, ctx, &mut arena);
-            } else {
-                recv_lo(med, ctx, &mut arena);
-                send_hi(med, ctx, &mut arena);
-            }
-            // Direction 2: high → low.
-            let send_lo = |med: &Medium, ctx: &mut RankCtx, arena: &mut HaloArena| {
-                if let Some(nb) = sub.neighbor(f_lo) {
-                    let field = material_array(med, fid);
-                    let mut buf = arena.take_buf(face_len(field, f_lo, 2));
-                    extract_face(field, f_lo, 2, &mut buf);
-                    let tag = make_tag(PHASE, fid, f_hi.id() as u8, 0);
-                    ctx.send(nb, tag, buf);
-                }
-            };
-            let recv_hi = |med: &mut Medium, ctx: &mut RankCtx, arena: &mut HaloArena| {
-                if let Some(nb) = sub.neighbor(f_hi) {
-                    let tag = make_tag(PHASE, fid, f_hi.id() as u8, 0);
-                    let data = ctx.recv(nb, tag).into_f32();
-                    inject_halo(material_array_mut(med, fid), f_hi, 2, &data);
-                    arena.put_buf(data);
-                }
-            };
-            if even {
-                send_lo(med, ctx, &mut arena);
-                recv_hi(med, ctx, &mut arena);
-            } else {
-                recv_hi(med, ctx, &mut arena);
-                send_lo(med, ctx, &mut arena);
             }
         }
-    }
-}
-
-fn material_array(med: &Medium, id: u8) -> &awp_grid::array3::Array3 {
-    match id {
-        0 => &med.rho,
-        1 => &med.lam,
-        2 => &med.mu,
-        3 => &med.qs,
-        _ => &med.qp,
-    }
-}
-
-fn material_array_mut(med: &mut Medium, id: u8) -> &mut awp_grid::array3::Array3 {
-    match id {
-        0 => &mut med.rho,
-        1 => &mut med.lam,
-        2 => &mut med.mu,
-        3 => &mut med.qs,
-        _ => &mut med.qp,
     }
 }
 
@@ -1083,3 +1131,6 @@ pub fn partition_mesh_direct(mesh: &Mesh, decomp: &Decomp3) -> Vec<Mesh> {
         })
         .collect()
 }
+
+#[cfg(test)]
+mod fold_tests;

@@ -29,13 +29,15 @@ struct Entry {
 pub struct SourceInjector {
     entries: Vec<Entry>,
     dt_src: f64,
+    /// The (k, j) grid rows holding a source cell, sorted.
+    rows: Vec<(usize, usize)>,
 }
 
 impl SourceInjector {
     /// Build from a rank-local source. `h` is the grid spacing.
     pub fn new(src: &KinematicSource, h: f64) -> Self {
         let inv_v = 1.0 / (h * h * h);
-        let entries = src
+        let entries: Vec<Entry> = src
             .subfaults
             .iter()
             .map(|sf| Entry {
@@ -52,12 +54,22 @@ impl SourceInjector {
                 rate: sf.rate.clone(),
             })
             .collect();
-        Self { entries, dt_src: src.dt }
+        let mut rows: Vec<_> = entries.iter().map(|e| (e.idx.k, e.idx.j)).collect();
+        rows.sort_unstable();
+        rows.dedup();
+        Self { entries, dt_src: src.dt, rows }
     }
 
     /// An injector with no sources (ranks without subfaults).
     pub fn empty() -> Self {
-        Self { entries: Vec::new(), dt_src: 1.0 }
+        Self { entries: Vec::new(), dt_src: 1.0, rows: Vec::new() }
+    }
+
+    /// Can [`SourceInjector::inject_win`] touch row (j, k)? The stress
+    /// walk must not damp such a row itself: the moment is added first.
+    #[inline]
+    pub(crate) fn touches_row(&self, j: usize, k: usize) -> bool {
+        self.rows.binary_search(&(k, j)).is_ok()
     }
 
     pub fn is_empty(&self) -> bool {
@@ -198,6 +210,21 @@ mod tests {
         let want = (-m0 / (h * h * h)) as f32;
         let got = s.sxx.get(2, 2, 2);
         assert!((got / want - 1.0).abs() < 0.02, "got {got} want {want}");
+    }
+
+    #[test]
+    fn touched_rows_are_exactly_the_source_rows() {
+        let mut src = point_source(1e15, MomentTensor::explosion());
+        let mut far = src.subfaults[0].clone();
+        far.idx = Idx3::new(0, 7, 9);
+        src.subfaults.push(far);
+        let inj = SourceInjector::new(&src, 100.0);
+        for k in 0..12 {
+            for j in 0..12 {
+                assert_eq!(inj.touches_row(j, k), [(2, 2), (7, 9)].contains(&(j, k)), "({j},{k})");
+            }
+        }
+        assert!(!SourceInjector::empty().touches_row(0, 0));
     }
 
     #[test]

@@ -9,6 +9,7 @@
 //! and pin the operational guarantees around it (allocation-free steady
 //! state, construction-time config validation, the health sentinel).
 
+use awp_cvm::material::MaterialSample;
 use awp_cvm::mesh::{Mesh, MeshGenerator};
 use awp_cvm::model::LayeredModel;
 use awp_grid::blocking::BlockSpec;
@@ -16,9 +17,10 @@ use awp_grid::decomp::Decomp3;
 use awp_grid::dims::{Dims3, Idx3};
 use awp_grid::stagger::Component;
 use awp_solver::config::CommModeOpt;
-use awp_solver::kernels::{update_stress, update_stress_win, update_velocity, update_velocity_win};
+use awp_solver::kernels::{update_stress, update_velocity};
 use awp_solver::simd::{
-    update_stress_simd, update_stress_simd_win, update_velocity_simd, update_velocity_simd_win,
+    detect, update_stress_backend_win, update_stress_simd, update_velocity_backend_win,
+    update_velocity_simd, SimdBackend,
 };
 use awp_solver::solver::partition_mesh_direct;
 use awp_solver::state::MemoryVars;
@@ -137,10 +139,11 @@ fn shell_interior_union_matches_fused_scalar() {
             update_velocity(&mut fused, &med, 0.01, block, true);
             update_stress(&mut fused, &med, Some(&at), 0.01, 1e-3, block, true);
             run_windows(&plan, &mut split, |s, w| {
-                update_velocity_win(s, &med, 0.01, block, w);
+                update_velocity_backend_win(s, &med, 0.01, block, w, SimdBackend::Scalar);
             });
             run_windows(&plan, &mut split, |s, w| {
-                update_stress_win(s, &med, Some(&at), 0.01, 1e-3, block, w);
+                let scalar = SimdBackend::Scalar;
+                update_stress_backend_win(s, &med, Some(&at), 0.01, 1e-3, block, w, scalar);
             });
             assert_bits_equal(&fused, &split, &format!("scalar {d:?} widths {widths:?}"));
         }
@@ -160,10 +163,10 @@ fn shell_interior_union_matches_fused_simd() {
             update_velocity_simd(&mut fused, &med, 0.01, block);
             update_stress_simd(&mut fused, &med, None, 0.01, 1e-3, block);
             run_windows(&plan, &mut split, |s, w| {
-                update_velocity_simd_win(s, &med, 0.01, block, w);
+                update_velocity_backend_win(s, &med, 0.01, block, w, detect());
             });
             run_windows(&plan, &mut split, |s, w| {
-                update_stress_simd_win(s, &med, None, 0.01, 1e-3, block, w);
+                update_stress_backend_win(s, &med, None, 0.01, 1e-3, block, w, detect());
             });
             assert_bits_equal(&fused, &split, &format!("simd {d:?} widths {widths:?}"));
         }
@@ -294,15 +297,57 @@ fn thin_surface_ranks_degenerate_to_one_or_two_slabs() {
     // A surface-owning rank over a z-hi neighbour, 4/5/7/9 planes tall: the
     // slab rule gives one slab (nothing to pipeline, free-surface imaging
     // and both z faces in the same window) or, at 9, two.
-    // (h = 100 m keeps LOH.1's layer floor, 10 planes down, off every seam:
-    // material corner halos are clamped, not exchanged, so a contrast
-    // exactly on a seam next to a global boundary is a separate, older
-    // parallel ≢ serial.)
+    // At h = 150 m LOH.1's layer floor (1000 m) lies between planes 6 and
+    // 7, so the 7-plane case puts the material contrast exactly on the z
+    // seam, beside the global x/y boundaries: the edge and corner material
+    // halos must hold the neighbour's values, not clamped copies.
     for nz in [4, 5, 7, 9] {
         let d = Dims3::new(16, 14, 2 * nz);
-        let fx = fixture(&LayeredModel::loh1(), d, 100.0, 0.006, nz, 16);
-        let decomp = Decomp3::new(d, [2, 1, 2]);
-        assert_eq!(decomp.subdomain(0).dims.nz, nz);
+        let fx = fixture(&LayeredModel::loh1(), d, 150.0, 0.009, nz, 16);
+        for parts in [[1, 1, 2], [2, 1, 2]] {
+            let decomp = Decomp3::new(d, parts);
+            assert_eq!(decomp.subdomain(0).dims.nz, nz);
+            assert_pipelined_fused_serial_agree(&fx.3, decomp, &fx);
+        }
+    }
+}
+
+#[test]
+fn random_layer_depths_and_cuts_match_serial() {
+    // A layer floor at a random depth — on a seam as often as not — under a
+    // per-cell lateral perturbation, so that every face, edge and corner
+    // material halo carries a value of its own; a random (skewed) cut; both
+    // boundary kinds. Parallel must equal serial bit for bit.
+    let mut x = 0x6d61_7465_7269_616cu64;
+    let mut below = |n: usize| {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        (x % n as u64) as usize
+    };
+    let (d, h) = (Dims3::new(16, 14, 16), 150.0);
+    for case in 0..8 {
+        let floor = (2 + below(12)) as f64 * h;
+        let model = LayeredModel::new(vec![
+            (floor, MaterialSample::from_speeds(4000.0, 2000.0, 2600.0)),
+            (f64::INFINITY, MaterialSample::from_speeds(6000.0, 3464.0, 2700.0)),
+        ]);
+        let mut fx = fixture(&model, d, h, 0.008, 3 + below(10), 14);
+        for k in 0..d.nz {
+            for j in 0..d.ny {
+                for i in 0..d.nx {
+                    let mut s = fx.0.sample(i, j, k);
+                    let f = 1.0 - 0.02 * below(6) as f32;
+                    (s.vp, s.vs, s.rho) = (s.vp * f, s.vs * f, s.rho * (2.0 - f));
+                    fx.0.set_sample(i, j, k, s);
+                }
+            }
+        }
+        if case % 2 == 0 {
+            fx.3.abc = AbcKind::Sponge { width: 4, amp: 0.92 };
+        }
+        let parts = [1 + below(3), 1 + below(2), 1 + below(3)];
+        let decomp = Decomp3::new(d, parts).with_skew(0, below(2)).with_skew(2, below(3));
         assert_pipelined_fused_serial_agree(&fx.3, decomp, &fx);
     }
 }

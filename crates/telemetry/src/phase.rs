@@ -26,6 +26,11 @@ pub enum Phase {
     Send,
     Wait,
     Inject,
+    /// Boundary-condition work done as passes of its own: free-surface
+    /// imaging, M-PML corrections, and what the stress walk leaves of the
+    /// sponge (the deferred rows, the velocity planes it did not retire).
+    /// The sponge work folded into the walk is inside the `*Interior`
+    /// span of its window.
     Boundary,
     Source,
     Barrier,

@@ -42,6 +42,8 @@ echo "=== EXAMPLES DONE ==="
 cargo test --release -p awp-solver --test shell_overlap 2>&1 | grep -E "test result|FAILED"; echo "overlap_smoke exit ${PIPESTATUS[0]}"
 # Absolute pins: every stepping path must reproduce its recorded hash.
 cargo test --release -p awp-solver --test step_golden 2>&1 | grep -E "test result|FAILED"; echo "step_golden exit ${PIPESTATUS[0]}"
+# The folded sponge against the separate-pass stepper, every backend.
+cargo test --release -p awp-solver --lib fold_tests 2>&1 | grep -E "test result|FAILED"; echo "fold_tests exit ${PIPESTATUS[0]}"
 echo "=== OVERLAP SMOKE DONE ==="
 # Perf regression gate: nonzero exit if the SIMD kernels are slower than
 # scalar, the steady-state exchange path allocates (arena ledger), the

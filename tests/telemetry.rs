@@ -28,12 +28,16 @@ fn workflow_telemetry_end_to_end() {
         "hidden-comm fraction is a fraction, got {}",
         telem.hidden_comm_fraction
     );
+    // `Boundary` still records under a sponge — imaging, the deferred
+    // rows, the leftover velocity planes — though most of the damping now
+    // happens inside the `StressInterior` spans.
     for ph in [
         Phase::VelocityInterior,
         Phase::StressInterior,
         Phase::Send,
         Phase::Wait,
         Phase::Inject,
+        Phase::Boundary,
         Phase::Checkpoint,
     ] {
         assert!(
