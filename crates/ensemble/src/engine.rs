@@ -7,17 +7,21 @@
 //! the expensive shared structure — is amortised: one `Arc<Mesh>` per
 //! [`ScenarioSpec::mesh_key`], handed to every event that shares it
 //! (the multiple-simulation framing of Yamaguchi et al.).
+//!
+//! Reads are amortised the same way: a result is decoded once, into a
+//! `SiteIndex` memoized by content hash, and every later site query or
+//! hazard sweep reads that instead of the stored artifacts.
 
 use crate::queue::{CancelToken, JobOutcome, JobQueue};
 use crate::spec::ScenarioSpec;
-use crate::store::ResultsStore;
+use crate::store::{ResultsStore, SiteIndex};
 use awp_cvm::mesh::Mesh;
 use awp_odc::workflow::WorkflowSession;
 use std::collections::HashMap;
 use std::io;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Cache / throughput counters. All relaxed: these are observability
 /// counters, not synchronisation.
@@ -75,6 +79,10 @@ pub struct EnsembleEngine {
     pub stats: EngineStats,
     scratch: PathBuf,
     meshes: Mutex<HashMap<String, Arc<Mesh>>>,
+    /// Site indexes by scenario hash. Results are content-addressed, so an
+    /// entry never goes stale; [`hazard_at`](Self::hazard_at) drops the
+    /// entries of results that have left the store.
+    sites: Mutex<HashMap<String, Arc<SiteIndex>>>,
 }
 
 impl EnsembleEngine {
@@ -91,6 +99,7 @@ impl EnsembleEngine {
             stats: EngineStats::default(),
             scratch,
             meshes: Mutex::new(HashMap::new()),
+            sites: Mutex::new(HashMap::new()),
         }))
     }
 
@@ -230,8 +239,24 @@ impl EnsembleEngine {
         Ok(())
     }
 
+    /// The site index of stored result `hash`: memoized, or decoded from
+    /// the store now (outside the lock; two first readers may both decode,
+    /// and both get the same answers).
+    pub(crate) fn site_index(&self, hash: &str) -> io::Result<Arc<SiteIndex>> {
+        if let Some(index) = self.site_memo().get(hash) {
+            return Ok(Arc::clone(index));
+        }
+        let index = Arc::new(self.store.load(hash)?.site_index());
+        self.site_memo().insert(hash.to_string(), Arc::clone(&index));
+        Ok(index)
+    }
+
+    fn site_memo(&self) -> MutexGuard<'_, HashMap<String, Arc<SiteIndex>>> {
+        self.sites.lock().expect("site memo: a reader panicked while holding the lock")
+    }
+
     /// Answer "ground motion at `site` for scenario `spec`": cache hit or
-    /// compute, then read the stored traces. Returns
+    /// compute, then read the result's site index. Returns
     /// `(outcome, pgvh at site, PGV-map max)`.
     pub fn query_site(
         &self,
@@ -242,25 +267,27 @@ impl EnsembleEngine {
         let Some(hash) = outcome.hash() else {
             return Err(io::Error::other("query cancelled"));
         };
-        let result = self.store.load(hash)?;
-        let trace = result
-            .traces
-            .iter()
-            .find(|t| t.station == site)
+        let index = self.site_index(hash)?;
+        let pgvh = index
+            .pgvh_at(site)
             .ok_or_else(|| io::Error::other(format!("no station named '{site}'")))?;
-        Ok((outcome, trace.pgvh(), result.pgv.max()))
+        Ok((outcome, pgvh, index.pgv_max))
     }
 
     /// Hazard sweep: peak horizontal velocity at `site` across every
-    /// stored scenario, sorted descending.
+    /// stored scenario, sorted descending. The store is listed on every
+    /// sweep, so a result removed from disk drops out of the curve and its
+    /// memo entry is dropped with it.
     pub fn hazard_at(&self, site: &str) -> io::Result<Vec<(String, f64, f64)>> {
+        let listed = self.store.list()?;
         let mut curve = Vec::new();
-        for hash in self.store.list()? {
-            let r = self.store.load(&hash)?;
-            if let Some(t) = r.traces.iter().find(|t| t.station == site) {
-                curve.push((hash, r.mw, t.pgvh()));
+        for hash in &listed {
+            let index = self.site_index(hash)?;
+            if let Some(pgvh) = index.pgvh_at(site) {
+                curve.push((hash.clone(), index.mw, pgvh));
             }
         }
+        self.site_memo().retain(|hash, _| listed.binary_search(hash).is_ok());
         curve.sort_by(|a, b| b.2.total_cmp(&a.2));
         Ok(curve)
     }

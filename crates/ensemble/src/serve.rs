@@ -7,7 +7,9 @@
 //! `proto`/`v` it does not recognise ([`validate_hello`]) — that is the
 //! entire negotiation. After the hello the connection is request/response:
 //! the client writes one JSON object per line, the server answers each
-//! with exactly one JSON line.
+//! with exactly one JSON line. Each side sends a message as one write
+//! (`send_line`), and a line that arrives in pieces is reassembled
+//! however long the pauses between them (`read_line`).
 //!
 //! Request kinds (v1):
 //!
@@ -192,44 +194,59 @@ pub fn validate_hello(line: &str) -> Result<(), String> {
     Ok(())
 }
 
+/// Send one message as a single write of `text` + `'\n'`, so the reader
+/// wakes once and Nagle never holds back a trailing newline.
+fn send_line(writer: &mut dyn Write, mut text: String) -> io::Result<()> {
+    text.push('\n');
+    writer.write_all(text.as_bytes())
+}
+
+/// Read up to and including the next `'\n'` into `line`, which keeps what
+/// earlier calls read. `Ok(true)`: `line` holds a whole line, or the
+/// stream's last unterminated bytes. `Ok(false)`: the stream ended with
+/// nothing read. A read timeout surfaces as `WouldBlock`/`TimedOut` with
+/// the bytes read so far still in `line`.
+fn read_line(reader: &mut dyn BufRead, line: &mut Vec<u8>) -> io::Result<bool> {
+    reader.read_until(b'\n', line)?;
+    Ok(!line.is_empty())
+}
+
+fn is_timeout(e: &io::Error) -> bool {
+    matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut)
+}
+
 fn serve_client(mut conn: Conn, engine: Arc<EnsembleEngine>, stop: Arc<AtomicBool>) {
-    if writeln!(conn.writer, "{}", hello_json()).and_then(|_| conn.writer.flush()).is_err() {
+    if send_line(&mut conn.writer, hello_json()).is_err() {
         return;
     }
-    let mut line = String::new();
+    let mut line = Vec::new();
     loop {
         if stop.load(Ordering::Acquire) {
             return;
         }
-        line.clear();
-        match conn.reader.read_line(&mut line) {
-            Ok(0) => return, // client hung up
-            Ok(_) => {}
-            // The 100ms read timeout surfaces as WouldBlock/TimedOut;
-            // loop so the stop flag is observed between requests.
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock
-                    || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                continue;
-            }
+        match read_line(&mut conn.reader, &mut line) {
+            Ok(true) => {}
+            Ok(false) => return, // client hung up
+            // The 100ms read timeout lets the stop flag be observed; a
+            // request read in part stays in `line` until its newline.
+            Err(e) if is_timeout(&e) => continue,
             Err(_) => return,
         }
-        if line.trim().is_empty() {
-            continue;
-        }
-        let response = match handle_request(&engine, line.trim()) {
-            Ok(v) => v,
-            Err(message) => serde_json::json!({
+        let response = match std::str::from_utf8(&line).map(str::trim) {
+            Ok("") => None,
+            Ok(text) => Some(handle_request(&engine, text)),
+            Err(e) => Some(Err(format!("request is not UTF-8: {e}"))),
+        };
+        line.clear();
+        let Some(response) = response else { continue };
+        let response = response.unwrap_or_else(|message| {
+            serde_json::json!({
                 "v": SERVE_PROTO_VERSION,
                 "kind": "error",
                 "message": message
-            }),
-        };
-        if writeln!(conn.writer, "{}", response.compact())
-            .and_then(|_| conn.writer.flush())
-            .is_err()
-        {
+            })
+        });
+        if send_line(&mut conn.writer, response.compact()).is_err() {
             return;
         }
     }
@@ -258,14 +275,14 @@ fn handle_request(engine: &Arc<EnsembleEngine>, line: &str) -> Result<Value, Str
                 }
                 None => {
                     let outcome = engine.run_spec(&spec, None).map_err(|e| e.to_string())?;
-                    let hash = outcome.hash().ok_or("query cancelled")?.to_string();
-                    let r = engine.store.load(&hash).map_err(|e| e.to_string())?;
+                    let hash = outcome.hash().ok_or("query cancelled")?;
+                    let index = engine.site_index(hash).map_err(|e| e.to_string())?;
                     Ok(serde_json::json!({
                         "v": SERVE_PROTO_VERSION,
                         "kind": "result",
-                        "hash": hash.as_str(),
+                        "hash": hash,
                         "cached": matches!(outcome, RunOutcome::Cached(_)),
-                        "pgv_max": r.pgv.max()
+                        "pgv_max": index.pgv_max
                     }))
                 }
             }
@@ -353,6 +370,7 @@ impl ServeClient {
             StatsAddr::Tcp(a) => {
                 let s = TcpStream::connect(a.as_str())?;
                 s.set_read_timeout(Some(Duration::from_secs(600)))?;
+                s.set_nodelay(true)?;
                 let r = s.try_clone()?;
                 (Box::new(BufReader::new(r)), Box::new(s))
             }
@@ -370,27 +388,24 @@ impl ServeClient {
     }
 
     fn read_line(&mut self) -> io::Result<String> {
-        let mut line = String::new();
+        let mut line = Vec::new();
         loop {
-            match self.reader.read_line(&mut line) {
-                Ok(0) => return Err(io::Error::other("server closed the connection")),
-                Ok(_) => return Ok(line.trim().to_string()),
-                Err(e)
-                    if e.kind() == io::ErrorKind::WouldBlock
-                        || e.kind() == io::ErrorKind::TimedOut =>
-                {
-                    continue
-                }
+            match read_line(&mut self.reader, &mut line) {
+                Ok(true) => break,
+                Ok(false) => return Err(io::Error::other("server closed the connection")),
+                Err(e) if is_timeout(&e) => continue,
                 Err(e) => return Err(e),
             }
         }
+        String::from_utf8(line)
+            .map(|text| text.trim().to_string())
+            .map_err(|e| io::Error::other(format!("response is not UTF-8: {e}")))
     }
 
     /// One request/response round trip. Protocol-level `error` responses
     /// come back as `Err`, so callers handle exactly one failure path.
     pub fn request(&mut self, req: &Value) -> io::Result<Value> {
-        writeln!(self.writer, "{}", req.compact())?;
-        self.writer.flush()?;
+        send_line(&mut self.writer, req.compact())?;
         let line = self.read_line()?;
         let v: Value = serde_json::from_str(&line)
             .map_err(|e| io::Error::other(format!("bad response JSON: {e}")))?;

@@ -57,6 +57,39 @@ pub struct StoredResult {
     pub traces: Vec<StoredTrace>,
 }
 
+impl StoredResult {
+    /// What a site query or hazard sweep reads from this result.
+    pub(crate) fn site_index(&self) -> SiteIndex {
+        SiteIndex {
+            mw: self.mw,
+            pgv_max: self.pgv.max(),
+            pgvh: self.traces.iter().map(|t| (t.station.clone(), t.pgvh())).collect(),
+        }
+    }
+}
+
+/// A result reduced to its per-site answers: magnitude, PGV-map maximum
+/// and each station's peak horizontal velocity, in trace order.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct SiteIndex {
+    pub(crate) mw: f64,
+    pub(crate) pgv_max: f64,
+    pub(crate) pgvh: Vec<(String, f64)>,
+}
+
+impl SiteIndex {
+    /// `pgvh` at the first station named `site`.
+    pub(crate) fn pgvh_at(&self, site: &str) -> Option<f64> {
+        self.pgvh.iter().find(|(s, _)| s == site).map(|&(_, v)| v)
+    }
+}
+
+/// A scenario hash as [`ScenarioSpec::hash`](crate::spec::ScenarioSpec::hash)
+/// writes it: 32 lowercase hex digits.
+fn is_hash(name: &str) -> bool {
+    name.len() == 32 && name.bytes().all(|b| matches!(b, b'0'..=b'9' | b'a'..=b'f'))
+}
+
 /// The store root. Cheap to clone-by-path; all methods are `&self` and
 /// safe under concurrent workers (atomicity comes from rename).
 pub struct ResultsStore {
@@ -83,13 +116,15 @@ impl ResultsStore {
         self.dir(hash).join("manifest.json").is_file()
     }
 
-    /// All published scenario hashes, sorted.
+    /// All published scenario hashes, sorted. Only hash-named directories
+    /// count: a `<hash>.tmp-<pid>/` being filled by [`put`](Self::put)
+    /// holds a manifest before its rename publishes it.
     pub fn list(&self) -> io::Result<Vec<String>> {
         let mut hashes = Vec::new();
         for e in std::fs::read_dir(&self.root)? {
             let e = e?;
             let name = e.file_name().to_string_lossy().into_owned();
-            if e.path().join("manifest.json").is_file() {
+            if is_hash(&name) && e.path().join("manifest.json").is_file() {
                 hashes.push(name);
             }
         }
@@ -97,8 +132,9 @@ impl ResultsStore {
         Ok(hashes)
     }
 
-    /// Publish a result. Atomic: builds `<hash>.tmp-<pid>/` then renames.
-    /// Racing publishers converge on whoever renames first.
+    /// Publish a result under its scenario hash. Atomic: builds
+    /// `<hash>.tmp-<pid>/` then renames. Racing publishers converge on
+    /// whoever renames first.
     pub fn put(
         &self,
         hash: &str,
@@ -107,6 +143,12 @@ impl ResultsStore {
         pgv: &PgvMap,
         seismograms: &[Seismogram],
     ) -> io::Result<()> {
+        if !is_hash(hash) {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!("'{hash}' is not a scenario hash"),
+            ));
+        }
         if self.contains(hash) {
             return Ok(());
         }
@@ -336,14 +378,16 @@ mod tests {
         (pgv, vec![seis])
     }
 
+    const DEADBEEF: &str = "deadbeefdeadbeefdeadbeefdeadbeef";
+
     #[test]
     fn put_load_round_trip_is_exact() {
         let (dir, store) = tmp_store("roundtrip");
         let (pgv, seis) = sample();
-        store.put("deadbeef", "shakeout-k", 7.5, &pgv, &seis).unwrap();
-        assert!(store.contains("deadbeef"));
-        assert_eq!(store.list().unwrap(), vec!["deadbeef".to_string()]);
-        let r = store.load("deadbeef").unwrap();
+        store.put(DEADBEEF, "shakeout-k", 7.5, &pgv, &seis).unwrap();
+        assert!(store.contains(DEADBEEF));
+        assert_eq!(store.list().unwrap(), vec![DEADBEEF.to_string()]);
+        let r = store.load(DEADBEEF).unwrap();
         assert_eq!(r.pgv.data, pgv.data);
         assert_eq!(r.pgv.nx, 4);
         assert_eq!(r.mw, 7.5);
@@ -351,7 +395,7 @@ mod tests {
         assert_eq!(r.traces[0].station, "Downtown");
         assert_eq!(r.traces[0].vx, seis[0].vx);
         assert_eq!(r.traces[0].vz, seis[0].vz);
-        store.verify("deadbeef").unwrap();
+        store.verify(DEADBEEF).unwrap();
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -359,13 +403,14 @@ mod tests {
     fn verify_catches_corruption() {
         let (dir, store) = tmp_store("corrupt");
         let (pgv, seis) = sample();
-        store.put("cafebabe", "w2w", 8.0, &pgv, &seis).unwrap();
-        let victim = dir.join("cafebabe").join("pgv.bin");
+        let hash = "cafebabecafebabecafebabecafebabe";
+        store.put(hash, "w2w", 8.0, &pgv, &seis).unwrap();
+        let victim = dir.join(hash).join("pgv.bin");
         let mut bytes = std::fs::read(&victim).unwrap();
         let last = bytes.len() - 1;
         bytes[last] ^= 0x01;
         std::fs::write(&victim, &bytes).unwrap();
-        let err = store.verify("cafebabe").unwrap_err().to_string();
+        let err = store.verify(hash).unwrap_err().to_string();
         assert!(err.contains("pgv.bin"), "error names the artifact: {err}");
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -374,11 +419,38 @@ mod tests {
     fn repeated_put_is_idempotent() {
         let (dir, store) = tmp_store("idem");
         let (pgv, seis) = sample();
-        store.put("feedf00d", "w2w", 8.0, &pgv, &seis).unwrap();
-        let before = std::fs::read(dir.join("feedf00d").join("manifest.json")).unwrap();
-        store.put("feedf00d", "w2w", 8.0, &pgv, &seis).unwrap();
-        let after = std::fs::read(dir.join("feedf00d").join("manifest.json")).unwrap();
+        let hash = "feedf00dfeedf00dfeedf00dfeedf00d";
+        store.put(hash, "w2w", 8.0, &pgv, &seis).unwrap();
+        let before = std::fs::read(dir.join(hash).join("manifest.json")).unwrap();
+        store.put(hash, "w2w", 8.0, &pgv, &seis).unwrap();
+        let after = std::fs::read(dir.join(hash).join("manifest.json")).unwrap();
         assert_eq!(before, after);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A publication still in its temp directory already holds a manifest;
+    /// `list` must not report it, nor anything else that is not a hash.
+    #[test]
+    fn list_skips_publications_in_flight() {
+        let (dir, store) = tmp_store("inflight");
+        let (pgv, seis) = sample();
+        store.put(DEADBEEF, "w2w", 8.0, &pgv, &seis).unwrap();
+        for name in [
+            format!("{DEADBEEF}.tmp-4242"),
+            "0123456789abcdef0123456789abcdef.tmp-1".to_string(),
+            "DEADBEEFDEADBEEFDEADBEEFDEADBEEF".to_string(),
+            "deadbeef".to_string(),
+        ] {
+            std::fs::create_dir_all(dir.join(&name)).unwrap();
+            std::fs::copy(
+                dir.join(DEADBEEF).join("manifest.json"),
+                dir.join(&name).join("manifest.json"),
+            )
+            .unwrap();
+        }
+        assert_eq!(store.list().unwrap(), vec![DEADBEEF.to_string()]);
+        let err = store.put("deadbeef", "w2w", 8.0, &pgv, &seis).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -197,6 +197,9 @@ echo "=== CAUSAL TRACING DONE ==="
 timeout 900 ./target/release/awp serve --smoke > results/logs/cli_serve.log 2>&1; echo "serve_smoke exit $?"
 grep -q "serve smoke passed" results/logs/cli_serve.log; echo "serve_valid exit $?"
 grep -q "cold replay bit-exact" results/logs/cli_serve.log; echo "serve_replay exit $?"
+# The serde_json shim is not a workspace member: its `json!` property test
+# (direct conversion ≡ serialise→parse) runs here.
+cargo test --release --manifest-path tools/shims/serde_json/Cargo.toml 2>&1 | grep -E "test result|FAILED"; echo "json_shim_tests exit ${PIPESTATUS[0]}"
 echo "=== SERVE SMOKE DONE ==="
 # Hygiene gate: a clean run must leave no untracked scratch files behind
 # (everything a smoke run writes is either tracked under results/ or

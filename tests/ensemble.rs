@@ -432,3 +432,150 @@ fn shared_mesh_reuse_is_bit_exact_and_non_mutating() {
     }
     let _ = std::fs::remove_dir_all(&root);
 }
+
+// ---------------------------------------------------------------------------
+// Site memo: `query_site` / `hazard_at` read a per-result index decoded
+// once; answers must be the ones a full decode of the store gives.
+// ---------------------------------------------------------------------------
+
+const SITES: [&str; 4] = ["Los Angeles", "San Bernardino", "Ventura", "Palm Springs"];
+
+/// A synthetic result for `spec`: seeded PGV map and traces at a seeded
+/// subset of [`SITES`] (so some results miss some sites), published under
+/// the spec's hash without a solve.
+fn put_synthetic(engine: &EnsembleEngine, spec: &ScenarioSpec, seed: u64) -> String {
+    use awp_analysis::pgv::PgvMap;
+    use awp_grid::dims::Idx3;
+    use awp_solver::stations::{Seismogram, Station};
+    let mut state = seed;
+    let mut draw = move || {
+        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        ((z ^ (z >> 31)) >> 11) as f64 / (1u64 << 53) as f64 - 0.5
+    };
+    let mut pgv = PgvMap::zeros(6, 5, 500.0);
+    pgv.data.iter_mut().for_each(|x| *x = draw().abs() * 3.0);
+    let mut traces = Vec::new();
+    for (i, site) in SITES.iter().enumerate() {
+        if draw() < 0.3 {
+            traces.push(Seismogram {
+                station: Station::new(*site, Idx3::new(i, i, 0)),
+                dt: 0.05,
+                vx: (0..40).map(|_| draw()).collect(),
+                vy: (0..40).map(|_| draw()).collect(),
+                vz: (0..40).map(|_| draw()).collect(),
+            });
+        }
+    }
+    let hash = spec.hash().unwrap();
+    engine.store.put(&hash, &spec.family, spec.mw, &pgv, &traces).unwrap();
+    hash
+}
+
+/// The pre-memo answer: decode every stored result.
+fn decoded_hazard(engine: &EnsembleEngine, site: &str) -> Vec<(String, f64, f64)> {
+    let mut curve = Vec::new();
+    for hash in engine.store.list().unwrap() {
+        let r = engine.store.load(&hash).unwrap();
+        if let Some(t) = r.traces.iter().find(|t| t.station == site) {
+            curve.push((hash, r.mw, t.pgvh()));
+        }
+    }
+    curve.sort_by(|a, b| b.2.total_cmp(&a.2));
+    curve
+}
+
+fn bits(curve: &[(String, f64, f64)]) -> Vec<(String, u64, u64)> {
+    curve.iter().map(|(h, mw, v)| (h.clone(), mw.to_bits(), v.to_bits())).collect()
+}
+
+/// Every `(pgvh, pgv_max)` answer of `query_site`, as bits; `None` where
+/// the result has no such station.
+fn site_answers(engine: &EnsembleEngine, specs: &[ScenarioSpec]) -> Vec<Option<(u64, u64)>> {
+    let mut out = Vec::new();
+    for spec in specs {
+        for site in SITES {
+            out.push(match engine.query_site(spec, site) {
+                Ok((outcome, pgvh, pgv_max)) => {
+                    assert!(matches!(outcome, RunOutcome::Cached(_)), "seeded result is a hit");
+                    Some((pgvh.to_bits(), pgv_max.to_bits()))
+                }
+                Err(e) => {
+                    assert!(e.to_string().contains("no station"), "{e}");
+                    None
+                }
+            });
+        }
+    }
+    out
+}
+
+#[test]
+fn memoized_site_answers_equal_a_full_decode() {
+    let root = tmp_dir("memo-equal");
+    let engine = EnsembleEngine::open(&root, [1, 1, 1]).unwrap();
+    let specs: Vec<ScenarioSpec> = (0..24).map(small_spec).collect();
+    for (i, spec) in specs.iter().enumerate() {
+        put_synthetic(&engine, spec, 1000 + i as u64);
+    }
+    let reference: Vec<Option<(u64, u64)>> = specs
+        .iter()
+        .flat_map(|spec| {
+            let r = engine.store.load(&spec.hash().unwrap()).unwrap();
+            SITES.map(|site| {
+                let t = r.traces.iter().find(|t| t.station == site)?;
+                Some((t.pgvh().to_bits(), r.pgv.max().to_bits()))
+            })
+        })
+        .collect();
+    assert!(reference.iter().any(Option::is_none) && reference.iter().any(Option::is_some));
+    // First pass decodes into the memo, the second reads it.
+    for _ in 0..2 {
+        for site in SITES {
+            assert_eq!(
+                bits(&engine.hazard_at(site).unwrap()),
+                bits(&decoded_hazard(&engine, site))
+            );
+        }
+        assert_eq!(site_answers(&engine, &specs), reference);
+    }
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
+fn removed_results_leave_the_sweep_and_the_memo() {
+    let root = tmp_dir("memo-prune");
+    let engine = EnsembleEngine::open(&root, [1, 1, 1]).unwrap();
+    let specs: Vec<ScenarioSpec> = (0..8).map(small_spec).collect();
+    let hashes: Vec<String> =
+        specs.iter().enumerate().map(|(i, s)| put_synthetic(&engine, s, 7 * i as u64)).collect();
+    let site = SITES[0];
+    let before = bits(&engine.hazard_at(site).unwrap());
+    let answers = site_answers(&engine, &specs);
+
+    // Unpublish behind the engine's back: the next sweep no longer lists it.
+    let victim = (0..specs.len())
+        .find(|&i| before.iter().any(|(h, _, _)| *h == hashes[i]))
+        .expect("some result has the site");
+    std::fs::remove_dir_all(engine.store.root().join(&hashes[victim])).unwrap();
+    let after = bits(&engine.hazard_at(site).unwrap());
+    assert_eq!(after.len() + 1, before.len());
+    assert!(after.iter().all(|(h, _, _)| *h != hashes[victim]));
+    assert_eq!(after, bits(&decoded_hazard(&engine, site)));
+
+    // The sweep also pruned the memo: bytes put back under that hash are
+    // decoded afresh. Different bytes (which content addressing never
+    // produces) show it is the disk, not a stale entry, that answers.
+    put_synthetic(&engine, &specs[victim], 0xD1FF);
+    assert_eq!(bits(&engine.hazard_at(site).unwrap()), bits(&decoded_hazard(&engine, site)));
+
+    // Re-publishing the original bytes restores every original answer.
+    std::fs::remove_dir_all(engine.store.root().join(&hashes[victim])).unwrap();
+    engine.hazard_at(site).unwrap();
+    put_synthetic(&engine, &specs[victim], 7 * victim as u64);
+    assert_eq!(bits(&engine.hazard_at(site).unwrap()), before);
+    assert_eq!(site_answers(&engine, &specs), answers);
+    let _ = std::fs::remove_dir_all(&root);
+}

@@ -1,25 +1,33 @@
 #!/usr/bin/env bash
-# Alternating-order perfbench pairs of two checkouts on one workload.
+# Alternating-order perfbench pairs of two checkouts.
 #
-#   tools/ab-pairs.sh PARENT_DIR CHANGE_DIR WORKLOAD [PAIRS] [SECONDS]
+#   tools/ab-pairs.sh PARENT_DIR CHANGE_DIR WORKLOAD|all [PAIRS] [SECONDS]
 #
 # Builds each checkout's perfbench/ into $AB_SCRATCH/{parent,change}-target
 # (AB_SCRATCH defaults to /root/scratch; the checkouts' committed
 # perfbench/Cargo.lock is put back after the build), runs PAIRS (10) pairs
 # of `--seed N --seconds SECONDS (12) --trace 0` on seeds 1…PAIRS —
-# parent first on odd seeds, change first on even — and prints, per
-# end-to-end metric, each side's median and quartiles, how many pairs the
-# change won, and the runs that reported `failed` > 0.
+# parent first on odd seeds, change first on even — and prints one table:
+# per workload and end-to-end metric, each side's median and quartiles,
+# change ÷ parent, how many pairs the change won, and the runs that
+# reported `failed` > 0. `all` runs every workload CHANGE_DIR's
+# BENCHMARK.json lists, one after the other.
 set -euo pipefail
 
-[ $# -ge 3 ] || { sed -n '2,12p' "$0"; exit 2; }
+[ $# -ge 3 ] || { sed -n '2,14p' "$0"; exit 2; }
 parent=$(cd "$1" && pwd)
 change=$(cd "$2" && pwd)
-workload=$3
 pairs=${4:-10}
 seconds=${5:-12}
 scratch=${AB_SCRATCH:-/root/scratch}
 mkdir -p "$scratch"
+if [ "$3" = all ]; then
+    workloads=$(python3 -c 'import json, sys
+print(" ".join(w["name"] for w in json.load(open(sys.argv[1]))["workloads"]))' \
+        "$change/BENCHMARK.json")
+else
+    workloads=$3
+fi
 
 build() { # side dir
     local lock="$2/perfbench/Cargo.lock" keep
@@ -33,38 +41,45 @@ build parent "$parent"
 build change "$change"
 
 out=$(mktemp)
-run() { # side seed
+run() { # workload side seed
     local line
-    line=$(cd "$scratch" && "./$1-target/release/perfbench" \
-        --workload "$workload" --seed "$2" --seconds "$seconds" --trace 0 | tail -n 1)
-    echo "$1 $2 $line" >>"$out"
+    line=$(cd "$scratch" && "./$2-target/release/perfbench" \
+        --workload "$1" --seed "$3" --seconds "$seconds" --trace 0 | tail -n 1)
+    echo "$1 $2 $3 $line" >>"$out"
 }
-for seed in $(seq 1 "$pairs"); do
-    if [ $((seed % 2)) -eq 1 ]; then
-        run parent "$seed"; run change "$seed"
-    else
-        run change "$seed"; run parent "$seed"
-    fi
-    echo "pair $seed/$pairs done" >&2
+for workload in $workloads; do
+    for seed in $(seq 1 "$pairs"); do
+        if [ $((seed % 2)) -eq 1 ]; then
+            run "$workload" parent "$seed"; run "$workload" change "$seed"
+        else
+            run "$workload" change "$seed"; run "$workload" parent "$seed"
+        fi
+        echo "$workload: pair $seed/$pairs done" >&2
+    done
 done
 
-python3 - "$out" "$workload" <<'EOF'
+python3 - "$out" <<'EOF'
 import json, statistics, sys
-rows = [l.split(" ", 2) for l in open(sys.argv[1])]
-runs = {(side, int(seed)): json.loads(doc) for side, seed, doc in rows}
-seeds = sorted({seed for _, seed in runs})
-print(f"{sys.argv[2]}: {len(seeds)} alternating pairs")
-for metric in ("setup_s", "wall_s", "cpu_s"):
-    val = lambda side, s: runs[(side, s)]["metrics"][metric]["value"]
-    line = [f"{metric:8}"]
-    for side in ("parent", "change"):
-        v = [val(side, s) for s in seeds]
-        q = statistics.quantiles(v, n=4) if len(v) > 1 else [v[0]] * 3
-        line.append(f"{side} {statistics.median(v):.3f} [{q[0]:.3f}, {q[2]:.3f}]")
-    wins = sum(val("change", s) < val("parent", s) for s in seeds)
-    line.append(f"change wins {wins}/{len(seeds)}")
-    print("  ".join(line))
-bad = [f"{side}#{seed}" for (side, seed), r in sorted(runs.items()) if r["failed"] or not r["correct"]]
+rows = [l.split(" ", 3) for l in open(sys.argv[1])]
+runs = {(w, side, int(seed)): json.loads(doc) for w, side, seed, doc in rows}
+workloads = list(dict.fromkeys(w for w, _, _ in runs))
+print(f"{'workload':18} {'metric':8} {'parent median [q1, q3]':26} "
+      f"{'change median [q1, q3]':26} {'ratio':>6}  wins")
+for w in workloads:
+    seeds = sorted({s for ww, _, s in runs if ww == w})
+    for metric in ("setup_s", "wall_s", "cpu_s"):
+        val = lambda side, s: runs[(w, side, s)]["metrics"][metric]["value"]
+        cells, medians = [], {}
+        for side in ("parent", "change"):
+            v = [val(side, s) for s in seeds]
+            q = statistics.quantiles(v, n=4) if len(v) > 1 else [v[0]] * 3
+            medians[side] = statistics.median(v)
+            cells.append(f"{medians[side]:.3f} [{q[0]:.3f}, {q[2]:.3f}]")
+        wins = sum(val("change", s) < val("parent", s) for s in seeds)
+        ratio = medians["change"] / medians["parent"]
+        print(f"{w:18} {metric:8} {cells[0]:26} {cells[1]:26} {ratio:6.3f}  {wins}/{len(seeds)}")
+bad = [f"{w}/{side}#{seed}" for (w, side, seed), r in sorted(runs.items())
+       if r["failed"] or not r["correct"]]
 print("failed runs:", ", ".join(bad) if bad else "none")
 EOF
 rm -f "$out"

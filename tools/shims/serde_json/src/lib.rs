@@ -5,7 +5,7 @@
 //! shipped.
 
 use std::collections::BTreeMap;
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 #[derive(Debug, Clone, Default, PartialEq)]
 pub enum Value {
@@ -74,17 +74,12 @@ impl Value {
     }
 
     fn write_compact(&self, out: &mut String) {
-        match self {
-            Value::Null => out.push_str("null"),
-            Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Value::Number(n) => {
-                if n.fract() == 0.0 && n.abs() < 1e15 {
-                    out.push_str(&format!("{}", *n as i64));
-                } else {
-                    out.push_str(&format!("{}", n));
-                }
-            }
-            Value::String(s) => out.push_str(&format!("{:?}", s)),
+        let _ = match self {
+            Value::Null => write!(out, "null"),
+            Value::Bool(b) => write!(out, "{b}"),
+            Value::Number(n) if n.fract() == 0.0 && n.abs() < 1e15 => write!(out, "{}", *n as i64),
+            Value::Number(n) => write!(out, "{n}"),
+            Value::String(s) => write!(out, "{s:?}"),
             Value::Array(a) => {
                 out.push('[');
                 for (i, v) in a.iter().enumerate() {
@@ -94,6 +89,7 @@ impl Value {
                     v.write_compact(out);
                 }
                 out.push(']');
+                Ok(())
             }
             Value::Object(m) => {
                 out.push('{');
@@ -101,28 +97,23 @@ impl Value {
                     if i > 0 {
                         out.push(',');
                     }
-                    out.push_str(&format!("{:?}:", k));
+                    let _ = write!(out, "{k:?}:");
                     v.write_compact(out);
                 }
                 out.push('}');
+                Ok(())
             }
-        }
+        };
     }
 
     fn write_pretty(&self, out: &mut String, indent: usize) {
         let pad = "  ".repeat(indent);
         let pad1 = "  ".repeat(indent + 1);
         match self {
-            Value::Null => out.push_str("null"),
-            Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Value::Number(n) => {
-                if n.fract() == 0.0 && n.abs() < 1e15 {
-                    out.push_str(&format!("{}", *n as i64));
-                } else {
-                    out.push_str(&format!("{}", n));
-                }
+            // Leaves are written the same way in both forms.
+            Value::Null | Value::Bool(_) | Value::Number(_) | Value::String(_) => {
+                self.write_compact(out)
             }
-            Value::String(s) => out.push_str(&format!("{:?}", s)),
             Value::Array(a) => {
                 if a.is_empty() {
                     out.push_str("[]");
@@ -148,7 +139,7 @@ impl Value {
                 out.push_str("{\n");
                 for (i, (k, v)) in m.iter().enumerate() {
                     out.push_str(&pad1);
-                    out.push_str(&format!("{:?}: ", k));
+                    let _ = write!(out, "{k:?}: ");
                     v.write_pretty(out, indent + 1);
                     if i + 1 < m.len() {
                         out.push(',');
@@ -228,7 +219,15 @@ macro_rules! from_num {
     };
 }
 
-from_num!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize, f32, f64);
+from_num!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize, f64);
+
+/// An `f32` becomes the `f64` its JSON text names (`0.1f32` → `0.1`), as
+/// it does through `Serialize`, not its widened bits.
+impl From<f32> for Value {
+    fn from(v: f32) -> Value {
+        Value::Number(serde::Serialize::shim_json(&v).parse().unwrap_or(f64::NAN))
+    }
+}
 
 impl From<bool> for Value {
     fn from(v: bool) -> Value {
@@ -272,6 +271,63 @@ pub fn shim_to_value<T: serde::Serialize + ?Sized>(v: &T) -> Value {
     from_str::<Value>(&v.shim_json()).unwrap_or(Value::Null)
 }
 
+/// A `json!` value operand, borrowed (helper, not public API). The macro
+/// calls `(&ShimOperand(&expr)).shim_value()`: method lookup tries
+/// [`ShimDirect`] first (its `&self` is the receiver as written) and
+/// falls back to [`ShimViaText`] (one more autoref) only when the operand
+/// is not `Into<Value> + Clone`.
+#[doc(hidden)]
+pub struct ShimOperand<'a, T: ?Sized>(pub &'a T);
+
+#[doc(hidden)]
+pub trait ShimDirect {
+    fn shim_value(&self) -> Value;
+}
+
+/// Converts without text: the value [`shim_to_value`] would parse back.
+impl<T: Into<Value> + Clone> ShimDirect for ShimOperand<'_, T> {
+    fn shim_value(&self) -> Value {
+        as_if_reparsed(self.0.clone().into())
+    }
+}
+
+#[doc(hidden)]
+pub trait ShimViaText {
+    fn shim_value(&self) -> Value;
+}
+
+impl<T: serde::Serialize + ?Sized> ShimViaText for &ShimOperand<'_, T> {
+    fn shim_value(&self) -> Value {
+        shim_to_value(self.0)
+    }
+}
+
+/// What the serialise→parse round trip makes of a converted value: `-0.0`
+/// reads back as `0`, and a non-finite number anywhere fails the parse, so
+/// the whole operand becomes `null`. (Strings nested in a `Value` are kept
+/// as they are; the text path would garble the few that `{:?}` escapes as
+/// `\0` or `\u{..}`.)
+fn as_if_reparsed(mut v: Value) -> Value {
+    fn finite(v: &mut Value) -> bool {
+        match v {
+            Value::Number(n) => {
+                if n.to_bits() == (-0.0f64).to_bits() {
+                    *n = 0.0;
+                }
+                n.is_finite()
+            }
+            Value::Array(a) => a.iter_mut().all(finite),
+            Value::Object(m) => m.values_mut().all(finite),
+            Value::Null | Value::Bool(_) | Value::String(_) => true,
+        }
+    }
+    if finite(&mut v) {
+        v
+    } else {
+        Value::Null
+    }
+}
+
 pub fn to_string_pretty<T: serde::Serialize + ?Sized>(value: &T) -> Result<String> {
     // Derived impls emit compact JSON; round-trip through `Value` for the
     // indented form. Raw output is already pretty when `T` is `Value`.
@@ -291,8 +347,10 @@ pub fn from_str<T: for<'de> serde::Deserialize<'de>>(text: &str) -> Result<T> {
 }
 
 /// Simplified `json!` macro: objects with literal-string keys, arrays,
-/// `null`, and arbitrary `Into<Value>` expressions (TT-munched so values
-/// may span multiple tokens, e.g. `a.mean / b.mean`).
+/// `null`, and arbitrary expressions (TT-munched so values may span
+/// multiple tokens, e.g. `a.mean / b.mean`). An `Into<Value> + Clone`
+/// operand converts directly; any other `Serialize` goes through its JSON
+/// text. Both give the same value.
 #[macro_export]
 macro_rules! json {
     (null) => { $crate::Value::Null };
@@ -308,7 +366,11 @@ macro_rules! json {
         $crate::shim_json_object!(map $($tt)+);
         $crate::Value::Object(map)
     }};
-    ($other:expr) => { $crate::shim_to_value(&$other) };
+    ($other:expr) => {{
+        #[allow(unused_imports)]
+        use $crate::{ShimDirect as _, ShimViaText as _};
+        (&$crate::ShimOperand(&$other)).shim_value()
+    }};
 }
 
 /// Object-body muncher: `key : value , ...` (helper, not public API).
@@ -352,4 +414,210 @@ macro_rules! shim_json_array {
     ($vec:ident [$($val:tt)*] $next:tt $($rest:tt)*) => {
         $crate::shim_json_array!($vec [$($val)* $next] $($rest)*);
     };
+}
+
+#[cfg(test)]
+mod tests {
+    use super::{shim_to_value, Value};
+
+    /// splitmix64: a seeded stream without a dependency.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+
+        fn pick<T: Copy>(&mut self, from: &[T]) -> T {
+            from[self.below(from.len())]
+        }
+    }
+
+    /// Equal trees, numbers compared bit for bit.
+    fn same_bits(a: &Value, b: &Value) -> bool {
+        match (a, b) {
+            (Value::Number(x), Value::Number(y)) => x.to_bits() == y.to_bits(),
+            (Value::Array(x), Value::Array(y)) => {
+                x.len() == y.len() && x.iter().zip(y).all(|(p, q)| same_bits(p, q))
+            }
+            (Value::Object(x), Value::Object(y)) => {
+                x.len() == y.len()
+                    && x.iter().zip(y).all(|((kp, p), (kq, q))| kp == kq && same_bits(p, q))
+            }
+            _ => a == b,
+        }
+    }
+
+    fn assert_same(direct: Value, text: Value, what: &dyn std::fmt::Debug) {
+        assert_eq!(direct.compact(), text.compact(), "compact() of {what:?}");
+        assert_eq!(direct.to_string(), text.to_string(), "Display of {what:?}");
+        assert!(same_bits(&direct, &text), "{what:?}: {direct:?} vs {text:?}");
+    }
+
+    /// Checks `x` alone, as an object member and as an array element.
+    macro_rules! check {
+        ($x:expr) => {{
+            let x = $x;
+            let text = shim_to_value(&x);
+            assert_same(json!(x), text.clone(), &x);
+            let member = [("k".to_string(), text.clone()), ("n".to_string(), Value::Number(1.0))];
+            assert_same(json!({"k": x, "n": 1}), Value::Object(member.into()), &x);
+            assert_same(json!([x, x]), Value::Array(vec![text.clone(), text]), &x);
+        }};
+    }
+
+    const SPECIAL_F64: [f64; 16] = [
+        0.0,
+        -0.0,
+        f64::NAN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        f64::MIN_POSITIVE,
+        5e-324,
+        -2.225073858507201e-308, // largest negative subnormal
+        f64::MAX,
+        f64::MIN,
+        1e15,
+        1e15 - 1.0,
+        -1e15,
+        0.1,
+        9007199254740993.0,
+        -123.5,
+    ];
+
+    #[test]
+    fn direct_arm_matches_text_path_for_f64_bit_patterns() {
+        let mut rng = Rng(0x5EED);
+        for x in SPECIAL_F64 {
+            check!(x);
+        }
+        for _ in 0..4000 {
+            check!(f64::from_bits(rng.next()));
+            // Integers and short decimals, where the two number rules meet.
+            check!((rng.next() >> rng.below(64)) as f64 * rng.pick(&[1.0, -1.0, 0.5, 0.125]));
+        }
+    }
+
+    #[test]
+    fn direct_arm_matches_text_path_for_f32() {
+        let mut rng = Rng(32);
+        for x in [0.1f32, -0.0, f32::NAN, f32::INFINITY, f32::MAX, 1e-45, 123456790528.0] {
+            check!(x);
+        }
+        for _ in 0..4000 {
+            check!(f32::from_bits(rng.next() as u32));
+        }
+    }
+
+    #[test]
+    fn direct_arm_matches_text_path_for_wide_integers() {
+        let mut rng = Rng(64);
+        for x in [u64::MAX, u64::MAX - 1, 1 << 53, (1 << 53) + 1, (1 << 63) + 1025, 0] {
+            check!(x);
+        }
+        for x in [i64::MIN, i64::MAX, -(1 << 53) - 1, -1] {
+            check!(x);
+        }
+        check!(usize::MAX);
+        check!(isize::MIN);
+        check!(u32::MAX);
+        check!(i8::MIN);
+        for _ in 0..4000 {
+            check!(rng.next() | (1 << 53));
+            check!(rng.next() as i64);
+        }
+    }
+
+    /// Escapes, control characters and multi-byte characters.
+    const ALPHABET: [char; 16] = [
+        'a', ' ', '"', '\\', '/', '\n', '\t', '\r', '\u{0}', '\u{1}', '\u{1f}', '\u{7f}', 'é',
+        '中', '🎉', '\'',
+    ];
+
+    fn string(rng: &mut Rng, alphabet: &[char]) -> String {
+        (0..rng.below(12)).map(|_| rng.pick(alphabet)).collect()
+    }
+
+    #[test]
+    fn direct_arm_matches_text_path_for_strings() {
+        let mut rng = Rng(7);
+        for _ in 0..2000 {
+            let s = string(&mut rng, &ALPHABET);
+            check!(s.as_str());
+            check!(s);
+        }
+    }
+
+    #[test]
+    fn direct_arm_matches_text_path_for_vecs() {
+        let mut rng = Rng(11);
+        for _ in 0..500 {
+            let n = rng.below(6);
+            // Mostly finite; now and then a NaN or an infinity nulls the lot.
+            let f: Vec<f64> = (0..n)
+                .map(|_| {
+                    if rng.below(8) == 0 {
+                        rng.pick(&SPECIAL_F64)
+                    } else {
+                        rng.next() as f64 / 3.0
+                    }
+                })
+                .collect();
+            check!(f);
+            check!((0..n).map(|_| f32::from_bits(rng.next() as u32)).collect::<Vec<f32>>());
+            check!((0..n).map(|_| string(&mut rng, &ALPHABET)).collect::<Vec<String>>());
+            check!((0..n).map(|_| vec![rng.next() as i64; n]).collect::<Vec<Vec<i64>>>());
+        }
+    }
+
+    /// Characters whose `{:?}` form the shim parser reads back; see
+    /// `as_if_reparsed` for the ones it does not.
+    const VALUE_ALPHABET: [char; 11] =
+        ['a', ' ', '"', '\\', '/', '\n', '\t', '\r', 'é', '中', '🎉'];
+
+    fn tree(rng: &mut Rng, depth: usize) -> Value {
+        match rng.below(if depth == 0 { 4 } else { 6 }) {
+            0 => Value::Null,
+            1 => Value::Bool(rng.below(2) == 0),
+            2 if rng.below(16) == 0 => Value::Number(rng.pick(&SPECIAL_F64)),
+            2 => Value::Number(f64::from_bits(rng.next())),
+            3 => Value::String(string(rng, &VALUE_ALPHABET)),
+            4 => Value::Array((0..rng.below(4)).map(|_| tree(rng, depth - 1)).collect()),
+            _ => Value::Object(
+                (0..rng.below(4))
+                    .map(|_| (string(rng, &VALUE_ALPHABET), tree(rng, depth - 1)))
+                    .collect(),
+            ),
+        }
+    }
+
+    #[test]
+    fn direct_arm_matches_text_path_for_nested_values() {
+        let mut rng = Rng(3);
+        for _ in 0..2000 {
+            let v = tree(&mut rng, 3);
+            check!(&v);
+            check!(v);
+        }
+    }
+
+    /// The dispatch really takes the direct arm for a `Value`: a string the
+    /// text path cannot carry survives it.
+    #[test]
+    fn value_operands_skip_the_text_round_trip() {
+        let v = Value::String("\u{1}".into());
+        assert_eq!(shim_to_value(&v), Value::Null);
+        assert_eq!(json!(v), v);
+        // A type without `Into<Value>` still takes the text path.
+        assert_eq!(json!(Some(2.5)), Value::Number(2.5));
+        assert_eq!(json!(Option::<f64>::None), Value::Null);
+    }
 }
