@@ -15,11 +15,7 @@
 //!   fraction (how much of the non-overlap wait the pipeline hid behind
 //!   later slabs' compute);
 //! * **telemetry overhead** — the overlap config with telemetry off vs
-//!   on, bounding the cost of leaving the probes compiled in;
-//! * **scheduler** — work-stealing tile scheduler on vs off on a
-//!   deliberately skewed 2-rank decomposition (rank 0 owns ~75% of the
-//!   x-columns), reporting walls, compute imbalance ratios, and tiles
-//!   stolen; writes `BENCH_sched.json` in full mode.
+//!   on, bounding the cost of leaving the probes compiled in.
 //!
 //! Flags: `--smoke` shrinks dims/iterations for CI; `--gate` exits
 //! nonzero when SIMD is slower than scalar on the blocked config, the
@@ -51,8 +47,8 @@ use awp_solver::medium::Medium;
 use awp_solver::simd::{detect, update_stress_simd, update_velocity_simd, SimdBackend};
 use awp_solver::solver::{partition_mesh_direct, try_run_parallel_decomp, Solver};
 use awp_solver::state::WaveState;
-use awp_solver::telemetry::{Counter as TelCounter, Phase as TelPhase, Registry};
-use awp_solver::{LtsOpts, LtsPlan, SchedOpts, SolverConfig};
+use awp_solver::telemetry::{Phase as TelPhase, Registry};
+use awp_solver::{LtsOpts, LtsPlan, SolverConfig};
 use awp_source::kinematic::KinematicSource;
 use awp_source::moment::MomentTensor;
 use awp_source::stf::Stf;
@@ -266,62 +262,6 @@ fn time_lts(d: Dims3, steps: usize, reps: usize) -> (f64, f64, u64, u64, LtsPlan
     (g_secs, l_secs, g_flops, l_flops, plan)
 }
 
-/// Work-stealing tile scheduler on a deliberately skewed decomposition: a
-/// [2,1,1] x-split where part 0 owns ~75% of the columns. Without
-/// stealing the light rank idles at the halo fence while the heavy rank
-/// grinds; with the scheduler armed the light rank executes the heavy
-/// rank's surplus interior tiles instead. Returns, per variant picked at
-/// its best-of-`reps` wall, (wall secs, compute imbalance max/mean from
-/// the Eq. 7 ledger, tiles stolen).
-fn time_sched(global: Dims3, steps: usize, reps: usize) -> ((f64, f64, u64), (f64, f64, u64)) {
-    let model = LayeredModel::loh1();
-    let h = 150.0;
-    let dt = 0.009;
-    let mesh = MeshGenerator::new(&model, global, h).generate();
-    let decomp = Decomp3::new(global, [2, 1, 1]).with_skew(0, global.nx / 4);
-    let meshes = partition_mesh_direct(&mesh, &decomp);
-    let src = KinematicSource::point(
-        Idx3::new(global.nx / 2, global.ny / 2, global.nz / 2),
-        MomentTensor::strike_slip(0.3),
-        5.0e16,
-        Stf::Brune { tau: 0.1 },
-        dt,
-    );
-    let cfg_off = SolverConfig::small(global, h, dt, steps);
-    let mut cfg_on = cfg_off.clone();
-    cfg_on.opts.sched = Some(SchedOpts::new());
-    let run_once = |cfg: &SolverConfig| -> (f64, f64, u64) {
-        let reg = Registry::new(2);
-        let t0 = Instant::now();
-        let results = try_run_parallel_decomp(cfg, decomp, &meshes, &src, &[], Some(reg), None)
-            .expect("sched bench config is valid");
-        let wall = t0.elapsed().as_secs_f64();
-        black_box(&results);
-        let comp: Vec<f64> =
-            results.iter().map(|r| r.ledger.seconds(Category::Comp)).collect();
-        let mean = comp.iter().sum::<f64>() / comp.len().max(1) as f64;
-        let max = comp.iter().fold(0.0f64, |a, &b| a.max(b));
-        let imbalance = if mean > 0.0 { max / mean } else { 0.0 };
-        let steals: u64 =
-            results.iter().map(|r| r.telemetry.counter(TelCounter::TilesStolen)).sum();
-        (wall, imbalance, steals)
-    };
-    // Interleave off/on reps so scheduler drift hits both variants equally.
-    let mut off = (f64::INFINITY, 0.0, 0);
-    let mut on = (f64::INFINITY, 0.0, 0);
-    for _ in 0..reps {
-        let o = run_once(&cfg_off);
-        if o.0 < off.0 {
-            off = o;
-        }
-        let s = run_once(&cfg_on);
-        if s.0 < on.0 {
-            on = s;
-        }
-    }
-    (off, on)
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let opts = Opts {
@@ -505,36 +445,6 @@ fn main() {
         tel_off_wall * 1e3
     );
 
-    // Work-stealing scheduler: skewed 2-rank x-split (part 0 owns ~75% of
-    // the columns) with per-rank tile queues on vs off. Stealing lets the
-    // light rank drain the heavy rank's surplus interior tiles, so the
-    // compute imbalance ratio (max/mean of the Eq. 7 ledger) should drop
-    // toward 1 and the wall should follow.
-    let (sd, ssteps, sreps) = if opts.smoke {
-        (Dims3::new(48, 32, 24), 16usize, 2usize)
-    } else {
-        (Dims3::new(96, 64, 48), 30usize, 3usize)
-    };
-    let ((off_wall, off_imb, _), (sch_wall, sch_imb, sch_steals)) = time_sched(sd, ssteps, sreps);
-    println!(
-        "\n{:<10} {:>10} {:>12} {:>10}",
-        "scheduler", "wall ms", "imbalance", "steals"
-    );
-    println!("{:<10} {:>10.2} {:>12.3} {:>10}", "off", off_wall * 1e3, off_imb, 0);
-    println!(
-        "{:<10} {:>10.2} {:>12.3} {:>10}",
-        "stealing",
-        sch_wall * 1e3,
-        sch_imb,
-        sch_steals
-    );
-    println!(
-        "sched/no-sched wall: {:.2}x (skew {} of {} x-columns on rank 0)",
-        sch_wall / off_wall,
-        sd.nx / 2 + sd.nx / 4,
-        sd.nx
-    );
-
     // Gate inputs: blocked configs are what the solver actually runs.
     let gf = |simd: bool| {
         kernels
@@ -571,16 +481,6 @@ fn main() {
     // points, so the smoke gate only demands a clear win.
     let lts_threshold = if opts.smoke { 1.1 } else { 1.5 };
     let lts_ok = lts_plan.is_multi_rate() && lts_speedup >= lts_threshold;
-    // Stealing must recover wall on the skewed decomposition — but only
-    // where there is a second core for the light rank to steal on. On a
-    // timesliced single-core host both variants serialize and the gate
-    // degrades to a no-regression guard (same rationale as overlap).
-    let sched_speedup = off_wall / sch_wall;
-    let (sched_threshold, sched_ok) = if cores >= 2 {
-        (1.05, sch_wall * 1.05 <= off_wall)
-    } else {
-        (1.0 / 1.5, sch_wall <= off_wall * 1.5)
-    };
     println!("\nSIMD/scalar (blocked): {ratio:.2}x   steady-state allocations: {alloc_delta_total}");
 
     let report = json!({
@@ -604,30 +504,8 @@ fn main() {
             "lts_speedup": lts_speedup,
             "lts_threshold": lts_threshold,
             "lts_fast_enough": lts_ok,
-            "sched_speedup": sched_speedup,
-            "sched_threshold": sched_threshold,
-            "sched_fast_enough": sched_ok,
-            "passed": simd_ok && alloc_ok && overlap_ok && telemetry_ok && lts_ok && sched_ok,
+            "passed": simd_ok && alloc_ok && overlap_ok && telemetry_ok && lts_ok,
         },
-    });
-    let sched_report = json!({
-        "mode": mode,
-        "backend": backend.name(),
-        "dims": [sd.nx, sd.ny, sd.nz],
-        "h": 150.0,
-        "dt": 0.009,
-        "steps": ssteps,
-        "medium": "loh1",
-        "parts": [2, 1, 1],
-        "skew_columns": sd.nx / 4,
-        "rank0_columns": sd.nx / 2 + sd.nx / 4,
-        "off_wall_secs": off_wall,
-        "sched_wall_secs": sch_wall,
-        "off_imbalance": off_imb,
-        "sched_imbalance": sch_imb,
-        "tiles_stolen": sch_steals,
-        "measured_speedup": sched_speedup,
-        "gate": {"threshold": sched_threshold, "cores": cores, "passed": sched_ok},
     });
     let lts_report = json!({
         "mode": mode,
@@ -662,10 +540,6 @@ fn main() {
         std::fs::write("BENCH_lts.json", &pretty).expect("write BENCH_lts.json");
         println!("[record] BENCH_lts.json");
 
-        let pretty = serde_json::to_string_pretty(&sched_report).expect("serialize sched report");
-        std::fs::write("BENCH_sched.json", &pretty).expect("write BENCH_sched.json");
-        println!("[record] BENCH_sched.json");
-
         let baseline = json!({
             "backend": "scalar",
             "mode": mode,
@@ -681,14 +555,13 @@ fn main() {
         println!("[record] results/bench_kernels_baseline.json");
     }
 
-    if opts.gate && !(simd_ok && alloc_ok && overlap_ok && telemetry_ok && lts_ok && sched_ok) {
+    if opts.gate && !(simd_ok && alloc_ok && overlap_ok && telemetry_ok && lts_ok) {
         eprintln!(
             "GATE FAILED: simd_not_slower={simd_ok} (ratio {ratio:.3}), \
              steady_state_alloc_free={alloc_ok} (delta {alloc_delta_total}), \
              overlap_not_slower={overlap_ok} (ratio {:.3}, tol {overlap_tol} on {cores} cores), \
              telemetry_cheap_enough={telemetry_ok} (ratio {:.3}, tol {telemetry_tol}), \
-             lts_fast_enough={lts_ok} (speedup {lts_speedup:.3}, threshold {lts_threshold}), \
-             sched_fast_enough={sched_ok} (speedup {sched_speedup:.3}, threshold {sched_threshold:.3})",
+             lts_fast_enough={lts_ok} (speedup {lts_speedup:.3}, threshold {lts_threshold})",
             ov_wall / plain_wall,
             tel_on_wall / tel_off_wall
         );

@@ -3,7 +3,7 @@
 //! The telemetry exporter ([`awp_telemetry::chrome_trace`]) writes span
 //! events (`"ph":"X"`, cat `awp`) and causal flow-event pairs
 //! (`"ph":"s"`/`"ph":"f"`, cat `awp.flow`) — one pair per matched
-//! send→recv or steal edge. This module parses that file back into a
+//! send→recv edge. This module parses that file back into a
 //! [`CausalGraph`], walks the critical path, and renders the attribution
 //! as a table or a schema-checked JSON artifact (`results/analyze.json`).
 //!
@@ -11,7 +11,7 @@
 //! registry, so post-mortem analysis of a trace captured on another
 //! machine works the same as same-process analysis.
 
-use awp_telemetry::{CausalEdge, CausalGraph, CriticalPath, EdgeKind, GraphSpan, Phase};
+use awp_telemetry::{CausalEdge, CausalGraph, CriticalPath, GraphSpan, Phase};
 use serde_json::Value;
 use std::collections::{BTreeMap, HashMap};
 
@@ -42,7 +42,6 @@ pub fn parse_trace(json: &str) -> Result<CausalGraph, String> {
         tag: u64,
         bytes: u64,
         clock: u64,
-        steal: bool,
     }
     let mut sends: HashMap<u64, FlowHalf> = HashMap::new();
     let mut recvs: Vec<(u64, FlowHalf)> = Vec::new();
@@ -80,15 +79,12 @@ pub fn parse_trace(json: &str) -> Result<CausalGraph, String> {
             }
             "s" | "f" => {
                 let id = as_u64(&ev["id"]).ok_or(format!("event {i}: flow missing id"))?;
-                let name =
-                    ev["name"].as_str().ok_or(format!("event {i}: flow missing name"))?;
                 let half = FlowHalf {
                     rank: pid,
                     t_ns: us_to_ns(&ev["ts"]).ok_or(format!("event {i}: bad ts"))?,
                     tag: as_u64(&ev["args"]["tag"]).unwrap_or(0),
                     bytes: as_u64(&ev["args"]["bytes"]).unwrap_or(0),
                     clock: as_u64(&ev["args"]["clock"]).unwrap_or(0),
-                    steal: name == "steal",
                 };
                 if ph == "s" {
                     sends.insert(id, half);
@@ -106,7 +102,6 @@ pub fn parse_trace(json: &str) -> Result<CausalGraph, String> {
     for (id, r) in recvs {
         match sends.remove(&id) {
             Some(s) => edges.push(CausalEdge {
-                kind: if s.steal { EdgeKind::Steal } else { EdgeKind::Message },
                 src: s.rank,
                 dst: r.rank,
                 tag: s.tag,
@@ -130,12 +125,9 @@ pub fn render(graph: &CausalGraph, path: &CriticalPath, top: usize) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "causal DAG: {} spans, {} edges ({} message, {} steal), {} ranks, \
-         {} unmatched recvs",
+        "causal DAG: {} spans, {} message edges, {} ranks, {} unmatched recvs",
         graph.spans.len(),
         graph.edges.len(),
-        graph.edges.iter().filter(|e| e.kind == EdgeKind::Message).count(),
-        graph.edges.iter().filter(|e| e.kind == EdgeKind::Steal).count(),
         graph.ranks,
         graph.unmatched_recvs,
     );
@@ -194,18 +186,16 @@ pub fn render(graph: &CausalGraph, path: &CriticalPath, top: usize) -> String {
         let _ = writeln!(out, "\ntop {} critical edges by slack:", top_edges.len());
         for h in top_edges {
             let e = h.via.expect("top_edges only returns cross-rank hops");
-            let what = match e.kind {
-                EdgeKind::Message => format!("msg tag {:#x}, {} B", e.tag, e.bytes),
-                EdgeKind::Steal => format!("steal, {} tiles", e.bytes),
-            };
             let _ = writeln!(
                 out,
-                "  rank {} → rank {} @ step {:>4}: {:>9.1} µs slack into {} ({what})",
+                "  rank {} → rank {} @ step {:>4}: {:>9.1} µs slack into {} (msg tag {:#x}, {} B)",
                 e.src,
                 h.rank,
                 h.step,
                 h.slack_ns as f64 / 1e3,
                 h.phase.name(),
+                e.tag,
+                e.bytes,
             );
         }
     }
@@ -239,7 +229,7 @@ pub fn to_json(graph: &CausalGraph, path: &CriticalPath) -> String {
         .map(|h| {
             let e = h.via.expect("top_edges only returns cross-rank hops");
             serde_json::json!({
-                "kind": match e.kind { EdgeKind::Message => "msg", EdgeKind::Steal => "steal" },
+                "kind": "msg",
                 "src": e.src,
                 "dst": h.rank,
                 "step": h.step,

@@ -242,7 +242,7 @@ pub fn validate_stream(lines: &[String]) -> Result<(usize, usize), String> {
     if ranks == 0 {
         return Err("hello advertises zero ranks".into());
     }
-    // v1 additive extras: a hello may advertise additional per-rank
+    // Additive extras: a hello may advertise additional per-rank
     // snapshot fields (e.g. ["recoveries","dead_letters"]). They are
     // required only when advertised, so clients of this validator stay
     // compatible with older servers that never emit them.
@@ -283,7 +283,7 @@ pub fn validate_stream(lines: &[String]) -> Result<(usize, usize), String> {
             ));
         }
         for (r, c) in cells.iter().enumerate() {
-            for key in ["rank", "step", "steals", "stolen", "tiles", "queue_depth"] {
+            for key in ["rank", "step"] {
                 c[key].as_f64().ok_or(format!("snapshot {i} rank {r}: missing {key}"))?;
             }
             for key in ["compute_ms", "wait_ms", "send_ms", "inject_ms"] {
@@ -308,7 +308,7 @@ mod tests {
         let live = LiveStats::new(ranks);
         for r in 0..ranks {
             live.rank(r).step.store(5, Ordering::Relaxed);
-            live.rank(r).tiles.fetch_add(8, Ordering::Relaxed);
+            live.rank(r).compute_ns.fetch_add(8_000_000, Ordering::Relaxed);
         }
         live
     }
@@ -358,6 +358,12 @@ mod tests {
         assert!(validate_stream(&bad_proto).unwrap_err().contains("proto"));
         let future = vec![r#"{"v":999,"kind":"hello","proto":"awp-stats","ranks":1}"#.into()];
         assert!(validate_stream(&future).unwrap_err().contains("version"));
+        // A v1 stream (per-rank steal columns) is refused at the hello.
+        let v1 = vec![
+            r#"{"v":1,"kind":"hello","proto":"awp-stats","ranks":1}"#.into(),
+            r#"{"v":1,"kind":"snapshot","seq":0,"t_ms":0,"imbalance":0,"hidden_comm":0,"ranks":[{"rank":0,"step":1,"compute_ms":0,"wait_ms":0,"send_ms":0,"inject_ms":0,"steals":0,"stolen":0,"tiles":0,"queue_depth":0}]}"#.into(),
+        ];
+        assert!(validate_stream(&v1).unwrap_err().contains("version"));
         let live = LiveStats::new(2);
         let ok = vec![live.hello_json(), live.snapshot_json(0, 10), live.snapshot_json(1, 20)];
         assert_eq!(validate_stream(&ok), Ok((2, 2)));
@@ -371,7 +377,7 @@ mod tests {
         let live = LiveStats::new(1);
         live.rank(0).recoveries.fetch_add(2, Ordering::Relaxed);
         let ok = vec![live.hello_json(), live.snapshot_json(0, 10)];
-        assert_eq!(validate_stream(&ok), Ok((1, 1)), "v1 stream carries its extras");
+        assert_eq!(validate_stream(&ok), Ok((1, 1)), "v2 stream carries its extras");
         // A hello that advertises an extra the snapshots lack must fail...
         let lying = vec![live.hello_json(), {
             let s = live.snapshot_json(0, 10);
@@ -380,7 +386,7 @@ mod tests {
         assert!(validate_stream(&lying).unwrap_err().contains("recoveries"));
         // ...while an old-style hello without `extras` keeps validating
         // snapshots that never carry them.
-        let old_hello = r#"{"v":1,"kind":"hello","proto":"awp-stats","ranks":1}"#.to_string();
+        let old_hello = r#"{"v":2,"kind":"hello","proto":"awp-stats","ranks":1}"#.to_string();
         let old_snap = live
             .snapshot_json(0, 10)
             .replace(",\"recoveries\":2", "")

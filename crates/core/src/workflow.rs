@@ -41,9 +41,7 @@ use awp_source::kinematic::KinematicSource;
 use awp_telemetry::{LiveStats, Registry};
 use awp_vcluster::fault::{FaultKind, FaultPlan, FaultReport, WatchdogConfig};
 use awp_vcluster::schedule::SchedulePlan;
-use awp_vcluster::{
-    Cluster, DeadLetterStats, HostTopology, RecoveryEvent, RetryPolicy, Supervisor,
-};
+use awp_vcluster::{Cluster, DeadLetterStats, RecoveryEvent, RetryPolicy, Supervisor};
 use serde::Serialize;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -180,8 +178,8 @@ pub struct WorkflowSession {
     /// whole-run restart ladder governed by `max_restarts`.
     pub recovery: Option<RetryPolicy>,
     /// Live telemetry table (must be sized to the rank count of `parts`).
-    /// When set, every solve pass publishes per-rank phase timers and
-    /// steal counters into it — this is what a [`crate::stats`] endpoint
+    /// When set, every solve pass publishes per-rank steps and phase
+    /// timers into it — this is what a [`crate::stats`] endpoint
     /// streams to clients while the run is in flight.
     pub live: Option<Arc<LiveStats>>,
     /// Crash flight recorder: when set, every solve rank keeps an
@@ -680,9 +678,6 @@ fn solve_ranks(
     if let Some(dir) = &env.flight_dir {
         cluster = cluster.with_flight_recorder(dir.clone());
     }
-    if cfg.opts.sched.is_some() {
-        cluster = cluster.with_sched(HostTopology::detect());
-    }
     let body = |ctx: &mut awp_vcluster::RankCtx| -> io::Result<RankOutcome> {
         let rank = ctx.rank();
         let sub = env.decomp.subdomain(rank);
@@ -924,55 +919,11 @@ mod tests {
         }
     }
 
-    /// The ISSUE's composition case: work-stealing scheduler armed, a rank
-    /// crash injected mid-run, absorbed by in-flight supervisor recovery —
-    /// and the finished surface still bit-identical to a clean run with
-    /// the scheduler off.
     #[test]
-    fn scheduler_composes_with_fault_injection_and_recovery() {
-        use std::time::Duration;
-        let sc = Scenario::shakeout_k(20, 0.3).with_duration(12.0);
-        let clean_dir = scratch_dir("wf-sched-clean");
-        let rep_clean = E2EWorkflow::new(sc.prepare(), [2, 1, 1], &clean_dir)
-            .execute()
-            .expect("clean reference run");
-
-        let mut run = sc.prepare();
-        run.cfg.opts.sched = Some(awp_solver::SchedOpts::new());
-        let dir = scratch_dir("wf-sched-chaos");
-        // Crash rank 1 at step 5: just past the first checkpoint epoch
-        // (cadence 4), so the supervisor always has a rollback line.
-        let plan = Arc::new(FaultPlan::new(0x5EED_0008).with_crash(1, 5));
-        let mut wf = E2EWorkflow::new(run, [2, 1, 1], &dir);
-        wf.session.checkpoint_every = Some(4);
-        wf = wf
-            .with_chaos(
-                plan,
-                WatchdogConfig {
-                    timeout: Duration::from_secs(2),
-                    poll: Duration::from_millis(50),
-                },
-            )
-            .with_recovery(RetryPolicy::new(3));
-        let rep = wf.execute().expect("sched + chaos + recovery workflow completes");
-        assert!(rep.in_flight_recoveries >= 1, "crash absorbed in flight: {:?}", rep.faults);
-        assert_eq!(rep.restarts, 0, "no whole-run restart needed");
-        assert!(!rep.recovery_degraded);
-        assert_eq!(rep_clean.pgv.data, rep.pgv.data, "PGV bit-exact vs scheduler-off clean run");
-        assert_eq!(
-            rep_clean.collection_checksum, rep.collection_checksum,
-            "surface output bit-exact vs scheduler-off clean run"
-        );
-        let _ = std::fs::remove_dir_all(&clean_dir);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn workflow_publishes_live_stats_with_scheduler_counters() {
+    fn workflow_publishes_live_stats() {
         use std::sync::atomic::Ordering;
         let sc = Scenario::shakeout_k(20, 0.3).with_duration(10.0);
-        let mut run = sc.prepare();
-        run.cfg.opts.sched = Some(awp_solver::SchedOpts::new());
+        let run = sc.prepare();
         let live = LiveStats::new(2);
         let dir = scratch_dir("wf-live");
         let wf =
@@ -981,13 +932,6 @@ mod tests {
         assert!(rep.archive_verified);
         assert!(live.rank(0).step.load(Ordering::Relaxed) > 0, "step gauge advanced");
         assert!(live.rank(0).compute_ns.load(Ordering::Relaxed) > 0, "phase timers folded");
-        let tiles: u64 = (0..2)
-            .map(|r| {
-                live.rank(r).tiles.load(Ordering::Relaxed)
-                    + live.rank(r).stolen.load(Ordering::Relaxed)
-            })
-            .sum();
-        assert!(tiles > 0, "scheduler published tile counters");
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

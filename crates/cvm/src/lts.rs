@@ -59,7 +59,7 @@ pub fn rate_profile(vp_max_per_k: &[f64], h: f64, dt: f64, max_rate_log2: u32) -
 ///    must mean "steps every global tick" so a single cluster degenerates
 ///    to the plain scheme);
 /// 2. relax to a 2× adjacent ratio by lowering rates;
-/// 3. widen slabs thinner than `min_slab` planes by stealing planes from a
+/// 3. widen slabs thinner than `min_slab` planes by borrowing planes from a
 ///    coarser neighbour (lowering their rate), or — when no coarser
 ///    neighbour exists — absorbing the slab into its finest neighbour;
 /// 4. merge equal-rate neighbours.
@@ -136,7 +136,7 @@ pub fn clusters_from_profile(rates: &[u32], min_slab: usize) -> Vec<ClusterSpec>
             let coarser_above = above.is_some_and(|r| r > slabs[i].rate);
             let coarser_below = below.is_some_and(|r| r > slabs[i].rate);
             if coarser_above || coarser_below {
-                // Steal one plane from the coarser side (prefer the
+                // Borrow one plane from the coarser side (prefer the
                 // coarser of the two): that plane's rate drops to ours.
                 let from_above = match (coarser_above, coarser_below) {
                     (true, true) => above.unwrap() >= below.unwrap(),
@@ -243,7 +243,7 @@ mod tests {
     #[test]
     fn basin_earns_transition_band() {
         // 12 soft planes (rate-4 capable) over 4 rock planes: the 2x ratio
-        // rule needs a rate-2 band, widened to min_slab by stealing from
+        // rule needs a rate-2 band, widened to min_slab by borrowing from
         // the rate-4 side.
         let mut prof = vec![1500.0; 12];
         prof.extend([6000.0; 4]);
@@ -294,7 +294,7 @@ mod tests {
     #[test]
     fn thin_max_rate_slab_folds_down() {
         // A 2-plane rate-4 cap between rate-2 material: no coarser
-        // neighbour to steal from, so it folds into the finer rate.
+        // neighbour to borrow from, so it folds into the finer rate.
         let rates = [2, 2, 2, 2, 4, 4, 2, 2, 2, 2, 1, 1, 1, 1];
         let specs = clusters_from_profile(&rates, 4);
         check_invariants(&specs, 14, 4);

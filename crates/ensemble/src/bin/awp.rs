@@ -28,7 +28,7 @@ use awp_odc::perfmodel::machines::Machine;
 use awp_odc::perfmodel::speedup::{efficiency, m8_mesh, m8_parts, speedup, ModelInput, PAPER_C};
 use awp_odc::scenario::{RuptureDirection, Scenario};
 use awp_odc::stats::{read_stream, validate_stream, StatsAddr, StatsServer};
-use awp_odc::telemetry::{LiveStats, Registry};
+use awp_odc::telemetry::{LiveStats, Registry, STATS_PROTO_VERSION};
 use awp_odc::vcluster::fault::{FaultPlan, WatchdogConfig};
 use awp_odc::vcluster::RetryPolicy;
 use awp_odc::workflow::{scratch_dir, E2EWorkflow};
@@ -38,7 +38,7 @@ use std::time::Duration;
 
 fn usage() -> ! {
     eprintln!(
-        "usage:\n  awp scenarios\n  awp run <name> [nx] [seconds] [--lts]\n  awp workflow [name] [nx] [seconds] [--lts] [--sched] [--stats-addr A]\n               [--profile] [--trace-out FILE] [--health-every N]\n  awp verify [--smoke] [--lts] [--seeds N] [--base-seed S] [--out FILE]\n  awp stats --smoke | (<addr> | --stats-addr A) [--snapshots N]\n            connect to a live run's stats endpoint (TCP host:port or\n            unix:<path>), read the versioned hello + N snapshot lines,\n            schema-check them, and print the stream; --smoke self-tests\n            against an in-process scheduled workflow\n  awp analyze <trace.json> [--top N] [--json FILE]\n            reconstruct the cross-rank causal DAG from a Chrome trace\n            (written by --trace-out), walk the critical path, and print\n            the wall-clock attribution; --json writes a schema-checked\n            analyze.json artifact\n  awp serve [--addr A] [--root DIR]\n            run the ensemble hazard-query server (protocol awp-serve v1,\n            newline-delimited versioned JSON over TCP or unix:<path>):\n            catalog runs, cached scenario queries, hazard curves\n  awp serve --smoke\n            end-to-end self-test: in-process server + client, seeded\n            8-event catalog through the job queue, cache-hit check on a\n            repeated query, cold-store replay verified bit-exact\n  awp analyze --smoke [--json FILE]\n            self-test: trace an in-process 8-rank --lts workflow, analyze\n            it, and require the critical path to cover ≥ 90% of the wall\n            clock\n  awp efficiency\n  awp machines\n  awp chaos --chaos-seed <n> [name] [nx] [seconds]\n  awp chaos --recover [--fault crash|stall|both] [--chaos-seed <n>]\n            seeded rank-failure drill: the run must complete via in-flight\n            supervisor recovery (rollback-rejoin, no whole-run restart) and\n            stay bit-identical to the clean run, or exit nonzero\n  awp --profile [--trace-out FILE]      profiled default workflow\n\n--sched arms the work-stealing tile scheduler (workflow and chaos runs);\n--stats-addr serves live per-rank telemetry at A while the run is in\nflight (newline-delimited versioned JSON, protocol awp-stats v1);\n--health-every N scans the shell slabs for NaN/Inf every N steps and\naborts on the first non-finite velocity (0 = off, the default);\n--flight-dir DIR arms the crash flight recorder: on a rank fault or\ndegradation the supervisor dumps DIR/flightrec-<rank>.json with the last\nenvelopes and span tails for each rank\n\nscenario names: terashake-k | terashake-d | shakeout-k | shakeout-d |\n                wall-to-wall | m8 | pnw"
+        "usage:\n  awp scenarios\n  awp run <name> [nx] [seconds] [--lts]\n  awp workflow [name] [nx] [seconds] [--lts] [--stats-addr A]\n               [--profile] [--trace-out FILE] [--health-every N]\n  awp verify [--smoke] [--lts] [--seeds N] [--base-seed S] [--out FILE]\n  awp stats --smoke | (<addr> | --stats-addr A) [--snapshots N]\n            connect to a live run's stats endpoint (TCP host:port or\n            unix:<path>), read the versioned hello + N snapshot lines,\n            schema-check them, and print the stream; --smoke self-tests\n            against an in-process shakeout-k workflow\n  awp analyze <trace.json> [--top N] [--json FILE]\n            reconstruct the cross-rank causal DAG from a Chrome trace\n            (written by --trace-out), walk the critical path, and print\n            the wall-clock attribution; --json writes a schema-checked\n            analyze.json artifact\n  awp serve [--addr A] [--root DIR]\n            run the ensemble hazard-query server (protocol awp-serve v1,\n            newline-delimited versioned JSON over TCP or unix:<path>):\n            catalog runs, cached scenario queries, hazard curves\n  awp serve --smoke\n            end-to-end self-test: in-process server + client, seeded\n            8-event catalog through the job queue, cache-hit check on a\n            repeated query, cold-store replay verified bit-exact\n  awp analyze --smoke [--json FILE]\n            self-test: trace an in-process 8-rank --lts workflow, analyze\n            it, and require the critical path to cover ≥ 90% of the wall\n            clock\n  awp efficiency\n  awp machines\n  awp chaos --chaos-seed <n> [name] [nx] [seconds]\n  awp chaos --recover [--fault crash|stall|both] [--chaos-seed <n>]\n            seeded rank-failure drill: the run must complete via in-flight\n            supervisor recovery (rollback-rejoin, no whole-run restart) and\n            stay bit-identical to the clean run, or exit nonzero\n  awp --profile [--trace-out FILE]      profiled default workflow\n\n--stats-addr serves live per-rank telemetry at A while the run is in\nflight (newline-delimited versioned JSON, protocol awp-stats v2);\n--health-every N scans the shell slabs for NaN/Inf every N steps and\naborts on the first non-finite velocity (0 = off, the default);\n--flight-dir DIR arms the crash flight recorder: on a rank fault or\ndegradation the supervisor dumps DIR/flightrec-<rank>.json with the last\nenvelopes and span tails for each rank\n\nscenario names: terashake-k | terashake-d | shakeout-k | shakeout-d |\n                wall-to-wall | m8 | pnw"
     );
     std::process::exit(2);
 }
@@ -115,13 +115,7 @@ fn main() {
         lts = true;
         args.remove(i);
     }
-    // Work-stealing tile scheduler (workflow/chaos solve passes) and the
-    // live streaming-stats endpoint address.
-    let mut sched = false;
-    if let Some(i) = args.iter().position(|a| a == "--sched") {
-        sched = true;
-        args.remove(i);
-    }
+    // The live streaming-stats endpoint address.
     let mut stats_addr: Option<String> = None;
     if let Some(i) = args.iter().position(|a| a == "--stats-addr") {
         let addr = args.get(i + 1).cloned().unwrap_or_else(|| usage());
@@ -212,9 +206,6 @@ fn main() {
             let mut run = sc.prepare();
             if lts {
                 run.cfg.opts.lts = Some(awp_solver::LtsOpts::new());
-            }
-            if sched {
-                run.cfg.opts.sched = Some(awp_solver::SchedOpts::new());
             }
             run.cfg.opts.health_every = health_every;
             let mut wf = E2EWorkflow::new(run, [2, 2, 1], &dir);
@@ -376,12 +367,11 @@ fn main() {
                 .map(|i| rest.get(i + 1).and_then(|s| s.parse().ok()).unwrap_or_else(|| usage()))
                 .unwrap_or(3);
             if smoke {
-                // Self-test: serve an ephemeral endpoint, run a scheduled
+                // Self-test: serve an ephemeral endpoint, run a shakeout-k
                 // workflow against it, and play the client ourselves — the
                 // stream must carry ≥ 2 schema-valid versioned snapshots.
                 let sc = build_scenario("shakeout-k", 24).with_duration(15.0);
-                let mut run = sc.prepare();
-                run.cfg.opts.sched = Some(awp_solver::SchedOpts::new());
+                let run = sc.prepare();
                 let live = LiveStats::new(4);
                 let srv = StatsServer::serve(
                     &StatsAddr::parse("127.0.0.1:0"),
@@ -390,7 +380,7 @@ fn main() {
                 )
                 .expect("stats endpoint bind failed");
                 let addr = srv.local_addr().clone();
-                println!("stats smoke: endpoint {addr}, scheduled shakeout-k workflow");
+                println!("stats smoke: endpoint {addr}, shakeout-k workflow");
                 let want = snapshots.max(2);
                 let reader = std::thread::spawn(move || {
                     read_stream(&addr, want, Duration::from_secs(30))
@@ -435,7 +425,7 @@ fn main() {
                     });
                 match validate_stream(&lines) {
                     Ok((ranks, snaps)) => {
-                        println!("# {addr}: {ranks} ranks, {snaps} snapshots (awp-stats v1)");
+                        println!("# {addr}: {ranks} ranks, {snaps} snapshots (awp-stats v{STATS_PROTO_VERSION})");
                         for l in &lines {
                             println!("{l}");
                         }
@@ -625,11 +615,6 @@ fn main() {
                 // first checkpoint epoch (cadence 4), so a rollback line
                 // always exists.
                 let mut run = sc.prepare();
-                if sched {
-                    // The drill run steals tiles; the clean reference does
-                    // not — the bit-exact gate below covers both axes.
-                    run.cfg.opts.sched = Some(awp_solver::SchedOpts::new());
-                }
                 run.cfg.opts.health_every = health_every;
                 let mut plan = FaultPlan::new(seed);
                 if matches!(fault_mode, "crash" | "both") {
@@ -709,9 +694,6 @@ fn main() {
             }
 
             let mut run = sc.prepare();
-            if sched {
-                run.cfg.opts.sched = Some(awp_solver::SchedOpts::new());
-            }
             run.cfg.opts.health_every = health_every;
             let steps = run.cfg.steps as u64;
             let plan = Arc::new(FaultPlan::random(seed, 2, steps));

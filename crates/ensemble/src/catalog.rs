@@ -43,7 +43,6 @@ pub struct CatalogConfig {
     pub cvm_seeds: Vec<u64>,
     pub cvm_amp: f64,
     pub lts: bool,
-    pub sched: bool,
 }
 
 impl CatalogConfig {
@@ -67,7 +66,6 @@ impl CatalogConfig {
             cvm_seeds: vec![11, 23],
             cvm_amp: 0.04,
             lts: false,
-            sched: false,
         }
     }
 
@@ -93,9 +91,6 @@ impl CatalogConfig {
         }
         if let Some(b) = v["lts"].as_bool() {
             cfg.lts = b;
-        }
-        if let Some(b) = v["sched"].as_bool() {
-            cfg.sched = b;
         }
         Ok(cfg)
     }
@@ -280,7 +275,6 @@ fn make_event(
     spec.cvm_seed = cfg.cvm_seeds[seq % cfg.cvm_seeds.len()];
     spec.cvm_amp = cfg.cvm_amp;
     spec.lts = cfg.lts;
-    spec.sched = cfg.sched;
     Ok(CatalogEvent { idx, t_years, kind, spec })
 }
 

@@ -164,9 +164,6 @@ impl EnsembleEngine {
         if spec.lts {
             run.cfg.opts.lts = Some(awp_solver::LtsOpts::new());
         }
-        if spec.sched {
-            run.cfg.opts.sched = Some(awp_solver::SchedOpts::new());
-        }
         if token.is_some_and(CancelToken::is_cancelled) {
             return Ok(RunOutcome::Cancelled);
         }

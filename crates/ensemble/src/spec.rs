@@ -12,8 +12,10 @@
 //!   of the value, with `-0.0` normalised to `0.0`; NaN is rejected at
 //!   construction (a NaN knob has no meaningful identity);
 //! - integers and booleans are emitted in decimal / `true|false`;
-//! - the first line is a versioned magic (`awp-scenario v1`), so a future
-//!   canonicalization change cannot silently collide with v1 hashes.
+//! - the first line is a versioned magic (`awp-scenario v2`), so a
+//!   canonicalization change cannot silently collide with older hashes
+//!   (v2 dropped v1's `sched` line: the tile scheduler was bit-exact, so
+//!   it never named a different output).
 
 use awp_odc::scenario::{Scenario, SourceSpec};
 use awp_pario::Md5;
@@ -47,8 +49,6 @@ pub struct ScenarioSpec {
     pub cvm_amp: f64,
     /// Run the solve with clustered local time stepping.
     pub lts: bool,
-    /// Run the solve under the work-stealing tile scheduler.
-    pub sched: bool,
 }
 
 /// Canonical text form of one f64: the hex bit pattern, `-0.0` folded
@@ -83,7 +83,6 @@ impl ScenarioSpec {
             cvm_seed: 0,
             cvm_amp: 0.0,
             lts: false,
-            sched: false,
         })
     }
 
@@ -101,10 +100,9 @@ impl ScenarioSpec {
             ("cvm_seed", self.cvm_seed.to_string()),
             ("cvm_amp", canon_f64("cvm_amp", self.cvm_amp)?),
             ("lts", self.lts.to_string()),
-            ("sched", self.sched.to_string()),
         ];
         fields.sort_by(|a, b| a.0.cmp(b.0));
-        let mut out = String::from("awp-scenario v1\n");
+        let mut out = String::from("awp-scenario v2\n");
         for (k, v) in fields {
             out.push_str(k);
             out.push('=');
@@ -169,8 +167,7 @@ impl ScenarioSpec {
             "rise_time": self.rise_time,
             "cvm_seed": self.cvm_seed,
             "cvm_amp": self.cvm_amp,
-            "lts": self.lts,
-            "sched": self.sched
+            "lts": self.lts
         })
     }
 
@@ -207,9 +204,6 @@ impl ScenarioSpec {
         if let Some(b) = v["lts"].as_bool() {
             spec.lts = b;
         }
-        if let Some(b) = v["sched"].as_bool() {
-            spec.sched = b;
-        }
         Ok(spec)
     }
 }
@@ -233,13 +227,13 @@ mod tests {
     fn canonical_form_is_sorted_and_versioned() {
         let spec = ScenarioSpec::new("shakeout-k", 16).unwrap();
         let c = spec.canonical().unwrap();
-        assert!(c.starts_with("awp-scenario v1\n"));
+        assert!(c.starts_with("awp-scenario v2\n"));
         let keys: Vec<&str> =
             c.lines().skip(1).map(|l| l.split('=').next().unwrap()).collect();
         let mut sorted = keys.clone();
         sorted.sort();
         assert_eq!(keys, sorted, "canonical keys must be sorted");
-        assert_eq!(keys.len(), 11, "one line per identity field");
+        assert_eq!(keys.len(), 10, "one line per identity field");
     }
 
     #[test]

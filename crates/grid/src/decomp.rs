@@ -29,7 +29,7 @@ pub struct Decomp3 {
     /// Deliberate per-axis imbalance: `skew[a]` extra cells are granted to
     /// part 0 along axis `a`, taken evenly from the remaining parts. All
     /// zeros (the default, and what [`Decomp3::new`] builds) keeps the
-    /// balanced split. Used by scheduler benchmarks to construct a known
+    /// balanced split. Used by the equivalence tests to construct a known
     /// straggler rank; every cell still has exactly one owner.
     #[serde(default)]
     pub skew: [usize; 3],

@@ -89,17 +89,6 @@ pub struct SolverOpts {
     /// decomposition (`parts[2] == 1`).
     #[serde(default)]
     pub lts: Option<LtsOpts>,
-    /// Cooperative work-stealing tile scheduler: decompose each pipeline
-    /// slab's velocity/stress update into disjoint-write k-slab tiles on
-    /// per-rank dispatch queues, and let ranks that finish early (or park
-    /// in `finish_exchange`) steal tiles from lagging peers. `None` keeps
-    /// the one-thread-per-rank path. Requires `overlap` (tiles are cut
-    /// from the slabs of the overlap pipeline). Bit-exact with the
-    /// unscheduled path under any steal order. This is the repo's answer
-    /// to §IV.D's load imbalance; the paper's hybrid MPI/OpenMP mode lost
-    /// to pure MPI there and is not reproduced.
-    #[serde(default)]
-    pub sched: Option<SchedOpts>,
     /// Simulation-health sentinel cadence (`--health-every N`): every N
     /// steps each rank scans its halo-feeding slabs for non-finite velocities and
     /// records the |v| watermark, aborting with a clear `sim-health:` error
@@ -107,28 +96,6 @@ pub struct SolverOpts {
     /// disables the probe entirely.
     #[serde(default)]
     pub health_every: u64,
-}
-
-/// Knobs for the work-stealing tile scheduler (see `awp_vcluster::sched`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct SchedOpts {
-    /// Tile granularity: z-planes per tile. Tiles keep the full i/j extent
-    /// of the interior window (identical SIMD row geometry), so this is
-    /// the only split knob. 0 means one tile per window (no stealing
-    /// opportunity — useful for overhead measurement).
-    pub tile_planes: usize,
-}
-
-impl SchedOpts {
-    pub fn new() -> Self {
-        Self { tile_planes: 4 }
-    }
-}
-
-impl Default for SchedOpts {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 /// Knobs for the dt-cluster construction (see `awp_cvm::lts`).
@@ -183,7 +150,6 @@ impl SolverOpts {
             comm_mode: CommModeOpt::Asynchronous,
             per_step_barrier: false,
             lts: None,
-            sched: None,
             health_every: 0,
         }
     }
@@ -207,16 +173,8 @@ impl SolverOpts {
             comm_mode: CommModeOpt::Synchronous,
             per_step_barrier: true,
             lts: None,
-            sched: None,
             health_every: 0,
         }
-    }
-
-    /// Everything on *plus* the work-stealing tile scheduler: interior
-    /// updates run as disjoint-write k-slab tiles that idle ranks steal.
-    /// Bit-exact with [`SolverOpts::optimized`] under any steal order.
-    pub fn optimized_sched() -> Self {
-        Self { sched: Some(SchedOpts::new()), ..Self::optimized() }
     }
 }
 
@@ -239,9 +197,6 @@ pub enum ConfigError {
     /// `opts.lts.min_slab` must be ≥ 4: a fine cluster reads two ghost
     /// planes from its coarse neighbour, which must not span a cluster.
     LtsSlabTooThin,
-    /// `opts.sched` requires `opts.overlap`: tiles are cut from the slabs
-    /// of the overlap pipeline; the fused step submits none.
-    SchedNeedsOverlap,
     /// `abc` describes a layer the boundary code cannot build on
     /// `dims`; the message names the offending parameter.
     BadAbsorbingLayer(String),
@@ -266,11 +221,6 @@ impl std::fmt::Display for ConfigError {
             ConfigError::LtsSlabTooThin => write!(
                 f,
                 "opts.lts.min_slab must be at least 4 (two stencil half-widths)"
-            ),
-            ConfigError::SchedNeedsOverlap => write!(
-                f,
-                "opts.sched requires the overlap slab pipeline \
-                 (set opts.overlap or drop opts.sched)"
             ),
             ConfigError::BadAbsorbingLayer(why) => write!(f, "bad absorbing layer: {why}"),
         }
@@ -397,9 +347,6 @@ impl SolverConfig {
             if lts.min_slab < 4 {
                 return Err(ConfigError::LtsSlabTooThin);
             }
-        }
-        if self.opts.sched.is_some() && !self.opts.overlap {
-            return Err(ConfigError::SchedNeedsOverlap);
         }
         self.validate_abc().map_err(ConfigError::BadAbsorbingLayer)
     }
@@ -577,23 +524,6 @@ mod tests {
         cfg.opts = SolverOpts::optimized_lts();
         cfg.opts.lts = Some(LtsOpts { max_rate_log2: 3, min_slab: 2 });
         assert_eq!(cfg.validate(), Err(ConfigError::LtsSlabTooThin));
-    }
-
-    #[test]
-    fn sched_is_opt_in_and_arbitrated_against_hybrid() {
-        assert!(SolverOpts::optimized().sched.is_none(), "scheduler is an explicit opt-in");
-        let o = SolverOpts::optimized_sched();
-        assert_eq!(o.sched, Some(SchedOpts::new()));
-        assert_eq!({ let mut p = o; p.sched = None; p }, SolverOpts::optimized());
-
-        let mut cfg = SolverConfig::small(Dims3::new(8, 8, 8), 100.0, 1e-3, 4);
-        cfg.opts = SolverOpts::optimized_sched();
-        assert!(cfg.validate().is_ok());
-        // Tiles are the interior window of the overlap split.
-        cfg.opts.overlap = false;
-        assert_eq!(cfg.validate(), Err(ConfigError::SchedNeedsOverlap));
-        let msg = ConfigError::SchedNeedsOverlap.to_string();
-        assert!(msg.contains("overlap"), "{msg}");
     }
 
     #[test]

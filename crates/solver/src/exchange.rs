@@ -254,14 +254,7 @@ pub fn finish_exchange(
             }
         }
         if !progressed {
-            // Nothing arrived: donate the wait to a lagging peer — execute
-            // one stolen tile from the work-stealing scheduler (if one is
-            // attached) before falling back to a blocking receive. Stolen
-            // tiles write disjoint cells of the *victim's* grid, so they
-            // cannot perturb this rank's halos.
-            if ctx.try_steal() {
-                continue;
-            }
+            // Nothing arrived: block on the first outstanding request.
             if let Some(r) = reqs.iter_mut().find(|r| !r.done) {
                 let data = ctx.recv(r.src, r.tag).into_f32();
                 let t = ctx.telem.start();

@@ -56,7 +56,7 @@ pub mod stations;
 
 pub use arena::HaloArena;
 pub use awp_telemetry as telemetry;
-pub use config::{AbcKind, CodeVersion, ConfigError, LtsOpts, SchedOpts, SolverConfig, SolverOpts};
+pub use config::{AbcKind, CodeVersion, ConfigError, LtsOpts, SolverConfig, SolverOpts};
 pub use lts::LtsPlan;
 pub use medium::{global_vp_max, Medium};
 pub use shell::Win;

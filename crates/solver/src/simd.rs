@@ -117,7 +117,7 @@ pub fn update_stress_simd(
     update_stress_backend_win(state, med, atten, dth, dt, block, win, detect());
 }
 
-/// Velocity update over `win` (overlap slabs, tiles) on an explicit
+/// Velocity update over `win` (overlap slabs, LTS clusters) on an explicit
 /// backend; panics if the CPU lacks it. Bit-identical to the fused pass
 /// restricted to `win`: the vector loop restarts at `win.i0` with the same
 /// expression tree (unaligned loads, no FMA) and per-cell updates are

@@ -38,14 +38,11 @@ use awp_grid::stagger::Component;
 use awp_source::kinematic::KinematicSource;
 use awp_source::partition::partition_spatial;
 use awp_telemetry::{
-    CausalKind, Counter as TelCounter, HistKind as TelHistKind, Phase as TelPhase, Recorder,
-    Registry, Snapshot, NO_CLUSTER, NO_PEER,
+    CausalKind, Counter as TelCounter, Phase as TelPhase, Recorder, Registry, Snapshot, NO_CLUSTER,
+    NO_PEER,
 };
 use awp_vcluster::cluster::RankCtx;
-use awp_vcluster::sched::fold_counters;
-use awp_vcluster::{
-    Category, Cluster, CommMode, ExecSlot, HostTopology, SchedulePlan, Tile, TimeLedger,
-};
+use awp_vcluster::{Category, Cluster, CommMode, SchedulePlan, TimeLedger};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -121,41 +118,6 @@ impl Kernels {
     }
 }
 
-/// Executor context for one tile batch: raw pointers into the owner rank's
-/// solver, valid from `submit` to `run_to_completion` per the [`ExecSlot`]
-/// contract. Tiles partition the window into disjoint k-slabs and both
-/// kernels are cell-pure — the velocity kernel writes only velocity
-/// components of its own cells while reading stresses, the stress kernel
-/// writes only stresses and memory variables of its own cells while reading
-/// velocities (a tiled walk retires no velocity plane: a neighbouring tile
-/// may still read it), and a batch runs one of the two — so the concurrent
-/// mutable accesses through `state` never alias a written cell. `atten` is
-/// null when attenuation is off.
-struct TileCtx<'a> {
-    kernels: Kernels,
-    phase: Phase,
-    state: *mut WaveState,
-    med: *const Medium,
-    atten: *const Attenuation,
-    dth: f32,
-    dt: f32,
-    fold: Option<SpongeFold<'a>>,
-}
-
-unsafe fn run_tile(p: *const (), t: Tile) {
-    let c = unsafe { &*(p as *const TileCtx) };
-    let state = unsafe { &mut *c.state };
-    let med = unsafe { &*c.med };
-    let w = Win { i0: t.i0, i1: t.i1, j0: t.j0, j1: t.j1, k0: t.k0, k1: t.k1 };
-    match c.phase {
-        Phase::Velocity => c.kernels.velocity(state, med, c.dth, w),
-        Phase::Stress => {
-            let atten = unsafe { c.atten.as_ref() };
-            c.kernels.stress(state, med, atten, c.dth, c.dt, w, c.fold.as_ref())
-        }
-    }
-}
-
 /// Where a step's messages and timings go: a rank of the virtual cluster,
 /// or — a serial run — nowhere, with the caller's ledger.
 enum Comm<'a> {
@@ -218,68 +180,12 @@ struct ClusterOps<'a> {
 }
 
 impl Pass<'_> {
-    /// Run one kernel over `w`: inline, or — `tile_planes` — as disjoint-write
-    /// k-slab tiles on this rank's dispatch queue, parking on the batch
-    /// barrier (helping lagging peers while waiting). Only the cell-pure
-    /// kernel is tiled; boundary work stays owner-side, after the barrier,
-    /// which keeps the pass bit-exact under any steal schedule.
-    fn kernel(
-        &self,
-        phase: Phase,
-        state: &mut WaveState,
-        ops: &ClusterOps,
-        w: Win,
-        tile_planes: Option<usize>,
-        comm: &mut Comm,
-    ) {
-        let (dth, dt) = (ops.dth, ops.dt as f32);
-        let (Some(planes), Some(ctx)) = (tile_planes, comm.rank()) else {
-            return match phase {
-                Phase::Velocity => self.kernels.velocity(state, self.med, dth, w),
-                Phase::Stress => {
-                    self.kernels.stress(state, self.med, ops.atten, dth, dt, w, ops.fold.as_ref())
-                }
-            };
-        };
-        let sched = Arc::clone(ctx.sched().expect("tiled pass requires an attached scheduler"));
-        let rank = ctx.rank();
-        let tiles =
-            Tile { i0: w.i0, i1: w.i1, j0: w.j0, j1: w.j1, k0: w.k0, k1: w.k1 }.split_k(planes);
-        ctx.telem.observe_count(TelHistKind::QueueDepth, tiles.len() as u64);
-        let tctx = TileCtx {
-            kernels: self.kernels,
-            phase,
-            state,
-            med: self.med,
-            atten: ops.atten.map_or(std::ptr::null(), |a| a as *const Attenuation),
-            dth,
-            dt,
-            fold: ops.fold,
-        };
-        // SAFETY: `tctx` outlives the batch (submit → run_to_completion,
-        // both below, on this stack frame); tiles write disjoint cells and
-        // the kernels are cell-pure, so concurrent executors never write
-        // the same memory (see `awp_vcluster::sched` module docs).
-        unsafe {
-            let exec = ExecSlot::new(&tctx as *const TileCtx as *const (), run_tile);
-            sched.submit(rank, exec, &tiles);
-        }
-        sched.run_to_completion(rank);
-    }
-
     /// Velocity phase over one window: kernel update then the M-PML
     /// velocity correction, both restricted to `w`. The M-PML work is
     /// recorded as a nested `Boundary` span (inclusive: it also counts
     /// toward the enclosing window-phase span).
-    fn velocity_win(
-        &self,
-        state: &mut WaveState,
-        ops: &mut ClusterOps,
-        w: Win,
-        tiles: Option<usize>,
-        comm: &mut Comm,
-    ) {
-        self.kernel(Phase::Velocity, state, ops, w, tiles, comm);
+    fn velocity_win(&self, state: &mut WaveState, ops: &mut ClusterOps, w: Win, comm: &mut Comm) {
+        self.kernels.velocity(state, self.med, ops.dth, w);
         if let Some(p) = ops.mpml.as_deref_mut() {
             let t0 = comm.tel().start();
             p.apply_velocity_win(state, self.med, ops.dth, w);
@@ -294,15 +200,9 @@ impl Pass<'_> {
     /// Boundary-condition work outside the kernel and source injection are
     /// recorded as nested `Boundary`/`Source` spans inside the window-phase
     /// span.
-    fn stress_win(
-        &self,
-        state: &mut WaveState,
-        ops: &mut ClusterOps,
-        w: Win,
-        tiles: Option<usize>,
-        comm: &mut Comm,
-    ) {
-        self.kernel(Phase::Stress, state, ops, w, tiles, comm);
+    fn stress_win(&self, state: &mut WaveState, ops: &mut ClusterOps, w: Win, comm: &mut Comm) {
+        let dt = ops.dt as f32;
+        self.kernels.stress(state, self.med, ops.atten, ops.dth, dt, w, ops.fold.as_ref());
         let tel = comm.tel();
         if let Some(p) = ops.mpml.as_deref_mut() {
             let t0 = tel.start();
@@ -581,13 +481,6 @@ impl Solver {
         let opts = self.cfg.opts;
         let async_rank = comm.rank().is_some_and(|ctx| ctx.mode() == CommMode::Asynchronous);
         let split = opts.overlap && async_rank && opts.reciprocal_media;
-        // Each slab's tiles go on the work-stealing scheduler when both the
-        // config asks for it and the cluster carries one; the owner starts
-        // the slab's sends after its batch barrier.
-        let tiles = opts
-            .sched
-            .filter(|_| split && comm.rank().is_some_and(|ctx| ctx.sched().is_some()))
-            .map(|s| s.tile_planes);
         let Solver {
             sub, med, state, atten, sponge, mpml, injector, flops, vel_plan, str_plan, arena, ..
         } = self;
@@ -598,11 +491,11 @@ impl Solver {
         // Where the stress walk of cluster window `w` stops retiring the
         // velocity sponge (`SpongeFold::retire` = `[w.k0, here)`); the rest
         // waits for the end of the tick. Row (j, k − 2) is final after
-        // stress row (j, k) only in a plain k-major walk with no tile beside
-        // it, and the lag never reaches the last two planes — the two the
-        // cluster below, whose stress phase comes later (clusters run top
-        // to bottom), still reads and blends.
-        let retires = kernels.folds() && kernels.block == BlockSpec::UNBLOCKED && tiles.is_none();
+        // stress row (j, k) only in a plain k-major walk, and the lag never
+        // reaches the last two planes — the two the cluster below, whose
+        // stress phase comes later (clusters run top to bottom), still
+        // reads and blends.
+        let retires = kernels.folds() && kernels.block == BlockSpec::UNBLOCKED;
         let retired_to = |w: Win| if retires { w.k1.saturating_sub(2).max(w.k0) } else { w.k0 };
         comm.tel().set_step(n);
         let mut firing = [false; MAX_CLUSTERS];
@@ -673,8 +566,8 @@ impl Solver {
                 for (s, &w) in slabs.iter().enumerate() {
                     let t0 = Instant::now();
                     match phase {
-                        Phase::Velocity => pass.velocity_win(state, &mut ops, w, tiles, &mut comm),
-                        Phase::Stress => pass.stress_win(state, &mut ops, w, tiles, &mut comm),
+                        Phase::Velocity => pass.velocity_win(state, &mut ops, w, &mut comm),
+                        Phase::Stress => pass.stress_win(state, &mut ops, w, &mut comm),
                     }
                     comm.charge(Category::Comp, span, t0);
                     if let (Some(ctx), Some(p)) = (comm.rank(), pending.as_mut()) {
@@ -926,9 +819,8 @@ pub fn try_run_parallel(
 }
 
 /// The general fallible driver: takes an explicit (possibly skewed)
-/// [`Decomp3`] instead of a balanced `parts` split — the scheduler bench
-/// constructs a deliberately imbalanced one to measure how much wall-clock
-/// work stealing recovers. With a telemetry registry every rank records
+/// [`Decomp3`] instead of a balanced `parts` split (the equivalence tests
+/// cut deliberately skewed ones). With a telemetry registry every rank records
 /// phase spans / counters / histograms, each `RankResult` carries the
 /// rank's snapshot, and the registry can produce the aggregate
 /// [`awp_telemetry::TelemetryReport`] and Chrome trace after the run. With
@@ -975,9 +867,6 @@ pub fn try_run_parallel_decomp(
     if let Some(plan) = schedule {
         cluster = cluster.with_schedule(plan);
     }
-    if cfg.opts.sched.is_some() {
-        cluster = cluster.with_sched(HostTopology::detect());
-    }
     Ok(cluster.run(|ctx| {
         let rank = ctx.rank();
         let sub = decomp.subdomain(rank);
@@ -1005,10 +894,6 @@ pub fn try_run_parallel_decomp(
         ctx.telem.count(TelCounter::ArenaAllocs, solver.arena_allocations());
         if solver.lts_active() {
             ctx.telem.set_lts_stats(solver.lts_stats());
-        }
-        if let Some(s) = ctx.sched() {
-            let s = Arc::clone(s);
-            fold_counters(&s, rank, &mut ctx.telem);
         }
         RankResult {
             rank,

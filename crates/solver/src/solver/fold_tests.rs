@@ -7,11 +7,11 @@
 //! `kernels::reference`, then inject → image → `Sponge` over the whole
 //! window, and every velocity plane damped at the end of the tick. Both
 //! must leave the same bits in every padded field, memory variable and
-//! seismogram, on every backend and however the grid is cut, clustered,
-//! slabbed or tiled.
+//! seismogram, on every backend and however the grid is cut, clustered
+//! or slabbed.
 
 use super::*;
-use crate::config::{LtsOpts, SchedOpts, SolverOpts};
+use crate::config::{LtsOpts, SolverOpts};
 use crate::simd::{detect, tests::backends};
 use awp_cvm::mesh::MeshGenerator;
 use awp_cvm::model::LayeredModel;
@@ -100,26 +100,14 @@ fn serial(c: &Case, walk: Walk, mut before_step: impl FnMut(&mut Solver)) -> Vec
 
 /// `step_parallel` on every rank of `decomp` — the body of
 /// `try_run_parallel_decomp` with the walk chosen per solver.
-fn ranks(
-    c: &Case,
-    decomp: Decomp3,
-    walk: Walk,
-    schedule: Option<Arc<SchedulePlan>>,
-) -> Vec<Outcome> {
+fn ranks(c: &Case, decomp: Decomp3, walk: Walk) -> Vec<Outcome> {
     let cfg = &c.cfg;
     cfg.validate().expect("valid case");
     let meshes = partition_mesh_direct(&c.mesh, &decomp);
     let sources = partition_spatial(&c.source, &decomp);
     let plan = cfg.opts.lts.map(|lo| LtsPlan::from_mesh(&c.mesh, cfg.dt, lo));
     let vp_max = global_vp_max(&meshes);
-    let mut cluster = Cluster::new(decomp.rank_count(), cfg.opts.comm_mode.into());
-    if let Some(s) = schedule {
-        cluster = cluster.with_schedule(s);
-    }
-    if cfg.opts.sched.is_some() {
-        cluster = cluster.with_sched(HostTopology::detect());
-    }
-    cluster.run(|ctx| {
+    Cluster::new(decomp.rank_count(), cfg.opts.comm_mode.into()).run(|ctx| {
         let (rank, sub) = (ctx.rank(), decomp.subdomain(ctx.rank()));
         let (mesh, source) = (&meshes[rank], &sources[rank]);
         let mut solver = Solver::try_new_rank(cfg.clone(), sub, mesh, source, &c.stations, vp_max)
@@ -236,9 +224,9 @@ fn lts_interfaces_inside_the_bottom_sponge_keep_their_edge_planes() {
     for parts in [[2, 1, 1], [2, 2, 1]] {
         let decomp = Decomp3::new(d, parts);
         for c in [&c, &fused] {
-            let want = ranks(c, decomp, Walk::Reference, None);
+            let want = ranks(c, decomp, Walk::Reference);
             let what = format!("basin ladder {parts:?} overlap {}", c.cfg.opts.overlap);
-            assert_same(&ranks(c, decomp, Walk::Folded(detect()), None), &want, &what);
+            assert_same(&ranks(c, decomp, Walk::Folded(detect())), &want, &what);
         }
     }
     // A thinner ladder: min_slab 6 moves the interfaces.
@@ -248,7 +236,7 @@ fn lts_interfaces_inside_the_bottom_sponge_keep_their_edge_planes() {
 }
 
 #[test]
-fn slab_pipelines_and_stolen_tiles_fold_like_the_serial_walk() {
+fn slab_pipelines_fold_like_the_serial_walk() {
     // nz 7 / 8 / 12 / 16: one to four slabs per rank.
     for nz in [7, 8, 12, 16] {
         let d = Dims3::new(20, 18, nz);
@@ -256,26 +244,12 @@ fn slab_pipelines_and_stolen_tiles_fold_like_the_serial_walk() {
         let c = case(d, false, 5, 24, &cells);
         for parts in [[2, 1, 1], [1, 2, 1], [2, 2, 1]] {
             let decomp = Decomp3::new(d, parts);
-            let want = ranks(&c, decomp, Walk::Reference, None);
+            let want = ranks(&c, decomp, Walk::Reference);
             for b in backends() {
                 let what = format!("nz {nz} {parts:?} {}", b.name());
-                assert_same(&ranks(&c, decomp, Walk::Folded(b), None), &want, &what);
+                assert_same(&ranks(&c, decomp, Walk::Folded(b)), &want, &what);
             }
         }
-    }
-    // Tiles of 2, 4 and 16 planes (the last: one tile per slab) on a skewed
-    // cut, under fuzzed steal and delivery orders.
-    let d = Dims3::new(20, 18, 20);
-    let cells = [Idx3::new(10, 9, 6), Idx3::new(4, 14, 2), Idx3::new(15, 5, 17)];
-    let plain = case(d, false, 5, 20, &cells);
-    let decomp = Decomp3::new(d, [2, 2, 1]).with_skew(0, 4);
-    let want = ranks(&plain, decomp, Walk::Reference, None);
-    for (seed, tile_planes) in [2, 4, 16, 4].into_iter().enumerate() {
-        let mut tiled = case(d, false, 5, 20, &cells);
-        tiled.cfg.opts.sched = Some(SchedOpts { tile_planes });
-        let plan = SchedulePlan::with_bounds(0xf01d_0000 + seed as u64, 2, 3);
-        let got = ranks(&tiled, decomp, Walk::Folded(detect()), Some(plan));
-        assert_same(&got, &want, &format!("tiles of {tile_planes}, seed {seed}"));
     }
 }
 
@@ -293,9 +267,9 @@ fn thin_surface_ranks_fold_with_little_or_nothing_to_retire() {
         for parts in [[1, 1, 2], [2, 1, 2]] {
             let decomp = Decomp3::new(d, parts);
             assert_eq!(decomp.subdomain(0).dims.nz, nz);
-            let want = ranks(&c, decomp, Walk::Reference, None);
+            let want = ranks(&c, decomp, Walk::Reference);
             let what = format!("nz {nz} {parts:?}");
-            assert_same(&ranks(&c, decomp, Walk::Folded(detect()), None), &want, &what);
+            assert_same(&ranks(&c, decomp, Walk::Folded(detect())), &want, &what);
         }
     }
 }

@@ -26,7 +26,7 @@ use awp_solver::solver::partition_mesh_direct;
 use awp_solver::state::MemoryVars;
 use awp_solver::{
     global_vp_max, run_parallel, try_run_parallel, try_run_parallel_decomp, AbcKind, ConfigError,
-    LtsOpts, Medium, RankResult, SchedOpts, Solver, SolverConfig, Station, WaveState, Win,
+    LtsOpts, Medium, RankResult, Solver, SolverConfig, Station, WaveState, Win,
 };
 use awp_source::kinematic::KinematicSource;
 use awp_source::moment::MomentTensor;
@@ -365,22 +365,20 @@ fn lts_clusters_pipeline_their_own_slabs() {
 }
 
 #[test]
-fn scheduled_slabs_are_steal_order_invariant() {
-    // With sched on each slab is a tile batch and the owner posts the
-    // slab's sends after its barrier; fuzzed steal and delivery orders must
-    // not show in the result.
+fn skewed_slabs_are_delivery_order_invariant() {
+    // Each slab posts its sends as soon as it is done, so a straggler's
+    // slab messages interleave with its neighbours' on every face; fuzzed
+    // delivery and wait-all orders must not show in the result.
     let d = Dims3::new(20, 18, 20);
     let fx = overlap_fixture(d, 12);
-    let mut cfg = fx.3.clone();
-    cfg.opts.sched = Some(SchedOpts { tile_planes: 2 });
+    let cfg = &fx.3;
     let serial = observed(d, &[Solver::run_serial(fx.3.clone(), &fx.0, &fx.1, &fx.2)]);
     let decomp = Decomp3::new(d, [2, 2, 1]).with_skew(0, 4);
     let meshes = partition_mesh_direct(&fx.0, &decomp);
     for seed in 0..4 {
         let plan = SchedulePlan::with_bounds(0x51ab_0000 + seed, 2, 3);
-        let fuzzed =
-            try_run_parallel_decomp(&cfg, decomp, &meshes, &fx.1, &fx.2, None, Some(plan))
-                .expect("valid config");
+        let fuzzed = try_run_parallel_decomp(cfg, decomp, &meshes, &fx.1, &fx.2, None, Some(plan))
+            .expect("valid config");
         assert!(observed(d, &fuzzed) == serial, "seed {seed}");
     }
 }

@@ -1,7 +1,7 @@
 //! Absolute pins for the time stepper.
 //!
 //! Every other stepper suite is *relative* (parallel ≡ serial, overlap ≡
-//! fused, scheduled ≡ unscheduled), so a change that moves all paths
+//! fused, any delivery order ≡ FIFO), so a change that moves all paths
 //! together — say, recording seismograms before instead of after the
 //! velocity sponge — passes them all. This suite hashes everything a step
 //! produces and compares against constants recorded once, at the commit
@@ -16,12 +16,12 @@ use awp_grid::decomp::Decomp3;
 use awp_grid::dims::{Dims3, Idx3};
 use awp_solver::boundary::owns_free_surface;
 use awp_solver::solver::{exchange_material_halos, partition_mesh_direct, update_pgv, Solver};
-use awp_solver::{AbcKind, LtsPlan, SchedOpts, SolverConfig, SolverOpts, Station};
+use awp_solver::{AbcKind, LtsPlan, SolverConfig, SolverOpts, Station};
 use awp_source::kinematic::KinematicSource;
 use awp_source::moment::MomentTensor;
 use awp_source::partition::partition_spatial;
 use awp_source::stf::Stf;
-use awp_vcluster::{Cluster, HostTopology, TimeLedger};
+use awp_vcluster::{Cluster, TimeLedger};
 
 const H: f64 = 150.0;
 /// A multiple of the basin ladder's slowest rate (4), so the LTS cases end
@@ -42,8 +42,8 @@ enum Mode {
     Serial,
     /// `[2,1,1]`, scenario options as they are (overlap split).
     Split,
-    /// `[1,2,1]` with interior tiles on the work-stealing scheduler.
-    Sched,
+    /// `[1,2,1]`, scenario options as they are (overlap split along y).
+    SplitY,
     /// `[2,2,1]` with the overlap split off (fused pass, async engine).
     Fused,
     /// `[2,1,1]` under `SolverOpts::legacy()` (synchronous engine,
@@ -56,21 +56,21 @@ enum Mode {
 const GOLDEN: [(Scenario, Mode, u64); 18] = [
     (Scenario::Loh1Sponge, Mode::Serial, 0x28ea_9e84_cc34_737a),
     (Scenario::Loh1Sponge, Mode::Split, 0xfa0b_91f4_b29f_723d),
-    (Scenario::Loh1Sponge, Mode::Sched, 0xff7f_f98d_b4b5_af8a),
+    (Scenario::Loh1Sponge, Mode::SplitY, 0xff7f_f98d_b4b5_af8a),
     (Scenario::Loh1Sponge, Mode::Fused, 0x1bb8_c66d_819d_5a40),
     (Scenario::Loh1Sponge, Mode::Legacy, 0x95ca_297d_f1c4_6d11),
     (Scenario::Loh1Mpml, Mode::Serial, 0x4f6e_52ba_0ea2_ce68),
     (Scenario::Loh1Mpml, Mode::Split, 0x1cfb_11a2_e109_ed8a),
-    (Scenario::Loh1Mpml, Mode::Sched, 0xec36_9883_f13d_a977),
+    (Scenario::Loh1Mpml, Mode::SplitY, 0xec36_9883_f13d_a977),
     (Scenario::Loh1Mpml, Mode::Fused, 0xa353_34d5_48e8_380a),
     (Scenario::Loh1Mpml, Mode::Legacy, 0x962f_76fc_a750_5b9c),
     (Scenario::BasinLtsSponge, Mode::Serial, 0xfaf9_4b1c_726d_1d8d),
     (Scenario::BasinLtsSponge, Mode::Split, 0x812c_073c_ed84_5d38),
-    (Scenario::BasinLtsSponge, Mode::Sched, 0x69e1_fb81_d779_4050),
+    (Scenario::BasinLtsSponge, Mode::SplitY, 0x69e1_fb81_d779_4050),
     (Scenario::BasinLtsSponge, Mode::Fused, 0x9378_ac1b_8a72_87b1),
     (Scenario::BasinLtsMpml, Mode::Serial, 0xdb06_48de_6b1b_0107),
     (Scenario::BasinLtsMpml, Mode::Split, 0x52b3_062a_d70c_dcef),
-    (Scenario::BasinLtsMpml, Mode::Sched, 0xe04e_dc61_7ec5_80eb),
+    (Scenario::BasinLtsMpml, Mode::SplitY, 0xe04e_dc61_7ec5_80eb),
     (Scenario::BasinLtsMpml, Mode::Fused, 0x75f5_13a1_56bd_b31c),
 ];
 
@@ -159,12 +159,11 @@ fn run(scenario: Scenario, mode: Mode, simd: bool) -> Option<u64> {
     let parts = match mode {
         Mode::Serial => [1, 1, 1],
         Mode::Split | Mode::Legacy => [2, 1, 1],
-        Mode::Sched => [1, 2, 1],
+        Mode::SplitY => [1, 2, 1],
         Mode::Fused => [2, 2, 1],
     };
     match mode {
-        Mode::Serial | Mode::Split => {}
-        Mode::Sched => cfg.opts.sched = Some(SchedOpts::new()),
+        Mode::Serial | Mode::Split | Mode::SplitY => {}
         Mode::Fused => cfg.opts.overlap = false,
         Mode::Legacy => cfg.opts = SolverOpts { lts: cfg.opts.lts, ..SolverOpts::legacy() },
     }
@@ -192,11 +191,7 @@ fn run(scenario: Scenario, mode: Mode, simd: bool) -> Option<u64> {
 
     let meshes = partition_mesh_direct(&mesh, &decomp);
     let sources = partition_spatial(&source, &decomp);
-    let mut cluster = Cluster::new(decomp.rank_count(), cfg.opts.comm_mode.into());
-    if cfg.opts.sched.is_some() {
-        cluster = cluster.with_sched(HostTopology::detect());
-    }
-    let per_rank = cluster.run(|ctx| {
+    let per_rank = Cluster::new(decomp.rank_count(), cfg.opts.comm_mode.into()).run(|ctx| {
         let rank = ctx.rank();
         let sub = decomp.subdomain(rank);
         let mut solver = Solver::new(cfg.clone(), sub, &meshes[rank], &sources[rank], &stations);

@@ -13,12 +13,12 @@ use awp_grid::decomp::Decomp3;
 use awp_grid::dims::{Dims3, Idx3};
 use awp_grid::fpmode;
 use awp_solver::solver::{exchange_material_halos, partition_mesh_direct, Solver};
-use awp_solver::{AbcKind, LtsPlan, SchedOpts, SolverConfig, SolverOpts};
+use awp_solver::{AbcKind, LtsPlan, SolverConfig, SolverOpts};
 use awp_source::kinematic::KinematicSource;
 use awp_source::moment::MomentTensor;
 use awp_source::partition::partition_spatial;
 use awp_source::stf::Stf;
-use awp_vcluster::{Cluster, HostTopology, TimeLedger};
+use awp_vcluster::{Cluster, TimeLedger};
 
 const DIMS: Dims3 = Dims3 { nx: 32, ny: 32, nz: 24 };
 const H: f64 = 150.0;
@@ -31,7 +31,6 @@ const EVERY: usize = 4;
 enum Exec {
     Serial,
     Ranks,
-    RanksSched,
 }
 
 /// Subnormal values in everything a restart would need: the nine padded
@@ -71,18 +70,15 @@ fn fixture(abc: AbcKind, lts: bool) -> (SolverConfig, Mesh, KinematicSource) {
 /// Step the case to the end; returns the subnormal count summed over the
 /// sampled steps and ranks, and the peak |v| (the run must carry signal).
 fn run(abc: AbcKind, lts: bool, exec: Exec) -> (usize, f32) {
-    let (mut cfg, mesh, source) = fixture(abc, lts);
+    let (cfg, mesh, source) = fixture(abc, lts);
     let plan = cfg.opts.lts.map(|lo| LtsPlan::from_mesh(&mesh, cfg.dt, lo));
     if let Some(p) = &plan {
         assert!(p.is_multi_rate(), "the basin must split into dt-clusters: {:?}", p.clusters);
     }
     let parts = match exec {
         Exec::Serial => [1, 1, 1],
-        Exec::Ranks | Exec::RanksSched => [2, 1, 1],
+        Exec::Ranks => [2, 1, 1],
     };
-    if matches!(exec, Exec::RanksSched) {
-        cfg.opts.sched = Some(SchedOpts::new());
-    }
     let decomp = Decomp3::new(DIMS, parts);
 
     if matches!(exec, Exec::Serial) {
@@ -103,11 +99,7 @@ fn run(abc: AbcKind, lts: bool, exec: Exec) -> (usize, f32) {
 
     let meshes = partition_mesh_direct(&mesh, &decomp);
     let sources = partition_spatial(&source, &decomp);
-    let mut cluster = Cluster::new(decomp.rank_count(), cfg.opts.comm_mode.into());
-    if cfg.opts.sched.is_some() {
-        cluster = cluster.with_sched(HostTopology::detect());
-    }
-    let per_rank = cluster.run(|ctx| {
+    let per_rank = Cluster::new(decomp.rank_count(), cfg.opts.comm_mode.into()).run(|ctx| {
         let rank = ctx.rank();
         let sub = decomp.subdomain(rank);
         let mut solver = Solver::new(cfg.clone(), sub, &meshes[rank], &sources[rank], &[]);
@@ -139,7 +131,7 @@ fn no_subnormal_survives_any_stepper_and_the_callers_mode_is_restored() {
     let mode = fpmode::control_word();
     for abc in [AbcKind::default_sponge(), AbcKind::m8()] {
         for lts in [false, true] {
-            for exec in [Exec::Serial, Exec::Ranks, Exec::RanksSched] {
+            for exec in [Exec::Serial, Exec::Ranks] {
                 let (subnormal, peak) = run(abc, lts, exec);
                 let case = format!("{abc:?} lts={lts} {exec:?}");
                 assert!(peak > 0.0 && peak.is_finite(), "{case}: peak |v| {peak}");

@@ -17,7 +17,7 @@
 //! the matched edge multiset `(src, dst, tag, bytes)` does not — tags
 //! embed `(phase, field, face, step)` so every halo send in a run is
 //! uniquely keyed. [`CausalGraph::fingerprint`] hashes that canonical
-//! multiset, which is what the schedule/steal fuzzers pin across seeds.
+//! multiset, which is what the schedule fuzzer pins across seeds.
 
 use crate::hist::Log2Hist;
 use crate::phase::Phase;
@@ -36,9 +36,6 @@ pub enum CausalKind {
     /// Message matched from `peer`; `peer_clock` is the envelope stamp,
     /// `clock` the merged local clock.
     Recv,
-    /// Aggregated work-stealing edge: this rank executed `bytes` tiles
-    /// stolen from `peer`'s dispatch queue.
-    Steal,
     /// A local-time-stepping dt-cluster fired (`tag` = cluster id).
     ClusterTick,
     /// The rank rejoined a recovery generation (rollback + respawn).
@@ -53,7 +50,6 @@ impl CausalKind {
         match self {
             CausalKind::Send => "send",
             CausalKind::Recv => "recv",
-            CausalKind::Steal => "steal",
             CausalKind::ClusterTick => "cluster_tick",
             CausalKind::Rollback => "rollback",
             CausalKind::Health => "health",
@@ -78,18 +74,10 @@ pub struct CausalEvent {
     pub t_ns: u64,
 }
 
-/// A reconstructed cross-rank dependency edge.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EdgeKind {
-    /// Matched send→recv message edge.
-    Message,
-    /// Aggregated steal edge (victim → thief, `bytes` = tiles).
-    Steal,
-}
-
+/// A reconstructed cross-rank dependency edge: one matched send→recv
+/// message.
 #[derive(Debug, Clone, Copy)]
 pub struct CausalEdge {
-    pub kind: EdgeKind,
     pub src: usize,
     pub dst: usize,
     pub tag: u64,
@@ -206,7 +194,7 @@ impl CausalGraph {
 
     /// Reconstruct the DAG from per-rank snapshots: spans become nodes,
     /// send/recv causal events are joined on `(src, dst, tag, envelope
-    /// clock)` into message edges, steal marks become steal edges.
+    /// clock)` into message edges.
     pub fn from_snapshots(snaps: &[Snapshot]) -> Self {
         let mut spans = Vec::new();
         for s in snaps {
@@ -235,40 +223,21 @@ impl CausalGraph {
         let mut edges = Vec::new();
         let mut unmatched = 0usize;
         for s in snaps {
-            for ev in &s.causal {
-                match ev.kind {
-                    CausalKind::Recv => {
-                        let key = (ev.peer, s.rank as u32, ev.tag, ev.peer_clock);
-                        if let Some(send) = sends.get(&key) {
-                            edges.push(CausalEdge {
-                                kind: EdgeKind::Message,
-                                src: ev.peer as usize,
-                                dst: s.rank,
-                                tag: ev.tag,
-                                bytes: ev.bytes,
-                                send_ns: send.t_ns,
-                                recv_ns: ev.t_ns,
-                                src_clock: send.clock,
-                                dst_clock: ev.clock,
-                            });
-                        } else {
-                            unmatched += 1;
-                        }
-                    }
-                    CausalKind::Steal => {
-                        edges.push(CausalEdge {
-                            kind: EdgeKind::Steal,
-                            src: ev.peer as usize,
-                            dst: s.rank,
-                            tag: ev.tag,
-                            bytes: ev.bytes,
-                            send_ns: ev.t_ns,
-                            recv_ns: ev.t_ns,
-                            src_clock: ev.clock,
-                            dst_clock: ev.clock,
-                        });
-                    }
-                    _ => {}
+            for ev in s.causal.iter().filter(|ev| ev.kind == CausalKind::Recv) {
+                let key = (ev.peer, s.rank as u32, ev.tag, ev.peer_clock);
+                if let Some(send) = sends.get(&key) {
+                    edges.push(CausalEdge {
+                        src: ev.peer as usize,
+                        dst: s.rank,
+                        tag: ev.tag,
+                        bytes: ev.bytes,
+                        send_ns: send.t_ns,
+                        recv_ns: ev.t_ns,
+                        src_clock: send.clock,
+                        dst_clock: ev.clock,
+                    });
+                } else {
+                    unmatched += 1;
                 }
             }
         }
@@ -278,23 +247,15 @@ impl CausalGraph {
     /// Every matched message edge must observe Lamport order: the
     /// sender's stamp strictly precedes the receiver's merged clock.
     pub fn clock_order_holds(&self) -> bool {
-        self.edges
-            .iter()
-            .filter(|e| e.kind == EdgeKind::Message)
-            .all(|e| e.src_clock < e.dst_clock)
+        self.edges.iter().all(|e| e.src_clock < e.dst_clock)
     }
 
     /// Order-invariant FNV-1a hash of the canonical message-edge multiset
-    /// `(src, dst, tag, bytes)`. Steal edges and raw clock values are
-    /// excluded on purpose: both are timing/delivery-order dependent,
-    /// while the message lineage is not.
+    /// `(src, dst, tag, bytes)`. Raw clock values are excluded on purpose:
+    /// they are delivery-order dependent, while the message lineage is not.
     pub fn fingerprint(&self) -> u64 {
-        let mut keys: Vec<[u64; 4]> = self
-            .edges
-            .iter()
-            .filter(|e| e.kind == EdgeKind::Message)
-            .map(|e| [e.src as u64, e.dst as u64, e.tag, e.bytes])
-            .collect();
+        let mut keys: Vec<[u64; 4]> =
+            self.edges.iter().map(|e| [e.src as u64, e.dst as u64, e.tag, e.bytes]).collect();
         keys.sort_unstable();
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
         for k in &keys {
@@ -310,7 +271,7 @@ impl CausalGraph {
 
     /// Total message bytes on matched edges.
     pub fn message_bytes(&self) -> u64 {
-        self.edges.iter().filter(|e| e.kind == EdgeKind::Message).map(|e| e.bytes).sum()
+        self.edges.iter().map(|e| e.bytes).sum()
     }
 
     /// Walk the critical path backwards from the latest-ending span.
@@ -351,7 +312,7 @@ impl CausalGraph {
         }
         let mut edges_by_dst: Vec<Vec<usize>> = vec![Vec::new(); ranks];
         for (i, e) in self.edges.iter().enumerate() {
-            if e.kind == EdgeKind::Message && e.dst < ranks {
+            if e.dst < ranks {
                 edges_by_dst[e.dst].push(i);
             }
         }
@@ -541,7 +502,6 @@ mod tests {
             span(1, Phase::StressInterior, 110, 200),
         ];
         let edges = vec![CausalEdge {
-            kind: EdgeKind::Message,
             src: 0,
             dst: 1,
             tag: 3,
@@ -579,21 +539,5 @@ mod tests {
         assert_eq!(p.wall_ns, 150);
         assert!(p.span_ns + p.slack_ns <= 150);
         assert!((p.coverage() - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn steal_edges_do_not_perturb_fingerprint() {
-        let epoch = Instant::now();
-        let mut r0 = Recorder::enabled(0, epoch, 16);
-        let c = r0.clock_send();
-        r0.causal_send(1, 11, 16, c);
-        let mut r1 = Recorder::enabled(1, epoch, 16);
-        let m = r1.clock_recv(c);
-        r1.causal_recv(0, 11, 16, c, m);
-        let base = CausalGraph::from_snapshots(&[r0.snapshot(), r1.snapshot()]).fingerprint();
-        r1.causal_mark(CausalKind::Steal, 0, 0, 5);
-        let with_steal = CausalGraph::from_snapshots(&[r0.snapshot(), r1.snapshot()]);
-        assert_eq!(with_steal.edges.len(), 2, "steal edge present in the DAG");
-        assert_eq!(with_steal.fingerprint(), base, "but excluded from the fingerprint");
     }
 }

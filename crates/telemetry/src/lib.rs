@@ -30,8 +30,8 @@ pub mod report;
 pub mod trace;
 
 pub use causal::{
-    clocks_monotonic, CausalEdge, CausalEvent, CausalGraph, CausalKind, CriticalPath, EdgeKind,
-    GraphSpan, Hop, NO_PEER,
+    clocks_monotonic, CausalEdge, CausalEvent, CausalGraph, CausalKind, CriticalPath, GraphSpan,
+    Hop, NO_PEER,
 };
 pub use flightrec::{
     EnvDir, EnvelopeRec, FlightRecorder, SpanTailRec, FLIGHT_ENV_CAPACITY, FLIGHT_SPAN_CAPACITY,

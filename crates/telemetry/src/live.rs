@@ -20,8 +20,9 @@ use std::sync::Arc;
 
 /// Wire protocol version. Bumped on any incompatible change to the line
 /// schema; clients reject streams whose `v` differs (see DESIGN.md
-/// "Scheduler" — version negotiation).
-pub const STATS_PROTO_VERSION: u64 = 1;
+/// "Observability" — version negotiation). v2 dropped v1's per-rank
+/// `steals`/`stolen`/`tiles`/`queue_depth` keys.
+pub const STATS_PROTO_VERSION: u64 = 2;
 
 /// Protocol name carried in the hello line, `awp-stats`.
 pub const STATS_PROTO_NAME: &str = "awp-stats";
@@ -41,14 +42,6 @@ pub struct LiveRank {
     pub send_ns: AtomicU64,
     /// Cumulative ns injecting received halos.
     pub inject_ns: AtomicU64,
-    /// Tiles this rank stole from peers.
-    pub steals: AtomicU64,
-    /// Tiles of this rank executed by thieves.
-    pub stolen: AtomicU64,
-    /// Tiles this rank executed from its own queue.
-    pub tiles: AtomicU64,
-    /// Size of the most recently submitted tile batch (gauge).
-    pub queue_depth: AtomicU64,
     /// In-flight recovery cycles this rank rejoined (mirrors
     /// `Counter::Recoveries`).
     pub recoveries: AtomicU64,
@@ -97,11 +90,11 @@ impl LiveStats {
     }
 
     /// The one-time header line a server writes to each new client:
-    /// `{"v":1,"kind":"hello","proto":"awp-stats","ranks":N,"extras":[...]}`.
-    /// `extras` advertises additive per-rank snapshot fields beyond the v1
+    /// `{"v":2,"kind":"hello","proto":"awp-stats","ranks":N,"extras":[...]}`.
+    /// `extras` advertises additive per-rank snapshot fields beyond the v2
     /// base schema; clients that predate a field simply ignore it, clients
     /// that know it require it only when advertised (backward compatible
-    /// within v1).
+    /// within v2).
     pub fn hello_json(&self) -> String {
         format!(
             "{{\"v\":{STATS_PROTO_VERSION},\"kind\":\"hello\",\"proto\":\"{STATS_PROTO_NAME}\",\"ranks\":{},\
@@ -110,7 +103,7 @@ impl LiveStats {
         )
     }
 
-    /// One snapshot line: per-rank phase timers and steal counters plus the
+    /// One snapshot line: per-rank step and phase timers plus the
     /// derived fleet metrics (imbalance ratio = max/mean live compute,
     /// hidden-comm fraction = 1 − wait/(send+wait+inject), both matching the
     /// post-run report's definitions).
@@ -144,17 +137,12 @@ impl LiveStats {
             let _ = write!(
                 out,
                 "{{\"rank\":{i},\"step\":{},\"compute_ms\":{:.3},\"wait_ms\":{:.3},\
-                 \"send_ms\":{:.3},\"inject_ms\":{:.3},\"steals\":{},\"stolen\":{},\
-                 \"tiles\":{},\"queue_depth\":{},\"recoveries\":{},\"dead_letters\":{}}}",
+                 \"send_ms\":{:.3},\"inject_ms\":{:.3},\"recoveries\":{},\"dead_letters\":{}}}",
                 r.step.load(Ordering::Relaxed),
                 r.compute_ns.load(Ordering::Relaxed) as f64 / 1e6,
                 r.wait_ns.load(Ordering::Relaxed) as f64 / 1e6,
                 r.send_ns.load(Ordering::Relaxed) as f64 / 1e6,
                 r.inject_ns.load(Ordering::Relaxed) as f64 / 1e6,
-                r.steals.load(Ordering::Relaxed),
-                r.stolen.load(Ordering::Relaxed),
-                r.tiles.load(Ordering::Relaxed),
-                r.queue_depth.load(Ordering::Relaxed),
                 r.recoveries.load(Ordering::Relaxed),
                 r.dead_letters.load(Ordering::Relaxed),
             );
@@ -172,7 +160,7 @@ mod tests {
     fn hello_line_is_versioned_and_self_describing() {
         let live = LiveStats::new(3);
         let hello = live.hello_json();
-        assert!(hello.starts_with("{\"v\":1,"), "{hello}");
+        assert!(hello.starts_with("{\"v\":2,"), "{hello}");
         assert!(hello.contains("\"proto\":\"awp-stats\""), "{hello}");
         assert!(hello.contains("\"ranks\":3"), "{hello}");
     }
@@ -184,18 +172,15 @@ mod tests {
         live.rank(1).add_phase(Phase::StressInterior, 1_000_000);
         live.rank(1).add_phase(Phase::Wait, 500_000);
         live.rank(1).add_phase(Phase::Send, 1_500_000);
-        live.rank(0).steals.fetch_add(4, Ordering::Relaxed);
-        live.rank(1).stolen.fetch_add(4, Ordering::Relaxed);
         live.rank(0).step.store(7, Ordering::Relaxed);
         let line = live.snapshot_json(2, 150);
-        assert!(line.contains("\"v\":1"), "{line}");
+        assert!(line.contains("\"v\":2"), "{line}");
         assert!(line.contains("\"seq\":2"), "{line}");
         assert!(line.contains("\"t_ms\":150"), "{line}");
         // imbalance = max/mean = 3/2 = 1.5; hidden = 1 - 0.5/2.0 = 0.75.
         assert!(line.contains("\"imbalance\":1.5000"), "{line}");
         assert!(line.contains("\"hidden_comm\":0.7500"), "{line}");
-        assert!(line.contains("\"steals\":4"), "{line}");
-        assert!(line.contains("\"stolen\":4"), "{line}");
+        assert!(line.contains("\"send_ms\":1.500"), "{line}");
         assert!(line.contains("\"step\":7"), "{line}");
         assert!(!line.contains('\n'), "one line per snapshot");
     }

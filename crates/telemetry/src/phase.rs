@@ -123,18 +123,12 @@ pub enum Counter {
     /// Messages drained from this rank's quarantined mailbox into the
     /// dead-letter buffer during in-flight recovery.
     DeadLetters,
-    /// Interior tiles this rank executed from its own dispatch queue.
-    TilesExecuted,
-    /// Tiles this rank stole (and executed) from lagging peers' queues.
-    TilesStolen,
-    /// Steal probes this rank issued (successful or not) while idle.
-    StealAttempts,
     /// Simulation-health sentinel probes executed (`--health-every N`).
     HealthProbes,
 }
 
 impl Counter {
-    pub const COUNT: usize = 15;
+    pub const COUNT: usize = 12;
 
     pub const ALL: [Counter; Counter::COUNT] = [
         Counter::MsgsSent,
@@ -148,9 +142,6 @@ impl Counter {
         Counter::IoRetries,
         Counter::Recoveries,
         Counter::DeadLetters,
-        Counter::TilesExecuted,
-        Counter::TilesStolen,
-        Counter::StealAttempts,
         Counter::HealthProbes,
     ];
 
@@ -172,9 +163,6 @@ impl Counter {
             Counter::IoRetries => "io_retries",
             Counter::Recoveries => "recoveries",
             Counter::DeadLetters => "dead_letters",
-            Counter::TilesExecuted => "tiles_executed",
-            Counter::TilesStolen => "tiles_stolen",
-            Counter::StealAttempts => "steal_attempts",
             Counter::HealthProbes => "health_probes",
         }
     }
@@ -187,16 +175,13 @@ pub enum HistKind {
     Send,
     Recv,
     Barrier,
-    /// Dispatch-queue depth (tile count) observed at each batch submit.
-    /// Buckets are counts, not nanoseconds.
-    QueueDepth,
 }
 
 impl HistKind {
-    pub const COUNT: usize = 4;
+    pub const COUNT: usize = 3;
 
     pub const ALL: [HistKind; HistKind::COUNT] =
-        [HistKind::Send, HistKind::Recv, HistKind::Barrier, HistKind::QueueDepth];
+        [HistKind::Send, HistKind::Recv, HistKind::Barrier];
 
     #[inline]
     pub const fn index(self) -> usize {
@@ -208,7 +193,6 @@ impl HistKind {
             HistKind::Send => "send",
             HistKind::Recv => "recv",
             HistKind::Barrier => "barrier",
-            HistKind::QueueDepth => "queue_depth",
         }
     }
 }

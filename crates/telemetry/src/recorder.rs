@@ -76,8 +76,8 @@ pub struct Snapshot {
     /// Per-dt-cluster substep accounting (empty unless the run used local
     /// time stepping and called [`Recorder::set_lts_stats`]).
     pub lts: Vec<LtsClusterStat>,
-    /// Causal events (message lineage, steal/cluster/rollback/health
-    /// marks) in chronological order; ring-bounded like `spans`.
+    /// Causal events (message lineage, cluster/rollback/health marks) in
+    /// chronological order; ring-bounded like `spans`.
     pub causal: Vec<CausalEvent>,
     pub dropped_causal: u64,
 }
@@ -226,7 +226,7 @@ impl Recorder {
     /// Finished spans then also fold into the coarse live buckets — like
     /// the pulse, this works whether or not span recording is enabled, so
     /// `awp run --stats-addr` without `--profile` still streams steps and
-    /// steal counters.
+    /// phase timers.
     pub fn set_live(&mut self, cells: Arc<LiveRank>) {
         self.live = Some(cells);
     }
@@ -493,8 +493,8 @@ impl Recorder {
         }
     }
 
-    /// Record a local causal mark (steal aggregate, LTS cluster tick,
-    /// recovery rollback, health probe). Ticks the Lamport clock.
+    /// Record a local causal mark (LTS cluster tick, recovery rollback,
+    /// health probe). Ticks the Lamport clock.
     #[inline]
     pub fn causal_mark(&mut self, kind: CausalKind, peer: u32, tag: u64, bytes: u64) {
         self.beat_pulse();
@@ -513,16 +513,6 @@ impl Recorder {
         self.beat_pulse();
         if self.enabled {
             self.hists[kind.index()].record_ns(dur.as_nanos() as u64);
-        }
-    }
-
-    /// Record a raw (non-duration) value in a log2 histogram — e.g. the
-    /// dispatch-queue depth at a tile-batch submit ([`HistKind::QueueDepth`]).
-    #[inline]
-    pub fn observe_count(&mut self, kind: HistKind, value: u64) {
-        self.beat_pulse();
-        if self.enabled {
-            self.hists[kind.index()].record_ns(value);
         }
     }
 

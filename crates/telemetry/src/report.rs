@@ -268,19 +268,6 @@ impl fmt::Display for TelemetryReport {
             if h.count() == 0 {
                 continue;
             }
-            if k == HistKind::QueueDepth {
-                writeln!(
-                    f,
-                    "  {:<7} depth:   n={:<8} mean={:>9.1}   p50={:>9}   p95={:>9}   max={:>9}",
-                    k.name(),
-                    h.count(),
-                    h.mean_ns(),
-                    h.quantile_ns(0.50),
-                    h.quantile_ns(0.95),
-                    h.max_ns(),
-                )?;
-                continue;
-            }
             writeln!(
                 f,
                 "  {:<7} latency: n={:<8} mean={:>9.1}us p50={:>9.1}us p95={:>9.1}us max={:>9.1}us",

@@ -7,7 +7,7 @@
 //! `Phase::name()` — static snake_case strings, so no JSON escaping is
 //! needed and the exporter stays serde-free (std-only crate).
 
-use crate::causal::{CausalGraph, EdgeKind};
+use crate::causal::CausalGraph;
 use crate::recorder::{Snapshot, NO_CLUSTER};
 use std::fmt::Write as _;
 
@@ -17,7 +17,7 @@ use std::fmt::Write as _;
 /// events (`"ph":"s"` at the send, `"ph":"f"` with `"bp":"e"` at the
 /// receive, one shared id per edge) so Perfetto draws the cross-rank
 /// arrows and `awp analyze` can parse the dependency DAG back out of the
-/// trace file. Steal edges use the name `steal` on the same pattern.
+/// trace file.
 pub fn chrome_trace(snaps: &[Snapshot]) -> String {
     // ~120 bytes per event; preallocate to avoid rehashing the String.
     let n_events: usize = snaps.iter().map(|s| s.spans.len() + 1).sum();
@@ -58,19 +58,15 @@ pub fn chrome_trace(snaps: &[Snapshot]) -> String {
     // Causal flow events: one s/f pair per matched edge.
     let graph = CausalGraph::from_snapshots(snaps);
     for (id, e) in graph.edges.iter().enumerate() {
-        let name = match e.kind {
-            EdgeKind::Message => "msg",
-            EdgeKind::Steal => "steal",
-        };
         if !first {
             out.push(',');
         }
         first = false;
         let _ = write!(
             out,
-            "{{\"name\":\"{name}\",\"cat\":\"awp.flow\",\"ph\":\"s\",\"id\":{id},\
+            "{{\"name\":\"msg\",\"cat\":\"awp.flow\",\"ph\":\"s\",\"id\":{id},\
              \"pid\":{},\"tid\":0,\"ts\":{:.3},\"args\":{{\"tag\":{},\"bytes\":{},\"clock\":{}}}}},\
-             {{\"name\":\"{name}\",\"cat\":\"awp.flow\",\"ph\":\"f\",\"bp\":\"e\",\"id\":{id},\
+             {{\"name\":\"msg\",\"cat\":\"awp.flow\",\"ph\":\"f\",\"bp\":\"e\",\"id\":{id},\
              \"pid\":{},\"tid\":0,\"ts\":{:.3},\"args\":{{\"tag\":{},\"bytes\":{},\"clock\":{}}}}}",
             e.src,
             e.send_ns as f64 / 1e3,

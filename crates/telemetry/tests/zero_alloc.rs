@@ -76,7 +76,7 @@ fn disarmed_causal_tracing_never_allocates() {
         sender.causal_send(1, i, 4096, c);
         let m = receiver.clock_recv(c);
         receiver.causal_recv(0, i, 4096, c, m);
-        receiver.causal_mark(CausalKind::Steal, 0, 0, 1);
+        receiver.causal_mark(CausalKind::ClusterTick, 0, 0, 1);
     }
     assert_eq!(allocs() - before, 0, "disarmed causal probes must not allocate");
     assert!(sender.clock() > 0 && receiver.clock() > sender.clock());
@@ -151,7 +151,7 @@ fn live_stats_publishing_is_allocation_free() {
         off.set_step(step);
         let t0 = off.start();
         off.finish(t0, Phase::StressInterior);
-        off.count(Counter::TilesStolen, 1);
+        off.count(Counter::Recoveries, 1);
     }
     assert_eq!(allocs() - before, 0, "disabled probes with live cells must not allocate");
 
@@ -163,7 +163,7 @@ fn live_stats_publishing_is_allocation_free() {
         on.set_step(step);
         let t0 = on.start();
         on.finish(t0, Phase::VelocityInterior);
-        on.observe_count(HistKind::QueueDepth, 8);
+        on.observe(HistKind::Recv, Duration::from_nanos(100));
     }
     assert_eq!(allocs() - before, 0, "live publishing must stay in the atomic cells");
     assert_eq!(live.rank(1).step.load(Ordering::Relaxed), 9_999);

@@ -14,9 +14,7 @@ use crate::fault::{
 use crate::ledger::{Category, TimeLedger};
 use crate::mailbox::Mailbox;
 use crate::message::{Message, Payload, Tag};
-use crate::sched::TileScheduler;
 use crate::schedule::SchedulePlan;
-use crate::topology::HostTopology;
 use awp_telemetry::{
     Counter, FlightRecorder, HistKind, LiveStats, Phase, Recorder, Registry,
     FLIGHT_ENV_CAPACITY, FLIGHT_SPAN_CAPACITY,
@@ -183,11 +181,8 @@ pub(crate) struct Shared {
     /// Opt-in seeded schedule perturbation (test harness): reorders
     /// eligible message delivery and wait-all polling deterministically.
     pub(crate) schedule: Option<Arc<SchedulePlan>>,
-    /// Opt-in cooperative work-stealing tile scheduler: per-rank dispatch
-    /// queues with topology-aware stealing (see [`crate::sched`]).
-    pub(crate) sched: Option<Arc<TileScheduler>>,
     /// Opt-in live streaming-stats cells (stats endpoint). Wired into each
-    /// rank's recorder and the tile scheduler when attached.
+    /// rank's recorder when attached.
     pub(crate) live: Option<Arc<LiveStats>>,
     /// Opt-in per-rank crash flight recorders (last-N message envelopes +
     /// span tails). Empty unless armed with
@@ -429,7 +424,6 @@ impl Cluster {
             fault_plan: None,
             telemetry: None,
             schedule: None,
-            sched: None,
             live: None,
             flight: Vec::new(),
             flight_dir: None,
@@ -477,42 +471,13 @@ impl Cluster {
         for (rank, mb) in shared.mailboxes.iter().enumerate() {
             mb.set_policy(Arc::clone(&plan), rank);
         }
-        if let Some(sched) = &shared.sched {
-            sched.set_plan(Arc::clone(&plan));
-        }
         shared.schedule = Some(plan);
-        self
-    }
-
-    /// Attach a cooperative work-stealing tile scheduler (builder style;
-    /// call before the first `run`/`try_run`). Ranks submit disjoint-write
-    /// tile batches through [`RankCtx::sched`] and help lagging peers via
-    /// [`RankCtx::try_steal`]. The scheduler's queues are wired to the
-    /// cluster's liveness pulses, so a rank parked on its dispatch queue or
-    /// executing stolen tiles keeps counting as alive under a watchdog.
-    /// With a detected [`HostTopology`], rank→core placement and the
-    /// default victim order become LLC-aware; an attached
-    /// [`SchedulePlan`] overrides the victim order with a seeded
-    /// permutation (the fuzzer's steal-order dimension).
-    pub fn with_sched(mut self, topo: HostTopology) -> Self {
-        let size = self.size;
-        let shared = Arc::get_mut(&mut self.shared)
-            .expect("attach the scheduler before running the cluster");
-        let mut sched = TileScheduler::new(size, topo);
-        sched.set_pulses(shared.pulses.clone());
-        if let Some(plan) = &shared.schedule {
-            sched.set_plan(Arc::clone(plan));
-        }
-        if let Some(live) = &shared.live {
-            sched.set_live(Arc::clone(live));
-        }
-        shared.sched = Some(Arc::new(sched));
         self
     }
 
     /// Attach live streaming-stats cells (builder style; call before the
     /// first `run`/`try_run`). Every rank's recorder then publishes step,
-    /// phase-time, and steal counters into its [`LiveStats`] cell with
+    /// phase-time and recovery counters into its [`LiveStats`] cell with
     /// relaxed atomic stores — a stats endpoint samples them concurrently.
     pub fn with_live_stats(mut self, live: Arc<LiveStats>) -> Self {
         assert_eq!(
@@ -522,12 +487,9 @@ impl Cluster {
             live.ranks(),
             self.size
         );
-        let shared = Arc::get_mut(&mut self.shared)
-            .expect("attach live stats before running the cluster");
-        if let Some(sched) = &shared.sched {
-            sched.set_live(Arc::clone(&live));
-        }
-        shared.live = Some(live);
+        Arc::get_mut(&mut self.shared)
+            .expect("attach live stats before running the cluster")
+            .live = Some(live);
         self
     }
 
@@ -571,12 +533,6 @@ impl Cluster {
 
     pub fn fault_plan(&self) -> Option<&Arc<FaultPlan>> {
         self.shared.fault_plan.as_ref()
-    }
-
-    /// The attached work-stealing scheduler, if any (counter inspection
-    /// after a run: steals, tiles, queue-depth high-water marks).
-    pub fn sched(&self) -> Option<&Arc<TileScheduler>> {
-        self.shared.sched.as_ref()
     }
 
     /// The attached live streaming-stats cells, if any.
@@ -769,24 +725,6 @@ impl RankCtx {
 
     pub fn mode(&self) -> CommMode {
         self.mode
-    }
-
-    /// The cluster's work-stealing tile scheduler, if one was attached
-    /// with [`Cluster::with_sched`]. Solvers submit tile batches and drain
-    /// them through this handle.
-    pub fn sched(&self) -> Option<&Arc<TileScheduler>> {
-        self.shared.sched.as_ref()
-    }
-
-    /// Donate one unit of work to a lagging peer: probe the scheduler's
-    /// dispatch queues and execute at most one stolen tile. Returns `true`
-    /// if a tile was run. No-op (`false`) without an attached scheduler.
-    /// Communication wait loops call this instead of spinning idle.
-    pub fn try_steal(&self) -> bool {
-        match &self.shared.sched {
-            Some(s) => s.try_steal(self.rank),
-            None => false,
-        }
     }
 
     fn count(&self, payload: &Payload) {
@@ -1428,53 +1366,6 @@ mod tests {
         });
         assert_eq!(*out[0].as_ref().expect("instrumented slow rank must survive"), 0);
         assert_eq!(*out[1].as_ref().unwrap(), 1);
-    }
-
-    #[test]
-    fn watchdog_spares_ranks_busy_in_the_tile_scheduler() {
-        // Steal-aware liveness: a rank parked on its dispatch queue
-        // draining slow tiles, and a peer spending the same window probing
-        // and executing stolen tiles, both go ~900ms without a heartbeat
-        // or tick. Scheduler pulses must keep a 300ms watchdog off them.
-        use crate::sched::{ExecSlot, Tile};
-        struct SlowCtx;
-        unsafe fn slow_run(_p: *const (), _t: Tile) {
-            std::thread::sleep(Duration::from_millis(50));
-        }
-        let c = Cluster::new(2, CommMode::Asynchronous)
-            .with_sched(HostTopology::flat(2))
-            .with_watchdog(WatchdogConfig {
-                timeout: Duration::from_millis(300),
-                poll: Duration::from_millis(25),
-            });
-        let out = c.try_run(|ctx| {
-            if ctx.rank() == 0 {
-                // 18 × 50ms of tile work with no heartbeat: the owner's
-                // drain/park loop pulses instead.
-                let sched = Arc::clone(ctx.sched().expect("scheduler attached"));
-                let slow = SlowCtx;
-                let tiles = Tile { i0: 0, i1: 1, j0: 0, j1: 1, k0: 0, k1: 18 }.split_k(1);
-                unsafe {
-                    let exec = ExecSlot::new(&slow as *const SlowCtx as *const (), slow_run);
-                    sched.submit(0, exec, &tiles);
-                }
-                sched.run_to_completion(0);
-            } else {
-                // try_steal pulses even when a probe comes up empty, so the
-                // thief stays alive through the whole window too.
-                let deadline = Instant::now() + Duration::from_millis(900);
-                while Instant::now() < deadline {
-                    if !ctx.try_steal() {
-                        std::thread::sleep(Duration::from_millis(10));
-                    }
-                }
-            }
-            ctx.rank()
-        });
-        assert_eq!(*out[0].as_ref().expect("owner parked on its queue must survive"), 0);
-        assert_eq!(*out[1].as_ref().expect("stealing peer must survive"), 1);
-        let s = c.sched().unwrap();
-        assert_eq!(s.tiles_executed(0) + s.stolen_from(0), 18, "batch fully retired");
     }
 
     #[test]

@@ -30,7 +30,6 @@ pub mod ledger;
 pub mod mailbox;
 pub mod message;
 pub mod probe;
-pub mod sched;
 pub mod schedule;
 pub mod supervisor;
 pub mod topology;
@@ -45,5 +44,4 @@ pub use schedule::SchedulePlan;
 pub use collectives::{allreduce_f64, broadcast_f64, gather_bytes, gather_f64, reduce_f64};
 pub use ledger::{Category, TimeLedger};
 pub use message::{Payload, Tag};
-pub use sched::{ExecSlot, Tile, TileScheduler};
-pub use topology::{CartTopology, HostTopology};
+pub use topology::CartTopology;

@@ -97,20 +97,6 @@ impl SchedulePlan {
         }
         order
     }
-
-    /// Victim probe order for the `call`-th steal attempt by `thief`: a
-    /// seeded Fisher–Yates permutation of all `n` ranks (the thief itself is
-    /// skipped by the scheduler). This is the steal-order fuzz dimension —
-    /// tiles write disjoint grid points, so the run must be bit-exact under
-    /// *any* victim order, and the verify fuzzer replays many.
-    pub(crate) fn steal_perm(&self, thief: usize, call: u64, n: usize) -> Vec<usize> {
-        let mut order: Vec<usize> = (0..n).collect();
-        for i in (1..n).rev() {
-            let h = self.mix(0x5EED_0004, thief as u64, call, i as u64, 0);
-            order.swap(i, (h % (i as u64 + 1)) as usize);
-        }
-        order
-    }
 }
 
 #[cfg(test)]
@@ -167,23 +153,5 @@ mod tests {
         let p = SchedulePlan::new(0xBEEF);
         let distinct = (0..32).map(|c| p.waitall_perm(0, c, 8)).collect::<std::collections::HashSet<_>>();
         assert!(distinct.len() > 1, "permutation should vary with the call index");
-    }
-
-    #[test]
-    fn steal_perm_is_a_seeded_permutation_independent_of_waitall() {
-        let p = SchedulePlan::new(0xFACE);
-        for n in [0usize, 1, 2, 5, 17] {
-            let mut perm = p.steal_perm(2, 11, n);
-            perm.sort_unstable();
-            assert_eq!(perm, (0..n).collect::<Vec<_>>());
-        }
-        assert_eq!(p.steal_perm(3, 9, 8), p.steal_perm(3, 9, 8), "pure function of inputs");
-        let distinct =
-            (0..32).map(|c| p.steal_perm(0, c, 8)).collect::<std::collections::HashSet<_>>();
-        assert!(distinct.len() > 1, "victim order should vary with the attempt index");
-        // Different salt from the waitall dimension: the two schedules must
-        // not be correlated copies of each other.
-        let differs = (0..32).any(|c| p.steal_perm(0, c, 8) != p.waitall_perm(0, c, 8));
-        assert!(differs, "steal perm must be salted independently of waitall perm");
     }
 }

@@ -1,148 +1,7 @@
 //! Rank topology: the Cartesian decomposition grid (MPI_Cart_create
-//! analogue) and the host's core/cache layout used for scheduler placement.
+//! analogue).
 
 use serde::{Deserialize, Serialize};
-
-/// The host machine's core and last-level-cache layout, detected once per
-/// run. Drives the work-stealing scheduler's rank→core placement and its
-/// LLC-near-first victim order (scx_utils-style Topology): a thief prefers
-/// victims whose working set likely shares its LLC, so stolen tiles reuse
-/// warm cache lines instead of bouncing them across domains.
-///
-/// Detection is best-effort and advisory only — the workspace links no libc,
-/// so there is no hard affinity syscall; the OS scheduler keeps final say.
-/// On hosts without a readable sysfs cache hierarchy every core collapses
-/// into one domain and placement degrades to round-robin.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct HostTopology {
-    /// Logical CPUs available to this process (≥1).
-    pub cores: usize,
-    /// Core ids grouped by shared last-level cache, each group sorted.
-    /// Always non-empty; the groups partition `0..cores`.
-    pub llc_domains: Vec<Vec<usize>>,
-}
-
-impl HostTopology {
-    /// Detect the running host. Core count from `available_parallelism`;
-    /// LLC domains parsed from
-    /// `/sys/devices/system/cpu/cpu*/cache/index3/shared_cpu_list` when
-    /// readable (index3 = L3 on Linux), else one flat domain.
-    pub fn detect() -> Self {
-        let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-        let mut domains: Vec<Vec<usize>> = Vec::new();
-        let mut seen = vec![false; cores];
-        for cpu in 0..cores {
-            if seen[cpu] {
-                continue;
-            }
-            let path = format!("/sys/devices/system/cpu/cpu{cpu}/cache/index3/shared_cpu_list");
-            match std::fs::read_to_string(&path).ok().map(|s| parse_cpu_list(s.trim())) {
-                Some(list) if !list.is_empty() => {
-                    let group: Vec<usize> = list.into_iter().filter(|&c| c < cores).collect();
-                    for &c in &group {
-                        seen[c] = true;
-                    }
-                    if !group.is_empty() {
-                        domains.push(group);
-                    }
-                }
-                _ => {
-                    seen[cpu] = true;
-                    domains.push(vec![cpu]);
-                }
-            }
-        }
-        // A sysfs-less host (or one where every read failed) ends up with
-        // one singleton domain per core, which carries no locality signal;
-        // collapse that case into a single flat domain.
-        if domains.len() == cores && cores > 1 {
-            domains = vec![(0..cores).collect()];
-        }
-        Self::from_domains(cores, domains)
-    }
-
-    /// Build from an explicit layout (tests, reproducible placement).
-    pub fn from_domains(cores: usize, mut llc_domains: Vec<Vec<usize>>) -> Self {
-        assert!(cores > 0);
-        for d in &mut llc_domains {
-            d.sort_unstable();
-        }
-        llc_domains.retain(|d| !d.is_empty());
-        if llc_domains.is_empty() {
-            llc_domains = vec![(0..cores).collect()];
-        }
-        llc_domains.sort_by_key(|d| d[0]);
-        Self { cores, llc_domains }
-    }
-
-    /// A single flat domain over `cores` CPUs (the no-information layout).
-    pub fn flat(cores: usize) -> Self {
-        Self::from_domains(cores, vec![(0..cores).collect()])
-    }
-
-    /// Advisory rank→core assignment: ranks are dealt round-robin across
-    /// LLC domains, packing each domain's cores in order, so neighbouring
-    /// ranks land near each other and every domain gets an even share.
-    pub fn placement(&self, ranks: usize) -> Vec<usize> {
-        let mut cursors = vec![0usize; self.llc_domains.len()];
-        let mut out = Vec::with_capacity(ranks);
-        for r in 0..ranks {
-            let d = r % self.llc_domains.len();
-            let dom = &self.llc_domains[d];
-            out.push(dom[cursors[d] % dom.len()]);
-            cursors[d] += 1;
-        }
-        out
-    }
-
-    /// Index of the LLC domain containing `core` (domains partition cores).
-    pub fn domain_of(&self, core: usize) -> usize {
-        self.llc_domains
-            .iter()
-            .position(|d| d.contains(&core))
-            .unwrap_or(0)
-    }
-
-    /// Default victim probe order for `thief` among `ranks` ranks under the
-    /// given placement: same-LLC victims first (nearest core id first),
-    /// then remote domains. A seeded `SchedulePlan` steal permutation
-    /// overrides this when attached — determinism comes from disjoint-write
-    /// tiles, not from the probe order.
-    pub fn victim_order(&self, thief: usize, ranks: usize, placement: &[usize]) -> Vec<usize> {
-        let my_core = placement.get(thief).copied().unwrap_or(0);
-        let my_dom = self.domain_of(my_core);
-        let mut order: Vec<usize> = (0..ranks).filter(|&r| r != thief).collect();
-        order.sort_by_key(|&r| {
-            let core = placement.get(r).copied().unwrap_or(0);
-            let near = usize::from(self.domain_of(core) != my_dom);
-            (near, core.abs_diff(my_core), r)
-        });
-        order
-    }
-}
-
-/// Parse a sysfs cpulist string ("0-3,8,10-11") into core ids.
-fn parse_cpu_list(s: &str) -> Vec<usize> {
-    let mut out = Vec::new();
-    for part in s.split(',').map(str::trim).filter(|p| !p.is_empty()) {
-        match part.split_once('-') {
-            Some((lo, hi)) => {
-                if let (Ok(lo), Ok(hi)) = (lo.trim().parse::<usize>(), hi.trim().parse::<usize>())
-                {
-                    if lo <= hi && hi - lo < 4096 {
-                        out.extend(lo..=hi);
-                    }
-                }
-            }
-            None => {
-                if let Ok(c) = part.parse::<usize>() {
-                    out.push(c);
-                }
-            }
-        }
-    }
-    out
-}
 
 /// A PX×PY×PZ Cartesian arrangement of ranks (x fastest), matching the 3-D
 /// domain decomposition of the solver (paper Fig. 5).
@@ -250,62 +109,5 @@ mod tests {
         assert_eq!(t.hop_distance(a, b), 6);
         assert_eq!(t.hop_distance(a, a), 0);
         assert_eq!(t.hop_distance(a, b), t.hop_distance(b, a));
-    }
-
-    #[test]
-    fn cpu_list_parses_ranges_and_singles() {
-        assert_eq!(parse_cpu_list("0-3,8,10-11"), vec![0, 1, 2, 3, 8, 10, 11]);
-        assert_eq!(parse_cpu_list("5"), vec![5]);
-        assert_eq!(parse_cpu_list(""), Vec::<usize>::new());
-        assert_eq!(parse_cpu_list("garbage,7"), vec![7]);
-    }
-
-    #[test]
-    fn detect_yields_a_partition_of_cores() {
-        let t = HostTopology::detect();
-        assert!(t.cores >= 1);
-        let mut all: Vec<usize> = t.llc_domains.iter().flatten().copied().collect();
-        all.sort_unstable();
-        all.dedup();
-        assert_eq!(all.len(), t.llc_domains.iter().map(|d| d.len()).sum::<usize>());
-        for &c in &all {
-            assert!(c < t.cores);
-        }
-    }
-
-    #[test]
-    fn placement_spreads_ranks_across_domains() {
-        // Two 4-core LLC domains, 8 ranks: even split, packed in order.
-        let t = HostTopology::from_domains(8, vec![vec![0, 1, 2, 3], vec![4, 5, 6, 7]]);
-        let p = t.placement(8);
-        assert_eq!(p, vec![0, 4, 1, 5, 2, 6, 3, 7]);
-        let in_d0 = p.iter().filter(|&&c| c < 4).count();
-        assert_eq!(in_d0, 4, "even share per domain");
-        // Oversubscription wraps within each domain instead of panicking.
-        let p12 = t.placement(12);
-        assert_eq!(p12.len(), 12);
-        assert!(p12.iter().all(|&c| c < 8));
-    }
-
-    #[test]
-    fn victim_order_prefers_same_llc_then_near_cores() {
-        let t = HostTopology::from_domains(8, vec![vec![0, 1, 2, 3], vec![4, 5, 6, 7]]);
-        let placement = t.placement(8); // [0,4,1,5,2,6,3,7]
-        // Rank 0 sits on core 0 (domain 0). Same-domain victims are ranks
-        // 2,4,6 (cores 1,2,3); remote are 1,3,5,7 (cores 4..8).
-        let order = t.victim_order(0, 8, &placement);
-        assert_eq!(order.len(), 7);
-        assert!(!order.contains(&0));
-        assert_eq!(&order[..3], &[2, 4, 6], "same-LLC victims first, nearest core first");
-        assert_eq!(&order[3..], &[1, 3, 5, 7], "remote-domain victims after");
-    }
-
-    #[test]
-    fn flat_topology_is_a_single_domain() {
-        let t = HostTopology::flat(4);
-        assert_eq!(t.llc_domains, vec![vec![0, 1, 2, 3]]);
-        assert_eq!(t.domain_of(3), 0);
-        let order = t.victim_order(2, 4, &t.placement(4));
-        assert_eq!(order, vec![1, 3, 0], "nearest core ids first within the flat domain");
     }
 }

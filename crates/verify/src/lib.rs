@@ -14,11 +14,7 @@
 //! 3. **Schedule fuzzing** ([`fuzz`]): the deterministic
 //!    `awp_vcluster::SchedulePlan` permutes message delivery and wait-all
 //!    polling per seed; an 8-rank overlap run must stay bit-exact across
-//!    every seed. The same module hosts the **steal sweep**: the
-//!    work-stealing tile scheduler replayed across 1/2/4/8-rank
-//!    decompositions under seeded steal-order permutations (composed with
-//!    message-order perturbation, and with the multi-rate LTS basin
-//!    workload under `--lts`), bit-exact against scheduler-off baselines.
+//!    every seed.
 //!
 //! [`report::VerifyReport`] aggregates the three into `results/verify.json`
 //! (schema-checked on write); the `awp verify` subcommand drives it.
@@ -68,20 +64,8 @@ pub fn run(spec: &VerifySpec) -> VerifyReport {
     if let Some(s) = spec.base_seed {
         fuzz_spec.base_seed = s;
     }
-    let steal_spec = {
-        let base =
-            if spec.smoke { fuzz::StealFuzzSpec::smoke() } else { fuzz::StealFuzzSpec::full() };
-        if spec.lts { base.with_lts() } else { base }
-    };
     let accuracy = accuracy::run_accuracy(&acc_spec);
     let convergence = convergence::run_convergence(&conv_spec);
     let fuzz = fuzz::run_fuzz(&fuzz_spec);
-    let steal = fuzz::run_steal_fuzz(&steal_spec);
-    VerifyReport::new(
-        if spec.smoke { "smoke" } else { "full" },
-        accuracy,
-        convergence,
-        fuzz,
-        steal,
-    )
+    VerifyReport::new(if spec.smoke { "smoke" } else { "full" }, accuracy, convergence, fuzz)
 }

@@ -5,14 +5,15 @@
 
 use crate::accuracy::AccuracyCase;
 use crate::convergence::ConvergenceResult;
-use crate::fuzz::{FuzzResult, StealFuzzResult};
+use crate::fuzz::FuzzResult;
 use serde::Serialize;
 use std::io::Write;
 use std::path::Path;
 
 /// Schema version stamped into every report; bump on breaking layout
 /// changes so downstream parsers can refuse what they don't understand.
-pub const SCHEMA_VERSION: u64 = 1;
+/// v2 dropped v1's `steal` section.
+pub const SCHEMA_VERSION: u64 = 2;
 
 /// The whole verification outcome.
 #[derive(Debug, Clone, Serialize)]
@@ -23,8 +24,6 @@ pub struct VerifyReport {
     pub accuracy: Vec<AccuracyCase>,
     pub convergence: ConvergenceResult,
     pub fuzz: FuzzResult,
-    /// Work-stealing scheduler determinism sweep.
-    pub steal: StealFuzzResult,
     /// Conjunction of every stream's gate.
     pub passed: bool,
 }
@@ -35,19 +34,14 @@ impl VerifyReport {
         accuracy: Vec<AccuracyCase>,
         convergence: ConvergenceResult,
         fuzz: FuzzResult,
-        steal: StealFuzzResult,
     ) -> Self {
-        let passed = accuracy.iter().all(|c| c.passed)
-            && convergence.passed
-            && fuzz.passed
-            && steal.passed;
+        let passed = accuracy.iter().all(|c| c.passed) && convergence.passed && fuzz.passed;
         VerifyReport {
             schema_version: SCHEMA_VERSION,
             mode: mode.to_string(),
             accuracy,
             convergence,
             fuzz,
-            steal,
             passed,
         }
     }
@@ -131,35 +125,6 @@ pub fn validate_json(text: &str) -> Result<usize, String> {
     }
     fuzz["mismatched_seeds"].as_array().ok_or("fuzz: missing mismatched_seeds")?;
 
-    let steal = &v["steal"];
-    steal["passed"].as_bool().ok_or("steal: missing passed")?;
-    let sruns = steal["runs"].as_f64().ok_or("steal: missing runs")?;
-    if sruns < 1.0 {
-        return Err("steal: no replays executed".into());
-    }
-    let scases = steal["cases"].as_array().ok_or("steal: missing cases")?;
-    if scases.is_empty() {
-        return Err("steal: no decompositions swept".into());
-    }
-    for (i, c) in scases.iter().enumerate() {
-        let ranks = c["ranks"].as_f64().ok_or(format!("steal.cases[{i}]: missing ranks"))?;
-        if ranks < 1.0 {
-            return Err(format!("steal.cases[{i}]: ranks {ranks} must be positive"));
-        }
-        c["passed"].as_bool().ok_or(format!("steal.cases[{i}]: missing passed"))?;
-        c["unseeded_passed"]
-            .as_bool()
-            .ok_or(format!("steal.cases[{i}]: missing unseeded_passed"))?;
-        let fp = c["baseline_fingerprint"]
-            .as_str()
-            .ok_or(format!("steal.cases[{i}]: missing fingerprint"))?;
-        if fp.len() != 16 || !fp.chars().all(|ch| ch.is_ascii_hexdigit()) {
-            return Err(format!("steal.cases[{i}]: malformed fingerprint {fp:?}"));
-        }
-        c["mismatched_seeds"]
-            .as_array()
-            .ok_or(format!("steal.cases[{i}]: missing mismatched_seeds"))?;
-    }
     Ok(cases.len())
 }
 
@@ -168,7 +133,7 @@ mod tests {
     use super::*;
     use crate::accuracy::{AccuracyCase, ComponentScore, ReceiverScore};
     use crate::convergence::{ConvergenceResult, LevelResult};
-    use crate::fuzz::{FuzzResult, StealCase, StealFuzzResult};
+    use crate::fuzz::FuzzResult;
 
     fn sample_report(passed: bool) -> VerifyReport {
         let case = AccuracyCase {
@@ -217,23 +182,7 @@ mod tests {
             baseline_fingerprint: "0123456789abcdef".into(),
             passed: true,
         };
-        let steal = StealFuzzResult {
-            lts: false,
-            steps: 16,
-            tile_planes: 2,
-            runs: 20,
-            base_seed: 0x5eed_0004,
-            cases: vec![StealCase {
-                ranks: 8,
-                runs: 17,
-                unseeded_passed: true,
-                mismatched_seeds: vec![],
-                baseline_fingerprint: "fedcba9876543210".into(),
-                passed: true,
-            }],
-            passed: true,
-        };
-        VerifyReport::new("smoke", vec![case], convergence, fuzz, steal)
+        VerifyReport::new("smoke", vec![case], convergence, fuzz)
     }
 
     #[test]

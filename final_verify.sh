@@ -2,6 +2,8 @@
 # Final verification sequence (run from /root/repo).
 set -x
 cd /root/repo
+# Console logs land here; they are build output, not tracked.
+mkdir -p results/logs
 # Cap property-based suites so the run stays fast and deterministic on the
 # 1-core CI host; the shim honours PROPTEST_CASES like real proptest does
 # (and additionally treats it as a hard cap on explicit configs). See README.
@@ -49,8 +51,7 @@ echo "=== OVERLAP SMOKE DONE ==="
 # scalar, the steady-state exchange path allocates (arena ledger), the
 # overlap run loses to the plain run on the multi-rank config, enabling
 # telemetry costs more than the hardware-aware tolerance vs disabled, or
-# the work-stealing scheduler loses to the unscheduled run on the skewed
-# decomposition (>=1.05x required multi-core, no-regression on 1 core).
+# LTS fails to beat global-dt stepping on the basin-contrast medium.
 timeout 900 ./target/release/bench_kernels --smoke --gate > results/logs/bench_kernels.log 2>&1; echo "bench_gate exit $?"
 echo "=== BENCH GATE DONE ==="
 # Perfbench gate: the benchmark's own traced smoke run of all six
@@ -79,22 +80,14 @@ grep -q "load imbalance" results/logs/cli_profile.log; echo "imbalance_printed e
 grep -Eq "velocity_interior +[1-9]" results/logs/cli_profile.log; echo "phase_nonzero exit $?"
 grep -q '"traceEvents"' results/logs/profile_trace.json.tmp; echo "trace_json exit $?"
 echo "=== TELEMETRY SMOKE DONE ==="
-# Live stats endpoint smoke: `awp stats --smoke` runs a scheduler-armed
+# Live stats endpoint smoke: `awp stats --smoke` runs a shakeout-k
 # workflow with the streaming endpoint bound to an ephemeral TCP port, a
 # concurrent client reads the stream, and the binary exits nonzero unless
-# the hello line negotiates awp-stats v1 and >=2 snapshots pass the full
+# the hello line negotiates awp-stats v2 and >=2 snapshots pass the full
 # schema check (monotonic seq, per-rank cells matching the advertised
 # rank count, finite imbalance/hidden-comm).
 timeout 900 ./target/release/awp stats --smoke > results/logs/cli_stats.log 2>&1; echo "stats_smoke exit $?"
 grep -q "stats smoke passed" results/logs/cli_stats.log; echo "stats_valid exit $?"
-# Scheduler drills: a scheduler-armed workflow must stay bit-identical to
-# the clean unscheduled archive (the --sched chaos drill composes stealing
-# with a seeded in-flight crash recovery on top).
-timeout 900 ./target/release/awp workflow shakeout-k 24 12 --sched > results/logs/cli_sched.log 2>&1; echo "sched_workflow exit $?"
-grep -q "archive verified: true" results/logs/cli_sched.log; echo "sched_bitexact exit $?"
-timeout 900 ./target/release/awp chaos --recover --fault crash --sched --chaos-seed 3405691582 > results/logs/cli_recover_sched.log 2>&1; echo "recover_sched exit $?"
-grep -q "in-flight recoveries: [1-9]" results/logs/cli_recover_sched.log; echo "recover_sched_counted exit $?"
-echo "=== SCHEDULER SMOKE DONE ==="
 # Verification subsystem: analytic-accuracy + convergence-order + schedule
 # fuzzer. The unit suite runs in release (the accuracy cases propagate real
 # wavefields), then the CLI smoke gate must pass its own thresholds and emit
@@ -125,25 +118,6 @@ assert r["theoretical_speedup"] > 1.0, r["theoretical_speedup"]
 assert r["gate"]["passed"] is True
 print(f"BENCH_lts.json: {r['measured_speedup']:.2f}x measured, "
       f"{r['theoretical_speedup']:.2f}x census")
-EOF
-# BENCH_sched.json gate: the committed full-mode artifact must record the
-# skewed-decomposition scheduler row with a passing hardware-aware gate
-# (>=1.05x where the recording host had a second core for the thief; the
-# gate degrades to no-regression on a 1-core recorder, mirroring the live
-# smoke gate above).
-python3 - <<'EOF'; echo "bench_sched_artifact exit $?"
-import json
-r = json.load(open("BENCH_sched.json"))
-assert r["mode"] == "full", r["mode"]
-assert r["parts"] == [2, 1, 1], r["parts"]
-assert r["skew_columns"] > 0, r["skew_columns"]
-assert r["off_wall_secs"] > 0 and r["sched_wall_secs"] > 0
-assert r["off_imbalance"] >= 1.0, r["off_imbalance"]
-assert r["gate"]["passed"] is True
-if r["gate"]["cores"] >= 2:
-    assert r["measured_speedup"] >= 1.05, r["measured_speedup"]
-print(f"BENCH_sched.json: {r['measured_speedup']:.2f}x measured on "
-      f"{r['gate']['cores']} cores, {r['tiles_stolen']} tiles stolen")
 EOF
 echo "=== VERIFY DONE ==="
 # Causal analyzer smoke: trace an 8-rank --lts workflow in process, parse

@@ -42,7 +42,6 @@ fn spec_from(
     s.cvm_seed = seed % (1 << 40); // stays JSON-number safe
     s.cvm_amp = amp;
     s.lts = flags & 1 != 0;
-    s.sched = flags & 2 != 0;
     s
 }
 
@@ -60,7 +59,7 @@ proptest! {
         rise in 0.5f64..4.0,
         seed in 0u64..u64::MAX,
         amp in 0.0f64..0.2,
-        flags in 0u8..4,
+        flags in 0u8..2,
     ) {
         let spec = spec_from(family_pick, mw, hypo, vr, rise, seed, amp, flags);
         let h = spec.hash().unwrap();
@@ -75,9 +74,8 @@ proptest! {
 
         // The same object with keys emitted in a different order.
         let shuffled = format!(
-            r#"{{"sched":{},"lts":{},"cvm_amp":{},"cvm_seed":{},"rise_time":{},
+            r#"{{"lts":{},"cvm_amp":{},"cvm_seed":{},"rise_time":{},
                 "vr":{},"hypo_frac":{},"mw":{},"duration_s":{},"nx":{},"family":"{}"}}"#,
-            spec.sched,
             spec.lts,
             spec.cvm_amp,
             spec.cvm_seed,
@@ -92,6 +90,12 @@ proptest! {
         let back2 =
             ScenarioSpec::from_value(&serde_json::from_str(&shuffled).unwrap()).unwrap();
         prop_assert_eq!(&h, &back2.hash().unwrap(), "field order must not matter");
+
+        // A legacy body still carrying the retired `sched` knob names the
+        // same scenario: the key is ignored, not hashed.
+        let legacy = shuffled.replacen('{', r#"{"sched":true,"#, 1);
+        let back3 = ScenarioSpec::from_value(&serde_json::from_str(&legacy).unwrap()).unwrap();
+        prop_assert_eq!(&h, &back3.hash().unwrap(), "legacy sched key must not matter");
     }
 
     /// Every physical field is load-bearing: perturbing any one of them
@@ -106,7 +110,7 @@ proptest! {
         rise in 0.5f64..3.9,
         seed in 0u64..(1u64 << 39),
         amp in 0.001f64..0.19,
-        flags in 0u8..4,
+        flags in 0u8..2,
     ) {
         let base = spec_from(family_pick, mw, hypo, vr, rise, seed, amp, flags);
         let h0 = base.hash().unwrap();
@@ -125,7 +129,6 @@ proptest! {
             ("cvm_seed", { let mut s = base.clone(); s.cvm_seed += 1; s }),
             ("cvm_amp", { let mut s = base.clone(); s.cvm_amp += 0.001; s }),
             ("lts", { let mut s = base.clone(); s.lts = !s.lts; s }),
-            ("sched", { let mut s = base.clone(); s.sched = !s.sched; s }),
         ];
         for (field, v) in variants {
             prop_assert_ne!(
@@ -139,9 +142,9 @@ proptest! {
 }
 
 /// The golden pin: this exact spec hashed to this exact address when the
-/// v1 canonicalization was frozen. If this test fails, the canonical form
+/// v2 canonicalization was frozen. If this test fails, the canonical form
 /// changed and every existing store on disk silently invalidates — bump
-/// the magic to `awp-scenario v2` instead of editing the pin.
+/// the magic to `awp-scenario v3` instead of editing the pin.
 #[test]
 fn golden_hash_is_pinned() {
     let mut spec = ScenarioSpec::new("shakeout-k", 16).unwrap();
@@ -154,12 +157,12 @@ fn golden_hash_is_pinned() {
     spec.cvm_amp = 0.04;
     assert_eq!(
         spec.canonical().unwrap().lines().next().unwrap(),
-        "awp-scenario v1"
+        "awp-scenario v2"
     );
     assert_eq!(
         spec.hash().unwrap(),
-        "bcb3d7a15b569bc53dac2c00764cbc28",
-        "canonical hash drifted: stored results keyed by v1 addresses \
+        "f9dfc4935fd20c16db55d1ff1c5f7c68",
+        "canonical hash drifted: stored results keyed by v2 addresses \
          would be orphaned"
     );
 }
