@@ -25,11 +25,12 @@
 pub mod analyze;
 pub mod scenario;
 pub mod stats;
+pub mod wire;
 pub mod workflow;
 
 pub use scenario::{RuptureDirection, Scenario, ScenarioReport, ScenarioRun, SourceSpec};
 pub use stats::{StatsAddr, StatsServer};
-pub use workflow::{E2EWorkflow, WorkflowReport};
+pub use workflow::{WorkflowReport, WorkflowSession};
 
 // Re-export the component crates under their paper names.
 pub use awp_analysis as analysis;

@@ -17,75 +17,19 @@
 //! There is no renegotiation — a mismatched client disconnects and the
 //! server does not care.
 
+use crate::wire::{self, check_hello, send_line, Server};
 use awp_telemetry::{LiveStats, STATS_PROTO_NAME, STATS_PROTO_VERSION};
-use std::io::{self, BufRead, BufReader, Read, Write};
-use std::net::{TcpListener, TcpStream};
-use std::os::unix::net::{UnixListener, UnixStream};
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
+use std::io::{self, BufRead};
+use std::sync::atomic::Ordering;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Where a stats endpoint listens. `unix:<path>` selects a Unix-domain
-/// socket; anything else is a TCP `host:port` bind address.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum StatsAddr {
-    Tcp(String),
-    Unix(PathBuf),
-}
-
-impl StatsAddr {
-    pub fn parse(s: &str) -> StatsAddr {
-        match s.strip_prefix("unix:") {
-            Some(path) => StatsAddr::Unix(PathBuf::from(path)),
-            None => StatsAddr::Tcp(s.to_string()),
-        }
-    }
-}
-
-impl std::fmt::Display for StatsAddr {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            StatsAddr::Tcp(a) => write!(f, "{a}"),
-            StatsAddr::Unix(p) => write!(f, "unix:{}", p.display()),
-        }
-    }
-}
-
-enum Listener {
-    Tcp(TcpListener),
-    Unix(UnixListener),
-}
-
-impl Listener {
-    /// Non-blocking accept; `Ok(None)` when nobody is knocking.
-    fn poll_accept(&self) -> io::Result<Option<Box<dyn Write + Send>>> {
-        let stream: io::Result<Box<dyn Write + Send>> = match self {
-            Listener::Tcp(l) => l.accept().map(|(s, _)| {
-                let _ = s.set_nodelay(true);
-                Box::new(s) as Box<dyn Write + Send>
-            }),
-            Listener::Unix(l) => l.accept().map(|(s, _)| Box::new(s) as Box<dyn Write + Send>),
-        };
-        match stream {
-            Ok(s) => Ok(Some(s)),
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => Ok(None),
-            Err(e) => Err(e),
-        }
-    }
-}
+/// The address type predates [`crate::wire`] and keeps its old name here.
+pub use crate::wire::Addr as StatsAddr;
 
 /// A running stats endpoint. Dropping (or calling [`stop`](Self::stop))
 /// shuts the listener down and joins every per-client writer thread.
-pub struct StatsServer {
-    stop: Arc<AtomicBool>,
-    accept: Option<JoinHandle<()>>,
-    /// The resolved bind address — useful when binding TCP port 0.
-    local: StatsAddr,
-    /// Unix socket path to unlink on shutdown.
-    unlink: Option<PathBuf>,
-}
+pub struct StatsServer(Server);
 
 impl StatsServer {
     /// Bind `addr` and start streaming `live` at `interval` to every
@@ -95,97 +39,40 @@ impl StatsServer {
         live: Arc<LiveStats>,
         interval: Duration,
     ) -> io::Result<StatsServer> {
-        let (listener, local, unlink) = match addr {
-            StatsAddr::Tcp(a) => {
-                let l = TcpListener::bind(a.as_str())?;
-                let local = StatsAddr::Tcp(l.local_addr()?.to_string());
-                l.set_nonblocking(true)?;
-                (Listener::Tcp(l), local, None)
+        let t0 = Instant::now();
+        Server::serve(addr, move |mut conn, stop| {
+            if send_line(&mut conn.writer, live.hello_json()).is_err() {
+                return;
             }
-            StatsAddr::Unix(p) => {
-                // A stale socket file from a dead run would fail the bind.
-                let _ = std::fs::remove_file(p);
-                let l = UnixListener::bind(p)?;
-                l.set_nonblocking(true)?;
-                (Listener::Unix(l), StatsAddr::Unix(p.clone()), Some(p.clone()))
-            }
-        };
-        let stop = Arc::new(AtomicBool::new(false));
-        let accept = {
-            let stop = Arc::clone(&stop);
-            std::thread::spawn(move || {
-                let t0 = Instant::now();
-                let clients: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
-                while !stop.load(Ordering::Acquire) {
-                    match listener.poll_accept() {
-                        Ok(Some(mut sink)) => {
-                            let live = Arc::clone(&live);
-                            let stop = Arc::clone(&stop);
-                            let handle = std::thread::spawn(move || {
-                                let mut seq = 0u64;
-                                if writeln!(sink, "{}", live.hello_json()).is_err() {
-                                    return;
-                                }
-                                loop {
-                                    let t_ms = t0.elapsed().as_millis() as u64;
-                                    if writeln!(sink, "{}", live.snapshot_json(seq, t_ms))
-                                        .and_then(|_| sink.flush())
-                                        .is_err()
-                                    {
-                                        return; // client went away
-                                    }
-                                    seq += 1;
-                                    // Sleep in short slices so stop() is
-                                    // never held up by a long interval.
-                                    let mut left = interval;
-                                    while !left.is_zero() {
-                                        if stop.load(Ordering::Acquire) {
-                                            return;
-                                        }
-                                        let slice = left.min(Duration::from_millis(25));
-                                        std::thread::sleep(slice);
-                                        left -= slice;
-                                    }
-                                }
-                            });
-                            clients.lock().unwrap().push(handle);
-                        }
-                        Ok(None) => std::thread::sleep(Duration::from_millis(10)),
-                        Err(_) => break, // listener died; clients drain below
+            for seq in 0u64.. {
+                let t_ms = t0.elapsed().as_millis() as u64;
+                if send_line(&mut conn.writer, live.snapshot_json(seq, t_ms)).is_err() {
+                    return; // client went away
+                }
+                // Sleep in short slices so stop() is never held up by a
+                // long interval.
+                let mut left = interval;
+                while !left.is_zero() {
+                    if stop.load(Ordering::Acquire) {
+                        return;
                     }
+                    let slice = left.min(Duration::from_millis(25));
+                    std::thread::sleep(slice);
+                    left -= slice;
                 }
-                for h in clients.lock().unwrap().drain(..) {
-                    let _ = h.join();
-                }
-            })
-        };
-        Ok(StatsServer { stop, accept: Some(accept), local, unlink })
+            }
+        })
+        .map(StatsServer)
     }
 
     /// The address the listener actually bound (port 0 resolved).
     pub fn local_addr(&self) -> &StatsAddr {
-        &self.local
+        self.0.local_addr()
     }
 
     /// Shut down: stop streaming, join every thread, unlink the socket.
-    pub fn stop(mut self) {
-        self.shutdown();
-    }
-
-    fn shutdown(&mut self) {
-        self.stop.store(true, Ordering::Release);
-        if let Some(h) = self.accept.take() {
-            let _ = h.join();
-        }
-        if let Some(p) = self.unlink.take() {
-            let _ = std::fs::remove_file(&p);
-        }
-    }
-}
-
-impl Drop for StatsServer {
-    fn drop(&mut self) {
-        self.shutdown();
+    pub fn stop(self) {
+        self.0.stop();
     }
 }
 
@@ -197,20 +84,8 @@ pub fn read_stream(
     max_snapshots: usize,
     timeout: Duration,
 ) -> io::Result<Vec<String>> {
-    let reader: Box<dyn Read> = match addr {
-        StatsAddr::Tcp(a) => {
-            let s = TcpStream::connect(a.as_str())?;
-            s.set_read_timeout(Some(timeout))?;
-            Box::new(s)
-        }
-        StatsAddr::Unix(p) => {
-            let s = UnixStream::connect(p)?;
-            s.set_read_timeout(Some(timeout))?;
-            Box::new(s)
-        }
-    };
     let mut lines = Vec::new();
-    for line in BufReader::new(reader).lines() {
+    for line in wire::connect(addr, timeout)?.reader.lines() {
         lines.push(line?);
         if lines.len() > max_snapshots {
             break; // hello + N snapshots
@@ -224,20 +99,11 @@ pub fn read_stream(
 /// monotonically sequenced snapshots whose per-rank arrays match the
 /// advertised rank count. Returns `(ranks, snapshots)`.
 pub fn validate_stream(lines: &[String]) -> Result<(usize, usize), String> {
-    let hello: serde_json::Value = serde_json::from_str(
+    let hello = check_hello(
         lines.first().ok_or("empty stream: no hello line")?,
-    )
-    .map_err(|e| format!("hello is not valid JSON: {e}"))?;
-    if hello["kind"].as_str() != Some("hello") {
-        return Err(format!("first line is not a hello: {hello}"));
-    }
-    if hello["proto"].as_str() != Some(STATS_PROTO_NAME) {
-        return Err(format!("unknown proto {:?}", hello["proto"]));
-    }
-    let v = hello["v"].as_f64().ok_or("hello: missing v")?;
-    if v != STATS_PROTO_VERSION as f64 {
-        return Err(format!("protocol version {v} != {STATS_PROTO_VERSION}; refusing stream"));
-    }
+        STATS_PROTO_NAME,
+        STATS_PROTO_VERSION,
+    )?;
     let ranks = hello["ranks"].as_f64().ok_or("hello: missing ranks")? as usize;
     if ranks == 0 {
         return Err("hello advertises zero ranks".into());
@@ -303,6 +169,7 @@ pub fn validate_stream(lines: &[String]) -> Result<(usize, usize), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::PathBuf;
 
     fn bumped_live(ranks: usize) -> Arc<LiveStats> {
         let live = LiveStats::new(ranks);

@@ -16,11 +16,10 @@
 //! 6. **archive** — copy to the archive directory and re-verify the
 //!    digests (the GridFTP + iRODS ingestion stand-in).
 //!
-//! The pipeline is split into a reusable [`WorkflowSession`] — every knob
-//! *except* the scenario and the scratch directory, `Send + Clone` so an
-//! ensemble worker pool can carry one session across a whole catalog of
-//! events — and the one-scenario [`E2EWorkflow`] facade that binds a
-//! session to a prepared run and a workdir.
+//! [`WorkflowSession`] holds every knob *except* the scenario and the
+//! scratch directory, `Send + Clone` so an ensemble worker pool can carry
+//! one session across a whole catalog of events; one run is
+//! `WorkflowSession::new(parts).with_*(..).execute(&run, &workdir)`.
 
 use crate::scenario::ScenarioRun;
 use awp_analysis::pgv::PgvMap;
@@ -188,14 +187,6 @@ pub struct WorkflowSession {
     /// quarantine or degradation (post-mortem triage without full
     /// telemetry).
     pub flight_dir: Option<PathBuf>,
-}
-
-/// The one-scenario workflow runner: a [`WorkflowSession`] bound to a
-/// prepared scenario and a scratch directory.
-pub struct E2EWorkflow {
-    pub run: ScenarioRun,
-    pub workdir: PathBuf,
-    pub session: WorkflowSession,
 }
 
 /// Per-rank solve outcome.
@@ -556,55 +547,6 @@ impl WorkflowSession {
     }
 }
 
-impl E2EWorkflow {
-    pub fn new(run: ScenarioRun, parts: [usize; 3], workdir: impl Into<PathBuf>) -> Self {
-        Self { run, workdir: workdir.into(), session: WorkflowSession::new(parts) }
-    }
-
-    /// Enable seeded chaos: fault plan plus watchdog in one call.
-    pub fn with_chaos(mut self, plan: Arc<FaultPlan>, watchdog: WatchdogConfig) -> Self {
-        self.session = self.session.with_chaos(plan, watchdog);
-        self
-    }
-
-    /// Run every solve pass under a seeded message-schedule perturbation.
-    pub fn with_schedule(mut self, plan: Arc<SchedulePlan>) -> Self {
-        self.session = self.session.with_schedule(plan);
-        self
-    }
-
-    /// Attach a telemetry registry (must be sized to the rank count of
-    /// `parts`).
-    pub fn with_telemetry(mut self, registry: Arc<Registry>) -> Self {
-        self.session = self.session.with_telemetry(registry);
-        self
-    }
-
-    /// Enable in-flight rank recovery under `policy`.
-    pub fn with_recovery(mut self, policy: RetryPolicy) -> Self {
-        self.session = self.session.with_recovery(policy);
-        self
-    }
-
-    /// Publish live per-rank telemetry into `live` during every solve
-    /// pass.
-    pub fn with_live_stats(mut self, live: Arc<LiveStats>) -> Self {
-        self.session = self.session.with_live_stats(live);
-        self
-    }
-
-    /// Arm the crash flight recorder.
-    pub fn with_flight_recorder(mut self, dir: impl Into<PathBuf>) -> Self {
-        self.session = self.session.with_flight_recorder(dir);
-        self
-    }
-
-    /// Execute all stages.
-    pub fn execute(&self) -> io::Result<WorkflowReport> {
-        self.session.execute(&self.run, &self.workdir)
-    }
-}
-
 /// Everything a solve pass needs (shared between the initial run and a
 /// restart).
 struct SolveEnv<'a> {
@@ -883,8 +825,8 @@ mod tests {
         let sc = Scenario::shakeout_k(24, 0.3).with_duration(15.0);
         let run = sc.prepare();
         let dir = scratch_dir("wf-unit");
-        let wf = E2EWorkflow::new(run, [2, 2, 1], &dir);
-        let rep = wf.execute().expect("workflow must complete");
+        let rep =
+            WorkflowSession::new([2, 2, 1]).execute(&run, &dir).expect("workflow must complete");
         assert!(rep.archive_verified, "archive digests must match");
         assert_eq!(rep.checksums.len(), 4, "all four surface ranks digest");
         assert!(rep.pgv.max() > 0.0, "the scenario must shake the surface");
@@ -897,7 +839,7 @@ mod tests {
     }
 
     /// One session, many scenarios: the reuse shape the ensemble engine
-    /// drives. Outputs must match dedicated one-shot workflows bit-exactly.
+    /// drives. Outputs must match a fresh session per scenario bit-exactly.
     #[test]
     fn one_session_runs_many_scenarios() {
         let session = WorkflowSession::new([2, 1, 1]);
@@ -909,8 +851,8 @@ mod tests {
             let shared_dir = scratch_dir(&format!("wf-sess-{n}"));
             let rep = session.execute(&sc.prepare(), &shared_dir).expect("session run");
             let solo_dir = scratch_dir(&format!("wf-solo-{n}"));
-            let solo = E2EWorkflow::new(sc.prepare(), [2, 1, 1], &solo_dir)
-                .execute()
+            let solo = WorkflowSession::new([2, 1, 1])
+                .execute(&sc.prepare(), &solo_dir)
                 .expect("solo run");
             assert_eq!(rep.pgv.data, solo.pgv.data, "scenario {n} PGV bit-exact");
             assert_eq!(rep.collection_checksum, solo.collection_checksum);
@@ -926,9 +868,10 @@ mod tests {
         let run = sc.prepare();
         let live = LiveStats::new(2);
         let dir = scratch_dir("wf-live");
-        let wf =
-            E2EWorkflow::new(run, [2, 1, 1], &dir).with_live_stats(Arc::clone(&live));
-        let rep = wf.execute().expect("workflow with live stats completes");
+        let rep = WorkflowSession::new([2, 1, 1])
+            .with_live_stats(Arc::clone(&live))
+            .execute(&run, &dir)
+            .expect("workflow with live stats completes");
         assert!(rep.archive_verified);
         assert!(live.rank(0).step.load(Ordering::Relaxed) > 0, "step gauge advanced");
         assert!(live.rank(0).compute_ns.load(Ordering::Relaxed) > 0, "phase timers folded");

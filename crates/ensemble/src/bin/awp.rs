@@ -1,46 +1,272 @@
 //! `awp` — command-line front door to the AWP-ODC reproduction.
 //!
-//! ```text
-//! awp scenarios                         list the milestone catalogue
-//! awp run <name> [nx] [seconds]         run a scenario serially, print PGVs
-//! awp workflow [name] [nx] [seconds]    run the full E2E workflow (4 ranks)
-//! awp efficiency                        print the Eq. (8) M8 numbers
-//! awp machines                          print the Table-1 registry
-//! awp chaos --chaos-seed <n> [name]     seeded fault-injection soak: the
-//!                                       chaos run must reproduce the clean
-//!                                       run bit-for-bit or exit nonzero
-//! awp analyze <trace.json>              causal critical-path profile of a
-//!                                       Chrome trace written by --trace-out
-//! awp serve [--smoke]                   ensemble hazard-query server
-//!                                       (catalogs, cached scenario runs)
-//! ```
-//!
-//! Telemetry flags (workflow runs; `awp --profile` alone runs a small
-//! default workflow):
-//!
-//! ```text
-//! --profile            print the cross-rank TelemetryReport after the solve
-//! --trace-out FILE     write a Chrome trace-event JSON (open in Perfetto);
-//!                      the trace is parsed back and validated before exit
-//! ```
+//! Every subcommand is one row of [`COMMANDS`]: its name, its positional
+//! arguments, the flags it accepts, a line of help and the function that
+//! runs it. The usage text is generated from that table, and a missing or
+//! unknown subcommand, a flag the subcommand does not declare, a missing or
+//! malformed value or a surplus argument prints it and exits 2.
+//! `awp --profile [--trace-out FILE]` alone profiles a small default
+//! workflow.
 
 use awp_odc::perfmodel::machines::Machine;
 use awp_odc::perfmodel::speedup::{efficiency, m8_mesh, m8_parts, speedup, ModelInput, PAPER_C};
-use awp_odc::scenario::{RuptureDirection, Scenario};
+use awp_odc::scenario::{RuptureDirection, Scenario, ScenarioRun};
 use awp_odc::stats::{read_stream, validate_stream, StatsAddr, StatsServer};
 use awp_odc::telemetry::{LiveStats, Registry, STATS_PROTO_VERSION};
 use awp_odc::vcluster::fault::{FaultPlan, WatchdogConfig};
 use awp_odc::vcluster::RetryPolicy;
-use awp_odc::workflow::{scratch_dir, E2EWorkflow};
+use awp_odc::workflow::{scratch_dir, WorkflowSession};
 use std::path::PathBuf;
+use std::str::FromStr;
 use std::sync::Arc;
 use std::time::Duration;
 
-fn usage() -> ! {
-    eprintln!(
-        "usage:\n  awp scenarios\n  awp run <name> [nx] [seconds] [--lts]\n  awp workflow [name] [nx] [seconds] [--lts] [--stats-addr A]\n               [--profile] [--trace-out FILE] [--health-every N]\n  awp verify [--smoke] [--lts] [--seeds N] [--base-seed S] [--out FILE]\n  awp stats --smoke | (<addr> | --stats-addr A) [--snapshots N]\n            connect to a live run's stats endpoint (TCP host:port or\n            unix:<path>), read the versioned hello + N snapshot lines,\n            schema-check them, and print the stream; --smoke self-tests\n            against an in-process shakeout-k workflow\n  awp analyze <trace.json> [--top N] [--json FILE]\n            reconstruct the cross-rank causal DAG from a Chrome trace\n            (written by --trace-out), walk the critical path, and print\n            the wall-clock attribution; --json writes a schema-checked\n            analyze.json artifact\n  awp serve [--addr A] [--root DIR]\n            run the ensemble hazard-query server (protocol awp-serve v1,\n            newline-delimited versioned JSON over TCP or unix:<path>):\n            catalog runs, cached scenario queries, hazard curves\n  awp serve --smoke\n            end-to-end self-test: in-process server + client, seeded\n            8-event catalog through the job queue, cache-hit check on a\n            repeated query, cold-store replay verified bit-exact\n  awp analyze --smoke [--json FILE]\n            self-test: trace an in-process 8-rank --lts workflow, analyze\n            it, and require the critical path to cover ≥ 90% of the wall\n            clock\n  awp efficiency\n  awp machines\n  awp chaos --chaos-seed <n> [name] [nx] [seconds]\n  awp chaos --recover [--fault crash|stall|both] [--chaos-seed <n>]\n            seeded rank-failure drill: the run must complete via in-flight\n            supervisor recovery (rollback-rejoin, no whole-run restart) and\n            stay bit-identical to the clean run, or exit nonzero\n  awp --profile [--trace-out FILE]      profiled default workflow\n\n--stats-addr serves live per-rank telemetry at A while the run is in\nflight (newline-delimited versioned JSON, protocol awp-stats v2);\n--health-every N scans the shell slabs for NaN/Inf every N steps and\naborts on the first non-finite velocity (0 = off, the default);\n--flight-dir DIR arms the crash flight recorder: on a rank fault or\ndegradation the supervisor dumps DIR/flightrec-<rank>.json with the last\nenvelopes and span tails for each rank\n\nscenario names: terashake-k | terashake-d | shakeout-k | shakeout-d |\n                wall-to-wall | m8 | pnw"
-    );
+struct Command {
+    name: &'static str,
+    /// Positional arguments in order, `<required>` or `[optional]`.
+    args: &'static str,
+    /// Accepted flags: `"--seeds N"` takes a value, `"--lts"` does not.
+    flags: &'static [&'static str],
+    about: &'static str,
+    run: fn(&Args),
+}
+
+const COMMANDS: &[Command] = &[
+    Command {
+        name: "scenarios",
+        args: "",
+        flags: &[],
+        about: "list the milestone catalogue",
+        run: scenarios,
+    },
+    Command {
+        name: "run",
+        args: "<name> [nx] [seconds]",
+        flags: &["--lts"],
+        about: "run a scenario serially, print PGVs",
+        run,
+    },
+    Command {
+        name: "workflow",
+        args: "<name> [nx] [seconds]",
+        flags: &[
+            "--lts",
+            "--stats-addr A",
+            "--profile",
+            "--trace-out FILE",
+            "--health-every N",
+            "--flight-dir DIR",
+        ],
+        about: "run the full E2E workflow on 4 ranks; --stats-addr serves live per-rank \
+                telemetry at A while the run is in flight",
+        run: workflow,
+    },
+    Command {
+        name: "verify",
+        args: "",
+        flags: &["--smoke", "--lts", "--seeds N", "--base-seed S", "--out FILE"],
+        about: "analytic accuracy, convergence order and schedule fuzz gates; writes \
+                results/verify.json",
+        run: verify,
+    },
+    Command {
+        name: "stats",
+        args: "[addr]",
+        flags: &["--smoke", "--stats-addr A", "--snapshots N"],
+        about: "connect to a live run's stats endpoint (TCP host:port or unix:<path>), \
+                read the versioned hello + N snapshot lines, schema-check them, and print \
+                the stream; --smoke self-tests against an in-process shakeout-k workflow",
+        run: stats,
+    },
+    Command {
+        name: "analyze",
+        args: "[trace.json]",
+        flags: &["--smoke", "--top N", "--json FILE", "--health-every N"],
+        about: "reconstruct the cross-rank causal DAG from a Chrome trace (written by \
+                --trace-out), walk the critical path, and print the wall-clock \
+                attribution; --json writes a schema-checked analyze.json artifact; \
+                --smoke traces an in-process 8-rank --lts workflow and requires the \
+                critical path to cover ≥ 90% of the wall clock",
+        run: analyze,
+    },
+    Command {
+        name: "serve",
+        args: "",
+        flags: &["--smoke", "--addr A", "--root DIR"],
+        about: "run the ensemble hazard-query server (protocol awp-serve v1, \
+                newline-delimited versioned JSON over TCP or unix:<path>): catalog runs, \
+                cached scenario queries, hazard curves; --smoke: in-process server + \
+                client, seeded 8-event catalog through the job queue, cache-hit check on a \
+                repeated query, cold-store replay verified bit-exact",
+        run: serve,
+    },
+    Command {
+        name: "efficiency",
+        args: "",
+        flags: &[],
+        about: "print the Eq. (8) M8 numbers",
+        run: efficiency_cmd,
+    },
+    Command {
+        name: "machines",
+        args: "",
+        flags: &[],
+        about: "print the Table-1 registry",
+        run: machines,
+    },
+    Command {
+        name: "chaos",
+        args: "[name] [nx] [seconds]",
+        flags: &[
+            "--chaos-seed N",
+            "--recover",
+            "--fault crash|stall|both",
+            "--profile",
+            "--health-every N",
+            "--flight-dir DIR",
+        ],
+        about: "seeded fault-injection soak: the chaos run must reproduce the clean run \
+                bit-for-bit or exit nonzero; --recover: a seeded rank failure must complete \
+                via in-flight supervisor recovery (rollback-rejoin, no whole-run restart) \
+                and stay bit-identical to the clean run",
+        run: chaos,
+    },
+];
+
+const NOTES: &str = "  awp --profile [--trace-out FILE]
+      profile a small default workflow
+
+--health-every N scans the shell slabs for NaN/Inf every N steps and
+aborts on the first non-finite velocity (0 = off, the default);
+--flight-dir DIR arms the crash flight recorder: on a rank fault or
+degradation the supervisor dumps DIR/flightrec-<rank>.json with the last
+envelopes and span tails for each rank
+
+scenario names: terashake-k | terashake-d | shakeout-k | shakeout-d |
+                wall-to-wall | m8 | pnw";
+
+/// One subcommand's command line, checked against its [`Command`] row.
+struct Args {
+    pos: Vec<String>,
+    /// Flags in the order given, with their values (`None`: a switch).
+    flags: Vec<(String, Option<String>)>,
+}
+
+impl Args {
+    fn has(&self, flag: &str) -> bool {
+        self.flags.iter().any(|(f, _)| f == flag)
+    }
+
+    /// The value of `flag`; one that does not parse is a usage error.
+    fn value<T: FromStr>(&self, flag: &str) -> Option<T> {
+        let (_, v) = self.flags.iter().find(|(f, _)| f == flag)?;
+        v.as_deref().map(|v| parse_or_exit(v, flag))
+    }
+
+    /// Positional argument `i`, parsed like a flag value.
+    fn arg<T: FromStr>(&self, i: usize) -> Option<T> {
+        self.pos.get(i).map(|v| parse_or_exit(v, "an argument"))
+    }
+}
+
+fn parse_or_exit<T: FromStr>(v: &str, what: &str) -> T {
+    v.parse().unwrap_or_else(|_| usage_error(&format!("bad value '{v}' for {what}")))
+}
+
+/// Split `argv` into its subcommand and that subcommand's arguments.
+fn parse(argv: &[String]) -> Result<(&'static Command, Args), String> {
+    let profiled = argv.iter().any(|a| a == "--profile" || a == "--trace-out");
+    let argv: Vec<String> = match argv.first() {
+        None => return Err("missing subcommand".into()),
+        // Bare `awp --profile [--trace-out FILE]`: a small profiled workflow.
+        Some(first) if first.starts_with("--") && profiled => {
+            ["workflow", "shakeout-k", "24", "15"]
+                .iter()
+                .map(|s| s.to_string())
+                .chain(argv.to_vec())
+                .collect()
+        }
+        Some(_) => argv.to_vec(),
+    };
+    let name = argv[0].as_str();
+    let cmd = COMMANDS
+        .iter()
+        .find(|c| c.name == name)
+        .ok_or_else(|| format!("unknown subcommand '{name}'"))?;
+    let mut args = Args { pos: Vec::new(), flags: Vec::new() };
+    let mut rest = argv[1..].iter();
+    while let Some(a) = rest.next() {
+        if !a.starts_with("--") {
+            args.pos.push(a.clone());
+            continue;
+        }
+        let spec = cmd
+            .flags
+            .iter()
+            .find(|f| f.split(' ').next() == Some(a.as_str()))
+            .ok_or_else(|| format!("'awp {name}' does not take {a}"))?;
+        let value = if spec.contains(' ') {
+            Some(rest.next().ok_or_else(|| format!("{a} needs a value"))?.clone())
+        } else {
+            None
+        };
+        args.flags.push((a.clone(), value));
+    }
+    let (required, max) = (cmd.args.matches('<').count(), cmd.args.split_whitespace().count());
+    if args.pos.len() < required || args.pos.len() > max {
+        return Err(format!(
+            "'awp {name}' takes {}",
+            if max == 0 { "no arguments" } else { cmd.args }
+        ));
+    }
+    Ok((cmd, args))
+}
+
+/// `words` joined by spaces and folded at 78 columns.
+fn fold(words: impl IntoIterator<Item = String>, first: &str, rest: &str) -> String {
+    let mut out = first.to_string();
+    let mut col = first.len();
+    for (i, word) in words.into_iter().enumerate() {
+        if i > 0 && col + 1 + word.chars().count() > 78 {
+            out = out + "\n" + rest;
+            col = rest.len();
+        } else if i > 0 {
+            out.push(' ');
+            col += 1;
+        }
+        col += word.chars().count();
+        out += &word;
+    }
+    out
+}
+
+fn usage() -> String {
+    let mut text = String::from("usage:\n");
+    for c in COMMANDS {
+        let synopsis = ["awp", c.name]
+            .into_iter()
+            .chain(c.args.split_whitespace())
+            .map(String::from)
+            .chain(c.flags.iter().map(|f| format!("[{f}]")));
+        text += &fold(synopsis, "  ", "        ");
+        text += "\n";
+        text += &fold(c.about.split_whitespace().map(String::from), "      ", "      ");
+        text += "\n";
+    }
+    text + NOTES
+}
+
+fn usage_error(why: &str) -> ! {
+    eprintln!("awp: {why}\n{}", usage());
     std::process::exit(2);
+}
+
+fn main() {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    match parse(&argv) {
+        Ok((cmd, args)) => (cmd.run)(&args),
+        Err(why) => usage_error(&why),
+    }
 }
 
 /// Validate a Chrome trace-event JSON string: it must parse, carry a
@@ -50,9 +276,7 @@ fn usage() -> ! {
 fn validate_chrome_trace(trace: &str) -> Result<usize, String> {
     let v: serde_json::Value =
         serde_json::from_str(trace).map_err(|e| format!("trace is not valid JSON: {e}"))?;
-    let events = v["traceEvents"]
-        .as_array()
-        .ok_or("traceEvents missing or not an array")?;
+    let events = v["traceEvents"].as_array().ok_or("traceEvents missing or not an array")?;
     if events.is_empty() {
         return Err("traceEvents is empty".into());
     }
@@ -85,668 +309,624 @@ fn build_scenario(name: &str, nx: usize) -> Scenario {
         "wall-to-wall" => Scenario::wall_to_wall(nx),
         "m8" => Scenario::m8(nx, 2010),
         "pnw" => Scenario::pacific_northwest(nx, 9.0),
-        other => {
-            eprintln!("unknown scenario '{other}'");
-            usage()
+        other => usage_error(&format!("unknown scenario '{other}'")),
+    }
+}
+
+/// The `[name] [nx] [seconds]` positionals (name defaults to shakeout-k).
+fn scenario(a: &Args, nx: usize, seconds: f64) -> Scenario {
+    let name = a.pos.first().map_or("shakeout-k", String::as_str);
+    build_scenario(name, a.arg(1).unwrap_or(nx)).with_duration(a.arg(2).unwrap_or(seconds))
+}
+
+/// Prepare `sc` with the solver flags: `--lts` (clustered local time
+/// stepping; a no-op ladder on media without ≥ 2 dt octaves) and
+/// `--health-every N` (NaN/Inf sentinel cadence, 0 = off).
+fn prepare(a: &Args, sc: &Scenario) -> ScenarioRun {
+    let mut run = sc.prepare();
+    if a.has("--lts") {
+        run.cfg.opts.lts = Some(awp_solver::LtsOpts::new());
+    }
+    run.cfg.opts.health_every = a.value("--health-every").unwrap_or(0);
+    run
+}
+
+/// A session on `parts` with the crash flight recorder armed by
+/// `--flight-dir DIR`.
+fn session(a: &Args, parts: [usize; 3]) -> WorkflowSession {
+    let session = WorkflowSession::new(parts);
+    match a.value::<PathBuf>("--flight-dir") {
+        Some(dir) => session.with_flight_recorder(dir),
+        None => session,
+    }
+}
+
+fn scenarios(_: &Args) {
+    println!("{:<14} {:>8} {:>10} {:>8}  description", "name", "box (km)", "fault (km)", "source");
+    for name in
+        ["terashake-k", "terashake-d", "shakeout-k", "shakeout-d", "wall-to-wall", "m8", "pnw"]
+    {
+        let sc = build_scenario(name, 48);
+        println!(
+            "{:<14} {:>4.0}x{:<4.0} {:>10.0} {:>8}  {}",
+            name,
+            sc.length / 1e3,
+            sc.width / 1e3,
+            sc.trace().length() / 1e3,
+            match sc.source {
+                awp_odc::scenario::SourceSpec::Kinematic { .. } => "kinem.",
+                awp_odc::scenario::SourceSpec::Dynamic { .. } => "dynam.",
+            },
+            sc.description
+        );
+    }
+}
+
+fn run(a: &Args) {
+    let sc = scenario(a, 96, 60.0);
+    println!("{} — {}", sc.name, sc.description);
+    let run = prepare(a, &sc);
+    println!(
+        "grid {:?} (h = {:.1} km), {} steps, source Mw {:.2}",
+        run.cfg.dims,
+        sc.h() / 1e3,
+        run.cfg.steps,
+        run.source.magnitude()
+    );
+    let rep = run.run_serial();
+    println!(
+        "done in {:.1} s ({:.2} Gflop/s); PGV max {:.2} m/s",
+        rep.elapsed_s,
+        rep.sustained_flops() / 1e9,
+        rep.pgv.max()
+    );
+    println!("\ncity PGVH (m/s):");
+    for s in &rep.seismograms {
+        println!("  {:<18} {:>7.3}", s.station.name, s.pgvh_rss());
+    }
+    println!("\n{}", rep.pgv.to_ascii(90));
+}
+
+fn workflow(a: &Args) {
+    let sc = scenario(a, 48, 30.0);
+    let profile = a.has("--profile");
+    let trace_out: Option<PathBuf> = a.value("--trace-out");
+    let dir = scratch_dir("awp-cli");
+    println!("{} → E2E workflow on 4 ranks (workdir {dir:?})", sc.name);
+    let registry = (profile || trace_out.is_some()).then(|| Registry::new(4));
+    let run = prepare(a, &sc);
+    let mut session = session(a, [2, 2, 1]);
+    if let Some(reg) = &registry {
+        session = session.with_telemetry(Arc::clone(reg));
+        // A profiled run should show the checkpoint phase on every
+        // rank's track. Epochs save when `done % every == 0 && done <
+        // steps`, so a cadence of 4 still fires on the short smoke
+        // runs (8 steps) used by final_verify.sh.
+        session.checkpoint_every = Some(4);
+    }
+    // Live streaming stats: serve the endpoint for the whole run;
+    // clients connect with `awp stats --stats-addr <A>`.
+    let live_srv = a.value::<String>("--stats-addr").map(|addr| {
+        let live = LiveStats::new(4);
+        let srv = StatsServer::serve(
+            &StatsAddr::parse(&addr),
+            Arc::clone(&live),
+            Duration::from_millis(250),
+        )
+        .expect("stats endpoint bind failed");
+        println!("live stats endpoint at {}", srv.local_addr());
+        (live, srv)
+    });
+    if let Some((live, _)) = &live_srv {
+        session = session.with_live_stats(Arc::clone(live));
+    }
+    let rep = session.execute(&run, &dir).expect("workflow failed");
+    if let Some((_, srv)) = live_srv {
+        srv.stop();
+    }
+    println!("{:<20} {:>9} {:>10} {:>9}", "stage", "seconds", "MB", "MB/s");
+    for s in &rep.stages {
+        println!(
+            "{:<20} {:>9.2} {:>10.2} {:>9.1}",
+            s.stage,
+            s.seconds,
+            s.bytes as f64 / 1e6,
+            s.mb_per_s()
+        );
+    }
+    println!(
+        "archive verified: {}; collection MD5 {}",
+        rep.archive_verified, rep.collection_checksum
+    );
+    if let Some(reg) = &registry {
+        if profile {
+            println!("\n{}", reg.report());
+        }
+        if let Some(path) = &trace_out {
+            let trace = reg.chrome_trace();
+            std::fs::write(path, &trace).unwrap_or_else(|e| panic!("writing {path:?} failed: {e}"));
+            // Self-validate: parse the emitted trace back before
+            // claiming success, so a malformed trace is a CLI
+            // failure, not a surprise inside Perfetto.
+            match validate_chrome_trace(&trace) {
+                Ok(spans) => println!("chrome trace → {} ({spans} span events)", path.display()),
+                Err(why) => {
+                    eprintln!("INVALID chrome trace {}: {why}", path.display());
+                    std::process::exit(1);
+                }
+            }
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+fn verify(a: &Args) {
+    let smoke = a.has("--smoke");
+    let lts = a.has("--lts");
+    let out = a.value("--out").unwrap_or_else(|| PathBuf::from("results/verify.json"));
+    let mode = if smoke { "smoke" } else { "full" };
+    let lts_note = if lts { ", lts armed" } else { "" };
+    println!("quantitative verification ({mode} mode{lts_note})\n");
+    let report = awp_odc::verify::run(&awp_odc::verify::VerifySpec {
+        smoke,
+        seeds: a.value("--seeds"),
+        base_seed: a.value("--base-seed"),
+        lts,
+    });
+
+    println!(
+        "{:<16} {:>10} {:>10} {:>10}  gate",
+        "accuracy case", "worst L2", "worst env", "shift/dt"
+    );
+    for c in &report.accuracy {
+        println!(
+            "{:<16} {:>10.4} {:>10.4} {:>10.2}  {} (L2 ≤ {}, env ≤ {})",
+            c.case,
+            c.worst_l2,
+            c.worst_envelope,
+            c.worst_shift_dt,
+            if c.passed { "pass" } else { "FAIL" },
+            c.l2_tol,
+            c.env_tol,
+        );
+    }
+    let conv = &report.convergence;
+    let errs: Vec<String> =
+        conv.levels.iter().map(|l| format!("{}³→{:.2e}", l.n, l.error)).collect();
+    println!(
+        "\nconvergence: order {:.2} in [{}, {}] → {}  ({})",
+        conv.observed_order,
+        conv.order_lo,
+        conv.order_hi,
+        if conv.passed { "pass" } else { "FAIL" },
+        errs.join(", "),
+    );
+    let fz = &report.fuzz;
+    println!(
+        "schedule fuzz: {} seeds × {} ranks × {} steps, baseline {} → {}",
+        fz.runs,
+        fz.ranks,
+        fz.steps,
+        fz.baseline_fingerprint,
+        if fz.passed {
+            "bit-exact".to_string()
+        } else {
+            format!("MISMATCH at seeds {:?}", fz.mismatched_seeds)
+        },
+    );
+
+    report.write(&out).unwrap_or_else(|e| panic!("writing {out:?} failed: {e}"));
+    // Self-validate the emitted artifact, same discipline as the
+    // Chrome-trace path: a malformed report is a CLI failure.
+    let text = std::fs::read_to_string(&out)
+        .unwrap_or_else(|e| panic!("reading back {out:?} failed: {e}"));
+    match awp_odc::verify::report::validate_json(&text) {
+        Ok(cases) => println!("\nreport → {} ({cases} accuracy cases)", out.display()),
+        Err(why) => {
+            eprintln!("INVALID verify report {}: {why}", out.display());
+            std::process::exit(1);
+        }
+    }
+    if !report.passed {
+        eprintln!("\nVERIFICATION FAILED");
+        std::process::exit(1);
+    }
+    println!("verification passed");
+}
+
+fn stats(a: &Args) {
+    let snapshots: usize = a.value("--snapshots").unwrap_or(3);
+    if !a.has("--smoke") {
+        let addr = a
+            .value::<String>("--stats-addr")
+            .or_else(|| a.pos.first().cloned())
+            .unwrap_or_else(|| usage_error("'awp stats' needs an address or --smoke"));
+        let addr = StatsAddr::parse(&addr);
+        let lines = read_stream(&addr, snapshots, Duration::from_secs(10)).unwrap_or_else(|e| {
+            eprintln!("connecting to {addr} failed: {e}");
+            std::process::exit(1);
+        });
+        match validate_stream(&lines) {
+            Ok((ranks, snaps)) => {
+                println!(
+                    "# {addr}: {ranks} ranks, {snaps} snapshots (awp-stats v{STATS_PROTO_VERSION})"
+                );
+                for l in &lines {
+                    println!("{l}");
+                }
+            }
+            Err(why) => {
+                eprintln!("INVALID stats stream from {addr}: {why}");
+                std::process::exit(1);
+            }
+        }
+        return;
+    }
+    // Self-test: serve an ephemeral endpoint, run a shakeout-k workflow
+    // against it, and play the client ourselves — the stream must carry
+    // ≥ 2 schema-valid versioned snapshots.
+    let run = build_scenario("shakeout-k", 24).with_duration(15.0).prepare();
+    let live = LiveStats::new(4);
+    let srv = StatsServer::serve(
+        &StatsAddr::parse("127.0.0.1:0"),
+        Arc::clone(&live),
+        Duration::from_millis(50),
+    )
+    .expect("stats endpoint bind failed");
+    let addr = srv.local_addr().clone();
+    println!("stats smoke: endpoint {addr}, shakeout-k workflow");
+    let want = snapshots.max(2);
+    let reader = std::thread::spawn(move || read_stream(&addr, want, Duration::from_secs(30)));
+    let dir = scratch_dir("awp-stats-smoke");
+    let rep = WorkflowSession::new([2, 2, 1])
+        .with_live_stats(Arc::clone(&live))
+        .execute(&run, &dir)
+        .expect("stats smoke workflow failed");
+    let lines =
+        reader.join().expect("stats client thread panicked").expect("stats client read failed");
+    srv.stop();
+    let _ = std::fs::remove_dir_all(&dir);
+    match validate_stream(&lines) {
+        Ok((ranks, snaps)) if snaps >= 2 => println!(
+            "stats smoke passed: {ranks} ranks, {snaps} schema-valid snapshots \
+             (archive verified: {})",
+            rep.archive_verified
+        ),
+        Ok((_, snaps)) => {
+            eprintln!("STATS SMOKE FAILED: only {snaps} snapshots streamed");
+            std::process::exit(1);
+        }
+        Err(why) => {
+            eprintln!("STATS SMOKE FAILED: {why}");
+            std::process::exit(1);
         }
     }
 }
 
-fn main() {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    // Telemetry flags may appear anywhere; strip them before the
-    // subcommand dispatch so positional parsing stays simple.
-    let mut profile = false;
-    let mut trace_out: Option<PathBuf> = None;
-    if let Some(i) = args.iter().position(|a| a == "--profile") {
-        profile = true;
-        args.remove(i);
-    }
-    if let Some(i) = args.iter().position(|a| a == "--trace-out") {
-        let path = args.get(i + 1).cloned().unwrap_or_else(|| usage());
-        trace_out = Some(PathBuf::from(path));
-        args.drain(i..=i + 1);
-    }
-    // Clustered local time stepping: valid on run/workflow (arms
-    // `opts.lts`, a no-op ladder on media without ≥2 dt octaves) and on
-    // verify (delegation-contract gate).
-    let mut lts = false;
-    if let Some(i) = args.iter().position(|a| a == "--lts") {
-        lts = true;
-        args.remove(i);
-    }
-    // The live streaming-stats endpoint address.
-    let mut stats_addr: Option<String> = None;
-    if let Some(i) = args.iter().position(|a| a == "--stats-addr") {
-        let addr = args.get(i + 1).cloned().unwrap_or_else(|| usage());
-        stats_addr = Some(addr);
-        args.drain(i..=i + 1);
-    }
-    // Simulation-health sentinel cadence (0 = off) and the crash flight
-    // recorder dump directory.
-    let mut health_every: u64 = 0;
-    if let Some(i) = args.iter().position(|a| a == "--health-every") {
-        health_every = args
-            .get(i + 1)
-            .and_then(|s| s.parse().ok())
-            .unwrap_or_else(|| usage());
-        args.drain(i..=i + 1);
-    }
-    let mut flight_dir: Option<PathBuf> = None;
-    if let Some(i) = args.iter().position(|a| a == "--flight-dir") {
-        let dir = args.get(i + 1).cloned().unwrap_or_else(|| usage());
-        flight_dir = Some(PathBuf::from(dir));
-        args.drain(i..=i + 1);
-    }
-    let profiling = profile || trace_out.is_some();
-    if args.is_empty() && profiling {
-        // Bare `awp --profile [--trace-out f]`: profile a small default
-        // workflow rather than erroring out.
-        args = vec!["workflow".into(), "shakeout-k".into(), "24".into(), "15".into()];
-    }
-    match args.first().map(String::as_str) {
-        Some("scenarios") => {
-            println!("{:<14} {:>8} {:>10} {:>8}  description", "name", "box (km)", "fault (km)", "source");
-            for name in
-                ["terashake-k", "terashake-d", "shakeout-k", "shakeout-d", "wall-to-wall", "m8", "pnw"]
-            {
-                let sc = build_scenario(name, 48);
-                println!(
-                    "{:<14} {:>4.0}x{:<4.0} {:>10.0} {:>8}  {}",
-                    name,
-                    sc.length / 1e3,
-                    sc.width / 1e3,
-                    sc.trace().length() / 1e3,
-                    match sc.source {
-                        awp_odc::scenario::SourceSpec::Kinematic { .. } => "kinem.",
-                        awp_odc::scenario::SourceSpec::Dynamic { .. } => "dynam.",
-                    },
-                    sc.description
-                );
-            }
+/// Ensemble engine + hazard-query server (protocol awp-serve v1).
+fn serve(a: &Args) {
+    if a.has("--smoke") {
+        if let Err(why) = awp_ensemble::serve::smoke() {
+            eprintln!("SERVE SMOKE FAILED: {why}");
+            std::process::exit(1);
         }
-        Some("run") => {
-            let name = args.get(1).map(String::as_str).unwrap_or_else(|| usage());
-            let nx: usize = args.get(2).and_then(|s| s.parse().ok()).unwrap_or(96);
-            let secs: f64 = args.get(3).and_then(|s| s.parse().ok()).unwrap_or(60.0);
-            let sc = build_scenario(name, nx).with_duration(secs);
-            println!("{} — {}", sc.name, sc.description);
-            let mut run = sc.prepare();
-            if lts {
-                run.cfg.opts.lts = Some(awp_solver::LtsOpts::new());
-            }
-            println!(
-                "grid {:?} (h = {:.1} km), {} steps, source Mw {:.2}",
-                run.cfg.dims,
-                sc.h() / 1e3,
-                run.cfg.steps,
-                run.source.magnitude()
-            );
-            let rep = run.run_serial();
-            println!(
-                "done in {:.1} s ({:.2} Gflop/s); PGV max {:.2} m/s",
-                rep.elapsed_s,
-                rep.sustained_flops() / 1e9,
-                rep.pgv.max()
-            );
-            println!("\ncity PGVH (m/s):");
-            for s in &rep.seismograms {
-                println!("  {:<18} {:>7.3}", s.station.name, s.pgvh_rss());
-            }
-            println!("\n{}", rep.pgv.to_ascii(90));
-        }
-        Some("workflow") => {
-            let name = args.get(1).map(String::as_str).unwrap_or_else(|| usage());
-            let nx: usize = args.get(2).and_then(|s| s.parse().ok()).unwrap_or(48);
-            let secs: f64 = args.get(3).and_then(|s| s.parse().ok()).unwrap_or(30.0);
-            let sc = build_scenario(name, nx).with_duration(secs);
-            let dir = scratch_dir("awp-cli");
-            println!("{} → E2E workflow on 4 ranks (workdir {dir:?})", sc.name);
-            let registry = profiling.then(|| Registry::new(4));
-            let mut run = sc.prepare();
-            if lts {
-                run.cfg.opts.lts = Some(awp_solver::LtsOpts::new());
-            }
-            run.cfg.opts.health_every = health_every;
-            let mut wf = E2EWorkflow::new(run, [2, 2, 1], &dir);
-            if let Some(fdir) = &flight_dir {
-                wf = wf.with_flight_recorder(fdir.clone());
-            }
-            if let Some(reg) = &registry {
-                wf = wf.with_telemetry(Arc::clone(reg));
-                // A profiled run should show the checkpoint phase on every
-                // rank's track. Epochs save when `done % every == 0 && done <
-                // steps`, so a cadence of 4 still fires on the short smoke
-                // runs (8 steps) used by final_verify.sh.
-                wf.session.checkpoint_every = Some(4);
-            }
-            // Live streaming stats: serve the endpoint for the whole run;
-            // clients connect with `awp stats --stats-addr <A>`.
-            let live_srv = stats_addr.as_ref().map(|a| {
-                let live = LiveStats::new(4);
-                let srv = StatsServer::serve(
-                    &StatsAddr::parse(a),
-                    Arc::clone(&live),
-                    Duration::from_millis(250),
-                )
-                .expect("stats endpoint bind failed");
-                println!("live stats endpoint at {}", srv.local_addr());
-                (live, srv)
-            });
-            if let Some((live, _)) = &live_srv {
-                wf = wf.with_live_stats(Arc::clone(live));
-            }
-            let rep = wf.execute().expect("workflow failed");
-            if let Some((_, srv)) = live_srv {
-                srv.stop();
-            }
-            println!("{:<20} {:>9} {:>10} {:>9}", "stage", "seconds", "MB", "MB/s");
-            for s in &rep.stages {
-                println!(
-                    "{:<20} {:>9.2} {:>10.2} {:>9.1}",
-                    s.stage,
-                    s.seconds,
-                    s.bytes as f64 / 1e6,
-                    s.mb_per_s()
-                );
-            }
-            println!(
-                "archive verified: {}; collection MD5 {}",
-                rep.archive_verified, rep.collection_checksum
-            );
-            if let Some(reg) = &registry {
-                if profile {
-                    println!("\n{}", reg.report());
-                }
-                if let Some(path) = &trace_out {
-                    let trace = reg.chrome_trace();
-                    std::fs::write(path, &trace)
-                        .unwrap_or_else(|e| panic!("writing {path:?} failed: {e}"));
-                    // Self-validate: parse the emitted trace back before
-                    // claiming success, so a malformed trace is a CLI
-                    // failure, not a surprise inside Perfetto.
-                    match validate_chrome_trace(&trace) {
-                        Ok(spans) => println!("chrome trace → {} ({spans} span events)", path.display()),
-                        Err(why) => {
-                            eprintln!("INVALID chrome trace {}: {why}", path.display());
-                            std::process::exit(1);
-                        }
-                    }
-                }
-            }
-            let _ = std::fs::remove_dir_all(&dir);
-        }
-        Some("verify") => {
-            let rest = &args[1..];
-            let smoke = rest.iter().any(|a| a == "--smoke");
-            let seeds = rest
-                .iter()
-                .position(|a| a == "--seeds")
-                .map(|i| rest.get(i + 1).and_then(|s| s.parse().ok()).unwrap_or_else(|| usage()));
-            let base_seed = rest
-                .iter()
-                .position(|a| a == "--base-seed")
-                .map(|i| rest.get(i + 1).and_then(|s| s.parse().ok()).unwrap_or_else(|| usage()));
-            let out = rest
-                .iter()
-                .position(|a| a == "--out")
-                .map(|i| rest.get(i + 1).map(PathBuf::from).unwrap_or_else(|| usage()))
-                .unwrap_or_else(|| PathBuf::from("results/verify.json"));
-            let mode = if smoke { "smoke" } else { "full" };
-            let lts_note = if lts { ", lts armed" } else { "" };
-            println!("quantitative verification ({mode} mode{lts_note})\n");
-            let report = awp_odc::verify::run(&awp_odc::verify::VerifySpec {
-                smoke,
-                seeds,
-                base_seed,
-                lts,
-            });
+        return;
+    }
+    let root = a.value("--root").unwrap_or_else(|| "awp-ensemble".to_string());
+    let addr = a.value("--addr").unwrap_or_else(|| "127.0.0.1:7075".to_string());
+    let engine =
+        awp_ensemble::EnsembleEngine::open(&root, [2, 2, 1]).expect("ensemble root open failed");
+    let srv = awp_ensemble::ServeServer::serve(&StatsAddr::parse(&addr), engine)
+        .expect("serve endpoint bind failed");
+    println!(
+        "awp-serve v1 listening at {} (results root {root}); Ctrl-C to stop",
+        srv.local_addr()
+    );
+    loop {
+        std::thread::sleep(Duration::from_secs(3600));
+    }
+}
 
-            println!("{:<16} {:>10} {:>10} {:>10}  gate", "accuracy case", "worst L2", "worst env", "shift/dt");
-            for c in &report.accuracy {
-                println!(
-                    "{:<16} {:>10.4} {:>10.4} {:>10.2}  {} (L2 ≤ {}, env ≤ {})",
-                    c.case,
-                    c.worst_l2,
-                    c.worst_envelope,
-                    c.worst_shift_dt,
-                    if c.passed { "pass" } else { "FAIL" },
-                    c.l2_tol,
-                    c.env_tol,
-                );
-            }
-            let conv = &report.convergence;
-            let errs: Vec<String> =
-                conv.levels.iter().map(|l| format!("{}³→{:.2e}", l.n, l.error)).collect();
-            println!(
-                "\nconvergence: order {:.2} in [{}, {}] → {}  ({})",
-                conv.observed_order,
-                conv.order_lo,
-                conv.order_hi,
-                if conv.passed { "pass" } else { "FAIL" },
-                errs.join(", "),
-            );
-            let fz = &report.fuzz;
-            println!(
-                "schedule fuzz: {} seeds × {} ranks × {} steps, baseline {} → {}",
-                fz.runs,
-                fz.ranks,
-                fz.steps,
-                fz.baseline_fingerprint,
-                if fz.passed {
-                    "bit-exact".to_string()
-                } else {
-                    format!("MISMATCH at seeds {:?}", fz.mismatched_seeds)
-                },
-            );
-
-            report.write(&out).unwrap_or_else(|e| panic!("writing {out:?} failed: {e}"));
-            // Self-validate the emitted artifact, same discipline as the
-            // Chrome-trace path: a malformed report is a CLI failure.
-            let text = std::fs::read_to_string(&out)
-                .unwrap_or_else(|e| panic!("reading back {out:?} failed: {e}"));
-            match awp_odc::verify::report::validate_json(&text) {
-                Ok(cases) => println!("\nreport → {} ({cases} accuracy cases)", out.display()),
-                Err(why) => {
-                    eprintln!("INVALID verify report {}: {why}", out.display());
-                    std::process::exit(1);
-                }
-            }
-            if !report.passed {
-                eprintln!("\nVERIFICATION FAILED");
+fn analyze(a: &Args) {
+    use awp_odc::analyze::{parse_trace, render, to_json, validate_json};
+    let smoke = a.has("--smoke");
+    let top: usize = a.value("--top").unwrap_or(5);
+    let trace = if smoke {
+        // Self-test: trace an in-process 8-rank clustered-LTS workflow and
+        // analyze our own artifact — the causal DAG gate (≥ 90% wall-clock
+        // coverage) runs below.
+        let sc = build_scenario("shakeout-k", 24).with_duration(15.0);
+        let mut run = prepare(a, &sc);
+        run.cfg.opts.lts = Some(awp_solver::LtsOpts::new());
+        println!("analyze smoke: 8-rank --lts {} workflow, tracing armed", sc.name);
+        let registry = Registry::new(8);
+        let dir = scratch_dir("awp-analyze-smoke");
+        // LTS clusters are z-slabs, so the 8-rank decomposition keeps a
+        // single z part.
+        let mut session = WorkflowSession::new([4, 2, 1]).with_telemetry(Arc::clone(&registry));
+        session.checkpoint_every = Some(4);
+        let rep = session.execute(&run, &dir).expect("analyze smoke workflow failed");
+        let _ = std::fs::remove_dir_all(&dir);
+        println!("workflow done (archive verified: {})", rep.archive_verified);
+        registry.chrome_trace()
+    } else {
+        let path: PathBuf =
+            a.arg(0).unwrap_or_else(|| usage_error("'awp analyze' needs a trace or --smoke"));
+        std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("reading {path:?} failed: {e}"))
+    };
+    let graph = parse_trace(&trace).unwrap_or_else(|why| {
+        eprintln!("INVALID trace: {why}");
+        std::process::exit(1);
+    });
+    let path = graph.critical_path();
+    println!("{}", render(&graph, &path, top));
+    let json_out =
+        a.value("--json").or_else(|| smoke.then(|| PathBuf::from("results/analyze.json")));
+    if let Some(out) = json_out {
+        if let Some(parent) = out.parent() {
+            let _ = std::fs::create_dir_all(parent);
+        }
+        let doc = to_json(&graph, &path);
+        std::fs::write(&out, &doc).unwrap_or_else(|e| panic!("writing {out:?} failed: {e}"));
+        // Self-validate before claiming success, same discipline as the
+        // verify-report and Chrome-trace paths.
+        match validate_json(&doc) {
+            Ok(()) => println!("analysis → {}", out.display()),
+            Err(why) => {
+                eprintln!("INVALID analyze report {}: {why}", out.display());
                 std::process::exit(1);
             }
-            println!("verification passed");
         }
-        Some("stats") => {
-            let rest = &args[1..];
-            let smoke = rest.iter().any(|a| a == "--smoke");
-            let snapshots: usize = rest
-                .iter()
-                .position(|a| a == "--snapshots")
-                .map(|i| rest.get(i + 1).and_then(|s| s.parse().ok()).unwrap_or_else(|| usage()))
-                .unwrap_or(3);
-            if smoke {
-                // Self-test: serve an ephemeral endpoint, run a shakeout-k
-                // workflow against it, and play the client ourselves — the
-                // stream must carry ≥ 2 schema-valid versioned snapshots.
-                let sc = build_scenario("shakeout-k", 24).with_duration(15.0);
-                let run = sc.prepare();
-                let live = LiveStats::new(4);
-                let srv = StatsServer::serve(
-                    &StatsAddr::parse("127.0.0.1:0"),
-                    Arc::clone(&live),
-                    Duration::from_millis(50),
-                )
-                .expect("stats endpoint bind failed");
-                let addr = srv.local_addr().clone();
-                println!("stats smoke: endpoint {addr}, shakeout-k workflow");
-                let want = snapshots.max(2);
-                let reader = std::thread::spawn(move || {
-                    read_stream(&addr, want, Duration::from_secs(30))
-                });
-                let dir = scratch_dir("awp-stats-smoke");
-                let wf = E2EWorkflow::new(run, [2, 2, 1], &dir)
-                    .with_live_stats(Arc::clone(&live));
-                let rep = wf.execute().expect("stats smoke workflow failed");
-                let lines = reader
-                    .join()
-                    .expect("stats client thread panicked")
-                    .expect("stats client read failed");
-                srv.stop();
-                let _ = std::fs::remove_dir_all(&dir);
-                match validate_stream(&lines) {
-                    Ok((ranks, snaps)) if snaps >= 2 => println!(
-                        "stats smoke passed: {ranks} ranks, {snaps} schema-valid snapshots \
-                         (archive verified: {})",
-                        rep.archive_verified
-                    ),
-                    Ok((_, snaps)) => {
-                        eprintln!("STATS SMOKE FAILED: only {snaps} snapshots streamed");
-                        std::process::exit(1);
-                    }
-                    Err(why) => {
-                        eprintln!("STATS SMOKE FAILED: {why}");
-                        std::process::exit(1);
-                    }
-                }
-            } else {
-                let addr = stats_addr
-                    .clone()
-                    .or_else(|| {
-                        rest.iter().find(|a| !a.starts_with("--")).cloned()
-                    })
-                    .unwrap_or_else(|| usage());
-                let addr = StatsAddr::parse(&addr);
-                let lines = read_stream(&addr, snapshots, Duration::from_secs(10))
-                    .unwrap_or_else(|e| {
-                        eprintln!("connecting to {addr} failed: {e}");
-                        std::process::exit(1);
-                    });
-                match validate_stream(&lines) {
-                    Ok((ranks, snaps)) => {
-                        println!("# {addr}: {ranks} ranks, {snaps} snapshots (awp-stats v{STATS_PROTO_VERSION})");
-                        for l in &lines {
-                            println!("{l}");
-                        }
-                    }
-                    Err(why) => {
-                        eprintln!("INVALID stats stream from {addr}: {why}");
-                        std::process::exit(1);
-                    }
-                }
-            }
-        }
-        Some("serve") => {
-            // Ensemble engine + hazard-query server (protocol awp-serve v1,
-            // same newline-JSON discipline as awp-stats).
-            let rest = &args[1..];
-            if rest.iter().any(|a| a == "--smoke") {
-                if let Err(why) = awp_ensemble::serve::smoke() {
-                    eprintln!("SERVE SMOKE FAILED: {why}");
-                    std::process::exit(1);
-                }
-            } else {
-                let root = rest
-                    .iter()
-                    .position(|a| a == "--root")
-                    .map(|i| rest.get(i + 1).cloned().unwrap_or_else(|| usage()))
-                    .unwrap_or_else(|| "awp-ensemble".to_string());
-                let addr = rest
-                    .iter()
-                    .position(|a| a == "--addr")
-                    .map(|i| rest.get(i + 1).cloned().unwrap_or_else(|| usage()))
-                    .unwrap_or_else(|| "127.0.0.1:7075".to_string());
-                let engine = awp_ensemble::EnsembleEngine::open(&root, [2, 2, 1])
-                    .expect("ensemble root open failed");
-                let srv =
-                    awp_ensemble::ServeServer::serve(&StatsAddr::parse(&addr), engine)
-                        .expect("serve endpoint bind failed");
-                println!(
-                    "awp-serve v1 listening at {} (results root {root}); Ctrl-C to stop",
-                    srv.local_addr()
-                );
-                loop {
-                    std::thread::sleep(Duration::from_secs(3600));
-                }
-            }
-        }
-        Some("analyze") => {
-            use awp_odc::analyze::{parse_trace, render, to_json, validate_json};
-            let rest = &args[1..];
-            let smoke = rest.iter().any(|a| a == "--smoke");
-            let top: usize = rest
-                .iter()
-                .position(|a| a == "--top")
-                .map(|i| rest.get(i + 1).and_then(|s| s.parse().ok()).unwrap_or_else(|| usage()))
-                .unwrap_or(5);
-            let json_out = rest
-                .iter()
-                .position(|a| a == "--json")
-                .map(|i| rest.get(i + 1).map(PathBuf::from).unwrap_or_else(|| usage()));
-            let trace = if smoke {
-                // Self-test: trace an in-process 8-rank clustered-LTS
-                // workflow and analyze our own artifact — the causal DAG
-                // gate (≥ 90% wall-clock coverage) runs below.
-                let sc = build_scenario("shakeout-k", 24).with_duration(15.0);
-                let mut run = sc.prepare();
-                run.cfg.opts.lts = Some(awp_solver::LtsOpts::new());
-                run.cfg.opts.health_every = health_every;
-                println!("analyze smoke: 8-rank --lts {} workflow, tracing armed", sc.name);
-                let registry = Registry::new(8);
-                let dir = scratch_dir("awp-analyze-smoke");
-                // LTS clusters are z-slabs, so the 8-rank decomposition
-                // keeps a single z part.
-                let mut wf = E2EWorkflow::new(run, [4, 2, 1], &dir)
-                    .with_telemetry(Arc::clone(&registry));
-                wf.session.checkpoint_every = Some(4);
-                let rep = wf.execute().expect("analyze smoke workflow failed");
-                let _ = std::fs::remove_dir_all(&dir);
-                println!("workflow done (archive verified: {})", rep.archive_verified);
-                registry.chrome_trace()
-            } else {
-                let path = rest
-                    .iter()
-                    .find(|a| !a.starts_with("--"))
-                    .map(PathBuf::from)
-                    .unwrap_or_else(|| usage());
-                std::fs::read_to_string(&path)
-                    .unwrap_or_else(|e| panic!("reading {path:?} failed: {e}"))
-            };
-            let graph = parse_trace(&trace).unwrap_or_else(|why| {
-                eprintln!("INVALID trace: {why}");
-                std::process::exit(1);
-            });
-            let path = graph.critical_path();
-            println!("{}", render(&graph, &path, top));
-            let json_out = json_out
-                .or_else(|| smoke.then(|| PathBuf::from("results/analyze.json")));
-            if let Some(out) = json_out {
-                if let Some(parent) = out.parent() {
-                    let _ = std::fs::create_dir_all(parent);
-                }
-                let doc = to_json(&graph, &path);
-                std::fs::write(&out, &doc)
-                    .unwrap_or_else(|e| panic!("writing {out:?} failed: {e}"));
-                // Self-validate before claiming success, same discipline
-                // as the verify-report and Chrome-trace paths.
-                match validate_json(&doc) {
-                    Ok(()) => println!("analysis → {}", out.display()),
-                    Err(why) => {
-                        eprintln!("INVALID analyze report {}: {why}", out.display());
-                        std::process::exit(1);
-                    }
-                }
-            }
-            if smoke {
-                let cov = path.coverage();
-                if cov < 0.90 {
-                    eprintln!(
-                        "ANALYZE SMOKE FAILED: critical path covers {:.1}% of wall clock (< 90%)",
-                        cov * 100.0
-                    );
-                    std::process::exit(1);
-                }
-                println!(
-                    "analyze smoke passed: {} hops cover {:.1}% of wall clock \
-                     ({} edges, {} unmatched recvs)",
-                    path.hops.len(),
-                    cov * 100.0,
-                    graph.edges.len(),
-                    graph.unmatched_recvs
-                );
-            }
-        }
-        Some("efficiency") => {
-            let inp = ModelInput {
-                n: m8_mesh(),
-                parts: m8_parts(),
-                machine: Machine::Jaguar.profile(),
-                c: PAPER_C,
-            };
-            println!(
-                "M8 on 223,074 Jaguar cores (Eq. 8): speedup {:.4e}, efficiency {:.1}%",
-                speedup(&inp),
-                efficiency(&inp) * 100.0
+    }
+    if smoke {
+        let cov = path.coverage();
+        if cov < 0.90 {
+            eprintln!(
+                "ANALYZE SMOKE FAILED: critical path covers {:.1}% of wall clock (< 90%)",
+                cov * 100.0
             );
-            println!("paper §V.A: 2.20e5 / 98.6%");
+            std::process::exit(1);
         }
-        Some("chaos") => {
-            // Flag-style seed so the verify script reads naturally:
-            // `awp chaos --chaos-seed 3405691582 shakeout-k`.
-            let mut rest: Vec<&str> = args[1..].iter().map(String::as_str).collect();
-            let mut seed: u64 = 0xC4A0_5EED;
-            if let Some(i) = rest.iter().position(|a| *a == "--chaos-seed") {
-                seed = rest
-                    .get(i + 1)
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage());
-                rest.drain(i..=i + 1);
-            }
-            let mut recover = false;
-            if let Some(i) = rest.iter().position(|a| *a == "--recover") {
-                recover = true;
-                rest.remove(i);
-            }
-            let mut fault_mode = "crash";
-            if let Some(i) = rest.iter().position(|a| *a == "--fault") {
-                fault_mode = rest.get(i + 1).copied().unwrap_or_else(|| usage());
-                if !matches!(fault_mode, "crash" | "stall" | "both") {
-                    usage();
-                }
-                rest.drain(i..=i + 1);
-            }
-            let name = rest.first().copied().unwrap_or("shakeout-k");
-            let nx: usize = rest.get(1).and_then(|s| s.parse().ok()).unwrap_or(20);
-            let secs: f64 = rest.get(2).and_then(|s| s.parse().ok()).unwrap_or(20.0);
-            let sc = build_scenario(name, nx).with_duration(secs);
+        println!(
+            "analyze smoke passed: {} hops cover {:.1}% of wall clock \
+             ({} edges, {} unmatched recvs)",
+            path.hops.len(),
+            cov * 100.0,
+            graph.edges.len(),
+            graph.unmatched_recvs
+        );
+    }
+}
 
-            let clean_dir = scratch_dir("awp-chaos-clean");
-            let rep_clean = E2EWorkflow::new(sc.prepare(), [2, 1, 1], &clean_dir)
-                .execute()
-                .expect("clean reference run failed");
+fn efficiency_cmd(_: &Args) {
+    let inp = ModelInput {
+        n: m8_mesh(),
+        parts: m8_parts(),
+        machine: Machine::Jaguar.profile(),
+        c: PAPER_C,
+    };
+    println!(
+        "M8 on 223,074 Jaguar cores (Eq. 8): speedup {:.4e}, efficiency {:.1}%",
+        speedup(&inp),
+        efficiency(&inp) * 100.0
+    );
+    println!("paper §V.A: 2.20e5 / 98.6%");
+}
 
-            if recover {
-                // Recovery drill: a directed single-rank failure must be
-                // absorbed *in flight* — supervisor rollback to the last
-                // MD5-consistent epoch and respawn, costing one epoch of
-                // rework — with zero whole-run restarts and a bit-exact
-                // surface. Crash step 5 / stall step 6 sit just past the
-                // first checkpoint epoch (cadence 4), so a rollback line
-                // always exists.
-                let mut run = sc.prepare();
-                run.cfg.opts.health_every = health_every;
-                let mut plan = FaultPlan::new(seed);
-                if matches!(fault_mode, "crash" | "both") {
-                    plan = plan.with_crash(1, 5);
-                }
-                if matches!(fault_mode, "stall" | "both") {
-                    plan = plan.with_stall(0, 6, 3600.0);
-                }
-                let plan = Arc::new(plan);
-                println!(
-                    "{} → recovery drill ({fault_mode}), seed {seed:#x}, schedule: {}",
-                    sc.name,
-                    plan.schedule_digest()
-                );
-                let drill_dir = scratch_dir("awp-chaos-recover");
-                let registry = profiling.then(|| Registry::new(2));
-                let mut wf = E2EWorkflow::new(run, [2, 1, 1], &drill_dir);
-                if let Some(fdir) = &flight_dir {
-                    wf = wf.with_flight_recorder(fdir.clone());
-                }
-                wf.session.checkpoint_every = Some(4);
-                wf = wf
-                    .with_chaos(
-                        plan,
-                        WatchdogConfig {
-                            timeout: Duration::from_secs(2),
-                            poll: Duration::from_millis(50),
-                        },
-                    )
-                    .with_recovery(RetryPolicy::new(3).with_jitter(0.25, seed));
-                if let Some(reg) = &registry {
-                    wf = wf.with_telemetry(Arc::clone(reg));
-                }
-                let rep = wf.execute().expect("recovery drill failed to converge");
-                for f in &rep.faults {
-                    println!("  recovered: {f}");
-                }
-                println!(
-                    "  in-flight recoveries: {}; whole-run restarts: {}; degraded: {}; \
-                     dead letters: {} drained / {} retained",
-                    rep.in_flight_recoveries,
-                    rep.restarts,
-                    rep.recovery_degraded,
-                    rep.dead_letters.total,
-                    rep.dead_letters.retained,
-                );
-                if let Some(reg) = &registry {
-                    if profile {
-                        println!("\n{}", reg.report());
-                    }
-                }
-                let clean_md5 = awp_odc::pario::Md5::digest_hex(
-                    &std::fs::read(&rep_clean.surface_file).unwrap(),
-                );
-                let drill_md5 =
-                    awp_odc::pario::Md5::digest_hex(&std::fs::read(&rep.surface_file).unwrap());
-                let pgv_ok = rep_clean.pgv.data == rep.pgv.data;
-                let _ = std::fs::remove_dir_all(&clean_dir);
-                let _ = std::fs::remove_dir_all(&drill_dir);
-                let recovered_in_flight = rep.in_flight_recoveries >= 1
-                    && rep.restarts == 0
-                    && !rep.recovery_degraded;
-                if recovered_in_flight && pgv_ok && clean_md5 == drill_md5 {
-                    println!(
-                        "recovery drill passed: in-flight recovery, bit-identical surface \
-                         (MD5 {clean_md5})"
-                    );
-                } else {
-                    eprintln!(
-                        "RECOVERY DRILL FAILED: in_flight={} restarts={} degraded={} \
-                         pgv_ok={pgv_ok} clean_md5={clean_md5} drill_md5={drill_md5}",
-                        rep.in_flight_recoveries, rep.restarts, rep.recovery_degraded,
-                    );
-                    std::process::exit(1);
-                }
-                return;
-            }
+fn machines(_: &Args) {
+    for m in Machine::ALL {
+        let p = m.profile();
+        println!(
+            "{:<10} {:<22} {:>7} cores {:>6.1} Gf/core  α={:.1e} β={:.1e}",
+            p.name, p.interconnect, p.cores_used, p.peak_gflops, p.alpha, p.beta
+        );
+    }
+}
 
-            let mut run = sc.prepare();
-            run.cfg.opts.health_every = health_every;
-            let steps = run.cfg.steps as u64;
-            let plan = Arc::new(FaultPlan::random(seed, 2, steps));
-            println!(
-                "{} → chaos soak, seed {seed:#x}, schedule: {}",
-                sc.name,
-                plan.schedule_digest()
-            );
-            let chaos_dir = scratch_dir("awp-chaos");
-            let mut wf = E2EWorkflow::new(run, [2, 1, 1], &chaos_dir);
-            if let Some(fdir) = &flight_dir {
-                wf = wf.with_flight_recorder(fdir.clone());
-            }
-            wf.session.checkpoint_every = Some(4);
-            wf.session.max_restarts = 6;
-            wf = wf.with_chaos(
+fn chaos(a: &Args) {
+    let seed: u64 = a.value("--chaos-seed").unwrap_or(0xC4A0_5EED);
+    let fault_mode: String = a.value("--fault").unwrap_or_else(|| "crash".into());
+    if !matches!(fault_mode.as_str(), "crash" | "stall" | "both") {
+        usage_error(&format!("unknown --fault '{fault_mode}'"));
+    }
+    let sc = scenario(a, 20, 20.0);
+
+    let clean_dir = scratch_dir("awp-chaos-clean");
+    let rep_clean = WorkflowSession::new([2, 1, 1])
+        .execute(&sc.prepare(), &clean_dir)
+        .expect("clean reference run failed");
+    let run = prepare(a, &sc);
+    let mut session = session(a, [2, 1, 1]);
+    session.checkpoint_every = Some(4);
+
+    if a.has("--recover") {
+        // Recovery drill: a directed single-rank failure must be absorbed
+        // *in flight* — supervisor rollback to the last MD5-consistent
+        // epoch and respawn, costing one epoch of rework — with zero
+        // whole-run restarts and a bit-exact surface. Crash step 5 / stall
+        // step 6 sit just past the first checkpoint epoch (cadence 4), so a
+        // rollback line always exists.
+        let mut plan = FaultPlan::new(seed);
+        if matches!(fault_mode.as_str(), "crash" | "both") {
+            plan = plan.with_crash(1, 5);
+        }
+        if matches!(fault_mode.as_str(), "stall" | "both") {
+            plan = plan.with_stall(0, 6, 3600.0);
+        }
+        let plan = Arc::new(plan);
+        println!(
+            "{} → recovery drill ({fault_mode}), seed {seed:#x}, schedule: {}",
+            sc.name,
+            plan.schedule_digest()
+        );
+        let drill_dir = scratch_dir("awp-chaos-recover");
+        let registry = a.has("--profile").then(|| Registry::new(2));
+        session = session
+            .with_chaos(
                 plan,
-                WatchdogConfig {
-                    timeout: Duration::from_secs(5),
-                    poll: Duration::from_millis(50),
-                },
+                WatchdogConfig { timeout: Duration::from_secs(2), poll: Duration::from_millis(50) },
+            )
+            .with_recovery(RetryPolicy::new(3).with_jitter(0.25, seed));
+        if let Some(reg) = &registry {
+            session = session.with_telemetry(Arc::clone(reg));
+        }
+        let rep = session.execute(&run, &drill_dir).expect("recovery drill failed to converge");
+        for f in &rep.faults {
+            println!("  recovered: {f}");
+        }
+        println!(
+            "  in-flight recoveries: {}; whole-run restarts: {}; degraded: {}; \
+             dead letters: {} drained / {} retained",
+            rep.in_flight_recoveries,
+            rep.restarts,
+            rep.recovery_degraded,
+            rep.dead_letters.total,
+            rep.dead_letters.retained,
+        );
+        if let Some(reg) = &registry {
+            println!("\n{}", reg.report());
+        }
+        let clean_md5 =
+            awp_odc::pario::Md5::digest_hex(&std::fs::read(&rep_clean.surface_file).unwrap());
+        let drill_md5 = awp_odc::pario::Md5::digest_hex(&std::fs::read(&rep.surface_file).unwrap());
+        let pgv_ok = rep_clean.pgv.data == rep.pgv.data;
+        let _ = std::fs::remove_dir_all(&clean_dir);
+        let _ = std::fs::remove_dir_all(&drill_dir);
+        let recovered_in_flight =
+            rep.in_flight_recoveries >= 1 && rep.restarts == 0 && !rep.recovery_degraded;
+        if recovered_in_flight && pgv_ok && clean_md5 == drill_md5 {
+            println!(
+                "recovery drill passed: in-flight recovery, bit-identical surface \
+                 (MD5 {clean_md5})"
             );
-            let rep = wf.execute().expect("chaos run failed to converge");
-            for f in &rep.faults {
-                println!("  injected: {f}");
-            }
-            println!("  restarts: {}", rep.restarts);
+        } else {
+            eprintln!(
+                "RECOVERY DRILL FAILED: in_flight={} restarts={} degraded={} \
+                 pgv_ok={pgv_ok} clean_md5={clean_md5} drill_md5={drill_md5}",
+                rep.in_flight_recoveries, rep.restarts, rep.recovery_degraded,
+            );
+            std::process::exit(1);
+        }
+        return;
+    }
 
-            let clean_md5 =
-                awp_odc::pario::Md5::digest_hex(&std::fs::read(&rep_clean.surface_file).unwrap());
-            let chaos_md5 =
-                awp_odc::pario::Md5::digest_hex(&std::fs::read(&rep.surface_file).unwrap());
-            let pgv_ok = rep_clean.pgv.data == rep.pgv.data;
-            let _ = std::fs::remove_dir_all(&clean_dir);
-            let _ = std::fs::remove_dir_all(&chaos_dir);
-            if pgv_ok && clean_md5 == chaos_md5 {
-                println!("chaos run bit-identical to clean run (surface MD5 {clean_md5})");
-            } else {
-                eprintln!(
-                    "MISMATCH: pgv_ok={pgv_ok} clean_md5={clean_md5} chaos_md5={chaos_md5}"
-                );
-                std::process::exit(1);
+    let plan = Arc::new(FaultPlan::random(seed, 2, run.cfg.steps as u64));
+    println!("{} → chaos soak, seed {seed:#x}, schedule: {}", sc.name, plan.schedule_digest());
+    let chaos_dir = scratch_dir("awp-chaos");
+    session.max_restarts = 6;
+    let rep = session
+        .with_chaos(
+            plan,
+            WatchdogConfig { timeout: Duration::from_secs(5), poll: Duration::from_millis(50) },
+        )
+        .execute(&run, &chaos_dir)
+        .expect("chaos run failed to converge");
+    for f in &rep.faults {
+        println!("  injected: {f}");
+    }
+    println!("  restarts: {}", rep.restarts);
+
+    let clean_md5 =
+        awp_odc::pario::Md5::digest_hex(&std::fs::read(&rep_clean.surface_file).unwrap());
+    let chaos_md5 = awp_odc::pario::Md5::digest_hex(&std::fs::read(&rep.surface_file).unwrap());
+    let pgv_ok = rep_clean.pgv.data == rep.pgv.data;
+    let _ = std::fs::remove_dir_all(&clean_dir);
+    let _ = std::fs::remove_dir_all(&chaos_dir);
+    if pgv_ok && clean_md5 == chaos_md5 {
+        println!("chaos run bit-identical to clean run (surface MD5 {clean_md5})");
+    } else {
+        eprintln!("MISMATCH: pgv_ok={pgv_ok} clean_md5={clean_md5} chaos_md5={chaos_md5}");
+        std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parsed(line: &str) -> Result<(&'static str, Args), String> {
+        let argv: Vec<String> = line.split_whitespace().map(String::from).collect();
+        parse(&argv).map(|(cmd, args)| (cmd.name, args))
+    }
+
+    /// Every invocation in final_verify.sh, README.md and the verify notes
+    /// parses to the subcommand it names.
+    #[test]
+    fn documented_invocations_parse() {
+        for line in [
+            "scenarios",
+            "efficiency",
+            "machines",
+            "run shakeout-k 24 10",
+            "run m8 144 90",
+            "run shakeout-k 24 10 --lts",
+            "workflow shakeout-k 24 10",
+            "workflow shakeout-k 32 20 --profile",
+            "workflow shakeout-k 24 12 --profile --trace-out results/logs/profile_trace.json.tmp",
+            "workflow shakeout-k 32 20 --stats-addr 127.0.0.1:9090",
+            "workflow shakeout-k 32 20 --health-every 8",
+            "chaos --chaos-seed 99",
+            "chaos --chaos-seed 3405691582",
+            "chaos --recover",
+            "chaos --recover --fault crash --chaos-seed 3405691582",
+            "chaos --recover --fault stall --chaos-seed 3405691582",
+            "chaos --recover --fault stall",
+            "chaos --recover --fault both --profile",
+            "chaos --recover --flight-dir results",
+            "chaos --recover --fault crash --flight-dir results --chaos-seed 3405691582",
+            "verify --smoke",
+            "verify --smoke --lts",
+            "stats --smoke",
+            "stats 127.0.0.1:9090",
+            "analyze --smoke",
+            "analyze trace.json",
+            "analyze trace.json --json results/analyze.json",
+            "serve --smoke",
+            "serve --addr 127.0.0.1:7075 --root /tmp/awp-ens",
+        ] {
+            let (name, _) = parsed(line).unwrap_or_else(|e| panic!("'{line}': {e}"));
+            assert_eq!(Some(name), line.split(' ').next(), "{line}");
+        }
+        for line in ["--profile --trace-out trace.json", "--trace-out trace.json", "--profile"] {
+            let (name, args) = parsed(line).unwrap_or_else(|e| panic!("'{line}': {e}"));
+            assert_eq!(name, "workflow", "{line}");
+            assert_eq!(args.pos, ["shakeout-k", "24", "15"], "{line}");
+        }
+    }
+
+    #[test]
+    fn flags_values_and_arguments_are_checked() {
+        let (_, a) = parsed("chaos m8 30 --chaos-seed 7 --recover --fault both").unwrap();
+        assert_eq!(a.pos, ["m8", "30"]);
+        assert_eq!(a.value::<u64>("--chaos-seed"), Some(7));
+        assert_eq!(a.value::<String>("--fault").as_deref(), Some("both"));
+        assert!(a.has("--recover") && !a.has("--profile"));
+        assert_eq!(a.arg::<usize>(1), Some(30));
+
+        for (line, why) in [
+            ("", "missing subcommand"),
+            ("florp", "unknown subcommand"),
+            ("workflow shakeout-k 24 10 --sched", "does not take --sched"),
+            ("run shakeout-k --profile", "does not take --profile"),
+            ("chaos --chaos-seed", "needs a value"),
+            ("run", "takes <name>"),
+            ("efficiency now", "takes no arguments"),
+            ("workflow a 1 2 3", "takes <name>"),
+            ("--lts", "unknown subcommand"),
+        ] {
+            let err = parsed(line).err().unwrap_or_else(|| panic!("'{line}' parsed"));
+            assert!(err.contains(why), "'{line}': {err}");
+        }
+    }
+
+    #[test]
+    fn usage_lists_every_subcommand_and_flag() {
+        let text = usage();
+        for c in COMMANDS {
+            assert!(text.contains(&format!("awp {}", c.name)), "{}", c.name);
+            for f in c.flags {
+                assert!(text.contains(&format!("[{f}]")), "{f}");
             }
         }
-        Some("machines") => {
-            for m in Machine::ALL {
-                let p = m.profile();
-                println!(
-                    "{:<10} {:<22} {:>7} cores {:>6.1} Gf/core  α={:.1e} β={:.1e}",
-                    p.name, p.interconnect, p.cores_used, p.peak_gflops, p.alpha, p.beta
-                );
-            }
-        }
-        _ => usage(),
     }
 }

@@ -1,15 +1,13 @@
 //! The hazard-query server — `awp serve`.
 //!
-//! Same wire discipline as the `awp-stats` endpoint (`awp_odc::stats`):
+//! Same wire layer as the `awp-stats` endpoint (`awp_odc::wire`):
 //! newline-delimited versioned JSON over TCP or a Unix-domain socket,
 //! hello-first. The server writes one self-describing hello line the
 //! moment a client connects; the client must reject a stream whose
 //! `proto`/`v` it does not recognise ([`validate_hello`]) — that is the
 //! entire negotiation. After the hello the connection is request/response:
 //! the client writes one JSON object per line, the server answers each
-//! with exactly one JSON line. Each side sends a message as one write
-//! (`send_line`), and a line that arrives in pieces is reassembled
-//! however long the pauses between them (`read_line`).
+//! with exactly one JSON line.
 //!
 //! Request kinds (v1):
 //!
@@ -22,146 +20,42 @@
 //! | `cancel`  | `id`                              | `cancelled`   |
 //!
 //! Anything malformed gets `{"v":1,"kind":"error","message":…}` and the
-//! connection stays up — a bad request must not kill a shared server.
+//! connection stays up — a bad request must not kill a shared server. The
+//! one exception is a line longer than [`MAX_REQUEST_LINE`]: it gets the
+//! error reply and the connection is closed, because its framing is lost.
 
 use crate::catalog::{generate_catalog, CatalogConfig};
 use crate::engine::{EnsembleEngine, RunOutcome};
 use crate::queue::JobState;
 use crate::spec::ScenarioSpec;
-use awp_odc::stats::StatsAddr;
+use awp_odc::wire::{
+    self, check_hello, is_timeout, send_line, Addr, Conn, Server, MAX_REQUEST_LINE,
+};
 use serde_json::Value;
-use std::io::{self, BufRead, BufReader, Write};
-use std::net::{TcpListener, TcpStream};
-use std::os::unix::net::{UnixListener, UnixStream};
-use std::path::PathBuf;
+use std::io;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
-use std::time::Duration;
+use std::sync::Arc;
 
 pub const SERVE_PROTO_NAME: &str = "awp-serve";
 pub const SERVE_PROTO_VERSION: u32 = 1;
 
-enum Listener {
-    Tcp(TcpListener),
-    Unix(UnixListener),
-}
-
-/// One accepted connection, split into buffered reader + writer halves.
-struct Conn {
-    reader: Box<dyn BufRead + Send>,
-    writer: Box<dyn Write + Send>,
-}
-
-impl Listener {
-    /// Non-blocking accept; `Ok(None)` when nobody is knocking. Accepted
-    /// streams are switched back to blocking with a read timeout so a
-    /// silent client cannot pin its handler thread past shutdown.
-    fn poll_accept(&self) -> io::Result<Option<Conn>> {
-        fn split_tcp(s: TcpStream) -> io::Result<Conn> {
-            s.set_nonblocking(false)?;
-            s.set_read_timeout(Some(Duration::from_millis(100)))?;
-            let _ = s.set_nodelay(true);
-            let r = s.try_clone()?;
-            Ok(Conn { reader: Box::new(BufReader::new(r)), writer: Box::new(s) })
-        }
-        fn split_unix(s: UnixStream) -> io::Result<Conn> {
-            s.set_nonblocking(false)?;
-            s.set_read_timeout(Some(Duration::from_millis(100)))?;
-            let r = s.try_clone()?;
-            Ok(Conn { reader: Box::new(BufReader::new(r)), writer: Box::new(s) })
-        }
-        let conn = match self {
-            Listener::Tcp(l) => match l.accept() {
-                Ok((s, _)) => Some(split_tcp(s)?),
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => None,
-                Err(e) => return Err(e),
-            },
-            Listener::Unix(l) => match l.accept() {
-                Ok((s, _)) => Some(split_unix(s)?),
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => None,
-                Err(e) => return Err(e),
-            },
-        };
-        Ok(conn)
-    }
-}
-
 /// The long-running query server. Dropping (or [`stop`](Self::stop))
 /// shuts the listener down and joins every per-client thread.
-pub struct ServeServer {
-    stop: Arc<AtomicBool>,
-    accept: Option<JoinHandle<()>>,
-    local: StatsAddr,
-    unlink: Option<PathBuf>,
-}
+pub struct ServeServer(Server);
 
 impl ServeServer {
     /// Bind `addr` and answer queries against `engine` until stopped.
-    pub fn serve(addr: &StatsAddr, engine: Arc<EnsembleEngine>) -> io::Result<ServeServer> {
-        let (listener, local, unlink) = match addr {
-            StatsAddr::Tcp(a) => {
-                let l = TcpListener::bind(a.as_str())?;
-                let local = StatsAddr::Tcp(l.local_addr()?.to_string());
-                l.set_nonblocking(true)?;
-                (Listener::Tcp(l), local, None)
-            }
-            StatsAddr::Unix(p) => {
-                let _ = std::fs::remove_file(p);
-                let l = UnixListener::bind(p)?;
-                l.set_nonblocking(true)?;
-                (Listener::Unix(l), StatsAddr::Unix(p.clone()), Some(p.clone()))
-            }
-        };
-        let stop = Arc::new(AtomicBool::new(false));
-        let accept = {
-            let stop = Arc::clone(&stop);
-            std::thread::spawn(move || {
-                let clients: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
-                while !stop.load(Ordering::Acquire) {
-                    match listener.poll_accept() {
-                        Ok(Some(conn)) => {
-                            let engine = Arc::clone(&engine);
-                            let stop = Arc::clone(&stop);
-                            let handle =
-                                std::thread::spawn(move || serve_client(conn, engine, stop));
-                            clients.lock().unwrap().push(handle);
-                        }
-                        Ok(None) => std::thread::sleep(Duration::from_millis(10)),
-                        Err(_) => break,
-                    }
-                }
-                for h in clients.lock().unwrap().drain(..) {
-                    let _ = h.join();
-                }
-            })
-        };
-        Ok(ServeServer { stop, accept: Some(accept), local, unlink })
+    pub fn serve(addr: &Addr, engine: Arc<EnsembleEngine>) -> io::Result<ServeServer> {
+        Server::serve(addr, move |conn, stop| serve_client(conn, &engine, stop)).map(ServeServer)
     }
 
     /// The address the listener actually bound (port 0 resolved).
-    pub fn local_addr(&self) -> &StatsAddr {
-        &self.local
+    pub fn local_addr(&self) -> &Addr {
+        self.0.local_addr()
     }
 
-    pub fn stop(mut self) {
-        self.shutdown();
-    }
-
-    fn shutdown(&mut self) {
-        self.stop.store(true, Ordering::Release);
-        if let Some(h) = self.accept.take() {
-            let _ = h.join();
-        }
-        if let Some(p) = self.unlink.take() {
-            let _ = std::fs::remove_file(&p);
-        }
-    }
-}
-
-impl Drop for ServeServer {
-    fn drop(&mut self) {
-        self.shutdown();
+    pub fn stop(self) {
+        self.0.stop();
     }
 }
 
@@ -177,76 +71,45 @@ pub fn hello_json() -> String {
 
 /// Reject streams from foreign or future servers — the whole negotiation.
 pub fn validate_hello(line: &str) -> Result<(), String> {
-    let hello: Value =
-        serde_json::from_str(line).map_err(|e| format!("hello is not valid JSON: {e}"))?;
-    if hello["kind"].as_str() != Some("hello") {
-        return Err(format!("first line is not a hello: {hello}"));
-    }
-    if hello["proto"].as_str() != Some(SERVE_PROTO_NAME) {
-        return Err(format!("unknown proto {:?}", hello["proto"]));
-    }
-    let v = hello["v"].as_f64().ok_or("hello: missing v")?;
-    if v != SERVE_PROTO_VERSION as f64 {
-        return Err(format!(
-            "protocol version {v} != {SERVE_PROTO_VERSION}; refusing stream"
-        ));
-    }
-    Ok(())
+    check_hello(line, SERVE_PROTO_NAME, SERVE_PROTO_VERSION.into()).map(drop)
 }
 
-/// Send one message as a single write of `text` + `'\n'`, so the reader
-/// wakes once and Nagle never holds back a trailing newline.
-fn send_line(writer: &mut dyn Write, mut text: String) -> io::Result<()> {
-    text.push('\n');
-    writer.write_all(text.as_bytes())
+fn error_json(message: String) -> Value {
+    serde_json::json!({
+        "v": SERVE_PROTO_VERSION,
+        "kind": "error",
+        "message": message
+    })
 }
 
-/// Read up to and including the next `'\n'` into `line`, which keeps what
-/// earlier calls read. `Ok(true)`: `line` holds a whole line, or the
-/// stream's last unterminated bytes. `Ok(false)`: the stream ended with
-/// nothing read. A read timeout surfaces as `WouldBlock`/`TimedOut` with
-/// the bytes read so far still in `line`.
-fn read_line(reader: &mut dyn BufRead, line: &mut Vec<u8>) -> io::Result<bool> {
-    reader.read_until(b'\n', line)?;
-    Ok(!line.is_empty())
-}
-
-fn is_timeout(e: &io::Error) -> bool {
-    matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut)
-}
-
-fn serve_client(mut conn: Conn, engine: Arc<EnsembleEngine>, stop: Arc<AtomicBool>) {
+fn serve_client(mut conn: Conn, engine: &Arc<EnsembleEngine>, stop: &AtomicBool) {
     if send_line(&mut conn.writer, hello_json()).is_err() {
         return;
     }
     let mut line = Vec::new();
-    loop {
-        if stop.load(Ordering::Acquire) {
-            return;
-        }
-        match read_line(&mut conn.reader, &mut line) {
+    while !stop.load(Ordering::Acquire) {
+        match wire::read_line(&mut conn.reader, &mut line, MAX_REQUEST_LINE) {
             Ok(true) => {}
             Ok(false) => return, // client hung up
-            // The 100ms read timeout lets the stop flag be observed; a
-            // request read in part stays in `line` until its newline.
+            // The read timeout lets the stop flag be observed; a request
+            // read in part stays in `line` until its newline.
             Err(e) if is_timeout(&e) => continue,
+            Err(e) if e.kind() == io::ErrorKind::InvalidData => {
+                // Over-long: one error reply, then close — there is no
+                // telling where the next request starts.
+                let _ = send_line(&mut conn.writer, error_json(format!("request {e}")).compact());
+                return;
+            }
             Err(_) => return,
         }
         let response = match std::str::from_utf8(&line).map(str::trim) {
             Ok("") => None,
-            Ok(text) => Some(handle_request(&engine, text)),
+            Ok(text) => Some(handle_request(engine, text)),
             Err(e) => Some(Err(format!("request is not UTF-8: {e}"))),
         };
         line.clear();
         let Some(response) = response else { continue };
-        let response = response.unwrap_or_else(|message| {
-            serde_json::json!({
-                "v": SERVE_PROTO_VERSION,
-                "kind": "error",
-                "message": message
-            })
-        });
-        if send_line(&mut conn.writer, response.compact()).is_err() {
+        if send_line(&mut conn.writer, response.unwrap_or_else(error_json).compact()).is_err() {
             return;
         }
     }
@@ -358,39 +221,25 @@ fn handle_request(engine: &Arc<EnsembleEngine>, line: &str) -> Result<Value, Str
 
 /// A connected client: hello already validated, ready for requests.
 pub struct ServeClient {
-    reader: Box<dyn BufRead + Send>,
-    writer: Box<dyn Write + Send>,
+    conn: Conn,
 }
 
 impl ServeClient {
     /// Connect and perform the hello check. A foreign or future server is
     /// an error here, never a half-working session.
-    pub fn connect(addr: &StatsAddr) -> io::Result<ServeClient> {
-        let (reader, writer): (Box<dyn BufRead + Send>, Box<dyn Write + Send>) = match addr {
-            StatsAddr::Tcp(a) => {
-                let s = TcpStream::connect(a.as_str())?;
-                s.set_read_timeout(Some(Duration::from_secs(600)))?;
-                s.set_nodelay(true)?;
-                let r = s.try_clone()?;
-                (Box::new(BufReader::new(r)), Box::new(s))
-            }
-            StatsAddr::Unix(p) => {
-                let s = UnixStream::connect(p)?;
-                s.set_read_timeout(Some(Duration::from_secs(600)))?;
-                let r = s.try_clone()?;
-                (Box::new(BufReader::new(r)), Box::new(s))
-            }
-        };
-        let mut client = ServeClient { reader, writer };
+    pub fn connect(addr: &Addr) -> io::Result<ServeClient> {
+        let mut client = ServeClient { conn: wire::connect(addr, wire::CLIENT_READ_TIMEOUT)? };
         let hello = client.read_line()?;
         validate_hello(&hello).map_err(io::Error::other)?;
         Ok(client)
     }
 
+    /// The next whole line; a reply (a hazard curve over a large store)
+    /// is not capped like a request.
     fn read_line(&mut self) -> io::Result<String> {
         let mut line = Vec::new();
         loop {
-            match read_line(&mut self.reader, &mut line) {
+            match wire::read_line(&mut self.conn.reader, &mut line, usize::MAX) {
                 Ok(true) => break,
                 Ok(false) => return Err(io::Error::other("server closed the connection")),
                 Err(e) if is_timeout(&e) => continue,
@@ -405,7 +254,7 @@ impl ServeClient {
     /// One request/response round trip. Protocol-level `error` responses
     /// come back as `Err`, so callers handle exactly one failure path.
     pub fn request(&mut self, req: &Value) -> io::Result<Value> {
-        send_line(&mut self.writer, req.compact())?;
+        send_line(&mut self.conn.writer, req.compact())?;
         let line = self.read_line()?;
         let v: Value = serde_json::from_str(&line)
             .map_err(|e| io::Error::other(format!("bad response JSON: {e}")))?;
@@ -440,7 +289,7 @@ pub fn smoke() -> Result<(), String> {
 fn smoke_in(base: &std::path::Path) -> Result<(), String> {
     let warm_root = base.join("warm");
     let engine = EnsembleEngine::open(&warm_root, [2, 1, 1]).map_err(|e| e.to_string())?;
-    let server = ServeServer::serve(&StatsAddr::parse("127.0.0.1:0"), Arc::clone(&engine))
+    let server = ServeServer::serve(&Addr::parse("127.0.0.1:0"), Arc::clone(&engine))
         .map_err(|e| format!("bind: {e}"))?;
     let mut client =
         ServeClient::connect(server.local_addr()).map_err(|e| format!("connect: {e}"))?;

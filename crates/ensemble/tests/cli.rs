@@ -1,0 +1,53 @@
+//! The `awp` binary's exit codes: a known subcommand runs and exits 0; an
+//! unknown subcommand, or a flag the subcommand does not declare, prints
+//! the usage and exits 2 before any work starts.
+
+use std::process::{Command, Output};
+
+fn awp(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_awp")).args(args).output().expect("awp runs")
+}
+
+#[test]
+fn listing_subcommands_exit_zero() {
+    for args in [&["scenarios"][..], &["efficiency"], &["machines"]] {
+        let out = awp(args);
+        assert_eq!(
+            out.status.code(),
+            Some(0),
+            "{args:?}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        assert!(!out.stdout.is_empty(), "{args:?} printed nothing");
+    }
+}
+
+#[test]
+fn unknown_subcommand_exits_2_with_usage() {
+    for args in [&["florp"][..], &[]] {
+        let out = awp(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(String::from_utf8_lossy(&out.stderr).contains("usage:"), "{args:?}");
+    }
+}
+
+#[test]
+fn undeclared_flag_exits_2_with_usage() {
+    for args in [
+        &["workflow", "shakeout-k", "24", "10", "--sched"][..],
+        &["scenarios", "--lts"],
+        &["chaos", "--chaos-seed"],
+        &["chaos", "--chaos-seed", "not-a-number"],
+        &["run", "nowhere"],
+    ] {
+        let out = awp(args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains("usage:"), "{args:?}: {stderr}");
+        assert!(
+            out.stdout.is_empty(),
+            "{args:?} started work: {}",
+            String::from_utf8_lossy(&out.stdout)
+        );
+    }
+}

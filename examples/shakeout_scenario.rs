@@ -8,7 +8,7 @@
 //! ```
 
 use awp_odc::scenario::Scenario;
-use awp_odc::workflow::{scratch_dir, E2EWorkflow};
+use awp_odc::workflow::{scratch_dir, WorkflowSession};
 
 fn main() {
     let scenario = Scenario::shakeout_k(160, 0.3).with_duration(120.0);
@@ -36,8 +36,8 @@ fn main() {
 
     let dir = scratch_dir("shakeout");
     println!("running the end-to-end workflow on 4 ranks (workdir {dir:?}) ...");
-    let wf = E2EWorkflow::new(run, [2, 2, 1], &dir);
-    let rep = wf.execute().expect("workflow");
+    let wf = WorkflowSession::new([2, 2, 1]);
+    let rep = wf.execute(&run, &dir).expect("workflow");
 
     println!("\nstage            seconds      MB      MB/s");
     for s in &rep.stages {

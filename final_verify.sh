@@ -88,6 +88,9 @@ echo "=== TELEMETRY SMOKE DONE ==="
 # rank count, finite imbalance/hidden-comm).
 timeout 900 ./target/release/awp stats --smoke > results/logs/cli_stats.log 2>&1; echo "stats_smoke exit $?"
 grep -q "stats smoke passed" results/logs/cli_stats.log; echo "stats_valid exit $?"
+# The wire layer both servers stand on: the request line cap, connection
+# threads reaped on accept with a prompt stop, and the hello check.
+cargo test --release -p awp-odc --lib wire:: 2>&1 | grep -E "test result|FAILED"; echo "wire_tests exit ${PIPESTATUS[0]}"
 # Verification subsystem: analytic-accuracy + convergence-order + schedule
 # fuzzer. The unit suite runs in release (the accuracy cases propagate real
 # wavefields), then the CLI smoke gate must pass its own thresholds and emit
@@ -171,6 +174,9 @@ echo "=== CAUSAL TRACING DONE ==="
 timeout 900 ./target/release/awp serve --smoke > results/logs/cli_serve.log 2>&1; echo "serve_smoke exit $?"
 grep -q "serve smoke passed" results/logs/cli_serve.log; echo "serve_valid exit $?"
 grep -q "cold replay bit-exact" results/logs/cli_serve.log; echo "serve_replay exit $?"
+# The awp subcommand table: listings exit 0; an unknown subcommand, an
+# undeclared flag or a bad value prints the usage and exits 2.
+cargo test --release -p awp-ensemble --test cli 2>&1 | grep -E "test result|FAILED"; echo "cli_tests exit ${PIPESTATUS[0]}"
 # The serde_json shim is not a workspace member: its `json!` property test
 # (direct conversion ≡ serialise→parse) runs here.
 cargo test --release --manifest-path tools/shims/serde_json/Cargo.toml 2>&1 | grep -E "test result|FAILED"; echo "json_shim_tests exit ${PIPESTATUS[0]}"

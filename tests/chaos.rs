@@ -7,7 +7,7 @@ use awp_odc::pario::Md5;
 use awp_odc::scenario::Scenario;
 use awp_odc::vcluster::fault::{FaultKind, FaultPlan, WatchdogConfig};
 use awp_odc::vcluster::{RecoveryEvent, RetryPolicy, SchedulePlan};
-use awp_odc::workflow::{scratch_dir, E2EWorkflow};
+use awp_odc::workflow::{scratch_dir, WorkflowSession};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -19,7 +19,7 @@ fn surface_md5(report: &awp_odc::workflow::WorkflowReport) -> String {
 fn clean_reference(tag: &str) -> awp_odc::workflow::WorkflowReport {
     let sc = Scenario::shakeout_k(20, 0.3).with_duration(20.0);
     let dir = scratch_dir(tag);
-    E2EWorkflow::new(sc.prepare(), [2, 1, 1], &dir).execute().unwrap()
+    WorkflowSession::new([2, 1, 1]).execute(&sc.prepare(), &dir).unwrap()
 }
 
 #[test]
@@ -34,13 +34,13 @@ fn chaos_crash_recovers_bit_exact() {
     let steps = run.cfg.steps;
     let crash_step = (steps * 3 / 5) as u64;
     let dir = scratch_dir("chaos-crash");
-    let mut wf = E2EWorkflow::new(run, [2, 1, 1], &dir);
-    wf.session.checkpoint_every = Some(4);
+    let mut wf = WorkflowSession::new([2, 1, 1]);
+    wf.checkpoint_every = Some(4);
     wf = wf.with_chaos(
         Arc::new(FaultPlan::new(0xC4A0_5EED).with_crash(1, crash_step)),
         WatchdogConfig::with_timeout(Duration::from_secs(20)),
     );
-    let rep = wf.execute().expect("chaos run must self-heal");
+    let rep = wf.execute(&run, &dir).expect("chaos run must self-heal");
 
     assert!(rep.restarted, "a restart pass must have run");
     assert_eq!(rep.restarts, 1);
@@ -77,14 +77,14 @@ fn chaos_corrupt_epoch_falls_back_and_recovers() {
     let dir = scratch_dir("chaos-fallback");
     // Phase 1: the run dies (no restart budget), leaving epochs behind.
     let run_b = sc.prepare();
-    let mut wf = E2EWorkflow::new(run_b, [2, 1, 1], &dir);
-    wf.session.checkpoint_every = Some(2);
-    wf.session.max_restarts = 0;
+    let mut wf = WorkflowSession::new([2, 1, 1]);
+    wf.checkpoint_every = Some(2);
+    wf.max_restarts = 0;
     wf = wf.with_chaos(
         Arc::new(FaultPlan::new(7).with_crash(0, crash_step)),
         WatchdogConfig::with_timeout(Duration::from_secs(20)),
     );
-    wf.execute().expect_err("restart budget of zero must surface the fault");
+    wf.execute(&run_b, &dir).expect_err("restart budget of zero must surface the fault");
 
     // Phase 2: corrupt the newest consistent epoch on every rank.
     let ckpt_dir = dir.join("ckpt");
@@ -101,10 +101,11 @@ fn chaos_corrupt_epoch_falls_back_and_recovers() {
     assert!(fallback < newest, "corruption must push the restart line back");
 
     // Phase 3: a fresh process resumes the dead run's scratch directory.
-    let mut wf2 = E2EWorkflow::new(sc.prepare(), [2, 1, 1], &dir);
-    wf2.session.checkpoint_every = Some(2);
-    wf2.session.resume = true;
-    let rep = wf2.execute().expect("resume must recover from the fallback epoch");
+    let mut wf2 = WorkflowSession::new([2, 1, 1]);
+    wf2.checkpoint_every = Some(2);
+    wf2.resume = true;
+    let rep =
+        wf2.execute(&sc.prepare(), &dir).expect("resume must recover from the fallback epoch");
 
     assert_eq!(rep_clean.pgv.data, rep.pgv.data, "PGV must match bitwise after fallback");
     assert_eq!(
@@ -127,9 +128,9 @@ fn chaos_soak_random_plan_converges() {
     let run = sc.prepare();
     let steps = run.cfg.steps as u64;
     let dir = scratch_dir("chaos-soak");
-    let mut wf = E2EWorkflow::new(run, [2, 1, 1], &dir);
-    wf.session.checkpoint_every = Some(4);
-    wf.session.max_restarts = 4;
+    let mut wf = WorkflowSession::new([2, 1, 1]);
+    wf.checkpoint_every = Some(4);
+    wf.max_restarts = 4;
     wf = wf.with_chaos(
         Arc::new(FaultPlan::random(0xD00D, 2, steps)),
         WatchdogConfig {
@@ -137,7 +138,7 @@ fn chaos_soak_random_plan_converges() {
             poll: Duration::from_millis(50),
         },
     );
-    let rep = wf.execute().expect("soak run must converge");
+    let rep = wf.execute(&run, &dir).expect("soak run must converge");
     assert!(!rep.faults.is_empty(), "the random plan must have injected something");
     assert_eq!(rep_clean.pgv.data, rep.pgv.data, "PGV must match bitwise");
     assert_eq!(surface_md5(&rep_clean), surface_md5(&rep));
@@ -157,8 +158,8 @@ fn schedule_fuzz_composes_with_fault_injection() {
     let sc = Scenario::shakeout_k(20, 0.3).with_duration(20.0);
 
     let clean_dir = scratch_dir("chaos-sched-clean");
-    let clean = E2EWorkflow::new(sc.prepare(), [2, 1, 1], &clean_dir)
-        .execute()
+    let clean = WorkflowSession::new([2, 1, 1])
+        .execute(&sc.prepare(), &clean_dir)
         .expect("clean reference run failed");
 
     // Chaos run: crash rank 1 at step 6 (forcing an epoch fallback),
@@ -168,15 +169,15 @@ fn schedule_fuzz_composes_with_fault_injection() {
     let faults =
         Arc::new(FaultPlan::new(0xC0FF_EE01).with_crash(1, 6).with_msg_faults(0.0, 0.0, 0.05, 0));
     let chaos_dir = scratch_dir("chaos-sched");
-    let mut wf = E2EWorkflow::new(run, [2, 1, 1], &chaos_dir)
+    let mut wf = WorkflowSession::new([2, 1, 1])
         .with_chaos(
             faults,
             WatchdogConfig { timeout: Duration::from_secs(10), poll: Duration::from_millis(50) },
         )
         .with_schedule(SchedulePlan::with_bounds(0xD15C_0001, 3, 4));
-    wf.session.checkpoint_every = Some(4);
-    wf.session.max_restarts = 6;
-    let rep = wf.execute().expect("chaos run must converge");
+    wf.checkpoint_every = Some(4);
+    wf.max_restarts = 6;
+    let rep = wf.execute(&run, &chaos_dir).expect("chaos run must converge");
 
     assert!(rep.restarted && rep.restarts >= 1, "the crash must force a restart");
     assert_eq!(rep.failed_at, Some(6), "first fault is the scheduled crash");
@@ -207,8 +208,8 @@ fn in_flight_recovery_composes_with_schedule_fuzz() {
     let sc = Scenario::shakeout_k(20, 0.3).with_duration(20.0);
 
     let clean_dir = scratch_dir("recov-fuzz-clean");
-    let clean = E2EWorkflow::new(sc.prepare(), [2, 1, 1], &clean_dir)
-        .execute()
+    let clean = WorkflowSession::new([2, 1, 1])
+        .execute(&sc.prepare(), &clean_dir)
         .expect("clean reference run failed");
 
     for fuzz_seed in 0..8u64 {
@@ -220,15 +221,15 @@ fn in_flight_recovery_composes_with_schedule_fuzz() {
                 .with_msg_faults(0.0, 0.02, 0.05, 300),
         );
         let dir = scratch_dir(&format!("recov-fuzz-{fuzz_seed}"));
-        let mut wf = E2EWorkflow::new(run, [2, 1, 1], &dir)
+        let mut wf = WorkflowSession::new([2, 1, 1])
             .with_chaos(
                 faults,
                 WatchdogConfig { timeout: Duration::from_secs(10), poll: Duration::from_millis(50) },
             )
             .with_schedule(SchedulePlan::with_bounds(0xF077_u64 ^ fuzz_seed, 3, 4))
             .with_recovery(RetryPolicy::new(3));
-        wf.session.checkpoint_every = Some(4);
-        let rep = wf.execute().expect("supervised run must converge");
+        wf.checkpoint_every = Some(4);
+        let rep = wf.execute(&run, &dir).expect("supervised run must converge");
 
         assert!(
             rep.in_flight_recoveries >= 1,
@@ -271,14 +272,14 @@ fn recovery_degrades_to_whole_run_restart_ladder() {
     let sc = Scenario::shakeout_k(20, 0.3).with_duration(20.0);
     let run = sc.prepare();
     let dir = scratch_dir("recov-degrade");
-    let mut wf = E2EWorkflow::new(run, [2, 1, 1], &dir)
+    let mut wf = WorkflowSession::new([2, 1, 1])
         .with_chaos(
             Arc::new(FaultPlan::new(0xDE6D).with_crash(1, 2)),
             WatchdogConfig { timeout: Duration::from_secs(10), poll: Duration::from_millis(50) },
         )
         .with_recovery(RetryPolicy::new(3));
-    wf.session.checkpoint_every = Some(4);
-    let rep = wf.execute().expect("degraded run must still converge via restart");
+    wf.checkpoint_every = Some(4);
+    let rep = wf.execute(&run, &dir).expect("degraded run must still converge via restart");
 
     assert!(rep.recovery_degraded, "no epoch to roll back to ⇒ must degrade");
     assert!(rep.restarts >= 1, "degradation must fall through to a whole-run restart");
@@ -317,13 +318,13 @@ fn chaos_same_seed_is_byte_identical_schedule() {
         let run = sc.prepare();
         let n_steps = run.cfg.steps as u64;
         let dir = scratch_dir(&format!("chaos-det-{pass}"));
-        let mut wf = E2EWorkflow::new(run, [2, 1, 1], &dir);
-        wf.session.checkpoint_every = Some(4);
+        let mut wf = WorkflowSession::new([2, 1, 1]);
+        wf.checkpoint_every = Some(4);
         wf = wf.with_chaos(
             Arc::new(FaultPlan::new(0xABCD).with_crash(1, n_steps * 3 / 5)),
             WatchdogConfig::with_timeout(Duration::from_secs(20)),
         );
-        let rep = wf.execute().unwrap();
+        let rep = wf.execute(&run, &dir).unwrap();
         let mut injected: Vec<(usize, Option<u64>)> = rep
             .faults
             .iter()

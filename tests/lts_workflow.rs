@@ -16,7 +16,7 @@ use awp_odc::source::stf::Stf;
 use awp_odc::telemetry::Registry;
 use awp_odc::vcluster::fault::{FaultPlan, WatchdogConfig};
 use awp_odc::vcluster::RetryPolicy;
-use awp_odc::workflow::{scratch_dir, E2EWorkflow};
+use awp_odc::workflow::{scratch_dir, WorkflowSession};
 use awp_odc::ScenarioRun;
 use std::sync::Arc;
 use std::time::Duration;
@@ -56,7 +56,7 @@ fn basin_run(steps: usize) -> ScenarioRun {
 fn lts_workflow_restart_reproduces_clean_run() {
     let steps = 24;
     let dir_a = scratch_dir("wf-lts-clean");
-    let rep_a = E2EWorkflow::new(basin_run(steps), [2, 1, 1], &dir_a).execute().unwrap();
+    let rep_a = WorkflowSession::new([2, 1, 1]).execute(&basin_run(steps), &dir_a).unwrap();
     assert!(rep_a.archive_verified);
 
     // Deliberately unaligned cadence: without the workflow rounding 3 up
@@ -65,10 +65,10 @@ fn lts_workflow_restart_reproduces_clean_run() {
     // interface prev-planes are live state that the checkpoint does not
     // carry — and the resumed run could not be exact.
     let dir_b = scratch_dir("wf-lts-failed");
-    let mut wf = E2EWorkflow::new(basin_run(steps), [2, 1, 1], &dir_b);
-    wf.session.checkpoint_every = Some(3);
-    wf.session.fail_at_step = Some(10);
-    let rep_b = wf.execute().unwrap();
+    let mut wf = WorkflowSession::new([2, 1, 1]);
+    wf.checkpoint_every = Some(3);
+    wf.fail_at_step = Some(10);
+    let rep_b = wf.execute(&basin_run(steps), &dir_b).unwrap();
     assert!(rep_b.restarted, "restart pass must run");
     assert!(rep_b.archive_verified);
 
@@ -84,12 +84,12 @@ fn lts_workflow_restart_reproduces_clean_run() {
 fn lts_workflow_absorbs_rank_crash_in_flight() {
     let steps = 24;
     let dir_a = scratch_dir("wf-lts-rec-clean");
-    let rep_a = E2EWorkflow::new(basin_run(steps), [2, 1, 1], &dir_a).execute().unwrap();
+    let rep_a = WorkflowSession::new([2, 1, 1]).execute(&basin_run(steps), &dir_a).unwrap();
 
     let dir_b = scratch_dir("wf-lts-rec");
     let registry = Arc::new(Registry::new(2));
-    let mut wf = E2EWorkflow::new(basin_run(steps), [2, 1, 1], &dir_b);
-    wf.session.checkpoint_every = Some(4);
+    let mut wf = WorkflowSession::new([2, 1, 1]);
+    wf.checkpoint_every = Some(4);
     wf = wf
         .with_chaos(
             Arc::new(FaultPlan::new(0xA11C_E5ED).with_crash(1, 10)),
@@ -97,7 +97,7 @@ fn lts_workflow_absorbs_rank_crash_in_flight() {
         )
         .with_recovery(RetryPolicy::new(3))
         .with_telemetry(Arc::clone(&registry));
-    let rep_b = wf.execute().unwrap();
+    let rep_b = wf.execute(&basin_run(steps), &dir_b).unwrap();
     assert!(rep_b.in_flight_recoveries >= 1, "crash must be absorbed in flight");
     assert_eq!(rep_b.restarts, 0, "no whole-run restart");
     assert!(!rep_b.recovery_degraded);

@@ -1,8 +1,9 @@
 //! `awp serve` protocol pins: hello-first version negotiation, schema-
 //! checked query/response round trips over a real socket, cache-hit
 //! accounting on repeated queries, error responses that keep the
-//! connection alive, requests that arrive in pieces over TCP, and hazard
-//! sweeps racing a catalog drain.
+//! connection alive, requests that arrive in pieces over TCP, the request
+//! line cap, a seeded protocol fuzzer, and hazard sweeps racing a catalog
+//! drain.
 
 use awp_ensemble::catalog::{generate_catalog, CatalogConfig};
 use awp_ensemble::engine::EnsembleEngine;
@@ -10,12 +11,13 @@ use awp_ensemble::serve::{
     hello_json, validate_hello, ServeClient, ServeServer, SERVE_PROTO_VERSION,
 };
 use awp_odc::stats::StatsAddr;
+use awp_odc::wire::MAX_REQUEST_LINE;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn tmp_root(tag: &str) -> PathBuf {
     let d = std::env::temp_dir().join(format!("awp-serve-test-{tag}-{}", std::process::id()));
@@ -101,28 +103,199 @@ fn serve_works_over_unix_domain_sockets_and_unlinks() {
     let _ = std::fs::remove_dir_all(&root);
 }
 
+/// A raw TCP client past the hello; reads give up after `timeout`.
+fn raw_client(server: &ServeServer, timeout: Duration) -> (BufReader<TcpStream>, TcpStream) {
+    let StatsAddr::Tcp(addr) = server.local_addr() else { panic!("TCP server expected") };
+    let stream = TcpStream::connect(addr.as_str()).unwrap();
+    stream.set_nodelay(true).unwrap();
+    stream.set_read_timeout(Some(timeout)).unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let mut line = String::new();
+    reader.read_line(&mut line).unwrap();
+    validate_hello(line.trim()).unwrap();
+    (reader, stream)
+}
+
+/// The next reply line, parsed; `None` once the server closed the stream.
+fn reply(reader: &mut BufReader<TcpStream>) -> Option<serde_json::Value> {
+    let mut line = String::new();
+    match reader.read_line(&mut line).expect("reply before the read timeout") {
+        0 => None,
+        _ => Some(serde_json::from_str(&line).unwrap_or_else(|e| panic!("{e}: {line:?}"))),
+    }
+}
+
 /// Send `pieces` over raw TCP with a pause longer than the server's 100 ms
 /// read timeout between them; return the one reply line, which must come
 /// within 3 s.
 fn send_in_pieces(server: &ServeServer, pieces: &[&[u8]]) -> serde_json::Value {
-    let StatsAddr::Tcp(addr) = server.local_addr() else { panic!("TCP server expected") };
-    let stream = TcpStream::connect(addr.as_str()).unwrap();
-    stream.set_nodelay(true).unwrap();
-    stream.set_read_timeout(Some(Duration::from_secs(3))).unwrap();
-    let mut reader = BufReader::new(stream.try_clone().unwrap());
-    let mut writer = stream;
-    let mut line = String::new();
-    reader.read_line(&mut line).unwrap();
-    validate_hello(line.trim()).unwrap();
+    let (mut reader, mut writer) = raw_client(server, Duration::from_secs(3));
     for (i, piece) in pieces.iter().enumerate() {
         if i > 0 {
             std::thread::sleep(Duration::from_millis(250));
         }
         writer.write_all(piece).unwrap();
     }
-    line.clear();
-    reader.read_line(&mut line).expect("reply within 3 s");
-    serde_json::from_str(&line).unwrap()
+    reply(&mut reader).expect("a reply, not a hang-up")
+}
+
+/// Write `len` newline-free bytes from a thread of its own (the server
+/// stops reading at the cap, so a blocking write here could never end)
+/// and return the reply, which must be the one error before the server
+/// closes the connection.
+fn send_oversized(server: &ServeServer, len: usize) -> String {
+    let (mut reader, mut writer) = raw_client(server, Duration::from_secs(5));
+    let flood = std::thread::spawn(move || {
+        // The server hangs up mid-flood; the write error that causes is
+        // expected.
+        let _ = writer.write_all(&vec![b'{'; len]);
+    });
+    let err = reply(&mut reader).expect("an error reply before the close");
+    assert_eq!(err["kind"].as_str(), Some("error"), "{err}");
+    let message = err["message"].as_str().unwrap().to_string();
+    let mut rest = String::new();
+    match reader.read_line(&mut rest) {
+        Ok(n) => assert_eq!(n, 0, "connection closed after the error, got {rest:?}"),
+        Err(e) => assert_eq!(e.kind(), std::io::ErrorKind::ConnectionReset, "{e}"),
+    }
+    flood.join().unwrap();
+    message
+}
+
+#[test]
+fn oversized_request_gets_one_error_and_the_connection_closes() {
+    let root = tmp_root("oversized");
+    let engine = EnsembleEngine::open(&root, [1, 1, 1]).unwrap();
+    let server = ServeServer::serve(&StatsAddr::parse("127.0.0.1:0"), engine).unwrap();
+    let mut bystander = ServeClient::connect(server.local_addr()).unwrap();
+    let message = send_oversized(&server, 2 << 20);
+    assert!(message.contains(&format!("longer than {MAX_REQUEST_LINE} bytes")), "{message}");
+    let stats = bystander.request(&serde_json::json!({"kind": "stats"})).unwrap();
+    assert_eq!(stats["kind"].as_str(), Some("stats"), "a second client is still answered");
+    let mut fresh = ServeClient::connect(server.local_addr()).unwrap();
+    let again = fresh.request(&serde_json::json!({"kind": "stats"})).unwrap();
+    assert_eq!(again["kind"], stats["kind"]);
+    server.stop();
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// splitmix64: the one seeded stream behind every fuzz case.
+struct SplitMix(u64);
+
+impl SplitMix {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    fn below(&mut self, n: usize) -> usize {
+        (self.next() % n as u64) as usize
+    }
+}
+
+/// Seeded protocol fuzz: truncated JSON, non-UTF-8 bytes, unknown kinds,
+/// requests carrying a foreign `v`, over-long lines, byte-at-a-time
+/// writers and clients that hang up mid-request. Every case must finish
+/// under a deadline; a connection that should survive its case must still
+/// answer `stats` (its handler thread did not panic); and a fresh client
+/// is answered at the end.
+#[test]
+fn seeded_protocol_fuzz_neither_panics_nor_wedges() {
+    const CASES: usize = 42;
+    let root = tmp_root("fuzz");
+    let engine = EnsembleEngine::open(&root, [1, 1, 1]).unwrap();
+    let server = ServeServer::serve(&StatsAddr::parse("127.0.0.1:0"), engine).unwrap();
+    let mut rng = SplitMix(0xF022_5EED);
+    let valid =
+        [&br#"{"kind":"stats"}"#[..], r#"{"kind":"hazard","site":"San José"}"#.as_bytes()];
+    for case in 0..CASES {
+        let t = Instant::now();
+        let kind = case % 7;
+        let request = valid[rng.below(valid.len())];
+        let (mut reader, mut writer) = raw_client(&server, Duration::from_secs(5));
+        let survives = match kind {
+            // Truncated JSON: a strict prefix of an object never parses.
+            0 => {
+                let cut = 1 + rng.below(request.len() - 1);
+                writer.write_all(&[&request[..cut], b"\n"].concat()).unwrap();
+                // A cut inside "é" leaves bytes that are not UTF-8 either.
+                let err = reply(&mut reader).unwrap();
+                let message = err["message"].as_str().unwrap();
+                assert!(message.contains("JSON") || message.contains("UTF-8"), "{case}: {err}");
+                true
+            }
+            // Bytes that are not UTF-8.
+            1 => {
+                let mut junk: Vec<u8> =
+                    (0..1 + rng.below(64)).map(|_| rng.below(256) as u8).collect();
+                junk.retain(|&b| b != b'\n');
+                let at = rng.below(junk.len() + 1);
+                junk.insert(at, 0xFF);
+                junk.push(b'\n');
+                writer.write_all(&junk).unwrap();
+                let err = reply(&mut reader).unwrap();
+                assert!(err["message"].as_str().unwrap().contains("UTF-8"), "case {case}: {err}");
+                true
+            }
+            // A kind the protocol does not have.
+            2 => {
+                let name: String =
+                    (0..1 + rng.below(9)).map(|_| (b'a' + rng.below(26) as u8) as char).collect();
+                writer.write_all(format!("{{\"kind\":\"x{name}\"}}\n").as_bytes()).unwrap();
+                let err = reply(&mut reader).unwrap();
+                assert!(err["message"].as_str().unwrap().contains("unknown request kind"));
+                true
+            }
+            // A request carrying another version: requests are not
+            // negotiated, the reply carries the server's own `v`.
+            3 => {
+                let v = 2 + rng.below(1000);
+                writer.write_all(format!("{{\"v\":{v},\"kind\":\"stats\"}}\n").as_bytes()).unwrap();
+                let r = reply(&mut reader).unwrap();
+                assert_eq!(r["v"].as_f64(), Some(SERVE_PROTO_VERSION as f64), "case {case}: {r}");
+                assert_eq!(r["kind"].as_str(), Some("stats"), "case {case}: {r}");
+                true
+            }
+            // Over the line cap: one error, then the server hangs up.
+            4 => {
+                send_oversized(&server, MAX_REQUEST_LINE + 1 + rng.below(4 * MAX_REQUEST_LINE));
+                false
+            }
+            // One byte per write, with the odd pause.
+            5 => {
+                for (i, &b) in request.iter().chain(b"\n").enumerate() {
+                    writer.write_all(&[b]).unwrap();
+                    if i % (1 + rng.below(16)) == 0 {
+                        std::thread::sleep(Duration::from_millis(1));
+                    }
+                }
+                let r = reply(&mut reader).unwrap();
+                assert_ne!(r["kind"].as_str(), Some("error"), "case {case}: {r}");
+                true
+            }
+            // Hang up in the middle of a request.
+            _ => {
+                let cut = rng.below(request.len());
+                writer.write_all(&request[..cut]).unwrap();
+                false
+            }
+        };
+        if survives {
+            writer.write_all(b"{\"kind\":\"stats\"}\n").unwrap();
+            let r = reply(&mut reader).unwrap();
+            assert_eq!(r["kind"].as_str(), Some("stats"), "case {case}: connection lost: {r}");
+        }
+        assert!(t.elapsed() < Duration::from_secs(10), "case {case} took {:?}", t.elapsed());
+    }
+    let mut client = ServeClient::connect(server.local_addr()).unwrap();
+    let stats = client.request(&serde_json::json!({"kind": "stats"})).unwrap();
+    assert_eq!(stats["kind"].as_str(), Some("stats"));
+    assert_eq!(stats["v"].as_f64(), Some(SERVE_PROTO_VERSION as f64));
+    server.stop();
+    let _ = std::fs::remove_dir_all(&root);
 }
 
 #[test]

@@ -5,7 +5,7 @@
 
 use awp_odc::scenario::Scenario;
 use awp_odc::telemetry::{Counter, Phase, Registry};
-use awp_odc::workflow::{scratch_dir, E2EWorkflow};
+use awp_odc::workflow::{scratch_dir, WorkflowSession};
 use std::collections::{BTreeMap, BTreeSet};
 
 #[test]
@@ -14,9 +14,9 @@ fn workflow_telemetry_end_to_end() {
     let run = sc.prepare();
     let dir = scratch_dir("wf-telemetry");
     let reg = Registry::new(4);
-    let mut wf = E2EWorkflow::new(run, [2, 2, 1], &dir).with_telemetry(reg.clone());
-    wf.session.checkpoint_every = Some(8);
-    let rep = wf.execute().expect("workflow must complete");
+    let mut wf = WorkflowSession::new([2, 2, 1]).with_telemetry(reg.clone());
+    wf.checkpoint_every = Some(8);
+    let rep = wf.execute(&run, &dir).expect("workflow must complete");
     assert!(rep.archive_verified, "telemetry must not disturb the run itself");
 
     // Cross-rank aggregation.

@@ -2,7 +2,7 @@
 
 use awp_odc::pario::Md5;
 use awp_odc::scenario::Scenario;
-use awp_odc::workflow::{scratch_dir, E2EWorkflow};
+use awp_odc::workflow::{scratch_dir, WorkflowSession};
 
 #[test]
 fn workflow_decompositions_agree() {
@@ -11,7 +11,7 @@ fn workflow_decompositions_agree() {
     for parts in [[1, 1, 1], [2, 2, 1]] {
         let dir = scratch_dir(&format!("wf-{}-{}-{}", parts[0], parts[1], parts[2]));
         let run = sc.prepare();
-        let rep = E2EWorkflow::new(run, parts, &dir).execute().unwrap();
+        let rep = WorkflowSession::new(parts).execute(&run, &dir).unwrap();
         assert!(rep.archive_verified);
         maps.push(rep.pgv);
         let _ = std::fs::remove_dir_all(&dir);
@@ -25,7 +25,7 @@ fn workflow_decompositions_agree() {
 fn workflow_reports_stage_throughput() {
     let sc = Scenario::shakeout_k(20, 0.3).with_duration(15.0);
     let dir = scratch_dir("wf-stages");
-    let rep = E2EWorkflow::new(sc.prepare(), [2, 1, 1], &dir).execute().unwrap();
+    let rep = WorkflowSession::new([2, 1, 1]).execute(&sc.prepare(), &dir).unwrap();
     for name in ["cvm2mesh", "petameshp", "dsrcg+petasrcp", "awm-solve", "archive"] {
         let st = rep.stage(name).unwrap_or_else(|| panic!("stage {name} missing"));
         assert!(st.seconds >= 0.0);
@@ -39,7 +39,7 @@ fn workflow_reports_stage_throughput() {
 fn archive_tampering_is_detectable() {
     let sc = Scenario::shakeout_k(20, 0.3).with_duration(15.0);
     let dir = scratch_dir("wf-tamper");
-    let rep = E2EWorkflow::new(sc.prepare(), [1, 1, 1], &dir).execute().unwrap();
+    let rep = WorkflowSession::new([1, 1, 1]).execute(&sc.prepare(), &dir).unwrap();
     assert!(rep.archive_verified);
     let archived = dir.join("archive").join("surface.bin");
     let original_digest = Md5::digest_hex(&std::fs::read(&archived).unwrap());
@@ -61,10 +61,10 @@ fn output_aggregation_limits_transactions() {
     let dir = scratch_dir("wf-agg");
     let run = sc.prepare();
     let steps = run.cfg.steps;
-    let mut wf = E2EWorkflow::new(run, [1, 1, 1], &dir);
-    wf.session.output_decimate = 1;
-    wf.session.flush_every = steps; // a single aggregated flush
-    let rep = wf.execute().unwrap();
+    let mut wf = WorkflowSession::new([1, 1, 1]);
+    wf.output_decimate = 1;
+    wf.flush_every = steps; // a single aggregated flush
+    let rep = wf.execute(&run, &dir).unwrap();
     // One transaction per record is still issued at flush time, but they
     // all happen in one burst; the count equals the saved records.
     assert!(rep.output_transactions >= steps as u64 - 1);
@@ -83,9 +83,9 @@ fn ondemand_input_matches_prepartitioned() {
     for input in [InputMode::Prepartitioned, InputMode::OnDemand { readers: 2 }] {
         let dir = scratch_dir(&format!("wf-in-{input:?}").replace([' ', '{', '}', ':'], ""));
         let run = sc.prepare();
-        let mut wf = E2EWorkflow::new(run, [2, 2, 1], &dir);
-        wf.session.input = input;
-        let rep = wf.execute().unwrap();
+        let mut wf = WorkflowSession::new([2, 2, 1]);
+        wf.input = input;
+        let rep = wf.execute(&run, &dir).unwrap();
         assert!(rep.archive_verified);
         maps.push(rep.pgv);
         let _ = std::fs::remove_dir_all(&dir);
@@ -102,14 +102,14 @@ fn checkpoint_restart_reproduces_clean_run() {
     let dir_a = scratch_dir("wf-clean");
     let run_a = sc.prepare();
     let steps = run_a.cfg.steps;
-    let rep_a = E2EWorkflow::new(run_a, [2, 1, 1], &dir_a).execute().unwrap();
+    let rep_a = WorkflowSession::new([2, 1, 1]).execute(&run_a, &dir_a).unwrap();
     // Failure-injected run: checkpoint every 4 steps, die at ~60 %.
     let dir_b = scratch_dir("wf-failed");
     let run_b = sc.prepare();
-    let mut wf = E2EWorkflow::new(run_b, [2, 1, 1], &dir_b);
-    wf.session.checkpoint_every = Some(4);
-    wf.session.fail_at_step = Some(steps * 3 / 5);
-    let rep_b = wf.execute().unwrap();
+    let mut wf = WorkflowSession::new([2, 1, 1]);
+    wf.checkpoint_every = Some(4);
+    wf.fail_at_step = Some(steps * 3 / 5);
+    let rep_b = wf.execute(&run_b, &dir_b).unwrap();
     assert!(rep_b.restarted, "restart pass must run");
     assert_eq!(rep_b.failed_at, Some(steps * 3 / 5));
     assert!(rep_b.archive_verified);
@@ -133,12 +133,12 @@ fn archived_surface_file_reproduces_pgv() {
     let dir = scratch_dir("wf-readback");
     let run = sc.prepare();
     let dims = run.cfg.dims;
-    let mut wf = E2EWorkflow::new(run, [1, 1, 1], &dir);
-    wf.session.output_decimate = 1; // every step saved → file PGV == report PGV
-    let rep = wf.execute().unwrap();
+    let mut wf = WorkflowSession::new([1, 1, 1]);
+    wf.output_decimate = 1; // every step saved → file PGV == report PGV
+    let rep = wf.execute(&run, &dir).unwrap();
     let plan = OutputPlan {
         decimate: 1,
-        flush_every: wf.session.flush_every,
+        flush_every: wf.flush_every,
         rank_len: 3 * dims.nx * dims.ny,
         ranks: 1,
     };
