@@ -149,3 +149,86 @@ fn archived_surface_file_reproduces_pgv() {
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// MD5 of every file a small two-rank checkpointed run leaves in its work
+/// directory, for a split along x (each part is a run of x-rows of the
+/// global mesh file) and along y (each part is a run of whole XY planes),
+/// recorded before the mesh-file, checkpoint and output paths were
+/// rewritten for bulk I/O. A change that claims to keep the bytes must not
+/// edit these; a change to a file format must re-record them.
+const PINNED_FILES: &[(&str, &str)] = &[
+    ("1x2x1/archive/surface.bin", "faf64a444639d31b69ecd2bed645e0a2"),
+    ("1x2x1/ckpt/ckpt.000000.0000000004.bin", "a60a77861970c3230a7a88d11f6c9695"),
+    ("1x2x1/ckpt/ckpt.000000.0000000008.bin", "b6206453821a062309367740deb35483"),
+    ("1x2x1/ckpt/ckpt.000000.0000000012.bin", "4ae98b750c9a9a1ae9d2d73ed8461e88"),
+    ("1x2x1/ckpt/ckpt.000000.0000000016.bin", "31d9ca06c5cca19f13d87c2ff4df2801"),
+    ("1x2x1/ckpt/ckpt.000000.0000000020.bin", "b49bef7771084662594e53474db0cc1f"),
+    ("1x2x1/ckpt/ckpt.000000.0000000024.bin", "0d71deeaa35ffc44af81518ca893ae06"),
+    ("1x2x1/ckpt/ckpt.000001.0000000004.bin", "5ba3fbb3ce627c51cba428b1a1a2b1c8"),
+    ("1x2x1/ckpt/ckpt.000001.0000000008.bin", "ee7108bca9f4faee9557e0f56709c156"),
+    ("1x2x1/ckpt/ckpt.000001.0000000012.bin", "c245e97a65671fc567f43e3e30192749"),
+    ("1x2x1/ckpt/ckpt.000001.0000000016.bin", "7e2c06032f71662d8de391e6d53da6f8"),
+    ("1x2x1/ckpt/ckpt.000001.0000000020.bin", "7ad89c187cf5b9e343ed78ec41580015"),
+    ("1x2x1/ckpt/ckpt.000001.0000000024.bin", "f73fe883644d26dc109de456d154d125"),
+    ("1x2x1/mesh.global.bin", "0b57ab34fe73d062701eda457cceab07"),
+    ("1x2x1/parts/mesh.000000.bin", "d80a94cfec75b2a067605e23a25c066a"),
+    ("1x2x1/parts/mesh.000001.bin", "7489f056f8e5d452c5c4a6e24b6b9d2f"),
+    ("1x2x1/source.bin", "8854c9f1e2042fefdd9c162357ddd93f"),
+    ("1x2x1/surface.bin", "faf64a444639d31b69ecd2bed645e0a2"),
+    ("2x1x1/archive/surface.bin", "638475570d66c74a9988e67145ee132c"),
+    ("2x1x1/ckpt/ckpt.000000.0000000004.bin", "c39972ae705021c97fde1bac88dc5d8e"),
+    ("2x1x1/ckpt/ckpt.000000.0000000008.bin", "5f5fb2d871e3f9e8c832aafd1ee6ebc9"),
+    ("2x1x1/ckpt/ckpt.000000.0000000012.bin", "5bc6bbf2196d0d2def041052bd37f812"),
+    ("2x1x1/ckpt/ckpt.000000.0000000016.bin", "bb4cb46664b12dabc16ac0fc6a9aac13"),
+    ("2x1x1/ckpt/ckpt.000000.0000000020.bin", "6d200563c194e7a2f1e178396985d739"),
+    ("2x1x1/ckpt/ckpt.000000.0000000024.bin", "d07baf95ac4c6676c03af50da3536273"),
+    ("2x1x1/ckpt/ckpt.000001.0000000004.bin", "877124e1921a321a2d97c9d4c2b444f4"),
+    ("2x1x1/ckpt/ckpt.000001.0000000008.bin", "d1ba84da1a9b2fbf80850577b9a6ad70"),
+    ("2x1x1/ckpt/ckpt.000001.0000000012.bin", "6f4ffcf8275eb580a5c770b06fd814ad"),
+    ("2x1x1/ckpt/ckpt.000001.0000000016.bin", "4d74d73fc96f32d2aad958b506f6ceed"),
+    ("2x1x1/ckpt/ckpt.000001.0000000020.bin", "5683ba7b5d272ffa5df58774977589ea"),
+    ("2x1x1/ckpt/ckpt.000001.0000000024.bin", "e73f85b2ab548a27eecb800ae0db9a21"),
+    ("2x1x1/mesh.global.bin", "0b57ab34fe73d062701eda457cceab07"),
+    ("2x1x1/parts/mesh.000000.bin", "d4827842a8c043b4570d997daacaf03d"),
+    ("2x1x1/parts/mesh.000001.bin", "899763af47c04fddb91f6f553b357e45"),
+    ("2x1x1/source.bin", "8854c9f1e2042fefdd9c162357ddd93f"),
+    ("2x1x1/surface.bin", "638475570d66c74a9988e67145ee132c"),
+];
+
+#[test]
+fn workflow_files_are_byte_pinned() {
+    let sc = Scenario::shakeout_k(64, 0.3).with_duration(15.0).with_attenuation(true);
+    let run = sc.prepare();
+    let mut files = Vec::new();
+    for parts in [[2, 1, 1], [1, 2, 1]] {
+        let tag = format!("{}x{}x{}", parts[0], parts[1], parts[2]);
+        let dir = scratch_dir(&format!("wf-pins-{tag}"));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut wf = WorkflowSession::new(parts);
+        wf.checkpoint_every = Some(4);
+        wf.flush_every = 10;
+        // Retain every epoch so each checkpoint file is pinned.
+        wf.keep_checkpoints = usize::MAX;
+        let rep = wf.execute(&run, &dir).unwrap();
+        assert!(rep.archive_verified);
+        let mut stack = vec![dir.clone()];
+        while let Some(d) = stack.pop() {
+            for entry in std::fs::read_dir(&d).unwrap() {
+                let path = entry.unwrap().path();
+                if path.is_dir() {
+                    stack.push(path);
+                } else {
+                    let rel = path.strip_prefix(&dir).unwrap().to_string_lossy();
+                    let md5 = Md5::digest_hex(&std::fs::read(&path).unwrap());
+                    files.push((format!("{tag}/{rel}"), md5));
+                }
+            }
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+    files.sort();
+    let table: String =
+        files.iter().map(|(f, d)| format!("    (\"{f}\", \"{d}\"),\n")).collect();
+    let got: Vec<(&str, &str)> = files.iter().map(|(f, d)| (f.as_str(), d.as_str())).collect();
+    assert_eq!(got, PINNED_FILES, "work directory digests moved; now:\n{table}");
+}
