@@ -33,8 +33,8 @@ use awp_pario::throttle::OpenThrottle;
 use awp_pario::Md5;
 use awp_solver::boundary::owns_free_surface;
 use awp_solver::config::SolverConfig;
-use awp_solver::solver::{exchange_material_halos, update_pgv, Solver};
-use awp_solver::stations::{surface_velocities, Seismogram, Station};
+use awp_solver::solver::{update_pgv, Solver};
+use awp_solver::stations::{surface_velocities_into, Seismogram, Station};
 use awp_solver::{global_vp_max, LtsPlan};
 use awp_source::kinematic::KinematicSource;
 use awp_telemetry::{LiveStats, Registry};
@@ -515,11 +515,14 @@ impl WorkflowSession {
         let t = Instant::now();
         std::fs::copy(&surface_file, &archived)?;
         let copy_bytes = std::fs::metadata(&archived)?.len();
-        let archive_verified = {
-            let a = Md5::digest_hex(&std::fs::read(&surface_file)?);
-            let b = Md5::digest_hex(&std::fs::read(&archived)?);
-            a == b
-        };
+        // Both files are read back from disk and hashed concurrently.
+        let digest = |path: &Path| std::fs::read(path).map(|bytes| Md5::digest_hex(&bytes));
+        let (source_md5, copy_md5) = std::thread::scope(|s| {
+            let source = s.spawn(|| digest(&surface_file));
+            let copy = digest(&archived);
+            (source.join().expect("archive digest thread panicked"), copy)
+        });
+        let archive_verified = source_md5? == copy_md5?;
         stages.push(StageTiming {
             stage: "archive".into(),
             seconds: t.elapsed().as_secs_f64(),
@@ -630,10 +633,8 @@ fn solve_ranks(
         };
         let sources = &env.rank_sources[rank];
         let mut solver =
-            Solver::try_new_rank(cfg.clone(), sub, &local, sources, env.stations, env.vp_max)
+            Solver::try_new_rank(cfg.clone(), sub, &local, sources, env.stations, env.vp_max, ctx)
                 .expect("invalid solver configuration");
-        exchange_material_halos(&mut solver.med, &sub, ctx);
-        solver.med.precompute();
         if let Some(plan) = env.lts_plan {
             solver.enable_lts(plan);
         }
@@ -677,9 +678,9 @@ fn solve_ranks(
             ctx.tick(step as u64);
             solver.step_parallel(ctx);
             if let Some(agg) = agg.as_mut() {
-                let mut rec = surface_velocities(&solver.state, 1);
-                rec.resize(env.plan.rank_len, 0.0);
-                agg.record_traced(step, &rec, env.writer, &mut ctx.telem)?;
+                agg.record_traced(step, env.writer, &mut ctx.telem, |rec| {
+                    surface_velocities_into(&solver.state, rec)
+                })?;
                 update_pgv(&solver.state, &mut pgv);
             }
             if let Some(every) = env.checkpoint_every {
@@ -720,11 +721,8 @@ fn solve_ranks(
         let digest = if let Some(slot) = surf_slot {
             if end == cfg.steps && cfg.steps > 0 {
                 let last_rec = (cfg.steps - 1) / env.plan.decimate;
-                let data =
-                    env.writer.read_f32_at(env.plan.offset(last_rec, slot), env.plan.rank_len)?;
-                let mut h = Md5::new();
-                h.update_f32(&data);
-                h.finalize_hex()
+                let block = env.plan.offset(last_rec, slot);
+                Md5::digest_hex(&env.writer.read_bytes_at(block, 4 * env.plan.rank_len)?)
             } else {
                 String::new()
             }

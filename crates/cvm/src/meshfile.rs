@@ -11,6 +11,7 @@ use crate::mesh::Mesh;
 use awp_grid::dims::Dims3;
 use std::fs::File;
 use std::io::{self, BufReader, BufWriter, Read, Seek, SeekFrom, Write};
+use std::os::unix::fs::FileExt;
 use std::path::Path;
 
 /// File magic, bumped on format change.
@@ -25,7 +26,10 @@ pub const RECORD_BYTES: usize = VALUES_PER_POINT * 4;
 /// Header size in bytes: magic + 3×u64 dims + f64 h.
 pub const HEADER_BYTES: u64 = 8 + 3 * 8 + 8;
 
-/// Write a mesh to `path`.
+/// Records encoded or decoded per file transfer (80 KiB).
+const CHUNK_POINTS: usize = 4096;
+
+/// Write a mesh to `path`, [`CHUNK_POINTS`] records per write.
 pub fn write_mesh(path: &Path, mesh: &Mesh) -> io::Result<()> {
     let mut w = BufWriter::new(File::create(path)?);
     w.write_all(MAGIC)?;
@@ -34,14 +38,17 @@ pub fn write_mesh(path: &Path, mesh: &Mesh) -> io::Result<()> {
     w.write_all(&(mesh.dims.nz as u64).to_le_bytes())?;
     w.write_all(&mesh.h.to_le_bytes())?;
     let n = mesh.dims.count();
-    let mut rec = [0u8; RECORD_BYTES];
-    for p in 0..n {
-        rec[0..4].copy_from_slice(&mesh.vp[p].to_le_bytes());
-        rec[4..8].copy_from_slice(&mesh.vs[p].to_le_bytes());
-        rec[8..12].copy_from_slice(&mesh.rho[p].to_le_bytes());
-        rec[12..16].copy_from_slice(&mesh.qs[p].to_le_bytes());
-        rec[16..20].copy_from_slice(&mesh.qp[p].to_le_bytes());
-        w.write_all(&rec)?;
+    let mut chunk = vec![0u8; CHUNK_POINTS * RECORD_BYTES];
+    for start in (0..n).step_by(CHUNK_POINTS) {
+        let points = start..(start + CHUNK_POINTS).min(n);
+        let bytes = &mut chunk[..points.len() * RECORD_BYTES];
+        for (rec, p) in bytes.chunks_exact_mut(RECORD_BYTES).zip(points) {
+            let values = [mesh.vp[p], mesh.vs[p], mesh.rho[p], mesh.qs[p], mesh.qp[p]];
+            for (b, v) in rec.chunks_exact_mut(4).zip(values) {
+                b.copy_from_slice(&v.to_le_bytes());
+            }
+        }
+        w.write_all(bytes)?;
     }
     w.flush()
 }
@@ -77,14 +84,16 @@ pub fn read_mesh(path: &Path) -> io::Result<Mesh> {
     let (dims, h) = read_header_from(&mut r)?;
     let n = dims.count();
     let mut mesh = Mesh::zeroed(dims, h);
-    let mut rec = [0u8; RECORD_BYTES];
-    for p in 0..n {
-        r.read_exact(&mut rec)?;
-        mesh.vp[p] = f32::from_le_bytes(rec[0..4].try_into().unwrap());
-        mesh.vs[p] = f32::from_le_bytes(rec[4..8].try_into().unwrap());
-        mesh.rho[p] = f32::from_le_bytes(rec[8..12].try_into().unwrap());
-        mesh.qs[p] = f32::from_le_bytes(rec[12..16].try_into().unwrap());
-        mesh.qp[p] = f32::from_le_bytes(rec[16..20].try_into().unwrap());
+    let mut chunk = vec![0u8; CHUNK_POINTS * RECORD_BYTES];
+    for start in (0..n).step_by(CHUNK_POINTS) {
+        let points = start..(start + CHUNK_POINTS).min(n);
+        let bytes = &mut chunk[..points.len() * RECORD_BYTES];
+        r.read_exact(bytes)?;
+        for (rec, p) in bytes.chunks_exact(RECORD_BYTES).zip(points) {
+            let v = |at: usize| f32::from_le_bytes(rec[at..at + 4].try_into().unwrap());
+            (mesh.vp[p], mesh.vs[p], mesh.rho[p], mesh.qs[p], mesh.qp[p]) =
+                (v(0), v(4), v(8), v(12), v(16));
+        }
     }
     Ok(mesh)
 }
@@ -119,8 +128,10 @@ pub fn read_plane(path: &Path, k: usize) -> io::Result<Vec<f32>> {
 
 /// Read a sub-volume `[i0..i0+nx) × [j0..j0+ny) × [k0..k0+nz)` as an
 /// interleaved record buffer — the per-rank extraction of the mesh
-/// partitioner. Performs one seek+read per x-row (the natural fragmentation
-/// the paper's §III.C wrestles with).
+/// partitioner. Performs one positioned read per contiguous run of the
+/// file: an x-row in general (the natural fragmentation the paper's §III.C
+/// wrestles with), a whole XY plane when the sub-volume spans the full x
+/// extent, and the whole sub-volume when it also spans the full y extent.
 #[allow(clippy::too_many_arguments)]
 pub fn read_subvolume(
     path: &Path,
@@ -139,16 +150,28 @@ pub fn read_subvolume(
     if i0 + nx > dims.nx || j0 + ny > dims.ny || k0 + nz > dims.nz {
         return Err(io::Error::new(io::ErrorKind::InvalidInput, "subvolume out of range"));
     }
-    let mut out = Vec::with_capacity(nx * ny * nz * VALUES_PER_POINT);
-    let mut row = vec![0u8; nx * RECORD_BYTES];
+    if nx * ny * nz == 0 {
+        return Ok(Vec::new());
+    }
+    let full_x = i0 == 0 && nx == dims.nx;
+    let run_points = match (full_x, j0 == 0 && ny == dims.ny) {
+        (true, true) => nx * ny * nz,
+        (true, false) => nx * ny,
+        (false, _) => nx,
+    };
+    let mut bytes = vec![0u8; nx * ny * nz * RECORD_BYTES];
+    // Rows land in the buffer in file order; a run starts every
+    // `run_points` points.
     for k in k0..k0 + nz {
         for j in j0..j0 + ny {
-            f.seek(SeekFrom::Start(point_offset(dims, i0, j, k)))?;
-            f.read_exact(&mut row)?;
-            out.extend(row.chunks_exact(4).map(|c| f32::from_le_bytes(c.try_into().unwrap())));
+            let at = ((k - k0) * ny + (j - j0)) * nx;
+            if at % run_points == 0 {
+                let run = &mut bytes[at * RECORD_BYTES..(at + run_points) * RECORD_BYTES];
+                f.read_exact_at(run, point_offset(dims, i0, j, k))?;
+            }
         }
     }
-    Ok(out)
+    Ok(bytes.chunks_exact(4).map(|c| f32::from_le_bytes(c.try_into().unwrap())).collect())
 }
 
 /// Rebuild a [`Mesh`] from an interleaved record buffer.

@@ -109,6 +109,20 @@ impl Array3 {
         &mut self.data
     }
 
+    /// Padded-storage range of every interior x-row, tagged with its
+    /// `(j, k)`, in x-fastest order (k outermost) — the unit of the
+    /// row-slice walks. Arrays of equal interior and halo share the ranges.
+    pub fn interior_rows(&self) -> impl Iterator<Item = (usize, usize, std::ops::Range<usize>)> {
+        let (d, h) = (self.interior, self.halo);
+        let (sy, sz) = self.strides();
+        (0..d.nz).flat_map(move |k| {
+            (0..d.ny).map(move |j| {
+                let base = h + sy * (j + h) + sz * (k + h);
+                (j, k, base..base + d.nx)
+            })
+        })
+    }
+
     /// Copy the interior (halo excluded) into a contiguous vector, x-fastest.
     pub fn interior_to_vec(&self) -> Vec<f32> {
         let d = self.interior;

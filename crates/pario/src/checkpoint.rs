@@ -13,6 +13,9 @@ use std::path::Path;
 
 const MAGIC: &[u8; 8] = b"AWPCKPT1";
 
+/// f32 values serialised per write (16 KiB).
+const CHUNK_VALUES: usize = 4096;
+
 /// One rank's checkpoint payload: the time step plus named state fields.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CheckpointData {
@@ -63,10 +66,16 @@ pub fn write_checkpoint(path: &Path, data: &CheckpointData) -> io::Result<()> {
             w.write_all(name_bytes)?;
             hasher.update(name_bytes);
             w.write_all(&(values.len() as u64).to_le_bytes())?;
-            for v in values {
-                w.write_all(&v.to_le_bytes())?;
+            // The same little-endian chunk goes to the file and the digest.
+            let mut chunk = [0u8; 4 * CHUNK_VALUES];
+            for vals in values.chunks(CHUNK_VALUES) {
+                let bytes = &mut chunk[..4 * vals.len()];
+                for (b, v) in bytes.chunks_exact_mut(4).zip(vals) {
+                    b.copy_from_slice(&v.to_le_bytes());
+                }
+                w.write_all(bytes)?;
+                hasher.update(bytes);
             }
-            hasher.update_f32(values);
         }
         w.write_all(&hasher.finalize())?;
         w.flush()?;
@@ -123,9 +132,9 @@ pub fn read_checkpoint(path: &Path) -> io::Result<CheckpointData> {
         let len = len64 as usize;
         let mut bytes = vec![0u8; len * 4];
         r.read_exact(&mut bytes)?;
+        hasher.update(&bytes);
         let values: Vec<f32> =
             bytes.chunks_exact(4).map(|c| f32::from_le_bytes(c.try_into().unwrap())).collect();
-        hasher.update_f32(&values);
         fields.push((name, values));
     }
     let mut want = [0u8; 16];

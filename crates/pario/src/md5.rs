@@ -8,27 +8,18 @@
 //! here purely as a fast integrity fingerprint, as in the paper — not for
 //! security.
 
-/// Per-round left-rotation amounts.
-const S: [u32; 64] = [
-    7, 12, 17, 22, 7, 12, 17, 22, 7, 12, 17, 22, 7, 12, 17, 22, //
-    5, 9, 14, 20, 5, 9, 14, 20, 5, 9, 14, 20, 5, 9, 14, 20, //
-    4, 11, 16, 23, 4, 11, 16, 23, 4, 11, 16, 23, 4, 11, 16, 23, //
-    6, 10, 15, 21, 6, 10, 15, 21, 6, 10, 15, 21, 6, 10, 15, 21,
+/// `K[i] = floor(|sin(i+1)| · 2³²)`, the RFC 1321 sine table (the tests
+/// recompute it from the formula).
+const K: [u32; 64] = [
+    0xd76aa478, 0xe8c7b756, 0x242070db, 0xc1bdceee, 0xf57c0faf, 0x4787c62a, 0xa8304613, 0xfd469501,
+    0x698098d8, 0x8b44f7af, 0xffff5bb1, 0x895cd7be, 0x6b901122, 0xfd987193, 0xa679438e, 0x49b40821,
+    0xf61e2562, 0xc040b340, 0x265e5a51, 0xe9b6c7aa, 0xd62f105d, 0x02441453, 0xd8a1e681, 0xe7d3fbc8,
+    0x21e1cde6, 0xc33707d6, 0xf4d50d87, 0x455a14ed, 0xa9e3e905, 0xfcefa3f8, 0x676f02d9, 0x8d2a4c8a,
+    0xfffa3942, 0x8771f681, 0x6d9d6122, 0xfde5380c, 0xa4beea44, 0x4bdecfa9, 0xf6bb4b60, 0xbebfbc70,
+    0x289b7ec6, 0xeaa127fa, 0xd4ef3085, 0x04881d05, 0xd9d4d039, 0xe6db99e5, 0x1fa27cf8, 0xc4ac5665,
+    0xf4292244, 0x432aff97, 0xab9423a7, 0xfc93a039, 0x655b59c3, 0x8f0ccc92, 0xffeff47d, 0x85845dd1,
+    0x6fa87e4f, 0xfe2ce6e0, 0xa3014314, 0x4e0811a1, 0xf7537e82, 0xbd3af235, 0x2ad7d2bb, 0xeb86d391,
 ];
-
-/// K[i] = floor(|sin(i+1)| · 2³²), computed once to avoid transcription
-/// errors in the 64 constants.
-fn k_table() -> &'static [u32; 64] {
-    use std::sync::OnceLock;
-    static K: OnceLock<[u32; 64]> = OnceLock::new();
-    K.get_or_init(|| {
-        let mut k = [0u32; 64];
-        for (i, v) in k.iter_mut().enumerate() {
-            *v = (((i as f64 + 1.0).sin().abs()) * 4294967296.0).floor() as u32;
-        }
-        k
-    })
-}
 
 /// Incremental MD5 hasher.
 ///
@@ -101,31 +92,100 @@ impl Md5 {
         }
     }
 
+    /// One compression: the 64 RFC 1321 steps written out in straight
+    /// line, each with its message word, rotation and [`K`] entry fixed.
     fn process_block(&mut self, block: &[u8; 64]) {
-        let k = k_table();
-        let mut m = [0u32; 16];
-        for (i, w) in m.iter_mut().enumerate() {
-            *w = u32::from_le_bytes(block[i * 4..i * 4 + 4].try_into().unwrap());
-        }
-        let (mut a, mut b, mut c, mut d) =
-            (self.state[0], self.state[1], self.state[2], self.state[3]);
-        for i in 0..64 {
-            let (f, g) = match i / 16 {
-                0 => ((b & c) | (!b & d), i),
-                1 => ((d & b) | (!d & c), (5 * i + 1) % 16),
-                2 => (b ^ c ^ d, (3 * i + 5) % 16),
-                _ => (c ^ (b | !d), (7 * i) % 16),
+        let m: [u32; 16] = std::array::from_fn(|i| {
+            u32::from_le_bytes(block[4 * i..4 * i + 4].try_into().unwrap())
+        });
+        let [mut a, mut b, mut c, mut d] = self.state;
+        // a ← b + ((a + fun(b, c, d) + x + k) <<< s)
+        macro_rules! step {
+            (@ $fun:expr, $a:ident, $b:ident, $x:expr, $s:literal, $k:expr) => {
+                $a = $b.wrapping_add(
+                    $a.wrapping_add($fun).wrapping_add($x).wrapping_add($k).rotate_left($s),
+                )
             };
-            let tmp = d;
-            d = c;
-            c = b;
-            let sum = a
-                .wrapping_add(f)
-                .wrapping_add(k[i])
-                .wrapping_add(m[g]);
-            b = b.wrapping_add(sum.rotate_left(S[i]));
-            a = tmp;
+            (F, $a:ident, $b:ident, $c:ident, $d:ident, $x:expr, $s:literal, $k:expr) => {
+                step!(@ ($b & $c) | (!$b & $d), $a, $b, $x, $s, $k)
+            };
+            (G, $a:ident, $b:ident, $c:ident, $d:ident, $x:expr, $s:literal, $k:expr) => {
+                step!(@ ($d & $b) | (!$d & $c), $a, $b, $x, $s, $k)
+            };
+            (H, $a:ident, $b:ident, $c:ident, $d:ident, $x:expr, $s:literal, $k:expr) => {
+                step!(@ $b ^ $c ^ $d, $a, $b, $x, $s, $k)
+            };
+            (I, $a:ident, $b:ident, $c:ident, $d:ident, $x:expr, $s:literal, $k:expr) => {
+                step!(@ $c ^ ($b | !$d), $a, $b, $x, $s, $k)
+            };
         }
+        step!(F, a, b, c, d, m[0], 7, K[0]);
+        step!(F, d, a, b, c, m[1], 12, K[1]);
+        step!(F, c, d, a, b, m[2], 17, K[2]);
+        step!(F, b, c, d, a, m[3], 22, K[3]);
+        step!(F, a, b, c, d, m[4], 7, K[4]);
+        step!(F, d, a, b, c, m[5], 12, K[5]);
+        step!(F, c, d, a, b, m[6], 17, K[6]);
+        step!(F, b, c, d, a, m[7], 22, K[7]);
+        step!(F, a, b, c, d, m[8], 7, K[8]);
+        step!(F, d, a, b, c, m[9], 12, K[9]);
+        step!(F, c, d, a, b, m[10], 17, K[10]);
+        step!(F, b, c, d, a, m[11], 22, K[11]);
+        step!(F, a, b, c, d, m[12], 7, K[12]);
+        step!(F, d, a, b, c, m[13], 12, K[13]);
+        step!(F, c, d, a, b, m[14], 17, K[14]);
+        step!(F, b, c, d, a, m[15], 22, K[15]);
+
+        step!(G, a, b, c, d, m[1], 5, K[16]);
+        step!(G, d, a, b, c, m[6], 9, K[17]);
+        step!(G, c, d, a, b, m[11], 14, K[18]);
+        step!(G, b, c, d, a, m[0], 20, K[19]);
+        step!(G, a, b, c, d, m[5], 5, K[20]);
+        step!(G, d, a, b, c, m[10], 9, K[21]);
+        step!(G, c, d, a, b, m[15], 14, K[22]);
+        step!(G, b, c, d, a, m[4], 20, K[23]);
+        step!(G, a, b, c, d, m[9], 5, K[24]);
+        step!(G, d, a, b, c, m[14], 9, K[25]);
+        step!(G, c, d, a, b, m[3], 14, K[26]);
+        step!(G, b, c, d, a, m[8], 20, K[27]);
+        step!(G, a, b, c, d, m[13], 5, K[28]);
+        step!(G, d, a, b, c, m[2], 9, K[29]);
+        step!(G, c, d, a, b, m[7], 14, K[30]);
+        step!(G, b, c, d, a, m[12], 20, K[31]);
+
+        step!(H, a, b, c, d, m[5], 4, K[32]);
+        step!(H, d, a, b, c, m[8], 11, K[33]);
+        step!(H, c, d, a, b, m[11], 16, K[34]);
+        step!(H, b, c, d, a, m[14], 23, K[35]);
+        step!(H, a, b, c, d, m[1], 4, K[36]);
+        step!(H, d, a, b, c, m[4], 11, K[37]);
+        step!(H, c, d, a, b, m[7], 16, K[38]);
+        step!(H, b, c, d, a, m[10], 23, K[39]);
+        step!(H, a, b, c, d, m[13], 4, K[40]);
+        step!(H, d, a, b, c, m[0], 11, K[41]);
+        step!(H, c, d, a, b, m[3], 16, K[42]);
+        step!(H, b, c, d, a, m[6], 23, K[43]);
+        step!(H, a, b, c, d, m[9], 4, K[44]);
+        step!(H, d, a, b, c, m[12], 11, K[45]);
+        step!(H, c, d, a, b, m[15], 16, K[46]);
+        step!(H, b, c, d, a, m[2], 23, K[47]);
+
+        step!(I, a, b, c, d, m[0], 6, K[48]);
+        step!(I, d, a, b, c, m[7], 10, K[49]);
+        step!(I, c, d, a, b, m[14], 15, K[50]);
+        step!(I, b, c, d, a, m[5], 21, K[51]);
+        step!(I, a, b, c, d, m[12], 6, K[52]);
+        step!(I, d, a, b, c, m[3], 10, K[53]);
+        step!(I, c, d, a, b, m[10], 15, K[54]);
+        step!(I, b, c, d, a, m[1], 21, K[55]);
+        step!(I, a, b, c, d, m[8], 6, K[56]);
+        step!(I, d, a, b, c, m[15], 10, K[57]);
+        step!(I, c, d, a, b, m[6], 15, K[58]);
+        step!(I, b, c, d, a, m[13], 21, K[59]);
+        step!(I, a, b, c, d, m[4], 6, K[60]);
+        step!(I, d, a, b, c, m[11], 10, K[61]);
+        step!(I, c, d, a, b, m[2], 15, K[62]);
+        step!(I, b, c, d, a, m[9], 21, K[63]);
         self.state[0] = self.state[0].wrapping_add(a);
         self.state[1] = self.state[1].wrapping_add(b);
         self.state[2] = self.state[2].wrapping_add(c);
@@ -192,6 +252,86 @@ pub fn parallel_digest(chunks: &[&[f32]]) -> (Vec<String>, String) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The compression loop [`Md5::process_block`] was unrolled from:
+    /// round-indexed schedule, rotation table and the formula sine table.
+    fn process_block_loop(state: &mut [u32; 4], block: &[u8; 64]) {
+        const S: [u32; 16] = [7, 12, 17, 22, 5, 9, 14, 20, 4, 11, 16, 23, 6, 10, 15, 21];
+        let k = k_formula();
+        let m: [u32; 16] = std::array::from_fn(|i| {
+            u32::from_le_bytes(block[4 * i..4 * i + 4].try_into().unwrap())
+        });
+        let [mut a, mut b, mut c, mut d] = *state;
+        for i in 0..64 {
+            let (f, g) = match i / 16 {
+                0 => ((b & c) | (!b & d), i),
+                1 => ((d & b) | (!d & c), (5 * i + 1) % 16),
+                2 => (b ^ c ^ d, (3 * i + 5) % 16),
+                _ => (c ^ (b | !d), (7 * i) % 16),
+            };
+            let sum = a.wrapping_add(f).wrapping_add(k[i]).wrapping_add(m[g]);
+            (a, d, c) = (d, c, b);
+            b = b.wrapping_add(sum.rotate_left(S[4 * (i / 16) + i % 4]));
+        }
+        for (s, v) in state.iter_mut().zip([a, b, c, d]) {
+            *s = s.wrapping_add(v);
+        }
+    }
+
+    fn k_formula() -> [u32; 64] {
+        std::array::from_fn(|i| (((i as f64 + 1.0).sin().abs()) * 4294967296.0).floor() as u32)
+    }
+
+    /// Whole-message MD5 through [`process_block_loop`]: pad, then compress.
+    fn digest_loop(data: &[u8]) -> [u8; 16] {
+        let mut msg = data.to_vec();
+        msg.push(0x80);
+        while msg.len() % 64 != 56 {
+            msg.push(0);
+        }
+        msg.extend_from_slice(&(data.len() as u64).wrapping_mul(8).to_le_bytes());
+        let mut state = Md5::new().state;
+        for block in msg.chunks_exact(64) {
+            process_block_loop(&mut state, block.try_into().unwrap());
+        }
+        let mut out = [0u8; 16];
+        for (o, s) in out.chunks_exact_mut(4).zip(state) {
+            o.copy_from_slice(&s.to_le_bytes());
+        }
+        out
+    }
+
+    /// Seeded bytes (splitmix64).
+    fn random_bytes(seed: u64, len: usize) -> Vec<u8> {
+        let mut x = seed;
+        let mut next = || {
+            x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = x;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        (0..len).map(|_| next() as u8).collect()
+    }
+
+    #[test]
+    fn literal_k_table_is_the_sine_formula() {
+        assert_eq!(K, k_formula());
+    }
+
+    #[test]
+    fn straight_line_rounds_equal_the_loop() {
+        for len in 0..=300 {
+            let data = random_bytes(len as u64, len);
+            let mut h = Md5::new();
+            h.update(&data);
+            assert_eq!(h.finalize(), digest_loop(&data), "len {len}");
+        }
+        let big = random_bytes(0x004d_4435, 4 << 20);
+        let mut h = Md5::new();
+        h.update(&big);
+        assert_eq!(h.finalize(), digest_loop(&big), "4 MiB buffer");
+    }
 
     /// RFC 1321 appendix test suite.
     #[test]

@@ -53,10 +53,16 @@ impl SharedFileWriter {
         Ok(())
     }
 
-    /// Read f32 values back (verification).
-    pub fn read_f32_at(&self, byte_offset: u64, n: usize) -> io::Result<Vec<f32>> {
-        let mut bytes = vec![0u8; n * 4];
+    /// Read `n` raw bytes back (verification digests hash these as stored).
+    pub fn read_bytes_at(&self, byte_offset: u64, n: usize) -> io::Result<Vec<u8>> {
+        let mut bytes = vec![0u8; n];
         self.file.read_exact_at(&mut bytes, byte_offset)?;
+        Ok(bytes)
+    }
+
+    /// Read `n` f32 values back (verification).
+    pub fn read_f32_at(&self, byte_offset: u64, n: usize) -> io::Result<Vec<f32>> {
+        let bytes = self.read_bytes_at(byte_offset, n * 4)?;
         Ok(bytes.chunks_exact(4).map(|c| f32::from_le_bytes(c.try_into().unwrap())).collect())
     }
 
@@ -114,8 +120,11 @@ impl OutputPlan {
 pub struct OutputAggregator {
     plan: OutputPlan,
     rank: usize,
-    /// (record index, data) pairs awaiting flush.
-    pending: Vec<(usize, Vec<f32>)>,
+    /// Record indices awaiting flush, in arrival order.
+    pending: Vec<usize>,
+    /// Their data, `rank_len` values per record back to back; a flush
+    /// empties it but keeps the allocation.
+    buffer: Vec<f32>,
     flushes: u64,
 }
 
@@ -123,7 +132,7 @@ impl OutputAggregator {
     pub fn new(plan: OutputPlan, rank: usize) -> Self {
         assert!(rank < plan.ranks);
         assert!(plan.decimate > 0 && plan.flush_every > 0 && plan.rank_len > 0);
-        Self { plan, rank, pending: Vec::new(), flushes: 0 }
+        Self { plan, rank, pending: Vec::new(), buffer: Vec::new(), flushes: 0 }
     }
 
     /// Offer this step's data; buffered only on saved steps. Flushes to the
@@ -134,22 +143,30 @@ impl OutputAggregator {
         data: &[f32],
         writer: &SharedFileWriter,
     ) -> io::Result<()> {
-        self.record_traced(step, data, writer, &mut Recorder::disabled())
+        self.record_traced(step, writer, &mut Recorder::disabled(), |rec| {
+            assert_eq!(data.len(), rec.len(), "record length mismatch");
+            rec.copy_from_slice(data);
+        })
     }
 
-    /// [`record`](Self::record) with telemetry: buffering stays unprobed
-    /// (it is pure memory traffic); only an interval-triggered flush shows
-    /// up, as a [`Phase::Output`] span via [`flush_traced`](Self::flush_traced).
+    /// [`record`](Self::record) that gathers in place, with telemetry. On a
+    /// saved step `fill` writes the record into its zeroed `rank_len`-value
+    /// slot of the aggregation buffer; on any other step it is not called,
+    /// so nothing is gathered. Buffering stays unprobed (it is pure memory
+    /// traffic); only an interval-triggered flush shows up, as a
+    /// [`Phase::Output`] span via [`flush_traced`](Self::flush_traced).
     pub fn record_traced(
         &mut self,
         step: usize,
-        data: &[f32],
         writer: &SharedFileWriter,
         tel: &mut Recorder,
+        fill: impl FnOnce(&mut [f32]),
     ) -> io::Result<()> {
         if self.plan.saves(step) {
-            assert_eq!(data.len(), self.plan.rank_len, "record length mismatch");
-            self.pending.push((self.plan.record_index(step), data.to_vec()));
+            let start = self.buffer.len();
+            self.buffer.resize(start + self.plan.rank_len, 0.0);
+            fill(&mut self.buffer[start..]);
+            self.pending.push(self.plan.record_index(step));
         }
         if step > 0 && step % self.plan.flush_every == 0 {
             self.flush_traced(writer, tel)?;
@@ -175,12 +192,13 @@ impl OutputAggregator {
         }
         let bytes = self.buffered_bytes() as u64;
         let t0 = tel.start();
-        // Coalesce contiguous record runs into single transactions when the
-        // rank's blocks are adjacent (single-rank case) — otherwise one
-        // write per record.
-        for (rec, data) in self.pending.drain(..) {
-            writer.write_f32_at(self.plan.offset(rec, self.rank), &data)?;
-        }
+        // One write per record, at its displacement.
+        let records = self.buffer.chunks_exact(self.plan.rank_len);
+        let written = self.pending.drain(..).zip(records).try_for_each(|(rec, data)| {
+            writer.write_f32_at(self.plan.offset(rec, self.rank), data)
+        });
+        self.buffer.clear();
+        written?;
         self.flushes += 1;
         tel.count(Counter::OutputBytes, bytes);
         tel.finish(t0, Phase::Output);
@@ -198,7 +216,7 @@ impl OutputAggregator {
     /// Bytes currently held in the aggregation buffer (the "memory buffer
     /// allocation for buffer aggregation" of §III.G).
     pub fn buffered_bytes(&self) -> usize {
-        self.pending.iter().map(|(_, d)| d.len() * 4).sum()
+        self.buffer.len() * 4
     }
 }
 
@@ -321,7 +339,7 @@ mod tests {
         let reg = awp_telemetry::Registry::new(1);
         let mut tel = reg.recorder(0);
         for step in 0..=4 {
-            agg.record_traced(step, &[step as f32, 0.0], &w, &mut tel).unwrap();
+            agg.record_traced(step, &w, &mut tel, |rec| rec[0] = step as f32).unwrap();
         }
         let snap = tel.snapshot();
         assert_eq!(snap.phase_count(Phase::Output), 1, "one interval flush at step 4");

@@ -78,6 +78,32 @@ impl Attenuation {
     /// global cell origin — mechanism assignment uses *global* parity so
     /// decomposed runs match serial ones bit for bit.
     pub fn new(med: &Medium, dt: f64, f_lo: f64, f_hi: f64, origin: Idx3) -> Self {
+        let kappa = Self::calibrate_kappa(f_lo, f_hi);
+        let decay_of = Self::relaxation_times(f_lo, f_hi)
+            .map(|tau| ((2.0 * tau - dt) / (2.0 * tau + dt)) as f32);
+        let d = med.dims;
+        let [mut decay, mut cs, mut cp] = std::array::from_fn(|_| Array3::new(d, HALO));
+        let (qs, qp) = (med.qs.as_slice(), med.qp.as_slice());
+        for (j, k, row) in med.qs.interior_rows() {
+            let yz = 2 * ((origin.j + j) % 2) + 4 * ((origin.k + k) % 2);
+            let cells = decay.as_mut_slice()[row.clone()]
+                .iter_mut()
+                .zip(&mut cs.as_mut_slice()[row.clone()])
+                .zip(&mut cp.as_mut_slice()[row.clone()])
+                .zip(qs[row.clone()].iter().zip(&qp[row]));
+            for (i, (((a, c_s), c_p), (&q_s, &q_p))) in cells.enumerate() {
+                *a = decay_of[(origin.i + i) % 2 + yz];
+                *c_s = (kappa / q_s.max(1.0) as f64) as f32;
+                *c_p = (kappa / q_p.max(1.0) as f64) as f32;
+            }
+        }
+        Self { decay, cs, cp }
+    }
+
+    /// The per-cell builder [`Attenuation::new`] replaced, kept as the
+    /// reference it must equal bit for bit.
+    #[cfg(test)]
+    pub(crate) fn new_per_cell(med: &Medium, dt: f64, f_lo: f64, f_hi: f64, origin: Idx3) -> Self {
         let taus = Self::relaxation_times(f_lo, f_hi);
         let kappa = Self::calibrate_kappa(f_lo, f_hi);
         let d = med.dims;

@@ -294,7 +294,7 @@ impl Solver {
     /// engine/overlap combination fails the run gracefully instead of
     /// panicking a rank thread mid-step. Takes `mesh`'s own maximum P speed
     /// for the global one — right when `sub` is the whole grid; a rank of a
-    /// decomposed heterogeneous grid wants [`Solver::try_new_rank`].
+    /// decomposed grid wants [`Solver::try_new_rank`].
     pub fn try_new(
         cfg: SolverConfig,
         sub: Subdomain,
@@ -302,14 +302,18 @@ impl Solver {
         source: &KinematicSource,
         stations: &[Station],
     ) -> Result<Self, ConfigError> {
-        Self::try_new_rank(cfg, sub, mesh, source, stations, 0.0)
+        Self::build(cfg, sub, mesh, source, stations, 0.0, None)
     }
 
-    /// [`Solver::try_new`] for one rank of a decomposed grid: `vp_max` is
-    /// the maximum P speed over *all* ranks' meshes ([`global_vp_max`]), so
-    /// the CFL guard and the M-PML damping profile are functions of the
-    /// global grid and parallel ≡ serial on heterogeneous media. A value
-    /// below the local maximum is raised to it.
+    /// [`Solver::try_new`] for one rank of a decomposed grid, run inside
+    /// that rank's cluster body. The material halos are filled from the
+    /// neighbours through `ctx` (`exchange_material_halos`) before the
+    /// one [`Medium::precompute`], so seam media match the serial run
+    /// exactly. `vp_max` is the maximum P speed over *all* ranks' meshes
+    /// ([`global_vp_max`]), so the CFL guard and the M-PML damping profile
+    /// are functions of the global grid and parallel ≡ serial on
+    /// heterogeneous media. A value below the local maximum (0.0, say) is
+    /// raised to it.
     pub fn try_new_rank(
         cfg: SolverConfig,
         sub: Subdomain,
@@ -317,6 +321,22 @@ impl Solver {
         source: &KinematicSource,
         stations: &[Station],
         vp_max: f64,
+        ctx: &mut RankCtx,
+    ) -> Result<Self, ConfigError> {
+        Self::build(cfg, sub, mesh, source, stations, vp_max, Some(ctx))
+    }
+
+    /// The one construction path. Everything it builds before the halo
+    /// exchange (the P-speed maximum and CFL guard) reads interior cells
+    /// only, and everything after it reads the final halos.
+    fn build(
+        cfg: SolverConfig,
+        sub: Subdomain,
+        mesh: &Mesh,
+        source: &KinematicSource,
+        stations: &[Station],
+        vp_max: f64,
+        ctx: Option<&mut RankCtx>,
     ) -> Result<Self, ConfigError> {
         cfg.validate()?;
         assert_eq!(mesh.dims, sub.dims, "mesh does not match subdomain");
@@ -329,6 +349,9 @@ impl Solver {
             "dt {} violates the CFL bound {dt_max}",
             cfg.dt
         );
+        if let Some(ctx) = ctx {
+            exchange_material_halos(&mut med, &sub, ctx);
+        }
         med.precompute();
         let state = WaveState::new(sub.dims, cfg.attenuation);
         let atten = cfg.attenuation.then(|| {
@@ -774,13 +797,12 @@ impl Solver {
 pub fn update_pgv(state: &WaveState, pgv: &mut [f32]) {
     let _ftz = FlushGuard::enter();
     let d = state.dims;
-    debug_assert_eq!(pgv.len(), d.nx * d.ny);
-    for j in 0..d.ny {
-        for i in 0..d.nx {
-            let vx = state.vx.get(i as isize, j as isize, 0);
-            let vy = state.vy.get(i as isize, j as isize, 0);
-            let h = (vx * vx + vy * vy).sqrt();
-            let p = &mut pgv[i + d.nx * j];
+    assert_eq!(pgv.len(), d.nx * d.ny, "PGV map must cover the rank's surface");
+    let (vx, vy) = (state.vx.as_slice(), state.vy.as_slice());
+    // The first `ny` interior rows are the k = 0 plane.
+    for ((_, _, row), peaks) in state.vx.interior_rows().zip(pgv.chunks_exact_mut(d.nx)) {
+        for ((p, &x), &y) in peaks.iter_mut().zip(&vx[row.clone()]).zip(&vy[row]) {
+            let h = (x * x + y * y).sqrt();
             if h > *p {
                 *p = h;
             }
@@ -870,13 +892,16 @@ pub fn try_run_parallel_decomp(
     Ok(cluster.run(|ctx| {
         let rank = ctx.rank();
         let sub = decomp.subdomain(rank);
-        let mut solver =
-            Solver::try_new_rank(cfg.clone(), sub, &meshes[rank], &sources[rank], stations, vp_max)
-                .expect("validated above");
-        // One-time material halo exchange so seam media match the serial
-        // run exactly.
-        exchange_material_halos(&mut solver.med, &sub, ctx);
-        solver.med.precompute();
+        let mut solver = Solver::try_new_rank(
+            cfg.clone(),
+            sub,
+            &meshes[rank],
+            &sources[rank],
+            stations,
+            vp_max,
+            ctx,
+        )
+        .expect("validated above");
         if let Some(plan) = &lts_plan {
             solver.enable_lts(plan);
         }
@@ -920,7 +945,7 @@ pub fn try_run_parallel_decomp(
 ///
 /// Uses parity-ordered blocking sends so it is deadlock-free under both
 /// the eager asynchronous engine and the rendezvous synchronous one.
-pub fn exchange_material_halos(med: &mut Medium, sub: &Subdomain, ctx: &mut RankCtx) {
+pub(crate) fn exchange_material_halos(med: &mut Medium, sub: &Subdomain, ctx: &mut RankCtx) {
     use awp_grid::array3::Array3;
     use awp_grid::face::{Axis, Face};
     use awp_vcluster::message::make_tag;

@@ -110,11 +110,10 @@ fn ranks(c: &Case, decomp: Decomp3, walk: Walk) -> Vec<Outcome> {
     Cluster::new(decomp.rank_count(), cfg.opts.comm_mode.into()).run(|ctx| {
         let (rank, sub) = (ctx.rank(), decomp.subdomain(ctx.rank()));
         let (mesh, source) = (&meshes[rank], &sources[rank]);
-        let mut solver = Solver::try_new_rank(cfg.clone(), sub, mesh, source, &c.stations, vp_max)
-            .expect("validated above");
+        let mut solver =
+            Solver::try_new_rank(cfg.clone(), sub, mesh, source, &c.stations, vp_max, ctx)
+                .expect("validated above");
         set_walk(&mut solver, walk);
-        exchange_material_halos(&mut solver.med, &sub, ctx);
-        solver.med.precompute();
         if let Some(p) = &plan {
             assert!(solver.enable_lts(p), "ladder expected");
         }

@@ -161,6 +161,22 @@ pub fn surface_velocities(state: &WaveState, stride: usize) -> Vec<f32> {
     out
 }
 
+/// [`surface_velocities`] at stride 1, written into the front of `out`
+/// (the rest is left as it is): the `(vx, vy, vz)` triples of the k = 0
+/// plane, x-fastest.
+pub fn surface_velocities_into(state: &WaveState, out: &mut [f32]) {
+    let d = state.dims;
+    let (vx, vy, vz) = (state.vx.as_slice(), state.vy.as_slice(), state.vz.as_slice());
+    // The first `ny` interior rows are the k = 0 plane.
+    let rows = state.vx.interior_rows().take(d.ny);
+    for ((_, _, row), cells) in rows.zip(out[..3 * d.nx * d.ny].chunks_exact_mut(3 * d.nx)) {
+        let row_v = vx[row.clone()].iter().zip(&vy[row.clone()]).zip(&vz[row]);
+        for (cell, ((&x, &y), &z)) in cells.chunks_exact_mut(3).zip(row_v) {
+            cell.copy_from_slice(&[x, y, z]);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -15,7 +15,7 @@ use awp_cvm::model::LayeredModel;
 use awp_grid::decomp::Decomp3;
 use awp_grid::dims::{Dims3, Idx3};
 use awp_solver::boundary::owns_free_surface;
-use awp_solver::solver::{exchange_material_halos, partition_mesh_direct, update_pgv, Solver};
+use awp_solver::solver::{partition_mesh_direct, update_pgv, Solver};
 use awp_solver::{AbcKind, LtsPlan, SolverConfig, SolverOpts, Station};
 use awp_source::kinematic::KinematicSource;
 use awp_source::moment::MomentTensor;
@@ -194,9 +194,16 @@ fn run(scenario: Scenario, mode: Mode, simd: bool) -> Option<u64> {
     let per_rank = Cluster::new(decomp.rank_count(), cfg.opts.comm_mode.into()).run(|ctx| {
         let rank = ctx.rank();
         let sub = decomp.subdomain(rank);
-        let mut solver = Solver::new(cfg.clone(), sub, &meshes[rank], &sources[rank], &stations);
-        exchange_material_halos(&mut solver.med, &sub, ctx);
-        solver.med.precompute();
+        let mut solver = Solver::try_new_rank(
+            cfg.clone(),
+            sub,
+            &meshes[rank],
+            &sources[rank],
+            &stations,
+            0.0,
+            ctx,
+        )
+        .expect("valid configuration");
         if let Some(p) = &plan {
             assert!(solver.enable_lts(p));
         }

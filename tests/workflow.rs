@@ -227,8 +227,7 @@ fn workflow_files_are_byte_pinned() {
         let _ = std::fs::remove_dir_all(&dir);
     }
     files.sort();
-    let table: String =
-        files.iter().map(|(f, d)| format!("    (\"{f}\", \"{d}\"),\n")).collect();
+    let table: String = files.iter().map(|(f, d)| format!("    (\"{f}\", \"{d}\"),\n")).collect();
     let got: Vec<(&str, &str)> = files.iter().map(|(f, d)| (f.as_str(), d.as_str())).collect();
     assert_eq!(got, PINNED_FILES, "work directory digests moved; now:\n{table}");
 }
