@@ -1,25 +1,16 @@
-//! Shared plumbing for the experiment harness binaries.
-//!
-//! Every binary under `src/bin/` regenerates one table or figure of the
-//! paper's evaluation (see DESIGN.md's experiment index): it prints the
-//! same rows/series the paper reports and appends a JSON record under
-//! `results/`.
+//! The paper's evaluation as code: [`repro::ROWS`] holds one row per table,
+//! figure and prose number (see DESIGN.md's experiment index), each with the
+//! paper's claim, a run that prints the paper-style rows, and pre-registered
+//! checks. `awp repro [ID...]` runs them; `bench_kernels` is the kernel
+//! performance gate.
 
-use awp_analysis::record::{default_results_dir, ExperimentRecord};
-use serde_json::Value;
+mod perf;
+pub mod repro;
+mod science;
 
 /// Print a section header.
 pub fn section(title: &str) {
     println!("\n=== {title} ===");
-}
-
-/// Write the experiment record and report where it went.
-pub fn save_record(id: &str, description: &str, data: Value) {
-    let rec = ExperimentRecord::new(id, description, data);
-    match rec.write(&default_results_dir()) {
-        Ok(path) => println!("\n[record] {}", path.display()),
-        Err(e) => eprintln!("[record] failed to write: {e}"),
-    }
 }
 
 /// Format seconds in engineering units.

@@ -8,8 +8,6 @@
 //! `awp --profile [--trace-out FILE]` alone profiles a small default
 //! workflow.
 
-use awp_odc::perfmodel::machines::Machine;
-use awp_odc::perfmodel::speedup::{efficiency, m8_mesh, m8_parts, speedup, ModelInput, PAPER_C};
 use awp_odc::scenario::{RuptureDirection, Scenario, ScenarioRun};
 use awp_odc::stats::{read_stream, validate_stream, StatsAddr, StatsServer};
 use awp_odc::telemetry::{LiveStats, Registry, STATS_PROTO_VERSION};
@@ -101,18 +99,14 @@ const COMMANDS: &[Command] = &[
         run: serve,
     },
     Command {
-        name: "efficiency",
-        args: "",
+        name: "repro",
+        args: "[ID...]",
         flags: &[],
-        about: "print the Eq. (8) M8 numbers",
-        run: efficiency_cmd,
-    },
-    Command {
-        name: "machines",
-        args: "",
-        flags: &[],
-        about: "print the Table-1 registry",
-        run: machines,
+        about: "reproduce the paper's evaluation: each row (T1 … F23, see below) prints its \
+                table or figure and checks the paper's claim; exits 1 when a verdict differs \
+                from the row's recorded one; writes each row's record under results/; no ID \
+                runs every row",
+        run: repro,
     },
     Command {
         name: "chaos",
@@ -212,7 +206,9 @@ fn parse(argv: &[String]) -> Result<(&'static Command, Args), String> {
         };
         args.flags.push((a.clone(), value));
     }
-    let (required, max) = (cmd.args.matches('<').count(), cmd.args.split_whitespace().count());
+    let required = cmd.args.matches('<').count();
+    let max =
+        if cmd.args.ends_with("...]") { usize::MAX } else { cmd.args.split_whitespace().count() };
     if args.pos.len() < required || args.pos.len() > max {
         return Err(format!(
             "'awp {name}' takes {}",
@@ -253,7 +249,8 @@ fn usage() -> String {
         text += &fold(c.about.split_whitespace().map(String::from), "      ", "      ");
         text += "\n";
     }
-    text + NOTES
+    let ids: Vec<&str> = awp_bench::repro::ROWS.iter().map(|r| r.id).collect();
+    text + NOTES + "\n\n" + &fold(ids.iter().map(|s| s.to_string()), "repro rows: ", "            ")
 }
 
 fn usage_error(why: &str) -> ! {
@@ -698,28 +695,11 @@ fn analyze(a: &Args) {
     }
 }
 
-fn efficiency_cmd(_: &Args) {
-    let inp = ModelInput {
-        n: m8_mesh(),
-        parts: m8_parts(),
-        machine: Machine::Jaguar.profile(),
-        c: PAPER_C,
-    };
-    println!(
-        "M8 on 223,074 Jaguar cores (Eq. 8): speedup {:.4e}, efficiency {:.1}%",
-        speedup(&inp),
-        efficiency(&inp) * 100.0
-    );
-    println!("paper §V.A: 2.20e5 / 98.6%");
-}
-
-fn machines(_: &Args) {
-    for m in Machine::ALL {
-        let p = m.profile();
-        println!(
-            "{:<10} {:<22} {:>7} cores {:>6.1} Gf/core  α={:.1e} β={:.1e}",
-            p.name, p.interconnect, p.cores_used, p.peak_gflops, p.alpha, p.beta
-        );
+fn repro(a: &Args) {
+    let rows = awp_bench::repro::select(&a.pos).unwrap_or_else(|why| usage_error(&why));
+    let outcomes = awp_bench::repro::reproduce(&rows, awp_bench::repro::Size::Full);
+    if outcomes.iter().any(|o| !o.agrees()) {
+        std::process::exit(1);
     }
 }
 
@@ -855,8 +835,10 @@ mod tests {
     fn documented_invocations_parse() {
         for line in [
             "scenarios",
-            "efficiency",
-            "machines",
+            "repro",
+            "repro T1",
+            "repro S5A",
+            "repro F19 F21 F23",
             "run shakeout-k 24 10",
             "run m8 144 90",
             "run shakeout-k 24 10 --lts",
@@ -910,7 +892,8 @@ mod tests {
             ("run shakeout-k --profile", "does not take --profile"),
             ("chaos --chaos-seed", "needs a value"),
             ("run", "takes <name>"),
-            ("efficiency now", "takes no arguments"),
+            ("scenarios now", "takes no arguments"),
+            ("repro --smoke", "does not take --smoke"),
             ("workflow a 1 2 3", "takes <name>"),
             ("--lts", "unknown subcommand"),
         ] {

@@ -1,6 +1,6 @@
 //! The `awp` binary's exit codes: a known subcommand runs and exits 0; an
-//! unknown subcommand, or a flag the subcommand does not declare, prints
-//! the usage and exits 2 before any work starts.
+//! unknown subcommand, a flag the subcommand does not declare or an unknown
+//! `repro` row prints the usage and exits 2 before any work starts.
 
 use std::process::{Command, Output};
 
@@ -10,7 +10,7 @@ fn awp(args: &[&str]) -> Output {
 
 #[test]
 fn listing_subcommands_exit_zero() {
-    for args in [&["scenarios"][..], &["efficiency"], &["machines"]] {
+    for args in [&["scenarios"][..], &["repro", "T1"], &["repro", "S5A"]] {
         let out = awp(args);
         assert_eq!(
             out.status.code(),
@@ -39,6 +39,8 @@ fn undeclared_flag_exits_2_with_usage() {
         &["chaos", "--chaos-seed"],
         &["chaos", "--chaos-seed", "not-a-number"],
         &["run", "nowhere"],
+        &["repro", "T1", "F99"],
+        &["repro", "--smoke"],
     ] {
         let out = awp(args);
         let stderr = String::from_utf8_lossy(&out.stderr);
