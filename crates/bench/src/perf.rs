@@ -1,29 +1,25 @@
 //! Rows for the paper's performance evaluation: Tables 1–2, Figs. 11–14,
 //! §V.A/§V.B, the §IV prose numbers and the §VII budgets.
 
-use crate::repro::{alternate, col, near, num, nums, Check, CrustBox, Ctx, Reads, Row, Verdict};
-use crate::{fmt_time, section};
+use crate::repro::{alternate, col, near, num, nums, Check, CrustBox, Ctx, Row, Table, Verdict};
+use crate::section;
+use awp_grid::decomp::Decomp3;
 use awp_grid::dims::Dims3;
 use awp_grid::stagger::Component;
-use awp_perfmodel::evolution::{
-    model_breakdown, model_sustained_tflops, table2_reference, VersionFeatures,
-};
+use awp_perfmodel::evolution::VersionFeatures;
+use awp_perfmodel::evolution::{model_breakdown, model_sustained_tflops, table2_reference};
 use awp_perfmodel::machines::Machine;
 use awp_perfmodel::memory::{budget, m8_inputs};
-use awp_perfmodel::resilience::{
-    daly_interval, expected_wall_clock, expected_wall_clock_inflight, inflight_saving,
-    interval_to_steps, overhead_fraction, sweep, young_interval, InFlightRecovery, ResilienceInput,
-};
-use awp_perfmodel::scaling::{apply_cache_bonus, strong_scaling, weak_scaling};
-use awp_perfmodel::speedup::{
-    best_parts, efficiency, m8_mesh, m8_parts, speedup, ModelInput, PAPER_C,
-};
-use awp_solver::config::{CodeVersion, CommModeOpt, SolverConfig};
+use awp_perfmodel::resilience::{daly_interval, expected_wall_clock, expected_wall_clock_inflight};
+use awp_perfmodel::resilience::{inflight_saving, interval_to_steps, overhead_fraction, sweep};
+use awp_perfmodel::resilience::{young_interval, InFlightRecovery, ResilienceInput};
+use awp_perfmodel::scaling::{apply_cache_bonus, strong_scaling, weak_scaling, ScalingPoint};
+use awp_perfmodel::speedup::PAPER_C;
+use awp_perfmodel::speedup::{best_parts, efficiency, m8_mesh, m8_parts, speedup, ModelInput};
+use awp_solver::config::{CodeVersion, CommModeOpt};
 use awp_solver::exchange::{full_plan, plan_volume, reduced_stress_plan, reduced_velocity_plan};
 use awp_solver::flops::per_point;
-use awp_solver::solver::Solver;
-use awp_solver::stations::Station;
-use awp_vcluster::probe::{cascade, ping_pong, ring_epoch};
+use awp_vcluster::probe::{cascade, ping_pong, ring_epoch, LatencyStats};
 use awp_vcluster::{CommMode, TimeLedger};
 use serde_json::{json, Value};
 
@@ -34,47 +30,31 @@ pub const T1: Row = Row {
             and Jaguar on 2K / 60K / 40K / 128K / 96K / 223K cores at 2.8–10.4 Gflop/s per core",
     run: table1,
     checks: &[
-        Check {
-            what: "the registry's core counts are Table 1's 2K / 60K / 40K / 128K / 96K / 223K",
-            reads: Reads::Model,
-            holds: |v| {
+        Check::model(
+            "the registry's core counts are Table 1's 2K / 60K / 40K / 128K / 96K / 223K",
+            |v| {
                 let k: Vec<f64> =
-                    col(v, "machines", "cores_used").iter().map(|c| (c / 1e3).round()).collect();
+                    col(v, "machines", "cores").iter().map(|c| (c / 1e3).round()).collect();
                 k == [2.0, 60.0, 40.0, 128.0, 96.0, 223.0]
             },
-        },
-        Check {
-            what: "peak Gflop/s per core spans Table 1's 2.8–10.4",
-            reads: Reads::Model,
-            holds: |v| {
-                let p = col(v, "machines", "peak_gflops_per_core");
-                p.iter().cloned().fold(f64::INFINITY, f64::min) == 2.8
-                    && p.iter().cloned().fold(0.0, f64::max) == 10.4
-            },
-        },
+        ),
+        Check::model("peak Gflop/s per core spans Table 1's 2.8–10.4", |v| {
+            let p = col(v, "machines", "gflops_per_core");
+            p.iter().cloned().fold(f64::INFINITY, f64::min) == 2.8
+                && p.iter().cloned().fold(0.0, f64::max) == 10.4
+        }),
     ],
     expect: Verdict::Holds,
 };
 
 fn table1(_: &Ctx) -> Value {
     section("Table 1 — computers used by model for production runs");
-    println!(
-        "{:<10} {:<8} {:<28} {:<22} {:>10} {:>8} {:>11} {:>8} {:>8}",
-        "Computer",
-        "Location",
-        "Processor",
-        "Interconnect",
-        "Gflops/cor",
-        "Cores",
-        "Peak Tflops",
-        "α (s)",
-        "β (s/B)"
+    let mut t = Table::new(
+        "name:8 location processor:27 interconnect:21 gflops_per_core.1 \
+         cores:6 peak_tflops.1 alpha_s:8.7 beta_s:12.12 tau_s:13.13",
     );
-    let mut rows = Vec::new();
-    for m in Machine::ALL {
-        let p = m.profile();
-        println!(
-            "{:<10} {:<8} {:<28} {:<22} {:>10.1} {:>8} {:>11.1} {:>8.1e} {:>8.1e}",
+    for p in Machine::ALL.map(|m| m.profile()) {
+        t.row(json!([
             p.name,
             p.location,
             p.processor,
@@ -83,15 +63,11 @@ fn table1(_: &Ctx) -> Value {
             p.cores_used,
             p.peak_tflops(),
             p.alpha,
-            p.beta
-        );
-        rows.push(json!({
-            "name": p.name, "location": p.location, "processor": p.processor,
-            "interconnect": p.interconnect, "peak_gflops_per_core": p.peak_gflops,
-            "cores_used": p.cores_used, "alpha_s": p.alpha, "beta_s": p.beta, "tau_s": p.tau,
-        }));
+            p.beta,
+            p.tau
+        ]));
     }
-    json!({ "machines": rows })
+    json!({ "machines": t.rows() })
 }
 
 pub const T2: Row = Row {
@@ -102,31 +78,24 @@ pub const T2: Row = Row {
             Tflop/s from v1.0 (TeraShake-K, 2004) to v7.2 (M8, 2010)",
     run: table2,
     checks: &[
-        Check {
-            what: "the modelled sustained rate rises at every milestone, as Table 2's does",
-            reads: Reads::Model,
-            holds: |v| col(v, "milestones", "modeled_tflops").windows(2).all(|w| w[1] > w[0]),
-        },
-        Check {
-            what: "v7.2 on 223,074 Jaguar cores models M8's 220 Tflop/s within 10 %",
-            reads: Reads::Model,
-            holds: |v| {
-                col(v, "milestones", "modeled_tflops").last().is_some_and(|&t| near(t, 220.0, 0.1))
-            },
-        },
+        Check::model(
+            "the modelled sustained rate rises at every milestone, as Table 2's does",
+            |v| col(v, "milestones", "modeled_tflops").windows(2).all(|w| w[1] > w[0]),
+        ),
+        Check::model("v7.2 on 223,074 Jaguar cores models M8's 220 Tflop/s within 10 %", |v| {
+            col(v, "milestones", "modeled_tflops").last().is_some_and(|&t| near(t, 220.0, 0.1))
+        }),
     ],
     expect: Verdict::Partial,
 };
 
 fn table2(_: &Ctx) -> Value {
     section("Table 2 — evolution of AWP-ODC (sustained Tflop/s at each milestone's machine)");
-    println!(
-        "{:<6} {:<8} {:<14} {:>10} {:>12} {:>12}",
-        "year", "version", "simulation", "SUs (M)", "paper Tf/s", "model Tf/s"
+    let mut t = Table::new(
+        "year version simulation:11 su_millions.1 paper_tflops.2 \
+         modeled_tflops.2",
     );
-    let mut rows = Vec::new();
     for row in table2_reference() {
-        let feats = VersionFeatures::for_version(row.version);
         // Milestone machines: TeraShake on DataStar, ShakeOut on Ranger,
         // W2W on Kraken, M8 on Jaguar.
         let (machine, n, cores) = match row.year {
@@ -138,22 +107,12 @@ fn table2(_: &Ctx) -> Value {
         let mut p = machine.profile();
         let parts = if cores == 223_074 { m8_parts() } else { best_parts(n, cores, &p, PAPER_C) };
         p.cores_used = cores;
+        let feats = VersionFeatures::for_version(row.version);
         let modeled = model_sustained_tflops(n, parts, &p, PAPER_C, feats, 0.0975);
-        println!(
-            "{:<6} {:<8} {:<14} {:>10.1} {:>12.2} {:>12.2}",
-            row.year,
-            row.version,
-            row.simulation,
-            row.alloc_su_millions,
-            row.sustained_tflops,
-            modeled
-        );
-        rows.push(json!({
-            "year": row.year, "version": row.version, "simulation": row.simulation,
-            "paper_tflops": row.sustained_tflops, "modeled_tflops": modeled,
-        }));
+        let (su, paper) = (row.alloc_su_millions, row.sustained_tflops);
+        t.row(json!([row.year, row.version, row.simulation, su, paper, modeled]));
     }
-    json!({ "milestones": rows })
+    json!({ "milestones": t.rows() })
 }
 
 pub const F11: Row = Row {
@@ -162,54 +121,37 @@ pub const F11: Row = Row {
     claim: "Fig. 11 / §IV.A, round-trip latency: unique tags allow out-of-order arrival, and the \
             asynchronous model removes the interdependency among nodes",
     run: fig11,
-    checks: &[Check {
-        what: "the asynchronous mean round trip is below the synchronous one on every probe \
-               (medians of 3 alternating repetitions)",
-        reads: Reads::Run,
-        holds: |v| {
-            let (s, a) = (col(v, "probes", "sync_mean_s"), col(v, "probes", "async_mean_s"));
+    checks: &[Check::run(
+        "the asynchronous mean round trip is below the synchronous one on every probe \
+         (medians of 3 alternating repetitions)",
+        |v| {
+            let (s, a) = (col(v, "probes", "sync_mean_us"), col(v, "probes", "async_mean_us"));
             !s.is_empty() && s.iter().zip(&a).all(|(s, a)| a < s)
         },
-    }],
+    )],
     expect: Verdict::Holds,
 };
 
 fn fig11(ctx: &Ctx) -> Value {
-    section("Fig. 11 — round-trip latency: synchronous vs asynchronous engine");
+    section("Fig. 11 — round-trip latency (µs): synchronous vs asynchronous engine");
     let it = ctx.pick(10, 1);
-    println!(
-        "{:<26} {:>12} {:>12} {:>12} {:>12} {:>9}",
-        "probe", "sync mean", "sync p95", "async mean", "async p95", "speedup"
-    );
-    let mut probes = Vec::new();
-    type Probe = Box<dyn Fn(CommMode) -> awp_vcluster::probe::LatencyStats>;
-    let table: [(&str, Probe); 4] = [
-        ("ping-pong 1KB", Box::new(move |m| ping_pong(m, 2, 200 / it, 256))),
-        ("ping-pong 64KB", Box::new(move |m| ping_pong(m, 2, 100 / it, 16384))),
-        ("cascade chain-8", Box::new(move |m| cascade(m, 8, 100 / it))),
-        ("ring epoch 8 ranks", Box::new(move |m| ring_epoch(m, 8, 100 / it, 4096))),
+    let probes: [(&str, &dyn Fn(CommMode) -> LatencyStats); 4] = [
+        ("ping-pong 1KB", &|m| ping_pong(m, 2, 200 / it, 256)),
+        ("ping-pong 64KB", &|m| ping_pong(m, 2, 100 / it, 16384)),
+        ("cascade chain-8", &|m| cascade(m, 8, 100 / it)),
+        ("ring epoch 8 ranks", &|m| ring_epoch(m, 8, 100 / it, 4096)),
     ];
-    for (name, probe) in table {
+    let mut t = Table::new(
+        "probe:18 sync_mean_us.2 sync_p95_us.2 async_mean_us.2 async_p95_us.2 \
+         async_speedup.2",
+    );
+    for (name, probe) in probes {
         let modes = [CommMode::Synchronous, CommMode::Asynchronous];
-        let mut stats = alternate(2, |i| probe(modes[i]), |s| s.mean).into_iter();
-        let (sync, asy) = (stats.next().expect("sync"), stats.next().expect("async"));
-        println!(
-            "{:<26} {:>12} {:>12} {:>12} {:>12} {:>8.2}x",
-            name,
-            fmt_time(sync.mean),
-            fmt_time(sync.p95),
-            fmt_time(asy.mean),
-            fmt_time(asy.p95),
-            sync.mean / asy.mean
-        );
-        probes.push(json!({
-            "probe": name,
-            "sync_mean_s": sync.mean, "sync_p95_s": sync.p95,
-            "async_mean_s": asy.mean, "async_p95_s": asy.p95,
-            "async_speedup": sync.mean / asy.mean,
-        }));
+        let s = alternate(2, |i| probe(modes[i]), |s| s.mean);
+        let (us, gain) = (|x: f64| x * 1e6, s[0].mean / s[1].mean);
+        t.row(json!([name, us(s[0].mean), us(s[0].p95), us(s[1].mean), us(s[1].p95), gain]));
     }
-    json!({ "probes": probes })
+    json!({ "probes": t.rows() })
 }
 
 pub const F12: Row = Row {
@@ -220,25 +162,22 @@ pub const F12: Row = Row {
             reduced communication cuts T_comm and T_sync simultaneously",
     run: fig12,
     checks: &[
-        Check {
-            what: "v7.2's modelled T_comp is below v6.0's at every core count",
-            reads: Reads::Model,
-            holds: |v| v7_below_v6(v, "comp"),
-        },
-        Check {
-            what: "v7.2's modelled T_comm and T_sync are both below v6.0's at every core count",
-            reads: Reads::Model,
-            holds: |v| v7_below_v6(v, "comm") && v7_below_v6(v, "sync"),
-        },
-        Check {
-            what: "T_out is 0.6–2 % of the modelled step at every point (at the paper's whole-percent \
-                   precision: 0.5 % ≤ share < 2.5 %)",
-            reads: Reads::Model,
-            holds: |v| {
+        Check::model("v7.2's modelled T_comp is below v6.0's at every core count", |v| {
+            v7_below_v6(v, "comp")
+        }),
+        Check::model(
+            "v7.2's modelled T_comm and T_sync are both below v6.0's at every core count",
+            |v| v7_below_v6(v, "comm") && v7_below_v6(v, "sync"),
+        ),
+        Check::model(
+            "T_out is 0.6–2 % of the modelled step at every point (at the paper's whole-percent \
+             precision: 0.5 % ≤ share < 2.5 %)",
+            |v| {
                 let (out, total) = (col(v, "modelled", "output"), col(v, "modelled", "total"));
-                !out.is_empty() && out.iter().zip(&total).all(|(o, t)| (0.005..0.025).contains(&(o / t)))
+                !out.is_empty()
+                    && out.iter().zip(&total).all(|(o, t)| (0.005..0.025).contains(&(o / t)))
             },
-        },
+        ),
     ],
     expect: Verdict::Holds,
 };
@@ -250,60 +189,32 @@ fn v7_below_v6(v: &Value, key: &str) -> bool {
 }
 
 fn fig12(ctx: &Ctx) -> Value {
-    section("Fig. 12 — execution-time breakdown, v6.0 vs v7.2 (Jaguar model)");
-    let jaguar = Machine::Jaguar.profile();
-    let n = m8_mesh();
-    let mut rows = Vec::new();
-    println!(
-        "{:>8} {:<6} {:>11} {:>11} {:>11} {:>11} {:>11}",
-        "cores", "ver", "T_comp", "T_comm", "T_sync", "T_out", "total (s/step)"
-    );
+    section("Fig. 12 — execution-time breakdown (s/step), v6.0 vs v7.2 (Jaguar model)");
+    let (jaguar, n) = (Machine::Jaguar.profile(), m8_mesh());
+    let mut t = Table::new("cores:6 version comp:8.5 comm:8.5 sync:8.5 output:8.5 total:8.5");
     for cores in [65_610usize, 104_544, 150_000, 223_074] {
+        let parts =
+            if cores == 223_074 { m8_parts() } else { best_parts(n, cores, &jaguar, PAPER_C) };
         for ver in ["6.0", "7.2"] {
-            let parts =
-                if cores == 223_074 { m8_parts() } else { best_parts(n, cores, &jaguar, PAPER_C) };
             let b = model_breakdown(n, parts, &jaguar, PAPER_C, VersionFeatures::for_version(ver));
-            println!(
-                "{:>8} {:<6} {:>11.5} {:>11.5} {:>11.5} {:>11.5} {:>11.5}",
-                cores,
-                ver,
-                b.comp,
-                b.comm,
-                b.sync,
-                b.output,
-                b.total()
-            );
-            rows.push(json!({
-                "cores": cores, "version": ver,
-                "comp": b.comp, "comm": b.comm, "sync": b.sync, "output": b.output,
-                "total": b.total(),
-            }));
+            t.row(json!([cores, ver, b.comp, b.comm, b.sync, b.output, b.total()]));
         }
     }
+    let modelled = t.rows();
 
-    section("measured Eq. (7) breakdown (8 virtual ranks)");
+    section("measured Eq. (7) breakdown, fractions of the critical path (8 virtual ranks)");
     let (dims, steps) = ctx.pick((Dims3::new(16, 16, 12), 5), (Dims3::new(64, 64, 48), 50));
     let crust = CrustBox::new(dims, steps);
-    let mut measured = Vec::new();
-    println!("{:<6} {:>8} {:>8} {:>8} {:>8}", "ver", "comp%", "comm%", "sync%", "out%");
+    let mut t = Table::new("version comp:5.3 comm:5.3 sync:5.3 out:5.3");
     for ver in [CodeVersion::V6_0, CodeVersion::V7_2] {
-        let (_, results) = crust.run([2, 2, 2], ver.opts());
         let mut ledger = TimeLedger::new();
-        for r in &results {
+        for r in &crust.run([2, 2, 2], ver.opts()).1 {
             ledger.max_with(&r.ledger);
         }
         let f = ledger.fractions();
-        println!(
-            "{:<6} {:>7.1}% {:>7.1}% {:>7.1}% {:>7.1}%",
-            ver.name(),
-            f[0] * 100.0,
-            f[1] * 100.0,
-            f[2] * 100.0,
-            f[3] * 100.0
-        );
-        measured.push(json!({ "version": ver.name(), "fractions": f.to_vec() }));
+        t.row(json!([ver.name(), f[0], f[1], f[2], f[3]]));
     }
-    json!({ "modelled": rows, "measured_8rank": measured })
+    json!({ "modelled": modelled, "measured_8rank": t.rows() })
 }
 
 pub const F13: Row = Row {
@@ -314,91 +225,67 @@ pub const F13: Row = Row {
             communication 15 %, I/O from 49 % to <2 %",
     run: fig13,
     checks: &[
-        Check {
-            what: "async (v4.0 → v5.0) cuts the modelled M8 step ≈7× (within 10 %)",
-            reads: Reads::Model,
-            holds: |v| near(step(v, 3) / step(v, 4), 7.0, 0.1),
-        },
-        Check {
-            what: "loop optimisations (v5.0 → v6.0) cut the modelled M8 step by 40 % (within 10 %)",
-            reads: Reads::Model,
-            holds: |v| near(1.0 - step(v, 5) / step(v, 4), 0.40, 0.1),
-        },
-        Check {
-            what: "reduced communication (v7.1 → v7.2) cuts the modelled M8 step by 15 % (within 10 %)",
-            reads: Reads::Model,
-            holds: |v| near(1.0 - step(v, 7) / step(v, 6), 0.15, 0.1),
-        },
-        Check {
-            what: "I/O is 49 % of v1.0's modelled step (within 10 %) and under 2 % from v2.0 on",
-            reads: Reads::Model,
-            holds: |v| {
-                let share = col(v, "rows", "modeled_m8_out_share");
-                share.len() == 8 && near(share[0], 0.49, 0.1) && share[1..].iter().all(|&s| s < 0.02)
+        Check::model("async (v4.0 → v5.0) cuts the modelled M8 step ≈7× (within 10 %)", |v| {
+            near(step(v, "modeled_m8_s", 3) / step(v, "modeled_m8_s", 4), 7.0, 0.1)
+        }),
+        Check::model(
+            "loop optimisations (v5.0 → v6.0) cut the modelled M8 step by 40 % (within 10 %)",
+            |v| near(1.0 - step(v, "modeled_m8_s", 5) / step(v, "modeled_m8_s", 4), 0.40, 0.1),
+        ),
+        Check::model(
+            "reduced communication (v7.1 → v7.2) cuts the modelled M8 step by 15 % (within 10 %)",
+            |v| near(1.0 - step(v, "modeled_m8_s", 7) / step(v, "modeled_m8_s", 6), 0.15, 0.1),
+        ),
+        Check::model(
+            "I/O is 49 % of v1.0's modelled step (within 10 %) and under 2 % from v2.0 on",
+            |v| {
+                let share = col(v, "rows", "modeled_out_share");
+                share.len() == 8
+                    && near(share[0], 0.49, 0.1)
+                    && share[1..].iter().all(|&s| s < 0.02)
             },
-        },
-        Check {
-            what: "measured on the virtual cluster, v6.0's loop optimisations make its step faster than \
-                   v5.0's (medians of 3 alternating repetitions)",
-            reads: Reads::Run,
-            holds: |v| step_measured(v, 5) < step_measured(v, 4),
-        },
+        ),
+        Check::run(
+            "measured on the virtual cluster, v6.0's loop optimisations make its step faster than \
+             v5.0's (medians of 3 alternating repetitions)",
+            |v| step(v, "measured_s", 5) < step(v, "measured_s", 4),
+        ),
     ],
     expect: Verdict::Partial,
 };
 
-/// The modelled M8 seconds per step of `fig13`'s version `i` (v1.0 = 0).
-fn step(v: &Value, i: usize) -> f64 {
-    col(v, "rows", "modeled_m8_s_per_step").get(i).copied().unwrap_or(f64::NAN)
-}
-
-fn step_measured(v: &Value, i: usize) -> f64 {
-    col(v, "rows", "measured_s_per_step").get(i).copied().unwrap_or(f64::NAN)
+/// `fig13`'s `key` column at version `i` (v1.0 = 0).
+fn step(v: &Value, key: &str, i: usize) -> f64 {
+    col(v, "rows", key).get(i).copied().unwrap_or(f64::NAN)
 }
 
 fn fig13(ctx: &Ctx) -> Value {
-    section("Fig. 13 — time-to-solution per step, per code version");
+    section("Fig. 13 — time-to-solution per step (s), per code version");
     let (dims, steps) = ctx.pick((Dims3::new(16, 16, 12), 4), (Dims3::new(80, 80, 56), 40));
     let crust = CrustBox::new(dims, steps);
+    let versions = CodeVersion::ALL;
+    let per_step = |i: usize| crust.run([2, 2, 2], versions[i].opts()).0 / steps as f64;
+    let measured = alternate(versions.len(), per_step, |&s| s);
     let jaguar = Machine::Jaguar.profile();
-    let measured = alternate(
-        CodeVersion::ALL.len(),
-        |i| crust.run([2, 2, 2], CodeVersion::ALL[i].opts()).0 / steps as f64,
-        |&s| s,
-    );
-    println!(
-        "{:<8} {:>14} {:>10} | {:>16} {:>10} {:>8}",
-        "version", "measured/step", "vs v1.0", "modeled M8 /step", "vs v1.0", "I/O"
-    );
-    let mut rows = Vec::new();
-    let mut base_model = None;
-    for (v, &meas) in CodeVersion::ALL.iter().zip(&measured) {
-        let b = model_breakdown(
+    let model = |v: &CodeVersion| {
+        model_breakdown(
             m8_mesh(),
             m8_parts(),
             &jaguar,
             PAPER_C,
             VersionFeatures::for_version(v.name()),
-        );
-        let modeled = b.total();
-        let bo = *base_model.get_or_insert(modeled);
-        println!(
-            "{:<8} {:>14} {:>9.2}x | {:>16} {:>9.2}x {:>7.1}%",
-            v.name(),
-            fmt_time(meas),
-            measured[0] / meas,
-            fmt_time(modeled),
-            bo / modeled,
-            b.output / modeled * 100.0
-        );
-        rows.push(json!({
-            "version": v.name(),
-            "measured_s_per_step": meas,
-            "modeled_m8_s_per_step": modeled,
-            "modeled_m8_out_share": b.output / modeled,
-        }));
+        )
+    };
+    let mut t = Table::new(
+        "version measured_s.5 vs_v1.2 modeled_m8_s.5 vs_v1_model.2 \
+         modeled_out_share.3",
+    );
+    let base = model(&versions[0]).total();
+    for (v, meas) in versions.iter().zip(&measured) {
+        let (b, tot) = (model(v), model(v).total());
+        t.row(json!([v.name(), meas, measured[0] / meas, tot, base / tot, b.output / tot]));
     }
-    json!({ "rows": rows })
+    json!({ "rows": t.rows() })
 }
 
 pub const F14: Row = Row {
@@ -408,12 +295,10 @@ pub const F14: Row = Row {
             (solid) optimisation, with the M8 run on Jaguar super-linear",
     run: fig14,
     checks: &[
-        Check {
-            what:
-                "the optimised model beats the unoptimised one at every modelled point beyond the \
-                   smallest partition (where both are 1 by definition) on all five systems",
-            reads: Reads::Model,
-            holds: |v| {
+        Check::model(
+            "the optimised model beats the unoptimised one at every modelled point beyond the \
+             smallest partition (where both are 1 by definition) on all five systems",
+            |v| {
                 let c = v["modeled"].as_array().map_or(&[][..], |a| a.as_slice());
                 !c.is_empty()
                     && c.iter().all(|m| {
@@ -421,73 +306,58 @@ pub const F14: Row = Row {
                         b.len() > 1 && b.iter().zip(&a).skip(1).all(|(b, a)| a > b)
                     })
             },
-        },
-        Check {
-            what:
-                "Jaguar's optimised M8 curve is super-linear: efficiency above 1 at 223,074 cores",
-            reads: Reads::Model,
-            holds: |v| {
+        ),
+        Check::model(
+            "Jaguar's optimised M8 curve is super-linear: efficiency above 1 at 223,074 cores",
+            |v| {
                 let c = v["modeled"].as_array().map_or(&[][..], |a| a.as_slice());
                 c.iter()
                     .find(|m| m["machine"].as_str() == Some("Jaguar"))
                     .and_then(|m| nums(m, "after").last().copied())
                     .is_some_and(|e| e > 1.0)
             },
-        },
+        ),
     ],
     expect: Verdict::Partial,
 };
 
 fn fig14(ctx: &Ctx) -> Value {
     section("Fig. 14 — strong scaling (measured, virtual cluster)");
-    let host = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    println!(
-        "host has {host} hardware thread(s); rank threads timeshare beyond that, so\n\
-         measured speedup is bounded by the host — the curves validate semantics,\n\
-         the petascale shape comes from the model below."
-    );
+    let host = std::thread::available_parallelism().map_or(1, |n| n.get());
+    println!("host has {host} hardware thread(s): rank threads timeshare beyond that");
     let (dims, steps) = ctx.pick((Dims3::new(16, 16, 12), 4), (Dims3::new(96, 96, 64), 40));
     let crust = CrustBox::new(dims, steps);
-    let configs = [(1usize, [1, 1, 1]), (2, [2, 1, 1]), (4, [2, 2, 1]), (8, [2, 2, 2])];
-    let walls = alternate(configs.len(), |i| crust.run(configs[i].1, crust.cfg.opts).0, |&w| w);
-    println!("{:>6} {:>12} {:>9} {:>11}", "ranks", "wall (s)", "speedup", "efficiency");
-    let mut measured = Vec::new();
-    for ((p, _), &wall) in configs.iter().zip(&walls) {
-        let speed = walls[0] / wall;
-        println!("{:>6} {:>12.2} {:>9.2} {:>11.2}", p, wall, speed, speed / *p as f64);
-        measured.push(json!({ "ranks": p, "wall_s": wall, "efficiency": speed / *p as f64 }));
+    let parts = [[1, 1, 1], [2, 1, 1], [2, 2, 1], [2, 2, 2]];
+    let walls = alternate(parts.len(), |i| crust.run(parts[i], crust.cfg.opts).0, |&w| w);
+    let mut t = Table::new("ranks wall_s:7.3 speedup.2 efficiency.2");
+    for (p, wall) in parts.iter().zip(&walls) {
+        let ranks = p.iter().product::<usize>();
+        t.row(json!([ranks, wall, walls[0] / wall, walls[0] / wall / ranks as f64]));
     }
+    let measured = t.rows();
 
-    section("Fig. 14 — modeled petascale curves per machine (before/after optimisation)");
+    section("Fig. 14 — modelled efficiency per machine, before (v4.0) / after (v7.2) optimisation");
     let mut curves = Vec::new();
     for (machine, mesh_n, cores) in [
         (Machine::DataStar, Dims3::new(1500, 750, 400), vec![256usize, 512, 1024, 2048]),
-        (Machine::Intrepid, Dims3::new(3000, 1500, 400), vec![4_000usize, 16_000, 64_000, 128_000]),
-        (Machine::Ranger, Dims3::new(6000, 3000, 800), vec![4_000usize, 15_000, 30_000, 60_000]),
-        (Machine::Kraken, Dims3::new(6000, 3000, 800), vec![6_000usize, 24_000, 48_000, 96_000]),
-        (Machine::Jaguar, m8_mesh(), vec![27_702usize, 55_404, 110_808, 223_074]),
+        (Machine::Intrepid, Dims3::new(3000, 1500, 400), vec![4_000, 16_000, 64_000, 128_000]),
+        (Machine::Ranger, Dims3::new(6000, 3000, 800), vec![4_000, 15_000, 30_000, 60_000]),
+        (Machine::Kraken, Dims3::new(6000, 3000, 800), vec![6_000, 24_000, 48_000, 96_000]),
+        (Machine::Jaguar, m8_mesh(), vec![27_702, 55_404, 110_808, 223_074]),
     ] {
-        let profile = machine.profile();
-        let before =
-            strong_scaling(mesh_n, &cores, &profile, PAPER_C, VersionFeatures::for_version("4.0"));
-        let mut after =
-            strong_scaling(mesh_n, &cores, &profile, PAPER_C, VersionFeatures::for_version("7.2"));
+        let p = machine.profile();
+        let curve =
+            |v| strong_scaling(mesh_n, &cores, &p, PAPER_C, VersionFeatures::for_version(v));
+        let (before, mut after) = (curve("4.0"), curve("7.2"));
         if machine == Machine::Jaguar {
             // Fig. 14's super-linear M8 curve: the per-core working set
             // falls into cache at the largest partitions.
-            apply_cache_bonus(&mut after, mesh_n, &profile, PAPER_C, 8.0e7, 0.25);
+            apply_cache_bonus(&mut after, mesh_n, &p, PAPER_C, 8.0e7, 0.25);
         }
-        println!("\n{} ({:?} mesh):", profile.name, mesh_n);
-        println!("{:>9} {:>14} {:>14}", "cores", "eff (before)", "eff (after)");
-        for (b, a) in before.iter().zip(&after) {
-            println!("{:>9} {:>14.3} {:>14.3}", b.cores, b.efficiency, a.efficiency);
-        }
-        curves.push(json!({
-            "machine": profile.name,
-            "cores": cores,
-            "before": before.iter().map(|p| p.efficiency).collect::<Vec<_>>(),
-            "after": after.iter().map(|p| p.efficiency).collect::<Vec<_>>(),
-        }));
+        let eff = |c: &[ScalingPoint]| c.iter().map(|p| p.efficiency).collect::<Vec<_>>();
+        let (before, after) = (eff(&before), eff(&after));
+        println!("{:<9} cores {cores:?}\n  before {before:.3?}\n  after  {after:.3?}", p.name);
+        curves.push(json!({ "machine": p.name, "cores": cores, "before": before, "after": after }));
     }
     json!({ "measured_virtual_cluster": measured, "modeled": curves })
 }
@@ -500,20 +370,17 @@ pub const S5A: Row = Row {
             cores; \"90 % parallel efficiency for weak scaling between 200 and 204K cores\"",
     run: s5a,
     checks: &[
-        Check {
-            what: "Eq. (8) gives M8 98.6 % ± 1 point efficiency on 223,074 cores",
-            reads: Reads::Model,
-            holds: |v| (num(v, "m8_efficiency") - 0.986).abs() <= 0.01,
-        },
-        Check {
-            what: "weak scaling from 200 to 204,000 cores keeps 90 % ± 1 point efficiency",
-            reads: Reads::Model,
-            holds: |v| {
+        Check::model("Eq. (8) gives M8 98.6 % ± 1 point efficiency on 223,074 cores", |v| {
+            (num(v, "m8_efficiency") - 0.986).abs() <= 0.01
+        }),
+        Check::model(
+            "weak scaling from 200 to 204,000 cores keeps 90 % ± 1 point efficiency",
+            |v| {
                 col(v, "weak_scaling", "efficiency")
                     .last()
                     .is_some_and(|e| (e - 0.90).abs() <= 0.01)
             },
-        },
+        ),
     ],
     expect: Verdict::Holds,
 };
@@ -524,45 +391,30 @@ fn s5a(_: &Ctx) -> Value {
     let inp = ModelInput { n: m8_mesh(), parts: m8_parts(), machine: jaguar.clone(), c: PAPER_C };
     let (s, e) = (speedup(&inp), efficiency(&inp));
     println!("M8 mesh {:?} on {:?} = 223,074 Jaguar cores (Eq. 8):", m8_mesh(), m8_parts());
-    println!("  speedup  {s:.4e}   (paper: 2.20×10⁵)");
-    println!("  efficiency {:.1}%  (paper: 98.6%)", e * 100.0);
-    println!(
-        "  machine constants α = {:.1e} s, β = {:.1e} s, τ = {:.2e} s (paper §V.A values)",
-        jaguar.alpha, jaguar.beta, jaguar.tau
-    );
+    println!("  speedup {s:.4e} (paper: 2.20×10⁵), efficiency {:.1}% (paper: 98.6%)", e * 100.0);
+    let (a, b, tau) = (jaguar.alpha, jaguar.beta, jaguar.tau);
+    println!("  α = {a:.1e} s, β = {b:.1e} s, τ = {tau:.2e} s (paper §V.A)");
 
     section("weak scaling, 200 → 204,000 cores");
-    let pts = weak_scaling(
-        Dims3::new(132, 125, 118),
-        &[200, 2_000, 20_000, 204_000],
-        &jaguar,
-        PAPER_C,
-        VersionFeatures::for_version("7.2"),
-    );
-    println!("{:>9} {:>12} {:>11}", "cores", "t/step (s)", "efficiency");
-    for p in &pts {
-        println!("{:>9} {:>12.5} {:>11.3}", p.cores, p.time_per_step, p.efficiency);
+    let mut weak = Table::new("cores:6 t_step_s.5 efficiency.3");
+    let per_core = Dims3::new(132, 125, 118);
+    let v72 = VersionFeatures::for_version("7.2");
+    for p in weak_scaling(per_core, &[200, 2_000, 20_000, 204_000], &jaguar, PAPER_C, v72) {
+        weak.row(json!([p.cores, p.time_per_step, p.efficiency]));
     }
 
     section("strong-scaling efficiency per machine at its Table-1 partition");
-    println!("{:>10} {:>9} {:>11}", "machine", "cores", "efficiency");
-    let mut per_machine = Vec::new();
-    for m in Machine::ALL {
-        let p = m.profile();
+    let mut per_machine = Table::new("machine:8 cores:6 efficiency.3");
+    for p in Machine::ALL.map(|m| m.profile()) {
         // A mesh sized to keep ~2M points per core (M8-like loading).
         let nx = ((2_000_000.0 * p.cores_used as f64).powf(1.0 / 3.0) * 2.0) as usize;
         let n = Dims3::new(nx, nx / 2, nx / 8);
         let parts = best_parts(n, p.cores_used, &p, PAPER_C);
         let e = efficiency(&ModelInput { n, parts, machine: p.clone(), c: PAPER_C });
-        println!("{:>10} {:>9} {:>10.1}%", p.name, p.cores_used, e * 100.0);
-        per_machine.push(json!({ "machine": p.name, "cores": p.cores_used, "efficiency": e }));
+        per_machine.row(json!([p.name, p.cores_used, e]));
     }
-    json!({
-        "m8_speedup": s,
-        "m8_efficiency": e,
-        "weak_scaling": pts.iter().map(|p| json!({ "cores": p.cores, "efficiency": p.efficiency })).collect::<Vec<_>>(),
-        "per_machine": per_machine,
-    })
+    json!({ "m8_speedup": s, "m8_efficiency": e, "weak_scaling": weak.rows(),
+            "per_machine": per_machine.rows() })
 }
 
 pub const S5B: Row = Row {
@@ -572,21 +424,15 @@ pub const S5B: Row = Row {
             Tflop/s for the 1.4-trillion-point benchmark on 223,074 Jaguar cores, ≈10 % of peak",
     run: s5b,
     checks: &[
-        Check {
-            what: "the model gives M8 production 220 Tflop/s within 10 %",
-            reads: Reads::Model,
-            holds: |v| near(num(v, "modeled_m8_tflops"), 220.0, 0.1),
-        },
-        Check {
-            what: "the model gives the 2 Hz / 25 m benchmark 260 Tflop/s within 10 %",
-            reads: Reads::Model,
-            holds: |v| near(num(v, "modeled_benchmark_tflops"), 260.0, 0.1),
-        },
-        Check {
-            what: "M8's modelled rate is 10 % of the partition's peak, within 10 %",
-            reads: Reads::Model,
-            holds: |v| near(num(v, "modeled_m8_peak_fraction"), 0.10, 0.1),
-        },
+        Check::model("the model gives M8 production 220 Tflop/s within 10 %", |v| {
+            near(num(v, "modeled_m8_tflops"), 220.0, 0.1)
+        }),
+        Check::model("the model gives the 2 Hz / 25 m benchmark 260 Tflop/s within 10 %", |v| {
+            near(num(v, "modeled_benchmark_tflops"), 260.0, 0.1)
+        }),
+        Check::model("M8's modelled rate is 10 % of the partition's peak, within 10 %", |v| {
+            near(num(v, "modeled_m8_peak_fraction"), 0.10, 0.1)
+        }),
     ],
     expect: Verdict::Holds,
 };
@@ -594,32 +440,13 @@ pub const S5B: Row = Row {
 fn s5b(ctx: &Ctx) -> Value {
     section("§V.B — sustained performance");
     let n = ctx.pick(24, 96);
-    let dims = Dims3::new(n, n, n);
-    let h = 100.0;
-    let mesh =
-        awp_cvm::mesh::MeshGenerator::new(&awp_cvm::model::HomogeneousModel::rock(), dims, h)
-            .generate();
-    let dt = mesh.stats().dt_max() * 0.9;
-    let source = awp_source::kinematic::KinematicSource::point(
-        awp_grid::dims::Idx3::new(n / 2, n / 2, n / 2),
-        awp_source::moment::MomentTensor::explosion(),
-        1e16,
-        awp_source::stf::Stf::Triangle { rise_time: 0.2 },
-        dt,
-    );
-    let steps = ctx.pick(6, 60);
-    let cfg = SolverConfig { attenuation: true, ..SolverConfig::small(dims, h, dt, steps) };
-    println!(
-        "measuring: {} cells × {steps} steps, anelastic ({} flops/point/step) ...",
-        dims.count(),
-        per_point(true)
-    );
-    let t0 = std::time::Instant::now();
-    let stations = [Station::new("s", awp_grid::dims::Idx3::new(5, 5, 0))];
-    let res = Solver::run_serial(cfg, &mesh, &source, &stations);
-    let wall = t0.elapsed().as_secs_f64();
-    let gflops = res.flops as f64 / wall / 1e9;
-    println!("measured: {gflops:.2} Gflop/s on one core ({wall:.1} s wall)");
+    let mut crust = CrustBox::new(Dims3::new(n, n, n), ctx.pick(6, 60));
+    crust.cfg.attenuation = true;
+    let (wall, ranks) = crust.run([1, 1, 1], crust.cfg.opts);
+    let gflops = ranks[0].flops as f64 / wall / 1e9;
+    let (cells, steps, per) = (n * n * n, crust.cfg.steps, per_point(true));
+    println!("measured: {cells} cells × {steps} steps, anelastic ({per} flops/point/step):");
+    println!("  {gflops:.2} Gflop/s on one core ({wall:.1} s)");
 
     let jaguar = Machine::Jaguar.profile();
     let v72 = VersionFeatures::for_version("7.2");
@@ -632,10 +459,8 @@ fn s5b(ctx: &Ctx) -> Value {
     let bench_t =
         model_sustained_tflops(bench_mesh, bench_parts, &jaguar, PAPER_C, v72, 0.0975 * 1.18);
     let frac = m8_t / jaguar.peak_tflops();
-    println!("\nmodeled on 223,074 Jaguar cores:");
-    println!(
-        "  M8 production (436e9 points, 6.9 TB in / 4.5 TB out): {m8_t:.0} Tflop/s (paper: 220)"
-    );
+    println!("modelled on 223,074 Jaguar cores:");
+    println!("  M8 production (436e9 points): {m8_t:.0} Tflop/s (paper: 220)");
     println!("  2 Hz / 25 m benchmark (1.4e12 points): {bench_t:.0} Tflop/s (paper: 260)");
     println!("  fraction of the 2.3 Pflop/s partition peak: {:.1}% (paper: ~10%)", frac * 100.0);
     json!({
@@ -655,17 +480,14 @@ pub const E79: Row = Row {
             aggregation cut the I/O overhead \"from 49 % to less than 2 %\"",
     run: e79,
     checks: &[
-        Check {
-            what: "the reduced plan cuts the σxx exchange volume by 75 % (within 10 %)",
-            reads: Reads::Model,
-            holds: |v| near(num(v, "sxx_volume_reduction"), 0.75, 0.1),
-        },
-        Check {
-            what: "communication-bound, the asynchronous engine beats the synchronous one \
-                   (medians of 3 alternating repetitions)",
-            reads: Reads::Run,
-            holds: |v| num(v, "async_gain") > 1.0,
-        },
+        Check::model("the reduced plan cuts the σxx exchange volume by 75 % (within 10 %)", |v| {
+            near(num(v, "sxx_volume_reduction"), 0.75, 0.1)
+        }),
+        Check::run(
+            "communication-bound, the asynchronous engine beats the synchronous one \
+             (medians of 3 alternating repetitions)",
+            |v| num(v, "async_gain") > 1.0,
+        ),
     ],
     expect: Verdict::Holds,
 };
@@ -674,69 +496,56 @@ pub const E79: Row = Row {
 /// bare engines: overlap is async-only, so it stays off for both.
 fn sync_vs_async(crust: &CrustBox) -> Vec<f64> {
     let modes = [CommModeOpt::Synchronous, CommModeOpt::Asynchronous];
-    alternate(
-        2,
-        |i| {
-            let mut opts = crust.cfg.opts;
-            opts.comm_mode = modes[i];
-            opts.overlap = false;
-            opts.per_step_barrier = modes[i] == CommModeOpt::Synchronous;
-            crust.run([2, 2, 2], opts).0
-        },
-        |&w| w,
-    )
+    let run = |i: usize| {
+        let mut opts = crust.cfg.opts;
+        opts.comm_mode = modes[i];
+        opts.overlap = false;
+        opts.per_step_barrier = modes[i] == CommModeOpt::Synchronous;
+        crust.run([2, 2, 2], opts).0
+    };
+    alternate(2, run, |&w| w)
 }
 
 fn e79(ctx: &Ctx) -> Value {
     section("§IV.A — synchronous vs asynchronous engine (8 ranks, measured)");
-    // Compute-bound (large per-rank blocks): the engines tie, as expected
-    // when T_comm ≪ T_comp.
+    // Compute-bound (large per-rank blocks) the engines tie; communication-
+    // bound (tiny blocks, like a petascale strong-scaling endpoint) the
+    // rendezvous chains dominate.
     let big =
         CrustBox::new(ctx.pick(Dims3::new(16, 16, 12), Dims3::new(72, 72, 48)), ctx.pick(5, 50));
     let walls = sync_vs_async(&big);
-    println!("  compute-bound sync {} / async {}", fmt_time(walls[0]), fmt_time(walls[1]));
-    // Communication-bound (tiny per-rank blocks, like a petascale
-    // strong-scaling endpoint): the rendezvous chains dominate.
-    let small = CrustBox::new(Dims3::new(24, 24, 12), ctx.pick(20, 400));
-    let walls_cb = sync_vs_async(&small);
+    let walls_cb = sync_vs_async(&CrustBox::new(Dims3::new(24, 24, 12), ctx.pick(20, 400)));
     let async_gain = walls_cb[0] / walls_cb[1];
-    println!("  comm-bound    sync {} / async {}", fmt_time(walls_cb[0]), fmt_time(walls_cb[1]));
-    println!(
-        "  comm-bound async gain: {async_gain:.2}× (paper: 3× on 60K Ranger cores, ~7× on\n\
-         223K Jaguar — the chain effect grows with rank count and comm share)"
-    );
+    println!("  compute-bound sync {:.3} s / async {:.3} s", walls[0], walls[1]);
+    let (sync, asy) = (walls_cb[0], walls_cb[1]);
+    println!("  comm-bound    sync {sync:.3} s / async {asy:.3} s: gain {async_gain:.2}×");
 
-    section("§IV.A — reduced algorithm-level communication (plan volumes)");
-    let sub = awp_grid::decomp::Decomp3::new(big.cfg.dims, [2, 2, 2]).subdomain(0).dims;
+    section("§IV.A — reduced algorithm-level communication (plan volumes, f32)");
+    let sub = Decomp3::new(big.cfg.dims, [2, 2, 2]).subdomain(0).dims;
     let full = plan_volume(&full_plan(&Component::ALL), sub);
     let reduced =
         plan_volume(&reduced_velocity_plan(), sub) + plan_volume(&reduced_stress_plan(), sub);
     let xx_full = plan_volume(&full_plan(&[Component::Sxx]), sub);
-    let xx_reduced = plan_volume(
-        &reduced_stress_plan().into_iter().filter(|p| p.comp == Component::Sxx).collect::<Vec<_>>(),
-        sub,
-    );
-    println!(
-        "  total exchange volume: full {full} f32, reduced {reduced} f32 (−{:.0}%)",
-        (1.0 - reduced as f64 / full as f64) * 100.0
-    );
-    println!(
-        "  σxx volume: full {xx_full}, reduced {xx_reduced} (−{:.0}%, paper: −75%)",
-        (1.0 - xx_reduced as f64 / xx_full as f64) * 100.0
-    );
+    let xx_plan: Vec<_> =
+        reduced_stress_plan().into_iter().filter(|p| p.comp == Component::Sxx).collect();
+    let xx_reduced = plan_volume(&xx_plan, sub);
+    let (cut, xx_cut) =
+        (1.0 - reduced as f64 / full as f64, 1.0 - xx_reduced as f64 / xx_full as f64);
+    println!("  all fields: full {full}, reduced {reduced} (−{:.0}%)", cut * 100.0);
+    println!("  σxx: full {xx_full}, reduced {xx_reduced} (−{:.0}%, paper: −75%)", xx_cut * 100.0);
 
     section("§III.E — output aggregation (transaction arithmetic)");
     let records = 18_000usize / 20; // M8: 360 s at every 20th step
     let aggregated = records.div_ceil(20_000 / 20).max(1); // flush every 20k steps
-    println!("  M8 arithmetic: {records} saved records;");
-    println!("    per-record flushing → {records} write bursts");
-    println!("    20K-step aggregation → {aggregated} write burst(s)");
+    println!(
+        "  M8: {records} saved records, {records} bursts unaggregated, {aggregated} aggregated"
+    );
     json!({
         "sync_wall_s": walls[0], "async_wall_s": walls[1],
         "sync_wall_commbound_s": walls_cb[0], "async_wall_commbound_s": walls_cb[1],
         "async_gain": async_gain,
-        "exchange_volume_reduction": 1.0 - reduced as f64 / full as f64,
-        "sxx_volume_reduction": 1.0 - xx_reduced as f64 / xx_full as f64,
+        "exchange_volume_reduction": cut,
+        "sxx_volume_reduction": xx_cut,
         "m8_saved_records": records,
         "aggregated_bursts": aggregated,
     })
@@ -750,17 +559,13 @@ pub const S7B: Row = Row {
             lowering the memory high water mark into 36 segments\"",
     run: s7b,
     checks: &[
-        Check {
-            what: "the modelled M8 per-core budget totals 581 MB within 10 %",
-            reads: Reads::Model,
-            holds: |v| near(num(v, "total_mb"), 581.0, 0.1),
-        },
-        Check {
-            what:
-                "each component is the paper's within 10 %: solver 285, output 46, Earth model 22, \
-                   source 228 MB",
-            reads: Reads::Model,
-            holds: |v| {
+        Check::model("the modelled M8 per-core budget totals 581 MB within 10 %", |v| {
+            near(num(v, "total_mb"), 581.0, 0.1)
+        }),
+        Check::model(
+            "each component is the paper's within 10 %: solver 285, output 46, Earth model 22, \
+             source 228 MB",
+            |v| {
                 [
                     ("solver_mb", 285.0),
                     ("output_mb", 46.0),
@@ -770,35 +575,28 @@ pub const S7B: Row = Row {
                 .iter()
                 .all(|&(k, p)| near(num(v, k), p, 0.1))
             },
-        },
+        ),
     ],
     expect: Verdict::Partial,
 };
 
 fn s7b(_: &Ctx) -> Value {
-    section("§VII.B — M8 per-core memory budget");
+    section("§VII.B — M8 per-core memory budget (MB; paper: 285 / 22 / 46 / 228 = 581)");
     let b = budget(&m8_inputs());
     let mb = |v: u64| v as f64 / 1e6;
-    println!("{:<24} {:>10} {:>10}", "component", "model (MB)", "paper (MB)");
-    println!("{:<24} {:>10.0} {:>10}", "solver arrays", mb(b.solver), 285);
-    println!("{:<24} {:>10.0} {:>10}", "Earth model", mb(b.model), 22);
-    println!("{:<24} {:>10.0} {:>10}", "output aggregation", mb(b.output), 46);
-    println!("{:<24} {:>10.0} {:>10}", "source (1/36 segment)", mb(b.source), 228);
-    println!("{:<24} {:>10.0} {:>10}", "total", b.total_mb(), 581);
+    let (solver, model, output, source) = (mb(b.solver), mb(b.model), mb(b.output), mb(b.source));
+    let total = b.total_mb();
+    println!(
+        "solver {solver:.0}, model {model:.0}, output {output:.0}, source {source:.0}: {total:.0}"
+    );
     // Without temporal partitioning the source line explodes.
     let mut whole = m8_inputs();
     whole.source_samples_per_segment *= 36;
     let unsplit = budget(&whole).source as f64 / 1e9;
-    println!(
-        "\nwithout the 36-way temporal source split the source line alone would be\n\
-         {unsplit:.1} GB per fault core — the paper's 'hundreds of gigabytes of source data\n\
-         assigned to a single core' problem that PetaSrcP's temporal locality solved."
-    );
+    println!("without the 36-way temporal source split: {unsplit:.1} GB of source per fault core");
     json!({
-        "solver_mb": mb(b.solver), "model_mb": mb(b.model),
-        "output_mb": mb(b.output), "source_mb": mb(b.source),
-        "total_mb": b.total_mb(),
-        "unsplit_source_gb": unsplit,
+        "solver_mb": solver, "model_mb": model, "output_mb": output, "source_mb": source,
+        "total_mb": b.total_mb(), "unsplit_source_gb": unsplit,
     })
 }
 
@@ -809,99 +607,73 @@ pub const S7C: Row = Row {
         "§III.F/§VII: at petascale MTBF, checkpoint/restart is part of time to solution — the M8 \
             production run rode through system failures on checkpoints",
     run: s7c,
-    checks: &[Check {
-        what: "checkpointing at Daly's closed-form τ minimises the modelled expected wall clock: \
-               no cadence of the Jaguar sweep beats it",
-        reads: Reads::Model,
-        holds: |v| {
+    checks: &[Check::model(
+        "checkpointing at Daly's closed-form τ minimises the modelled expected wall clock: \
+         no cadence of the Jaguar sweep beats it",
+        |v| {
             let walls = col(v, "jaguar_sweep", "wall_clock_s");
-            let at_daly = num(v, "jaguar_wall_clock_at_daly_s");
-            !walls.is_empty() && walls.iter().all(|&w| w >= at_daly)
+            !walls.is_empty() && walls.iter().all(|&w| w >= num(v, "jaguar_wall_clock_at_daly_s"))
         },
-    }],
+    )],
     expect: Verdict::Holds,
 };
 
 fn s7c(_: &Ctx) -> Value {
     section("§VII resilience — Young/Daly optimal checkpoint interval");
     // M8-scale reference point: a 24-hour solve whose full checkpoint
-    // epoch (all ranks' wavefields to the parallel filesystem) costs
-    // 5 minutes and whose restart (teardown, newest-consistent-epoch
-    // read, output rewind) costs 10.
+    // epoch costs 5 minutes and whose restart (teardown, newest-consistent-
+    // epoch read, output rewind) costs 10. Supervised in-flight recovery
+    // costs ~30 s per rollback-rejoin and absorbs ~90% of failures.
     let (solve_time, ckpt_cost, restart_cost) = (24.0 * 3600.0, 300.0, 600.0);
-    // Supervised in-flight recovery: a rollback-rejoin cycle (quarantine
-    // drain, rollback barrier, backoff, respawn) costs ~30 s — no
-    // teardown, no input re-read — and absorbs ~90% of failures before
-    // they degrade to a whole-run restart.
     let rec = InFlightRecovery { recovery_cost: 30.0, success_prob: 0.9 };
     // System MTBF shrinks inversely with partition size, anchored at 12 h
     // for the ~100k-core class the paper ran on.
-    let mtbf_of = |cores: usize| 12.0 * 3600.0 * 100_000.0 / cores as f64;
-    println!(
-        "{:<10} {:>10} {:>12} {:>12} {:>10} {:>12} {:>12} {:>8}",
-        "machine", "MTBF", "τ_young", "τ_daly", "overhead", "wall-clock", "in-flight", "saving"
+    let input = |cores: usize| {
+        let mtbf = 12.0 * 3600.0 * 100_000.0 / cores as f64;
+        ResilienceInput { ckpt_cost, restart_cost, mtbf, solve_time }
+    };
+    let mut t = Table::new(
+        "machine:8 mtbf_s:8 young_s daly_s overhead_at_daly.3 wall_clock_s \
+         inflight_wall_clock_s inflight_saving.4",
     );
-    let mut rows = Vec::new();
-    for m in Machine::ALL {
-        let p = m.profile();
-        let mtbf = mtbf_of(p.cores_used);
-        let inp = ResilienceInput { ckpt_cost, restart_cost, mtbf, solve_time };
-        let (ty, td) = (young_interval(ckpt_cost, mtbf), daly_interval(ckpt_cost, mtbf));
-        let ov = overhead_fraction(td, ckpt_cost, mtbf);
-        let wall = expected_wall_clock(&inp, td);
-        let wall_rec = expected_wall_clock_inflight(&inp, &rec, td);
-        let saving = inflight_saving(&inp, &rec, td);
-        println!(
-            "{:<10} {:>10} {:>12} {:>12} {:>9.1}% {:>12} {:>12} {:>7.2}%",
+    for p in Machine::ALL.map(|m| m.profile()) {
+        let inp = input(p.cores_used);
+        let td = daly_interval(ckpt_cost, inp.mtbf);
+        let (ty, ov) =
+            (young_interval(ckpt_cost, inp.mtbf), overhead_fraction(td, ckpt_cost, inp.mtbf));
+        let (wall, inflight) =
+            (expected_wall_clock(&inp, td), expected_wall_clock_inflight(&inp, &rec, td));
+        t.row(json!([
             p.name,
-            fmt_time(mtbf),
-            fmt_time(ty),
-            fmt_time(td),
-            ov * 100.0,
-            fmt_time(wall),
-            fmt_time(wall_rec),
-            saving * 100.0,
-        );
-        rows.push(json!({
-            "machine": p.name, "cores": p.cores_used, "mtbf_s": mtbf,
-            "young_s": ty, "daly_s": td, "overhead_at_daly": ov,
-            "expected_wall_clock_s": wall, "inflight_wall_clock_s": wall_rec, "inflight_saving": saving,
-        }));
+            inp.mtbf,
+            ty,
+            td,
+            ov,
+            wall,
+            inflight,
+            inflight_saving(&inp, &rec, td)
+        ]));
     }
+    let machines = t.rows();
 
-    section("interval sweep on Jaguar (expected wall-clock vs cadence)");
-    let mtbf = mtbf_of(Machine::Jaguar.profile().cores_used);
-    let inp = ResilienceInput { ckpt_cost, restart_cost, mtbf, solve_time };
-    let pts = sweep(&inp, 120.0, 8.0 * 3600.0, 13);
-    println!("{:>12} {:>10} {:>14}", "interval", "overhead", "wall-clock");
-    for p in &pts {
-        println!(
-            "{:>12} {:>9.1}% {:>14}",
-            fmt_time(p.interval),
-            p.overhead * 100.0,
-            fmt_time(p.wall_clock)
-        );
+    section("interval sweep on Jaguar (expected wall clock vs cadence)");
+    let inp = input(Machine::Jaguar.profile().cores_used);
+    let mut t = Table::new("interval_s overhead.3 wall_clock_s");
+    for p in sweep(&inp, 120.0, 8.0 * 3600.0, 13) {
+        t.row(json!([p.interval, p.overhead, p.wall_clock]));
     }
-    let t_opt = daly_interval(ckpt_cost, mtbf);
-    // M8 ran ~0.45 s of wall clock per solver step; translate τ into the
-    // step cadence the workflow would use.
-    let step_wall = 0.45;
-    println!(
-        "\nDaly optimum τ = {} → checkpoint every {} solver steps at {:.2} s/step",
-        fmt_time(t_opt),
-        interval_to_steps(t_opt, step_wall),
-        step_wall
-    );
+    let t_opt = daly_interval(ckpt_cost, inp.mtbf);
+    // M8 ran ~0.45 s of wall clock per solver step.
+    let every = interval_to_steps(t_opt, 0.45);
+    println!("Daly τ = {t_opt:.0} s → checkpoint every {every} steps at 0.45 s/step");
     json!({
         "ckpt_cost_s": ckpt_cost,
         "restart_cost_s": restart_cost,
         "solve_time_s": solve_time,
         "inflight_recovery_cost_s": rec.recovery_cost,
         "inflight_success_prob": rec.success_prob,
-        "machines": rows,
+        "machines": machines,
         "jaguar_wall_clock_at_daly_s": expected_wall_clock(&inp, t_opt),
-        "jaguar_sweep": pts.iter().map(|p| json!({
-            "interval_s": p.interval, "overhead": p.overhead, "wall_clock_s": p.wall_clock,
-        })).collect::<Vec<_>>(),
+        "jaguar_sweep": t.rows(),
     })
 }

@@ -16,7 +16,9 @@
 //! simulate-once pattern: the mini-M8 source and its 200 s propagation
 //! serve F19, F21 and F23 from one preparation and one solve.
 
-use crate::{perf, science};
+use crate::fmt_time;
+use crate::perf::*;
+use crate::science::*;
 use awp_analysis::record::{default_results_dir, ExperimentRecord};
 use awp_cvm::mesh::{Mesh, MeshGenerator};
 use awp_cvm::model::LayeredModel;
@@ -35,29 +37,8 @@ use std::time::Instant;
 
 /// Every row, in EXPERIMENTS.md order.
 pub const ROWS: &[&Row] = &[
-    &perf::T1,
-    &perf::T2,
-    &science::T3,
-    &perf::F11,
-    &perf::F12,
-    &perf::F13,
-    &perf::F14,
-    &perf::S5A,
-    &perf::S5B,
-    &perf::E79,
-    &perf::S7B,
-    &perf::S7C,
-    &science::F3,
-    &science::F15,
-    &science::F16,
-    &science::F17,
-    &science::F18,
-    &science::F19,
-    &science::F20,
-    &science::F21,
-    &science::F22,
-    &science::F23,
-    &science::F3DT,
+    &T1, &T2, &T3, &F11, &F12, &F13, &F14, &S5A, &S5B, &E79, &S7B, &S7C, &F3, &F15, &F16, &F17,
+    &F18, &F19, &F20, &F21, &F22, &F23, &F3DT,
 ];
 
 /// Repetitions behind every wall-clock comparison.
@@ -79,18 +60,21 @@ pub struct Row {
 /// One predicate over a row's measured values.
 pub struct Check {
     pub what: &'static str,
-    pub reads: Reads,
+    /// Reads the registry, an analytic model or plan arithmetic — values
+    /// that are the same at every size — so a smoke run can judge it.
+    pub model: bool,
     pub holds: fn(&Value) -> bool,
 }
 
-/// What a check reads, which decides whether a smoke run can judge it.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Reads {
-    /// The machine registry, an analytic model or plan arithmetic: the
-    /// same values at every size.
-    Model,
-    /// A solver run or a wall clock: judged at full size only.
-    Run,
+impl Check {
+    pub const fn model(what: &'static str, holds: fn(&Value) -> bool) -> Self {
+        Self { what, model: true, holds }
+    }
+
+    /// A check on a solver run or a wall clock, judged at full size only.
+    pub const fn run(what: &'static str, holds: fn(&Value) -> bool) -> Self {
+        Self { what, model: false, holds }
+    }
 }
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -110,18 +94,11 @@ impl Verdict {
     }
 
     fn of(results: impl IntoIterator<Item = bool>) -> Option<Self> {
-        let (mut held, mut failed) = (0, 0);
-        for r in results {
-            if r {
-                held += 1;
-            } else {
-                failed += 1;
-            }
-        }
-        match (held, failed) {
-            (0, 0) => None,
-            (_, 0) => Some(Verdict::Holds),
-            (0, _) => Some(Verdict::Fails),
+        let (held, n) = results.into_iter().fold((0, 0), |(h, n), r| (h + r as usize, n + 1));
+        match held {
+            _ if n == 0 => None,
+            h if h == n => Some(Verdict::Holds),
+            0 => Some(Verdict::Fails),
             _ => Some(Verdict::Partial),
         }
     }
@@ -155,22 +132,12 @@ impl Ctx {
         }
     }
 
-    /// The mini-M8 scenario: dynamic rupture, then 200 s of propagation.
-    pub fn m8_scenario(&self) -> Scenario {
-        self.pick(
-            Scenario::m8(48, 2010).with_duration(30.0),
-            Scenario::m8(160, 2010).with_duration(200.0),
-        )
-    }
-
-    /// The mini-M8 mesh and two-step source, prepared once.
+    /// The mini-M8 mesh and two-step source (dynamic rupture, then 200 s of
+    /// propagation), prepared once.
     pub fn m8(&self) -> &ScenarioRun {
         self.m8.get_or_init(|| {
-            let sc = self.m8_scenario();
-            println!(
-                "preparing the mini-M8 (DFR step at h = {:.1} km, shared by F19/F21/F23) ...",
-                sc.h() / 1e3
-            );
+            let sc = Scenario::m8(self.pick(48, 160), 2010).with_duration(self.pick(30.0, 200.0));
+            println!("preparing the mini-M8 for F19/F21/F23: DFR at h = {:.1} km", sc.h() / 1e3);
             sc.prepare()
         })
     }
@@ -179,10 +146,8 @@ impl Ctx {
     pub fn m8_report(&self) -> &ScenarioReport {
         self.m8_report.get_or_init(|| {
             let run = self.m8();
-            println!(
-                "mini-M8 wave propagation: {:?} cells, {} steps, attenuation on (shared by F21/F23) ...",
-                run.cfg.dims, run.cfg.steps
-            );
+            let (dims, steps) = (run.cfg.dims, run.cfg.steps);
+            println!("mini-M8 propagation for F21/F23: {dims:?}, {steps} steps, attenuation on");
             run.run_parallel([2, 2, 1])
         })
     }
@@ -221,6 +186,48 @@ impl CrustBox {
         let t0 = Instant::now();
         let results = run_parallel(&cfg, parts, &meshes, &self.source, &self.stations);
         (t0.elapsed().as_secs_f64(), results)
+    }
+}
+
+/// A console table that is also the record: each printed row becomes an
+/// object keyed by its columns.
+pub struct Table {
+    cols: Vec<(String, usize, usize)>,
+    rows: Vec<Value>,
+}
+
+impl Table {
+    /// `spec` lists the columns as `key[:width][.decimals]`; a column is
+    /// at least as wide as its key.
+    pub fn new(spec: &str) -> Self {
+        let col = |c: &str| {
+            let (c, d) = c.split_once('.').unwrap_or((c, "0"));
+            let (key, w) = c.split_once(':').unwrap_or((c, "0"));
+            let w = key.len().max(w.parse().expect("column width"));
+            (key.to_string(), w, d.parse().expect("column decimals"))
+        };
+        let cols: Vec<_> = spec.split_whitespace().map(col).collect();
+        let head: Vec<String> = cols.iter().map(|(k, w, _)| format!("{k:>w$}")).collect();
+        println!("{}", head.join(" "));
+        Self { cols, rows: Vec::new() }
+    }
+
+    /// Print `cells`, a JSON array with one value per column, and keep it.
+    pub fn row(&mut self, cells: Value) {
+        let cells = cells.as_array().cloned().unwrap_or_default();
+        let line: Vec<String> = (self.cols.iter().zip(&cells))
+            .map(|((_, w, d), c)| match c {
+                Value::Number(x) => format!("{x:>w$.d$}"),
+                Value::String(s) => format!("{s:>w$}"),
+                other => format!("{:>w$}", other.to_string()),
+            })
+            .collect();
+        println!("{}", line.join(" "));
+        self.rows.push(Value::Object(self.cols.iter().map(|c| c.0.clone()).zip(cells).collect()));
+    }
+
+    pub fn rows(self) -> Value {
+        Value::Array(self.rows)
     }
 }
 
@@ -301,23 +308,27 @@ impl Outcome {
     }
 
     fn record(&self) -> ExperimentRecord {
-        let checks: Vec<Value> = self
-            .row
-            .checks
-            .iter()
-            .zip(&self.results)
-            .map(|(c, r)| json!({ "check": c.what, "holds": r.unwrap_or(false) }))
-            .collect();
-        ExperimentRecord::new(
-            self.row.record,
-            format!("awp repro {}", self.row.id),
-            json!({
-                "claim": self.row.claim,
-                "checks": checks,
-                "verdict": self.verdict().map_or("-", Verdict::symbol),
-                "expected": self.row.expect.symbol(),
-                "values": self.values.clone(),
-            }),
+        let checks = self.row.checks.iter().zip(&self.results);
+        let checks: Vec<Value> =
+            checks.map(|(c, r)| json!({ "check": c.what, "holds": r.unwrap_or(false) })).collect();
+        let data = json!({
+            "claim": self.row.claim,
+            "checks": checks,
+            "verdict": self.verdict().map_or("-", Verdict::symbol),
+            "expected": self.row.expect.symbol(),
+            "values": self.values.clone(),
+        });
+        ExperimentRecord::new(self.row.record, format!("awp repro {}", self.row.id), data)
+    }
+
+    /// `T1  ✓  expected ✓  12.3 ms`, flagged when the verdicts differ.
+    fn summary(&self) -> String {
+        let (id, got) = (self.row.id, self.verdict().map_or("-", Verdict::symbol));
+        let flag = if self.agrees() { "" } else { "  ← DIFFERS" };
+        format!(
+            "{id:<5} {got} expected {} {:>9}{flag}",
+            self.row.expect.symbol(),
+            fmt_time(self.wall_s)
         )
     }
 }
@@ -351,7 +362,7 @@ pub fn reproduce(rows: &[&'static Row], size: Size) -> Vec<Outcome> {
         let results: Vec<Option<bool>> = row
             .checks
             .iter()
-            .map(|c| (size == Size::Full || c.reads == Reads::Model).then(|| (c.holds)(&values)))
+            .map(|c| (size == Size::Full || c.model).then(|| (c.holds)(&values)))
             .collect();
         println!();
         for (c, r) in row.checks.iter().zip(&results) {
@@ -359,13 +370,7 @@ pub fn reproduce(rows: &[&'static Row], size: Size) -> Vec<Outcome> {
             println!("  [{mark}] {}", c.what);
         }
         let o = Outcome { row, values, results, wall_s };
-        println!(
-            "{} verdict {} (expected {}){}",
-            row.id,
-            o.verdict().map_or("-", Verdict::symbol),
-            row.expect.symbol(),
-            if o.agrees() { "" } else { "  ← DIFFERS" }
-        );
+        println!("{}", o.summary());
         if size == Size::Full {
             match o.record().write(&default_results_dir()) {
                 Ok(path) => println!("[record] {}", path.display()),
@@ -374,46 +379,13 @@ pub fn reproduce(rows: &[&'static Row], size: Size) -> Vec<Outcome> {
         }
         outcomes.push(o);
     }
-    println!("\n{:<6} {:>7} {:>9} {:>9}", "row", "verdict", "expected", "wall (s)");
+    println!("\n##### summary #####");
     for o in &outcomes {
-        println!(
-            "{:<6} {:>7} {:>9} {:>9.1}{}",
-            o.row.id,
-            o.verdict().map_or("-", Verdict::symbol),
-            o.row.expect.symbol(),
-            o.wall_s,
-            if o.agrees() { "" } else { "  DIFFERS" }
-        );
+        println!("{}", o.summary());
     }
     let total: f64 = outcomes.iter().map(|o| o.wall_s).sum();
     let differ = outcomes.iter().filter(|o| !o.agrees()).count();
-    println!(
-        "{} rows in {total:.1} s; {differ} differ from their expected verdict",
-        outcomes.len()
-    );
+    let n = outcomes.len();
+    println!("{n} rows in {total:.1} s; {differ} differ from their expected verdict");
     outcomes
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn verdict_folds_check_results() {
-        assert_eq!(Verdict::of([true, true]), Some(Verdict::Holds));
-        assert_eq!(Verdict::of([true, false]), Some(Verdict::Partial));
-        assert_eq!(Verdict::of([false]), Some(Verdict::Fails));
-        assert_eq!(Verdict::of([]), None);
-    }
-
-    #[test]
-    fn ids_are_unique_and_selectable() {
-        for (i, a) in ROWS.iter().enumerate() {
-            assert!(!a.checks.is_empty(), "{} has no check", a.id);
-            assert!(ROWS[i + 1..].iter().all(|b| b.id != a.id && b.record != a.record), "{}", a.id);
-        }
-        assert_eq!(select(&["f23".into(), "T1".into()]).unwrap()[1].id, "T1");
-        assert!(matches!(select(&["F99".into()]), Err(e) if e.contains("F99")));
-        assert_eq!(select(&[]).unwrap().len(), ROWS.len());
-    }
 }

@@ -1,7 +1,7 @@
 //! Rows for the paper's verification and science results: Table 3,
 //! Fig. 3, Figs. 15–23 and the F3DT milestone.
 
-use crate::repro::{col, near, num, Check, Ctx, Reads, Row, Verdict};
+use crate::repro::{col, near, num, Check, Ctx, Row, Table, Verdict};
 use crate::section;
 use awp_analysis::aval::AcceptanceTest;
 use awp_analysis::distance::{bin_by_distance, distance_to_trace, SiteSample};
@@ -34,22 +34,14 @@ pub const T3: Row = Row {
             ShakeOut-K/D (Mw 7.8), wall-to-wall (Mw 8.0) and M8 (Mw 8.0)",
     run: table3,
     checks: &[
-        Check {
-            what: "every milestone re-runs in miniature with a finite, nonzero peak PGV",
-            reads: Reads::Run,
-            holds: |v| {
-                let p = col(v, "rows", "pgv_max_ms");
-                p.len() == 7 && p.iter().all(|p| p.is_finite() && *p > 0.0)
-            },
-        },
-        Check {
-            what: "every source carries its milestone's magnitude within 0.1",
-            reads: Reads::Run,
-            holds: |v| {
-                let (mw, paper) = (col(v, "rows", "mw"), col(v, "rows", "paper_mw"));
-                mw.len() == 7 && mw.iter().zip(&paper).all(|(m, p)| (m - p).abs() <= 0.1)
-            },
-        },
+        Check::run("every milestone re-runs in miniature with a finite, nonzero peak PGV", |v| {
+            let p = col(v, "rows", "pgv_max_ms");
+            p.len() == 7 && p.iter().all(|p| p.is_finite() && *p > 0.0)
+        }),
+        Check::run("every source carries its milestone's magnitude within 0.1", |v| {
+            let (mw, paper) = (col(v, "rows", "mw"), col(v, "rows", "paper_mw"));
+            mw.len() == 7 && mw.iter().zip(&paper).all(|(m, p)| (m - p).abs() <= 0.1)
+        }),
     ],
     expect: Verdict::Holds,
 };
@@ -57,65 +49,34 @@ pub const T3: Row = Row {
 fn table3(ctx: &Ctx) -> Value {
     section("Table 3 — SCEC milestone simulations (miniature reruns)");
     let (n, m) = ctx.pick((24, 28), (96, 108));
-    let scenarios = [
-        (
-            Scenario::terashake_k(n, RuptureDirection::SeToNw).with_duration(80.0),
-            7.7,
-            "240 DataStar cores / Mw7.7 0.5Hz kinematic",
-        ),
-        (
-            Scenario::terashake_d(n, 1992).with_duration(80.0),
-            7.7,
-            "dynamic source from Landers-style initial stress",
-        ),
-        (
-            Scenario::pacific_northwest(n, 9.0).with_duration(120.0),
-            9.0,
-            "6K SDSC BG/L cores / Mw8.5-9.0 0.5Hz megathrust",
-        ),
-        (
-            Scenario::shakeout_k(n, 0.3).with_duration(90.0),
-            7.8,
-            "16K Ranger cores / Mw7.8 1Hz kinematic",
-        ),
-        (Scenario::shakeout_d(n, 7).with_duration(90.0), 7.8, "SGSN-based dynamic source"),
-        (Scenario::wall_to_wall(m).with_duration(110.0), 8.0, "96K Kraken cores / Mw8.0 1Hz"),
-        (
-            Scenario::m8(m, 2010).with_duration(110.0),
-            8.0,
-            "223K Jaguar cores / Mw8.0 2Hz, 436e9 cells",
-        ),
-    ];
-    println!(
-        "{:<28} {:>10} {:>7} {:>7} {:>9} {:>10}",
-        "simulation", "cells", "steps", "Mw", "PGVmax", "wall (s)"
+    let mut t = Table::new(
+        "name:24 paper_mw.1 cells:6 steps mw:5.2 pgv_max_ms.2 wall_s.2 \
+         gflops.2",
     );
-    let mut rows = Vec::new();
-    for (sc, paper_mw, paper_note) in scenarios {
+    for (sc, paper_mw) in [
+        (Scenario::terashake_k(n, RuptureDirection::SeToNw).with_duration(80.0), 7.7),
+        (Scenario::terashake_d(n, 1992).with_duration(80.0), 7.7),
+        (Scenario::pacific_northwest(n, 9.0).with_duration(120.0), 9.0),
+        (Scenario::shakeout_k(n, 0.3).with_duration(90.0), 7.8),
+        (Scenario::shakeout_d(n, 7).with_duration(90.0), 7.8),
+        (Scenario::wall_to_wall(m).with_duration(110.0), 8.0),
+        (Scenario::m8(m, 2010).with_duration(110.0), 8.0),
+    ] {
         let run = sc.prepare();
-        let rep = run.run_serial();
-        println!(
-            "{:<28} {:>10} {:>7} {:>7.2} {:>8.2}m/s {:>9.1}",
-            rep.name,
-            run.cfg.dims.count(),
-            rep.steps,
-            rep.source_mw,
-            rep.pgv.max(),
-            rep.elapsed_s
-        );
-        rows.push(json!({
-            "name": rep.name,
-            "paper_context": paper_note,
-            "paper_mw": paper_mw,
-            "cells": run.cfg.dims.count(),
-            "steps": rep.steps,
-            "mw": rep.source_mw,
-            "pgv_max_ms": rep.pgv.max(),
-            "wall_s": rep.elapsed_s,
-            "sustained_gflops": rep.sustained_flops() / 1e9,
-        }));
+        let r = run.run_serial();
+        let (cells, gflops) = (run.cfg.dims.count(), r.sustained_flops() / 1e9);
+        t.row(json!([
+            r.name,
+            paper_mw,
+            cells,
+            r.steps,
+            r.source_mw,
+            r.pgv.max(),
+            r.elapsed_s,
+            gflops
+        ]));
     }
-    json!({ "rows": rows })
+    json!({ "rows": t.rows() })
 }
 
 pub const F3: Row = Row {
@@ -125,58 +86,48 @@ pub const F3: Row = Row {
             peak ground velocities\"",
     run: fig3,
     checks: &[
-        Check {
-            what:
-                "aVal: every station's L2 misfit against the independent reference code is within \
-                   the acceptance tolerance",
-            reads: Reads::Run,
-            holds: |v| v["aval_passed"].as_bool() == Some(true),
-        },
-        Check {
-            what:
-                "the scenario PGV maps agree: AWM/reference peak and mean ratios within 10 % of 1",
-            reads: Reads::Run,
-            holds: |v| {
+        Check::run(
+            "aVal: every station's L2 misfit against the independent reference code is within \
+             the acceptance tolerance",
+            |v| v["aval_passed"].as_bool() == Some(true),
+        ),
+        Check::run(
+            "the scenario PGV maps agree: AWM/reference peak and mean ratios within 10 % of 1",
+            |v| {
                 near(num(v, "scenario_peak_ratio"), 1.0, 0.1)
                     && near(num(v, "scenario_mean_ratio"), 1.0, 0.1)
             },
-        },
+        ),
     ],
     expect: Verdict::Partial,
 };
 
 fn fig3(ctx: &Ctx) -> Value {
-    section("Fig. 3 (part 1) — waveform-level aVal on a resolved problem");
-    let d = Dims3::new(40, 40, 28);
-    let (h, dt) = (100.0, 0.006);
+    section("Fig. 3 (part 1) — waveform-level aVal on a resolved problem (L2 misfits)");
+    let (d, h, dt) = (Dims3::new(40, 40, 28), 100.0, 0.006);
     let mesh = MeshGenerator::new(&HomogeneousModel::new(6000.0, 3464.0, 2700.0), d, h).generate();
+    let rise = Stf::Cosine { rise_time: 0.5 };
     let src = KinematicSource::point(
         Idx3::new(14, 20, 12),
         MomentTensor::strike_slip(0.3),
         1.0e15,
-        Stf::Cosine { rise_time: 0.5 },
+        rise,
         dt,
     );
     let stations =
-        vec![Station::new("near", Idx3::new(22, 20, 0)), Station::new("far", Idx3::new(28, 26, 0))];
+        [Station::new("near", Idx3::new(22, 20, 0)), Station::new("far", Idx3::new(28, 26, 0))];
     let steps = ctx.pick(40, 180);
-    let cfg = SolverConfig {
-        abc: AbcKind::Sponge { width: 8, amp: 0.95 },
-        free_surface: true,
-        ..SolverConfig::small(d, h, dt, steps)
-    };
+    let abc = AbcKind::Sponge { width: 8, amp: 0.95 };
+    let cfg = SolverConfig { abc, free_surface: true, ..SolverConfig::small(d, h, dt, steps) };
     let awm = Solver::run_serial(cfg, &mesh, &src, &stations);
     let ref_seis = ReferenceSolver::new(&mesh, dt, 8, 0.95).run_steps(steps, &src, &stations);
     let report = AcceptanceTest::default().compare(&awm.seismograms, &ref_seis);
-    println!("{:<8} {:>8} {:>8} {:>8}", "station", "vx", "vy", "vz");
+    let mut t = Table::new("station vx:5.3 vy:5.3 vz:5.3");
     for s in &report.stations {
-        println!("{:<8} {:>8.3} {:>8.3} {:>8.3}", s.station, s.misfit_vx, s.misfit_vy, s.misfit_vz);
+        t.row(json!([s.station, s.misfit_vx, s.misfit_vy, s.misfit_vz]));
     }
-    println!(
-        "aVal (L2 ≤ {:.2}): {}",
-        report.tolerance,
-        if report.passed { "PASSED" } else { "FAILED" }
-    );
+    let (tol, pass) = (report.tolerance, if report.passed { "PASSED" } else { "FAILED" });
+    println!("aVal (L2 ≤ {tol:.2}): {pass}");
 
     section("Fig. 3 (part 2) — PGV-map level on the mini-ShakeOut scenario");
     let sc = Scenario::shakeout_k(ctx.pick(24, 72), 0.3).with_duration(ctx.pick(20.0, 60.0));
@@ -184,31 +135,20 @@ fn fig3(ctx: &Ctx) -> Value {
     println!("scenario {:?} (h = {:.1} km), {} steps", run.cfg.dims, sc.h() / 1e3, run.cfg.steps);
     let awm_sc = Solver::run_serial(run.cfg.clone(), &run.mesh, &run.source, &run.stations);
     let ref_pgv = ReferenceSolver::run_pgv(&run.mesh, run.cfg.dt, run.cfg.steps, &run.source);
-    let (nx, ny) = (run.cfg.dims.nx, run.cfg.dims.ny);
-    let awm_map =
-        PgvMap::from_field(awm_sc.pgv_map.iter().map(|&v| v as f64).collect(), nx, ny, run.cfg.h);
-    let ref_map = PgvMap::from_field(ref_pgv, nx, ny, run.cfg.h);
+    let (nx, ny, h) = (run.cfg.dims.nx, run.cfg.dims.ny, run.cfg.h);
+    let awm_map = PgvMap::from_field(awm_sc.pgv_map.iter().map(|&v| v as f64).collect(), nx, ny, h);
+    let ref_map = PgvMap::from_field(ref_pgv, nx, ny, h);
     let peak_ratio = awm_map.max() / ref_map.max();
     let mean_ratio = awm_map.mean() / ref_map.mean();
     // Cell-wise log-ratio scatter over shaking cells.
-    let lr: Vec<f64> = awm_map
-        .data
-        .iter()
-        .zip(&ref_map.data)
-        .filter(|(a, b)| **a > 1e-4 && **b > 1e-4)
-        .map(|(a, b)| (a / b).ln())
-        .collect();
-    let (mean_lr, sd_lr) = mean_sd(&lr);
-    println!(
-        "PGV max: AWM {:.3} m/s vs reference {:.3} m/s (ratio {peak_ratio:.2})",
-        awm_map.max(),
-        ref_map.max()
-    );
+    let shaking = awm_map.data.iter().zip(&ref_map.data).filter(|(a, b)| **a > 1e-4 && **b > 1e-4);
+    let (mean_lr, sd_lr) = mean_sd(&shaking.map(|(a, b)| (a / b).ln()).collect::<Vec<_>>());
+    let (awm_max, ref_max) = (awm_map.max(), ref_map.max());
+    println!("PGV max: AWM {awm_max:.3} vs reference {ref_max:.3} m/s (ratio {peak_ratio:.2})");
     println!("PGV mean ratio {mean_ratio:.2}; cell-wise ln-ratio {mean_lr:.3} ± {sd_lr:.3}");
     json!({
         "aval_passed": report.passed,
-        "aval_misfits": report.stations.iter().map(|s| json!({
-            "station": s.station, "worst": s.worst() })).collect::<Vec<_>>(),
+        "aval_misfits": t.rows(),
         "scenario_peak_ratio": peak_ratio,
         "scenario_mean_ratio": mean_ratio,
         "cellwise_ln_ratio_mean": mean_lr,
@@ -232,36 +172,28 @@ pub const F15: Row = Row {
     claim: "Fig. 15, TeraShake-K: \"NW-SE rupture on the same stretch of the SAF generated \
             orders-of-magnitude smaller peak motions in Los Angeles\" than SE-NW rupture",
     run: fig15,
-    checks: &[Check {
-        what: "Los Angeles PGV is higher for SE→NW rupture than for NW→SE",
-        reads: Reads::Run,
-        holds: |v| num(v, "la_ratio_se_nw_over_nw_se") > 1.0,
-    }],
+    checks: &[Check::run("Los Angeles PGV is higher for SE→NW rupture than for NW→SE", |v| {
+        num(v, "la_ratio_se_nw_over_nw_se") > 1.0
+    })],
     expect: Verdict::Holds,
 };
 
 fn fig15(ctx: &Ctx) -> Value {
-    section("Fig. 15 — TeraShake-K directivity (SE→NW vs NW→SE)");
+    section("Fig. 15 — TeraShake-K directivity: city PGVH (m/s), SE→NW vs NW→SE");
     let (nx, dur) = ctx.pick((32, 40.0), (120, 110.0));
     let run = |dir| Scenario::terashake_k(nx, dir).with_duration(dur).prepare().run_serial();
-    println!("running SE→NW and NW→SE ...");
     let (se_nw, nw_se) = (run(RuptureDirection::SeToNw), run(RuptureDirection::NwToSe));
-    println!("\ncity PGVH (m/s):");
-    println!("{:<18} {:>10} {:>10} {:>8}", "station", "SE→NW", "NW→SE", "ratio");
-    let mut rows = Vec::new();
+    let mut t = Table::new("station:14 se_nw:6.3 nw_se:6.3 ratio:6.2");
     for (name, ..) in CITIES {
-        let a = se_nw.pgv_at(name).unwrap_or(0.0);
-        let b = nw_se.pgv_at(name).unwrap_or(0.0);
-        println!("{name:<18} {a:>10.3} {b:>10.3} {:>8.2}", a / b);
-        rows.push(json!({ "station": name, "se_nw": a, "nw_se": b }));
+        let (a, b) = (se_nw.pgv_at(name).unwrap_or(0.0), nw_se.pgv_at(name).unwrap_or(0.0));
+        t.row(json!([name, a, b, a / b]));
     }
     let la = |rep: &ScenarioReport| rep.pgv_at("Los Angeles").unwrap_or(0.0);
     let la_ratio = la(&se_nw) / la(&nw_se);
-    println!("\nLos Angeles SE→NW / NW→SE ratio: {la_ratio:.2}");
     println!("\nSE→NW PGV map:\n{}", se_nw.pgv.to_ascii(90));
     println!("NW→SE PGV map:\n{}", nw_se.pgv.to_ascii(90));
     json!({
-        "cities": rows,
+        "cities": t.rows(),
         "la_ratio_se_nw_over_nw_se": la_ratio,
         "pgv_max_se_nw": se_nw.pgv.max(),
         "pgv_max_nw_se": nw_se.pgv.max(),
@@ -274,22 +206,19 @@ pub const F16: Row = Row {
     claim: "Fig. 16, slip rate 27.5 s after initiation: the TS-K source was \"relatively smooth \
             in its slip distribution and rupture characteristics\"; the dynamic TS-D front is not",
     run: fig16,
-    checks: &[Check {
-        what: "the dynamic front is rougher than the kinematic one (CV of the along-strike moment \
-               rate at 27.5 s)",
-        reads: Reads::Run,
-        holds: |v| num(v, "roughness_dynamic") > num(v, "roughness_kinematic"),
-    }],
+    checks: &[Check::run(
+        "the dynamic front is rougher than the kinematic one (CV of the along-strike moment \
+         rate at 27.5 s)",
+        |v| num(v, "roughness_dynamic") > num(v, "roughness_kinematic"),
+    )],
     expect: Verdict::Holds,
 };
 
 /// Moment-rate profile along strike at absolute time `t` (normalised).
 fn along_strike_profile(src: &KinematicSource, t: f64, nx: usize) -> Vec<f64> {
     let mut prof = vec![0.0; nx];
-    for sf in &src.subfaults {
-        if sf.idx.i < nx {
-            prof[sf.idx.i] += sf.moment_rate_at(t, src.dt);
-        }
+    for sf in src.subfaults.iter().filter(|sf| sf.idx.i < nx) {
+        prof[sf.idx.i] += sf.moment_rate_at(t, src.dt);
     }
     let m = prof.iter().cloned().fold(0.0, f64::max).max(1e-30);
     prof.iter().map(|v| v / m).collect()
@@ -310,25 +239,20 @@ fn fig16(ctx: &Ctx) -> Value {
     section("Fig. 16 — slip-rate snapshot: dynamic (TS-D) vs kinematic (TS-K)");
     let nx = ctx.pick(32, 96);
     let tsk = Scenario::terashake_k(nx, RuptureDirection::SeToNw).with_duration(1.0).prepare();
-    println!("preparing TS-D (dynamic rupture) ...");
     let tsd = Scenario::terashake_d(nx, 1992).with_duration(1.0).prepare();
     let t_snap = 27.5; // the paper's snapshot time
     let prof_k = along_strike_profile(&tsk.source, t_snap, nx);
     let prof_d = along_strike_profile(&tsd.source, t_snap, nx);
-    println!("\nnormalised moment-rate along strike at t = {t_snap} s:");
-    println!("cell   kinematic                        dynamic");
+    println!("normalised moment rate along strike at t = {t_snap} s (kinematic | dynamic):");
     let bar = |v: f64| "#".repeat((v * 30.0) as usize);
     for i in (0..nx).step_by(4) {
         println!("{i:>4}   {:<31}  {:<31}", bar(prof_k[i]), bar(prof_d[i]));
     }
     let (rk, rd) = (roughness(&prof_k), roughness(&prof_d));
-    println!("\nfront roughness (CV of active cells): kinematic {rk:.2}, dynamic {rd:.2}");
+    println!("front roughness (CV of active cells): kinematic {rk:.2}, dynamic {rd:.2}");
     let rup = tsd.rupture.as_ref().expect("TS-D is dynamic");
-    println!(
-        "dynamic source: Mw {:.2}, peak slip rate {:.2} m/s",
-        tsd.source.magnitude(),
-        rup.peak_sliprate.iter().cloned().fold(0.0, f64::max)
-    );
+    let peak = rup.peak_sliprate.iter().cloned().fold(0.0, f64::max);
+    println!("dynamic source: Mw {:.2}, peak slip rate {peak:.2} m/s", tsd.source.magnitude());
     json!({
         "t_snapshot_s": t_snap,
         "roughness_kinematic": rk,
@@ -346,16 +270,14 @@ pub const F17: Row = Row {
             by factors of 2-3\" relative to TS-K, with 'star-burst' rays of elevated PGV",
     run: fig17,
     checks: &[
-        Check {
-            what: "at matched moment TS-K's peak PGV is 2–3× TS-D's (within 10 %: 1.8–3.3×)",
-            reads: Reads::Run,
-            holds: |v| (1.8..=3.3).contains(&num(v, "peak_reduction_factor")),
-        },
-        Check {
-            what: "star-burst: TS-D's azimuthal ln-PGV scatter on a 60 km ring exceeds TS-K's",
-            reads: Reads::Run,
-            holds: |v| num(v, "ring_scatter_tsd") > num(v, "ring_scatter_tsk"),
-        },
+        Check::run(
+            "at matched moment TS-K's peak PGV is 2–3× TS-D's (within 10 %: 1.8–3.3×)",
+            |v| (1.8..=3.3).contains(&num(v, "peak_reduction_factor")),
+        ),
+        Check::run(
+            "star-burst: TS-D's azimuthal ln-PGV scatter on a 60 km ring exceeds TS-K's",
+            |v| num(v, "ring_scatter_tsd") > num(v, "ring_scatter_tsk"),
+        ),
     ],
     expect: Verdict::Partial,
 };
@@ -375,25 +297,23 @@ fn ring_scatter(rep: &ScenarioReport) -> f64 {
 fn fig17(ctx: &Ctx) -> Value {
     section("Fig. 17 — TeraShake-D vs TeraShake-K PGV");
     let (nx, dur) = ctx.pick((32, 40.0), (108, 100.0));
-    println!("running TS-K ...");
     let tsk = Scenario::terashake_k(nx, RuptureDirection::SeToNw).with_duration(dur).prepare();
     let tsk_mw = tsk.source.magnitude();
     let k = tsk.run_serial();
-    println!("running TS-D ...");
     let mut tsd = Scenario::terashake_d(nx, 1992).with_duration(dur).prepare();
     // Match moments so the comparison isolates source complexity (the
     // paper's TS-D sources have "average slip … nearly the same" as TS-K).
-    let factor = moment_of_magnitude(tsk_mw) / tsd.source.total_moment();
-    tsd.source.scale_moment(factor);
+    tsd.source.scale_moment(moment_of_magnitude(tsk_mw) / tsd.source.total_moment());
     let d = tsd.run_serial();
-
-    println!("\nPGV statistics (m/s):");
-    println!("{:<12} {:>10} {:>10}", "", "TS-K", "TS-D");
-    println!("{:<12} {:>10.3} {:>10.3}", "max", k.pgv.max(), d.pgv.max());
-    println!("{:<12} {:>10.4} {:>10.4}", "mean", k.pgv.mean(), d.pgv.mean());
     let reduction = k.pgv.max() / d.pgv.max();
     let (cv_k, cv_d) = (ring_scatter(&k), ring_scatter(&d));
-    println!("\npeak reduction factor TS-K/TS-D = {reduction:.2}");
+    let (kmax, dmax) = (k.pgv.max(), d.pgv.max());
+    println!(
+        "PGV max (m/s): TS-K {kmax:.3}, TS-D {dmax:.3}; mean {:.4}, {:.4}",
+        k.pgv.mean(),
+        d.pgv.mean()
+    );
+    println!("peak reduction factor TS-K/TS-D = {reduction:.2}");
     println!("azimuthal ln-PGV scatter on a 60 km ring: TS-K {cv_k:.2}, TS-D {cv_d:.2}");
     println!("\nTS-D PGV map:\n{}", d.pgv.to_ascii(90));
     json!({
@@ -413,25 +333,15 @@ pub const F18: Row = Row {
             site-specific peak motions\"",
     run: fig18,
     checks: &[
-        Check {
-            what: "every member is its own realisation: no two share a mean slip to 1 %",
-            reads: Reads::Run,
-            holds: |v| {
-                let s = col(v, "members", "mean_slip_m");
-                s.len() > 1
-                    && s.iter()
-                        .enumerate()
-                        .all(|(i, a)| s[i + 1..].iter().all(|b| !near(*b, *a, 0.01)))
-            },
-        },
-        Check {
-            what: "every member's dynamic rupture is an Mw 7.8 event, within 0.1",
-            reads: Reads::Run,
-            holds: |v| {
-                let mw = col(v, "members", "mw");
-                !mw.is_empty() && mw.iter().all(|m| (m - 7.8).abs() <= 0.1)
-            },
-        },
+        Check::run("every member is its own realisation: no two share a mean slip to 1 %", |v| {
+            let s = col(v, "members", "mean_slip_m");
+            s.len() > 1
+                && s.iter().enumerate().all(|(i, a)| s[i + 1..].iter().all(|b| !near(*b, *a, 0.01)))
+        }),
+        Check::run("every member's dynamic rupture is an Mw 7.8 event, within 0.1", |v| {
+            let mw = col(v, "members", "mw");
+            !mw.is_empty() && mw.iter().all(|m| (m - 7.8).abs() <= 0.1)
+        }),
     ],
     expect: Verdict::Partial,
 };
@@ -439,39 +349,24 @@ pub const F18: Row = Row {
 fn fig18(ctx: &Ctx) -> Value {
     section("Fig. 18 — ShakeOut-D dynamic source ensemble");
     let nx = ctx.pick(32, 96);
-    let mut rows = Vec::new();
-    println!(
-        "{:>6} {:>9} {:>9} {:>10} {:>10} {:>8} {:>10}",
-        "seed", "max slip", "mean slip", "peak ṡ", "duration", "Mw", "ruptured"
+    let mut t = Table::new(
+        "seed max_slip_m.2 mean_slip_m.2 peak_sliprate_ms.2 duration_s.1 \
+         mw:5.2 ruptured_fraction.2",
     );
+    let mut contours = Vec::new();
     for seed in [11u64, 22, 33, 44] {
         let run = Scenario::shakeout_d(nx, seed).with_duration(1.0).prepare();
         let r = run.rupture.as_ref().expect("ShakeOut-D is dynamic");
-        println!(
-            "{:>6} {:>8.2}m {:>8.2}m {:>8.2}m/s {:>9.1}s {:>8.2} {:>9.0}%",
-            seed,
-            r.max_slip(),
-            r.mean_slip(),
-            r.peak_sliprate.iter().cloned().fold(0.0, f64::max),
-            r.duration(),
-            r.magnitude(),
-            r.ruptured_fraction() * 100.0
-        );
+        let peak = r.peak_sliprate.iter().cloned().fold(0.0, f64::max);
+        let (slip, mw) = ([r.max_slip(), r.mean_slip()], r.magnitude());
+        t.row(json!([seed, slip[0], slip[1], peak, r.duration(), mw, r.ruptured_fraction()]));
         // Rupture-time contours along strike at mid-depth, like the white
         // contours of Fig. 18.
-        let contours: Vec<f64> =
-            (0..r.nx).step_by((r.nx / 12).max(1)).map(|i| r.rupture_time(i, r.nz / 2)).collect();
-        rows.push(json!({
-            "seed": seed,
-            "max_slip_m": r.max_slip(),
-            "mean_slip_m": r.mean_slip(),
-            "mw": r.magnitude(),
-            "duration_s": r.duration(),
-            "ruptured_fraction": r.ruptured_fraction(),
-            "rupture_time_contours_s": contours,
-        }));
+        let step = (r.nx / 12).max(1);
+        contours
+            .push((0..r.nx).step_by(step).map(|i| r.rupture_time(i, r.nz / 2)).collect::<Vec<_>>());
     }
-    json!({ "members": rows })
+    json!({ "members": t.rows(), "rupture_time_contours_s": contours })
 }
 
 pub const F19: Row = Row {
@@ -483,48 +378,21 @@ pub const F19: Row = Row {
             130 km along-strike\"",
     run: fig19,
     checks: &[
-        Check {
-            what: "Mw 8.0 within 0.1",
-            reads: Reads::Run,
-            holds: |v| (num(v, "mw") - 8.0).abs() <= 0.1,
-        },
-        Check {
-            what: "mean slip 4.5 m within 10 %",
-            reads: Reads::Run,
-            holds: |v| near(num(v, "mean_slip_m"), 4.5, 0.1),
-        },
-        Check {
-            what: "maximum slip 7.8 m within 10 %",
-            reads: Reads::Run,
-            holds: |v| near(num(v, "max_slip_m"), 7.8, 0.1),
-        },
-        Check {
-            what: "surface slip maximum 5.7 m within 10 %",
-            reads: Reads::Run,
-            holds: |v| near(num(v, "surface_slip_max_m"), 5.7, 0.1),
-        },
-        Check {
-            what: "peak slip rate above 10 m/s",
-            reads: Reads::Run,
-            holds: |v| num(v, "peak_sliprate_ms") > 10.0,
-        },
-        Check {
-            what: "the rupture reaches the far end after 135 s within 10 %",
-            reads: Reads::Run,
-            holds: |v| near(num(v, "rupture_duration_s"), 135.0, 0.1),
-        },
-        Check {
-            what: "a super-shear patch lies between 30 and 130 km along strike",
-            reads: Reads::Run,
-            holds: |v| {
-                v["supershear_patches_km"].as_array().is_some_and(|p| {
-                    p.iter().any(|p| {
-                        p[0].as_f64().is_some_and(|s| s < 130.0)
-                            && p[1].as_f64().is_some_and(|e| e > 30.0)
-                    })
-                })
-            },
-        },
+        Check::run("Mw 8.0 within 0.1", |v| (num(v, "mw") - 8.0).abs() <= 0.1),
+        Check::run("mean slip 4.5 m within 10 %", |v| near(num(v, "mean_slip_m"), 4.5, 0.1)),
+        Check::run("maximum slip 7.8 m within 10 %", |v| near(num(v, "max_slip_m"), 7.8, 0.1)),
+        Check::run("surface slip maximum 5.7 m within 10 %", |v| {
+            near(num(v, "surface_slip_max_m"), 5.7, 0.1)
+        }),
+        Check::run("peak slip rate above 10 m/s", |v| num(v, "peak_sliprate_ms") > 10.0),
+        Check::run("the rupture reaches the far end after 135 s within 10 %", |v| {
+            near(num(v, "rupture_duration_s"), 135.0, 0.1)
+        }),
+        Check::run("a super-shear patch lies between 30 and 130 km along strike", |v| {
+            let (s, e) =
+                (col(v, "supershear_patches", "start_km"), col(v, "supershear_patches", "end_km"));
+            s.iter().zip(&e).any(|(s, e)| *s < 130.0 && *e > 30.0)
+        }),
     ],
     expect: Verdict::Partial,
 };
@@ -532,19 +400,12 @@ pub const F19: Row = Row {
 fn fig19(ctx: &Ctx) -> Value {
     section("Fig. 19 — M8 dynamic source model");
     let r = ctx.m8().rupture.as_ref().expect("M8 is dynamic");
-    println!("\n(a) final slip:");
+    let (max, mean, surf) = (r.max_slip(), r.mean_slip(), r.surface_slip_max());
     println!(
-        "  max {:.2} m (paper: 7.8 m), mean {:.2} m (paper: 4.5 m), surface max {:.2} m (paper: 5.7 m)",
-        r.max_slip(),
-        r.mean_slip(),
-        r.surface_slip_max()
+        "(a) final slip max {max:.2} m (paper: 7.8), mean {mean:.2} (4.5), surface {surf:.2} (5.7)"
     );
-    println!(
-        "  moment {:.3e} N·m → Mw {:.2} (paper: 1.0e21 N·m, Mw 8.0)",
-        r.moment(),
-        r.magnitude()
-    );
-    println!("\n(b) peak slip rate:");
+    let (m0, mw) = (r.moment(), r.magnitude());
+    println!("    moment {m0:.3e} N·m → Mw {mw:.2} (paper: 1.0e21 N·m, Mw 8.0)");
     let (p, peak) = r
         .peak_sliprate
         .iter()
@@ -552,31 +413,23 @@ fn fig19(ctx: &Ctx) -> Value {
         .enumerate()
         .max_by(|a, b| a.1.total_cmp(&b.1))
         .unwrap_or((0, 0.0));
-    let depth_of_peak = (p / r.nx) as f64 * r.h / 1e3;
-    println!(
-        "  max {peak:.2} m/s at ~{depth_of_peak:.0} km depth (paper: >10 m/s in patches at depth)"
-    );
-
-    println!("\n(c) rupture velocity:");
+    let depth = (p / r.nx) as f64 * r.h / 1e3;
+    println!("(b) peak slip rate {peak:.2} m/s at ~{depth:.0} km depth (paper: >10 m/s at depth)");
     let model = DepthModel::saf_average(r.nz, r.h);
     let rt = RuptureTimeField::new(r.nx, r.nz, r.h, r.rupture_time.clone());
     let vs = |_i: usize, k: usize| model.vs(k);
     let frac = rt.supershear_fraction(vs);
-    let patches: Vec<[f64; 2]> = rt
-        .supershear_patches(vs)
-        .iter()
-        .map(|(s, e)| [*s as f64 * r.h / 1e3, *e as f64 * r.h / 1e3])
-        .collect();
-    println!("  rupture reached the far end after {:.0} s (paper: 135 s)", r.duration());
-    println!("  super-shear fraction: {:.0}% in {} patch(es):", frac * 100.0, patches.len());
-    for [s, e] in &patches {
-        println!("    {s:.0}–{e:.0} km along strike ({:.0} km long)", e - s);
+    println!("(c) rupture reached the far end after {:.0} s (paper: 135 s)", r.duration());
+    println!("    super-shear fraction {:.0}%, patches along strike:", frac * 100.0);
+    let mut t = Table::new("start_km end_km length_km");
+    for (s, e) in rt.supershear_patches(vs) {
+        let (s, e) = (s as f64 * r.h / 1e3, e as f64 * r.h / 1e3);
+        t.row(json!([s, e, e - s]));
     }
-    let profile: Vec<f64> =
-        (0..r.nx).map(|i| (0..r.nz).map(|k| r.slip(i, k)).sum::<f64>() / r.nz as f64).collect();
-    println!("\ndepth-averaged slip along strike:");
-    for (i, v) in profile.iter().enumerate().step_by((r.nx / 24).max(1)) {
-        println!("{:>6.0} km  {}", i as f64 * r.h / 1e3, "#".repeat((v * 8.0) as usize));
+    println!("depth-averaged slip along strike:");
+    for i in (0..r.nx).step_by((r.nx / 24).max(1)) {
+        let slip = (0..r.nz).map(|k| r.slip(i, k)).sum::<f64>() / r.nz as f64;
+        println!("{:>6.0} km  {}", i as f64 * r.h / 1e3, "#".repeat((slip * 8.0) as usize));
     }
     json!({
         "max_slip_m": r.max_slip(),
@@ -587,7 +440,7 @@ fn fig19(ctx: &Ctx) -> Value {
         "peak_sliprate_ms": peak,
         "rupture_duration_s": r.duration(),
         "supershear_fraction": frac,
-        "supershear_patches_km": patches.iter().map(|p| p.to_vec()).collect::<Vec<_>>(),
+        "supershear_patches": t.rows(),
     })
 }
 
@@ -598,14 +451,10 @@ pub const F20: Row = Row {
             velocity less than 2.5 km/s\" — Los Angeles, San Gabriel, Ventura, San Bernardino and \
             Coachella",
     run: fig20,
-    checks: &[Check {
-        what: "Z2.5 is deeper in every basin than on rock",
-        reads: Reads::Model,
-        holds: |v| {
-            let z = col(v, "basins", "z25_m");
-            z.len() == 5 && z.iter().all(|&b| b > num(v, "rock_z25_m"))
-        },
-    }],
+    checks: &[Check::model("Z2.5 is deeper in every basin than on rock", |v| {
+        let z = col(v, "basins", "z25_m");
+        z.len() == 5 && z.iter().all(|&b| b > num(v, "rock_z25_m"))
+    })],
     expect: Verdict::Holds,
 };
 
@@ -619,40 +468,22 @@ fn fig20(_: &Ctx) -> Value {
         .collect();
     let max_depth = z25.iter().cloned().fold(0.0, f64::max);
     // ASCII shading (deeper = darker), like the paper's red/yellow scale.
-    let ramp: &[u8] = b" .:-=+*#%@";
+    let ramp = b" .:-=+*#%@";
     println!("(N up; the fault runs along the middle; darker = deeper sediments)");
-    for j in (0..ny).rev() {
-        let line: String = (0..nx)
-            .map(|i| {
-                ramp[((z25[i + nx * j] / max_depth).clamp(0.0, 1.0) * (ramp.len() - 1) as f64)
-                    as usize] as char
-            })
-            .collect();
-        println!("{line}");
+    for row in z25.chunks(nx).rev() {
+        let shade = |z: &f64| {
+            ramp[((z / max_depth).clamp(0.0, 1.0) * (ramp.len() - 1) as f64) as usize] as char
+        };
+        println!("{}", row.iter().map(shade).collect::<String>());
     }
-    println!(
-        "\n{:<16} {:>9} {:>9} {:>12} {:>12}",
-        "basin", "x (km)", "y (km)", "basement (m)", "Z2.5 (m)"
-    );
-    let mut basins = Vec::new();
+    let mut t = Table::new("name:14 cx_km cy_km basement_m z25_m");
     for b in model.basins() {
-        let z = model.depth_to_vs(b.cx, b.cy, 2500.0);
-        println!(
-            "{:<16} {:>9.0} {:>9.0} {:>12.0} {:>12.0}",
-            b.name,
-            b.cx / 1e3,
-            b.cy / 1e3,
-            b.depth,
-            z
-        );
-        basins.push(json!({
-            "name": b.name, "cx_km": b.cx / 1e3, "cy_km": b.cy / 1e3,
-            "basement_m": b.depth, "z25_m": z,
-        }));
+        let z25 = model.depth_to_vs(b.cx, b.cy, 2500.0);
+        t.row(json!([b.name, b.cx / 1e3, b.cy / 1e3, b.depth, z25]));
     }
     let rock_z25 = model.depth_to_vs(30_000.0, 360_000.0, 2500.0);
-    println!("\nreference rock site Z2.5: {rock_z25:.0} m");
-    json!({ "basins": basins, "rock_z25_m": rock_z25, "max_z25_m": max_depth })
+    println!("reference rock site Z2.5: {rock_z25:.0} m");
+    json!({ "basins": t.rows(), "rock_z25_m": rock_z25, "max_z25_m": max_depth })
 }
 
 pub const F21: Row = Row {
@@ -662,19 +493,13 @@ pub const F21: Row = Row {
             hit at ~6 m/s, while downtown Los Angeles sees 'only' 0.4 m/s",
     run: fig21,
     checks: &[
-        Check {
-            what: "San Bernardino's PGVH exceeds downtown Los Angeles's",
-            reads: Reads::Run,
-            holds: |v| num(v, "san_bernardino_ms") > num(v, "los_angeles_ms"),
-        },
-        Check {
-            what: "the near-fault PGVH maximum exceeds every city's PGVH",
-            reads: Reads::Run,
-            holds: |v| {
-                let c = col(v, "cities", "pgvh_ms");
-                !c.is_empty() && c.iter().all(|&c| c < num(v, "pgv_max_ms"))
-            },
-        },
+        Check::run("San Bernardino's PGVH exceeds downtown Los Angeles's", |v| {
+            num(v, "san_bernardino_ms") > num(v, "los_angeles_ms")
+        }),
+        Check::run("the near-fault PGVH maximum exceeds every city's PGVH", |v| {
+            let c = col(v, "cities", "pgvh_ms");
+            !c.is_empty() && c.iter().all(|&c| c < num(v, "pgv_max_ms"))
+        }),
     ],
     expect: Verdict::Partial,
 };
@@ -682,30 +507,20 @@ pub const F21: Row = Row {
 fn fig21(ctx: &Ctx) -> Value {
     section("Fig. 21 — M8 PGVH map and station seismograms");
     let rep = ctx.m8_report();
-    println!("\ncity PGVH (m/s) and dominant period:");
-    println!("{:<18} {:>9} {:>12}", "station", "PGVH", "dom. period");
-    let mut cities = Vec::new();
+    let mut t = Table::new("station:14 pgvh_ms.3 period_s.1");
     for s in &rep.seismograms {
-        let pgvh = s.pgvh_rss();
         let period = dominant_period(&s.vx, s.dt, 0.02).unwrap_or(0.0);
-        println!("{:<18} {:>9.3} {:>10.1} s", s.station.name, pgvh, period);
-        cities.push(json!({ "station": s.station.name, "pgvh_ms": pgvh, "period_s": period }));
+        t.row(json!([s.station.name, s.pgvh_rss(), period]));
     }
     let near_fault_max = rep.pgv.max();
     let sb = rep.pgv_at("San Bernardino").unwrap_or(0.0);
     let la = rep.pgv_at("Los Angeles").unwrap_or(0.0);
-    println!(
-        "\nnear-fault PGVH max: {near_fault_max:.2} m/s (paper: isolated >10 m/s on the trace)"
-    );
-    println!("San Bernardino: {sb:.2} m/s (paper: ~6 m/s, 'hardest hit')");
-    println!("downtown LA: {la:.2} m/s (paper: ~0.4 m/s)");
-    println!("\nPGVH map (max {near_fault_max:.2} m/s):\n{}", rep.pgv.to_ascii(100));
-    json!({
-        "cities": cities,
-        "pgv_max_ms": near_fault_max,
-        "san_bernardino_ms": sb,
-        "los_angeles_ms": la,
-    })
+    println!("near-fault PGVH max {near_fault_max:.2} m/s (paper: isolated >10 m/s on the trace)");
+    println!("San Bernardino {sb:.2} m/s (paper: ~6, hardest hit), downtown LA {la:.2} (0.4)");
+    println!("\nPGVH map:\n{}", rep.pgv.to_ascii(100));
+    let cities = t.rows();
+    json!({ "cities": cities, "pgv_max_ms": near_fault_max, "san_bernardino_ms": sb,
+            "los_angeles_ms": la })
 }
 
 pub const F22: Row = Row {
@@ -716,80 +531,66 @@ pub const F22: Row = Row {
             display similar or larger amplitude\" than the fault-perpendicular one",
     run: fig22,
     checks: &[
-        Check {
-            what: "off the trace, the fault-parallel peak is similar to (within 10 %) or larger \
-                   than the fault-perpendicular peak",
-            reads: Reads::Run,
-            holds: |v| num(v, "parallel_over_perpendicular") >= 0.9,
-        },
-        Check {
-            what:
-                "peak |v_h| decays no faster than cylindrical spreading (1/√r) from 2 to 12 cells \
-                   off the fault",
-            reads: Reads::Run,
-            holds: |v| {
+        Check::run(
+            "off the trace, the fault-parallel peak is similar to (within 10 %) or larger \
+             than the fault-perpendicular peak",
+            |v| num(v, "parallel_over_perpendicular") >= 0.9,
+        ),
+        Check::run(
+            "peak |v_h| decays no faster than cylindrical spreading (1/√r) from 2 to 12 cells \
+             off the fault",
+            |v| {
                 let p = col(v, "decay_profile", "peak_vh_ms");
                 p.len() == 5 && p[2] / p[0] >= (2.0f64 / 12.0).sqrt()
             },
-        },
+        ),
     ],
     expect: Verdict::Partial,
 };
 
 fn fig22(ctx: &Ctx) -> Value {
-    section("Fig. 22 — super-shear Mach cone snapshot");
+    section("Fig. 22 — super-shear Mach cone snapshot at t = 23 s");
     // A strongly loaded dynamic rupture guarantees a super-shear segment.
     let mut sc = Scenario::m8(ctx.pick(48, 128), 77).with_duration(ctx.pick(30.0, 60.0));
     if let SourceSpec::Dynamic { reload_mean, .. } = &mut sc.source {
         *reload_mean = 0.62;
     }
-    println!("preparing two-step source (heavy prestress → super-shear) ...");
     let run = sc.prepare();
     let r = run.rupture.as_ref().expect("M8 is dynamic");
     println!("rupture duration {:.0} s, Mw {:.2}", r.duration(), r.magnitude());
     // Drive the wave solver by hand to the paper's 23 s snapshot.
     let sub = Decomp3::new(run.cfg.dims, [1, 1, 1]).subdomain(0);
     let mut solver = Solver::new(run.cfg.clone(), sub, &run.mesh, &run.source, &run.stations);
-    let snap_step = (23.0 / run.cfg.dt) as usize;
     let mut ledger = TimeLedger::new();
-    println!("running {snap_step} steps to the t = 23 s snapshot ...");
-    for _ in 0..snap_step {
+    for _ in 0..(23.0 / run.cfg.dt) as usize {
         solver.step_serial(&mut ledger);
     }
     let snap = surface_velocities(&solver.state, 1);
     let d = run.cfg.dims;
     let jf = (sc.fault_y_frac * d.ny as f64) as usize;
+    let cell = |i: usize, j: usize| &snap[3 * (i + d.nx * j)..3 * (i + d.nx * j) + 2];
     // Fault-parallel (vx) vs fault-perpendicular (vy) amplitude along a
     // line 4 cells south of the mean trace.
     let line = jf.saturating_sub(4);
-    let peak = |c: usize| {
-        (0..d.nx).map(|i| snap[3 * (i + d.nx * line) + c].abs() as f64).fold(0.0, f64::max)
-    };
+    let peak = |c: usize| (0..d.nx).map(|i| cell(i, line)[c].abs() as f64).fold(0.0, f64::max);
     let (par, perp) = (peak(0), peak(1));
-    println!("\noff-fault line (~4 cells south of the mean trace) at t = 23 s:");
-    println!(
-        "  max |fault-parallel v| = {par:.3} m/s, max |fault-perpendicular v| = {perp:.3} m/s"
-    );
-    println!("  parallel/perpendicular = {:.2}", par / perp.max(1e-12));
-    // Decay of peak |v| with fault distance at the snapshot time — Mach
-    // waves decay slower than cylindrical spreading.
-    println!("\npeak |v_h| vs fault distance at t = 23 s:");
-    let mut decay = Vec::new();
+    println!("4 cells south of the trace: max |v| parallel {par:.3}, perpendicular {perp:.3} m/s");
+    // Decay of peak |v_h| with fault distance: Mach waves decay slower
+    // than cylindrical spreading.
+    let mut t = Table::new("distance_km.1 peak_vh_ms.3");
     for off in [2usize, 6, 12, 20, 30] {
         let j = (jf + off).min(d.ny - 1);
         let m = (0..d.nx)
-            .map(|i| 3 * (i + d.nx * j))
-            .map(|o| (snap[o] as f64).hypot(snap[o + 1] as f64))
+            .map(|i| (cell(i, j)[0] as f64).hypot(cell(i, j)[1] as f64))
             .fold(0.0, f64::max);
-        println!("  {:>5.1} km: {:.3} m/s", off as f64 * run.cfg.h / 1e3, m);
-        decay.push(json!({ "distance_km": off as f64 * run.cfg.h / 1e3, "peak_vh_ms": m }));
+        t.row(json!([off as f64 * run.cfg.h / 1e3, m]));
     }
     json!({
         "t_snapshot_s": 23.0,
         "fault_parallel_max": par,
         "fault_perpendicular_max": perp,
         "parallel_over_perpendicular": par / perp.max(1e-12),
-        "decay_profile": decay,
+        "decay_profile": t.rows(),
     })
 }
 
@@ -801,23 +602,17 @@ pub const F23: Row = Row {
             San Bernardino's extreme PGV sits below 0.1 % probability of exceedance",
     run: fig23,
     checks: &[
-        Check {
-            what:
-                "every occupied distance bin's simulated median lies inside BA08's 16–84 % band, \
-                   as simulated (no level correction)",
-            reads: Reads::Run,
-            holds: |v| {
-                v["bins"].as_array().is_some_and(|b| {
-                    !b.is_empty()
-                        && b.iter().all(|b| b["within_ba08_1sigma"].as_bool() == Some(true))
-                })
+        Check::run(
+            "every occupied distance bin's simulated median lies inside BA08's 16–84 % band, \
+             as simulated (no level correction)",
+            |v| {
+                let b = v["bins"].as_array().map_or(&[][..], |a| a.as_slice());
+                !b.is_empty() && b.iter().all(|b| b["within_ba08_1sigma"].as_bool() == Some(true))
             },
-        },
-        Check {
-            what: "San Bernardino's PGV has a BA08 probability of exceedance below 0.1 %",
-            reads: Reads::Run,
-            holds: |v| num(v, "san_bernardino_ba08_poe") < 0.001,
-        },
+        ),
+        Check::run("San Bernardino's PGV has a BA08 probability of exceedance below 0.1 %", |v| {
+            num(v, "san_bernardino_ba08_poe") < 0.001
+        }),
     ],
     expect: Verdict::Fails,
 };
@@ -835,10 +630,8 @@ fn log_slope(pts: &[(f64, f64)]) -> f64 {
 fn fig23(ctx: &Ctx) -> Value {
     section("Fig. 23 — simulated rock-site PGV vs NGA relations (Mw 8)");
     let run = ctx.m8();
-    let sc = &run.scenario;
-    let mw = run.source.magnitude();
+    let (sc, mw) = (&run.scenario, run.source.magnitude());
     let rep = ctx.m8_report();
-    println!("source Mw {mw:.2}, PGV max {:.2} m/s", rep.pgv.max());
     // Rock sites: surface Vs > 1000 m/s (the paper's criterion). The RSS
     // PGVH converts to the geometric mean the GMPEs predict with the
     // paper's note that it is typically 1.5–2× smaller.
@@ -846,63 +639,50 @@ fn fig23(ctx: &Ctx) -> Value {
     let trace = sc.trace();
     let h = rep.pgv.h;
     let mut samples = Vec::new();
-    for j in 0..rep.pgv.ny {
-        for i in 0..rep.pgv.nx {
-            let (x, y) = (i as f64 * h, j as f64 * h);
-            let pgv = rep.pgv.at(i, j);
-            if model.query(x, y, 10.0).vs > 1000.0 && pgv > 0.0 {
-                let r_km = distance_to_trace(x, y, &trace.points) / 1000.0;
-                samples.push(SiteSample { r_km, pgv_cms: pgv * 100.0 / 1.7 });
-            }
+    for (j, i) in (0..rep.pgv.ny).flat_map(|j| (0..rep.pgv.nx).map(move |i| (j, i))) {
+        let (x, y, pgv) = (i as f64 * h, j as f64 * h, rep.pgv.at(i, j));
+        if model.query(x, y, 10.0).vs > 1000.0 && pgv > 0.0 {
+            let r_km = distance_to_trace(x, y, &trace.points) / 1000.0;
+            samples.push(SiteSample { r_km, pgv_cms: pgv * 100.0 / 1.7 });
         }
     }
-    println!("{} rock sites (surface Vs > 1000 m/s)", samples.len());
     println!(
-        "\n{:>12} {:>6} {:>11} {:>7} | {:>11} {:>11}",
-        "distance", "n", "sim median", "σ_ln", "BA08 median", "CB08 median"
+        "source Mw {mw:.2}; {} rock sites (surface Vs > 1000 m/s); PGV in cm/s",
+        samples.len()
     );
-    let mut rows = Vec::new();
-    let (mut sim_pts, mut ba_pts) = (Vec::new(), Vec::new());
+    let mut t = Table::new(
+        "r_km:5.1 count sim_median_cms.1 sim_sigma_ln.2 ba08_median_cms.1 \
+         cb08_median_cms.1 within_ba08_1sigma",
+    );
+    let (mut sim_pts, mut ba_pts, mut inside) = (Vec::new(), Vec::new(), 0);
     for b in bin_by_distance(&samples, 2.0, 200.0, 10).iter().filter(|b| b.count > 0) {
         let r_mid = (b.r_lo_km * b.r_hi_km).sqrt();
-        let ba = ba08_pgv(mw, r_mid, 1000.0);
-        let cb = cb08_pgv(mw, r_mid, 1000.0, 0.4);
-        println!(
-            "{:>5.1}-{:<6.1} {:>6} {:>9.1}cm/s {:>7.2} | {:>9.1}cm/s {:>9.1}cm/s",
-            b.r_lo_km, b.r_hi_km, b.count, b.median_cms, b.sigma_ln, ba.median, cb.median
-        );
+        let (ba, cb) = (ba08_pgv(mw, r_mid, 1000.0), cb08_pgv(mw, r_mid, 1000.0, 0.4));
+        let within = b.median_cms > ba.p16() && b.median_cms < ba.p84();
+        inside += within as usize;
+        t.row(json!([r_mid, b.count, b.median_cms, b.sigma_ln, ba.median, cb.median, within]));
         sim_pts.push((r_mid, b.median_cms));
         ba_pts.push((r_mid, ba.median));
-        rows.push(json!({
-            "r_km": r_mid, "count": b.count,
-            "sim_median_cms": b.median_cms, "sim_sigma_ln": b.sigma_ln,
-            "ba08_median_cms": ba.median, "ba08_sigma_ln": ba.sigma_ln,
-            "cb08_median_cms": cb.median,
-            "within_ba08_1sigma": b.median_cms > ba.p16() && b.median_cms < ba.p84(),
-        }));
     }
-    let inside = rows.iter().filter(|r| r["within_ba08_1sigma"].as_bool() == Some(true)).count();
+    let bins = t.rows();
     // The decay slope is the resolution-robust quantity; the level shifts
     // with the source's high-frequency content.
     let (s_sim, s_ba) = (log_slope(&sim_pts), log_slope(&ba_pts));
-    let offset = (sim_pts.iter().zip(&ba_pts).map(|((_, a), (_, b))| (a / b).ln()).sum::<f64>()
-        / sim_pts.len().max(1) as f64)
-        .exp();
-    let inside_norm = sim_pts
-        .iter()
-        .zip(&ba_pts)
-        .filter(|((_, a), (_, b))| (a / offset / b).ln().abs() < 0.560) // BA08 σ_ln(PGV)
-        .count();
-    println!("decay slope (d ln PGV / d ln R): simulation {s_sim:.2}, BA08 {s_ba:.2}");
-    println!("mean level ratio sim/BA08 = {offset:.2}");
-    println!("{inside} of {} occupied bins inside the BA08 ±1σ band as simulated", rows.len());
-    println!("{inside_norm} of {} inside after removing the common level ratio", rows.len());
+    let ln_ratios: Vec<f64> =
+        sim_pts.iter().zip(&ba_pts).map(|((_, a), (_, b))| (a / b).ln()).collect();
+    let offset = mean_sd(&ln_ratios).0.exp();
+    // BA08 σ_ln(PGV) = 0.560.
+    let inside_norm = ln_ratios.iter().filter(|l| (*l - offset.ln()).abs() < 0.560).count();
+    println!("decay slope d ln PGV / d ln R: simulation {s_sim:.2}, BA08 {s_ba:.2}");
+    println!("level ratio sim/BA08 {offset:.2}");
+    let n = sim_pts.len();
+    println!("{inside} of {n} occupied bins inside BA08 ±1σ as simulated, {inside_norm} after");
     // POE of the extreme basin site (the paper's SBB example).
     let sb = rep.pgv_at("San Bernardino").unwrap_or(0.0);
     let poe = ba08_pgv(mw, 10.0, 760.0).poe(sb * 100.0 / 1.7);
-    println!("\nSan Bernardino PGVH {sb:.2} m/s at ~10 km → BA08 POE {:.3}%", poe * 100.0);
+    println!("San Bernardino PGVH {sb:.2} m/s at ~10 km → BA08 POE {:.3}%", poe * 100.0);
     json!({
-        "mw": mw, "bins": rows, "bins_inside_1sigma": inside,
+        "mw": mw, "bins": bins, "bins_inside_1sigma": inside,
         "sim_decay_slope": s_sim, "ba08_decay_slope": s_ba, "level_ratio": offset,
         "bins_inside_after_level_norm": inside_norm,
         "san_bernardino_ba08_poe": poe,
@@ -916,18 +696,14 @@ pub const F3DT: Row = Row {
         "Table 3 / §VI, F3DT: \"AWP-ODC is used to calculate sensitivity kernels accounting for \
             the full physics of 3D wave propagation\" to iteratively improve the CVM",
     run: f3dt,
-    checks: &[Check {
-        what:
-            "each basin's own station is more sensitive to that basin's velocity than the Mojave \
-               rock station",
-        reads: Reads::Run,
-        holds: |v| {
-            v["basins"].as_array().is_some_and(|b| {
-                b.len() == 3
-                    && b.iter().all(|b| num(b, "own_sensitivity") > num(b, "mojave_sensitivity"))
-            })
+    checks: &[Check::run(
+        "each basin's own station is more sensitive to that basin's velocity than the Mojave \
+         rock station",
+        |v| {
+            let (own, mojave) = (col(v, "basins", "own_station"), col(v, "basins", "mojave_rock"));
+            own.len() == 3 && own.iter().zip(&mojave).all(|(o, m)| o > m)
         },
-    }],
+    )],
     expect: Verdict::Holds,
 };
 
@@ -936,77 +712,49 @@ pub const F3DT: Row = Row {
 /// CFL bound.
 fn perturb_basin(mesh: &Mesh, [x0, x1, y0, y1]: [f64; 4], scale: f32) -> Mesh {
     assert!(scale <= 1.0, "perturb downward to stay CFL-safe");
-    let mut out = mesh.clone();
-    let h = mesh.h;
-    for j in 0..mesh.dims.ny {
-        for i in 0..mesh.dims.nx {
-            let (x, y) = (i as f64 * h, j as f64 * h);
-            if !(x0..=x1).contains(&x) || !(y0..=y1).contains(&y) {
-                continue;
-            }
-            for k in (0..mesh.dims.nz).take_while(|&k| (k as f64 + 0.5) * h <= 10_000.0) {
-                let p = mesh.idx(i, j, k);
-                out.vs[p] = mesh.vs[p] * scale;
-                out.vp[p] = mesh.vp[p] * scale;
-            }
+    let (mut out, h) = (mesh.clone(), mesh.h);
+    for (j, i) in (0..mesh.dims.ny).flat_map(|j| (0..mesh.dims.nx).map(move |i| (j, i))) {
+        let (x, y) = (i as f64 * h, j as f64 * h);
+        if !(x0..=x1).contains(&x) || !(y0..=y1).contains(&y) {
+            continue;
+        }
+        for k in (0..mesh.dims.nz).take_while(|&k| (k as f64 + 0.5) * h <= 10_000.0) {
+            let p = mesh.idx(i, j, k);
+            out.vs[p] = mesh.vs[p] * scale;
+            out.vp[p] = mesh.vp[p] * scale;
         }
     }
     out
 }
 
 fn f3dt(ctx: &Ctx) -> Value {
-    section("F3DT (Table 3) — finite-difference sensitivity kernels");
+    section("F3DT (Table 3) — finite-difference sensitivity kernels, L2 |δvx|/|vx| per 1% δVs");
     let sc = Scenario::shakeout_k(ctx.pick(24, 72), 0.3).with_duration(ctx.pick(20.0, 70.0));
     let run = sc.prepare();
     println!("baseline: {} on {:?}, {} steps", sc.name, run.cfg.dims, run.cfg.steps);
     let solve = |mesh: &Mesh| Solver::run_serial(run.cfg.clone(), mesh, &run.source, &run.stations);
     let baseline = solve(&run.mesh);
+    let station =
+        |name: &str| baseline.seismograms.iter().position(|s| s.station.name.contains(name));
+    let eps = 0.02f32;
+    println!("stations: {:?}", run.stations.iter().map(|s| &s.name).collect::<Vec<_>>());
     // Basin windows as fractions of the box, from the SoCal geometry.
-    let basins = [
+    let mut t = Table::new("basin:14 own_station.4 mojave_rock.4");
+    let mut kernel = Vec::new();
+    for (name, [fx0, fx1, fy0, fy1]) in [
         ("Los Angeles", [0.45, 0.65, 0.15, 0.40]),
         ("Ventura", [0.30, 0.45, 0.08, 0.35]),
         ("San Bernardino", [0.58, 0.72, 0.35, 0.55]),
-    ];
-    let eps = 0.02f32;
-    let mut columns = Vec::new();
-    for (_, [fx0, fx1, fy0, fy1]) in basins {
+    ] {
         let window = [fx0 * sc.length, fx1 * sc.length, fy0 * sc.width, fy1 * sc.width];
         let perturbed = solve(&perturb_basin(&run.mesh, window, 1.0 - eps));
-        let col: Vec<f64> = baseline
-            .seismograms
-            .iter()
-            .zip(&perturbed.seismograms)
+        let col: Vec<f64> = (baseline.seismograms.iter().zip(&perturbed.seismograms))
             .map(|(b, p)| l2_misfit(&p.vx, &b.vx) / (eps as f64 * 100.0))
             .collect();
-        columns.push(col);
+        println!("{name:<14} basin, per station: {col:.4?}");
+        let of = |s: &str| station(s).map_or(0.0, |i| col[i]);
+        t.row(json!([name, of(name), of("Mojave")]));
+        kernel.push(json!({ "basin": name, "sensitivities": col }));
     }
-    println!("\nsensitivity |δwaveform|/|waveform| per 1% δVs (L2, vx):");
-    print!("{:<18}", "station \\ basin");
-    for (name, _) in &basins {
-        print!(" {name:>15}");
-    }
-    println!();
-    let mut kernel = Vec::new();
-    for (si, s) in baseline.seismograms.iter().enumerate() {
-        print!("{:<18}", s.station.name);
-        let row: Vec<f64> = columns.iter().map(|c| c[si]).collect();
-        for v in &row {
-            print!(" {v:>15.4}");
-        }
-        println!();
-        kernel.push(json!({ "station": s.station.name, "sensitivities": row }));
-    }
-    let station =
-        |name: &str| baseline.seismograms.iter().position(|s| s.station.name.contains(name));
-    let of = |c: &[f64], name: &str| station(name).map_or(0.0, |i| c[i]);
-    let per_basin: Vec<Value> = basins
-        .iter()
-        .zip(&columns)
-        .map(|((name, _), c)| {
-            let (own, mojave) = (of(c, name), of(c, "Mojave"));
-            println!("{name} basin: own station {own:.4} vs Mojave rock {mojave:.4}");
-            json!({ "basin": name, "own_sensitivity": own, "mojave_sensitivity": mojave })
-        })
-        .collect();
-    json!({ "epsilon": eps, "kernel": kernel, "basins": per_basin })
+    json!({ "epsilon": eps, "kernel": kernel, "basins": t.rows() })
 }

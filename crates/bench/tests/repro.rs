@@ -3,7 +3,7 @@
 //! analytic model and plan volumes — agree with the row's expected verdict.
 //! Solver and wall-clock checks are judged at full size by `awp repro`.
 
-use awp_bench::repro::{reproduce, Size, ROWS};
+use awp_bench::repro::{reproduce, select, Size, ROWS};
 use serde_json::Value;
 
 fn all_finite(v: &Value) -> bool {
@@ -26,4 +26,15 @@ fn every_row_runs_at_smoke_size() {
             o.row.expect
         );
     }
+}
+
+#[test]
+fn ids_are_unique_and_selectable() {
+    for (i, a) in ROWS.iter().enumerate() {
+        assert!(!a.checks.is_empty(), "{} has no check", a.id);
+        assert!(ROWS[i + 1..].iter().all(|b| b.id != a.id && b.record != a.record), "{}", a.id);
+    }
+    assert_eq!(select(&["f23".into(), "T1".into()]).unwrap()[1].id, "T1");
+    assert!(matches!(select(&["F99".into()]), Err(e) if e.contains("F99")));
+    assert_eq!(select(&[]).unwrap().len(), ROWS.len());
 }

@@ -838,7 +838,8 @@ mod tests {
             "repro",
             "repro T1",
             "repro S5A",
-            "repro F19 F21 F23",
+            "repro T1 S5A F19",
+            "repro F13 F23",
             "run shakeout-k 24 10",
             "run m8 144 90",
             "run shakeout-k 24 10 --lts",
