@@ -25,7 +25,7 @@
 //! ```
 //!
 //! The `awp` CLI's chaos harness and the `CheckpointStore` epoch cadence
-//! take their intervals from this model; `s7c_resilience` sweeps it.
+//! take their intervals from this model; `awp repro S7C` sweeps it.
 
 use serde::Serialize;
 
