@@ -282,7 +282,8 @@ fn fig13(ctx: &Ctx) -> Value {
     );
     let base = model(&versions[0]).total();
     for (v, meas) in versions.iter().zip(&measured) {
-        let (b, tot) = (model(v), model(v).total());
+        let b = model(v);
+        let tot = b.total();
         t.row(json!([v.name(), meas, measured[0] / meas, tot, base / tot, b.output / tot]));
     }
     json!({ "rows": t.rows() })
@@ -643,16 +644,8 @@ fn s7c(_: &Ctx) -> Value {
             (young_interval(ckpt_cost, inp.mtbf), overhead_fraction(td, ckpt_cost, inp.mtbf));
         let (wall, inflight) =
             (expected_wall_clock(&inp, td), expected_wall_clock_inflight(&inp, &rec, td));
-        t.row(json!([
-            p.name,
-            inp.mtbf,
-            ty,
-            td,
-            ov,
-            wall,
-            inflight,
-            inflight_saving(&inp, &rec, td)
-        ]));
+        let saving = inflight_saving(&inp, &rec, td);
+        t.row(json!([p.name, inp.mtbf, ty, td, ov, wall, inflight, saving]));
     }
     let machines = t.rows();
 

@@ -305,9 +305,8 @@ fn fig17(ctx: &Ctx) -> Value {
     // paper's TS-D sources have "average slip … nearly the same" as TS-K).
     tsd.source.scale_moment(moment_of_magnitude(tsk_mw) / tsd.source.total_moment());
     let d = tsd.run_serial();
-    let reduction = k.pgv.max() / d.pgv.max();
-    let (cv_k, cv_d) = (ring_scatter(&k), ring_scatter(&d));
     let (kmax, dmax) = (k.pgv.max(), d.pgv.max());
+    let (reduction, cv_k, cv_d) = (kmax / dmax, ring_scatter(&k), ring_scatter(&d));
     println!(
         "PGV max (m/s): TS-K {kmax:.3}, TS-D {dmax:.3}; mean {:.4}, {:.4}",
         k.pgv.mean(),
@@ -317,8 +316,8 @@ fn fig17(ctx: &Ctx) -> Value {
     println!("azimuthal ln-PGV scatter on a 60 km ring: TS-K {cv_k:.2}, TS-D {cv_d:.2}");
     println!("\nTS-D PGV map:\n{}", d.pgv.to_ascii(90));
     json!({
-        "tsk_pgv_max": k.pgv.max(),
-        "tsd_pgv_max": d.pgv.max(),
+        "tsk_pgv_max": kmax,
+        "tsd_pgv_max": dmax,
         "peak_reduction_factor": reduction,
         "ring_scatter_tsk": cv_k,
         "ring_scatter_tsd": cv_d,
@@ -358,8 +357,8 @@ fn fig18(ctx: &Ctx) -> Value {
         let run = Scenario::shakeout_d(nx, seed).with_duration(1.0).prepare();
         let r = run.rupture.as_ref().expect("ShakeOut-D is dynamic");
         let peak = r.peak_sliprate.iter().cloned().fold(0.0, f64::max);
-        let (slip, mw) = ([r.max_slip(), r.mean_slip()], r.magnitude());
-        t.row(json!([seed, slip[0], slip[1], peak, r.duration(), mw, r.ruptured_fraction()]));
+        let (max, mean, mw) = (r.max_slip(), r.mean_slip(), r.magnitude());
+        t.row(json!([seed, max, mean, peak, r.duration(), mw, r.ruptured_fraction()]));
         // Rupture-time contours along strike at mid-depth, like the white
         // contours of Fig. 18.
         let step = (r.nx / 12).max(1);
