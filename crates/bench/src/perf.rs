@@ -1,7 +1,7 @@
 //! Rows for the paper's performance evaluation: Tables 1–2, Figs. 11–14,
 //! §V.A/§V.B, the §IV prose numbers and the §VII budgets.
 
-use crate::repro::{alternate, col, near, num, nums, Check, CrustBox, Ctx, Row, Table, Verdict};
+use crate::repro::{alternate, col, near, num, nums, Check, CrustBox, Ctx, Row, Table};
 use crate::section;
 use awp_grid::decomp::Decomp3;
 use awp_grid::dims::Dims3;
@@ -44,7 +44,6 @@ pub const T1: Row = Row {
                 && p.iter().cloned().fold(0.0, f64::max) == 10.4
         }),
     ],
-    expect: Verdict::Holds,
 };
 
 fn table1(_: &Ctx) -> Value {
@@ -81,12 +80,12 @@ pub const T2: Row = Row {
         Check::model(
             "the modelled sustained rate rises at every milestone, as Table 2's does",
             |v| col(v, "milestones", "modeled_tflops").windows(2).all(|w| w[1] > w[0]),
-        ),
+        )
+        .fails(),
         Check::model("v7.2 on 223,074 Jaguar cores models M8's 220 Tflop/s within 10 %", |v| {
             col(v, "milestones", "modeled_tflops").last().is_some_and(|&t| near(t, 220.0, 0.1))
         }),
     ],
-    expect: Verdict::Partial,
 };
 
 fn table2(_: &Ctx) -> Value {
@@ -132,7 +131,6 @@ pub const F11: Row = Row {
                 && chains.iter().all(|p| num(p, "async_p50_us") < num(p, "sync_p50_us"))
         },
     )],
-    expect: Verdict::Holds,
 };
 
 fn fig11(ctx: &Ctx) -> Value {
@@ -186,7 +184,6 @@ pub const F12: Row = Row {
             },
         ),
     ],
-    expect: Verdict::Holds,
 };
 
 /// Each (v6.0, v7.2) pair of `fig12`'s modelled rows has v7.2 below on `key`.
@@ -234,15 +231,18 @@ pub const F13: Row = Row {
     checks: &[
         Check::model("async (v4.0 → v5.0) cuts the modelled M8 step ≈7× (within 10 %)", |v| {
             near(step(v, "modeled_m8_s", 3) / step(v, "modeled_m8_s", 4), 7.0, 0.1)
-        }),
+        })
+        .fails(),
         Check::model(
             "loop optimisations (v5.0 → v6.0) cut the modelled M8 step by 40 % (within 10 %)",
             |v| near(1.0 - step(v, "modeled_m8_s", 5) / step(v, "modeled_m8_s", 4), 0.40, 0.1),
-        ),
+        )
+        .fails(),
         Check::model(
             "reduced communication (v7.1 → v7.2) cuts the modelled M8 step by 15 % (within 10 %)",
             |v| near(1.0 - step(v, "modeled_m8_s", 7) / step(v, "modeled_m8_s", 6), 0.15, 0.1),
-        ),
+        )
+        .fails(),
         Check::model(
             "I/O is 49 % of v1.0's modelled step (within 10 %) and under 2 % from v2.0 on",
             |v| {
@@ -251,14 +251,14 @@ pub const F13: Row = Row {
                     && near(share[0], 0.49, 0.1)
                     && share[1..].iter().all(|&s| s < 0.02)
             },
-        ),
+        )
+        .fails(),
         Check::run(
             "measured on the virtual cluster, v6.0's loop optimisations make its step faster than \
              v5.0's (medians of 3 alternating repetitions)",
             |v| step(v, "measured_s", 5) < step(v, "measured_s", 4),
         ),
     ],
-    expect: Verdict::Partial,
 };
 
 /// `fig13`'s `key` column at version `i` (v1.0 = 0).
@@ -324,9 +324,9 @@ pub const F14: Row = Row {
                     .and_then(|m| nums(m, "after").last().copied())
                     .is_some_and(|e| e > 1.0)
             },
-        ),
+        )
+        .fails(),
     ],
-    expect: Verdict::Partial,
 };
 
 fn fig14(ctx: &Ctx) -> Value {
@@ -390,7 +390,6 @@ pub const S5A: Row = Row {
             },
         ),
     ],
-    expect: Verdict::Holds,
 };
 
 fn s5a(_: &Ctx) -> Value {
@@ -442,7 +441,6 @@ pub const S5B: Row = Row {
             near(num(v, "modeled_m8_peak_fraction"), 0.10, 0.1)
         }),
     ],
-    expect: Verdict::Holds,
 };
 
 fn s5b(ctx: &Ctx) -> Value {
@@ -497,7 +495,6 @@ pub const E79: Row = Row {
             |v| num(v, "async_gain") > 1.0,
         ),
     ],
-    expect: Verdict::Holds,
 };
 
 /// Median wall seconds of sync and async runs of `crust` on 8 ranks,
@@ -583,9 +580,9 @@ pub const S7B: Row = Row {
                 .iter()
                 .all(|&(k, p)| near(num(v, k), p, 0.1))
             },
-        ),
+        )
+        .fails(),
     ],
-    expect: Verdict::Partial,
 };
 
 fn s7b(_: &Ctx) -> Value {
@@ -623,7 +620,6 @@ pub const S7C: Row = Row {
             !walls.is_empty() && walls.iter().all(|&w| w >= num(v, "jaguar_wall_clock_at_daly_s"))
         },
     )],
-    expect: Verdict::Holds,
 };
 
 fn s7c(_: &Ctx) -> Value {

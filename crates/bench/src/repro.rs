@@ -3,14 +3,15 @@
 //! Each [`Row`] is one table, figure or prose number of the paper's
 //! evaluation, under its EXPERIMENTS.md id. `run` prints the paper-style
 //! rows and returns the measured values; each [`Check`] is a predicate
-//! written from the paper's own words before the row was first run; and
-//! `expect` is the verdict the row gave when it was recorded. A verdict
-//! that differs from `expect` fails the run.
+//! written from the paper's own words before the row was first run, with
+//! the outcome it gave when the row was recorded. A check whose outcome
+//! differs from its recorded one fails the run.
 //!
 //! A row's verdict is ✓ when every check holds, ✗ when none does and ~
-//! otherwise. A figure the paper quotes without a tolerance is read within
-//! 10 % of its value unless the check states another bound. Wall-clock
-//! comparisons take medians of [`REPS`] alternating repetitions.
+//! otherwise; its expected verdict follows from the recorded outcomes. A
+//! figure the paper quotes without a tolerance is read within 10 % of its
+//! value unless the check states another bound. Wall-clock comparisons
+//! take medians of [`REPS`] alternating repetitions.
 //!
 //! Work that several rows read is built once per [`Ctx`], after kes's
 //! simulate-once pattern: the mini-M8 source and its 200 s propagation
@@ -54,7 +55,13 @@ pub struct Row {
     pub claim: &'static str,
     pub run: fn(&Ctx) -> Value,
     pub checks: &'static [Check],
-    pub expect: Verdict,
+}
+
+impl Row {
+    /// The verdict the recorded check outcomes give.
+    pub fn expect(&self) -> Verdict {
+        Verdict::of(self.checks.iter().map(|c| c.expect)).expect("every row has a check")
+    }
 }
 
 /// One predicate over a row's measured values.
@@ -63,17 +70,24 @@ pub struct Check {
     /// Reads the registry, an analytic model or plan arithmetic — values
     /// that are the same at every size — so a smoke run can judge it.
     pub model: bool,
+    /// The outcome recorded for this check: whether it held.
+    pub expect: bool,
     pub holds: fn(&Value) -> bool,
 }
 
 impl Check {
     pub const fn model(what: &'static str, holds: fn(&Value) -> bool) -> Self {
-        Self { what, model: true, holds }
+        Self { what, model: true, expect: true, holds }
     }
 
     /// A check on a solver run or a wall clock, judged at full size only.
     pub const fn run(what: &'static str, holds: fn(&Value) -> bool) -> Self {
-        Self { what, model: false, holds }
+        Self { what, model: false, expect: true, holds }
+    }
+
+    /// Recorded as failing: the paper's claim does not hold here.
+    pub const fn fails(self) -> Self {
+        Self { expect: false, ..self }
     }
 }
 
@@ -291,43 +305,39 @@ impl Outcome {
         Verdict::of(self.results.iter().flatten().copied())
     }
 
-    /// Whether this run agrees with the row's expected verdict. A smoke run
-    /// judges only the model checks, so it agrees when the verdict it can
-    /// form does not contradict the expected one: all judged checks hold
-    /// under ✓, none under ✗, anything under ~.
+    /// The checks this run judged with an outcome other than the recorded one.
+    pub fn differing(&self) -> impl Iterator<Item = &'static Check> + '_ {
+        let checks = self.row.checks.iter().zip(&self.results);
+        checks.filter(|(c, r)| r.is_some_and(|r| r != c.expect)).map(|(c, _)| c)
+    }
+
+    /// Whether every check this run judged gave its recorded outcome.
     pub fn agrees(&self) -> bool {
-        let judged: Vec<bool> = self.results.iter().flatten().copied().collect();
-        if judged.len() == self.results.len() {
-            return self.verdict() == Some(self.row.expect);
-        }
-        match self.row.expect {
-            Verdict::Holds => judged.iter().all(|&r| r),
-            Verdict::Fails => judged.iter().all(|&r| !r),
-            Verdict::Partial => true,
-        }
+        self.differing().next().is_none()
     }
 
     fn record(&self) -> ExperimentRecord {
         let checks = self.row.checks.iter().zip(&self.results);
-        let checks: Vec<Value> =
-            checks.map(|(c, r)| json!({ "check": c.what, "holds": r.unwrap_or(false) })).collect();
+        let checks: Vec<Value> = checks
+            .map(|(c, r)| json!({ "check": c.what, "holds": r.unwrap_or(false), "expected": c.expect }))
+            .collect();
         let data = json!({
             "claim": self.row.claim,
             "checks": checks,
             "verdict": self.verdict().map_or("-", Verdict::symbol),
-            "expected": self.row.expect.symbol(),
+            "expected": self.row.expect().symbol(),
             "values": self.values.clone(),
         });
         ExperimentRecord::new(self.row.record, format!("awp repro {}", self.row.id), data)
     }
 
-    /// `T1  ✓  expected ✓  12.3 ms`, flagged when the verdicts differ.
+    /// `T1  ✓  expected ✓  12.3 ms`, flagged when a check's outcome differs.
     fn summary(&self) -> String {
         let (id, got) = (self.row.id, self.verdict().map_or("-", Verdict::symbol));
         let flag = if self.agrees() { "" } else { "  ← DIFFERS" };
         format!(
             "{id:<5} {got} expected {} {:>9}{flag}",
-            self.row.expect.symbol(),
+            self.row.expect().symbol(),
             fmt_time(self.wall_s)
         )
     }
@@ -365,9 +375,13 @@ pub fn reproduce(rows: &[&'static Row], size: Size) -> Vec<Outcome> {
             .map(|c| (size == Size::Full || c.model).then(|| (c.holds)(&values)))
             .collect();
         println!();
+        let mark = |r: bool| if r { "✓" } else { "✗" };
         for (c, r) in row.checks.iter().zip(&results) {
-            let mark = r.map_or("-", |r| if r { "✓" } else { "✗" });
-            println!("  [{mark}] {}", c.what);
+            let flag = match r {
+                Some(r) if *r != c.expect => format!("  ← expected {}", mark(c.expect)),
+                _ => String::new(),
+            };
+            println!("  [{}] {}{flag}", r.map_or("-", mark), c.what);
         }
         let o = Outcome { row, values, results, wall_s };
         println!("{}", o.summary());
@@ -386,6 +400,6 @@ pub fn reproduce(rows: &[&'static Row], size: Size) -> Vec<Outcome> {
     let total: f64 = outcomes.iter().map(|o| o.wall_s).sum();
     let differ = outcomes.iter().filter(|o| !o.agrees()).count();
     let n = outcomes.len();
-    println!("{n} rows in {total:.1} s; {differ} differ from their expected verdict");
+    println!("{n} rows in {total:.1} s; {differ} differ from their recorded check outcomes");
     outcomes
 }

@@ -1,7 +1,7 @@
 //! Rows for the paper's verification and science results: Table 3,
 //! Fig. 3, Figs. 15–23 and the F3DT milestone.
 
-use crate::repro::{col, near, num, Check, Ctx, Row, Table, Verdict};
+use crate::repro::{col, near, num, Check, Ctx, Row, Table};
 use crate::section;
 use awp_analysis::aval::AcceptanceTest;
 use awp_analysis::distance::{bin_by_distance, distance_to_trace, SiteSample};
@@ -43,7 +43,6 @@ pub const T3: Row = Row {
             mw.len() == 7 && mw.iter().zip(&paper).all(|(m, p)| (m - p).abs() <= 0.1)
         }),
     ],
-    expect: Verdict::Holds,
 };
 
 fn table3(ctx: &Ctx) -> Value {
@@ -97,9 +96,9 @@ pub const F3: Row = Row {
                 near(num(v, "scenario_peak_ratio"), 1.0, 0.1)
                     && near(num(v, "scenario_mean_ratio"), 1.0, 0.1)
             },
-        ),
+        )
+        .fails(),
     ],
-    expect: Verdict::Partial,
 };
 
 fn fig3(ctx: &Ctx) -> Value {
@@ -175,7 +174,6 @@ pub const F15: Row = Row {
     checks: &[Check::run("Los Angeles PGV is higher for SE→NW rupture than for NW→SE", |v| {
         num(v, "la_ratio_se_nw_over_nw_se") > 1.0
     })],
-    expect: Verdict::Holds,
 };
 
 fn fig15(ctx: &Ctx) -> Value {
@@ -211,7 +209,6 @@ pub const F16: Row = Row {
          rate at 27.5 s)",
         |v| num(v, "roughness_dynamic") > num(v, "roughness_kinematic"),
     )],
-    expect: Verdict::Holds,
 };
 
 /// Moment-rate profile along strike at absolute time `t` (normalised).
@@ -273,13 +270,13 @@ pub const F17: Row = Row {
         Check::run(
             "at matched moment TS-K's peak PGV is 2–3× TS-D's (within 10 %: 1.8–3.3×)",
             |v| (1.8..=3.3).contains(&num(v, "peak_reduction_factor")),
-        ),
+        )
+        .fails(),
         Check::run(
             "star-burst: TS-D's azimuthal ln-PGV scatter on a 60 km ring exceeds TS-K's",
             |v| num(v, "ring_scatter_tsd") > num(v, "ring_scatter_tsk"),
         ),
     ],
-    expect: Verdict::Partial,
 };
 
 /// Azimuthal ln-PGV scatter on a 60 km ring around the fault centre.
@@ -340,9 +337,9 @@ pub const F18: Row = Row {
         Check::run("every member's dynamic rupture is an Mw 7.8 event, within 0.1", |v| {
             let mw = col(v, "members", "mw");
             !mw.is_empty() && mw.iter().all(|m| (m - 7.8).abs() <= 0.1)
-        }),
+        })
+        .fails(),
     ],
-    expect: Verdict::Partial,
 };
 
 fn fig18(ctx: &Ctx) -> Value {
@@ -379,21 +376,23 @@ pub const F19: Row = Row {
     checks: &[
         Check::run("Mw 8.0 within 0.1", |v| (num(v, "mw") - 8.0).abs() <= 0.1),
         Check::run("mean slip 4.5 m within 10 %", |v| near(num(v, "mean_slip_m"), 4.5, 0.1)),
-        Check::run("maximum slip 7.8 m within 10 %", |v| near(num(v, "max_slip_m"), 7.8, 0.1)),
+        Check::run("maximum slip 7.8 m within 10 %", |v| near(num(v, "max_slip_m"), 7.8, 0.1))
+            .fails(),
         Check::run("surface slip maximum 5.7 m within 10 %", |v| {
             near(num(v, "surface_slip_max_m"), 5.7, 0.1)
-        }),
-        Check::run("peak slip rate above 10 m/s", |v| num(v, "peak_sliprate_ms") > 10.0),
+        })
+        .fails(),
+        Check::run("peak slip rate above 10 m/s", |v| num(v, "peak_sliprate_ms") > 10.0).fails(),
         Check::run("the rupture reaches the far end after 135 s within 10 %", |v| {
             near(num(v, "rupture_duration_s"), 135.0, 0.1)
-        }),
+        })
+        .fails(),
         Check::run("a super-shear patch lies between 30 and 130 km along strike", |v| {
             let (s, e) =
                 (col(v, "supershear_patches", "start_km"), col(v, "supershear_patches", "end_km"));
             s.iter().zip(&e).any(|(s, e)| *s < 130.0 && *e > 30.0)
         }),
     ],
-    expect: Verdict::Partial,
 };
 
 fn fig19(ctx: &Ctx) -> Value {
@@ -454,7 +453,6 @@ pub const F20: Row = Row {
         let z = col(v, "basins", "z25_m");
         z.len() == 5 && z.iter().all(|&b| b > num(v, "rock_z25_m"))
     })],
-    expect: Verdict::Holds,
 };
 
 fn fig20(_: &Ctx) -> Value {
@@ -494,13 +492,13 @@ pub const F21: Row = Row {
     checks: &[
         Check::run("San Bernardino's PGVH exceeds downtown Los Angeles's", |v| {
             num(v, "san_bernardino_ms") > num(v, "los_angeles_ms")
-        }),
+        })
+        .fails(),
         Check::run("the near-fault PGVH maximum exceeds every city's PGVH", |v| {
             let c = col(v, "cities", "pgvh_ms");
             !c.is_empty() && c.iter().all(|&c| c < num(v, "pgv_max_ms"))
         }),
     ],
-    expect: Verdict::Partial,
 };
 
 fn fig21(ctx: &Ctx) -> Value {
@@ -542,9 +540,9 @@ pub const F22: Row = Row {
                 let p = col(v, "decay_profile", "peak_vh_ms");
                 p.len() == 5 && p[2] / p[0] >= (2.0f64 / 12.0).sqrt()
             },
-        ),
+        )
+        .fails(),
     ],
-    expect: Verdict::Partial,
 };
 
 fn fig22(ctx: &Ctx) -> Value {
@@ -608,12 +606,13 @@ pub const F23: Row = Row {
                 let b = v["bins"].as_array().map_or(&[][..], |a| a.as_slice());
                 !b.is_empty() && b.iter().all(|b| b["within_ba08_1sigma"].as_bool() == Some(true))
             },
-        ),
+        )
+        .fails(),
         Check::run("San Bernardino's PGV has a BA08 probability of exceedance below 0.1 %", |v| {
             num(v, "san_bernardino_ba08_poe") < 0.001
-        }),
+        })
+        .fails(),
     ],
-    expect: Verdict::Fails,
 };
 
 /// Least-squares slope of ln y against ln x.
@@ -703,7 +702,6 @@ pub const F3DT: Row = Row {
             own.len() == 3 && own.iter().zip(&mojave).all(|(o, m)| o > m)
         },
     )],
-    expect: Verdict::Holds,
 };
 
 /// Scale V_s and V_p of the upper 10 km of crust inside a map rectangle.

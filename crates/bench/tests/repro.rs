@@ -1,6 +1,6 @@
 //! Every `awp repro` row at smoke size on coarse grids: each row runs and
 //! gives finite values, and the checks a smoke run can judge — registry,
-//! analytic model and plan volumes — agree with the row's expected verdict.
+//! analytic model and plan volumes — give their recorded outcomes.
 //! Solver and wall-clock checks are judged at full size by `awp repro`.
 
 use awp_bench::repro::{reproduce, select, Size, ROWS};
@@ -18,12 +18,11 @@ fn all_finite(v: &Value) -> bool {
 fn every_row_runs_at_smoke_size() {
     for o in reproduce(ROWS, Size::Smoke) {
         assert!(all_finite(&o.values), "{}: non-finite value in {:?}", o.row.id, o.values);
+        let differing: Vec<_> = o.differing().map(|c| c.what).collect();
         assert!(
-            o.agrees(),
-            "{}: smoke verdict {:?} contradicts {:?}",
-            o.row.id,
-            o.verdict(),
-            o.row.expect
+            differing.is_empty(),
+            "{}: outcome differs from the record: {differing:?}",
+            o.row.id
         );
     }
 }
@@ -37,4 +36,27 @@ fn ids_are_unique_and_selectable() {
     assert_eq!(select(&["f23".into(), "T1".into()]).unwrap()[1].id, "T1");
     assert!(matches!(select(&["F99".into()]), Err(e) if e.contains("F99")));
     assert_eq!(select(&[]).unwrap().len(), ROWS.len());
+}
+
+#[test]
+fn every_judged_check_is_held_to_its_recorded_outcome() {
+    use awp_bench::repro::{Outcome, Verdict};
+    let f13 = select(&["F13".into()]).unwrap()[0];
+    assert_eq!(f13.expect(), Verdict::Partial);
+    let outcome = |results: Vec<Option<bool>>| Outcome {
+        row: f13,
+        values: Value::Null,
+        results,
+        wall_s: 0.0,
+    };
+    let recorded: Vec<Option<bool>> = f13.checks.iter().map(|c| Some(c.expect)).collect();
+    assert!(outcome(recorded.clone()).agrees());
+    // Still ~, but a model check that failed when recorded now holds.
+    let mut flipped = recorded;
+    flipped[0] = Some(true);
+    let o = outcome(flipped);
+    assert_eq!(o.verdict(), Some(Verdict::Partial));
+    assert_eq!(o.differing().map(|c| c.what).collect::<Vec<_>>(), [f13.checks[0].what]);
+    // An unjudged check (a run check on a smoke run) cannot differ.
+    assert!(outcome(f13.checks.iter().map(|c| c.model.then_some(c.expect)).collect()).agrees());
 }

@@ -103,8 +103,8 @@ const COMMANDS: &[Command] = &[
         args: "[ID...]",
         flags: &[],
         about: "reproduce the paper's evaluation: each row (T1 … F23, see below) prints its \
-                table or figure and checks the paper's claim; exits 1 when a verdict differs \
-                from the row's recorded one; writes each row's record under results/; no ID \
+                table or figure and checks the paper's claim; exits 1 when a check's outcome \
+                differs from its recorded one; writes each row's record under results/; no ID \
                 runs every row",
         run: repro,
     },
