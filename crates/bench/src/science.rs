@@ -709,7 +709,7 @@ pub const F3DT: Row = Row {
 /// CFL bound.
 fn perturb_basin(mesh: &Mesh, [x0, x1, y0, y1]: [f64; 4], scale: f32) -> Mesh {
     assert!(scale <= 1.0, "perturb downward to stay CFL-safe");
-    let (mut out, h) = (mesh.clone(), mesh.h);
+    let (mut out, h, mut touched) = (mesh.clone(), mesh.h, 0usize);
     for (j, i) in (0..mesh.dims.ny).flat_map(|j| (0..mesh.dims.nx).map(move |i| (j, i))) {
         let (x, y) = (i as f64 * h, j as f64 * h);
         if !(x0..=x1).contains(&x) || !(y0..=y1).contains(&y) {
@@ -719,14 +719,16 @@ fn perturb_basin(mesh: &Mesh, [x0, x1, y0, y1]: [f64; 4], scale: f32) -> Mesh {
             let p = mesh.idx(i, j, k);
             out.vs[p] = mesh.vs[p] * scale;
             out.vp[p] = mesh.vp[p] * scale;
+            touched += 1;
         }
     }
+    assert!(touched > 0, "perturbation window missed the model");
     out
 }
 
 fn f3dt(ctx: &Ctx) -> Value {
     section("F3DT (Table 3) — finite-difference sensitivity kernels, L2 |δvx|/|vx| per 1% δVs");
-    let sc = Scenario::shakeout_k(ctx.pick(24, 72), 0.3).with_duration(ctx.pick(20.0, 70.0));
+    let sc = Scenario::shakeout_k(ctx.pick(32, 72), 0.3).with_duration(ctx.pick(20.0, 70.0));
     let run = sc.prepare();
     println!("baseline: {} on {:?}, {} steps", sc.name, run.cfg.dims, run.cfg.steps);
     let solve = |mesh: &Mesh| Solver::run_serial(run.cfg.clone(), mesh, &run.source, &run.stations);
