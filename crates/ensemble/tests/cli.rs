@@ -8,10 +8,22 @@ fn awp(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_awp")).args(args).output().expect("awp runs")
 }
 
+/// Runs in a scratch directory: a full `repro` row writes its record under
+/// `results/` of the workspace it finds above the working directory, so
+/// here it lands in `<tmp>/results` and leaves the tracked records alone.
 #[test]
 fn listing_subcommands_exit_zero() {
-    for args in [&["scenarios"][..], &["repro", "T1"], &["repro", "S5A"]] {
-        let out = awp(args);
+    let tmp = tempfile::tempdir().expect("temp dir");
+    for (args, record) in [
+        (&["scenarios"][..], None),
+        (&["repro", "T1"], Some("table1.json")),
+        (&["repro", "S5A"], Some("s5a.json")),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_awp"))
+            .args(args)
+            .current_dir(tmp.path())
+            .output()
+            .expect("awp runs");
         assert_eq!(
             out.status.code(),
             Some(0),
@@ -19,6 +31,9 @@ fn listing_subcommands_exit_zero() {
             String::from_utf8_lossy(&out.stderr)
         );
         assert!(!out.stdout.is_empty(), "{args:?} printed nothing");
+        if let Some(record) = record {
+            assert!(tmp.path().join("results").join(record).exists(), "{args:?} wrote no record");
+        }
     }
 }
 
