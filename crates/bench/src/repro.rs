@@ -319,7 +319,9 @@ impl Outcome {
     fn record(&self) -> ExperimentRecord {
         let checks = self.row.checks.iter().zip(&self.results);
         let checks: Vec<Value> = checks
-            .map(|(c, r)| json!({ "check": c.what, "holds": r.unwrap_or(false), "expected": c.expect }))
+            .map(|(c, r)| {
+                json!({ "check": c.what, "holds": r.unwrap_or(false), "expected": c.expect })
+            })
             .collect();
         let data = json!({
             "claim": self.row.claim,
