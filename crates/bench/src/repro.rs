@@ -18,6 +18,7 @@
 //! serve F19, F21 and F23 from one preparation and one solve.
 
 use crate::fmt_time;
+use crate::kernels::*;
 use crate::perf::*;
 use crate::science::*;
 use awp_analysis::record::{default_results_dir, ExperimentRecord};
@@ -38,9 +39,14 @@ use std::time::Instant;
 
 /// Every row, in EXPERIMENTS.md order.
 pub const ROWS: &[&Row] = &[
-    &T1, &T2, &T3, &F11, &F12, &F13, &F14, &S5A, &S5B, &E79, &S7B, &S7C, &F3, &F15, &F16, &F17,
-    &F18, &F19, &F20, &F21, &F22, &F23, &F3DT,
+    &T1, &T2, &T3, &F11, &F12, &F13, &F14, &S5A, &S5B, &E79, &OVL, &LTS, &S7B, &S7C, &F3, &F15,
+    &F16, &F17, &F18, &F19, &F20, &F21, &F22, &F23, &F3DT,
 ];
+
+/// The rows whose values are also the repo's performance trajectory: a full
+/// run writes them, in a schema of their own, to these files at the
+/// workspace root.
+pub const ARTIFACTS: &[(&Row, &str)] = &[(&OVL, "BENCH_kernels.json"), (&LTS, "BENCH_lts.json")];
 
 /// Repetitions behind every wall-clock comparison.
 pub const REPS: usize = 3;
@@ -67,8 +73,9 @@ impl Row {
 /// One predicate over a row's measured values.
 pub struct Check {
     pub what: &'static str,
-    /// Reads the registry, an analytic model or plan arithmetic — values
-    /// that are the same at every size — so a smoke run can judge it.
+    /// Reads the registry, an analytic model, plan arithmetic or an
+    /// allocation ledger — values that are the same at every size — so a
+    /// smoke run can judge it.
     pub model: bool,
     /// The outcome recorded for this check: whether it held.
     pub expect: bool,
@@ -131,11 +138,12 @@ pub struct Ctx {
     pub size: Size,
     m8: OnceCell<ScenarioRun>,
     m8_report: OnceCell<ScenarioReport>,
+    lts: OnceCell<Value>,
 }
 
 impl Ctx {
     pub fn new(size: Size) -> Self {
-        Self { size, m8: OnceCell::new(), m8_report: OnceCell::new() }
+        Self { size, m8: OnceCell::new(), m8_report: OnceCell::new(), lts: OnceCell::new() }
     }
 
     /// `smoke` on a smoke run, `full` otherwise.
@@ -164,6 +172,12 @@ impl Ctx {
             println!("mini-M8 propagation for F21/F23: {dims:?}, {steps} steps, attenuation on");
             run.run_parallel([2, 2, 1])
         })
+    }
+
+    /// Global-dt against LTS stepping on the basin-over-rock medium, timed
+    /// once for OVL and LTS.
+    pub fn lts(&self) -> &Value {
+        self.lts.get_or_init(|| time_lts(self))
     }
 }
 
@@ -297,6 +311,8 @@ pub struct Outcome {
     /// One result per check; `None` for a run check on a smoke run.
     pub results: Vec<Option<bool>>,
     pub wall_s: f64,
+    /// Whether a full run failed to write the record or the artifact.
+    pub write_failed: bool,
 }
 
 impl Outcome {
@@ -333,6 +349,19 @@ impl Outcome {
         ExperimentRecord::new(self.row.record, format!("awp repro {}", self.row.id), data)
     }
 
+    /// Write the record under `results/` and the artifact, if any, at the
+    /// workspace root.
+    fn write(&self) -> std::io::Result<()> {
+        let results = default_results_dir();
+        println!("[record] {}", self.record().write(&results)?.display());
+        for (_, name) in ARTIFACTS.iter().filter(|(r, _)| r.id == self.row.id) {
+            let path = results.with_file_name(name);
+            std::fs::write(&path, serde_json::to_string_pretty(&self.values).expect("serialises"))?;
+            println!("[record] {}", path.display());
+        }
+        Ok(())
+    }
+
     /// `T1  ✓  expected ✓  12.3 ms`, flagged when a check's outcome differs.
     fn summary(&self) -> String {
         let (id, got) = (self.row.id, self.verdict().map_or("-", Verdict::symbol));
@@ -362,7 +391,8 @@ pub fn select(ids: &[String]) -> Result<Vec<&'static Row>, String> {
 }
 
 /// Run `rows` at `size`, printing each row, its checks and its verdict,
-/// then a summary. A full run writes each row's record under `results/`.
+/// then a summary. A full run writes each row's record under `results/` and
+/// its [`ARTIFACTS`] file; a smoke run writes nothing.
 pub fn reproduce(rows: &[&'static Row], size: Size) -> Vec<Outcome> {
     let ctx = Ctx::new(size);
     let mut outcomes = Vec::new();
@@ -385,12 +415,12 @@ pub fn reproduce(rows: &[&'static Row], size: Size) -> Vec<Outcome> {
             };
             println!("  [{}] {}{flag}", r.map_or("-", mark), c.what);
         }
-        let o = Outcome { row, values, results, wall_s };
+        let mut o = Outcome { row, values, results, wall_s, write_failed: false };
         println!("{}", o.summary());
         if size == Size::Full {
-            match o.record().write(&default_results_dir()) {
-                Ok(path) => println!("[record] {}", path.display()),
-                Err(e) => eprintln!("[record] failed to write: {e}"),
+            if let Err(e) = o.write() {
+                eprintln!("[record] failed to write: {e}");
+                o.write_failed = true;
             }
         }
         outcomes.push(o);

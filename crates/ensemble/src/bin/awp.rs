@@ -104,8 +104,8 @@ const COMMANDS: &[Command] = &[
         flags: &[],
         about: "reproduce the paper's evaluation: each row (T1 … F23, see below) prints its \
                 table or figure and checks the paper's claim; exits 1 when a check's outcome \
-                differs from its recorded one; writes each row's record under results/; no ID \
-                runs every row",
+                differs from its recorded one or a record cannot be written; writes each row's \
+                record under results/ (OVL and LTS also BENCH_*.json); no ID runs every row",
         run: repro,
     },
     Command {
@@ -698,7 +698,7 @@ fn analyze(a: &Args) {
 fn repro(a: &Args) {
     let rows = awp_bench::repro::select(&a.pos).unwrap_or_else(|why| usage_error(&why));
     let outcomes = awp_bench::repro::reproduce(&rows, awp_bench::repro::Size::Full);
-    if outcomes.iter().any(|o| !o.agrees()) {
+    if outcomes.iter().any(|o| !o.agrees() || o.write_failed) {
         std::process::exit(1);
     }
 }

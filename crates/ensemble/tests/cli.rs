@@ -37,6 +37,22 @@ fn listing_subcommands_exit_zero() {
     }
 }
 
+/// A run whose record cannot be written fails, here because `results` is a
+/// plain file.
+#[test]
+fn repro_exits_1_when_a_record_cannot_be_written() {
+    let tmp = tempfile::tempdir().expect("temp dir");
+    std::fs::write(tmp.path().join("results"), "").expect("results file");
+    let out = Command::new(env!("CARGO_BIN_EXE_awp"))
+        .args(["repro", "T1"])
+        .current_dir(tmp.path())
+        .output()
+        .expect("awp runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("failed to write"), "{stderr}");
+}
+
 #[test]
 fn unknown_subcommand_exits_2_with_usage() {
     for args in [&["florp"][..], &[]] {
