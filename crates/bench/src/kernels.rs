@@ -1,8 +1,8 @@
 //! Rows OVL and LTS: the §IV.B kernel rates, the halo exchange and its
 //! allocation ledger, the §IV.C overlap and the local-time-stepping speedup,
-//! timed on this host. A full run also writes them to `BENCH_kernels.json`
-//! and `BENCH_lts.json` at the workspace root, the repo's performance
-//! trajectory in a fixed schema.
+//! timed on this host. Their records, `results/ovl.json` and
+//! `results/lts.json`, are the repo's performance trajectory: `data.values`
+//! keeps a fixed schema.
 
 use crate::repro::{alternate, col, num, Check, Ctx, Row};
 use crate::section;
@@ -269,7 +269,7 @@ fn time_exchange(global: Dims3, plan: &[FieldPlan], steps: u64) -> (f64, u64, u6
 }
 
 /// Solves of a LOH.1 box on [2, 2, 1] ranks, `(overlap, telemetry)` each, as
-/// `BENCH_kernels.json`'s overlap entries: the wall, the slowest rank's
+/// `results/ovl.json`'s overlap entries: the wall, the slowest rank's
 /// compute seconds, and send/wait/inject summed over ranks from the
 /// telemetry phase totals (the numbers `awp --profile` prints; zero with
 /// telemetry off).

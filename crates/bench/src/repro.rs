@@ -43,11 +43,6 @@ pub const ROWS: &[&Row] = &[
     &F16, &F17, &F18, &F19, &F20, &F21, &F22, &F23, &F3DT,
 ];
 
-/// The rows whose values are also the repo's performance trajectory: a full
-/// run writes them, in a schema of their own, to these files at the
-/// workspace root.
-pub const ARTIFACTS: &[(&Row, &str)] = &[(&OVL, "BENCH_kernels.json"), (&LTS, "BENCH_lts.json")];
-
 /// Repetitions behind every wall-clock comparison.
 pub const REPS: usize = 3;
 
@@ -349,16 +344,9 @@ impl Outcome {
         ExperimentRecord::new(self.row.record, format!("awp repro {}", self.row.id), data)
     }
 
-    /// Write the record under `results/` and the artifact, if any, at the
-    /// workspace root.
+    /// Write the record under `results/`.
     fn write(&self) -> std::io::Result<()> {
-        let results = default_results_dir();
-        println!("[record] {}", self.record().write(&results)?.display());
-        for (_, name) in ARTIFACTS.iter().filter(|(r, _)| r.id == self.row.id) {
-            let path = results.with_file_name(name);
-            std::fs::write(&path, serde_json::to_string_pretty(&self.values).expect("serialises"))?;
-            println!("[record] {}", path.display());
-        }
+        println!("[record] {}", self.record().write(&default_results_dir())?.display());
         Ok(())
     }
 
@@ -391,8 +379,8 @@ pub fn select(ids: &[String]) -> Result<Vec<&'static Row>, String> {
 }
 
 /// Run `rows` at `size`, printing each row, its checks and its verdict,
-/// then a summary. A full run writes each row's record under `results/` and
-/// its [`ARTIFACTS`] file; a smoke run writes nothing.
+/// then a summary. A full run writes each row's record under `results/`; a
+/// smoke run writes nothing.
 pub fn reproduce(rows: &[&'static Row], size: Size) -> Vec<Outcome> {
     let ctx = Ctx::new(size);
     let mut outcomes = Vec::new();

@@ -4,8 +4,7 @@
 //! outcomes. Solver and wall-clock checks are judged at full size by
 //! `awp repro`.
 
-use awp_analysis::record::default_results_dir;
-use awp_bench::repro::{reproduce, select, Size, ARTIFACTS, ROWS};
+use awp_bench::repro::{reproduce, select, Size, ROWS};
 use serde_json::Value;
 
 fn all_finite(v: &Value) -> bool {
@@ -16,24 +15,8 @@ fn all_finite(v: &Value) -> bool {
     }
 }
 
-/// The keys of `v` and of each object or first list entry under it, by path.
-fn schema(v: &Value, path: &str) -> Vec<(String, Vec<String>)> {
-    match v {
-        Value::Object(o) => std::iter::once((path.to_string(), o.keys().cloned().collect()))
-            .chain(o.iter().flat_map(|(k, v)| schema(v, &format!("{path}.{k}"))))
-            .collect(),
-        Value::Array(a) => a.first().map_or_else(Vec::new, |v| schema(v, &format!("{path}[0]"))),
-        _ => Vec::new(),
-    }
-}
-
-/// Also holds each row's artifact to its committed file: a smoke run's values
-/// have the committed keys (top level, `gate`, one entry of each list), and
-/// the run leaves the committed bytes alone.
 #[test]
 fn every_row_runs_at_smoke_size() {
-    let read = |name| std::fs::read_to_string(default_results_dir().with_file_name(name)).unwrap();
-    let committed: Vec<String> = ARTIFACTS.iter().map(|(_, name)| read(name)).collect();
     for o in reproduce(ROWS, Size::Smoke) {
         assert!(all_finite(&o.values), "{}: non-finite value in {:?}", o.row.id, o.values);
         let differing: Vec<_> = o.differing().map(|c| c.what).collect();
@@ -42,12 +25,6 @@ fn every_row_runs_at_smoke_size() {
             "{}: outcome differs from the record: {differing:?}",
             o.row.id
         );
-        let Some((_, name)) = ARTIFACTS.iter().find(|(r, _)| r.id == o.row.id) else { continue };
-        let file: Value = serde_json::from_str(&read(name)).unwrap();
-        assert_eq!(schema(&o.values, ""), schema(&file, ""), "{}: not {name}'s keys", o.row.id);
-    }
-    for ((_, name), text) in ARTIFACTS.iter().zip(&committed) {
-        assert!(read(name) == *text, "a smoke run rewrote {name}");
     }
 }
 

@@ -6,18 +6,21 @@
 //! cache-blocked subroutines (§IV.B).
 
 use crate::dims::{Dims3, Idx3};
+use crate::storage::CellBuf;
 
 /// A 3-D array of `f32` with a uniform halo (ghost) padding on every side.
 ///
 /// Interior indices run over `0..n` per axis; halo cells are addressed with
 /// negative indices or indices `>= n`, up to `halo` cells beyond the interior.
+/// The padded storage is a [`CellBuf`]: recycled, and placed at its slot's
+/// page offset.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Array3 {
     interior: Dims3,
     halo: usize,
     /// Total (padded) extent per axis.
     total: Dims3,
-    data: Vec<f32>,
+    data: CellBuf,
 }
 
 impl Array3 {
@@ -32,7 +35,7 @@ impl Array3 {
             interior,
             halo,
             total,
-            data: vec![0.0; total.count()],
+            data: CellBuf::zeroed(total.count()),
         }
     }
 

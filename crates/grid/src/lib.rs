@@ -13,6 +13,8 @@
 //! * [`Face`] halo extraction/injection used by the ghost-cell exchange;
 //! * cache-blocked loop driving (paper §IV.B, the kblock/jblock scheme);
 //! * effective-media averaging (harmonic Lamé means, arithmetic density);
+//! * [`storage::CellBuf`] — the recycled, page-staggered buffer behind
+//!   every per-cell `f32` array of a rank state;
 //! * [`fpmode::FlushGuard`] — the flush-subnormals floating-point mode all
 //!   wavefield arithmetic runs under.
 
@@ -24,6 +26,7 @@ pub mod face;
 pub mod fpmode;
 pub mod media;
 pub mod stagger;
+pub mod storage;
 
 pub use array3::Array3;
 pub use blocking::{blocked_tiles, BlockSpec};

@@ -40,6 +40,7 @@ use crate::state::WaveState;
 use awp_grid::decomp::Subdomain;
 use awp_grid::dims::Dims3;
 use awp_grid::fpmode::{self, FlushGuard};
+use awp_grid::storage::CellBuf;
 use awp_grid::{C1, C2};
 
 /// Number of ψ memory terms per zone cell (9 velocity-pass + 9
@@ -161,12 +162,12 @@ fn runs(d: &[f64], lo: usize, hi: usize) -> (Runs, Runs) {
 #[derive(Debug, Clone)]
 struct ZoneBox {
     win: Win,
-    psi: Vec<f32>,
+    psi: CellBuf,
 }
 
 impl ZoneBox {
     fn new(win: Win) -> Self {
-        Self { win, psi: vec![0.0; N_PSI * win.count()] }
+        Self { win, psi: CellBuf::zeroed(N_PSI * win.count()) }
     }
 }
 
@@ -373,6 +374,12 @@ impl Mpml {
         self.boxes.iter().map(|b| b.win.intersect(win).count()).sum()
     }
 
+    /// Where each box's ψ starts.
+    #[cfg(test)]
+    pub(crate) fn psi_starts(&self) -> impl Iterator<Item = *const f32> + '_ {
+        self.boxes.iter().map(|b| b.psi.as_ptr())
+    }
+
     /// Heap bytes of ψ storage: 18 f32 per zone cell.
     pub fn psi_bytes(&self) -> usize {
         self.boxes.iter().map(|b| b.psi.len() * std::mem::size_of::<f32>()).sum()
@@ -389,7 +396,7 @@ impl Mpml {
         self.boxes
             .iter()
             .enumerate()
-            .map(|(n, b)| (format!("{prefix}psi{n}"), b.psi.clone()))
+            .map(|(n, b)| (format!("{prefix}psi{n}"), b.psi.to_vec()))
             .collect()
     }
 

@@ -340,6 +340,8 @@ impl Solver {
     ) -> Result<Self, ConfigError> {
         cfg.validate()?;
         assert_eq!(mesh.dims, sub.dims, "mesh does not match subdomain");
+        // A new rank state: its arrays take their page offsets from slot 0.
+        awp_grid::storage::restart_slots();
         let mut med = Medium::from_mesh(mesh);
         let vp_max = vp_max.max(med.vp_max());
         // CFL guard.
@@ -1044,3 +1046,5 @@ pub fn partition_mesh_direct(mesh: &Mesh, decomp: &Decomp3) -> Vec<Mesh> {
 
 #[cfg(test)]
 mod fold_tests;
+#[cfg(test)]
+mod storage_tests;

@@ -35,25 +35,25 @@ grep -q "whole-run restarts: 0" results/logs/cli_recover_crash.log; echo "recove
 grep -q "in-flight recoveries: [1-9]" results/logs/cli_recover_stall.log; echo "recover_stall_counted exit $?"
 grep -q "whole-run restarts: 0" results/logs/cli_recover_stall.log; echo "recover_stall_inflight exit $?"
 echo "=== EXAMPLES DONE ==="
-# BENCH_lts.json gate: the committed full-mode artifact must exist, carry a
-# multi-rate ladder, and record the acceptance speedup (≥1.5× measured,
-# census ratio reported alongside). It runs before `awp repro` below, which
-# re-measures on this host and rewrites the file, so it reads the recorded
-# trajectory point.
+# LTS trajectory gate: row LTS's committed full-mode record must exist,
+# carry a multi-rate ladder, and record the acceptance speedup (≥1.5×
+# measured, census ratio reported alongside). It runs before `awp repro`
+# below, which re-measures on this host and rewrites the record, so it reads
+# the recorded trajectory point.
 python3 - <<'EOF'; echo "bench_lts_artifact exit $?"
 import json, sys
-r = json.load(open("BENCH_lts.json"))
+r = json.load(open("results/lts.json"))["data"]["values"]
 assert r["mode"] == "full", r["mode"]
 assert len(r["clusters"]) >= 2, r["clusters"]
 assert r["measured_speedup"] >= 1.5, r["measured_speedup"]
 assert r["theoretical_speedup"] > 1.0, r["theoretical_speedup"]
 assert r["gate"]["passed"] is True
-print(f"BENCH_lts.json: {r['measured_speedup']:.2f}x measured, "
+print(f"results/lts.json: {r['measured_speedup']:.2f}x measured, "
       f"{r['theoretical_speedup']:.2f}x census")
 EOF
 # The paper's evaluation: every `awp repro` row at full size, each row's
 # verdict against the one it records (nonzero exit on any difference). It
-# rewrites results/<id>.json and BENCH_*.json with this host's measurements.
+# rewrites results/<id>.json with this host's measurements.
 timeout 1800 ./target/release/awp repro > results/logs/cli_repro.log 2>&1; echo "repro exit $?"
 echo "=== REPRO DONE ==="
 # Perf regression gate: rows OVL and LTS of the table above, timed there
