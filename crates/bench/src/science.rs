@@ -133,7 +133,8 @@ fn fig3(ctx: &Ctx) -> Value {
     let run = sc.prepare();
     println!("scenario {:?} (h = {:.1} km), {} steps", run.cfg.dims, sc.h() / 1e3, run.cfg.steps);
     let awm_sc = Solver::run_serial(run.cfg.clone(), &run.mesh, &run.source, &run.stations);
-    let ref_pgv = ReferenceSolver::run_pgv(&run.mesh, run.cfg.dt, run.cfg.steps, &run.source);
+    let (dt, steps, abc) = (run.cfg.dt, run.cfg.steps, run.cfg.abc);
+    let ref_pgv = ReferenceSolver::run_pgv(&run.mesh, dt, steps, &run.source, abc);
     let (nx, ny, h) = (run.cfg.dims.nx, run.cfg.dims.ny, run.cfg.h);
     let awm_map = PgvMap::from_field(awm_sc.pgv_map.iter().map(|&v| v as f64).collect(), nx, ny, h);
     let ref_map = PgvMap::from_field(ref_pgv, nx, ny, h);

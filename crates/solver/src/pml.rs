@@ -10,8 +10,12 @@
 //! The implementation is a *correction pass*: the ordinary kernels run
 //! everywhere; inside the PML slabs each directional derivative `D` gains
 //! a convolved memory term `ψ ← b ψ + a D` and the field receives the
-//! `coef·ψ` correction. This keeps the hot kernels untouched (the paper
-//! similarly confines ABC work to edge processors, §III.A).
+//! `coef·ψ` correction. This keeps the kernel bodies free of boundary
+//! code (the paper similarly confines ABC work to edge processors,
+//! §III.A). The stepper runs the pass one k-plane at a time right behind
+//! the kernel's walk of that plane, while the plane's fields are still in
+//! cache; a second sweep after the whole window found them evicted and
+//! cost more than the kernels it corrects (`solver::Pass::corrected`).
 //!
 //! Three things keep the pass cheap:
 //!
@@ -314,9 +318,9 @@ impl Mpml {
             return;
         }
         self.check_dims(state, med);
-        let lay = layout(state);
+        let (lay, len) = (layout(state), state.vx.as_slice().len());
         let p = VelPtrs::new(state, med);
-        self.run(p, lay, dth, win);
+        self.run(p, lay, len, dth, win);
     }
 
     /// Apply the stress-pass PML correction (after the stress update).
@@ -331,9 +335,9 @@ impl Mpml {
             return;
         }
         self.check_dims(state, med);
-        let lay = layout(state);
+        let (lay, len) = (layout(state), state.vx.as_slice().len());
         let p = StressPtrs::new(state, med);
-        self.run(p, lay, dth, win);
+        self.run(p, lay, len, dth, win);
     }
 
     /// The row passes index the fields by this instance's box geometry
@@ -349,18 +353,19 @@ impl Mpml {
         );
     }
 
-    fn run<P: Pass>(&mut self, p: P, lay: (usize, usize, usize), dth: f32, win: Win) {
+    /// `len` is the padded length of every field `p` points into.
+    fn run<P: Pass>(&mut self, p: P, lay: Layout, len: usize, dth: f32, win: Win) {
         let _ftz = FlushGuard::enter();
         match self.backend {
             #[cfg(target_arch = "x86_64")]
             // SAFETY: `with_backend`/`detect` only select available
             // backends; `check_dims` ran, so `rows`' bounds contract holds.
-            SimdBackend::Avx2 => unsafe { rows_avx2(self, p, lay, dth, win) },
+            SimdBackend::Avx2 => unsafe { rows_avx2(self, p, lay, len, dth, win) },
             #[cfg(target_arch = "x86_64")]
             // SAFETY: as above.
-            SimdBackend::Sse2 => unsafe { rows_sse2(self, p, lay, dth, win) },
+            SimdBackend::Sse2 => unsafe { rows_sse2(self, p, lay, len, dth, win) },
             // SAFETY: `check_dims` ran, so `rows`' bounds contract holds.
-            _ => unsafe { rows::<f32, P>(self, p, lay, dth, win) },
+            _ => unsafe { rows::<f32, P>(self, p, lay, len, dth, win) },
         }
     }
 
@@ -584,25 +589,49 @@ impl Pass for StressPtrs {
     }
 }
 
+/// `(sy, sz, base)` of the padded fields (`kernels::layout`).
+type Layout = (usize, usize, usize);
+
+/// The bounds `rows` relies on for one row of `n` cells starting at
+/// padded offset `o` and box-local ψ offset `q` (debug builds check it per
+/// row): every stencil reach `o ± 2`, `o ± 2·sy`, `o ± 2·sz` of every lane
+/// inside the `len` padded cells, every lane's ψ inside its box term of
+/// `cells`, and every lane's coefficients inside the scratch row of `cs`.
+fn row_in_bounds(
+    o: usize,
+    n: usize,
+    (sy, sz): (usize, usize),
+    len: usize,
+    q: usize,
+    cells: usize,
+    cs: usize,
+) -> bool {
+    let reach = [2, 2 * sy, 2 * sz];
+    n > 0 && reach.iter().all(|&r| o >= r && o + n - 1 + r < len) && q + n <= cells && n <= cs
+}
+
 /// Generic pass driver: every zone box ∩ `win`, row by row; vector chunks
 /// along x, the ragged tail re-runs the same body at lane width 1.
 ///
 /// # Safety
-/// `p` must point into padded arrays of `pml.dims` laid out as `lay`
-/// (`kernels::layout`) and `V`'s instruction set must be available. Rows
-/// are clipped to the boxes, which lie inside `pml.dims`, so the stencil
-/// reach of 2 stays inside the halo; ψ and coefficient offsets stay
-/// inside their box / scratch row by construction.
+/// `p` must point into padded arrays of `pml.dims` and `len` cells laid out
+/// as `lay` (`kernels::layout`) and `V`'s instruction set must be
+/// available. Rows are clipped to the boxes, which lie inside `pml.dims`,
+/// so the stencil reach of 2 stays inside the halo; ψ and coefficient
+/// offsets stay inside their box / scratch row by construction. Debug
+/// builds check all three per row (`row_in_bounds`).
 #[inline(always)]
 unsafe fn rows<V: Lanes, P: Pass>(
     pml: &mut Mpml,
     p: P,
-    (sy, sz, base): (usize, usize, usize),
+    (sy, sz, base): Layout,
+    len: usize,
     dth: f32,
     win: Win,
 ) {
     let Mpml { dims, lx, ly, lz, table, boxes, row, .. } = pml;
     let cs = dims.nx;
+    debug_assert_eq!(row.len(), N_COEF * cs, "coefficient scratch row");
     let co = row.as_mut_ptr();
     for b in boxes.iter_mut() {
         let w = b.win.intersect(win);
@@ -611,12 +640,20 @@ unsafe fn rows<V: Lanes, P: Pass>(
         }
         let (ni, nj) = (b.win.i1 - b.win.i0, b.win.j1 - b.win.j0);
         let cells = b.win.count();
+        debug_assert_eq!(b.psi.len(), N_PSI * cells, "ψ box of {:?}", b.win);
         let psi = b.psi.as_mut_ptr();
         let n = w.i1 - w.i0;
         // Rows sharing (y, z) levels share coefficients: expand once.
         let mut expanded = u32::MAX;
         for (k, &zl) in (w.k0..).zip(&lz[w.k0..w.k1]) {
             for (j, &yl) in (w.j0..).zip(&ly[w.j0..w.j1]) {
+                let o = base + w.i0 + sy * j + sz * k;
+                let q = ((k - b.win.k0) * nj + (j - b.win.j0)) * ni + (w.i0 - b.win.i0);
+                debug_assert!(
+                    row_in_bounds(o, n, (sy, sz), len, q, cells, cs),
+                    "M-PML row ({j}, {k}) of {:?} leaves its arrays",
+                    b.win
+                );
                 let level = yl + zl;
                 if level != expanded {
                     for (c, &l) in lx[w.i0..w.i1].iter().enumerate() {
@@ -628,8 +665,7 @@ unsafe fn rows<V: Lanes, P: Pass>(
                     expanded = level;
                 }
                 debug_assert!(fpmode::is_flushing());
-                let o = base + w.i0 + sy * j + sz * k;
-                let q = psi.add(((k - b.win.k0) * nj + (j - b.win.j0)) * ni + (w.i0 - b.win.i0));
+                let q = psi.add(q);
                 let mut c = 0;
                 while c + V::WIDTH <= n {
                     p.chunk::<V>(q.add(c), cells, co.add(c), cs, o + c, sy, sz, dth);
@@ -646,14 +682,14 @@ unsafe fn rows<V: Lanes, P: Pass>(
 
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn rows_avx2<P: Pass>(pml: &mut Mpml, p: P, lay: (usize, usize, usize), dth: f32, win: Win) {
-    rows::<crate::simd::x86::V8, P>(pml, p, lay, dth, win)
+unsafe fn rows_avx2<P: Pass>(pml: &mut Mpml, p: P, lay: Layout, len: usize, dth: f32, win: Win) {
+    rows::<crate::simd::x86::V8, P>(pml, p, lay, len, dth, win)
 }
 
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "sse2")]
-unsafe fn rows_sse2<P: Pass>(pml: &mut Mpml, p: P, lay: (usize, usize, usize), dth: f32, win: Win) {
-    rows::<crate::simd::x86::V4, P>(pml, p, lay, dth, win)
+unsafe fn rows_sse2<P: Pass>(pml: &mut Mpml, p: P, lay: Layout, len: usize, dth: f32, win: Win) {
+    rows::<crate::simd::x86::V4, P>(pml, p, lay, len, dth, win)
 }
 
 #[cfg(test)]
@@ -1207,6 +1243,20 @@ mod tests {
         }
         // [3, 3, 2]: the centre rank of the upper z half touches no layer.
         assert_eq!(unreached, 1);
+    }
+
+    /// The debug-build row check fires before a pass strays past the
+    /// arrays it was handed: here fields claimed to hold half their cells.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "leaves its arrays")]
+    fn rows_outside_the_padded_fields_are_caught_in_debug_builds() {
+        let d = Dims3::new(20, 18, 16);
+        let (_, med, mut pml) = setup(d, 5);
+        let mut st = random_state(d, 0x5);
+        let (lay, len) = (layout(&st), st.vx.as_slice().len());
+        let p = VelPtrs::new(&mut st, &med);
+        pml.run(p, lay, len / 2, 0.01, Win::full(d));
     }
 
     #[test]

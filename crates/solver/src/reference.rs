@@ -13,6 +13,7 @@ use awp_cvm::mesh::Mesh;
 use awp_grid::dims::{Dims3, Idx3};
 use awp_grid::fpmode::FlushGuard;
 use awp_source::kinematic::KinematicSource;
+use crate::config::AbcKind;
 use crate::stations::{Seismogram, Station};
 
 /// Simple halo-1, f64 3-D array (x fastest).
@@ -353,20 +354,20 @@ impl ReferenceSolver {
             .collect()
     }
 
-    /// Run a scenario on a fresh instance with default sponge settings.
-    pub fn run(
+    /// Surface PGV map (peak |v_h| per surface cell) under the sponge
+    /// `abc`: pass the compared run's own, so both damp the same cells
+    /// alike.
+    pub fn run_pgv(
         mesh: &Mesh,
         dt: f64,
         steps: usize,
         source: &KinematicSource,
-        stations: &[Station],
-    ) -> Vec<Seismogram> {
-        Self::new(mesh, dt, 12, 0.92).run_steps(steps, source, stations)
-    }
-
-    /// Surface PGV map (peak |v_h| per surface cell).
-    pub fn run_pgv(mesh: &Mesh, dt: f64, steps: usize, source: &KinematicSource) -> Vec<f64> {
-        let mut s = Self::new(mesh, dt, 12, 0.92);
+        abc: AbcKind,
+    ) -> Vec<f64> {
+        let AbcKind::Sponge { width, amp } = abc else {
+            panic!("the reference solver damps with a sponge only, not {abc:?}")
+        };
+        let mut s = Self::new(mesh, dt, width, amp);
         let d = mesh.dims;
         let mut pgv = vec![0.0f64; d.nx * d.ny];
         for _ in 0..steps {

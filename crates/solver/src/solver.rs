@@ -44,7 +44,7 @@ use awp_telemetry::{
 use awp_vcluster::cluster::RankCtx;
 use awp_vcluster::{Category, Cluster, CommMode, SchedulePlan, TimeLedger};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// The update loops this solver runs, resolved once at construction.
 #[derive(Debug, Clone, Copy)]
@@ -180,45 +180,85 @@ struct ClusterOps<'a> {
 }
 
 impl Pass<'_> {
-    /// Velocity phase over one window: kernel update then the M-PML
-    /// velocity correction, both restricted to `w`. The M-PML work is
-    /// recorded as a nested `Boundary` span (inclusive: it also counts
-    /// toward the enclosing window-phase span).
-    fn velocity_win(&self, state: &mut WaveState, ops: &mut ClusterOps, w: Win, comm: &mut Comm) {
-        self.kernels.velocity(state, self.med, ops.dth, w);
-        if let Some(p) = ops.mpml.as_deref_mut() {
-            let t0 = comm.tel().start();
-            p.apply_velocity_win(state, self.med, ops.dth, w);
-            comm.tel().finish(t0, TelPhase::Boundary);
+    /// `kernel` then the M-PML `correct`ion over `w`. Under the lane
+    /// kernels the two alternate one k-plane at a time, so the correction
+    /// finds the plane the kernel just wrote still in cache instead of
+    /// sweeping the zone again after the window has left it (§IV.B). Both
+    /// are window-invariant and, beyond a cell's own value, read only the
+    /// other phase's fields, so every cell sees the same kernel-then-
+    /// correction sequence as in the two sweeps the legacy loops keep. The
+    /// M-PML time is one nested `Boundary` span, from the first plane's
+    /// correction on, carrying the summed time (no clock read when
+    /// telemetry is off).
+    fn corrected(
+        &self,
+        state: &mut WaveState,
+        mpml: Option<&mut Mpml>,
+        w: Win,
+        tel: &mut Recorder,
+        kernel: impl Fn(&mut WaveState, Win),
+        correct: impl Fn(&mut Mpml, &mut WaveState, Win),
+    ) {
+        let Some(p) = mpml else { return kernel(state, w) };
+        let depth = if self.kernels.folds() { 1 } else { w.k1.saturating_sub(w.k0).max(1) };
+        let mut span: Option<(Instant, Duration)> = None;
+        for k0 in (w.k0..w.k1).step_by(depth) {
+            let planes = Win { k0, k1: w.k1.min(k0 + depth), ..w };
+            kernel(state, planes);
+            let t0 = tel.start();
+            correct(p, state, planes);
+            if let Some(t0) = t0 {
+                span.get_or_insert((t0, Duration::ZERO)).1 += t0.elapsed();
+            }
+        }
+        if let Some((t0, spent)) = span {
+            tel.span_at(TelPhase::Boundary, t0, spent);
         }
     }
 
+    /// Velocity phase over one window: kernel update and the M-PML
+    /// velocity correction (`Pass::corrected`).
+    fn velocity_win(&self, state: &mut WaveState, ops: &mut ClusterOps, w: Win, comm: &mut Comm) {
+        let (med, dth) = (self.med, ops.dth);
+        self.corrected(
+            state,
+            ops.mpml.as_deref_mut(),
+            w,
+            comm.tel(),
+            |st, w| self.kernels.velocity(st, med, dth, w),
+            |p, st, w| p.apply_velocity_win(st, med, dth, w),
+        );
+    }
+
     /// Stress phase over one window: kernel update (which, under a sponge,
-    /// damps every row it does not defer — `SpongeFold`) → M-PML
-    /// correction → source injection → free-surface imaging
-    /// (surface-touching windows only) → sponge on the deferred rows.
-    /// Boundary-condition work outside the kernel and source injection are
-    /// recorded as nested `Boundary`/`Source` spans inside the window-phase
-    /// span.
+    /// damps every row it does not defer — `SpongeFold`) and M-PML
+    /// correction (`Pass::corrected`) → source injection → free-surface
+    /// imaging (surface-touching windows only) → sponge on the deferred
+    /// rows. Boundary-condition work outside the kernel and source
+    /// injection are recorded as nested `Boundary`/`Source` spans inside the
+    /// window-phase span.
     fn stress_win(&self, state: &mut WaveState, ops: &mut ClusterOps, w: Win, comm: &mut Comm) {
-        let dt = ops.dt as f32;
-        self.kernels.stress(state, self.med, ops.atten, ops.dth, dt, w, ops.fold.as_ref());
+        let (med, dth, dt, atten) = (self.med, ops.dth, ops.dt as f32, ops.atten);
+        let fold = ops.fold.as_ref();
         let tel = comm.tel();
-        if let Some(p) = ops.mpml.as_deref_mut() {
-            let t0 = tel.start();
-            p.apply_stress_win(state, self.med, ops.dth, w);
-            tel.finish(t0, TelPhase::Boundary);
-        }
+        self.corrected(
+            state,
+            ops.mpml.as_deref_mut(),
+            w,
+            tel,
+            |st, w| self.kernels.stress(st, med, atten, dth, dt, w, fold),
+            |p, st, w| p.apply_stress_win(st, med, dth, w),
+        );
         let t0 = tel.start();
         self.injector.inject_win(state, ops.t_src, ops.dt, w);
         tel.finish(t0, TelPhase::Source);
         let images = self.on_surface && w.k0 == 0;
-        if images || ops.fold.is_some() {
+        if images || fold.is_some() {
             let t0 = tel.start();
             if images {
                 apply_free_surface_stress_win(state, w);
             }
-            if let Some(fold) = &ops.fold {
+            if let Some(fold) = fold {
                 fold.damp_deferred(state, w);
             }
             tel.finish(t0, TelPhase::Boundary);
@@ -1048,3 +1088,5 @@ pub fn partition_mesh_direct(mesh: &Mesh, decomp: &Decomp3) -> Vec<Mesh> {
 mod fold_tests;
 #[cfg(test)]
 mod storage_tests;
+#[cfg(test)]
+mod telemetry_tests;

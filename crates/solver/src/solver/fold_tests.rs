@@ -1,13 +1,15 @@
-//! The folded stress walk against the separate-pass stepper.
+//! The folded walks against the separate-pass stepper.
 //!
 //! `Solver::step` lets the stress row walk damp each row it has just
 //! updated and retire the velocity sponge two planes behind itself
-//! (`SpongeFold`). The reference here is the same stepper with
-//! `Loops::Reference`: the slice-indexed loops of
-//! `kernels::reference`, then inject → image → `Sponge` over the whole
-//! window, and every velocity plane damped at the end of the tick. Both
-//! must leave the same bits in every padded field, memory variable and
-//! seismogram, on every backend and however the grid is cut, clustered
+//! (`SpongeFold`), and under the M-PML runs each window's kernel and
+//! correction one k-plane after the other (`Pass::corrected`). The
+//! reference here is the same stepper with `Loops::Reference`: the
+//! slice-indexed loops of `kernels::reference` over the whole window, then
+//! the M-PML correction over the whole window, then inject → image →
+//! `Sponge`, and every velocity plane damped at the end of the tick. Both
+//! must leave the same bits in every padded field, memory variable, ψ box
+//! and seismogram, on every backend and however the grid is cut, clustered
 //! or slabbed.
 
 use super::*;
@@ -64,6 +66,13 @@ fn case(d: Dims3, lts: bool, width: usize, steps: usize, cells: &[Idx3]) -> Case
     cfg.opts = if lts { SolverOpts::optimized_lts() } else { SolverOpts::optimized() };
     let mesh = MeshGenerator::new(&model, d, H).generate();
     Case { cfg, mesh, source: KinematicSource { dt, subfaults: subfaults.collect() }, stations }
+}
+
+/// `c` under a `width`-cell M-PML with cross-coupling `pmax` in place of
+/// its sponge.
+fn under_mpml(mut c: Case, width: usize, pmax: f64) -> Case {
+    c.cfg.abc = AbcKind::Mpml { width, pmax };
+    c
 }
 
 fn set_walk(solver: &mut Solver, walk: Walk) {
@@ -240,13 +249,17 @@ fn slab_pipelines_fold_like_the_serial_walk() {
     for nz in [7, 8, 12, 16] {
         let d = Dims3::new(20, 18, nz);
         let cells = [Idx3::new(10, 9, nz / 2), Idx3::new(3, 15, 1), Idx3::new(17, 2, nz - 2)];
-        let c = case(d, false, 5, 24, &cells);
-        for parts in [[2, 1, 1], [1, 2, 1], [2, 2, 1]] {
-            let decomp = Decomp3::new(d, parts);
-            let want = ranks(&c, decomp, Walk::Reference);
-            for b in backends() {
-                let what = format!("nz {nz} {parts:?} {}", b.name());
-                assert_same(&ranks(&c, decomp, Walk::Folded(b)), &want, &what);
+        let sponge = case(d, false, 5, 24, &cells);
+        let (width, pmax) = if nz < 12 { (4, 0.3) } else { (8, 0.0) };
+        let mpml = under_mpml(case(d, false, 5, 24, &cells), width, pmax);
+        for c in [&sponge, &mpml] {
+            for parts in [[2, 1, 1], [1, 2, 1], [2, 2, 1]] {
+                let decomp = Decomp3::new(d, parts);
+                let want = ranks(c, decomp, Walk::Reference);
+                for b in backends() {
+                    let what = format!("nz {nz} {:?} {parts:?} {}", c.cfg.abc, b.name());
+                    assert_same(&ranks(c, decomp, Walk::Folded(b)), &want, &what);
+                }
             }
         }
     }
@@ -283,5 +296,52 @@ fn blocked_walks_keep_the_separate_velocity_pass() {
         let mut c = case(d, false, 6, 24, &cells);
         c.cfg.opts.block = block;
         assert_serial_folds(&c, &format!("{block:?}"));
+        // … and under the M-PML, planes interleave with its correction.
+        c.cfg.abc = AbcKind::Mpml { width: 4, pmax: 0.3 };
+        assert_serial_folds(&c, &format!("M-PML {block:?}"));
+    }
+}
+
+#[test]
+fn mpml_planes_interleave_like_the_two_sweeps() {
+    let d = Dims3::new(28, 26, 18);
+    // x-lo, y-hi and bottom zone cells of a 4-cell layer (all inside the
+    // 10-cell one), a surface row and one cell no layer reaches.
+    let cells = [
+        Idx3::new(2, 13, 6),
+        Idx3::new(14, d.ny - 3, 4),
+        Idx3::new(13, 12, d.nz - 2),
+        Idx3::new(20, 6, 0),
+        Idx3::new(14, 13, 5),
+    ];
+    for width in [4, 10] {
+        for pmax in [0.0, 0.3] {
+            let c = under_mpml(case(d, false, 6, 30, &cells), width, pmax);
+            assert_serial_folds(&c, &format!("M-PML width {width} pmax {pmax}"));
+        }
+    }
+}
+
+#[test]
+fn mpml_lts_interfaces_inside_the_bottom_zone_interleave_like_the_two_sweeps() {
+    let (d, width) = (Dims3::new(28, 26, 32), 12);
+    let cells = [Idx3::new(13, 9, 8), Idx3::new(6, 14, 22), Idx3::new(18, 4, 27)];
+    let c = under_mpml(case(d, true, 20, 44, &cells), width, 0.3);
+    let sub = Decomp3::new(d, [1, 1, 1]).subdomain(0);
+    let mut solver = Solver::new(c.cfg.clone(), sub, &c.mesh, &c.source, &c.stations);
+    solver.enable_lts(&LtsPlan::from_mesh(&c.mesh, c.cfg.dt, c.cfg.opts.lts.unwrap()));
+    let interfaces: Vec<usize> = solver.plan.clusters[1..].iter().map(|cl| cl.win.k0).collect();
+    assert!(
+        !interfaces.is_empty() && interfaces.iter().all(|&k| k >= d.nz - width),
+        "cluster interfaces {interfaces:?} must lie in the bottom {width} planes"
+    );
+    assert_serial_folds(&c, "M-PML basin ladder");
+    let mut fused = under_mpml(case(d, true, 20, 44, &cells), width, 0.3);
+    fused.cfg.opts.overlap = false;
+    let decomp = Decomp3::new(d, [2, 1, 1]);
+    for c in [&c, &fused] {
+        let want = ranks(c, decomp, Walk::Reference);
+        let what = format!("M-PML basin ladder [2, 1, 1] overlap {}", c.cfg.opts.overlap);
+        assert_same(&ranks(c, decomp, Walk::Folded(detect())), &want, &what);
     }
 }

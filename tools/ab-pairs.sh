@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Alternating-order perfbench pairs of two checkouts.
 #
-#   tools/ab-pairs.sh PARENT_DIR CHANGE_DIR WORKLOAD|all [PAIRS] [SECONDS]
+#   tools/ab-pairs.sh PARENT_DIR CHANGE_DIR WORKLOAD[,WORKLOAD...]|all [PAIRS] [SECONDS]
 #
 # Builds each checkout's perfbench/ into $AB_SCRATCH/{parent,change}-target
 # (AB_SCRATCH defaults to /root/scratch; the checkouts' committed
@@ -12,11 +12,12 @@
 # change ÷ parent, how many pairs the change won, each side's median minor
 # page faults per setup or rep (the run's `getrusage` children count over
 # the setups and reps its JSON reports), and the runs that reported
-# `failed` > 0. `all` runs every workload CHANGE_DIR's BENCHMARK.json
-# lists, one after the other.
+# `failed` > 0. A comma-separated list (`loh1-mpml,loh1-serial`: a claim
+# and a control) runs those workloads one after the other; `all` runs
+# every workload CHANGE_DIR's BENCHMARK.json lists.
 set -euo pipefail
 
-[ $# -ge 3 ] || { sed -n '2,16p' "$0"; exit 2; }
+[ $# -ge 3 ] || { sed -n '2,17p' "$0"; exit 2; }
 parent=$(cd "$1" && pwd)
 change=$(cd "$2" && pwd)
 pairs=${4:-10}
@@ -28,7 +29,7 @@ if [ "$3" = all ]; then
 print(" ".join(w["name"] for w in json.load(open(sys.argv[1]))["workloads"]))' \
         "$change/BENCHMARK.json")
 else
-    workloads=$3
+    workloads=${3//,/ }
 fi
 
 build() { # side dir
