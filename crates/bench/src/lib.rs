@@ -1,9 +1,10 @@
 //! The paper's evaluation as code: [`repro::ROWS`] holds one row per table,
 //! figure and prose number (see DESIGN.md's experiment index), each with the
 //! paper's claim, a run that prints the paper-style rows, and pre-registered
-//! checks. `awp repro [ID...]` runs them. Rows OVL and LTS are the kernel,
-//! overlap and local-time-stepping performance gate and write the
-//! `BENCH_*.json` artifacts.
+//! checks. `awp repro [ID...]` runs them and a full run writes each row's
+//! record to `results/<record>.json`. Rows OVL and LTS are the kernel,
+//! overlap and local-time-stepping performance gate; row VRF is the §VI
+//! verification against analytic solutions.
 
 mod kernels;
 mod perf;

@@ -39,8 +39,8 @@ use std::time::Instant;
 
 /// Every row, in EXPERIMENTS.md order.
 pub const ROWS: &[&Row] = &[
-    &T1, &T2, &T3, &F11, &F12, &F13, &F14, &S5A, &S5B, &E79, &OVL, &LTS, &S7B, &S7C, &F3, &F15,
-    &F16, &F17, &F18, &F19, &F20, &F21, &F22, &F23, &F3DT,
+    &T1, &T2, &T3, &F11, &F12, &F13, &F14, &S5A, &S5B, &E79, &OVL, &LTS, &S7B, &S7C, &F3, &VRF,
+    &F15, &F16, &F17, &F18, &F19, &F20, &F21, &F22, &F23, &F3DT,
 ];
 
 /// Repetitions behind every wall-clock comparison.
@@ -68,9 +68,9 @@ impl Row {
 /// One predicate over a row's measured values.
 pub struct Check {
     pub what: &'static str,
-    /// Reads the registry, an analytic model, plan arithmetic or an
-    /// allocation ledger — values that are the same at every size — so a
-    /// smoke run can judge it.
+    /// Reads the registry, an analytic model, plan arithmetic, an
+    /// allocation ledger or a bit-exactness contract — values that are the
+    /// same at every size — so a smoke run can judge it.
     pub model: bool,
     /// The outcome recorded for this check: whether it held.
     pub expect: bool,

@@ -1,8 +1,8 @@
 //! Every `awp repro` row at smoke size on coarse grids: each row runs and
 //! gives finite values, and the checks a smoke run can judge — registry,
-//! analytic model, plan volumes and allocation ledgers — give their recorded
-//! outcomes. Solver and wall-clock checks are judged at full size by
-//! `awp repro`.
+//! analytic model, plan volumes, allocation ledgers and bit-exactness
+//! contracts — give their recorded outcomes. Solver and wall-clock checks
+//! are judged at full size by `awp repro`.
 
 use awp_bench::repro::{reproduce, select, Size, ROWS};
 use serde_json::Value;

@@ -44,4 +44,3 @@ pub use awp_solver as solver;
 pub use awp_source as source;
 pub use awp_telemetry as telemetry;
 pub use awp_vcluster as vcluster;
-pub use awp_verify as verify;

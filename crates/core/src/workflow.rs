@@ -138,9 +138,6 @@ pub struct WorkflowSession {
     /// Per-rank checkpoint interval in steps (None = off; M8 disabled
     /// checkpointing to spare the filesystem the 49 TB state writes).
     pub checkpoint_every: Option<usize>,
-    /// Failure injection: abort the solve at this step; the workflow then
-    /// restarts from the latest checkpoints (§III.F restart capability).
-    pub fail_at_step: Option<usize>,
     /// Checkpoint-epoch retention depth (keep-last-K rotation).
     pub keep_checkpoints: usize,
     /// Seeded chaos schedule: injected rank crashes/stalls and message
@@ -202,7 +199,6 @@ impl WorkflowSession {
             open_limit: 650,
             input: InputMode::Prepartitioned,
             checkpoint_every: None,
-            fail_at_step: None,
             keep_checkpoints: 3,
             fault_plan: None,
             watchdog: None,
@@ -393,8 +389,7 @@ impl WorkflowSession {
             flight_dir: self.flight_dir.clone(),
         };
         let t = Instant::now();
-        let legacy_stop = self.fail_at_step.filter(|&s| s < cfg.steps);
-        if legacy_stop.is_some() || self.fault_plan.is_some() {
+        if self.fault_plan.is_some() {
             assert!(self.checkpoint_every.is_some(), "failure injection requires checkpointing");
         }
         if self.recovery.is_some() {
@@ -403,7 +398,7 @@ impl WorkflowSession {
                 "in-flight recovery requires checkpointing (the rollback epoch)"
             );
         }
-        let mut failed_at: Option<usize> = legacy_stop;
+        let mut failed_at: Option<usize> = None;
         let mut restarted = false;
         let mut restarts = 0usize;
         let mut faults: Vec<FaultReport> = Vec::new();
@@ -426,8 +421,7 @@ impl WorkflowSession {
             } else {
                 consistent_epoch(&ckpt_dir, n_ranks)?
             };
-            let stop_at = if restarts == 0 { legacy_stop } else { None };
-            let pass = solve_ranks(&env, resume_epoch, stop_at)?;
+            let pass = solve_ranks(&env, resume_epoch)?;
             in_flight_recoveries += pass.recoveries;
             recovery_degraded |= pass.degraded;
             recovery_events.extend(pass.events);
@@ -442,7 +436,7 @@ impl WorkflowSession {
             let outcomes = pass.outcomes;
             let pass_faults: Vec<FaultReport> =
                 outcomes.iter().filter_map(|r| r.as_ref().err().cloned()).collect();
-            if pass_faults.is_empty() && stop_at.is_none() {
+            if pass_faults.is_empty() {
                 break outcomes
                     .into_iter()
                     .map(|r| r.expect("no faults in this pass"))
@@ -592,16 +586,11 @@ struct PassOutput {
     dead_letters: DeadLetterStats,
 }
 
-/// Run all ranks from step 0 (or from the given checkpoint epoch) until
-/// `stop_at` (exclusive) or completion. Ranks execute behind the cluster's
-/// fault boundary: the returned vector carries one `Ok(outcome)` or
-/// `Err(fault report)` per rank; rank-local I/O errors abort the whole
-/// pass as before.
-fn solve_ranks(
-    env: &SolveEnv<'_>,
-    resume_epoch: Option<u64>,
-    stop_at: Option<usize>,
-) -> io::Result<PassOutput> {
+/// Run all ranks from step 0 (or from the given checkpoint epoch) to
+/// completion. Ranks execute behind the cluster's fault boundary: the
+/// returned vector carries one `Ok(outcome)` or `Err(fault report)` per
+/// rank; rank-local I/O errors abort the whole pass as before.
+fn solve_ranks(env: &SolveEnv<'_>, resume_epoch: Option<u64>) -> io::Result<PassOutput> {
     let cfg = env.cfg;
     let n_ranks = env.decomp.rank_count();
     let mut cluster = Cluster::new(n_ranks, cfg.opts.comm_mode.into());
@@ -673,8 +662,7 @@ fn solve_ranks(
                 );
             }
         }
-        let end = stop_at.unwrap_or(cfg.steps).min(cfg.steps);
-        for step in start_step..end {
+        for step in start_step..cfg.steps {
             ctx.tick(step as u64);
             solver.step_parallel(ctx);
             if let Some(agg) = agg.as_mut() {
@@ -716,29 +704,19 @@ fn solve_ranks(
             agg.flush_traced(env.writer, &mut ctx.telem)?;
         }
         env.writer.sync()?;
-        // Parallel MD5 of this rank's final output block (only meaningful
-        // once the run completed; an aborted pass digests nothing).
-        let digest = if let Some(slot) = surf_slot {
-            if end == cfg.steps && cfg.steps > 0 {
+        // Parallel MD5 of this rank's final output block.
+        let digest = match surf_slot {
+            Some(slot) if cfg.steps > 0 => {
                 let last_rec = (cfg.steps - 1) / env.plan.decimate;
                 let block = env.plan.offset(last_rec, slot);
                 Md5::digest_hex(&env.writer.read_bytes_at(block, 4 * env.plan.rank_len)?)
-            } else {
-                String::new()
             }
-        } else {
-            String::new()
+            _ => String::new(),
         };
         if solver.lts_active() {
             ctx.telem.set_lts_stats(solver.lts_stats());
         }
-        // Seismograms leave with the outcome only on a completed pass; a
-        // stopped pass reports empty traces (the restart re-records).
-        let seis = if end == cfg.steps {
-            solver.recorder.clone().into_seismograms()
-        } else {
-            Vec::new()
-        };
+        let seis = solver.recorder.clone().into_seismograms();
         Ok((rank, sub, pgv, digest, solver.flops.total, seis))
     };
     let (results, recoveries, degraded, recovered_faults, events, dead_letters) =

@@ -60,14 +60,6 @@ const COMMANDS: &[Command] = &[
         run: workflow,
     },
     Command {
-        name: "verify",
-        args: "",
-        flags: &["--smoke", "--lts", "--seeds N", "--base-seed S", "--out FILE"],
-        about: "analytic accuracy, convergence order and schedule fuzz gates; writes \
-                results/verify.json",
-        run: verify,
-    },
-    Command {
         name: "stats",
         args: "[addr]",
         flags: &["--smoke", "--stats-addr A", "--snapshots N"],
@@ -105,7 +97,7 @@ const COMMANDS: &[Command] = &[
         about: "reproduce the paper's evaluation: each row (T1 … F23, see below) prints its \
                 table or figure and checks the paper's claim; exits 1 when a check's outcome \
                 differs from its recorded one or a record cannot be written; writes each row's \
-                record under results/ (OVL and LTS also BENCH_*.json); no ID runs every row",
+                record under results/; no ID runs every row",
         run: repro,
     },
     Command {
@@ -457,80 +449,6 @@ fn workflow(a: &Args) {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-fn verify(a: &Args) {
-    let smoke = a.has("--smoke");
-    let lts = a.has("--lts");
-    let out = a.value("--out").unwrap_or_else(|| PathBuf::from("results/verify.json"));
-    let mode = if smoke { "smoke" } else { "full" };
-    let lts_note = if lts { ", lts armed" } else { "" };
-    println!("quantitative verification ({mode} mode{lts_note})\n");
-    let report = awp_odc::verify::run(&awp_odc::verify::VerifySpec {
-        smoke,
-        seeds: a.value("--seeds"),
-        base_seed: a.value("--base-seed"),
-        lts,
-    });
-
-    println!(
-        "{:<16} {:>10} {:>10} {:>10}  gate",
-        "accuracy case", "worst L2", "worst env", "shift/dt"
-    );
-    for c in &report.accuracy {
-        println!(
-            "{:<16} {:>10.4} {:>10.4} {:>10.2}  {} (L2 ≤ {}, env ≤ {})",
-            c.case,
-            c.worst_l2,
-            c.worst_envelope,
-            c.worst_shift_dt,
-            if c.passed { "pass" } else { "FAIL" },
-            c.l2_tol,
-            c.env_tol,
-        );
-    }
-    let conv = &report.convergence;
-    let errs: Vec<String> =
-        conv.levels.iter().map(|l| format!("{}³→{:.2e}", l.n, l.error)).collect();
-    println!(
-        "\nconvergence: order {:.2} in [{}, {}] → {}  ({})",
-        conv.observed_order,
-        conv.order_lo,
-        conv.order_hi,
-        if conv.passed { "pass" } else { "FAIL" },
-        errs.join(", "),
-    );
-    let fz = &report.fuzz;
-    println!(
-        "schedule fuzz: {} seeds × {} ranks × {} steps, baseline {} → {}",
-        fz.runs,
-        fz.ranks,
-        fz.steps,
-        fz.baseline_fingerprint,
-        if fz.passed {
-            "bit-exact".to_string()
-        } else {
-            format!("MISMATCH at seeds {:?}", fz.mismatched_seeds)
-        },
-    );
-
-    report.write(&out).unwrap_or_else(|e| panic!("writing {out:?} failed: {e}"));
-    // Self-validate the emitted artifact, same discipline as the
-    // Chrome-trace path: a malformed report is a CLI failure.
-    let text = std::fs::read_to_string(&out)
-        .unwrap_or_else(|e| panic!("reading back {out:?} failed: {e}"));
-    match awp_odc::verify::report::validate_json(&text) {
-        Ok(cases) => println!("\nreport → {} ({cases} accuracy cases)", out.display()),
-        Err(why) => {
-            eprintln!("INVALID verify report {}: {why}", out.display());
-            std::process::exit(1);
-        }
-    }
-    if !report.passed {
-        eprintln!("\nVERIFICATION FAILED");
-        std::process::exit(1);
-    }
-    println!("verification passed");
-}
-
 fn stats(a: &Args) {
     let snapshots: usize = a.value("--snapshots").unwrap_or(3);
     if !a.has("--smoke") {
@@ -666,7 +584,7 @@ fn analyze(a: &Args) {
         let doc = to_json(&graph, &path);
         std::fs::write(&out, &doc).unwrap_or_else(|e| panic!("writing {out:?} failed: {e}"));
         // Self-validate before claiming success, same discipline as the
-        // verify-report and Chrome-trace paths.
+        // Chrome-trace path.
         match validate_json(&doc) {
             Ok(()) => println!("analysis → {}", out.display()),
             Err(why) => {
@@ -840,6 +758,7 @@ mod tests {
             "repro S5A",
             "repro T1 S5A F19",
             "repro F13 F23",
+            "repro VRF",
             "run shakeout-k 24 10",
             "run m8 144 90",
             "run shakeout-k 24 10 --lts",
@@ -857,8 +776,6 @@ mod tests {
             "chaos --recover --fault both --profile",
             "chaos --recover --flight-dir results",
             "chaos --recover --fault crash --flight-dir results --chaos-seed 3405691582",
-            "verify --smoke",
-            "verify --smoke --lts",
             "stats --smoke",
             "stats 127.0.0.1:9090",
             "analyze --smoke",

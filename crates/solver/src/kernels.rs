@@ -31,6 +31,16 @@ pub fn layout(state: &WaveState) -> (usize, usize, usize) {
     (sy, sz, 2 + 2 * sy + 2 * sz)
 }
 
+/// Whether a row of `n` lanes starting at padded offset `o` keeps every
+/// lane's stencil reach `o ± 2`, `o ± 2·sy` and `o ± 2·sz` inside the `len`
+/// padded cells: the bound the unchecked row walks of `crate::simd` and
+/// `crate::pml` rely on, checked per row in debug builds.
+#[inline]
+pub(crate) fn reach_in_bounds(o: usize, n: usize, (sy, sz): (usize, usize), len: usize) -> bool {
+    let reach = [2, 2 * sy, 2 * sz];
+    n > 0 && reach.iter().all(|&r| o >= r && o + n - 1 + r < len)
+}
+
 /// Update the three velocity components one leapfrog half-step:
 /// `v += (Δt/ρh)·D⁴(σ)` (Eq. 1a + Eq. 3). `dth = Δt/h`.
 pub fn update_velocity(

@@ -36,7 +36,7 @@
 //!   (`pmax = 0` cross terms) has `(b, a) = (0, 0)`: its ψ stays `+0` and
 //!   it contributes `+0`, which is what skipping it would.
 
-use crate::kernels::layout;
+use crate::kernels::{layout, reach_in_bounds};
 use crate::medium::Medium;
 use crate::shell::Win;
 use crate::simd::{accumulate, Lanes, SimdBackend, StressPtrs, VelPtrs};
@@ -594,9 +594,9 @@ type Layout = (usize, usize, usize);
 
 /// The bounds `rows` relies on for one row of `n` cells starting at
 /// padded offset `o` and box-local ψ offset `q` (debug builds check it per
-/// row): every stencil reach `o ± 2`, `o ± 2·sy`, `o ± 2·sz` of every lane
-/// inside the `len` padded cells, every lane's ψ inside its box term of
-/// `cells`, and every lane's coefficients inside the scratch row of `cs`.
+/// row): every lane's stencil reach inside the `len` padded cells
+/// ([`reach_in_bounds`]), every lane's ψ inside its box term of `cells`,
+/// and every lane's coefficients inside the scratch row of `cs`.
 fn row_in_bounds(
     o: usize,
     n: usize,
@@ -606,8 +606,7 @@ fn row_in_bounds(
     cells: usize,
     cs: usize,
 ) -> bool {
-    let reach = [2, 2 * sy, 2 * sz];
-    n > 0 && reach.iter().all(|&r| o >= r && o + n - 1 + r < len) && q + n <= cells && n <= cs
+    reach_in_bounds(o, n, (sy, sz), len) && q + n <= cells && n <= cs
 }
 
 /// Generic pass driver: every zone box ∩ `win`, row by row; vector chunks

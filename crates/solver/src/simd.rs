@@ -22,7 +22,7 @@
 
 use crate::attenuation::Attenuation;
 use crate::boundary::SpongeFold;
-use crate::kernels::layout;
+use crate::kernels::{layout, reach_in_bounds};
 use crate::medium::Medium;
 use crate::shell::Win;
 use crate::state::WaveState;
@@ -467,7 +467,9 @@ unsafe fn vel_chunk<V: Lanes>(p: VelPtrs, o: usize, sy: usize, sz: usize, dth: f
 /// expression tree.
 ///
 /// # Safety
-/// Caller must ensure `V`'s instruction set is available.
+/// Caller must ensure `V`'s instruction set is available and `win` lies
+/// inside the grid, so every lane's stencil reach stays inside the padded
+/// fields; debug builds check the reach per row ([`reach_in_bounds`]).
 #[inline(always)]
 unsafe fn velocity_body<V: Lanes>(
     state: &mut WaveState,
@@ -477,12 +479,17 @@ unsafe fn velocity_body<V: Lanes>(
     win: Win,
 ) {
     let (sy, sz, base) = layout(state);
+    let len = state.vx.as_slice().len();
     let p = VelPtrs::new(state, med);
     for (jr, kr) in blocked_tiles_range(win.j0, win.j1, win.k0, win.k1, block) {
         for k in kr {
             for j in jr.clone() {
                 debug_assert!(fpmode::is_flushing());
                 let row = base + sy * j + sz * k;
+                debug_assert!(
+                    reach_in_bounds(row + win.i0, win.i1 - win.i0, (sy, sz), len),
+                    "velocity row ({j}, {k}) of {win:?} reaches outside the padded fields"
+                );
                 let mut i = win.i0;
                 while i + V::WIDTH <= win.i1 {
                     vel_chunk::<V>(p, row + i, sy, sz, dth);
@@ -693,7 +700,8 @@ unsafe fn damp_row<V: Lanes>(fields: [*mut f32; 3], o: usize, gx: *const f32, gj
 /// row two planes behind.
 ///
 /// # Safety
-/// Caller must ensure `V`'s instruction set is available.
+/// As for [`velocity_body`]; the epilogue's row `o − 2·sz` is inside the
+/// checked reach.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
 unsafe fn stress_body<V: Lanes>(
@@ -707,6 +715,7 @@ unsafe fn stress_body<V: Lanes>(
     fold: Option<&SpongeFold>,
 ) {
     let (sy, sz, base) = layout(state);
+    let len = state.vx.as_slice().len();
     let p = StressPtrs::new(state, med);
     // Anelasticity engages exactly when the scalar kernel's `if let` does:
     // memory variables allocated *and* coefficients supplied.
@@ -729,6 +738,10 @@ unsafe fn stress_body<V: Lanes>(
             for j in jr.clone() {
                 debug_assert!(fpmode::is_flushing());
                 let row = base + sy * j + sz * k;
+                debug_assert!(
+                    reach_in_bounds(row + win.i0, win.i1 - win.i0, (sy, sz), len),
+                    "stress row ({j}, {k}) of {win:?} reaches outside the padded fields"
+                );
                 let damp = fold.filter(|f| !f.defers(j, k)).map(|f| f.sponge.row_factors(j, k));
                 let at = |i: usize| damp.map(|(gx, gjk)| (gx[i..].as_ptr(), gjk));
                 let mut i = win.i0;
@@ -927,5 +940,31 @@ pub(crate) mod tests {
         update_stress_simd(&mut a, &med, None, 0.02, 1e-3, BlockSpec::new(2, 5));
         update_stress_simd(&mut b, &med, None, 0.02, 1e-3, BlockSpec::UNBLOCKED);
         assert_bits_equal(&a, &b, "block invariance (stress)");
+    }
+
+    /// A window one plane past the grid: the debug-build row check fires on
+    /// the first row whose reach leaves the padded fields, before it runs.
+    #[cfg(debug_assertions)]
+    fn beyond_the_grid() -> (Medium, WaveState, Win) {
+        let d = Dims3::new(13, 6, 5);
+        let (med, st) = setup(d, 0x0b0b);
+        (med, st, Win { k1: d.nz + 1, ..Win::full(d) })
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "velocity row (0, 5) of")]
+    fn velocity_rows_outside_the_padded_fields_are_caught_in_debug_builds() {
+        let (med, mut st, win) = beyond_the_grid();
+        update_velocity_backend_win(&mut st, &med, 0.01, BlockSpec::UNBLOCKED, win, detect());
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "stress row (0, 5) of")]
+    fn stress_rows_outside_the_padded_fields_are_caught_in_debug_builds() {
+        let (med, mut st, win) = beyond_the_grid();
+        let b = BlockSpec::UNBLOCKED;
+        update_stress_backend_win(&mut st, &med, None, 0.01, 1e-3, b, win, detect());
     }
 }

@@ -67,7 +67,7 @@ fn lts_workflow_restart_reproduces_clean_run() {
     let dir_b = scratch_dir("wf-lts-failed");
     let mut wf = WorkflowSession::new([2, 1, 1]);
     wf.checkpoint_every = Some(3);
-    wf.fail_at_step = Some(10);
+    wf.fault_plan = Some(Arc::new(FaultPlan::new(0x5EED).with_crash(0, 10)));
     let rep_b = wf.execute(&basin_run(steps), &dir_b).unwrap();
     assert!(rep_b.restarted, "restart pass must run");
     assert!(rep_b.archive_verified);

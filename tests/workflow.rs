@@ -2,7 +2,9 @@
 
 use awp_odc::pario::Md5;
 use awp_odc::scenario::Scenario;
+use awp_odc::vcluster::fault::FaultPlan;
 use awp_odc::workflow::{scratch_dir, WorkflowSession};
+use std::sync::Arc;
 
 #[test]
 fn workflow_decompositions_agree() {
@@ -103,12 +105,12 @@ fn checkpoint_restart_reproduces_clean_run() {
     let run_a = sc.prepare();
     let steps = run_a.cfg.steps;
     let rep_a = WorkflowSession::new([2, 1, 1]).execute(&run_a, &dir_a).unwrap();
-    // Failure-injected run: checkpoint every 4 steps, die at ~60 %.
+    // Failure-injected run: checkpoint every 4 steps, crash rank 0 at ~60 %.
     let dir_b = scratch_dir("wf-failed");
     let run_b = sc.prepare();
     let mut wf = WorkflowSession::new([2, 1, 1]);
     wf.checkpoint_every = Some(4);
-    wf.fail_at_step = Some(steps * 3 / 5);
+    wf.fault_plan = Some(Arc::new(FaultPlan::new(0x5EED).with_crash(0, (steps * 3 / 5) as u64)));
     let rep_b = wf.execute(&run_b, &dir_b).unwrap();
     assert!(rep_b.restarted, "restart pass must run");
     assert_eq!(rep_b.failed_at, Some(steps * 3 / 5));
