@@ -140,7 +140,7 @@ pub fn partition_ondemand(
             if reader == rank && rank < n_readers {
                 continue; // self-delivered above
             }
-            let chunk = ctx.recv(reader, gk as u64).into_f32();
+            let chunk = ctx.recv(reader, gk as u64);
             place_plane(&mut local, &sub.dims, lk, &chunk);
         }
         Ok(local)

@@ -6,12 +6,13 @@
 //! pools of reusable buffers:
 //!
 //! * **face buffers** — `take_buf`/`put_buf` recycle the `Vec<f32>` slabs.
-//!   A sent buffer moves into the mailbox (`Payload::F32` wraps the
-//!   allocation, no copy) and the *receiver* pools it after injection, so
-//!   buffers migrate between ranks' arenas. Per step each rank sends and
-//!   receives the same number of slabs (halo links are symmetric), so every
-//!   pool stays balanced and — once each pooled buffer has grown to the
-//!   largest face it has carried — steady state performs zero allocations.
+//!   A sent buffer moves into the mailbox (the message carries the
+//!   `Vec<f32>` itself, no copy) and the *receiver* pools it after
+//!   injection, so buffers migrate between ranks' arenas. Per step each
+//!   rank sends and receives the same number of slabs (halo links are
+//!   symmetric), so every pool stays balanced and — once each pooled
+//!   buffer has grown to the largest face it has carried — steady state
+//!   performs zero allocations.
 //! * **request lists** — `take_reqs`/`put_reqs` recycle the
 //!   `Vec<PendingRecv>` that tracks the started exchanges of one cluster
 //!   phase (every slab of the overlap pipeline appends to the one list).

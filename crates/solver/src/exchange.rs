@@ -17,11 +17,11 @@
 //! rank's low/high halo; the matching sends are derived symmetrically.
 //!
 //! The data path is zero-copy: outgoing slabs are extracted into buffers
-//! pooled in a [`HaloArena`] and *moved* into the mailbox (`Payload::F32`
-//! carries the allocation); the receiver injects straight from the arrived
-//! vector and pools it for its own next send. Steady-state stepping
-//! performs no per-message heap allocation — the arena's debug ledger
-//! asserts this.
+//! pooled in a [`HaloArena`] and *moved* into the mailbox (the message's
+//! `Vec<f32>` carries the allocation); the receiver injects straight from
+//! the arrived vector and pools it for its own next send. Steady-state
+//! stepping performs no per-message heap allocation — the arena's debug
+//! ledger asserts this.
 
 use crate::arena::HaloArena;
 use crate::state::WaveState;
@@ -31,7 +31,6 @@ use awp_grid::stagger::Component;
 use awp_telemetry::Phase as TelPhase;
 use awp_vcluster::cluster::{CommMode, RankCtx};
 use awp_vcluster::message::{make_tag, Tag};
-use std::time::Duration;
 
 /// One component-axis exchange rule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -121,8 +120,7 @@ fn faces_of(axis: Axis) -> (Face, Face) {
 /// from and where its slab goes. A cluster phase keeps them in one list
 /// borrowed from the [`HaloArena`] (`take_reqs`): every
 /// [`start_exchange_k`] of the phase appends to it and [`finish_exchange`]
-/// drains and returns it, so completion needs no scratch vector
-/// (MPI_Waitall used to force a second request array here).
+/// completes and returns it.
 #[derive(Debug, Clone, Copy)]
 pub struct PendingRecv {
     src: usize,
@@ -134,7 +132,6 @@ pub struct PendingRecv {
     /// global-dt path; a dt-cluster's slice under local time stepping).
     k0: usize,
     k1: usize,
-    done: bool,
 }
 
 /// Low bits of the tag's step field that carry the slab index.
@@ -200,13 +197,12 @@ pub fn start_exchange_k(
                     width,
                     k0: kr.0,
                     k1: kr.1,
-                    done: false,
                 });
             }
         }
         // Our low-side layers land in the low neighbour's *high* halo, so
         // the width is the receiver's recv_hi and the tag carries its f_hi
-        // face id (the irecv it posted); symmetrically for the high side.
+        // face id (the receive it posted); symmetrically for the high side.
         for (f, width) in [(f_lo, p.recv_hi), (f_hi, p.recv_lo)] {
             if let Some(nb) = link(f).filter(|_| width > 0) {
                 let field = state.field(p.comp);
@@ -220,61 +216,31 @@ pub fn start_exchange_k(
     ctx.telem.finish(t_send, TelPhase::Send);
 }
 
-/// Complete a started exchange: drain every posted receive (MPI_Waitall)
-/// and inject the halos. Ready messages are absorbed in arrival order via
-/// `try_recv`; when nothing is ready the first outstanding request blocks.
-/// Received slabs are pooled in the arena after injection — the completion
-/// loop allocates nothing.
+/// Complete a started exchange through the rank's one Waitall
+/// ([`RankCtx::wait_each`]): each slab is injected into its halo as it
+/// arrives and its buffer pooled in the arena, so the completion loop
+/// allocates nothing.
 pub fn finish_exchange(
     state: &mut WaveState,
     ctx: &mut RankCtx,
-    mut reqs: Vec<PendingRecv>,
+    reqs: Vec<PendingRecv>,
     arena: &mut HaloArena,
 ) {
     let t_all = ctx.telem.start();
-    let mut inject_ns = 0u64;
-    let mut remaining = reqs.len();
-    while remaining > 0 {
-        let mut progressed = false;
-        for r in reqs.iter_mut() {
-            if r.done {
-                continue;
-            }
-            if let Some(payload) = ctx.try_recv(r.src, r.tag) {
-                let data = payload.into_f32();
-                let t = ctx.telem.start();
-                inject_halo_k(state.field_mut(r.comp), r.face, r.width, r.k0, r.k1, &data);
-                if let Some(t) = t {
-                    inject_ns += t.elapsed().as_nanos() as u64;
-                }
-                arena.put_buf(data);
-                r.done = true;
-                remaining -= 1;
-                progressed = true;
-            }
-        }
-        if !progressed {
-            // Nothing arrived: block on the first outstanding request.
-            if let Some(r) = reqs.iter_mut().find(|r| !r.done) {
-                let data = ctx.recv(r.src, r.tag).into_f32();
-                let t = ctx.telem.start();
-                inject_halo_k(state.field_mut(r.comp), r.face, r.width, r.k0, r.k1, &data);
-                if let Some(t) = t {
-                    inject_ns += t.elapsed().as_nanos() as u64;
-                }
-                arena.put_buf(data);
-                r.done = true;
-                remaining -= 1;
-            }
-        }
-    }
+    let inject = ctx.wait_each(
+        &reqs,
+        |r| (r.src, r.tag),
+        |r, data| {
+            inject_halo_k(state.field_mut(r.comp), r.face, r.width, r.k0, r.k1, &data);
+            arena.put_buf(data);
+        },
+    );
     arena.put_reqs(reqs);
     // Split the completion interval into its two meanings: time blocked on
     // neighbours (wait, the overlap-sensitive term the slab pipeline
     // exists to shrink) and time spent copying arrived slabs into ghosts
     // (inject, presented as one span following the wait).
     if let Some(t0) = t_all {
-        let inject = Duration::from_nanos(inject_ns);
         let wait = t0.elapsed().saturating_sub(inject);
         ctx.telem.span_at(TelPhase::Wait, t0, wait);
         ctx.telem.span_at(TelPhase::Inject, t0 + wait, inject);
@@ -360,7 +326,7 @@ fn exchange_sync(
             if let Some(nb) = sub.neighbor(f_lo) {
                 if p.recv_lo > 0 {
                     let tag = make_tag(phase as u8, p.comp.id() as u8, f_lo.id() as u8, step);
-                    let data = ctx.recv(nb, tag).into_f32();
+                    let data = ctx.recv(nb, tag);
                     inject_halo_k(state.field_mut(p.comp), f_lo, p.recv_lo, kr.0, kr.1, &data);
                     arena.put_buf(data);
                 }
@@ -389,7 +355,7 @@ fn exchange_sync(
             if let Some(nb) = sub.neighbor(f_hi) {
                 if p.recv_hi > 0 {
                     let tag = make_tag(phase as u8, p.comp.id() as u8, f_hi.id() as u8, step);
-                    let data = ctx.recv(nb, tag).into_f32();
+                    let data = ctx.recv(nb, tag);
                     inject_halo_k(state.field_mut(p.comp), f_hi, p.recv_hi, kr.0, kr.1, &data);
                     arena.put_buf(data);
                 }
@@ -559,6 +525,54 @@ mod tests {
             err
         });
         assert!(maxdiff.iter().all(|&e| e == 0.0), "{maxdiff:?}");
+    }
+
+    /// The halo completion is the Waitall the schedule fuzzer permutes:
+    /// with every slab delivered before completion starts (a barrier
+    /// between start and finish), the causal recv events come in the
+    /// plan's `waitall_perm` order, and in request order without a plan.
+    #[test]
+    fn halo_completion_polls_in_the_plan_order() {
+        use awp_telemetry::{CausalKind, Registry};
+        use awp_vcluster::SchedulePlan;
+        let global = Dims3::new(8, 4, 4);
+        let decomp = Decomp3::new(global, [2, 1, 1]);
+        let seed = 0x5EED;
+        for fuzzed in [false, true] {
+            let plan = SchedulePlan::with_bounds(seed, 0, 0);
+            let mut cluster = Cluster::new(2, CommMode::Asynchronous)
+                .with_telemetry(Registry::with_capacity(2, 256));
+            if fuzzed {
+                cluster = cluster.with_schedule(std::sync::Arc::clone(&plan));
+            }
+            let checks: Vec<(Vec<Tag>, Vec<Tag>)> = cluster.run(|ctx| {
+                let sub = decomp.subdomain(ctx.rank());
+                let mut st = WaveState::new(sub.dims, false);
+                let mut arena = HaloArena::new();
+                let mut reqs = arena.take_reqs();
+                let fields = full_plan(&Component::ALL);
+                let kr = (0, st.dims.nz);
+                let (phase, step) = (Phase::Velocity, 0);
+                start_exchange_k(&st, &sub, ctx, &fields, phase, step, &mut arena, kr, &mut reqs);
+                let mut want: Vec<Tag> = reqs.iter().map(|r| r.tag).collect();
+                if fuzzed {
+                    let perm = plan.waitall_perm(ctx.rank(), 0, want.len());
+                    let identity: Vec<usize> = (0..want.len()).collect();
+                    assert_ne!(perm, identity, "pick a seed that permutes");
+                    want = perm.iter().map(|&i| want[i]).collect();
+                }
+                ctx.barrier();
+                finish_exchange(&mut st, ctx, reqs, &mut arena);
+                let snap = ctx.telem.snapshot();
+                let recvs = snap.causal.iter().filter(|e| e.kind == CausalKind::Recv);
+                let got = recvs.map(|e| e.tag).collect();
+                (got, want)
+            });
+            for (rank, (got, want)) in checks.iter().enumerate() {
+                assert_eq!(want.len(), 9, "one x-face request per component");
+                assert_eq!(got, want, "rank {rank} fuzzed {fuzzed}");
+            }
+        }
     }
 
     /// The tentpole's zero-allocation guarantee: after a warmup step has

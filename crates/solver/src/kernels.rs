@@ -20,6 +20,7 @@ use crate::shell::Win;
 use crate::simd::{update_stress_backend_win, update_velocity_backend_win, SimdBackend};
 use crate::state::WaveState;
 use awp_grid::blocking::{for_each_blocked, BlockSpec};
+use awp_grid::dims::Dims3;
 use awp_grid::fpmode::{self, FlushGuard};
 use awp_grid::{C1, C2};
 
@@ -39,6 +40,15 @@ pub fn layout(state: &WaveState) -> (usize, usize, usize) {
 pub(crate) fn reach_in_bounds(o: usize, n: usize, (sy, sz): (usize, usize), len: usize) -> bool {
     let reach = [2, 2 * sy, 2 * sz];
     n > 0 && reach.iter().all(|&r| o >= r && o + n - 1 + r < len)
+}
+
+/// Whether row `(j, k)` of `win` lies inside the `d` extent on every axis.
+/// [`reach_in_bounds`] sees only the flat padded length, so a row that runs
+/// off its x extent into the next row's halo passes it; the row walks of
+/// `crate::simd` and `crate::pml` check both per row in debug builds.
+#[inline]
+pub(crate) fn row_in_extent(win: Win, j: usize, k: usize, d: Dims3) -> bool {
+    win.i1 <= d.nx && j < d.ny && k < d.nz
 }
 
 /// Update the three velocity components one leapfrog half-step:

@@ -36,7 +36,7 @@
 //!   (`pmax = 0` cross terms) has `(b, a) = (0, 0)`: its ψ stays `+0` and
 //!   it contributes `+0`, which is what skipping it would.
 
-use crate::kernels::{layout, reach_in_bounds};
+use crate::kernels::{layout, reach_in_bounds, row_in_extent};
 use crate::medium::Medium;
 use crate::shell::Win;
 use crate::simd::{accumulate, Lanes, SimdBackend, StressPtrs, VelPtrs};
@@ -618,7 +618,8 @@ fn row_in_bounds(
 /// available. Rows are clipped to the boxes, which lie inside `pml.dims`,
 /// so the stencil reach of 2 stays inside the halo; ψ and coefficient
 /// offsets stay inside their box / scratch row by construction. Debug
-/// builds check all three per row (`row_in_bounds`).
+/// builds check all three per row (`row_in_bounds`), and the row against
+/// the `pml.dims` extent on every axis (`row_in_extent`).
 #[inline(always)]
 unsafe fn rows<V: Lanes, P: Pass>(
     pml: &mut Mpml,
@@ -652,6 +653,10 @@ unsafe fn rows<V: Lanes, P: Pass>(
                     row_in_bounds(o, n, (sy, sz), len, q, cells, cs),
                     "M-PML row ({j}, {k}) of {:?} leaves its arrays",
                     b.win
+                );
+                debug_assert!(
+                    row_in_extent(w, j, k, *dims),
+                    "M-PML row ({j}, {k}) of {w:?} leaves the {dims:?} extent"
                 );
                 let level = yl + zl;
                 if level != expanded {

@@ -22,7 +22,7 @@
 
 use crate::attenuation::Attenuation;
 use crate::boundary::SpongeFold;
-use crate::kernels::{layout, reach_in_bounds};
+use crate::kernels::{layout, reach_in_bounds, row_in_extent};
 use crate::medium::Medium;
 use crate::shell::Win;
 use crate::state::WaveState;
@@ -469,7 +469,8 @@ unsafe fn vel_chunk<V: Lanes>(p: VelPtrs, o: usize, sy: usize, sz: usize, dth: f
 /// # Safety
 /// Caller must ensure `V`'s instruction set is available and `win` lies
 /// inside the grid, so every lane's stencil reach stays inside the padded
-/// fields; debug builds check the reach per row ([`reach_in_bounds`]).
+/// fields; debug builds check the reach and the extent per row
+/// ([`reach_in_bounds`], [`row_in_extent`]).
 #[inline(always)]
 unsafe fn velocity_body<V: Lanes>(
     state: &mut WaveState,
@@ -489,6 +490,11 @@ unsafe fn velocity_body<V: Lanes>(
                 debug_assert!(
                     reach_in_bounds(row + win.i0, win.i1 - win.i0, (sy, sz), len),
                     "velocity row ({j}, {k}) of {win:?} reaches outside the padded fields"
+                );
+                debug_assert!(
+                    row_in_extent(win, j, k, state.dims),
+                    "velocity row ({j}, {k}) of {win:?} leaves the {:?} extent",
+                    state.dims
                 );
                 let mut i = win.i0;
                 while i + V::WIDTH <= win.i1 {
@@ -742,6 +748,11 @@ unsafe fn stress_body<V: Lanes>(
                     reach_in_bounds(row + win.i0, win.i1 - win.i0, (sy, sz), len),
                     "stress row ({j}, {k}) of {win:?} reaches outside the padded fields"
                 );
+                debug_assert!(
+                    row_in_extent(win, j, k, state.dims),
+                    "stress row ({j}, {k}) of {win:?} leaves the {:?} extent",
+                    state.dims
+                );
                 let damp = fold.filter(|f| !f.defers(j, k)).map(|f| f.sponge.row_factors(j, k));
                 let at = |i: usize| damp.map(|(gx, gjk)| (gx[i..].as_ptr(), gjk));
                 let mut i = win.i0;
@@ -964,6 +975,37 @@ pub(crate) mod tests {
     #[should_panic(expected = "stress row (0, 5) of")]
     fn stress_rows_outside_the_padded_fields_are_caught_in_debug_builds() {
         let (med, mut st, win) = beyond_the_grid();
+        let b = BlockSpec::UNBLOCKED;
+        update_stress_backend_win(&mut st, &med, None, 0.01, 1e-3, b, win, detect());
+    }
+
+    /// A window one cell past the grid along x: every row runs into the
+    /// next row's halo, which the flat reach check cannot see, so the
+    /// per-axis extent check fires on the first row.
+    #[cfg(debug_assertions)]
+    fn past_the_x_extent() -> (Medium, WaveState, Win) {
+        let d = Dims3::new(13, 6, 5);
+        let (med, st) = setup(d, 0x0c0c);
+        let win = Win { i1: d.nx + 1, ..Win::full(d) };
+        let (sy, sz, base) = layout(&st);
+        let len = st.vx.as_slice().len();
+        assert!(reach_in_bounds(base, win.i1, (sy, sz), len), "the flat check must pass");
+        (med, st, win)
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "velocity row (0, 0) of")]
+    fn velocity_rows_past_the_x_extent_are_caught_in_debug_builds() {
+        let (med, mut st, win) = past_the_x_extent();
+        update_velocity_backend_win(&mut st, &med, 0.01, BlockSpec::UNBLOCKED, win, detect());
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "stress row (0, 0) of")]
+    fn stress_rows_past_the_x_extent_are_caught_in_debug_builds() {
+        let (med, mut st, win) = past_the_x_extent();
         let b = BlockSpec::UNBLOCKED;
         update_stress_backend_win(&mut st, &med, None, 0.01, 1e-3, b, win, detect());
     }

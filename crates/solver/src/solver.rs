@@ -1029,7 +1029,7 @@ pub(crate) fn exchange_material_halos(med: &mut Medium, sub: &Subdomain, ctx: &m
                     let halo = if into.is_low() { -W..0 } else { n[a]..n[a] + W };
                     match sub.neighbor(into) {
                         Some(nb) => {
-                            let data = ctx.recv(nb, tag).into_f32();
+                            let data = ctx.recv(nb, tag);
                             let mut next = data.iter();
                             slab(halo, &mut |[i, j, k]| {
                                 field.set(i, j, k, *next.next().expect("material slab too short"))

@@ -13,7 +13,7 @@ use crate::fault::{
 };
 use crate::ledger::{Category, TimeLedger};
 use crate::mailbox::Mailbox;
-use crate::message::{Message, Payload, Tag};
+use crate::message::{Message, Tag};
 use crate::schedule::SchedulePlan;
 use awp_telemetry::{
     Counter, FlightRecorder, HistKind, LiveStats, Phase, Recorder, Registry,
@@ -59,13 +59,6 @@ impl ClusterStats {
     }
 }
 
-/// Outcome of an abortable barrier wait.
-enum BarrierWait {
-    Passed,
-    TimedOut,
-    Poisoned,
-}
-
 struct BarrierState {
     arrived: usize,
     generation: u64,
@@ -73,8 +66,7 @@ struct BarrierState {
 }
 
 /// Re-usable counting barrier that, unlike `std::sync::Barrier`, can be
-/// poisoned (waking every waiter so it can unwind during teardown) and
-/// supports per-wait deadlines.
+/// poisoned (waking every waiter so it can unwind during teardown).
 pub(crate) struct SyncBarrier {
     n: usize,
     state: parking_lot::Mutex<BarrierState>,
@@ -95,38 +87,29 @@ impl SyncBarrier {
     }
 
     /// Wait for all ranks, beating the caller's heartbeat periodically via
-    /// `on_tick` (a rank parked at a barrier is waiting, not hung). With a
-    /// deadline, a timed-out waiter withdraws its contribution so the
-    /// remaining ranks still form a coherent group.
-    fn wait(&self, deadline: Option<Instant>, on_tick: &dyn Fn()) -> BarrierWait {
+    /// `on_tick` (a rank parked at a barrier is waiting, not hung). Unwinds
+    /// with `AbortUnwind` if the barrier is poisoned.
+    fn wait(&self, on_tick: &dyn Fn()) {
         let mut s = self.state.lock();
-        if s.poisoned {
-            return BarrierWait::Poisoned;
-        }
-        s.arrived += 1;
-        if s.arrived == self.n {
-            s.arrived = 0;
-            s.generation = s.generation.wrapping_add(1);
-            self.cv.notify_all();
-            return BarrierWait::Passed;
-        }
-        let gen = s.generation;
-        loop {
-            self.cv.wait_for(&mut s, Duration::from_millis(50));
-            on_tick();
-            if s.generation != gen {
-                return BarrierWait::Passed;
+        if !s.poisoned {
+            s.arrived += 1;
+            if s.arrived == self.n {
+                s.arrived = 0;
+                s.generation = s.generation.wrapping_add(1);
+                self.cv.notify_all();
+                return;
             }
-            if s.poisoned {
-                return BarrierWait::Poisoned;
-            }
-            if let Some(d) = deadline {
-                if Instant::now() >= d {
-                    s.arrived -= 1;
-                    return BarrierWait::TimedOut;
+            let gen = s.generation;
+            while !s.poisoned {
+                self.cv.wait_for(&mut s, Duration::from_millis(50));
+                on_tick();
+                if s.generation != gen {
+                    return;
                 }
             }
         }
+        drop(s);
+        panic::panic_any(AbortUnwind);
     }
 
     fn poison(&self) {
@@ -179,7 +162,7 @@ pub(crate) struct Shared {
     /// recorder at spawn and its snapshot is submitted at rank completion.
     pub(crate) telemetry: Option<Arc<Registry>>,
     /// Opt-in seeded schedule perturbation (test harness): reorders
-    /// eligible message delivery and wait-all polling deterministically.
+    /// eligible message delivery and `wait_each` polling deterministically.
     pub(crate) schedule: Option<Arc<SchedulePlan>>,
     /// Opt-in live streaming-stats cells (stats endpoint). Wired into each
     /// rank's recorder when attached.
@@ -300,7 +283,7 @@ impl LivenessTracker {
 ///     let next = (ctx.rank() + 1) % ctx.size();
 ///     let prev = (ctx.rank() + ctx.size() - 1) % ctx.size();
 ///     ctx.send(next, 7, vec![ctx.rank() as f32]);
-///     ctx.recv(prev, 7).into_f32()[0]
+///     ctx.recv(prev, 7)[0]
 /// });
 /// assert_eq!(sums, vec![2.0, 0.0, 1.0]);
 /// ```
@@ -309,13 +292,6 @@ pub struct Cluster {
     pub(crate) size: usize,
     pub(crate) mode: CommMode,
     pub(crate) watchdog: Option<WatchdogConfig>,
-}
-
-/// Handle to a posted non-blocking receive.
-#[derive(Debug, Clone, Copy)]
-pub struct RecvReq {
-    pub src: usize,
-    pub tag: Tag,
 }
 
 /// Silence the panic-hook output for cluster-internal unwind payloads
@@ -461,8 +437,8 @@ impl Cluster {
 
     /// Attach a deterministic schedule-perturbation plan (builder style;
     /// call before the first `run`/`try_run`). Every mailbox then applies
-    /// seeded delivery reordering and hold-backs, and every `wait_all`
-    /// polls its request set in a seeded order — see
+    /// seeded delivery reordering and hold-backs, and every
+    /// [`RankCtx::wait_each`] polls its request set in a seeded order — see
     /// [`SchedulePlan`](crate::schedule::SchedulePlan). Production runs
     /// (no plan) keep the plain FIFO path.
     pub fn with_schedule(mut self, plan: Arc<SchedulePlan>) -> Self {
@@ -644,10 +620,13 @@ pub struct RankCtx {
     size: usize,
     mode: CommMode,
     shared: Arc<Shared>,
-    /// Number of `wait_all` completions this rank has issued — the
-    /// deterministic (program-order) index a schedule plan keys its
-    /// polling-order permutation on.
+    /// Number of [`wait_each`](Self::wait_each) completions this rank has
+    /// issued under a schedule plan — the deterministic (program-order)
+    /// index the plan keys its polling-order permutation on.
     waitall_calls: u64,
+    /// `wait_each`'s outstanding-request indices in polling order, kept
+    /// between calls so a completion allocates nothing once warm.
+    poll: Vec<usize>,
     /// Checkpoint epoch the supervisor rewound this rank to, set at the
     /// rollback gate before a body re-run. `None` on a fresh pass.
     recovery_epoch: Option<u64>,
@@ -693,6 +672,7 @@ impl RankCtx {
             mode,
             shared,
             waitall_calls: 0,
+            poll: Vec::new(),
             recovery_epoch: None,
             ledger: TimeLedger::new(),
             telem,
@@ -725,11 +705,6 @@ impl RankCtx {
 
     pub fn mode(&self) -> CommMode {
         self.mode
-    }
-
-    fn count(&self, payload: &Payload) {
-        self.shared.stats.messages.fetch_add(1, Ordering::Relaxed);
-        self.shared.stats.bytes.fetch_add(payload.byte_len() as u64, Ordering::Relaxed);
     }
 
     /// Report liveness to the watchdog. Communication calls do this
@@ -811,10 +786,10 @@ impl RankCtx {
     /// asynchronous mode. Time is charged to `Comm`. With a fault plan
     /// attached, the message may be deterministically dropped, delayed or
     /// duplicated.
-    pub fn send(&mut self, dst: usize, tag: Tag, payload: impl Into<Payload>) {
-        let payload = payload.into();
-        self.count(&payload);
-        let bytes = payload.byte_len() as u64;
+    pub fn send(&mut self, dst: usize, tag: Tag, payload: Vec<f32>) {
+        let bytes = 4 * payload.len() as u64;
+        self.shared.stats.messages.fetch_add(1, Ordering::Relaxed);
+        self.shared.stats.bytes.fetch_add(bytes, Ordering::Relaxed);
         self.telem.count(Counter::MsgsSent, 1);
         self.telem.count(Counter::BytesSent, bytes);
         assert!(dst < self.size, "send to rank {dst} of {}", self.size);
@@ -905,182 +880,87 @@ impl RankCtx {
         self.telem.observe(HistKind::Send, el);
     }
 
-    /// Merge a matched message's Lamport stamp into this rank's clock and
-    /// record the recv half of the causal edge.
-    fn trace_recv(&mut self, src: usize, tag: Tag, bytes: u64, peer_clock: u64) {
+    /// Matched take from this rank's mailbox with the per-message
+    /// bookkeeping every receive shares: the Lamport merge and causal recv
+    /// event, the `MsgsRecv`/`BytesRecv` counters and, when blocking, the
+    /// blocked time charged to `Comm` and the recv latency histogram.
+    fn take(&mut self, src: usize, tag: Tag, block: bool) -> Option<Vec<f32>> {
+        if block {
+            self.shared.beat(self.rank);
+        }
+        let t0 = block.then(Instant::now);
+        let (data, peer_clock) = self.shared.mailboxes[self.rank].take(src, tag, block)?;
+        if let Some(t0) = t0 {
+            let el = t0.elapsed();
+            self.ledger.add(Category::Comm, el);
+            self.telem.observe(HistKind::Recv, el);
+        }
+        let bytes = 4 * data.len() as u64;
         let clock = self.telem.clock_recv(peer_clock);
         self.telem.causal_recv(src as u32, tag, bytes, peer_clock, clock);
+        self.telem.count(Counter::MsgsRecv, 1);
+        self.telem.count(Counter::BytesRecv, bytes);
+        Some(data)
     }
 
     /// Blocking matched receive.
-    pub fn recv(&mut self, src: usize, tag: Tag) -> Payload {
-        let t0 = std::time::Instant::now();
-        self.shared.beat(self.rank);
-        let (p, peer_clock) = self.shared.mailboxes[self.rank].recv_traced(src, tag);
-        let el = t0.elapsed();
-        self.ledger.add(Category::Comm, el);
-        self.trace_recv(src, tag, p.byte_len() as u64, peer_clock);
-        self.telem.count(Counter::MsgsRecv, 1);
-        self.telem.count(Counter::BytesRecv, p.byte_len() as u64);
-        self.telem.observe(HistKind::Recv, el);
-        p
+    pub fn recv(&mut self, src: usize, tag: Tag) -> Vec<f32> {
+        self.take(src, tag, true).expect("a blocking take returns a message")
     }
 
-    /// Non-blocking matched receive: returns the payload if a message from
-    /// `src` with `tag` has already arrived. Lets completion loops drain
-    /// whichever request is ready without staging the full request set in a
-    /// fresh vector (the zero-copy halo pipeline polls with this).
-    pub fn try_recv(&mut self, src: usize, tag: Tag) -> Option<Payload> {
-        self.shared.beat(self.rank);
-        let got = self.shared.mailboxes[self.rank].try_recv_traced(src, tag);
-        got.map(|(p, peer_clock)| {
-            self.trace_recv(src, tag, p.byte_len() as u64, peer_clock);
-            self.telem.count(Counter::MsgsRecv, 1);
-            self.telem.count(Counter::BytesRecv, p.byte_len() as u64);
-            p
-        })
-    }
-
-    /// Blocking receive with a deadline (returns `None` on timeout) — used
-    /// by deadlock-sensitive tests.
-    pub fn recv_timeout(&mut self, src: usize, tag: Tag, timeout: Duration) -> Option<Payload> {
-        let t0 = std::time::Instant::now();
-        self.shared.beat(self.rank);
-        let got = self.shared.mailboxes[self.rank].recv_timeout_traced(src, tag, timeout);
-        let el = t0.elapsed();
-        self.ledger.add(Category::Comm, el);
-        got.map(|(p, peer_clock)| {
-            self.trace_recv(src, tag, p.byte_len() as u64, peer_clock);
-            self.telem.count(Counter::MsgsRecv, 1);
-            self.telem.count(Counter::BytesRecv, p.byte_len() as u64);
-            self.telem.observe(HistKind::Recv, el);
-            p
-        })
-    }
-
-    /// Post a non-blocking receive (returns a handle for
-    /// [`RankCtx::wait`] / [`RankCtx::wait_all`]).
-    pub fn irecv(&self, src: usize, tag: Tag) -> RecvReq {
-        RecvReq { src, tag }
-    }
-
-    /// Complete one posted receive.
-    pub fn wait(&mut self, req: RecvReq) -> Payload {
-        self.recv(req.src, req.tag)
-    }
-
-    /// Complete all posted receives, in any arrival order (MPI_Waitall);
-    /// results are returned in request order.
-    pub fn wait_all(&mut self, reqs: &[RecvReq]) -> Vec<Payload> {
-        self.wait_all_deadline(reqs, None).expect("deadline-free wait_all cannot time out")
-    }
-
-    /// `wait_all` with a deadline: returns `None` (discarding any partial
-    /// arrivals) if the full set has not completed within `timeout`.
-    /// Lets halo exchanges detect lost messages instead of deadlocking.
-    pub fn wait_all_timeout(&mut self, reqs: &[RecvReq], timeout: Duration) -> Option<Vec<Payload>> {
-        self.wait_all_deadline(reqs, Some(Instant::now() + timeout))
-    }
-
-    fn wait_all_deadline(
+    /// Complete every posted receive in any arrival order (MPI_Waitall),
+    /// handing each payload to `on_arrival` with its request as it lands.
+    /// `key` names a request's `(src, tag)` envelope. Each pass polls the
+    /// outstanding requests in request order — under a schedule plan, in
+    /// the plan's seeded [`waitall_perm`](SchedulePlan::waitall_perm)
+    /// order — and takes whatever has arrived; a pass that finds nothing
+    /// blocks on the first outstanding request. Only blocked time is
+    /// charged to `Comm`. Returns the time spent inside `on_arrival`,
+    /// measured only while the recorder is armed (zero otherwise).
+    pub fn wait_each<R>(
         &mut self,
-        reqs: &[RecvReq],
-        deadline: Option<Instant>,
-    ) -> Option<Vec<Payload>> {
-        let t0 = std::time::Instant::now();
+        reqs: &[R],
+        key: impl Fn(&R) -> (usize, Tag),
+        mut on_arrival: impl FnMut(&R, Vec<f32>),
+    ) -> Duration {
         self.shared.beat(self.rank);
-        let mut out: Vec<Option<Payload>> = (0..reqs.len()).map(|_| None).collect();
-        // Under a schedule plan the initial polling order is a seeded
-        // permutation keyed on this rank's wait-all call index, so the
-        // fuzzer exercises every completion order a real MPI_Waitall may
-        // produce. Results are still returned in request order.
-        let mut remaining: Vec<usize> = match &self.shared.schedule {
+        let mut order = std::mem::take(&mut self.poll);
+        order.clear();
+        match &self.shared.schedule {
             Some(plan) => {
-                let call = self.waitall_calls;
+                order.extend(plan.waitall_perm(self.rank, self.waitall_calls, reqs.len()));
                 self.waitall_calls += 1;
-                plan.waitall_perm(self.rank, call, reqs.len())
             }
-            None => (0..reqs.len()).collect(),
-        };
-        // Poll for whichever arrives first; fall back to a blocking wait on
-        // the first outstanding request when nothing is ready.
-        while !remaining.is_empty() {
-            let mut progressed = false;
+            None => order.extend(0..reqs.len()),
+        }
+        let mut in_callback = Duration::ZERO;
+        let mut block = false;
+        while !order.is_empty() {
+            let mut hit = false;
             let mut idx = 0;
-            while idx < remaining.len() {
-                let i = remaining[idx];
-                if let Some((p, peer_clock)) =
-                    self.shared.mailboxes[self.rank].try_recv_traced(reqs[i].src, reqs[i].tag)
-                {
-                    self.trace_recv(reqs[i].src, reqs[i].tag, p.byte_len() as u64, peer_clock);
-                    out[i] = Some(p);
-                    progressed = true;
-                    remaining.remove(idx);
-                } else {
+            while idx < order.len() {
+                let req = &reqs[order[idx]];
+                let (src, tag) = key(req);
+                let Some(data) = self.take(src, tag, block) else {
                     idx += 1;
+                    continue;
+                };
+                order.remove(idx);
+                hit = true;
+                let t = self.telem.start();
+                on_arrival(req, data);
+                if let Some(t) = t {
+                    in_callback += t.elapsed();
+                }
+                if block {
+                    break;
                 }
             }
-            if !progressed {
-                if let Some(&i) = remaining.first() {
-                    match deadline {
-                        None => {
-                            let (p, peer_clock) = self.shared.mailboxes[self.rank]
-                                .recv_traced(reqs[i].src, reqs[i].tag);
-                            self.trace_recv(
-                                reqs[i].src,
-                                reqs[i].tag,
-                                p.byte_len() as u64,
-                                peer_clock,
-                            );
-                            out[i] = Some(p);
-                            remaining.remove(0);
-                        }
-                        Some(d) => {
-                            let budget = d.saturating_duration_since(Instant::now());
-                            if budget.is_zero() {
-                                self.ledger.add(Category::Comm, t0.elapsed());
-                                return None;
-                            }
-                            match self.shared.mailboxes[self.rank].recv_timeout_traced(
-                                reqs[i].src,
-                                reqs[i].tag,
-                                budget.min(Duration::from_millis(50)),
-                            ) {
-                                Some((p, peer_clock)) => {
-                                    self.trace_recv(
-                                        reqs[i].src,
-                                        reqs[i].tag,
-                                        p.byte_len() as u64,
-                                        peer_clock,
-                                    );
-                                    out[i] = Some(p);
-                                    remaining.remove(0);
-                                }
-                                None => {
-                                    if Instant::now() >= d {
-                                        self.ledger.add(Category::Comm, t0.elapsed());
-                                        return None;
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
-            }
+            // Nothing was ready: block on the first outstanding request.
+            block = !hit;
         }
-        let el = t0.elapsed();
-        self.ledger.add(Category::Comm, el);
-        let msgs: Vec<Payload> =
-            out.into_iter().map(|p| p.expect("all requests completed")).collect();
-        if self.telem.is_enabled() {
-            let bytes: u64 = msgs.iter().map(|p| p.byte_len() as u64).sum();
-            self.telem.count(Counter::MsgsRecv, msgs.len() as u64);
-            self.telem.count(Counter::BytesRecv, bytes);
-            // One observation for the whole completion set: wait_all drains
-            // the mailbox directly, so per-message latency is not visible.
-            self.telem.observe(HistKind::Recv, el);
-        }
-        Some(msgs)
+        self.poll = order;
+        in_callback
     }
 
     /// Global barrier; time charged to `Sync` (the paper's T_sync is
@@ -1089,31 +969,7 @@ impl RankCtx {
         let t0 = std::time::Instant::now();
         let shared = Arc::clone(&self.shared);
         let rank = self.rank;
-        match self.shared.barrier.wait(None, &|| {
-            shared.beat(rank);
-            shared.check_rollback();
-        }) {
-            BarrierWait::Passed => {}
-            BarrierWait::Poisoned => panic::panic_any(AbortUnwind),
-            BarrierWait::TimedOut => unreachable!("deadline-free barrier cannot time out"),
-        }
-        let el = t0.elapsed();
-        self.ledger.add(Category::Sync, el);
-        self.telem.span_at(Phase::Barrier, t0, el);
-        self.telem.observe(HistKind::Barrier, el);
-        if self.rank == 0 {
-            self.shared.stats.barriers.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Barrier with a deadline: returns `false` (after withdrawing this
-    /// rank's arrival) if the group did not form in time — the caller can
-    /// then report or escalate instead of deadlocking.
-    pub fn barrier_timeout(&mut self, timeout: Duration) -> bool {
-        let t0 = std::time::Instant::now();
-        let shared = Arc::clone(&self.shared);
-        let rank = self.rank;
-        let outcome = self.shared.barrier.wait(Some(Instant::now() + timeout), &|| {
+        self.shared.barrier.wait(&|| {
             shared.beat(rank);
             shared.check_rollback();
         });
@@ -1121,15 +977,8 @@ impl RankCtx {
         self.ledger.add(Category::Sync, el);
         self.telem.span_at(Phase::Barrier, t0, el);
         self.telem.observe(HistKind::Barrier, el);
-        match outcome {
-            BarrierWait::Passed => {
-                if self.rank == 0 {
-                    self.shared.stats.barriers.fetch_add(1, Ordering::Relaxed);
-                }
-                true
-            }
-            BarrierWait::TimedOut => false,
-            BarrierWait::Poisoned => panic::panic_any(AbortUnwind),
+        if self.rank == 0 {
+            self.shared.stats.barriers.fetch_add(1, Ordering::Relaxed);
         }
     }
 
@@ -1161,7 +1010,7 @@ mod tests {
             let next = (ctx.rank() + 1) % ctx.size();
             let prev = (ctx.rank() + ctx.size() - 1) % ctx.size();
             ctx.send(next, 1, vec![ctx.rank() as f32]);
-            let got = ctx.recv(prev, 1).into_f32();
+            let got = ctx.recv(prev, 1);
             got[0]
         });
         for (r, v) in sums.iter().enumerate() {
@@ -1182,9 +1031,9 @@ mod tests {
             let prev = (ctx.rank() + ctx.size() - 1) % ctx.size();
             if ctx.rank() % 2 == 0 {
                 ctx.send(next, 9, vec![ctx.rank() as f32]);
-                ctx.recv(prev, 9).into_f32()[0]
+                ctx.recv(prev, 9)[0]
             } else {
-                let v = ctx.recv(prev, 9).into_f32()[0];
+                let v = ctx.recv(prev, 9)[0];
                 ctx.send(next, 9, vec![ctx.rank() as f32]);
                 v
             }
@@ -1198,9 +1047,19 @@ mod tests {
         let got = c.run(|ctx| {
             if ctx.rank() == 0 {
                 // Post receives from both peers before any arrives.
-                let reqs = vec![ctx.irecv(1, 100), ctx.irecv(2, 200)];
-                let ps = ctx.wait_all(&reqs);
-                (ps[0].clone().into_f32()[0], ps[1].clone().into_f32()[0])
+                let mut got = (0.0, 0.0);
+                ctx.wait_each(
+                    &[(1, 100), (2, 200)],
+                    |&r| r,
+                    |&(src, _), p| {
+                        if src == 1 {
+                            got.0 = p[0];
+                        } else {
+                            got.1 = p[0];
+                        }
+                    },
+                );
+                got
             } else if ctx.rank() == 1 {
                 std::thread::sleep(Duration::from_millis(30));
                 ctx.send(0, 100, vec![1.0f32]);
@@ -1211,6 +1070,49 @@ mod tests {
             }
         });
         assert_eq!(got[0], (1.0, 2.0));
+    }
+
+    #[test]
+    fn wait_each_polls_in_request_order_or_the_plan_permutation() {
+        // Every message is queued before the completion starts, so one
+        // polling pass takes them all: the arrival order is the polling
+        // order — request order without a plan, the plan's seeded
+        // permutation with one (bounds 0, 0: no hold-back, FIFO queue).
+        let n = 12u64;
+        let plan = SchedulePlan::with_bounds(0x0DE5, 0, 0);
+        let expected = plan.waitall_perm(0, 0, n as usize);
+        assert_ne!(expected, (0..n as usize).collect::<Vec<_>>(), "pick a seed that permutes");
+        for plan in [None, Some(plan)] {
+            let mut c = Cluster::new(2, CommMode::Asynchronous);
+            if let Some(p) = &plan {
+                c = c.with_schedule(Arc::clone(p));
+            }
+            let orders = c.run(|ctx| {
+                let mut order = Vec::new();
+                if ctx.rank() == 1 {
+                    for tag in 0..n {
+                        ctx.send(0, tag, vec![tag as f32]);
+                    }
+                    ctx.barrier();
+                } else {
+                    ctx.barrier();
+                    let reqs: Vec<_> = (0..n).map(|tag| (1, tag)).collect();
+                    ctx.wait_each(
+                        &reqs,
+                        |&r| r,
+                        |&(_, tag), p| {
+                            assert_eq!(p, vec![tag as f32]);
+                            order.push(tag as usize);
+                        },
+                    );
+                }
+                order
+            });
+            match plan {
+                None => assert_eq!(orders[0], (0..n as usize).collect::<Vec<_>>()),
+                Some(_) => assert_eq!(orders[0], expected),
+            }
+        }
     }
 
     #[test]
@@ -1311,7 +1213,7 @@ mod tests {
             if ctx.rank() == 1 {
                 panic!("numerical instability at cell 42");
             }
-            ctx.recv_timeout(1, 1, Duration::from_secs(5));
+            ctx.recv(1, 1);
         });
         let err = out[1].as_ref().expect_err("rank 1 panicked");
         assert_eq!(err.kind, FaultKind::Panic);
@@ -1425,7 +1327,7 @@ mod tests {
             for step in 0..20u64 {
                 ctx.send(next, 100 + step, vec![ctx.rank() as f32 + step as f32]);
             }
-            (0..20u64).map(|s| ctx.recv(prev, 100 + s).into_f32()[0]).sum::<f32>()
+            (0..20u64).map(|s| ctx.recv(prev, 100 + s)[0]).sum::<f32>()
         });
         for (r, v) in sums.iter().enumerate() {
             let prev = (r + 3) % 4;
@@ -1449,8 +1351,10 @@ mod tests {
                 for step in 0..20u64 {
                     ctx.send(next, 100 + step, vec![ctx.rank() as f32 + step as f32]);
                 }
-                let reqs: Vec<_> = (0..20u64).map(|s| ctx.irecv(prev, 100 + s)).collect();
-                ctx.wait_all(&reqs).iter().map(|p| p.clone().into_f32()[0]).sum::<f32>()
+                let reqs: Vec<_> = (0..20u64).map(|s| (prev, 100 + s)).collect();
+                let mut sum = 0.0;
+                ctx.wait_each(&reqs, |&r| r, |_, p| sum += p[0]);
+                sum
             });
             for (r, v) in sums.iter().enumerate() {
                 let prev = (r + 3) % 4;
@@ -1474,65 +1378,10 @@ mod tests {
                 }
                 0.0
             } else {
-                (0..8u64).map(|s| ctx.recv(0, s).into_f32()[0]).sum::<f32>()
+                (0..8u64).map(|s| ctx.recv(0, s)[0]).sum::<f32>()
             }
         });
         assert_eq!(out[1], (0..8).sum::<u64>() as f32);
-    }
-
-    #[test]
-    fn barrier_timeout_detects_missing_rank() {
-        let c = Cluster::new(2, CommMode::Asynchronous);
-        let out = c.run(|ctx| {
-            if ctx.rank() == 0 {
-                ctx.barrier_timeout(Duration::from_millis(100))
-            } else {
-                // Never joins the first barrier window.
-                std::thread::sleep(Duration::from_millis(300));
-                true
-            }
-        });
-        assert!(!out[0], "lone rank must time out of the barrier");
-    }
-
-    #[test]
-    fn barrier_timeout_passes_when_all_arrive() {
-        let c = Cluster::new(3, CommMode::Asynchronous);
-        let out = c.run(|ctx| ctx.barrier_timeout(Duration::from_secs(5)));
-        assert_eq!(out, vec![true, true, true]);
-    }
-
-    #[test]
-    fn wait_all_timeout_times_out_on_missing_message() {
-        let c = Cluster::new(2, CommMode::Asynchronous);
-        let out = c.run(|ctx| {
-            if ctx.rank() == 0 {
-                let reqs = vec![ctx.irecv(1, 1), ctx.irecv(1, 2)];
-                ctx.wait_all_timeout(&reqs, Duration::from_millis(100)).is_some()
-            } else {
-                ctx.send(0, 1, vec![1.0f32]);
-                // Tag 2 is never sent.
-                true
-            }
-        });
-        assert!(!out[0], "missing message must time out");
-    }
-
-    #[test]
-    fn wait_all_timeout_completes_when_all_arrive() {
-        let c = Cluster::new(2, CommMode::Asynchronous);
-        let out = c.run(|ctx| {
-            if ctx.rank() == 0 {
-                let reqs = vec![ctx.irecv(1, 1), ctx.irecv(1, 2)];
-                ctx.wait_all_timeout(&reqs, Duration::from_secs(5))
-                    .map(|ps| ps.iter().map(|p| p.clone().into_f32()[0]).sum::<f32>())
-            } else {
-                ctx.send(0, 2, vec![2.0f32]);
-                ctx.send(0, 1, vec![1.0f32]);
-                None
-            }
-        });
-        assert_eq!(out[0], Some(3.0));
     }
 
     #[test]

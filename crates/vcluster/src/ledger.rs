@@ -9,8 +9,8 @@ use std::time::{Duration, Instant};
 pub enum Category {
     /// Pure computational time.
     Comp,
-    /// Point-to-point communication, including `wait_all` time (the paper
-    /// folds `MPI_Waitall` into T_comm).
+    /// Point-to-point communication, including time blocked in
+    /// `RankCtx::wait_each` (the paper folds `MPI_Waitall` into T_comm).
     Comm,
     /// Barrier / global synchronisation.
     Sync,

@@ -15,7 +15,9 @@
 //!   until the receiver matches), reproducing the cascading-latency chains
 //!   of the original `mpi_send/mpi_recv` code path;
 //! * the *asynchronous* engine buffers sends eagerly and lets receivers
-//!   complete in any order (`isend`/`irecv`/`wait_all` à la MPI);
+//!   complete in any order: [`RankCtx::wait_each`] is the one Waitall,
+//!   polling posted `(source, tag)` receives and handing each `f32`
+//!   payload to the caller as it lands;
 //! * [`Barrier`](RankCtx::barrier) and wall-clock [time
 //!   ledgers](ledger::TimeLedger) record the T_comp/T_comm/T_sync/T_out
 //!   decomposition of the paper's Eq. (7);
@@ -24,7 +26,6 @@
 //!   optimisation (§IV.A).
 
 pub mod cluster;
-pub mod collectives;
 pub mod fault;
 pub mod ledger;
 pub mod mailbox;
@@ -41,7 +42,6 @@ pub use supervisor::{
     DeadLetterBuffer, DeadLetterStats, RecoveryEvent, RetryPolicy, SupervisedRun, Supervisor,
 };
 pub use schedule::SchedulePlan;
-pub use collectives::{allreduce_f64, broadcast_f64, gather_bytes, gather_f64, reduce_f64};
 pub use ledger::{Category, TimeLedger};
-pub use message::{Payload, Tag};
+pub use message::Tag;
 pub use topology::CartTopology;

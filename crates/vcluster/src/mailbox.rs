@@ -1,12 +1,12 @@
 //! Per-rank mailboxes with `(source, tag)` matching.
 
 use crate::fault::{AbortUnwind, RollbackUnwind};
-use crate::message::{Message, Payload, Tag};
+use crate::message::{Message, Tag};
 use crate::schedule::SchedulePlan;
 use parking_lot::{Condvar, Mutex};
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// A queued message plus its remaining schedule-fuzz hold-back: matching
 /// probes skip the entry (decrementing `defer`) until it reaches zero.
@@ -129,19 +129,15 @@ impl Mailbox {
         self.cv.notify_all();
     }
 
-    /// Blocking matched receive: waits until a message from `src` with `tag`
-    /// is available, removes it, acknowledges rendezvous senders, and
-    /// returns the payload. Unwinds (cluster-internal abort payload) if the
-    /// mailbox is poisoned while waiting.
-    pub fn recv(&self, src: usize, tag: Tag) -> Payload {
-        self.recv_traced(src, tag).0
-    }
-
-    /// [`recv`](Self::recv) that also surfaces the matched envelope's
-    /// Lamport stamp so the receiver can merge its logical clock (causal
-    /// tracing). All receive paths funnel through the traced variants; the
-    /// plain ones are thin wrappers that discard the stamp.
-    pub fn recv_traced(&self, src: usize, tag: Tag) -> (Payload, u64) {
+    /// Matched take: remove the first eligible message from `src` with
+    /// `tag`, release its rendezvous sender, and return the payload with
+    /// the envelope's Lamport stamp (the receiver merges it into its
+    /// logical clock). Without `block`, returns `None` when nothing is
+    /// eligible yet. Blocking, it naps while a match is held back by the
+    /// schedule policy, and unwinds when nothing is queued and the mailbox
+    /// is poisoned (`AbortUnwind`) or interrupted for a rollback
+    /// (`RollbackUnwind`).
+    pub(crate) fn take(&self, src: usize, tag: Tag, block: bool) -> Option<(Vec<f32>, u64)> {
         let mut s = self.state.lock();
         loop {
             match probe(&mut s, src, tag) {
@@ -153,8 +149,9 @@ impl Mailbox {
                         // teardown, so a closed channel is fine to ignore.
                         let _ = ack.send(());
                     }
-                    return (msg.payload, msg.clock);
+                    return Some((msg.payload, msg.clock));
                 }
+                _ if !block => return None,
                 Probe::Deferred => {
                     // A match is queued but held back: nap briefly and
                     // re-probe (each probe decrements the hold-back, so
@@ -171,74 +168,6 @@ impl Mailbox {
                         std::panic::panic_any(RollbackUnwind);
                     }
                     self.cv.wait(&mut s);
-                }
-            }
-        }
-    }
-
-    /// Non-blocking matched receive.
-    pub fn try_recv(&self, src: usize, tag: Tag) -> Option<Payload> {
-        self.try_recv_traced(src, tag).map(|(p, _)| p)
-    }
-
-    /// Non-blocking matched receive surfacing the envelope's clock stamp.
-    pub fn try_recv_traced(&self, src: usize, tag: Tag) -> Option<(Payload, u64)> {
-        let mut s = self.state.lock();
-        match probe(&mut s, src, tag) {
-            Probe::Hit(msg) => {
-                drop(s);
-                if let Some(ack) = msg.ack {
-                    let _ = ack.send(());
-                }
-                Some((msg.payload, msg.clock))
-            }
-            _ => None,
-        }
-    }
-
-    /// Blocking matched receive with timeout (deadlock diagnostics).
-    pub fn recv_timeout(&self, src: usize, tag: Tag, timeout: Duration) -> Option<Payload> {
-        self.recv_timeout_traced(src, tag, timeout).map(|(p, _)| p)
-    }
-
-    /// [`recv_timeout`](Self::recv_timeout) surfacing the envelope's clock.
-    pub fn recv_timeout_traced(
-        &self,
-        src: usize,
-        tag: Tag,
-        timeout: Duration,
-    ) -> Option<(Payload, u64)> {
-        let deadline = Instant::now() + timeout;
-        let mut s = self.state.lock();
-        loop {
-            match probe(&mut s, src, tag) {
-                Probe::Hit(msg) => {
-                    drop(s);
-                    if let Some(ack) = msg.ack {
-                        let _ = ack.send(());
-                    }
-                    return Some((msg.payload, msg.clock));
-                }
-                Probe::Deferred => {
-                    let next = deadline.min(Instant::now() + DEFER_NAP);
-                    if self.cv.wait_until(&mut s, next).timed_out()
-                        && Instant::now() >= deadline
-                    {
-                        return None;
-                    }
-                }
-                Probe::Miss => {
-                    if s.poisoned {
-                        drop(s);
-                        std::panic::panic_any(AbortUnwind);
-                    }
-                    if s.interrupted {
-                        drop(s);
-                        std::panic::panic_any(RollbackUnwind);
-                    }
-                    if self.cv.wait_until(&mut s, deadline).timed_out() {
-                        return None;
-                    }
                 }
             }
         }
@@ -307,7 +236,11 @@ mod tests {
     use std::sync::Arc;
 
     fn msg(src: usize, tag: Tag, v: Vec<f32>) -> Message {
-        Message { src, tag, payload: Payload::F32(v), clock: 0, ack: None }
+        Message { src, tag, payload: v, clock: 0, ack: None }
+    }
+
+    fn recv(mb: &Mailbox, src: usize, tag: Tag) -> Vec<f32> {
+        mb.take(src, tag, true).expect("a blocking take returns a message").0
     }
 
     #[test]
@@ -316,9 +249,9 @@ mod tests {
         mb.deliver(msg(1, 10, vec![1.0]));
         mb.deliver(msg(2, 10, vec![2.0]));
         mb.deliver(msg(1, 11, vec![3.0]));
-        assert_eq!(mb.recv(2, 10).into_f32(), vec![2.0]);
-        assert_eq!(mb.recv(1, 11).into_f32(), vec![3.0]);
-        assert_eq!(mb.recv(1, 10).into_f32(), vec![1.0]);
+        assert_eq!(recv(&mb, 2, 10), vec![2.0]);
+        assert_eq!(recv(&mb, 1, 11), vec![3.0]);
+        assert_eq!(recv(&mb, 1, 10), vec![1.0]);
         assert_eq!(mb.pending(), 0);
     }
 
@@ -331,7 +264,7 @@ mod tests {
             mb.deliver(msg(0, t, vec![t as f32]));
         }
         for t in 0..10u64 {
-            assert_eq!(mb.recv(0, t).into_f32(), vec![t as f32]);
+            assert_eq!(recv(&mb, 0, t), vec![t as f32]);
         }
     }
 
@@ -339,35 +272,28 @@ mod tests {
     fn try_recv_returns_none_when_absent() {
         let mb = Mailbox::new();
         mb.deliver(msg(0, 1, vec![]));
-        assert!(mb.try_recv(0, 2).is_none());
-        assert!(mb.try_recv(1, 1).is_none());
-        assert!(mb.try_recv(0, 1).is_some());
+        assert!(mb.take(0, 2, false).is_none());
+        assert!(mb.take(1, 1, false).is_none());
+        assert!(mb.take(0, 1, false).is_some());
     }
 
     #[test]
     fn blocking_recv_wakes_on_delivery() {
         let mb = Arc::new(Mailbox::new());
         let mb2 = mb.clone();
-        let h = std::thread::spawn(move || mb2.recv(3, 7).into_f32());
+        let h = std::thread::spawn(move || recv(&mb2, 3, 7));
         std::thread::sleep(Duration::from_millis(20));
         mb.deliver(msg(3, 7, vec![9.0]));
         assert_eq!(h.join().unwrap(), vec![9.0]);
     }
 
     #[test]
-    fn recv_timeout_expires() {
-        let mb = Mailbox::new();
-        let got = mb.recv_timeout(0, 0, Duration::from_millis(10));
-        assert!(got.is_none());
-    }
-
-    #[test]
     fn rendezvous_ack_fires_on_match() {
         let (tx, rx) = crossbeam::channel::bounded(1);
         let mb = Mailbox::new();
-        mb.deliver(Message { src: 0, tag: 5, payload: Payload::Empty, clock: 0, ack: Some(tx) });
+        mb.deliver(Message { src: 0, tag: 5, payload: Vec::new(), clock: 0, ack: Some(tx) });
         assert!(rx.try_recv().is_err(), "ack must not fire before match");
-        let _ = mb.recv(0, 5);
+        let _ = mb.take(0, 5, true);
         assert!(rx.try_recv().is_ok(), "ack must fire on match");
     }
 
@@ -376,7 +302,7 @@ mod tests {
         let mb = Arc::new(Mailbox::new());
         let mb2 = mb.clone();
         let h = std::thread::spawn(move || {
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| mb2.recv(0, 1))).is_err()
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| mb2.take(0, 1, true))).is_err()
         });
         std::thread::sleep(Duration::from_millis(20));
         mb.poison();
@@ -387,28 +313,27 @@ mod tests {
     fn poison_closes_rendezvous_acks_and_discards() {
         let (tx, rx) = crossbeam::channel::bounded(1);
         let mb = Mailbox::new();
-        mb.deliver(Message { src: 0, tag: 5, payload: Payload::Empty, clock: 0, ack: Some(tx) });
+        mb.deliver(Message { src: 0, tag: 5, payload: Vec::new(), clock: 0, ack: Some(tx) });
         mb.poison();
         assert_eq!(mb.pending(), 0);
         // The queued message (and its ack sender) is gone: a rendezvous
         // sender blocked on this channel now observes disconnection.
         assert!(matches!(rx.recv(), Err(crossbeam::channel::RecvError)));
         // Post-poison deliveries are discarded.
-        mb.deliver(Message { src: 1, tag: 6, payload: Payload::Empty, clock: 0, ack: None });
+        mb.deliver(Message { src: 1, tag: 6, payload: Vec::new(), clock: 0, ack: None });
         assert_eq!(mb.pending(), 0);
     }
 
     #[test]
     fn traced_receives_surface_the_envelope_clock() {
         let mb = Mailbox::new();
-        mb.deliver(Message { src: 2, tag: 9, payload: Payload::F32(vec![1.0]), clock: 41, ack: None });
-        mb.deliver(Message { src: 2, tag: 10, payload: Payload::Empty, clock: 42, ack: None });
-        mb.deliver(Message { src: 2, tag: 11, payload: Payload::Empty, clock: 43, ack: None });
-        let (p, c) = mb.recv_traced(2, 9);
-        assert_eq!((p.into_f32(), c), (vec![1.0], 41));
-        let (_, c) = mb.try_recv_traced(2, 10).expect("queued");
+        mb.deliver(Message { src: 2, tag: 9, payload: vec![1.0], clock: 41, ack: None });
+        mb.deliver(Message { src: 2, tag: 10, payload: Vec::new(), clock: 42, ack: None });
+        mb.deliver(Message { src: 2, tag: 11, payload: Vec::new(), clock: 43, ack: None });
+        assert_eq!(mb.take(2, 9, true), Some((vec![1.0], 41)));
+        let (_, c) = mb.take(2, 10, false).expect("queued");
         assert_eq!(c, 42);
-        let (_, c) = mb.recv_timeout_traced(2, 11, Duration::from_millis(10)).expect("queued");
+        let (_, c) = mb.take(2, 11, true).expect("queued");
         assert_eq!(c, 43);
     }
 
@@ -423,8 +348,8 @@ mod tests {
             mb.deliver(msg(1, t, vec![100.0 + t as f32]));
         }
         for t in 0..12u64 {
-            assert_eq!(mb.recv(1, t).into_f32(), vec![100.0 + t as f32]);
-            assert_eq!(mb.recv(0, t).into_f32(), vec![t as f32]);
+            assert_eq!(recv(&mb, 1, t), vec![100.0 + t as f32]);
+            assert_eq!(recv(&mb, 0, t), vec![t as f32]);
         }
         assert_eq!(mb.pending(), 0);
     }
@@ -440,7 +365,7 @@ mod tests {
         mb.set_policy(SchedulePlan::with_bounds(99, 2, 3), 1);
         mb.deliver(msg(4, 8, vec![1.0]));
         mb.deliver(msg(4, 8, vec![2.0]));
-        let mut got = vec![mb.recv(4, 8).into_f32()[0], mb.recv(4, 8).into_f32()[0]];
+        let mut got = vec![recv(&mb, 4, 8)[0], recv(&mb, 4, 8)[0]];
         got.sort_by(f32::total_cmp);
         assert_eq!(got, vec![1.0, 2.0]);
     }
@@ -453,8 +378,8 @@ mod tests {
         // At most max_defer probes return None; then the message appears.
         let mut seen = None;
         for _ in 0..8 {
-            if let Some(p) = mb.try_recv(0, 1) {
-                seen = Some(p.into_f32());
+            if let Some((p, _)) = mb.take(0, 1, false) {
+                seen = Some(p);
                 break;
             }
         }
@@ -466,7 +391,7 @@ mod tests {
         let mb = Arc::new(Mailbox::new());
         mb.set_policy(SchedulePlan::with_bounds(13, 3, 2), 0);
         let mb2 = mb.clone();
-        let h = std::thread::spawn(move || mb2.recv(2, 9).into_f32());
+        let h = std::thread::spawn(move || recv(&mb2, 2, 9));
         std::thread::sleep(Duration::from_millis(10));
         mb.deliver(msg(2, 9, vec![4.5]));
         assert_eq!(h.join().unwrap(), vec![4.5]);

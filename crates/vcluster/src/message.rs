@@ -1,6 +1,5 @@
-//! Message envelopes and payloads.
-
-use serde::{Deserialize, Serialize};
+//! Message envelopes. Every payload is a `Vec<f32>`: wavefield halos,
+//! material halos, partitioned mesh planes and the probes all carry `f32`.
 
 /// Message tag. AWP-ODC's asynchronous model gives every in-flight transfer
 /// a unique tag so out-of-order arrivals stay unambiguous (paper §IV.A).
@@ -14,93 +13,14 @@ pub fn make_tag(phase: u8, field: u8, face: u8, step: u64) -> Tag {
     (face as u64) | ((field as u64) << 4) | ((phase as u64) << 12) | (step << 20)
 }
 
-/// Typed message payload. Wavefield halos travel as `F32`; partitioned
-/// mesh/source data as `F32`/`F64`; control traffic as `U64` or raw bytes.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub enum Payload {
-    Empty,
-    F32(Vec<f32>),
-    F64(Vec<f64>),
-    U64(Vec<u64>),
-    Bytes(Vec<u8>),
-}
-
-impl Payload {
-    /// Approximate wire size in bytes (used by byte counters and the
-    /// performance model).
-    pub fn byte_len(&self) -> usize {
-        match self {
-            Payload::Empty => 0,
-            Payload::F32(v) => v.len() * 4,
-            Payload::F64(v) => v.len() * 8,
-            Payload::U64(v) => v.len() * 8,
-            Payload::Bytes(v) => v.len(),
-        }
-    }
-
-    pub fn into_f32(self) -> Vec<f32> {
-        match self {
-            Payload::F32(v) => v,
-            other => panic!("expected F32 payload, got {}", other.kind()),
-        }
-    }
-
-    pub fn into_f64(self) -> Vec<f64> {
-        match self {
-            Payload::F64(v) => v,
-            other => panic!("expected F64 payload, got {}", other.kind()),
-        }
-    }
-
-    pub fn into_u64(self) -> Vec<u64> {
-        match self {
-            Payload::U64(v) => v,
-            other => panic!("expected U64 payload, got {}", other.kind()),
-        }
-    }
-
-    pub fn into_bytes(self) -> Vec<u8> {
-        match self {
-            Payload::Bytes(v) => v,
-            other => panic!("expected Bytes payload, got {}", other.kind()),
-        }
-    }
-
-    pub fn kind(&self) -> &'static str {
-        match self {
-            Payload::Empty => "Empty",
-            Payload::F32(_) => "F32",
-            Payload::F64(_) => "F64",
-            Payload::U64(_) => "U64",
-            Payload::Bytes(_) => "Bytes",
-        }
-    }
-}
-
-impl From<Vec<f32>> for Payload {
-    fn from(v: Vec<f32>) -> Self {
-        Payload::F32(v)
-    }
-}
-
-impl From<Vec<f64>> for Payload {
-    fn from(v: Vec<f64>) -> Self {
-        Payload::F64(v)
-    }
-}
-
-impl From<Vec<u64>> for Payload {
-    fn from(v: Vec<u64>) -> Self {
-        Payload::U64(v)
-    }
-}
-
 /// An in-flight message.
 #[derive(Debug)]
 pub struct Message {
     pub src: usize,
     pub tag: Tag,
-    pub payload: Payload,
+    /// Moved, never copied: the halo pipeline recycles the sender's
+    /// pooled allocation on the receiving side.
+    pub payload: Vec<f32>,
     /// Sender's Lamport-clock stamp (message lineage, PR 9): the receiver
     /// merges it into its own logical clock on match, which is what lets
     /// the causal analyzer join send→recv edges across ranks.
@@ -130,74 +50,5 @@ mod tests {
         let a = make_tag(0, 255, 15, 7);
         let b = make_tag(0, 0, 0, 8);
         assert!(a < b);
-    }
-
-    #[test]
-    fn byte_lens() {
-        assert_eq!(Payload::Empty.byte_len(), 0);
-        assert_eq!(Payload::F32(vec![0.0; 3]).byte_len(), 12);
-        assert_eq!(Payload::F64(vec![0.0; 3]).byte_len(), 24);
-        assert_eq!(Payload::U64(vec![0; 2]).byte_len(), 16);
-        assert_eq!(Payload::Bytes(vec![0; 5]).byte_len(), 5);
-    }
-
-    #[test]
-    fn into_f32_round_trip() {
-        let p: Payload = vec![1.0f32, 2.0].into();
-        assert_eq!(p.into_f32(), vec![1.0, 2.0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "expected F32")]
-    fn wrong_kind_panics() {
-        Payload::U64(vec![1]).into_f32();
-    }
-
-    #[test]
-    fn empty_vectors_have_zero_byte_len() {
-        assert_eq!(Payload::F32(Vec::new()).byte_len(), 0);
-        assert_eq!(Payload::F64(Vec::new()).byte_len(), 0);
-        assert_eq!(Payload::U64(Vec::new()).byte_len(), 0);
-        assert_eq!(Payload::Bytes(Vec::new()).byte_len(), 0);
-    }
-
-    /// `into_f32` must move the underlying vector, not copy it — the
-    /// zero-copy halo pipeline recycles the exact allocation the sender
-    /// pooled.
-    #[test]
-    fn into_f32_preserves_allocation() {
-        let mut v = Vec::with_capacity(64);
-        v.extend_from_slice(&[1.0f32, 2.0]);
-        let ptr = v.as_ptr();
-        let cap = v.capacity();
-        let out = Payload::F32(v).into_f32();
-        assert_eq!(out.as_ptr(), ptr, "into_f32 must not reallocate");
-        assert_eq!(out.capacity(), cap);
-    }
-
-    #[test]
-    fn into_f32_round_trips_non_finite_values() {
-        let v = vec![f32::NAN, f32::INFINITY, f32::NEG_INFINITY, -0.0];
-        let out = Payload::F32(v.clone()).into_f32();
-        assert_eq!(out.len(), 4);
-        assert!(out[0].is_nan());
-        assert_eq!(out[1], f32::INFINITY);
-        assert_eq!(out[2], f32::NEG_INFINITY);
-        assert_eq!(out[3].to_bits(), (-0.0f32).to_bits());
-    }
-
-    #[test]
-    #[should_panic(expected = "expected F32")]
-    fn empty_payload_is_not_f32() {
-        Payload::Empty.into_f32();
-    }
-
-    #[test]
-    fn kind_names_match_variants() {
-        assert_eq!(Payload::Empty.kind(), "Empty");
-        assert_eq!(Payload::F32(Vec::new()).kind(), "F32");
-        assert_eq!(Payload::F64(Vec::new()).kind(), "F64");
-        assert_eq!(Payload::U64(Vec::new()).kind(), "U64");
-        assert_eq!(Payload::Bytes(Vec::new()).kind(), "Bytes");
     }
 }

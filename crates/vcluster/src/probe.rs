@@ -52,7 +52,7 @@ pub fn ping_pong(mode: CommMode, pairs: usize, iters: usize, payload_len: usize)
                 samples.push(t0.elapsed().as_secs_f64());
             } else {
                 let p = ctx.recv(peer, it * 2);
-                ctx.send(peer, it * 2 + 1, p.into_f32());
+                ctx.send(peer, it * 2 + 1, p);
             }
         }
         samples
@@ -79,7 +79,7 @@ pub fn cascade(mode: CommMode, n: usize, iters: usize) -> LatencyStats {
                 let _ = ctx.recv(last, it);
                 samples.push(t0.elapsed().as_secs_f64());
             } else {
-                let p = ctx.recv(r - 1, it).into_f32();
+                let p = ctx.recv(r - 1, it);
                 if r == last {
                     ctx.send(0, it, p);
                 } else {
@@ -109,10 +109,9 @@ pub fn ring_epoch(mode: CommMode, n: usize, iters: usize, payload_len: usize) ->
             match ctx.mode() {
                 CommMode::Asynchronous => {
                     // Post receives, send eagerly, complete in any order.
-                    let reqs = vec![ctx.irecv(prev, it * 2), ctx.irecv(next, it * 2 + 1)];
                     ctx.send(next, it * 2, vec![1.0f32; payload_len]);
                     ctx.send(prev, it * 2 + 1, vec![1.0f32; payload_len]);
-                    let _ = ctx.wait_all(&reqs);
+                    ctx.wait_each(&[(prev, it * 2), (next, it * 2 + 1)], |&r| r, |_, _| {});
                 }
                 CommMode::Synchronous => {
                     // Classic ordered exchange; odd/even phasing avoids

@@ -87,9 +87,10 @@ impl SchedulePlan {
         (h % (self.max_defer as u64 + 1)) as u32
     }
 
-    /// Initial polling order for the `call`-th wait-all on `rank`: a
-    /// seeded Fisher–Yates permutation of `0..n`.
-    pub(crate) fn waitall_perm(&self, rank: usize, call: u64, n: usize) -> Vec<usize> {
+    /// Polling order for the `call`-th `RankCtx::wait_each` on `rank`
+    /// (counted from the start of the pass): a seeded Fisher–Yates
+    /// permutation of `0..n`.
+    pub fn waitall_perm(&self, rank: usize, call: u64, n: usize) -> Vec<usize> {
         let mut order: Vec<usize> = (0..n).collect();
         for i in (1..n).rev() {
             let h = self.mix(0x5EED_0003, rank as u64, call, i as u64, 0);

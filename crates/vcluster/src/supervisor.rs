@@ -24,8 +24,8 @@
 //!    failure costs one epoch of rework, not a full-run restart.
 //!
 //! The cycle is governed by a [`RetryPolicy`] (bounded attempts,
-//! exponential backoff with deterministic seeded jitter, a rollback
-//! barrier timeout) and degrades gracefully: attempts exhausted — or no
+//! exponential backoff with deterministic seeded jitter) plus a fixed
+//! 30 s rollback-barrier timeout, and degrades gracefully: attempts exhausted — or no
 //! validated epoch to roll back to — aborts the supervised run with
 //! structured reports so the caller can fall back to the classic
 //! whole-run epoch restart, and finally to a hard error. Every
@@ -67,9 +67,6 @@ pub struct RetryPolicy {
     /// `[1 - jitter_frac, 1 + jitter_frac]`.
     pub jitter_frac: f64,
     pub jitter_seed: u64,
-    /// How long the supervisor waits for every surviving rank to reach
-    /// the rollback gate before declaring the cluster unrecoverable.
-    pub rollback_timeout: Duration,
 }
 
 impl Default for RetryPolicy {
@@ -80,7 +77,6 @@ impl Default for RetryPolicy {
             max_backoff: Duration::from_secs(2),
             jitter_frac: 0.25,
             jitter_seed: 0x5EED_BACC,
-            rollback_timeout: Duration::from_secs(30),
         }
     }
 }
@@ -100,11 +96,6 @@ impl RetryPolicy {
         assert!((0.0..=1.0).contains(&frac), "jitter fraction must be in [0, 1]");
         self.jitter_frac = frac;
         self.jitter_seed = seed;
-        self
-    }
-
-    pub fn with_rollback_timeout(mut self, timeout: Duration) -> Self {
-        self.rollback_timeout = timeout;
         self
     }
 
@@ -279,26 +270,19 @@ struct Gate {
 pub struct Supervisor<'c> {
     cluster: &'c Cluster,
     policy: RetryPolicy,
-    dead_letter_cap: usize,
-    dead_letter_ttl: Duration,
 }
+
+/// How long the supervisor waits for every surviving rank to reach the
+/// rollback gate before declaring the cluster unrecoverable.
+const ROLLBACK_TIMEOUT: Duration = Duration::from_secs(30);
+
+/// Dead-letter buffer bounds: capacity in messages and per-message TTL.
+const DEAD_LETTER_CAP: usize = 1024;
+const DEAD_LETTER_TTL: Duration = Duration::from_secs(60);
 
 impl<'c> Supervisor<'c> {
     pub fn new(cluster: &'c Cluster, policy: RetryPolicy) -> Self {
-        Supervisor {
-            cluster,
-            policy,
-            dead_letter_cap: 1024,
-            dead_letter_ttl: Duration::from_secs(60),
-        }
-    }
-
-    /// Bound the dead-letter buffer (capacity in messages, per-message
-    /// TTL).
-    pub fn with_dead_letter_limits(mut self, cap: usize, ttl: Duration) -> Self {
-        self.dead_letter_cap = cap;
-        self.dead_letter_ttl = ttl;
-        self
+        Supervisor { cluster, policy }
     }
 
     /// Run `body` on every rank under supervision. `epoch_source` is
@@ -331,7 +315,7 @@ impl<'c> Supervisor<'c> {
         let mut recoveries = 0u32;
         let mut recovered_faults: Vec<FaultReport> = Vec::new();
         let mut events: Vec<RecoveryEvent> = Vec::new();
-        let mut dead = DeadLetterBuffer::new(self.dead_letter_cap, self.dead_letter_ttl);
+        let mut dead = DeadLetterBuffer::new(DEAD_LETTER_CAP, DEAD_LETTER_TTL);
         let mut degraded = false;
 
         let results = std::thread::scope(|scope| {
@@ -492,7 +476,7 @@ impl<'c> Supervisor<'c> {
                 let msgs = shared.mailboxes[report.rank].drain();
                 let drained = msgs.len() as u64;
                 for m in msgs {
-                    dead.push(m.src, report.rank, m.tag, m.payload.byte_len());
+                    dead.push(m.src, report.rank, m.tag, 4 * m.payload.len());
                 }
                 g.dead_letters_for[report.rank] += drained;
                 events.push(RecoveryEvent::Quarantined { rank: report.rank, drained });
@@ -502,7 +486,7 @@ impl<'c> Supervisor<'c> {
             // arrive while parking (e.g. a rendezvous partner observing
             // the quarantine) fold into this cycle without a new attempt.
             let park_t0 = Instant::now();
-            let deadline = park_t0 + self.policy.rollback_timeout;
+            let deadline = park_t0 + ROLLBACK_TIMEOUT;
             loop {
                 faults.append(&mut g.fresh_faults);
                 if g.status.iter().all(|s| *s != WorkerStatus::Running) {
@@ -515,8 +499,7 @@ impl<'c> Supervisor<'c> {
                         events,
                         degraded,
                         format!(
-                            "rollback barrier timed out after {:?} (wedged rank?)",
-                            self.policy.rollback_timeout
+                            "rollback barrier timed out after {ROLLBACK_TIMEOUT:?} (wedged rank?)"
                         ),
                     );
                     return;
@@ -950,7 +933,7 @@ mod tests {
                     ctx.tick(0);
                     std::thread::sleep(Duration::from_millis(50));
                     ctx.tick(1); // crashes here, mailbox non-empty
-                    (0..5u64).map(|t| ctx.recv(0, 100 + t).into_f32()[0]).sum::<f32>()
+                    (0..5u64).map(|t| ctx.recv(0, 100 + t)[0]).sum::<f32>()
                 }
             },
             || Some(0),

@@ -30,7 +30,7 @@ proptest! {
                 true
             } else {
                 // Receive in ascending tag order.
-                (0..n_msgs as u64).all(|t| ctx.recv(0, t).into_f32() == vec![t as f32])
+                (0..n_msgs as u64).all(|t| ctx.recv(0, t) == vec![t as f32])
             }
         });
         prop_assert!(ok.iter().all(|&b| b));
@@ -112,7 +112,7 @@ fn all_to_all_storm() {
             for src in 0..n {
                 if src != me {
                     let tag = make_tag(3, src as u8, me as u8, 0);
-                    let v = ctx.recv(src, tag).into_f32();
+                    let v = ctx.recv(src, tag);
                     assert_eq!(v.len(), 8);
                     sum += v[0];
                 }

@@ -9,6 +9,9 @@ mkdir -p results/logs
 # (and additionally treats it as a hard cap on explicit configs). See README.
 export PROPTEST_CASES="${PROPTEST_CASES:-16}"
 cargo build --workspace --release 2>&1 | grep -E "^(error|warning)" | head -20
+# The example smoke runs below execute these binaries; the workspace build
+# does not build examples.
+cargo build --release --examples -p awp-odc 2>&1 | grep -E "^(error|warning)" | head -20
 echo "=== BUILD DONE ==="
 cargo clippy --workspace -- -D warnings 2>&1 | grep -E "^(error|warning)" | head -20
 echo "clippy exit ${PIPESTATUS[0]}"
@@ -197,6 +200,7 @@ test -z "$stray"; echo "scratch_clean exit $?"
 # above. Catch those too, pruning build output and the git store.
 straydirs="$(find . -type d -empty \
   -not -path './.git/*' -not -path './target/*' \
+  -not -path './perfbench/target/*' -not -path './.bench_build/*' \
   -not -path './tools/shims/*/target/*' -not -path '*/.git' | sort)"
 if [ -n "$straydirs" ]; then echo "untracked empty directories: $straydirs"; fi
 test -z "$straydirs"; echo "emptydir_clean exit $?"

@@ -3,11 +3,16 @@
 #
 #   tools/ab-pairs.sh PARENT_DIR CHANGE_DIR WORKLOAD[,WORKLOAD...]|all [PAIRS] [SECONDS]
 #
-# Builds each checkout's perfbench/ into $AB_SCRATCH/{parent,change}-target
-# (AB_SCRATCH defaults to /root/scratch; the checkouts' committed
-# perfbench/Cargo.lock is put back after the build), runs PAIRS (10) pairs
-# of `--seed N --seconds SECONDS (12) --trace 0` on seeds 1…PAIRS —
-# parent first on odd seeds, change first on even — and prints one table:
+# Copies each checkout in turn (without .git and build output, keeping
+# file times) to the one path $AB_SCRATCH/ab-src and builds its perfbench/
+# there into $AB_SCRATCH/{parent,change}-target (AB_SCRATCH defaults to
+# the `scratch=` value below). Cargo hashes a package's path into its crate
+# metadata, and that hash reaches the machine code, so both sides build
+# from the same path: otherwise an A/B can carry codegen the change did not
+# make. The checkouts themselves are left untouched. Then it runs PAIRS
+# (10) pairs of `--seed N --seconds SECONDS (12) --trace 0` on seeds
+# 1…PAIRS — parent first on odd seeds, change first on even — and prints
+# one table:
 # per workload and end-to-end metric, each side's median and quartiles,
 # change ÷ parent, how many pairs the change won, each side's median minor
 # page faults per setup or rep (the run's `getrusage` children count over
@@ -17,7 +22,7 @@
 # every workload CHANGE_DIR's BENCHMARK.json lists.
 set -euo pipefail
 
-[ $# -ge 3 ] || { sed -n '2,17p' "$0"; exit 2; }
+[ $# -ge 3 ] || { sed -n '2,22p' "$0"; exit 2; }
 parent=$(cd "$1" && pwd)
 change=$(cd "$2" && pwd)
 pairs=${4:-10}
@@ -33,12 +38,13 @@ else
 fi
 
 build() { # side dir
-    local lock="$2/perfbench/Cargo.lock" keep
-    keep=$(mktemp)
-    cp "$lock" "$keep"
-    (cd "$2" && CARGO_TARGET_DIR="$scratch/$1-target" \
+    local src="$scratch/ab-src"
+    rm -rf "$src"
+    mkdir -p "$src"
+    tar -C "$2" --exclude=./.git --exclude=target --exclude=./.bench_build -cf - . |
+        tar -C "$src" -xf -
+    (cd "$src" && CARGO_TARGET_DIR="$scratch/$1-target" \
         cargo build --release --offline --quiet --manifest-path perfbench/Cargo.toml)
-    mv "$keep" "$lock"
 }
 build parent "$parent"
 build change "$change"
