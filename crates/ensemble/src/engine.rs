@@ -243,6 +243,11 @@ impl EnsembleEngine {
         if let Some(index) = self.site_memo().get(hash) {
             return Ok(Arc::clone(index));
         }
+        self.decode_site_index(hash)
+    }
+
+    /// Decode `hash`'s site index from the store and memoize it.
+    fn decode_site_index(&self, hash: &str) -> io::Result<Arc<SiteIndex>> {
         let index = Arc::new(self.store.load(hash)?.site_index());
         self.site_memo().insert(hash.to_string(), Arc::clone(&index));
         Ok(index)
@@ -272,19 +277,29 @@ impl EnsembleEngine {
     }
 
     /// Hazard sweep: peak horizontal velocity at `site` across every
-    /// stored scenario, sorted descending. The store is listed on every
-    /// sweep, so a result removed from disk drops out of the curve and its
-    /// memo entry is dropped with it.
+    /// stored scenario, sorted descending. The store directory is read once
+    /// per sweep: a listed hash with a memo entry is answered from it, and
+    /// any other is decoded only if its directory holds a manifest (one
+    /// without is not published yet and is skipped). A result removed from
+    /// disk drops out of the curve, and its memo entry with it.
     pub fn hazard_at(&self, site: &str) -> io::Result<Vec<(String, f64, f64)>> {
-        let listed = self.store.list()?;
+        let listed = self.store.hash_names()?;
+        let memoized: Vec<Option<Arc<SiteIndex>>> = {
+            let mut memo = self.site_memo();
+            memo.retain(|hash, _| listed.binary_search(hash).is_ok());
+            listed.iter().map(|hash| memo.get(hash).cloned()).collect()
+        };
         let mut curve = Vec::new();
-        for hash in &listed {
-            let index = self.site_index(hash)?;
+        for (hash, index) in listed.into_iter().zip(memoized) {
+            let index = match index {
+                Some(index) => index,
+                None if self.store.contains(&hash) => self.decode_site_index(&hash)?,
+                None => continue,
+            };
             if let Some(pgvh) = index.pgvh_at(site) {
-                curve.push((hash.clone(), index.mw, pgvh));
+                curve.push((hash, index.mw, pgvh));
             }
         }
-        self.site_memo().retain(|hash, _| listed.binary_search(hash).is_ok());
         curve.sort_by(|a, b| b.2.total_cmp(&a.2));
         Ok(curve)
     }

@@ -116,20 +116,29 @@ impl ResultsStore {
         self.dir(hash).join("manifest.json").is_file()
     }
 
-    /// All published scenario hashes, sorted. Only hash-named directories
-    /// count: a `<hash>.tmp-<pid>/` being filled by [`put`](Self::put)
-    /// holds a manifest before its rename publishes it.
+    /// All published scenario hashes, sorted: the hash names of one
+    /// directory read, kept where the directory holds a manifest.
     pub fn list(&self) -> io::Result<Vec<String>> {
-        let mut hashes = Vec::new();
+        let mut hashes = self.hash_names()?;
+        hashes.retain(|hash| self.contains(hash));
+        Ok(hashes)
+    }
+
+    /// The hash-named entries of the store root, sorted, from one directory
+    /// read and no `stat`: published results, and any directory that holds
+    /// no manifest. Only hash names count: a `<hash>.tmp-<pid>/` being
+    /// filled by [`put`](Self::put) holds a manifest before its rename
+    /// publishes it.
+    pub(crate) fn hash_names(&self) -> io::Result<Vec<String>> {
+        let mut names = Vec::new();
         for e in std::fs::read_dir(&self.root)? {
-            let e = e?;
-            let name = e.file_name().to_string_lossy().into_owned();
-            if is_hash(&name) && e.path().join("manifest.json").is_file() {
-                hashes.push(name);
+            let name = e?.file_name();
+            if let Some(name) = name.to_str().filter(|n| is_hash(n)) {
+                names.push(name.to_string());
             }
         }
-        hashes.sort();
-        Ok(hashes)
+        names.sort_unstable();
+        Ok(names)
     }
 
     /// Publish a result under its scenario hash. Atomic: builds

@@ -86,6 +86,9 @@ echo "=== OVERLAP SMOKE DONE ==="
 # run_serial, core::workflow, the ensemble engine and the serve miss path.
 # Wavefield arithmetic runs flushed (awp_grid::fpmode), so the three solver
 # workloads must also find no subnormal value at their slowest step.
+# perfbench/ is its own workspace, and a clean build of it rewrites its
+# committed Cargo.lock: keep a copy and put it back after the gate.
+cp perfbench/Cargo.lock results/logs/perfbench-Cargo.lock.tmp
 for w in loh1-serial loh1-mpml basin-lts shakeout-workflow catalog-ensemble serve-mix; do
   cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
     --workload "$w" --smoke --trace 1 2>/dev/null | tail -1 | python3 -c '
@@ -96,6 +99,7 @@ frac = r["metrics"]["solver.subnormal_frac"]["value"] if solver else 0
 assert r["failed"] == 0 and frac == 0, (r["failed"], frac)
 print(sys.argv[1], "failed 0" + ", subnormal_frac 0" * solver)' "$w"; echo "perfbench_gate_$w exit $?"
 done
+mv results/logs/perfbench-Cargo.lock.tmp perfbench/Cargo.lock
 echo "=== PERFBENCH GATE DONE ==="
 # Telemetry smoke: a profiled workflow must print nonzero phase totals and
 # a load-imbalance ratio, and the Chrome trace must be well-formed (the awp
@@ -204,4 +208,11 @@ straydirs="$(find . -type d -empty \
   -not -path './tools/shims/*/target/*' -not -path '*/.git' | sort)"
 if [ -n "$straydirs" ]; then echo "untracked empty directories: $straydirs"; fi
 test -z "$straydirs"; echo "emptydir_clean exit $?"
+# Tracked files: a run must leave each one as HEAD has it (so run this on
+# a committed tree), except the results/*.json records that the full-table
+# `awp repro` and the analyze smoke above rewrite with this host's
+# measurements. Nonzero exit lists the modified files.
+changed="$(git diff --name-only HEAD -- . ':(exclude)results/*.json')"
+if [ -n "$changed" ]; then echo "tracked files modified: $changed"; fi
+test -z "$changed"; echo "tracked_clean exit $?"
 echo "=== HYGIENE DONE ==="

@@ -582,3 +582,42 @@ fn removed_results_leave_the_sweep_and_the_memo() {
     assert_eq!(site_answers(&engine, &specs), answers);
     let _ = std::fs::remove_dir_all(&root);
 }
+
+/// The sweep reads the store directory once and decodes only what it has
+/// not memoized: a hash-named directory without a manifest (never
+/// published, so never memoized) stays out of the curve without failing
+/// the sweep, and a result published after the memo was filled is in the
+/// next sweep.
+#[test]
+fn sweeps_skip_unpublished_directories_and_see_new_results() {
+    let root = tmp_dir("memo-listing");
+    let engine = EnsembleEngine::open(&root, [1, 1, 1]).unwrap();
+    let specs: Vec<ScenarioSpec> = (0..6).map(small_spec).collect();
+    for (i, spec) in specs[..5].iter().enumerate() {
+        put_synthetic(&engine, spec, 31 * i as u64);
+    }
+    let sweep = |engine: &EnsembleEngine| -> Vec<Vec<(String, u64, u64)>> {
+        SITES.iter().map(|site| bits(&engine.hazard_at(site).unwrap())).collect()
+    };
+    let decoded = |engine: &EnsembleEngine| -> Vec<Vec<(String, u64, u64)>> {
+        SITES.iter().map(|site| bits(&decoded_hazard(engine, site))).collect()
+    };
+    let before = sweep(&engine); // fills the memo
+    assert_eq!(before, decoded(&engine));
+
+    // A directory named like a result but holding no manifest: decoding
+    // it would fail, so the sweep must not try.
+    let unpublished = "0123456789abcdef0123456789abcdef";
+    std::fs::create_dir_all(engine.store.root().join(unpublished)).unwrap();
+    std::fs::write(engine.store.root().join(unpublished).join("pgv.bin"), b"partial").unwrap();
+    assert_eq!(sweep(&engine), before);
+
+    // Published after the memo was filled: the next sweep has it.
+    let late = put_synthetic(&engine, &specs[5], 0x1A7E);
+    let after = sweep(&engine);
+    assert_eq!(after, decoded(&engine));
+    assert!(after.iter().flatten().any(|(h, _, _)| *h == late), "the late result is swept");
+    assert!(after.iter().flatten().all(|(h, _, _)| h != unpublished));
+    assert_eq!(engine.store.list().unwrap().len(), 6);
+    let _ = std::fs::remove_dir_all(&root);
+}

@@ -2,8 +2,8 @@
 //! checked query/response round trips over a real socket, cache-hit
 //! accounting on repeated queries, error responses that keep the
 //! connection alive, requests that arrive in pieces over TCP, the request
-//! line cap, a seeded protocol fuzzer, and hazard sweeps racing a catalog
-//! drain.
+//! line cap, a seeded protocol fuzzer, replies that echo control
+//! characters, and hazard sweeps racing a catalog drain.
 
 use awp_ensemble::catalog::{generate_catalog, CatalogConfig};
 use awp_ensemble::engine::EnsembleEngine;
@@ -322,6 +322,64 @@ fn request_split_mid_json_is_reassembled() {
     let reply = send_in_pieces(&server, &[&request[..cut], &request[cut..]]);
     assert_eq!(reply["kind"].as_str(), Some("hazard"), "{reply}");
     assert_eq!(reply["site"].as_str(), Some("San José"));
+    server.stop();
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// A site name holding a NUL, an ESC and a combining mark, as its JSON
+/// text on the wire; the reply echoes it, which must stay JSON.
+const ODD_SITE: &str = "Nul\u{0} esc\u{1b} e\u{301}";
+const ODD_SITE_JSON: &str = r#""Nul\u0000 esc\u001b e\u0301""#;
+
+/// A hit and a hazard request naming [`ODD_SITE`] get replies a client can
+/// parse, carrying the site unchanged, and the connection then still
+/// answers `stats`. The requests are written by hand, so only the server's
+/// replies are under test.
+#[test]
+fn replies_echoing_control_characters_and_combining_marks_stay_json() {
+    use awp_analysis::pgv::PgvMap;
+    use awp_grid::dims::Idx3;
+    use awp_solver::stations::{Seismogram, Station};
+    let root = tmp_root("odd-site");
+    let engine = EnsembleEngine::open(&root, [1, 1, 1]).unwrap();
+    // A stored result with a station of that name, published without a
+    // solve: the query below is a cache hit.
+    let spec = awp_ensemble::spec::ScenarioSpec::new("shakeout-k", 16).unwrap();
+    let hash = spec.hash().unwrap();
+    let trace = Seismogram {
+        station: Station::new(ODD_SITE, Idx3::new(1, 1, 0)),
+        dt: 0.05,
+        vx: vec![0.0, 0.3, -0.1],
+        vy: vec![0.1, -0.4, 0.2],
+        vz: vec![0.0, 0.0, 0.05],
+    };
+    let pgv = PgvMap::zeros(4, 3, 100.0);
+    engine.store.put(&hash, &spec.family, spec.mw, &pgv, &[trace]).unwrap();
+    let server = ServeServer::serve(&StatsAddr::parse("127.0.0.1:0"), engine).unwrap();
+    let (mut reader, mut writer) = raw_client(&server, Duration::from_secs(5));
+
+    let hit = format!(
+        r#"{{"kind":"query","spec":{},"site":{ODD_SITE_JSON}}}"#,
+        spec.to_json().compact()
+    );
+    writer.write_all(format!("{hit}\n").as_bytes()).unwrap();
+    let r = reply(&mut reader).expect("a reply to the hit");
+    assert_eq!(r["kind"].as_str(), Some("result"), "{r}");
+    assert_eq!(r["cached"].as_bool(), Some(true), "{r}");
+    assert_eq!(r["hash"].as_str(), Some(hash.as_str()), "{r}");
+    assert_eq!(r["site"].as_str(), Some(ODD_SITE), "{r}");
+
+    let hazard = format!(r#"{{"kind":"hazard","site":{ODD_SITE_JSON}}}"#);
+    writer.write_all(format!("{hazard}\n").as_bytes()).unwrap();
+    let r = reply(&mut reader).expect("a reply to the sweep");
+    assert_eq!(r["kind"].as_str(), Some("hazard"), "{r}");
+    assert_eq!(r["site"].as_str(), Some(ODD_SITE), "{r}");
+    assert_eq!(r["curve"][0]["hash"].as_str(), Some(hash.as_str()), "{r}");
+
+    writer.write_all(b"{\"kind\":\"stats\"}\n").unwrap();
+    let r = reply(&mut reader).expect("the connection still answers");
+    assert_eq!(r["kind"].as_str(), Some("stats"), "{r}");
+    assert_eq!(r["stats"]["cache_hits"].as_f64(), Some(1.0), "{r}");
     server.stop();
     let _ = std::fs::remove_dir_all(&root);
 }

@@ -5,6 +5,7 @@
 //! producing placeholder output. Never shipped.
 
 pub use serde_derive::{Deserialize, Serialize};
+use std::fmt::Write as _;
 
 pub mod value;
 
@@ -22,10 +23,10 @@ pub trait Serialize {
 }
 
 pub trait Deserialize<'de>: Sized {
-    /// Build self from a parsed [`value::ShimValue`] tree. Implemented by
+    /// Build self from a parsed [`value::Value`] tree. Implemented by
     /// primitives/containers below and by derived impls; anything left on
     /// this default fails loudly.
-    fn shim_from_value(_v: &value::ShimValue) -> Result<Self, String> {
+    fn shim_from_value(_v: &value::Value) -> Result<Self, String> {
         Err(format!(
             "serde shim cannot deserialize {}: no shim_from_value impl \
              (unsupported shape — use registry crates)",
@@ -48,20 +49,34 @@ pub mod de {
 /// Render a string as a JSON string literal (used by derived impls too).
 pub fn escape_json_str(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
+    write_json_str(&mut out, s);
     out
+}
+
+/// Append `s` as a JSON string literal: `"`, `\` and the control
+/// characters are escaped, everything else is copied as it stands.
+pub(crate) fn write_json_str(out: &mut String, s: &str) {
+    out.push('"');
+    let mut start = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if !matches!(b, b'"' | b'\\' | 0..=0x1f) {
+            continue;
+        }
+        out.push_str(&s[start..i]);
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\t' => out.push_str("\\t"),
+            b'\r' => out.push_str("\\r"),
+            _ => {
+                let _ = write!(out, "\\u{b:04x}");
+            }
+        }
+        start = i + 1;
+    }
+    out.push_str(&s[start..]);
+    out.push('"');
 }
 
 macro_rules! impl_int {
@@ -73,9 +88,9 @@ macro_rules! impl_int {
                 }
             }
             impl<'de> Deserialize<'de> for $t {
-                fn shim_from_value(v: &value::ShimValue) -> Result<Self, String> {
+                fn shim_from_value(v: &value::Value) -> Result<Self, String> {
                     match v {
-                        value::ShimValue::Number(n)
+                        value::Value::Number(n)
                             if n.fract() == 0.0
                                 && *n >= <$t>::MIN as f64
                                 && *n <= <$t>::MAX as f64 =>
@@ -109,9 +124,9 @@ macro_rules! impl_float {
                 }
             }
             impl<'de> Deserialize<'de> for $t {
-                fn shim_from_value(v: &value::ShimValue) -> Result<Self, String> {
+                fn shim_from_value(v: &value::Value) -> Result<Self, String> {
                     match v {
-                        value::ShimValue::Number(n) => Ok(*n as $t),
+                        value::Value::Number(n) => Ok(*n as $t),
                         other => Err(format!("expected number, got {:?}", other)),
                     }
                 }
@@ -129,9 +144,9 @@ impl Serialize for bool {
 }
 
 impl<'de> Deserialize<'de> for bool {
-    fn shim_from_value(v: &value::ShimValue) -> Result<Self, String> {
+    fn shim_from_value(v: &value::Value) -> Result<Self, String> {
         match v {
-            value::ShimValue::Bool(b) => Ok(*b),
+            value::Value::Bool(b) => Ok(*b),
             other => Err(format!("expected bool, got {:?}", other)),
         }
     }
@@ -144,9 +159,9 @@ impl Serialize for String {
 }
 
 impl<'de> Deserialize<'de> for String {
-    fn shim_from_value(v: &value::ShimValue) -> Result<Self, String> {
+    fn shim_from_value(v: &value::Value) -> Result<Self, String> {
         match v {
-            value::ShimValue::String(s) => Ok(s.clone()),
+            value::Value::String(s) => Ok(s.clone()),
             other => Err(format!("expected string, got {:?}", other)),
         }
     }
@@ -166,9 +181,9 @@ impl<T: Serialize> Serialize for Vec<T> {
 }
 
 impl<'de, T: Deserialize<'de>> Deserialize<'de> for Vec<T> {
-    fn shim_from_value(v: &value::ShimValue) -> Result<Self, String> {
+    fn shim_from_value(v: &value::Value) -> Result<Self, String> {
         match v {
-            value::ShimValue::Array(a) => a.iter().map(T::shim_from_value).collect(),
+            value::Value::Array(a) => a.iter().map(T::shim_from_value).collect(),
             other => Err(format!("expected array, got {:?}", other)),
         }
     }
@@ -184,9 +199,9 @@ impl<T: Serialize> Serialize for Option<T> {
 }
 
 impl<'de, T: Deserialize<'de>> Deserialize<'de> for Option<T> {
-    fn shim_from_value(v: &value::ShimValue) -> Result<Self, String> {
+    fn shim_from_value(v: &value::Value) -> Result<Self, String> {
         match v {
-            value::ShimValue::Null => Ok(None),
+            value::Value::Null => Ok(None),
             other => T::shim_from_value(other).map(Some),
         }
     }
@@ -206,7 +221,7 @@ impl<T: Serialize, const N: usize> Serialize for [T; N] {
 }
 
 impl<'de, T: Deserialize<'de>, const N: usize> Deserialize<'de> for [T; N] {
-    fn shim_from_value(v: &value::ShimValue) -> Result<Self, String> {
+    fn shim_from_value(v: &value::Value) -> Result<Self, String> {
         let items: Vec<T> = Vec::shim_from_value(v)?;
         let n = items.len();
         items
@@ -225,10 +240,10 @@ macro_rules! impl_tuple {
                 }
             }
             impl<'de, $($name: Deserialize<'de>),+> Deserialize<'de> for ($($name,)+) {
-                fn shim_from_value(v: &value::ShimValue) -> Result<Self, String> {
+                fn shim_from_value(v: &value::Value) -> Result<Self, String> {
                     const LEN: usize = [$($idx),+].len();
                     match v {
-                        value::ShimValue::Array(a) if a.len() == LEN => {
+                        value::Value::Array(a) if a.len() == LEN => {
                             Ok(($($name::shim_from_value(&a[$idx])?,)+))
                         }
                         other => Err(format!(

@@ -273,7 +273,7 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
     .unwrap()
 }
 
-const SV: &str = "::serde::value::ShimValue";
+const SV: &str = "::serde::value::Value";
 
 /// `<field>: ::serde::Deserialize::shim_from_value(obj.get("<field>")...)?,`
 fn emit_named_de(code: &mut String, fields: &[String]) {

@@ -1,22 +1,12 @@
-//! Offline dev shim for `serde_json`: a small JSON value type plus the
-//! `json!` macro and string (de)serialisation entry points. Derived types
-//! serialise field-wise via the shim `serde::Serialize` hook; unsupported
-//! shapes fail loudly there instead of producing placeholders. Never
-//! shipped.
+//! Offline dev shim for `serde_json`: the `json!` macro and the string
+//! (de)serialisation entry points over the serde shim's one JSON tree,
+//! re-exported here as [`Value`]. Derived types serialise field-wise via
+//! the shim `serde::Serialize` hook; unsupported shapes fail loudly there
+//! instead of producing placeholders. Never shipped.
 
-use std::collections::BTreeMap;
-use std::fmt::{self, Write as _};
+use std::fmt;
 
-#[derive(Debug, Clone, Default, PartialEq)]
-pub enum Value {
-    #[default]
-    Null,
-    Bool(bool),
-    Number(f64),
-    String(String),
-    Array(Vec<Value>),
-    Object(BTreeMap<String, Value>),
-}
+pub use serde::value::Value;
 
 #[derive(Debug)]
 pub struct Error(pub String);
@@ -30,240 +20,6 @@ impl fmt::Display for Error {
 impl std::error::Error for Error {}
 
 pub type Result<T> = std::result::Result<T, Error>;
-
-impl Value {
-    pub fn is_null(&self) -> bool {
-        matches!(self, Value::Null)
-    }
-
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Value::Number(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Value::String(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    pub fn as_array(&self) -> Option<&Vec<Value>> {
-        match self {
-            Value::Array(a) => Some(a),
-            _ => None,
-        }
-    }
-
-    /// Single-line form, for newline-delimited wire protocols (`Display`
-    /// stays indented for on-disk artifacts; real serde_json callers
-    /// would use `to_string()` — shim users needing one line use this).
-    pub fn compact(&self) -> String {
-        let mut out = String::new();
-        self.write_compact(&mut out);
-        out
-    }
-
-    fn write_compact(&self, out: &mut String) {
-        let _ = match self {
-            Value::Null => write!(out, "null"),
-            Value::Bool(b) => write!(out, "{b}"),
-            Value::Number(n) if n.fract() == 0.0 && n.abs() < 1e15 => write!(out, "{}", *n as i64),
-            Value::Number(n) => write!(out, "{n}"),
-            Value::String(s) => write!(out, "{s:?}"),
-            Value::Array(a) => {
-                out.push('[');
-                for (i, v) in a.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    v.write_compact(out);
-                }
-                out.push(']');
-                Ok(())
-            }
-            Value::Object(m) => {
-                out.push('{');
-                for (i, (k, v)) in m.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    let _ = write!(out, "{k:?}:");
-                    v.write_compact(out);
-                }
-                out.push('}');
-                Ok(())
-            }
-        };
-    }
-
-    fn write_pretty(&self, out: &mut String, indent: usize) {
-        let pad = "  ".repeat(indent);
-        let pad1 = "  ".repeat(indent + 1);
-        match self {
-            // Leaves are written the same way in both forms.
-            Value::Null | Value::Bool(_) | Value::Number(_) | Value::String(_) => {
-                self.write_compact(out)
-            }
-            Value::Array(a) => {
-                if a.is_empty() {
-                    out.push_str("[]");
-                    return;
-                }
-                out.push_str("[\n");
-                for (i, v) in a.iter().enumerate() {
-                    out.push_str(&pad1);
-                    v.write_pretty(out, indent + 1);
-                    if i + 1 < a.len() {
-                        out.push(',');
-                    }
-                    out.push('\n');
-                }
-                out.push_str(&pad);
-                out.push(']');
-            }
-            Value::Object(m) => {
-                if m.is_empty() {
-                    out.push_str("{}");
-                    return;
-                }
-                out.push_str("{\n");
-                for (i, (k, v)) in m.iter().enumerate() {
-                    out.push_str(&pad1);
-                    let _ = write!(out, "{k:?}: ");
-                    v.write_pretty(out, indent + 1);
-                    if i + 1 < m.len() {
-                        out.push(',');
-                    }
-                    out.push('\n');
-                }
-                out.push_str(&pad);
-                out.push('}');
-            }
-        }
-    }
-}
-
-impl fmt::Display for Value {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let mut s = String::new();
-        self.write_pretty(&mut s, 0);
-        f.write_str(&s)
-    }
-}
-
-impl std::ops::Index<&str> for Value {
-    type Output = Value;
-    fn index(&self, key: &str) -> &Value {
-        static NULL: Value = Value::Null;
-        match self {
-            Value::Object(m) => m.get(key).unwrap_or(&NULL),
-            _ => &NULL,
-        }
-    }
-}
-
-impl std::ops::Index<usize> for Value {
-    type Output = Value;
-    fn index(&self, idx: usize) -> &Value {
-        static NULL: Value = Value::Null;
-        match self {
-            Value::Array(a) => a.get(idx).unwrap_or(&NULL),
-            _ => &NULL,
-        }
-    }
-}
-
-impl serde::Serialize for Value {
-    fn shim_json(&self) -> String {
-        self.to_string()
-    }
-}
-
-impl<'de> serde::Deserialize<'de> for Value {
-    fn shim_from_value(v: &serde::value::ShimValue) -> std::result::Result<Self, String> {
-        use serde::value::ShimValue;
-        Ok(match v {
-            ShimValue::Null => Value::Null,
-            ShimValue::Bool(b) => Value::Bool(*b),
-            ShimValue::Number(n) => Value::Number(*n),
-            ShimValue::String(s) => Value::String(s.clone()),
-            ShimValue::Array(a) => Value::Array(
-                a.iter()
-                    .map(Self::shim_from_value)
-                    .collect::<std::result::Result<_, _>>()?,
-            ),
-            ShimValue::Object(m) => Value::Object(
-                m.iter()
-                    .map(|(k, x)| Ok((k.clone(), Self::shim_from_value(x)?)))
-                    .collect::<std::result::Result<_, String>>()?,
-            ),
-        })
-    }
-}
-
-macro_rules! from_num {
-    ($($t:ty),*) => {
-        $(impl From<$t> for Value {
-            fn from(v: $t) -> Value { Value::Number(v as f64) }
-        })*
-    };
-}
-
-from_num!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize, f64);
-
-/// An `f32` becomes the `f64` its JSON text names (`0.1f32` → `0.1`), as
-/// it does through `Serialize`, not its widened bits.
-impl From<f32> for Value {
-    fn from(v: f32) -> Value {
-        Value::Number(serde::Serialize::shim_json(&v).parse().unwrap_or(f64::NAN))
-    }
-}
-
-impl From<bool> for Value {
-    fn from(v: bool) -> Value {
-        Value::Bool(v)
-    }
-}
-
-impl From<String> for Value {
-    fn from(v: String) -> Value {
-        Value::String(v)
-    }
-}
-
-impl From<&str> for Value {
-    fn from(v: &str) -> Value {
-        Value::String(v.to_string())
-    }
-}
-
-impl<T: Into<Value>> From<Vec<T>> for Value {
-    fn from(v: Vec<T>) -> Value {
-        Value::Array(v.into_iter().map(Into::into).collect())
-    }
-}
-
-impl<T: Into<Value> + Clone> From<&[T]> for Value {
-    fn from(v: &[T]) -> Value {
-        Value::Array(v.iter().cloned().map(Into::into).collect())
-    }
-}
-
-impl From<&Value> for Value {
-    fn from(v: &Value) -> Value {
-        v.clone()
-    }
-}
 
 /// `json!` fallback: serialize any `Serialize` by reference (mirrors the
 /// real macro's `to_value(&expr)` so value exprs are not moved).
@@ -304,9 +60,9 @@ impl<T: serde::Serialize + ?Sized> ShimViaText for &ShimOperand<'_, T> {
 
 /// What the serialise→parse round trip makes of a converted value: `-0.0`
 /// reads back as `0`, and a non-finite number anywhere fails the parse, so
-/// the whole operand becomes `null`. (Strings nested in a `Value` are kept
-/// as they are; the text path would garble the few that `{:?}` escapes as
-/// `\0` or `\u{..}`.)
+/// the whole operand becomes `null`. Strings need nothing: every key and
+/// string is written through `serde::escape_json_str`, whose escapes the
+/// parser reads back to the same characters.
 fn as_if_reparsed(mut v: Value) -> Value {
     fn finite(v: &mut Value) -> bool {
         match v {
@@ -578,10 +334,11 @@ mod tests {
         }
     }
 
-    /// Characters whose `{:?}` form the shim parser reads back; see
-    /// `as_if_reparsed` for the ones it does not.
-    const VALUE_ALPHABET: [char; 11] =
-        ['a', ' ', '"', '\\', '/', '\n', '\t', '\r', 'é', '中', '🎉'];
+    /// Characters for generated keys and strings: the escaped ones, control
+    /// characters (NUL and ESC among them), a combining mark and
+    /// multi-byte characters.
+    const VALUE_ALPHABET: [char; 14] =
+        ['a', ' ', '"', '\\', '/', '\n', '\t', '\r', '\u{0}', '\u{1b}', '\u{301}', 'é', '中', '🎉'];
 
     fn tree(rng: &mut Rng, depth: usize) -> Value {
         match rng.below(if depth == 0 { 4 } else { 6 }) {
@@ -609,15 +366,314 @@ mod tests {
         }
     }
 
-    /// The dispatch really takes the direct arm for a `Value`: a string the
-    /// text path cannot carry survives it.
+    /// An operand that converts into a `Value` but has no JSON text.
+    #[derive(Clone)]
+    struct NoText;
+
+    impl serde::Serialize for NoText {
+        fn shim_json(&self) -> String {
+            panic!("json! took the text path for an Into<Value> operand")
+        }
+    }
+
+    impl From<NoText> for Value {
+        fn from(_: NoText) -> Value {
+            Value::String("direct".into())
+        }
+    }
+
+    /// The dispatch really takes the direct arm for an `Into<Value> +
+    /// Clone` operand: one whose text path panics converts.
     #[test]
     fn value_operands_skip_the_text_round_trip() {
+        assert_eq!(json!(NoText), Value::String("direct".into()));
+        assert_eq!(json!({"k": NoText})["k"], Value::String("direct".into()));
         let v = Value::String("\u{1}".into());
-        assert_eq!(shim_to_value(&v), Value::Null);
         assert_eq!(json!(v), v);
         // A type without `Into<Value>` still takes the text path.
         assert_eq!(json!(Some(2.5)), Value::Number(2.5));
         assert_eq!(json!(Option::<f64>::None), Value::Null);
+    }
+
+    /// Keys and strings are written as JSON escapes, not Rust `{:?}` ones,
+    /// so both forms parse back to the characters written.
+    #[test]
+    fn written_strings_are_json_and_read_back() {
+        let v = json!({"site": "esc\u{1b}x", "e\u{301}": "nul\0", "q\"\\": "\u{7f}"});
+        assert_eq!(
+            v.compact(),
+            "{\"e\u{301}\":\"nul\\u0000\",\"q\\\"\\\\\":\"\u{7f}\",\"site\":\"esc\\u001bx\"}"
+        );
+        for text in [v.compact(), v.to_string()] {
+            assert_eq!(crate::from_str::<Value>(&text).unwrap(), v, "{text}");
+        }
+    }
+
+    /// The char-at-a-time parser the shim used before it walked bytes,
+    /// kept as the reference the byte parser must agree with.
+    mod reference {
+        use crate::Value;
+        use std::collections::BTreeMap;
+
+        pub fn parse(text: &str) -> Result<Value, String> {
+            let chars: Vec<char> = text.chars().collect();
+            let mut pos = 0;
+            let v = value(&chars, &mut pos)?;
+            skip_ws(&chars, &mut pos);
+            if pos < chars.len() {
+                return Err(format!("trailing characters at offset {}", pos));
+            }
+            Ok(v)
+        }
+
+        fn skip_ws(c: &[char], pos: &mut usize) {
+            while *pos < c.len() && c[*pos].is_whitespace() {
+                *pos += 1;
+            }
+        }
+
+        fn peek(c: &[char], pos: &mut usize) -> Option<char> {
+            skip_ws(c, pos);
+            c.get(*pos).copied()
+        }
+
+        fn eat(c: &[char], pos: &mut usize, lit: &str) -> bool {
+            skip_ws(c, pos);
+            let lit: Vec<char> = lit.chars().collect();
+            if c[*pos..].starts_with(&lit) {
+                *pos += lit.len();
+                true
+            } else {
+                false
+            }
+        }
+
+        fn string(c: &[char], pos: &mut usize) -> Result<String, String> {
+            skip_ws(c, pos);
+            if c.get(*pos) != Some(&'"') {
+                return Err("expected string".into());
+            }
+            *pos += 1;
+            let mut out = String::new();
+            loop {
+                match c.get(*pos).copied() {
+                    Some('"') => {
+                        *pos += 1;
+                        return Ok(out);
+                    }
+                    Some('\\') => {
+                        *pos += 1;
+                        match c.get(*pos).copied() {
+                            Some('n') => out.push('\n'),
+                            Some('t') => out.push('\t'),
+                            Some('r') => out.push('\r'),
+                            Some('b') => out.push('\u{8}'),
+                            Some('f') => out.push('\u{c}'),
+                            Some('u') => {
+                                let hex: String = c
+                                    .get(*pos + 1..*pos + 5)
+                                    .ok_or("bad \\u escape")?
+                                    .iter()
+                                    .collect();
+                                let code =
+                                    u32::from_str_radix(&hex, 16).map_err(|_| "bad \\u escape")?;
+                                out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
+                                *pos += 4;
+                            }
+                            Some(ch) => out.push(ch),
+                            None => return Err("bad escape".into()),
+                        }
+                        *pos += 1;
+                    }
+                    Some(ch) => {
+                        out.push(ch);
+                        *pos += 1;
+                    }
+                    None => return Err("unterminated string".into()),
+                }
+            }
+        }
+
+        fn value(c: &[char], pos: &mut usize) -> Result<Value, String> {
+            match peek(c, pos) {
+                Some('n') if eat(c, pos, "null") => Ok(Value::Null),
+                Some('t') if eat(c, pos, "true") => Ok(Value::Bool(true)),
+                Some('f') if eat(c, pos, "false") => Ok(Value::Bool(false)),
+                Some('"') => Ok(Value::String(string(c, pos)?)),
+                Some('[') => {
+                    *pos += 1;
+                    let mut items = Vec::new();
+                    if peek(c, pos) == Some(']') {
+                        *pos += 1;
+                        return Ok(Value::Array(items));
+                    }
+                    loop {
+                        items.push(value(c, pos)?);
+                        match peek(c, pos) {
+                            Some(',') => *pos += 1,
+                            Some(']') => {
+                                *pos += 1;
+                                return Ok(Value::Array(items));
+                            }
+                            _ => return Err("bad array".into()),
+                        }
+                    }
+                }
+                Some('{') => {
+                    *pos += 1;
+                    let mut map = BTreeMap::new();
+                    if peek(c, pos) == Some('}') {
+                        *pos += 1;
+                        return Ok(Value::Object(map));
+                    }
+                    loop {
+                        let k = string(c, pos)?;
+                        if peek(c, pos) != Some(':') {
+                            return Err("expected colon".into());
+                        }
+                        *pos += 1;
+                        map.insert(k, value(c, pos)?);
+                        match peek(c, pos) {
+                            Some(',') => *pos += 1,
+                            Some('}') => {
+                                *pos += 1;
+                                return Ok(Value::Object(map));
+                            }
+                            _ => return Err("bad object".into()),
+                        }
+                    }
+                }
+                Some(_) => {
+                    skip_ws(c, pos);
+                    let start = *pos;
+                    while *pos < c.len()
+                        && matches!(c[*pos], '0'..='9' | '-' | '+' | '.' | 'e' | 'E')
+                    {
+                        *pos += 1;
+                    }
+                    let text: String = c[start..*pos].iter().collect();
+                    text.parse().map(Value::Number).map_err(|_| "bad number".to_string())
+                }
+                None => Err("empty input".into()),
+            }
+        }
+    }
+
+    /// Both parsers give the same answer for `text`: the same tree with
+    /// numbers equal bit for bit, or the same error. Returns whether the
+    /// document was accepted.
+    fn parsers_agree(text: &str) -> bool {
+        let (byte, char) = (serde::value::parse(text), reference::parse(text));
+        match (&byte, &char) {
+            (Ok(b), Ok(c)) => assert!(same_bits(b, c), "{text:?}: {b:?} vs {c:?}"),
+            _ => assert_eq!(byte, char, "{text:?}"),
+        }
+        byte.is_ok()
+    }
+
+    /// Whitespace to stray into documents: JSON's own, the rest of Unicode's
+    /// (U+00A0 among them), and three look-alikes that are not whitespace.
+    const STRAY_WS: [char; 14] = [
+        ' ', '\t', '\n', '\r', '\u{b}', '\u{c}', '\u{85}', '\u{a0}', '\u{1680}', '\u{2028}',
+        '\u{3000}', '\u{1c}', '\u{200b}', '\u{feff}',
+    ];
+
+    /// Every escape the shim reads, and broken ones: short, signed, non-hex
+    /// and non-ASCII `\u` digits, surrogates, and a backslash before a
+    /// character that has no escape (ASCII or not).
+    #[rustfmt::skip]
+    const ESCAPES: [&str; 20] = [
+        "\\\"", "\\\\", "\\/", "\\b", "\\f", "\\n", "\\r", "\\t", "\\u00e9", "\\u001B", "\\ud83c",
+        "\\ud83c\\udf89", "\\u+041", "\\u12", "\\uZZZZ", "\\u00é", "\\x", "\\é", "\\🎉", "\\",
+    ];
+
+    /// Multi-byte characters of every UTF-8 length, and a combining mark.
+    const MULTI_BYTE: [char; 5] = ['é', '中', '🎉', '\u{301}', '\u{10ffff}'];
+
+    /// Structural bytes a replacement may put anywhere.
+    const STRUCTURAL: &[u8] = b"\"\\,:[]{}0-.eE+ntf";
+
+    /// One seeded mutation of `text`: truncation, a stray whitespace
+    /// character, an escape, a multi-byte character, a deleted character,
+    /// or a byte replaced by a structural one (kept only if still UTF-8).
+    fn mutate(rng: &mut Rng, text: &str) -> String {
+        let bounds: Vec<usize> = text.char_indices().map(|(i, _)| i).chain([text.len()]).collect();
+        let at = bounds[rng.below(bounds.len())];
+        let (head, tail) = text.split_at(at);
+        match rng.below(6) {
+            0 => head.to_string(),
+            1 => format!("{head}{}{tail}", rng.pick(&STRAY_WS)),
+            2 => format!("{head}{}{tail}", rng.pick(&ESCAPES)),
+            3 => format!("{head}{}{tail}", rng.pick(&MULTI_BYTE)),
+            4 => format!("{head}{}", tail.chars().skip(1).collect::<String>()),
+            _ if text.is_empty() => String::new(),
+            _ => {
+                let mut bytes = text.as_bytes().to_vec();
+                let i = rng.below(bytes.len());
+                bytes[i] = rng.pick(STRUCTURAL);
+                String::from_utf8(bytes).unwrap_or_else(|_| text.to_string())
+            }
+        }
+    }
+
+    #[test]
+    fn byte_parser_matches_reference_on_generated_documents() {
+        let mut rng = Rng(0xB17E5);
+        let (mut accepted, mut rejected) = (0, 0);
+        for _ in 0..3000 {
+            let v = tree(&mut rng, 3);
+            for text in [v.compact(), v.to_string()] {
+                parsers_agree(&text);
+                let mut mutated = text.clone();
+                for _ in 0..1 + rng.below(3) {
+                    mutated = mutate(&mut rng, &mutated);
+                }
+                if parsers_agree(&mutated) {
+                    accepted += 1;
+                } else {
+                    rejected += 1;
+                }
+            }
+        }
+        // Both outcomes are exercised, not just one.
+        assert!(accepted > 500 && rejected > 500, "{accepted} accepted, {rejected} rejected");
+    }
+
+    /// The grammar's corners: literals cut short, stray commas and colons,
+    /// a duplicate key, numbers `f64::from_str` reads or refuses, trailing
+    /// tokens, unterminated strings and a bare multi-byte character.
+    #[rustfmt::skip]
+    const CORNERS: [&str; 35] = [
+        "", " ", "nul", "tru", "fals", "null", "nullx", "[1,]", "[,1]", "[1 2]", "{\"a\"1}",
+        "{\"a\":}", "{a:1}", "{\"a\":1,}", "{\"a\":1,\"a\":2}", "1e", "+1", ".5", "1.", "--1",
+        "1e+", "1E-3", "-0", "-0.0", "1 2", "\"abc", "\"", "é", "[é]", "9007199254740993",
+        "1e999", "-1e999", "4.9e-324", "[[[[]]]]", "{\"\":{}}",
+    ];
+
+    /// Each escape, whitespace and multi-byte character in each place a
+    /// token can sit, plus the grammar's corners.
+    #[test]
+    fn byte_parser_matches_reference_on_hand_written_documents() {
+        let mut docs: Vec<String> = CORNERS.map(String::from).to_vec();
+        for e in ESCAPES {
+            docs.push(format!("\"{e}\""));
+            docs.push(format!("\"a{e}b\""));
+            docs.push(format!("{{\"{e}\":1}}"));
+        }
+        for w in STRAY_WS {
+            for doc in ["{w}1{w}", "[{w}1{w},{w}true{w}]{w}", "{w}{{{w}\"k\"{w}:{w}null{w}}}{w}"] {
+                docs.push(doc.replace("{w}", &w.to_string()));
+            }
+            docs.push(format!("\"{w}\""));
+        }
+        for m in MULTI_BYTE {
+            docs.push(format!("\"{m}\""));
+            docs.push(format!("[1{m}]"));
+            docs.push(format!("{{\"{m}\":\"{m}\"}}"));
+            docs.push(format!("{m}"));
+        }
+        for doc in &docs {
+            parsers_agree(doc);
+        }
     }
 }
