@@ -24,15 +24,25 @@ impl PgvMap {
     /// Assemble from per-rank results (surface-owning ranks carry PGV
     /// fragments).
     pub fn from_rank_results(results: &[RankResult], global: Dims3, h: f64) -> Self {
+        Self::from_fragments(results.iter().map(|r| (&r.sub, &r.pgv_map[..])), global, h)
+    }
+
+    /// Assemble from `(subdomain, fragment)` pairs: each fragment is its
+    /// subdomain's surface peaks, x-fastest. An empty fragment (a rank off
+    /// the free surface) writes nothing.
+    pub fn from_fragments<'a>(
+        fragments: impl IntoIterator<Item = (&'a Subdomain, &'a [f32])>,
+        global: Dims3,
+        h: f64,
+    ) -> Self {
         let mut map = Self::zeros(global.nx, global.ny, h);
-        for r in results {
-            if r.pgv_map.is_empty() {
+        for (sub, pgv) in fragments {
+            if pgv.is_empty() {
                 continue;
             }
-            let sub: &Subdomain = &r.sub;
             for j in 0..sub.dims.ny {
                 for i in 0..sub.dims.nx {
-                    let v = r.pgv_map[i + sub.dims.nx * j] as f64;
+                    let v = pgv[i + sub.dims.nx * j] as f64;
                     map.data[(sub.origin.i + i) + global.nx * (sub.origin.j + j)] = v;
                 }
             }

@@ -471,22 +471,18 @@ impl WorkflowSession {
         };
         let solve_seconds = t.elapsed().as_secs_f64();
 
-        let mut pgv_map = PgvMap::zeros(cfg.dims.nx, cfg.dims.ny, cfg.h);
+        let pgv_map = PgvMap::from_fragments(
+            results.iter().map(|(_, sub, pgv, ..)| (sub, &pgv[..])),
+            cfg.dims,
+            cfg.h,
+        );
         let mut checksums = Vec::new();
         let mut seismograms: Vec<Seismogram> = Vec::new();
-        for (_, sub, pgv, digest, _, seis) in results {
+        for (_, _, _, digest, _, seis) in results {
             if !digest.is_empty() {
                 checksums.push(digest);
             }
             seismograms.extend(seis);
-            for j in 0..sub.dims.ny {
-                for i in 0..sub.dims.nx {
-                    if !pgv.is_empty() {
-                        pgv_map.data[(sub.origin.i + i) + cfg.dims.nx * (sub.origin.j + j)] =
-                            pgv[i + sub.dims.nx * j] as f64;
-                    }
-                }
-            }
         }
         stages.push(StageTiming {
             stage: "awm-solve".into(),

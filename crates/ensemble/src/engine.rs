@@ -1,12 +1,22 @@
 //! The ensemble engine: worker pool + shared meshes + cache accounting.
 //!
 //! One engine owns a queue, a store, a mesh cache and one reusable
-//! [`WorkflowSession`]; [`drain`](EnsembleEngine::drain) spawns N worker
-//! threads that claim jobs by priority and push each scenario through the
-//! full E2E workflow into the content-addressed store. The CVM build —
-//! the expensive shared structure — is amortised: one `Arc<Mesh>` per
-//! [`ScenarioSpec::mesh_key`], handed to every event that shares it
-//! (the multiple-simulation framing of Yamaguchi et al.).
+//! [`WorkflowSession`] holding the solve settings; [`drain`](EnsembleEngine::drain)
+//! spawns N worker threads that claim jobs by priority and solve each
+//! scenario into the content-addressed store. The CVM build — the
+//! expensive shared structure — is amortised: one `Arc<Mesh>` per
+//! [`ScenarioSpec::mesh_key`], built once and handed to every event that
+//! shares it (the multiple-simulation framing of Yamaguchi et al.).
+//!
+//! A miss costs its solve and nothing else. The paper's workflow writes the
+//! mesh, parts, source and surface output to files, checksums them and
+//! archives them, because M8's mesh fits in no one memory and its outputs
+//! must outlive the run; an ensemble job holds its mesh in memory and its
+//! product is the PGV map plus seismograms that [`ResultsStore::put`]
+//! persists. So a miss runs the solver's rank driver on the shared mesh
+//! (`[1, 1, 1]` borrows it, more ranks cut it in memory) and publishes what
+//! the ranks return: the same bytes [`WorkflowSession::execute`] would
+//! produce for the run, with no work directory.
 //!
 //! Reads are amortised the same way: a result is decoded once, into a
 //! `SiteIndex` memoized by content hash, and every later site query or
@@ -15,13 +25,18 @@
 use crate::queue::{CancelToken, JobOutcome, JobQueue};
 use crate::spec::ScenarioSpec;
 use crate::store::{ResultsStore, SiteIndex};
+use awp_analysis::pgv::PgvMap;
 use awp_cvm::mesh::Mesh;
+use awp_grid::decomp::Decomp3;
+use awp_odc::scenario::ScenarioRun;
 use awp_odc::workflow::WorkflowSession;
+use awp_solver::solver::{partition_mesh_direct, try_run_parallel_isolated};
+use awp_solver::stations::Seismogram;
 use std::collections::HashMap;
 use std::io;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 /// Cache / throughput counters. All relaxed: these are observability
 /// counters, not synchronisation.
@@ -70,15 +85,45 @@ impl RunOutcome {
     }
 }
 
+/// One value per key, built at most once. The map lock is held only to
+/// find or insert a key's cell; a build runs under its own cell, so builds
+/// of different keys proceed concurrently, while a second caller of a key
+/// being built waits for that build instead of repeating it.
+struct OnceMap<V>(Mutex<HashMap<String, Arc<OnceLock<V>>>>);
+
+impl<V: Clone> OnceMap<V> {
+    fn new() -> Self {
+        OnceMap(Mutex::new(HashMap::new()))
+    }
+
+    /// The value under `key`, built by `init` if no caller has built it;
+    /// `true` when this call built it.
+    fn get_or_init(&self, key: String, init: impl FnOnce() -> V) -> (V, bool) {
+        let cell = {
+            let mut cells = self.0.lock().expect("once map: a caller panicked holding the lock");
+            Arc::clone(cells.entry(key).or_default())
+        };
+        let mut built = false;
+        let value = cell
+            .get_or_init(|| {
+                built = true;
+                init()
+            })
+            .clone();
+        (value, built)
+    }
+}
+
 /// The engine. Share it as `Arc<EnsembleEngine>`; every method is
 /// `&self`.
 pub struct EnsembleEngine {
+    /// The solve settings of every job: `parts`, `schedule` and
+    /// `telemetry` (see [`open_with_session`](Self::open_with_session)).
     pub session: WorkflowSession,
     pub queue: JobQueue,
     pub store: ResultsStore,
     pub stats: EngineStats,
-    scratch: PathBuf,
-    meshes: Mutex<HashMap<String, Arc<Mesh>>>,
+    meshes: OnceMap<Arc<Mesh>>,
     /// Site indexes by scenario hash. Results are content-addressed, so an
     /// entry never goes stale; [`hazard_at`](Self::hazard_at) drops the
     /// entries of results that have left the store.
@@ -86,59 +131,114 @@ pub struct EnsembleEngine {
 }
 
 impl EnsembleEngine {
-    /// Open an engine rooted at `root` (creates `queue/`, `store/`,
-    /// `scratch/` underneath) with solve decomposition `parts`.
+    /// Open an engine rooted at `root` (creates `queue/` and `store/`
+    /// underneath) with solve decomposition `parts`.
     pub fn open(root: impl Into<PathBuf>, parts: [usize; 3]) -> io::Result<Arc<Self>> {
-        let root = root.into();
-        let scratch = root.join("scratch");
-        std::fs::create_dir_all(&scratch)?;
-        Ok(Arc::new(EnsembleEngine {
-            session: WorkflowSession::new(parts),
-            queue: JobQueue::open(root.join("queue"))?,
-            store: ResultsStore::open(root.join("store"))?,
-            stats: EngineStats::default(),
-            scratch,
-            meshes: Mutex::new(HashMap::new()),
-            sites: Mutex::new(HashMap::new()),
-        }))
+        Self::open_with_session(root, WorkflowSession::new(parts))
     }
 
-    /// Same, but with a caller-configured session (schedule fuzzing,
-    /// telemetry, recovery policies — anything a
-    /// [`WorkflowSession`] carries applies to every job this engine
-    /// runs).
+    /// Same, but with a caller-configured session. Every job solves on
+    /// `session.parts` ranks, under `session.schedule` (message-order
+    /// fuzzing) and into `session.telemetry`. A job solves in memory, so
+    /// the settings that drive the file pipeline's solve — `checkpoint_every`,
+    /// `fault_plan`, `recovery`, `resume`, `watchdog`, `live` and
+    /// `flight_dir` — would be dropped; a session that sets any of them is
+    /// refused with `InvalidInput` naming them. The file-layout settings
+    /// (`output_decimate`, `flush_every`, `open_limit`, `input`,
+    /// `keep_checkpoints`, `max_restarts`) shape only files a job does not
+    /// write, and change no stored byte.
     pub fn open_with_session(
         root: impl Into<PathBuf>,
         session: WorkflowSession,
     ) -> io::Result<Arc<Self>> {
-        let engine = Self::open(root, session.parts)?;
-        // Arc::try_unwrap dance avoided: rebuild with the session swapped.
-        let engine = Arc::try_unwrap(engine).unwrap_or_else(|_| unreachable!("fresh Arc"));
-        Ok(Arc::new(EnsembleEngine { session, ..engine }))
+        let unsupported: Vec<&str> = [
+            ("checkpoint_every", session.checkpoint_every.is_some()),
+            ("fault_plan", session.fault_plan.is_some()),
+            ("recovery", session.recovery.is_some()),
+            ("resume", session.resume),
+            ("watchdog", session.watchdog.is_some()),
+            ("live", session.live.is_some()),
+            ("flight_dir", session.flight_dir.is_some()),
+        ]
+        .into_iter()
+        .filter_map(|(name, set)| set.then_some(name))
+        .collect();
+        if !unsupported.is_empty() {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!(
+                    "ensemble jobs solve in memory and cannot honour session setting(s): {}",
+                    unsupported.join(", ")
+                ),
+            ));
+        }
+        let root = root.into();
+        Ok(Arc::new(EnsembleEngine {
+            session,
+            queue: JobQueue::open(root.join("queue"))?,
+            store: ResultsStore::open(root.join("store"))?,
+            stats: EngineStats::default(),
+            meshes: OnceMap::new(),
+            sites: Mutex::new(HashMap::new()),
+        }))
     }
 
     /// The shared mesh for a spec: built once per
-    /// [`ScenarioSpec::mesh_key`], reused (same `Arc`) thereafter.
+    /// [`ScenarioSpec::mesh_key`], reused (same `Arc`) thereafter. Workers
+    /// wanting the same mesh never build it twice; workers wanting
+    /// different meshes build them concurrently.
     pub fn mesh_for(&self, spec: &ScenarioSpec) -> io::Result<Arc<Mesh>> {
         let key = spec.mesh_key().map_err(io::Error::other)?;
-        // Fast path under the lock; build outside it would allow duplicate
-        // builds under contention — the build is the expensive part, so
-        // hold the lock (workers building *different* meshes serialise
-        // briefly; workers wanting the *same* mesh never build twice).
-        let mut cache = self.meshes.lock().unwrap();
-        if let Some(mesh) = cache.get(&key) {
-            self.stats.mesh_reuses.fetch_add(1, Ordering::Relaxed);
-            return Ok(Arc::clone(mesh));
-        }
         let sc = spec.to_scenario().map_err(io::Error::other)?;
-        let mut mesh = sc.build_mesh();
-        if spec.cvm_amp > 0.0 {
-            mesh.perturb(spec.cvm_seed, spec.cvm_amp);
-        }
-        let mesh = Arc::new(mesh);
-        cache.insert(key, Arc::clone(&mesh));
-        self.stats.mesh_builds.fetch_add(1, Ordering::Relaxed);
+        let (mesh, built) = self.meshes.get_or_init(key, || {
+            let mut mesh = sc.build_mesh();
+            if spec.cvm_amp > 0.0 {
+                mesh.perturb(spec.cvm_seed, spec.cvm_amp);
+            }
+            Arc::new(mesh)
+        });
+        let counter = if built { &self.stats.mesh_builds } else { &self.stats.mesh_reuses };
+        counter.fetch_add(1, Ordering::Relaxed);
         Ok(mesh)
+    }
+
+    /// Solve one prepared run in memory on `session.parts` ranks and return
+    /// what the store publishes: the PGV map and the seismograms. An
+    /// invalid configuration is `InvalidInput`; a rank fault (a panic in
+    /// any rank) is an error naming every rank's report.
+    fn solve(&self, run: &ScenarioRun) -> io::Result<(PgvMap, Vec<Seismogram>)> {
+        let cfg = &run.cfg;
+        let decomp = Decomp3::new(cfg.dims, self.session.parts);
+        let cut;
+        let meshes = if decomp.rank_count() == 1 {
+            std::slice::from_ref(&*run.mesh)
+        } else {
+            cut = partition_mesh_direct(&run.mesh, &decomp);
+            &cut[..]
+        };
+        let ranks = try_run_parallel_isolated(
+            cfg,
+            decomp,
+            meshes,
+            &run.source,
+            &run.stations,
+            self.session.telemetry.clone(),
+            self.session.schedule.clone(),
+        )
+        .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))?;
+        let mut results = Vec::with_capacity(ranks.len());
+        let mut faults = Vec::new();
+        for rank in ranks {
+            match rank {
+                Ok(result) => results.push(result),
+                Err(fault) => faults.push(fault.to_string()),
+            }
+        }
+        if !faults.is_empty() {
+            return Err(io::Error::other(format!("solve failed: {}", faults.join("; "))));
+        }
+        let pgv = PgvMap::from_rank_results(&results, cfg.dims, cfg.h);
+        Ok((pgv, results.into_iter().flat_map(|r| r.seismograms).collect()))
     }
 
     /// Satisfy one spec: cache hit, or compute-and-publish. The optional
@@ -167,23 +267,12 @@ impl EnsembleEngine {
         if token.is_some_and(CancelToken::is_cancelled) {
             return Ok(RunOutcome::Cancelled);
         }
-        let workdir = self.scratch.join(format!("{hash}-{}", std::process::id()));
-        let result = self.session.execute(&run, &workdir);
-        let report = match result {
-            Ok(r) => r,
-            Err(e) => {
-                let _ = std::fs::remove_dir_all(&workdir);
-                return Err(e);
-            }
-        };
-        let outcome = if token.is_some_and(CancelToken::is_cancelled) {
-            RunOutcome::Cancelled
-        } else {
-            self.store.put(&hash, &spec.family, spec.mw, &report.pgv, &report.seismograms)?;
-            RunOutcome::Computed(hash)
-        };
-        let _ = std::fs::remove_dir_all(&workdir);
-        Ok(outcome)
+        let (pgv, seismograms) = self.solve(&run)?;
+        if token.is_some_and(CancelToken::is_cancelled) {
+            return Ok(RunOutcome::Cancelled);
+        }
+        self.store.put(&hash, &spec.family, spec.mw, &pgv, &seismograms)?;
+        Ok(RunOutcome::Computed(hash))
     }
 
     /// Submit every event of a catalog, priority = mainshocks above
@@ -302,5 +391,85 @@ impl EnsembleEngine {
         }
         curve.sort_by(|a, b| b.2.total_cmp(&a.2));
         Ok(curve)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::atomic::AtomicUsize;
+    use std::sync::{mpsc, Barrier};
+    use std::time::Duration;
+
+    /// Each build of a distinct key waits until the other has started: a
+    /// map that built one key at a time would time out here.
+    #[test]
+    fn builds_of_distinct_keys_run_concurrently() {
+        let map = OnceMap::new();
+        let (a_started, a_seen) = mpsc::channel();
+        let (b_started, b_seen) = mpsc::channel();
+        let wait = Duration::from_secs(20);
+        let (a, b) = std::thread::scope(|s| {
+            let map = &map;
+            let a = s.spawn(move || {
+                map.get_or_init("a".into(), move || {
+                    a_started.send(()).unwrap();
+                    b_seen.recv_timeout(wait).is_ok()
+                })
+            });
+            let b = s.spawn(move || {
+                map.get_or_init("b".into(), move || {
+                    b_started.send(()).unwrap();
+                    a_seen.recv_timeout(wait).is_ok()
+                })
+            });
+            (a.join().unwrap(), b.join().unwrap())
+        });
+        assert_eq!((a, b), ((true, true), (true, true)), "both builds overlapped");
+    }
+
+    /// Callers racing on one key run one build; every caller gets its value.
+    #[test]
+    fn racing_callers_of_one_key_build_once() {
+        let map = OnceMap::new();
+        let builds = AtomicUsize::new(0);
+        let start = Barrier::new(6);
+        let got: Vec<(u32, bool)> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..6)
+                .map(|_| {
+                    s.spawn(|| {
+                        start.wait();
+                        map.get_or_init("k".into(), || {
+                            builds.fetch_add(1, Ordering::Relaxed);
+                            std::thread::sleep(Duration::from_millis(20));
+                            42
+                        })
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        assert_eq!(builds.load(Ordering::Relaxed), 1);
+        assert!(got.iter().all(|&(v, _)| v == 42));
+        assert_eq!(got.iter().filter(|&&(_, built)| built).count(), 1);
+    }
+
+    /// A rank that panics mid-solve (here the health probe finding a
+    /// non-finite velocity) fails the solve with its report; the panic does
+    /// not reach the caller.
+    #[test]
+    fn a_rank_fault_fails_the_solve_without_panicking_the_caller() {
+        let root = std::env::temp_dir()
+            .join(format!("awp-engine-rank-fault-{}", std::process::id()));
+        let engine = EnsembleEngine::open(&root, [2, 1, 1]).unwrap();
+        let mut spec = ScenarioSpec::new("shakeout-k", 16).unwrap();
+        spec.duration_s = 20.0;
+        let mut mesh = (*engine.mesh_for(&spec).unwrap()).clone();
+        mesh.rho.iter_mut().for_each(|r| *r = f32::NAN);
+        let mut run = spec.to_scenario().unwrap().prepare_with_mesh(Arc::new(mesh));
+        run.cfg.opts.health_every = 1;
+        let err = engine.solve(&run).expect_err("a rank fault fails the solve");
+        assert!(err.to_string().contains("sim-health:"), "{err}");
+        let _ = std::fs::remove_dir_all(&root);
     }
 }

@@ -18,8 +18,9 @@
 //!   repeated queries for the same scenario are cache hits.
 //! - [`engine`] — the worker pool tying it together: shared-mesh reuse (one
 //!   CVM build per `(family, nx, cvm-seed)` amortised across events via
-//!   `Arc<Mesh>`), a reusable [`awp_odc::workflow::WorkflowSession`] per
-//!   worker, and cache-hit/miss accounting.
+//!   `Arc<Mesh>`), every miss solved in memory on that mesh under one
+//!   [`awp_odc::workflow::WorkflowSession`]'s decomposition, schedule and
+//!   telemetry, and cache-hit/miss accounting.
 //! - [`serve`] — `awp serve`: a long-running TCP/UDS endpoint speaking
 //!   newline-delimited versioned JSON (protocol `awp-serve` v1, the same
 //!   hello-first discipline as the `awp-stats` endpoint) answering

@@ -42,7 +42,7 @@ use awp_telemetry::{
     NO_PEER,
 };
 use awp_vcluster::cluster::RankCtx;
-use awp_vcluster::{Category, Cluster, CommMode, SchedulePlan, TimeLedger};
+use awp_vcluster::{Category, Cluster, CommMode, FaultReport, SchedulePlan, TimeLedger};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -902,6 +902,29 @@ pub fn try_run_parallel_decomp(
     telemetry: Option<Arc<Registry>>,
     schedule: Option<Arc<SchedulePlan>>,
 ) -> Result<Vec<RankResult>, ConfigError> {
+    let ranks =
+        try_run_parallel_isolated(cfg, decomp, meshes, source, stations, telemetry, schedule)?;
+    Ok(ranks
+        .into_iter()
+        .map(|r| r.unwrap_or_else(|report| panic!("rank panicked: {report}")))
+        .collect())
+}
+
+/// [`try_run_parallel_decomp`] behind the cluster's fault boundary
+/// ([`Cluster::try_run`]): a rank that panics yields its [`FaultReport`],
+/// and the peers it tore down `Aborted` ones, instead of the panic
+/// reaching the caller. A long-lived caller (an ensemble worker) fails one
+/// job on a fault and goes on.
+#[allow(clippy::too_many_arguments)]
+pub fn try_run_parallel_isolated(
+    cfg: &SolverConfig,
+    decomp: Decomp3,
+    meshes: &[Mesh],
+    source: &KinematicSource,
+    stations: &[Station],
+    telemetry: Option<Arc<Registry>>,
+    schedule: Option<Arc<SchedulePlan>>,
+) -> Result<Vec<Result<RankResult, FaultReport>>, ConfigError> {
     cfg.validate()?;
     if cfg.opts.lts.is_some() && decomp.parts[2] != 1 {
         return Err(ConfigError::LtsNeedsSingleZPart);
@@ -931,7 +954,7 @@ pub fn try_run_parallel_decomp(
     if let Some(plan) = schedule {
         cluster = cluster.with_schedule(plan);
     }
-    Ok(cluster.run(|ctx| {
+    Ok(cluster.try_run(|ctx| {
         let rank = ctx.rank();
         let sub = decomp.subdomain(rank);
         let mut solver = Solver::try_new_rank(

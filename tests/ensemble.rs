@@ -621,3 +621,150 @@ fn sweeps_skip_unpublished_directories_and_see_new_results() {
     assert_eq!(engine.store.list().unwrap().len(), 6);
     let _ = std::fs::remove_dir_all(&root);
 }
+
+// ---------------------------------------------------------------------------
+// In-memory solve: the engine publishes what the file workflow publishes,
+// fails a job (not its worker) on a bad solve, honours the session settings
+// it can and refuses the ones it cannot, and builds each mesh once.
+// ---------------------------------------------------------------------------
+
+/// For each decomposition, and with LTS armed, `run_spec`'s stored
+/// artifacts equal those `store.put` publishes from
+/// `WorkflowSession::execute`'s report of the same spec, on a mesh built
+/// apart from the engine's.
+#[test]
+fn in_memory_solves_store_the_bytes_the_file_workflow_publishes() {
+    use awp_ensemble::store::ResultsStore;
+    let mut lts = small_spec(300);
+    lts.lts = true;
+    let cases = [([1, 1, 1], small_spec(200)), ([2, 1, 1], small_spec(200)), ([2, 1, 1], lts)];
+    for (i, (parts, spec)) in cases.into_iter().enumerate() {
+        let hash = spec.hash().unwrap();
+        let root = tmp_dir(&format!("equiv-{i}"));
+        let engine = EnsembleEngine::open(&root, parts).unwrap();
+        assert!(matches!(engine.run_spec(&spec, None).unwrap(), RunOutcome::Computed(_)));
+
+        let sc = spec.to_scenario().unwrap();
+        let mut mesh = sc.build_mesh();
+        if spec.cvm_amp > 0.0 {
+            mesh.perturb(spec.cvm_seed, spec.cvm_amp);
+        }
+        let mut run = sc.prepare_with_mesh(Arc::new(mesh));
+        if spec.lts {
+            run.cfg.opts.lts = Some(awp_solver::LtsOpts::new());
+        }
+        let report = WorkflowSession::new(parts).execute(&run, &root.join("work")).unwrap();
+        assert!(report.pgv.max() > 0.0 && !report.seismograms.is_empty(), "a non-trivial run");
+        let files = ResultsStore::open(root.join("file-store")).unwrap();
+        files.put(&hash, &spec.family, spec.mw, &report.pgv, &report.seismograms).unwrap();
+        assert_eq!(
+            engine.store.manifest(&hash).unwrap()["artifacts"].to_string(),
+            files.manifest(&hash).unwrap()["artifacts"].to_string(),
+            "parts {parts:?}, lts {}: the in-memory solve stored other bytes",
+            spec.lts
+        );
+        assert!(!root.join("scratch").exists(), "the engine keeps no work directory");
+        let _ = std::fs::remove_dir_all(&root);
+    }
+}
+
+/// A solve that cannot run — LTS on a decomposition that splits depth is
+/// a solver `ConfigError` — fails its job and counts in `jobs_failed`;
+/// the same worker goes on to its next claim and completes it.
+#[test]
+fn a_failed_solve_fails_its_job_and_the_worker_goes_on() {
+    use std::sync::atomic::Ordering;
+    let root = tmp_dir("failed-job");
+    let engine = EnsembleEngine::open(&root, [1, 1, 2]).unwrap();
+    let mut bad = small_spec(400);
+    bad.lts = true;
+    let bad_id = engine.queue.submit(bad, 10).unwrap();
+    let good_id = engine.queue.submit(small_spec(401), 5).unwrap();
+    engine.drain(1).unwrap();
+
+    let by_id = |id: u64| engine.queue.jobs().into_iter().find(|j| j.id == id).unwrap();
+    let failed = by_id(bad_id);
+    assert_eq!(failed.state, JobState::Failed);
+    let error = failed.error.expect("a failed job carries its error");
+    assert!(error.contains("parts[2] == 1"), "the error names the cause: {error}");
+    assert_eq!(by_id(good_id).state, JobState::Done, "the worker went on to its next claim");
+    assert_eq!(engine.stats.jobs_failed.load(Ordering::Relaxed), 1);
+    assert_eq!(engine.stats.jobs_done.load(Ordering::Relaxed), 1);
+    assert_eq!(engine.store.list().unwrap().len(), 1, "nothing stored for the failed job");
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// `open_with_session` refuses, naming it, each setting an in-memory solve
+/// would drop, and applies `parts` and `telemetry` to every job.
+#[test]
+fn open_with_session_refuses_settings_it_would_drop_and_applies_the_rest() {
+    use awp_vcluster::{FaultPlan, RetryPolicy, WatchdogConfig};
+    let root = tmp_dir("session-settings");
+    let base = || WorkflowSession::new([1, 1, 1]);
+    let refused: [(&str, WorkflowSession); 7] = [
+        ("checkpoint_every", WorkflowSession { checkpoint_every: Some(5), ..base() }),
+        ("fault_plan", WorkflowSession { fault_plan: Some(Arc::new(FaultPlan::new(1))), ..base() }),
+        ("recovery", base().with_recovery(RetryPolicy::default())),
+        ("resume", WorkflowSession { resume: true, ..base() }),
+        ("watchdog", WorkflowSession { watchdog: Some(WatchdogConfig::default()), ..base() }),
+        ("live", base().with_live_stats(awp_telemetry::LiveStats::new(1))),
+        ("flight_dir", base().with_flight_recorder(root.join("flight"))),
+    ];
+    for (name, session) in refused {
+        let err = EnsembleEngine::open_with_session(&root, session)
+            .err()
+            .unwrap_or_else(|| panic!("a session setting {name} must be refused"));
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "{name}: {err}");
+        assert!(err.to_string().contains(name), "the error names {name}: {err}");
+    }
+
+    let registry = awp_telemetry::Registry::new(2);
+    let session = WorkflowSession::new([2, 1, 1])
+        .with_schedule(SchedulePlan::new(7))
+        .with_telemetry(Arc::clone(&registry));
+    let engine = EnsembleEngine::open_with_session(&root, session).unwrap();
+    engine.run_spec(&small_spec(500), None).unwrap();
+    let snapshots = registry.snapshots();
+    assert_eq!(snapshots.len(), 2, "the solve ran on the session's two ranks");
+    assert!(
+        registry.report().counters[awp_telemetry::Counter::MsgsSent.index()] > 0,
+        "the ranks recorded their halo traffic into the session's registry"
+    );
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// Workers racing for one mesh build it once and share it; workers wanting
+/// two different meshes each get their own, one build per key.
+#[test]
+fn racing_workers_build_each_mesh_once() {
+    use std::sync::atomic::Ordering;
+    let root = tmp_dir("mesh-race");
+    let engine = EnsembleEngine::open(&root, [1, 1, 1]).unwrap();
+    let a = small_spec(600);
+    let mut b = small_spec(601);
+    b.cvm_seed = 5;
+    b.cvm_amp = 0.03;
+    assert_ne!(a.mesh_key().unwrap(), b.mesh_key().unwrap());
+    let start = std::sync::Barrier::new(8);
+    let meshes: Vec<(usize, Arc<awp_cvm::mesh::Mesh>)> = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..8)
+            .map(|t| {
+                let (engine, start, spec) = (&engine, &start, if t % 2 == 0 { &a } else { &b });
+                s.spawn(move || {
+                    start.wait();
+                    (t % 2, engine.mesh_for(spec).unwrap())
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+    assert_eq!(engine.stats.mesh_builds.load(Ordering::Relaxed), 2, "one build per key");
+    assert_eq!(engine.stats.mesh_reuses.load(Ordering::Relaxed), 6);
+    for key in 0..2 {
+        let same: Vec<_> = meshes.iter().filter(|(k, _)| *k == key).map(|(_, m)| m).collect();
+        assert!(same.iter().all(|m| Arc::ptr_eq(m, same[0])), "key {key} shares one mesh");
+    }
+    let (first_a, first_b) = (&meshes[0].1, &meshes[1].1);
+    assert!(!Arc::ptr_eq(first_a, first_b) && first_a.vp != first_b.vp, "keys get their own mesh");
+    let _ = std::fs::remove_dir_all(&root);
+}

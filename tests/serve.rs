@@ -179,6 +179,43 @@ fn oversized_request_gets_one_error_and_the_connection_closes() {
     let _ = std::fs::remove_dir_all(&root);
 }
 
+/// The parser takes arrays and objects nested up to its cap and refuses
+/// one level more with an error: it recurses once per level, so without
+/// the cap a short line could overflow the stack.
+#[test]
+fn json_nested_past_the_cap_is_an_error() {
+    let cap = serde::value::MAX_DEPTH;
+    for (open, close) in [("[", "]"), ("{\"k\":", "}")] {
+        let nested = |n: usize| format!("{}0{}", open.repeat(n), close.repeat(n));
+        let fits: serde_json::Value = serde_json::from_str(&nested(cap)).unwrap();
+        assert_eq!(fits.compact(), nested(cap), "{cap} levels parse and round-trip");
+        let err = serde_json::from_str::<serde_json::Value>(&nested(cap + 1)).unwrap_err();
+        assert!(err.to_string().contains(&format!("nested deeper than {cap}")), "{err}");
+    }
+}
+
+/// A line of 60,000 `[` fits under the line cap; the connection gets an
+/// error reply instead of its thread overflowing the stack (which aborted
+/// the whole server), and the same connection answers the next request.
+#[test]
+fn deeply_nested_request_gets_an_error_and_the_connection_stays_up() {
+    let root = tmp_root("deep");
+    let engine = EnsembleEngine::open(&root, [1, 1, 1]).unwrap();
+    let server = ServeServer::serve(&StatsAddr::parse("127.0.0.1:0"), engine).unwrap();
+    let (mut reader, mut writer) = raw_client(&server, Duration::from_secs(5));
+    let deep = "[".repeat(60_000);
+    assert!(deep.len() < MAX_REQUEST_LINE);
+    writer.write_all(format!("{deep}\n").as_bytes()).unwrap();
+    let r = reply(&mut reader).expect("an error reply, not a hang-up");
+    assert_eq!(r["kind"].as_str(), Some("error"), "{r}");
+    assert!(r["message"].as_str().unwrap().contains("nested deeper than"), "{r}");
+    writer.write_all(b"{\"kind\":\"stats\"}\n").unwrap();
+    let r = reply(&mut reader).expect("the connection still answers");
+    assert_eq!(r["kind"].as_str(), Some("stats"), "{r}");
+    server.stop();
+    let _ = std::fs::remove_dir_all(&root);
+}
+
 /// splitmix64: the one seeded stream behind every fuzz case.
 struct SplitMix(u64);
 

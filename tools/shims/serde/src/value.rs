@@ -253,9 +253,11 @@ impl From<&Value> for Value {
 /// character stands for that character, `\u` takes the next four
 /// characters as `u32::from_str_radix` reads them and maps a surrogate to
 /// U+FFFD, raw control characters may sit in strings, and a number is any
-/// run of `0-9 + - . e E` that `f64::from_str` accepts.
+/// run of `0-9 + - . e E` that `f64::from_str` accepts. Arrays and
+/// objects nest at most [`MAX_DEPTH`] deep: the parser recurses once per
+/// level, so a deeper document is an error, not a stack overflow.
 pub fn parse(text: &str) -> Result<Value, String> {
-    let mut p = Parser { text, pos: 0 };
+    let mut p = Parser { text, pos: 0, depth: 0 };
     let v = p.value()?;
     p.skip_ws();
     if p.pos < text.len() {
@@ -271,7 +273,12 @@ pub fn parse(text: &str) -> Result<Value, String> {
 struct Parser<'a> {
     text: &'a str,
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
+
+/// The deepest nesting of arrays and objects [`parse`] accepts.
+pub const MAX_DEPTH: usize = 128;
 
 impl Parser<'_> {
     fn byte(&self) -> Option<u8> {
@@ -370,48 +377,15 @@ impl Parser<'_> {
             Some(b't') if self.eat("true") => Ok(Value::Bool(true)),
             Some(b'f') if self.eat("false") => Ok(Value::Bool(false)),
             Some(b'"') => Ok(Value::String(self.string()?)),
-            Some(b'[') => {
+            Some(open @ (b'[' | b'{')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(format!("nested deeper than {MAX_DEPTH} levels"));
+                }
                 self.pos += 1;
-                let mut items = Vec::new();
-                if self.peek() == Some(b']') {
-                    self.pos += 1;
-                    return Ok(Value::Array(items));
-                }
-                loop {
-                    items.push(self.value()?);
-                    match self.peek() {
-                        Some(b',') => self.pos += 1,
-                        Some(b']') => {
-                            self.pos += 1;
-                            return Ok(Value::Array(items));
-                        }
-                        _ => return Err("bad array".into()),
-                    }
-                }
-            }
-            Some(b'{') => {
-                self.pos += 1;
-                let mut map = BTreeMap::new();
-                if self.peek() == Some(b'}') {
-                    self.pos += 1;
-                    return Ok(Value::Object(map));
-                }
-                loop {
-                    let k = self.string()?;
-                    if self.peek() != Some(b':') {
-                        return Err("expected colon".into());
-                    }
-                    self.pos += 1;
-                    map.insert(k, self.value()?);
-                    match self.peek() {
-                        Some(b',') => self.pos += 1,
-                        Some(b'}') => {
-                            self.pos += 1;
-                            return Ok(Value::Object(map));
-                        }
-                        _ => return Err("bad object".into()),
-                    }
-                }
+                self.depth += 1;
+                let v = if open == b'[' { self.array_rest() } else { self.object_rest() };
+                self.depth -= 1;
+                v
             }
             Some(_) => {
                 let start = self.pos;
@@ -424,6 +398,51 @@ impl Parser<'_> {
                     .map_err(|_| "bad number".to_string())
             }
             None => Err("empty input".into()),
+        }
+    }
+
+    /// An array after its `[`.
+    fn array_rest(&mut self) -> Result<Value, String> {
+        let mut items = Vec::new();
+        if self.peek() == Some(b']') {
+            self.pos += 1;
+            return Ok(Value::Array(items));
+        }
+        loop {
+            items.push(self.value()?);
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b']') => {
+                    self.pos += 1;
+                    return Ok(Value::Array(items));
+                }
+                _ => return Err("bad array".into()),
+            }
+        }
+    }
+
+    /// An object after its `{`.
+    fn object_rest(&mut self) -> Result<Value, String> {
+        let mut map = BTreeMap::new();
+        if self.peek() == Some(b'}') {
+            self.pos += 1;
+            return Ok(Value::Object(map));
+        }
+        loop {
+            let k = self.string()?;
+            if self.peek() != Some(b':') {
+                return Err("expected colon".into());
+            }
+            self.pos += 1;
+            map.insert(k, self.value()?);
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b'}') => {
+                    self.pos += 1;
+                    return Ok(Value::Object(map));
+                }
+                _ => return Err("bad object".into()),
+            }
         }
     }
 }

@@ -415,10 +415,13 @@ mod tests {
         use crate::Value;
         use std::collections::BTreeMap;
 
+        /// The same nesting cap as the byte parser.
+        const MAX_DEPTH: usize = 128;
+
         pub fn parse(text: &str) -> Result<Value, String> {
             let chars: Vec<char> = text.chars().collect();
             let mut pos = 0;
-            let v = value(&chars, &mut pos)?;
+            let v = value(&chars, &mut pos, 0)?;
             skip_ws(&chars, &mut pos);
             if pos < chars.len() {
                 return Err(format!("trailing characters at offset {}", pos));
@@ -494,8 +497,12 @@ mod tests {
             }
         }
 
-        fn value(c: &[char], pos: &mut usize) -> Result<Value, String> {
+        /// A value inside `depth` open arrays and objects.
+        fn value(c: &[char], pos: &mut usize, depth: usize) -> Result<Value, String> {
             match peek(c, pos) {
+                Some('[' | '{') if depth == MAX_DEPTH => {
+                    Err(format!("nested deeper than {MAX_DEPTH} levels"))
+                }
                 Some('n') if eat(c, pos, "null") => Ok(Value::Null),
                 Some('t') if eat(c, pos, "true") => Ok(Value::Bool(true)),
                 Some('f') if eat(c, pos, "false") => Ok(Value::Bool(false)),
@@ -508,7 +515,7 @@ mod tests {
                         return Ok(Value::Array(items));
                     }
                     loop {
-                        items.push(value(c, pos)?);
+                        items.push(value(c, pos, depth + 1)?);
                         match peek(c, pos) {
                             Some(',') => *pos += 1,
                             Some(']') => {
@@ -532,7 +539,7 @@ mod tests {
                             return Err("expected colon".into());
                         }
                         *pos += 1;
-                        map.insert(k, value(c, pos)?);
+                        map.insert(k, value(c, pos, depth + 1)?);
                         match peek(c, pos) {
                             Some(',') => *pos += 1,
                             Some('}') => {
@@ -649,6 +656,23 @@ mod tests {
         "1e+", "1E-3", "-0", "-0.0", "1 2", "\"abc", "\"", "é", "[é]", "9007199254740993",
         "1e999", "-1e999", "4.9e-324", "[[[[]]]]", "{\"\":{}}",
     ];
+
+    /// Nesting up to the cap parses, one level more is an error in both
+    /// parsers, and so is a line of tens of thousands of `[` that would
+    /// overflow a thread's stack without the cap.
+    #[test]
+    fn nesting_is_capped_at_max_depth() {
+        let cap = serde::value::MAX_DEPTH;
+        for (open, close) in [("[", "]"), ("{\"k\":", "}"), ("[{\"k\":", "}]")] {
+            let levels = open.matches(['[', '{']).count();
+            let nested = |n: usize| format!("{}0{}", open.repeat(n), close.repeat(n));
+            assert!(parsers_agree(&nested(cap / levels)), "{open}: {cap} levels");
+            let over = nested(cap / levels + 1);
+            assert!(!parsers_agree(&over), "{open}: {} levels", cap + levels);
+            assert!(serde::value::parse(&over).unwrap_err().contains("nested deeper"));
+        }
+        assert!(!parsers_agree(&"[".repeat(60_000)));
+    }
 
     /// Each escape, whitespace and multi-byte character in each place a
     /// token can sit, plus the grammar's corners.
