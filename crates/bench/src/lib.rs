@@ -3,7 +3,7 @@
 //! paper's claim, a run that prints the paper-style rows, and pre-registered
 //! checks. `awp repro [ID...]` runs them and a full run writes each row's
 //! record to `results/<record>.json`. Rows OVL and LTS are the kernel,
-//! overlap and local-time-stepping performance gate; row VRF is the §VI
+//! exchange, telemetry and local-time-stepping performance gate; row VRF is the §VI
 //! verification against analytic solutions.
 
 mod kernels;

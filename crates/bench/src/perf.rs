@@ -498,13 +498,12 @@ pub const E79: Row = Row {
 };
 
 /// Median wall seconds of sync and async runs of `crust` on 8 ranks,
-/// bare engines: overlap is async-only, so it stays off for both.
+/// bare engines.
 fn sync_vs_async(crust: &CrustBox) -> Vec<f64> {
     let modes = [CommModeOpt::Synchronous, CommModeOpt::Asynchronous];
     let run = |i: usize| {
         let mut opts = crust.cfg.opts;
         opts.comm_mode = modes[i];
-        opts.overlap = false;
         opts.per_step_barrier = modes[i] == CommModeOpt::Synchronous;
         crust.run([2, 2, 2], opts).0
     };

@@ -14,8 +14,8 @@
 //!   buffer has grown to the largest face it has carried — steady state
 //!   performs zero allocations.
 //! * **request lists** — `take_reqs`/`put_reqs` recycle the
-//!   `Vec<PendingRecv>` that tracks the started exchanges of one cluster
-//!   phase (every slab of the overlap pipeline appends to the one list).
+//!   `Vec<PendingRecv>` that tracks the receives of one started
+//!   exchange.
 //!
 //! The `allocations` ledger counts every event that had to touch the heap
 //! (pool miss or capacity growth). Tests and the bench gate assert it stays

@@ -30,7 +30,8 @@ pub fn apply_free_surface_stress(state: &mut WaveState) {
 /// windowed step images each surface-touching window right after its
 /// stress update; footprints partition the plane, so the union equals
 /// the fused full-plane pass). Reads stay within the window's own columns
-/// (k ≤ 2 — guaranteed by `shell::MIN_SLAB_PLANES`).
+/// (k ≤ 2 — a surface window is the whole rank or an LTS cluster at
+/// least `LtsOpts::min_slab` ≥ 4 planes thick).
 pub fn apply_free_surface_stress_win(state: &mut WaveState, win: Win) {
     let _ftz = FlushGuard::enter();
     let d = state.dims;

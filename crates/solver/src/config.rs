@@ -61,16 +61,8 @@ pub struct SolverOpts {
     /// Run the optimized kernel body at the widest vector width the CPU
     /// has (runtime-dispatched AVX2/SSE2); off, the same body runs at
     /// width 1. Requires `reciprocal_media`; every width is bit-exact with
-    /// the others, so it composes freely with every equivalence test —
-    /// including the overlap slab pipeline.
+    /// the others, so it composes freely with every equivalence test.
     pub simd: bool,
-    /// §IV.C computation/communication overlap via the k-slab pipeline
-    /// (`crate::shell`): the window is walked as a few full-row k-slabs and
-    /// each slab's halo sends fly while the next slabs update; off, the
-    /// fused pass exchanges after the whole window. Composes with `simd`, M-PML
-    /// and LTS; requires the asynchronous engine
-    /// (`SolverConfig::validate` rejects the combination otherwise).
-    pub overlap: bool,
     /// §IV.A synchronous vs asynchronous engine.
     pub comm_mode: CommModeOpt,
     /// Insert a global barrier every step (the redundant synchronisation
@@ -139,14 +131,13 @@ impl From<CommModeOpt> for CommMode {
 
 impl SolverOpts {
     /// Everything that pays on this code — AWP-ODC v7.2 minus the cache
-    /// blocking, plus the vector backend and the overlap pipeline.
+    /// blocking, plus the vector backend.
     pub fn optimized() -> Self {
         Self {
             reciprocal_media: true,
             block: BlockSpec::UNBLOCKED,
             reduced_comm: true,
             simd: true,
-            overlap: true, // k-slab pipeline: composes with simd/M-PML/LTS
             comm_mode: CommModeOpt::Asynchronous,
             per_step_barrier: false,
             lts: None,
@@ -169,7 +160,6 @@ impl SolverOpts {
             block: BlockSpec::UNBLOCKED,
             reduced_comm: false,
             simd: false,
-            overlap: false,
             comm_mode: CommModeOpt::Synchronous,
             per_step_barrier: true,
             lts: None,
@@ -182,10 +172,6 @@ impl SolverOpts {
 /// thread spawns — instead of panicking mid-run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ConfigError {
-    /// `opts.overlap` requires the asynchronous engine: the split timestep
-    /// posts sends early and completes receives late, which the ordered
-    /// synchronous rendezvous cannot express.
-    OverlapNeedsAsyncEngine,
     /// `opts.lts` requires the optimized (reciprocal-media) layout: the
     /// cluster schedule drives the windowed kernels, which assume it.
     LtsNeedsOptimizedLayout,
@@ -205,11 +191,6 @@ pub enum ConfigError {
 impl std::fmt::Display for ConfigError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            ConfigError::OverlapNeedsAsyncEngine => write!(
-                f,
-                "opts.overlap requires the asynchronous engine \
-                 (set opts.comm_mode = Asynchronous or disable overlap)"
-            ),
             ConfigError::LtsNeedsOptimizedLayout => write!(
                 f,
                 "opts.lts requires the optimized layout (set opts.reciprocal_media or disable lts)"
@@ -337,9 +318,6 @@ impl SolverConfig {
     /// `try_run_parallel` so invalid combinations fail the run gracefully
     /// instead of panicking a rank thread.
     pub fn validate(&self) -> Result<(), ConfigError> {
-        if self.opts.overlap && self.opts.comm_mode == CommModeOpt::Synchronous {
-            return Err(ConfigError::OverlapNeedsAsyncEngine);
-        }
         if let Some(lts) = self.opts.lts {
             if !self.opts.reciprocal_media {
                 return Err(ConfigError::LtsNeedsOptimizedLayout);
@@ -437,7 +415,6 @@ mod tests {
         assert_ne!(SolverOpts::optimized(), SolverOpts::legacy());
         assert_eq!(CodeVersion::V7_2.opts(), {
             let mut o = SolverOpts::optimized();
-            o.overlap = false;
             // The explicit-SIMD backend postdates the paper's v7.2; the
             // Table-2 presets stay scalar so version contrasts are honest.
             o.simd = false;
@@ -446,19 +423,6 @@ mod tests {
             o.block = BlockSpec::JAGUAR;
             o
         });
-    }
-
-    #[test]
-    fn validate_rejects_overlap_on_sync_engine() {
-        let mut cfg = SolverConfig::small(Dims3::new(8, 8, 8), 100.0, 1e-3, 4);
-        assert!(cfg.validate().is_ok());
-        cfg.opts.overlap = true;
-        cfg.opts.comm_mode = CommModeOpt::Synchronous;
-        assert_eq!(cfg.validate(), Err(ConfigError::OverlapNeedsAsyncEngine));
-        cfg.opts.overlap = false;
-        assert!(cfg.validate().is_ok(), "sync engine without overlap is fine");
-        let msg = ConfigError::OverlapNeedsAsyncEngine.to_string();
-        assert!(msg.contains("asynchronous"), "{msg}");
     }
 
     #[test]
@@ -503,12 +467,6 @@ mod tests {
     }
 
     #[test]
-    fn optimized_enables_overlap_split() {
-        let o = SolverOpts::optimized();
-        assert!(o.overlap && o.simd, "v-next default: overlap composes with simd");
-    }
-
-    #[test]
     fn lts_is_opt_in_and_validated() {
         assert!(SolverOpts::optimized().lts.is_none(), "LTS is an explicit opt-in");
         let o = SolverOpts::optimized_lts();
@@ -519,7 +477,6 @@ mod tests {
         assert!(cfg.validate().is_ok());
         cfg.opts.reciprocal_media = false;
         cfg.opts.simd = false;
-        cfg.opts.overlap = false;
         assert_eq!(cfg.validate(), Err(ConfigError::LtsNeedsOptimizedLayout));
         cfg.opts = SolverOpts::optimized_lts();
         cfg.opts.lts = Some(LtsOpts { max_rate_log2: 3, min_slab: 2 });

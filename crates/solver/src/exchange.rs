@@ -1,5 +1,4 @@
-//! Ghost-cell halo exchange over the virtual cluster (paper §III.A, §IV.A,
-//! §IV.C).
+//! Ghost-cell halo exchange over the virtual cluster (paper §III.A, §IV.A).
 //!
 //! Every rank shares its freshly updated wavefield layers with its six
 //! neighbours. Two plans are available:
@@ -117,10 +116,9 @@ fn faces_of(axis: Axis) -> (Face, Face) {
 }
 
 /// One outstanding receive of a started exchange: where the message comes
-/// from and where its slab goes. A cluster phase keeps them in one list
-/// borrowed from the [`HaloArena`] (`take_reqs`): every
-/// [`start_exchange_k`] of the phase appends to it and [`finish_exchange`]
-/// completes and returns it.
+/// from and where its slab goes. An exchange keeps them in one list
+/// borrowed from the [`HaloArena`] (`take_reqs`): `start_exchange_k`
+/// fills it and `finish_exchange` completes and returns it.
 #[derive(Debug, Clone, Copy)]
 pub struct PendingRecv {
     src: usize,
@@ -134,28 +132,26 @@ pub struct PendingRecv {
     k1: usize,
 }
 
-/// Low bits of the tag's step field that carry the slab index.
-const SLAB_BITS: u32 = 2;
-const _: () = assert!(crate::shell::MAX_SLABS <= 1 << SLAB_BITS && crate::lts::MAX_CLUSTERS <= 16);
+/// Low bits of the tag's step field that carry the dt-cluster index.
+const CLUSTER_BITS: u32 = 4;
+const _: () = assert!(crate::lts::MAX_CLUSTERS <= 1 << CLUSTER_BITS);
 
-/// The step field of a halo message's tag: base tick, dt-cluster and slab
-/// of the overlap pipeline, so every cluster-phase slab exchanges in its
-/// own tag space.
-pub fn tag_step(tick: u64, cluster: usize, slab: usize) -> u64 {
-    debug_assert!(cluster < crate::lts::MAX_CLUSTERS && slab < crate::shell::MAX_SLABS);
-    (((tick << 4) | cluster as u64) << SLAB_BITS) | slab as u64
+/// The step field of a halo message's tag: base tick and dt-cluster, so
+/// every cluster phase exchanges in its own tag space. Injective for ticks
+/// below 2⁴⁰, which fills `make_tag`'s 44-bit step field.
+pub fn tag_step(tick: u64, cluster: usize) -> u64 {
+    debug_assert!(cluster < crate::lts::MAX_CLUSTERS && tick >> (44 - CLUSTER_BITS) == 0);
+    (tick << CLUSTER_BITS) | cluster as u64
 }
 
 /// Post receives and eager sends for a plan (asynchronous engine only),
 /// restricted to the k-planes `[kr.0, kr.1)`: only that slice of each X/Y
-/// face travels. A Z face ships whole, once per phase — its low face with
-/// the slice that starts at k = 0, its high face with the one that ends at
-/// nz, under slab index 0 (the two sides of a z link reach it in different
-/// slabs). Outgoing slabs are staged in arena buffers and moved into the
-/// mailbox; the receives join `reqs`. The stepper calls this once per
-/// slab of a firing dt-cluster with a [`tag_step`] `step`.
+/// face travels, and a Z face ships whole. (A z link only exists when the
+/// window spans the rank: LTS, the one source of partial windows, runs on
+/// z-unpartitioned decompositions.) Outgoing slabs are staged in arena
+/// buffers and moved into the mailbox; the receives join `reqs`.
 #[allow(clippy::too_many_arguments)]
-pub fn start_exchange_k(
+fn start_exchange_k(
     state: &WaveState,
     sub: &Subdomain,
     ctx: &mut RankCtx,
@@ -166,28 +162,12 @@ pub fn start_exchange_k(
     kr: (usize, usize),
     reqs: &mut Vec<PendingRecv>,
 ) {
-    // Guarded at solver construction (`SolverConfig::validate`): a bad
-    // engine/overlap combination is a ConfigError before any rank thread
-    // spawns, so this cannot fire on a validated configuration.
-    debug_assert_eq!(
-        ctx.mode(),
-        CommMode::Asynchronous,
-        "overlapped exchange needs the async engine"
-    );
     let t_send = ctx.telem.start();
-    let nz = state.dims.nz;
     for p in plan {
         let (f_lo, f_hi) = faces_of(p.axis);
-        let z = p.axis == Axis::Z;
-        let step = if z { step & !((1 << SLAB_BITS) - 1) } else { step };
-        // The neighbour across `f`, if that face travels with this slice.
-        let link = |f: Face| {
-            let here = !z || if f.is_low() { kr.0 == 0 } else { kr.1 == nz };
-            sub.neighbor(f).filter(|_| here)
-        };
         // Post receives first.
         for (f, width) in [(f_lo, p.recv_lo), (f_hi, p.recv_hi)] {
-            if let Some(src) = link(f).filter(|_| width > 0) {
+            if let Some(src) = sub.neighbor(f).filter(|_| width > 0) {
                 let tag = make_tag(phase as u8, p.comp.id() as u8, f.id() as u8, step);
                 reqs.push(PendingRecv {
                     src,
@@ -204,7 +184,7 @@ pub fn start_exchange_k(
         // the width is the receiver's recv_hi and the tag carries its f_hi
         // face id (the receive it posted); symmetrically for the high side.
         for (f, width) in [(f_lo, p.recv_hi), (f_hi, p.recv_lo)] {
-            if let Some(nb) = link(f).filter(|_| width > 0) {
+            if let Some(nb) = sub.neighbor(f).filter(|_| width > 0) {
                 let field = state.field(p.comp);
                 let mut buf = arena.take_buf(face_len_k(field, f, width, kr.0, kr.1));
                 extract_face_k(field, f, width, kr.0, kr.1, &mut buf);
@@ -220,7 +200,7 @@ pub fn start_exchange_k(
 /// ([`RankCtx::wait_each`]): each slab is injected into its halo as it
 /// arrives and its buffer pooled in the arena, so the completion loop
 /// allocates nothing.
-pub fn finish_exchange(
+fn finish_exchange(
     state: &mut WaveState,
     ctx: &mut RankCtx,
     reqs: Vec<PendingRecv>,
@@ -237,8 +217,7 @@ pub fn finish_exchange(
     );
     arena.put_reqs(reqs);
     // Split the completion interval into its two meanings: time blocked on
-    // neighbours (wait, the overlap-sensitive term the slab pipeline
-    // exists to shrink) and time spent copying arrived slabs into ghosts
+    // neighbours (wait) and time spent copying arrived slabs into ghosts
     // (inject, presented as one span following the wait).
     if let Some(t0) = t_all {
         let wait = t0.elapsed().saturating_sub(inject);
@@ -267,7 +246,9 @@ pub fn exchange(
 }
 
 /// [`exchange`] restricted to the k-planes `[kr.0, kr.1)` (see
-/// [`start_exchange_k`]); dispatches on the engine like [`exchange`].
+/// `start_exchange_k`); dispatches on the engine like [`exchange`]. The
+/// stepper calls this once per firing dt-cluster phase, with a
+/// [`tag_step`] `step`.
 #[allow(clippy::too_many_arguments)]
 pub fn exchange_k(
     state: &mut WaveState,
@@ -483,7 +464,8 @@ mod tests {
         }
     }
 
-    /// Overlap-style start/finish across 4 ranks in a row.
+    /// Start/finish across 4 ranks in a row, two k-windows drained by one
+    /// completion.
     #[test]
     fn start_finish_exchange_works_split() {
         let global = Dims3::new(8, 8, 4);
@@ -501,10 +483,10 @@ mod tests {
                 .into_iter()
                 .filter(|p| p.comp == Component::Vx)
                 .collect();
-            // Two slabs, as the pipeline posts them, drained by one finish.
+            // Two clusters' k-ranges, each in its own tag space.
             let mut reqs = arena.take_reqs();
-            for (s, kr) in [(0, 2), (2, st.dims.nz)].into_iter().enumerate() {
-                let step = tag_step(7, 0, s);
+            for (c, kr) in [(0, 2), (2, st.dims.nz)].into_iter().enumerate() {
+                let step = tag_step(7, c);
                 start_exchange_k(
                     &st, &sub, ctx, &plan, Phase::Velocity, step, &mut arena, kr, &mut reqs,
                 );
@@ -572,6 +554,32 @@ mod tests {
                 assert_eq!(want.len(), 9, "one x-face request per component");
                 assert_eq!(got, want, "rank {rank} fuzzed {fuzzed}");
             }
+        }
+    }
+
+    /// Every (tick, cluster) pair the runtime can step gets its own step
+    /// field, and the field survives `make_tag` whole: no two cluster
+    /// phases of any run share a tag space.
+    #[test]
+    fn tag_steps_are_injective_within_the_step_field() {
+        use crate::lts::MAX_CLUSTERS;
+        use std::collections::HashSet;
+        let top = (1u64 << (44 - CLUSTER_BITS)) - 1;
+        let ticks = [0, 1, 2, 3, 15, 16, 17, 255, 256, 1 << 20, 1 << 32, top - 1, top];
+        let mut seen = HashSet::new();
+        for tick in ticks {
+            for cluster in 0..MAX_CLUSTERS {
+                let step = tag_step(tick, cluster);
+                assert!(seen.insert(step), "tick {tick} cluster {cluster} collides");
+                assert!(step >> 44 == 0, "tick {tick} overflows the 44-bit step field");
+                let tag = make_tag(Phase::Stress as u8, Component::Syz.id() as u8, 15, step);
+                assert_eq!(tag >> 20, step, "make_tag drops bits of tick {tick}");
+            }
+        }
+        // Neighbouring ticks interleave no cluster: the map is a bijection
+        // onto [0, 2⁴⁴) with the cluster in the low bits.
+        for (tick, cluster) in [(0, MAX_CLUSTERS - 1), (top - 1, MAX_CLUSTERS - 1)] {
+            assert_eq!(tag_step(tick, cluster) + 1, tag_step(tick + 1, 0));
         }
     }
 

@@ -23,8 +23,8 @@
 //! * [`pml`] — multi-axial PML absorbing boundaries (Marcinkovich & Olsen
 //!   2003; Meza-Fajardo & Papageorgiou 2008);
 //! * [`exchange`] — ghost-cell halo exchange over the virtual cluster with
-//!   full or reduced (§IV.A) communication plans and
-//!   computation/communication overlap (§IV.C);
+//!   full or reduced (§IV.A) communication plans, once per dt-cluster
+//!   phase;
 //! * [`sourceinj`] — kinematic moment-rate source insertion;
 //! * [`stations`] — seismogram recording and surface-velocity capture;
 //! * [`lts`] — the plan of dt-clusters the stepper walks: one cluster for

@@ -63,7 +63,7 @@ use crate::config::{AbcKind, LtsOpts, SolverConfig};
 use crate::medium::Medium;
 use crate::pml::Mpml;
 use crate::exchange::Phase;
-use crate::shell::{k_slabs, Win};
+use crate::shell::Win;
 use crate::state::WaveState;
 use awp_cvm::lts::{clusters_from_profile, rate_profile, theoretical_speedup, ClusterSpec};
 use awp_cvm::mesh::Mesh;
@@ -73,10 +73,10 @@ use awp_grid::fpmode;
 use awp_grid::stagger::Component;
 
 /// Highest cluster count the runtime accepts: cluster indices share the
-/// message-tag step field with the tick number and the slab index
-/// (`exchange::tag_step`), so they must fit in 4 bits. Real CFL profiles
-/// produce a handful of octave bands; an adversarial profile that exceeds
-/// this simply falls back to global time stepping.
+/// message-tag step field with the tick number (`exchange::tag_step`), so
+/// they must fit in 4 bits. Real CFL profiles produce a handful of octave
+/// bands; an adversarial profile that exceeds this simply falls back to
+/// global time stepping.
 pub const MAX_CLUSTERS: usize = 16;
 
 /// The velocity components interpolated across a coarse interface plane.
@@ -136,14 +136,11 @@ pub(crate) struct Operators {
     pub sponge: Option<Sponge>,
 }
 
-/// One cluster of the step plan: its window and cadence, the slabs the
-/// overlap pipeline walks it as, and its private operators.
+/// One cluster of the step plan: its window and cadence, and its private
+/// operators.
 pub(crate) struct StepCluster {
     pub win: Win,
     pub rate: u32,
-    /// [`k_slabs`] of `win`, top first — or, on a rank alone on its grid
-    /// (nothing to overlap), `win` whole.
-    pub slabs: Vec<Win>,
     pub own: Operators,
     /// Substeps executed (telemetry).
     pub fires: u64,
@@ -152,9 +149,8 @@ pub(crate) struct StepCluster {
 }
 
 impl StepCluster {
-    fn new(win: Win, rate: u32, sub: &Subdomain, own: Operators) -> Self {
-        let slabs = if sub.decomp.rank_count() > 1 { k_slabs(win) } else { vec![win] };
-        Self { win, rate, slabs, own, fires: 0, ns: 0 }
+    fn new(win: Win, rate: u32, own: Operators) -> Self {
+        Self { win, rate, own, fires: 0, ns: 0 }
     }
 }
 
@@ -291,7 +287,7 @@ pub(crate) struct StepPlan {
 impl StepPlan {
     /// The single-cluster (global dt) plan.
     pub fn global(sub: &Subdomain) -> Self {
-        let one = StepCluster::new(Win::full(sub.dims), 1, sub, Operators::default());
+        let one = StepCluster::new(Win::full(sub.dims), 1, Operators::default());
         Self { clusters: vec![one], interfaces: Vec::new() }
     }
 
@@ -359,7 +355,7 @@ impl StepPlan {
                         AbcKind::None => {}
                     }
                 }
-                StepCluster::new(win, rate, sub, own)
+                StepCluster::new(win, rate, own)
             })
             .collect();
         let plane_len = d.nx * d.ny;

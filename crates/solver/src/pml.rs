@@ -310,7 +310,7 @@ impl Mpml {
         self.apply_velocity_win(state, med, dth, win);
     }
 
-    /// Windowed velocity-pass correction (overlap slabs, LTS clusters). The ψ
+    /// Windowed velocity-pass correction (LTS clusters). The ψ
     /// update at a cell reads only that cell's ψ and the frozen
     /// cross-field derivatives, so restricting to a window is bit-exact.
     pub fn apply_velocity_win(&mut self, state: &mut WaveState, med: &Medium, dth: f32, win: Win) {

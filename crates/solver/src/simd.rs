@@ -18,7 +18,7 @@
 //! fuse). A vector lane therefore computes the identical rounding sequence
 //! at any width, and the property tests below pin every backend to that
 //! reference bit for bit. This is what lets `SolverOpts::simd` default on
-//! without disturbing any of the serial/parallel/overlap equivalence tests.
+//! without disturbing any of the serial/parallel equivalence tests.
 
 use crate::attenuation::Attenuation;
 use crate::boundary::SpongeFold;
@@ -117,7 +117,7 @@ pub fn update_stress_simd(
     update_stress_backend_win(state, med, atten, dth, dt, block, win, detect());
 }
 
-/// Velocity update over `win` (overlap slabs, LTS clusters) on an explicit
+/// Velocity update over `win` (LTS clusters) on an explicit
 /// backend; panics if the CPU lacks it. Bit-identical to the fused pass
 /// restricted to `win`: the vector loop restarts at `win.i0` with the same
 /// expression tree (unaligned loads, no FMA) and per-cell updates are

@@ -17,8 +17,7 @@ use crate::boundary::{
 };
 use crate::config::{AbcKind, ConfigError, SolverConfig};
 use crate::exchange::{
-    exchange_k, finish_exchange, full_plan, reduced_stress_plan, reduced_velocity_plan,
-    start_exchange_k, tag_step, FieldPlan, Phase,
+    exchange_k, full_plan, reduced_stress_plan, reduced_velocity_plan, tag_step, FieldPlan, Phase,
 };
 use crate::flops::FlopCounter;
 use crate::kernels::{update_stress, update_velocity};
@@ -42,7 +41,7 @@ use awp_telemetry::{
     NO_PEER,
 };
 use awp_vcluster::cluster::RankCtx;
-use awp_vcluster::{Category, Cluster, CommMode, FaultReport, SchedulePlan, TimeLedger};
+use awp_vcluster::{Category, Cluster, FaultReport, SchedulePlan, TimeLedger};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -77,8 +76,8 @@ impl Kernels {
     fn velocity(self, state: &mut WaveState, med: &Medium, dth: f32, w: Win) {
         match self.loops {
             Loops::Legacy => {
-                // `validate()` keeps the legacy layout away from the overlap
-                // pipeline and from LTS, the only sources of windows.
+                // `validate()` keeps the legacy layout away from LTS, the
+                // only source of windows.
                 debug_assert_eq!(w, Win::full(state.dims), "legacy kernels are full-grid only");
                 update_velocity(state, med, dth, self.block, false);
             }
@@ -308,9 +307,7 @@ pub struct RankResult {
     /// (`Phase::{Send, Wait, Inject}` replace the old `ExchangeStats`),
     /// comm counters, and latency histograms. Empty/disabled unless the run
     /// was started with a telemetry registry
-    /// ([`try_run_parallel_decomp`]) — the overlap-efficiency bench reads
-    /// the `Wait` total to measure how much communication the split
-    /// timestep hid.
+    /// ([`try_run_parallel_decomp`]).
     pub telemetry: Snapshot,
     pub sub: Subdomain,
 }
@@ -331,10 +328,10 @@ impl Solver {
 
     /// Fallible constructor: checks option consistency
     /// (`SolverConfig::validate`) before building anything, so a bad
-    /// engine/overlap combination fails the run gracefully instead of
-    /// panicking a rank thread mid-step. Takes `mesh`'s own maximum P speed
-    /// for the global one — right when `sub` is the whole grid; a rank of a
-    /// decomposed grid wants [`Solver::try_new_rank`].
+    /// combination fails the run gracefully instead of panicking a rank
+    /// thread mid-step. Takes `mesh`'s own maximum P speed for the global
+    /// one — right when `sub` is the whole grid; a rank of a decomposed
+    /// grid wants [`Solver::try_new_rank`].
     pub fn try_new(
         cfg: SolverConfig,
         sub: Subdomain,
@@ -512,40 +509,26 @@ impl Solver {
     /// One base tick (see the `crate::lts` module docs for the schedule and
     /// the interface interpolation). Every cluster that fires on this tick
     /// runs its velocity phase, then every firing cluster — top to bottom —
-    /// its stress phase, and a phase is: blend the interface ghosts → per
-    /// slab [update the window → start that slab's halo sends] → restore
-    /// the ghosts → finish the exchange. Under a sponge the stress update
-    /// of a window is kernel (damping each row it does not defer, and the
-    /// velocity row two planes behind) → inject → image → damp the
-    /// deferred rows (`SpongeFold`); the tick ends with the velocity sponge
-    /// on the planes no walk retired.
-    ///
-    /// With overlap on (§IV.C) the cluster's window is walked as the
-    /// full-row k-slabs of `crate::shell` and each slab's k-range of the
-    /// x/y faces is posted as soon as the slab is done, so its messages
-    /// fly while the next slabs compute: "While the value of v is computed,
-    /// the exchange of u can be performed simultaneously". Because the
-    /// velocity pass reads only stresses and the stress pass reads only
-    /// velocities, per-cell updates are window-order invariant and the
-    /// pipeline is bit-exact against the fused pass, which is the same
-    /// walk with the whole cluster as its one slab and a blocking exchange
-    /// after it. The fused pass is what runs without a communicator, on
-    /// the synchronous engine and on the legacy layout.
+    /// its stress phase, and a phase is one walk: blend the interface
+    /// ghosts → update the cluster's window → restore the ghosts → one
+    /// halo exchange of the window's k-range (none without a
+    /// communicator). Under a sponge the stress update of a window is
+    /// kernel (damping each row it does not defer, and the velocity row two
+    /// planes behind) → inject → image → damp the deferred rows
+    /// (`SpongeFold`); the tick ends with the velocity sponge on the planes
+    /// no walk retired.
     ///
     /// Each firing cluster exchanges only its own k-range of the x/y halos
     /// (ranks never split z under LTS — validated by the drivers — so
     /// z-plan entries have no neighbour and drop out). The tag's step field
-    /// packs tick, cluster (≤ [`MAX_CLUSTERS`]) and slab index
-    /// (`exchange::tag_step`), keeping every slab of every cluster phase
-    /// in its own tag space.
+    /// packs tick and cluster (< [`MAX_CLUSTERS`], `exchange::tag_step`),
+    /// keeping every cluster phase in its own tag space.
     fn step(&mut self, mut comm: Comm) {
         let n = self.step as u64;
         let dt = self.cfg.dt;
         let dth = (dt / self.cfg.h) as f32;
         let on_surface = self.cfg.free_surface && owns_free_surface(&self.sub);
         let opts = self.cfg.opts;
-        let async_rank = comm.rank().is_some_and(|ctx| ctx.mode() == CommMode::Asynchronous);
-        let split = opts.overlap && async_rank && opts.reciprocal_media;
         let Solver {
             sub, med, state, atten, sponge, mpml, injector, flops, vel_plan, str_plan, arena, ..
         } = self;
@@ -626,35 +609,21 @@ impl Solver {
                         retire: (cl.win.k0, retired_to(cl.win)),
                     }),
                 };
-                let slabs = if split { &cl.slabs[..] } else { std::slice::from_ref(&cl.win) };
-                let mut pending = split.then(|| arena.take_reqs());
-                for (s, &w) in slabs.iter().enumerate() {
-                    let t0 = Instant::now();
-                    match phase {
-                        Phase::Velocity => pass.velocity_win(state, &mut ops, w, &mut comm),
-                        Phase::Stress => pass.stress_win(state, &mut ops, w, &mut comm),
-                    }
-                    comm.charge(Category::Comp, span, t0);
-                    if let (Some(ctx), Some(p)) = (comm.rank(), pending.as_mut()) {
-                        let (tag, kr) = (tag_step(n, c, s), (w.k0, w.k1));
-                        start_exchange_k(state, sub, ctx, halo, phase, tag, arena, kr, p);
-                    }
+                let t0 = Instant::now();
+                match phase {
+                    Phase::Velocity => pass.velocity_win(state, &mut ops, cl.win, &mut comm),
+                    Phase::Stress => pass.stress_win(state, &mut ops, cl.win, &mut comm),
                 }
-                // Drop the ghost overwrites before the halo injection so
-                // the blend window stays as narrow as possible; messages
-                // only ever carry this cluster's own k-range, so the
-                // blended coarse planes never leak into a send.
+                comm.charge(Category::Comp, span, t0);
+                // Drop the ghost overwrites before the halo exchange;
+                // messages only ever carry this cluster's own k-range, so
+                // the blended coarse planes never leak into a send.
                 for f in interfaces.iter_mut().filter(ghosts) {
                     f.restore_ghosts(state, phase);
                 }
                 if let Some(ctx) = comm.rank() {
-                    match pending {
-                        Some(p) => finish_exchange(state, ctx, p, arena),
-                        None => {
-                            let (tag, kr) = (tag_step(n, c, 0), (cl.win.k0, cl.win.k1));
-                            exchange_k(state, sub, ctx, halo, phase, tag, arena, kr)
-                        }
-                    }
+                    let (tag, kr) = (tag_step(n, c), (cl.win.k0, cl.win.k1));
+                    exchange_k(state, sub, ctx, halo, phase, tag, arena, kr);
                 }
                 cl.ns += tc.elapsed().as_nanos() as u64;
                 if phase == Phase::Stress {
@@ -707,8 +676,8 @@ impl Solver {
     }
 
     /// Advance one step as a rank of the virtual cluster (velocity →
-    /// exchange → stress → exchange), honouring the configured engine,
-    /// overlap and barrier options.
+    /// exchange → stress → exchange), honouring the configured engine and
+    /// barrier options.
     pub fn step_parallel(&mut self, ctx: &mut RankCtx) {
         // As in `step_serial`; the rank thread keeps the mode across the
         // halo exchanges, which only copy.
@@ -869,7 +838,7 @@ pub fn run_parallel(
 
 /// Fallible variant of [`run_parallel`]: validates the configuration
 /// before any rank thread spawns, so an inconsistent option set (e.g.
-/// overlap on the synchronous engine) surfaces as a [`ConfigError`]
+/// LTS on a z-cut decomposition) surfaces as a [`ConfigError`]
 /// instead of a cross-thread panic.
 pub fn try_run_parallel(
     cfg: &SolverConfig,

@@ -9,8 +9,8 @@
 //! the M-PML correction over the whole window, then inject → image →
 //! `Sponge`, and every velocity plane damped at the end of the tick. Both
 //! must leave the same bits in every padded field, memory variable, ψ box
-//! and seismogram, on every backend and however the grid is cut, clustered
-//! or slabbed.
+//! and seismogram, on every backend and however the grid is cut or
+//! clustered.
 
 use super::*;
 use crate::config::{LtsOpts, SolverOpts};
@@ -226,16 +226,13 @@ fn lts_interfaces_inside_the_bottom_sponge_keep_their_edge_planes() {
     let cells = [Idx3::new(13, 9, 8), Idx3::new(6, 14, 22), Idx3::new(18, 4, 27)];
     let c = case(d, true, 20, 44, &cells);
     assert_serial_folds(&c, "basin ladder");
-    // The same ladder cut along x and y, each cluster walking its own slabs.
-    let mut fused = case(d, true, 20, 44, &cells);
-    fused.cfg.opts.overlap = false;
+    // The same ladder cut along x and y, each cluster exchanging its own
+    // k-range.
     for parts in [[2, 1, 1], [2, 2, 1]] {
         let decomp = Decomp3::new(d, parts);
-        for c in [&c, &fused] {
-            let want = ranks(c, decomp, Walk::Reference);
-            let what = format!("basin ladder {parts:?} overlap {}", c.cfg.opts.overlap);
-            assert_same(&ranks(c, decomp, Walk::Folded(detect())), &want, &what);
-        }
+        let want = ranks(&c, decomp, Walk::Reference);
+        let what = format!("basin ladder {parts:?}");
+        assert_same(&ranks(&c, decomp, Walk::Folded(detect())), &want, &what);
     }
     // A thinner ladder: min_slab 6 moves the interfaces.
     let mut thin = case(d, true, 20, 44, &cells);
@@ -245,7 +242,7 @@ fn lts_interfaces_inside_the_bottom_sponge_keep_their_edge_planes() {
 
 #[test]
 fn slab_pipelines_fold_like_the_serial_walk() {
-    // nz 7 / 8 / 12 / 16: one to four slabs per rank.
+    // Ranks 7 / 8 / 12 / 16 planes tall, cut along x, y and both.
     for nz in [7, 8, 12, 16] {
         let d = Dims3::new(20, 18, nz);
         let cells = [Idx3::new(10, 9, nz / 2), Idx3::new(3, 15, 1), Idx3::new(17, 2, nz - 2)];
@@ -336,12 +333,7 @@ fn mpml_lts_interfaces_inside_the_bottom_zone_interleave_like_the_two_sweeps() {
         "cluster interfaces {interfaces:?} must lie in the bottom {width} planes"
     );
     assert_serial_folds(&c, "M-PML basin ladder");
-    let mut fused = under_mpml(case(d, true, 20, 44, &cells), width, 0.3);
-    fused.cfg.opts.overlap = false;
     let decomp = Decomp3::new(d, [2, 1, 1]);
-    for c in [&c, &fused] {
-        let want = ranks(c, decomp, Walk::Reference);
-        let what = format!("M-PML basin ladder [2, 1, 1] overlap {}", c.cfg.opts.overlap);
-        assert_same(&ranks(c, decomp, Walk::Folded(detect())), &want, &what);
-    }
+    let want = ranks(&c, decomp, Walk::Reference);
+    assert_same(&ranks(&c, decomp, Walk::Folded(detect())), &want, "M-PML basin ladder [2, 1, 1]");
 }

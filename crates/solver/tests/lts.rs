@@ -5,8 +5,8 @@
 //!    cluster must leave results bit-identical to global dt (it is the
 //!    same one-cluster plan) and read as not armed.
 //! 2. **Decomposition invariance**: with a genuine multi-rate ladder the
-//!    parallel LTS step (k-windowed per-cluster halo exchange, overlap
-//!    split intersected with cluster slabs) must be bit-exact against the
+//!    parallel LTS step (one k-windowed halo exchange per cluster phase)
+//!    must be bit-exact against the
 //!    serial LTS step across x/y rank decompositions — and stay bit-exact
 //!    under the adversarial message-schedule fuzzer.
 //! 3. **Accuracy**: the multi-rate solution must stay close to the global

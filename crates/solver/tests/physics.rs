@@ -251,9 +251,6 @@ fn sync_and_async_engines_agree() {
     let decomp = awp_grid::decomp::Decomp3::new(d, parts);
     let meshes = partition_mesh_direct(&mesh, &decomp);
     let mut cfg = SolverConfig::small(d, h, dt, 50);
-    // Overlap requires the asynchronous engine; turn it off so the same
-    // options are legal under both engines being compared.
-    cfg.opts.overlap = false;
     cfg.opts.comm_mode = awp_solver::config::CommModeOpt::Asynchronous;
     let async_res = run_parallel(&cfg, parts, &meshes, &src, &stations);
     cfg.opts.comm_mode = awp_solver::config::CommModeOpt::Synchronous;
@@ -262,28 +259,6 @@ fn sync_and_async_engines_agree() {
         rs.iter().flat_map(|r| r.seismograms.clone()).find(|s| s.station.name == "a").unwrap()
     };
     assert_eq!(find(&async_res).vx, find(&sync_res).vx);
-}
-
-#[test]
-fn overlap_matches_plain_exchange() {
-    let d = Dims3::new(20, 16, 12);
-    let h = 100.0;
-    let dt = 0.007;
-    let mesh = rock_mesh(d, h);
-    let stations = [Station::new("a", Idx3::new(4, 4, 0))];
-    let src = explosion(Idx3::new(10, 8, 6), dt);
-    let parts = [2, 2, 1];
-    let decomp = awp_grid::decomp::Decomp3::new(d, parts);
-    let meshes = partition_mesh_direct(&mesh, &decomp);
-    let mut cfg = SolverConfig::small(d, h, dt, 50);
-    cfg.opts.overlap = false;
-    let plain = run_parallel(&cfg, parts, &meshes, &src, &stations);
-    cfg.opts.overlap = true;
-    let overlapped = run_parallel(&cfg, parts, &meshes, &src, &stations);
-    let find = |rs: &Vec<awp_solver::solver::RankResult>| {
-        rs.iter().flat_map(|r| r.seismograms.clone()).find(|s| s.station.name == "a").unwrap()
-    };
-    assert_eq!(find(&plain).vx, find(&overlapped).vx);
 }
 
 #[test]

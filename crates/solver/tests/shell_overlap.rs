@@ -1,22 +1,23 @@
-//! Overlap timestep (§IV.C, the k-slab pipeline of `awp_solver::shell`) —
-//! equivalence and steady-state properties.
+//! Decomposition equivalence — parallel ≡ serial — and the steady-state
+//! properties of the rank-parallel step.
 //!
-//! The overlap path exists only because a windowed walk is *bit-exact*
-//! against the fused kernels: the velocity pass reads only stresses and the
-//! stress pass reads only velocities, so per-cell updates are window-order
-//! invariant. These tests pin that claim across backends, grid shapes,
-//! window shapes and rank decompositions — pipelined ≡ fused ≡ serial —
-//! and pin the operational guarantees around it (allocation-free steady
-//! state, construction-time config validation, the health sentinel).
+//! A windowed walk is *bit-exact* against the fused kernels: the velocity
+//! pass reads only stresses and the stress pass reads only velocities, so
+//! per-cell updates are window-order invariant. These tests pin that claim
+//! across backends, grid shapes and window shapes, pin every rank
+//! decomposition of a run to the serial run bit for bit — every boundary
+//! kind, layered and procedural-CVM media, LTS, any delivery order — and
+//! pin the operational guarantees around it (allocation-free steady state,
+//! the health sentinel, the exchange telemetry).
 
 use awp_cvm::material::MaterialSample;
 use awp_cvm::mesh::{Mesh, MeshGenerator};
-use awp_cvm::model::LayeredModel;
+use awp_cvm::model::{CommunityVelocityModel, LayeredModel};
+use awp_cvm::SoCalModel;
 use awp_grid::blocking::BlockSpec;
 use awp_grid::decomp::Decomp3;
 use awp_grid::dims::{Dims3, Idx3};
 use awp_grid::stagger::Component;
-use awp_solver::config::CommModeOpt;
 use awp_solver::kernels::{update_stress, update_velocity};
 use awp_solver::simd::{
     detect, update_stress_backend_win, update_stress_simd, update_velocity_backend_win,
@@ -25,8 +26,8 @@ use awp_solver::simd::{
 use awp_solver::solver::partition_mesh_direct;
 use awp_solver::state::MemoryVars;
 use awp_solver::{
-    global_vp_max, run_parallel, try_run_parallel, try_run_parallel_decomp, AbcKind, ConfigError,
-    LtsOpts, Medium, RankResult, Solver, SolverConfig, Station, WaveState, Win,
+    global_vp_max, run_parallel, try_run_parallel_decomp, AbcKind, ConfigError, LtsOpts, LtsPlan,
+    Medium, RankResult, Solver, SolverConfig, Station, WaveState, Win,
 };
 use awp_source::kinematic::KinematicSource;
 use awp_source::moment::MomentTensor;
@@ -177,9 +178,16 @@ type Fixture = (Mesh, KinematicSource, Vec<Station>, SolverConfig);
 
 /// A point source `src_k` planes down in `model` with stations in every
 /// octant (two at depth, so z-split bottom ranks are observed too) and all
-/// the features the overlap path composes with: M-PML, free surface,
+/// the features a decomposed step composes with: M-PML, free surface,
 /// attenuation.
-fn fixture(model: &LayeredModel, d: Dims3, h: f64, dt: f64, src_k: usize, steps: usize) -> Fixture {
+fn fixture<M: CommunityVelocityModel>(
+    model: &M,
+    d: Dims3,
+    h: f64,
+    dt: f64,
+    src_k: usize,
+    steps: usize,
+) -> Fixture {
     let mesh = MeshGenerator::new(model, d, h).generate();
     let src = KinematicSource::point(
         Idx3::new(d.nx / 2, d.ny / 2, src_k),
@@ -200,7 +208,7 @@ fn fixture(model: &LayeredModel, d: Dims3, h: f64, dt: f64, src_k: usize, steps:
     (mesh, src, stations, cfg)
 }
 
-fn overlap_fixture(d: Dims3, steps: usize) -> Fixture {
+fn loh1_fixture(d: Dims3, steps: usize) -> Fixture {
     fixture(&LayeredModel::loh1(), d, 150.0, 0.009, d.nz / 2, steps)
 }
 
@@ -244,35 +252,43 @@ fn run_decomp(cfg: &SolverConfig, decomp: Decomp3, fx: &Fixture) -> Vec<RankResu
     try_run_parallel_decomp(cfg, decomp, &meshes, &fx.1, &fx.2, None, None).expect("valid config")
 }
 
-/// Pipelined ≡ fused ≡ serial for `cfg` (overlap is set here) on `decomp`.
-fn assert_pipelined_fused_serial_agree(cfg: &SolverConfig, decomp: Decomp3, fx: &Fixture) {
-    let mut cfg = cfg.clone();
-    let serial = Solver::run_serial(cfg.clone(), &fx.0, &fx.1, &fx.2);
-    let serial = observed(cfg.dims, std::slice::from_ref(&serial));
-    cfg.opts.overlap = false;
-    let fused = observed(cfg.dims, &run_decomp(&cfg, decomp, fx));
-    cfg.opts.overlap = true;
-    let pipelined = observed(cfg.dims, &run_decomp(&cfg, decomp, fx));
-    let what = format!("{:?} skew {:?}", decomp.parts, decomp.skew);
-    assert!(fused == serial, "fused must be bit-exact against serial for {what}");
-    assert!(pipelined == serial, "slab pipeline must be bit-exact against serial for {what}");
+fn run_serial(cfg: &SolverConfig, fx: &Fixture) -> Observed {
+    observed(cfg.dims, &[Solver::run_serial(cfg.clone(), &fx.0, &fx.1, &fx.2)])
+}
+
+/// Parallel ≡ serial for `cfg` on each of `decomps`, against one serial run.
+fn assert_parallel_matches_serial(cfg: &SolverConfig, decomps: &[Decomp3], fx: &Fixture) {
+    let serial = run_serial(cfg, fx);
+    for &decomp in decomps {
+        let parallel = observed(cfg.dims, &run_decomp(cfg, decomp, fx));
+        let what = format!("{:?} skew {:?}", decomp.parts, decomp.skew);
+        assert!(parallel == serial, "parallel must be bit-exact against serial for {what}");
+    }
 }
 
 #[test]
 fn overlap_matches_plain_across_decompositions_with_all_features() {
-    // nz = 20 pipelines four slabs on z-whole ranks and two on z-split ones.
     let d = Dims3::new(20, 18, 20);
-    let fx = overlap_fixture(d, 24);
-    // [1,1,1] is the rank with no neighbours: overlap on, yet its one slab
-    // is the whole grid and nothing is posted.
+    let fx = loh1_fixture(d, 24);
+    // [1,1,1] is the rank with no neighbours: nothing is posted.
     let cuts = [[1, 1, 1], [2, 1, 1], [1, 2, 1], [1, 1, 2], [2, 2, 1], [2, 2, 2]];
-    for parts in cuts {
-        assert_pipelined_fused_serial_agree(&fx.3, Decomp3::new(d, parts), &fx);
+    let mut decomps: Vec<Decomp3> = cuts.iter().map(|&parts| Decomp3::new(d, parts)).collect();
+    // A skewed cut: rank 0 is wider and taller (13 + 7 planes) than its
+    // neighbours.
+    decomps.push(Decomp3::new(d, [2, 1, 2]).with_skew(0, 3).with_skew(2, 3));
+    assert_parallel_matches_serial(&fx.3, &decomps, &fx);
+    // Surface ranks 4, 5, 7 and 9 planes tall over a z-hi neighbour. At
+    // h = 150 m LOH.1's layer floor (1000 m) lies between planes 6 and 7,
+    // so the 7-plane case puts the material contrast exactly on the z
+    // seam, beside the global x/y boundaries: the edge and corner material
+    // halos must hold the neighbour's values, not clamped copies.
+    for nz in [4, 5, 7, 9] {
+        let d = Dims3::new(16, 14, 2 * nz);
+        let fx = fixture(&LayeredModel::loh1(), d, 150.0, 0.009, nz, 16);
+        let cuts = [[1, 1, 2], [2, 1, 2]].map(|parts| Decomp3::new(d, parts));
+        assert_eq!(cuts[0].subdomain(0).dims.nz, nz);
+        assert_parallel_matches_serial(&fx.3, &cuts, &fx);
     }
-    // A skewed cut: rank 0 is wider and taller than its neighbours, and the
-    // z parts (13 + 7 planes) pipeline three slabs against one.
-    let skewed = Decomp3::new(d, [2, 1, 2]).with_skew(0, 3).with_skew(2, 3);
-    assert_pipelined_fused_serial_agree(&fx.3, skewed, &fx);
 }
 
 #[test]
@@ -287,29 +303,41 @@ fn mpml_on_a_basin_is_decomposition_invariant() {
     fx.3.abc = AbcKind::m8();
     let locals = partition_mesh_direct(&fx.0, &Decomp3::new(d, [1, 1, 2]));
     assert!(global_vp_max([&locals[0]]) < 0.5 * global_vp_max(&locals), "top rank is all basin");
-    for parts in [[1, 1, 1], [1, 1, 2], [2, 1, 2], [2, 2, 2]] {
-        assert_pipelined_fused_serial_agree(&fx.3, Decomp3::new(d, parts), &fx);
-    }
-}
+    let cuts = [[1, 1, 1], [1, 1, 2], [2, 1, 2], [2, 2, 2]];
+    assert_parallel_matches_serial(&fx.3, &cuts.map(|parts| Decomp3::new(d, parts)), &fx);
 
-#[test]
-fn thin_surface_ranks_degenerate_to_one_or_two_slabs() {
-    // A surface-owning rank over a z-hi neighbour, 4/5/7/9 planes tall: the
-    // slab rule gives one slab (nothing to pipeline, free-surface imaging
-    // and both z faces in the same window) or, at 9, two.
-    // At h = 150 m LOH.1's layer floor (1000 m) lies between planes 6 and
-    // 7, so the 7-plane case puts the material contrast exactly on the z
-    // seam, beside the global x/y boundaries: the edge and corner material
-    // halos must hold the neighbour's values, not clamped copies.
-    for nz in [4, 5, 7, 9] {
-        let d = Dims3::new(16, 14, 2 * nz);
-        let fx = fixture(&LayeredModel::loh1(), d, 150.0, 0.009, nz, 16);
-        for parts in [[1, 1, 2], [2, 1, 2]] {
-            let decomp = Decomp3::new(d, parts);
-            assert_eq!(decomp.subdomain(0).dims.nz, nz);
-            assert_pipelined_fused_serial_agree(&fx.3, decomp, &fx);
-        }
-    }
+    // The same audit on a procedural-CVM mesh, whose basins make every
+    // plane laterally heterogeneous: a Sponge — a function of global
+    // indices, so every rank must build the serial profile's slice of it —
+    // under x, y and z cuts on 1, 2, 4 and 8 ranks …
+    let (d, h) = (Dims3::new(24, 20, 32), 100.0);
+    let socal = SoCalModel::scaled(d.nx as f64 * h, d.ny as f64 * h);
+    let mut fx = fixture(&socal, d, h, 0.009, 6, 30);
+    let lateral = |k| {
+        let corner = fx.0.sample(0, 0, k).vs;
+        (0..d.ny).any(|j| (0..d.nx).any(|i| fx.0.sample(i, j, k).vs != corner))
+    };
+    assert!((0..d.nz).all(lateral), "the basins must vary every plane laterally");
+    fx.3.abc = AbcKind::Sponge { width: 6, amp: 0.92 };
+    let cuts = [[1, 1, 1], [2, 1, 1], [1, 2, 1], [1, 1, 2], [2, 2, 1], [1, 2, 2], [2, 2, 2]];
+    assert_parallel_matches_serial(&fx.3, &cuts.map(|parts| Decomp3::new(d, parts)), &fx);
+
+    // … and the LTS cluster builder, fed the global per-plane profile by
+    // the driver, under x and y cuts. The mesh must really step several
+    // clusters: the soft top 500 m steps at twice the base rate.
+    fx.3.opts.lts = Some(LtsOpts::new());
+    let whole = Decomp3::new(d, [1, 1, 1]).subdomain(0);
+    let mut solver = Solver::new(fx.3.clone(), whole, &fx.0, &fx.1, &fx.2);
+    let plan = LtsPlan::from_mesh(&fx.0, fx.3.dt, LtsOpts::new());
+    assert!(solver.enable_lts(&plan), "one cluster: {:?}", plan.clusters);
+    let cuts = [[2, 1, 1], [1, 2, 1], [2, 2, 1], [4, 2, 1]];
+    assert_parallel_matches_serial(&fx.3, &cuts.map(|parts| Decomp3::new(d, parts)), &fx);
+    // A z cut would split the rate ladder between ranks.
+    let z_cut = Decomp3::new(d, [1, 1, 2]);
+    let meshes = partition_mesh_direct(&fx.0, &z_cut);
+    let err = try_run_parallel_decomp(&fx.3, z_cut, &meshes, &fx.1, &fx.2, None, None)
+        .expect_err("LTS on a z cut must be rejected");
+    assert_eq!(err, ConfigError::LtsNeedsSingleZPart);
 }
 
 #[test]
@@ -348,31 +376,30 @@ fn random_layer_depths_and_cuts_match_serial() {
         }
         let parts = [1 + below(3), 1 + below(2), 1 + below(3)];
         let decomp = Decomp3::new(d, parts).with_skew(0, below(2)).with_skew(2, below(3));
-        assert_pipelined_fused_serial_agree(&fx.3, decomp, &fx);
+        assert_parallel_matches_serial(&fx.3, &[decomp], &fx);
     }
 }
 
 #[test]
 fn lts_clusters_pipeline_their_own_slabs() {
-    // LTS × overlap on [2,2,1]: every firing cluster walks its own k-range
-    // as slabs (the 20-plane basin cluster as four, the thin rock clusters
-    // whole) under cluster- and slab-disambiguated tags.
+    // LTS on [2,2,1]: every firing cluster exchanges its own k-range once
+    // per phase, under cluster-disambiguated tags.
     let d = Dims3::new(24, 20, 32);
     let h = 150.0;
     let mut fx = fixture(&LayeredModel::basin_over_rock(24.0 * h), d, h, 0.012, 4, 40);
     fx.3.opts.lts = Some(LtsOpts::new());
-    assert_pipelined_fused_serial_agree(&fx.3, Decomp3::new(d, [2, 2, 1]), &fx);
+    assert_parallel_matches_serial(&fx.3, &[Decomp3::new(d, [2, 2, 1])], &fx);
 }
 
 #[test]
 fn skewed_slabs_are_delivery_order_invariant() {
-    // Each slab posts its sends as soon as it is done, so a straggler's
-    // slab messages interleave with its neighbours' on every face; fuzzed
-    // delivery and wait-all orders must not show in the result.
+    // A skewed cut makes a straggler whose messages interleave with its
+    // neighbours' on every face; fuzzed delivery and wait-all orders must
+    // not show in the result.
     let d = Dims3::new(20, 18, 20);
-    let fx = overlap_fixture(d, 12);
+    let fx = loh1_fixture(d, 12);
     let cfg = &fx.3;
-    let serial = observed(d, &[Solver::run_serial(fx.3.clone(), &fx.0, &fx.1, &fx.2)]);
+    let serial = run_serial(cfg, &fx);
     let decomp = Decomp3::new(d, [2, 2, 1]).with_skew(0, 4);
     let meshes = partition_mesh_direct(&fx.0, &decomp);
     for seed in 0..4 {
@@ -387,18 +414,15 @@ fn skewed_slabs_are_delivery_order_invariant() {
 fn mpml_split_matches_fused_on_subdomains_narrower_than_the_layer() {
     // 4 parts along x leave 5-cell subdomains under a 6-cell layer: the
     // edge ranks are zone from face to face, their neighbours hold one
-    // column of the x layers without touching an x face, and every slab
-    // cuts through zone boxes. SIMD + overlap must still equal the fused
-    // scalar pass, on 4 and on 8 ranks.
+    // column of the x layers without touching an x face. The SIMD walk
+    // must still equal the scalar one, on 4 and on 8 ranks.
     let d = Dims3::new(20, 18, 14);
-    let fx = overlap_fixture(d, 24);
+    let fx = loh1_fixture(d, 24);
     let mut cfg = fx.3.clone();
     cfg.abc = AbcKind::Mpml { width: 6, pmax: 0.2 };
     for parts in [[4, 1, 1], [4, 2, 1]] {
-        cfg.opts.overlap = false;
         cfg.opts.simd = false;
         let fused = observed(d, &run_decomp(&cfg, Decomp3::new(d, parts), &fx));
-        cfg.opts.overlap = true;
         cfg.opts.simd = true;
         let split = observed(d, &run_decomp(&cfg, Decomp3::new(d, parts), &fx));
         assert!(fused == split, "{parts:?}");
@@ -411,7 +435,7 @@ fn mpml_memory_follows_each_ranks_zone_cells() {
     // rank zones tile the global zone, and `zone_fraction` reports the
     // same cells the allocation covers.
     let d = Dims3::new(20, 18, 14);
-    let (mesh, src, stations, cfg) = overlap_fixture(d, 1);
+    let (mesh, src, stations, cfg) = loh1_fixture(d, 1);
     let width = cfg.abc.width();
     let global_zone = d.count() - (d.nx - 2 * width) * (d.ny - 2 * width) * (d.nz - width);
     for parts in [[1, 1, 1], [2, 1, 1], [2, 2, 1], [2, 2, 2]] {
@@ -433,11 +457,11 @@ fn mpml_memory_follows_each_ranks_zone_cells() {
 
 #[test]
 fn overlap_steady_state_is_allocation_free() {
-    // After warmup has sized the pooled halo buffers — one per slab, face
-    // and field now — the pipeline's send-early/recv-late path must never
-    // touch the heap again, and one request list serves a whole phase.
+    // After warmup has sized the pooled halo buffers — one per face and
+    // field — the exchange must never touch the heap again, and one request
+    // list serves a whole phase.
     let d = Dims3::new(16, 14, 16);
-    let (mesh, src, stations, cfg) = overlap_fixture(d, 1);
+    let (mesh, src, stations, cfg) = loh1_fixture(d, 1);
     let parts = [2, 2, 1];
     let decomp = Decomp3::new(d, parts);
     let meshes = partition_mesh_direct(&mesh, &decomp);
@@ -463,7 +487,7 @@ fn overlap_steady_state_is_allocation_free() {
         ctx.barrier();
         solver.arena_allocations() == warm
     });
-    assert!(flat.iter().all(|&f| f), "overlap path allocated in steady state: {flat:?}");
+    assert!(flat.iter().all(|&f| f), "the exchange allocated in steady state: {flat:?}");
 }
 
 #[test]
@@ -472,7 +496,7 @@ fn health_probe_catches_a_nan_behind_every_communicating_face() {
     // must abort that rank with the `sim-health:` message at the next
     // probe; ranks 0 and 7 of a 2×2×2 cut cover all six faces.
     let d = Dims3::new(16, 14, 12);
-    let (mesh, src, stations, mut cfg) = overlap_fixture(d, 1);
+    let (mesh, src, stations, mut cfg) = loh1_fixture(d, 1);
     cfg.opts.health_every = 1;
     let decomp = Decomp3::new(d, [2, 2, 2]);
     let meshes = partition_mesh_direct(&mesh, &decomp);
@@ -520,56 +544,32 @@ fn health_probe_catches_a_nan_behind_every_communicating_face() {
 }
 
 #[test]
-fn overlap_on_sync_engine_is_rejected_at_construction() {
-    let d = Dims3::new(12, 10, 8);
-    let (mesh, src, stations, mut cfg) = overlap_fixture(d, 4);
-    cfg.opts.comm_mode = CommModeOpt::Synchronous; // overlap left on
-    let decomp = Decomp3::new(d, [1, 1, 1]);
-    let err = Solver::try_new(cfg.clone(), decomp.subdomain(0), &mesh, &src, &stations)
-        .err()
-        .expect("overlap + synchronous engine must be rejected");
-    assert_eq!(err, ConfigError::OverlapNeedsAsyncEngine);
-    let parts = [2, 1, 1];
-    let meshes = partition_mesh_direct(&mesh, &Decomp3::new(d, parts));
-    let err = try_run_parallel(&cfg, parts, &meshes, &src, &stations)
-        .expect_err("try_run_parallel must validate before spawning ranks");
-    assert_eq!(err, ConfigError::OverlapNeedsAsyncEngine);
-    // The same options become valid by flipping either knob.
-    cfg.opts.overlap = false;
-    assert!(cfg.validate().is_ok());
-    cfg.opts.overlap = true;
-    cfg.opts.comm_mode = CommModeOpt::Asynchronous;
-    assert!(cfg.validate().is_ok());
-}
-
-#[test]
 fn overlap_records_exchange_phase_timing() {
     // The per-phase breakdown the bench reads must be populated: a
-    // multi-rank overlap run with telemetry attached records send, wait,
-    // inject and the slab compute phases on every rank, one send span and
-    // one message set per slab.
+    // multi-rank run with telemetry attached records send, wait, inject
+    // and the window compute phases on every rank.
     use awp_solver::telemetry::{Counter, Phase, Registry};
     let d = Dims3::new(16, 14, 12);
-    let (mesh, src, stations, cfg) = overlap_fixture(d, 10);
+    let (mesh, src, stations, cfg) = loh1_fixture(d, 10);
     let parts = [2, 1, 1];
     let decomp = Decomp3::new(d, parts);
     let meshes = partition_mesh_direct(&mesh, &decomp);
     let reg = Registry::new(2);
     let results =
         try_run_parallel_decomp(&cfg, decomp, &meshes, &src, &stations, Some(reg.clone()), None)
-            .expect("valid overlap workload");
-    // Reduced plans: 3 velocity + 3 stress components cross an x face,
-    // each in the three slabs 12 planes cut into. On top: the five material
-    // arrays of the startup halo exchange.
-    let msgs = (3 + 3) * 3 * cfg.steps as u64 + 5;
+            .expect("valid workload");
+    // Reduced plans: 3 velocity + 3 stress components cross an x face, each
+    // once per step, since a phase walks its one window and then exchanges
+    // once. On top: the five material arrays of the startup halo exchange.
+    let msgs = (3 + 3) * cfg.steps as u64 + 5;
     for r in &results {
         let tel = &r.telemetry;
         assert!(tel.enabled, "rank {} has no telemetry", r.rank);
         assert!(tel.phase_ns(Phase::Send) > 0, "rank {} recorded no send time", r.rank);
         assert!(tel.phase_ns(Phase::Inject) > 0, "rank {} recorded no inject time", r.rank);
-        assert!(tel.phase_ns(Phase::VelocityInterior) > 0, "rank {} missing slabs", r.rank);
+        assert!(tel.phase_ns(Phase::VelocityInterior) > 0, "rank {} missing windows", r.rank);
         assert!(tel.phase_ns(Phase::StressInterior) > 0, "rank {}", r.rank);
-        // Slabs are full-row windows; nothing is a shell any more.
+        // Windows are full-row; nothing is a shell.
         assert_eq!(tel.phase_ns(Phase::VelocityShell) + tel.phase_ns(Phase::StressShell), 0);
         assert_eq!(tel.counter(Counter::MsgsSent), msgs, "rank {}", r.rank);
     }

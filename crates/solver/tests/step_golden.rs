@@ -1,9 +1,9 @@
 //! Absolute pins for the time stepper.
 //!
-//! Every other stepper suite is *relative* (parallel ≡ serial, overlap ≡
-//! fused, any delivery order ≡ FIFO), so a change that moves all paths
-//! together — say, recording seismograms before instead of after the
-//! velocity sponge — passes them all. This suite hashes everything a step
+//! Every other stepper suite is *relative* (parallel ≡ serial, folded ≡
+//! separate passes, any delivery order ≡ FIFO), so a change that moves
+//! all paths together — say, recording seismograms before instead of after
+//! the velocity sponge — passes them all. This suite hashes everything a step
 //! produces and compares against constants recorded once, at the commit
 //! before the steppers were merged into one. The constants are not to be
 //! edited by a change that claims to keep the arithmetic.
@@ -40,11 +40,11 @@ enum Scenario {
 enum Mode {
     /// `step_serial`.
     Serial,
-    /// `[2,1,1]`, scenario options as they are (overlap split).
+    /// `[2,1,1]`, scenario options as they are.
     Split,
-    /// `[1,2,1]`, scenario options as they are (overlap split along y).
+    /// `[1,2,1]`, scenario options as they are.
     SplitY,
-    /// `[2,2,1]` with the overlap split off (fused pass, async engine).
+    /// `[2,2,1]`, scenario options as they are.
     Fused,
     /// `[2,1,1]` under `SolverOpts::legacy()` (synchronous engine,
     /// non-reciprocal kernels, per-step barrier).
@@ -163,8 +163,7 @@ fn run(scenario: Scenario, mode: Mode, simd: bool) -> Option<u64> {
         Mode::Fused => [2, 2, 1],
     };
     match mode {
-        Mode::Serial | Mode::Split | Mode::SplitY => {}
-        Mode::Fused => cfg.opts.overlap = false,
+        Mode::Serial | Mode::Split | Mode::SplitY | Mode::Fused => {}
         Mode::Legacy => cfg.opts = SolverOpts { lts: cfg.opts.lts, ..SolverOpts::legacy() },
     }
     cfg.opts.simd = simd && cfg.opts.reciprocal_media;

@@ -12,9 +12,9 @@
 /// work (M-PML, free surface, sponge), source injection, synchronization, and
 /// the two pario phases (checkpoint epochs, station/volume output).
 ///
-/// Every velocity/stress window — the one fused pass, or each slab of the
-/// overlap pipeline — is recorded under the `*Interior` variant. The
-/// `*Shell` variants date from the shell-first overlap split; nothing
+/// Every velocity/stress window — a rank's grid, or a dt-cluster's k-range
+/// of it — is recorded under the `*Interior` variant. The `*Shell`
+/// variants date from the deleted shell-first overlap split; nothing
 /// records them now and they read 0 (kept for readers that name them).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(u8)]
@@ -65,7 +65,7 @@ impl Phase {
     /// Phases whose per-rank totals define compute time for the
     /// load-imbalance ratio (max/mean across ranks, the paper's §V metric).
     /// Boundary/Source are excluded: their spans nest inside the window
-    /// passes on the overlapped path and would double-count.
+    /// passes and would double-count.
     pub const COMPUTE: [Phase; 4] = [
         Phase::VelocityShell,
         Phase::VelocityInterior,

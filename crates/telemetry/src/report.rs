@@ -49,10 +49,9 @@ pub struct TelemetryReport {
     /// metric); 1.0 = perfectly balanced, 0.0 if no compute was recorded.
     pub load_imbalance: f64,
     /// 1 − wait/(send+wait+inject): the share of communication time a rank
-    /// was not blocked on neighbours. The overlap pipeline raises it by
-    /// posting each k-slab's sends while later slabs compute (one `Send`
-    /// span per slab, one `Wait`/`Inject` pair per cluster phase). 0.0 if
-    /// no comm was recorded.
+    /// was not blocked on neighbours (one `Send` span and one
+    /// `Wait`/`Inject` pair per cluster phase). 0.0 if no comm was
+    /// recorded.
     pub hidden_comm_fraction: f64,
     /// Spans evicted from rings (totals remain exact), summed across ranks.
     pub dropped_spans: u64,

@@ -6,7 +6,7 @@
 //! results. [`awp_vcluster::SchedulePlan`] makes "any order" testable: a
 //! seeded pure-hash policy deterministically defers and reorders eligible
 //! deliveries and permutes wait-all polling. This driver replays one
-//! 8-rank overlap-enabled run under N distinct seeds and compares every
+//! 8-rank asynchronous-engine run under N distinct seeds and compares every
 //! run's full observable state — seismograms, PGV map fragments, surface
 //! snapshots — bit-for-bit against the unfuzzed baseline.
 //!
@@ -132,7 +132,7 @@ fn bit_identical(a: &[RankResult], b: &[RankResult]) -> bool {
     })
 }
 
-/// Build the shared workload: an overlap-enabled multi-rank run with a
+/// Build the shared workload: an asynchronous multi-rank run with a
 /// double-couple source straddling rank seams and stations on several
 /// ranks.
 fn workload(spec: &FuzzSpec) -> (SolverConfig, Vec<awp_cvm::mesh::Mesh>, KinematicSource, Vec<Station>) {
@@ -141,9 +141,9 @@ fn workload(spec: &FuzzSpec) -> (SolverConfig, Vec<awp_cvm::mesh::Mesh>, Kinemat
     let vp = 6000.0f64;
     let dt = 0.8 * 6.0 * h / (7.0 * 3f64.sqrt() * vp);
     let mut cfg = SolverConfig::small(dims, h, dt, spec.steps);
-    // M-PML + free surface + the overlap/simd/async engine: the full
+    // M-PML + free surface + the simd/async engine: the full
     // communication surface (halo exchanges both phases, reduced-comm
-    // widths, per-slab sends of the overlap pipeline) is what the fuzzer must not be able
+    // widths, every face of the default 2×2×2 cut) is what the fuzzer must not be able
     // to break.
     cfg.abc = AbcKind::Mpml { width: 6, pmax: 0.3 };
     cfg.free_surface = true;

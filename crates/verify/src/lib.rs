@@ -11,7 +11,7 @@
 //!    order is fitted from the error-vs-h series.
 //! 3. **Schedule fuzzing** ([`fuzz`]): the deterministic
 //!    `awp_vcluster::SchedulePlan` permutes message delivery and wait-all
-//!    polling per seed; every seed's 8-rank overlap run is compared bit for
+//!    polling per seed; every seed's 8-rank run is compared bit for
 //!    bit against the unfuzzed one.
 //!
 //! The crate measures; row VRF of `awp repro` (`awp_bench::repro`) runs

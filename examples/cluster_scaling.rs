@@ -66,8 +66,6 @@ fn main() {
     for mode in [CommModeOpt::Synchronous, CommModeOpt::Asynchronous] {
         let mut cfg = SolverConfig::small(dims, h, dt, steps);
         cfg.opts.comm_mode = mode;
-        // Comparing bare engines: overlap is async-only, keep it out.
-        cfg.opts.overlap = false;
         let decomp = Decomp3::new(dims, [2, 2, 1]);
         let meshes = partition_mesh_direct(&mesh, &decomp);
         let t0 = std::time::Instant::now();

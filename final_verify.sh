@@ -62,17 +62,17 @@ echo "=== REPRO DONE ==="
 # Perf regression gate: rows OVL and LTS of the table above, timed there
 # once at full size. Nonzero exit unless both ran and agree with their
 # recorded outcomes: the SIMD kernels not slower than scalar, the
-# steady-state exchange allocation-free (arena ledger), the overlap run not
-# slower than the plain run on the multi-rank config, telemetry within its
+# steady-state exchange allocation-free (arena ledger), telemetry within its
 # hardware-aware tolerance of disabled, and LTS ≥ 1.5× global-dt stepping
 # on the basin-contrast medium.
 awk '/^(OVL|LTS) +[^ ]+ expected/ { seen[$1] = 1; if (/DIFFERS/) bad = 1 }
      END { exit !(seen["OVL"] && seen["LTS"] && !bad) }' results/logs/cli_repro.log; echo "bench_gate exit $?"
 echo "=== BENCH GATE DONE ==="
-# Overlap smoke: the k-slab pipelined timestep must stay bit-exact to the
-# fused and serial paths across decompositions/backends (property + cluster
-# tests; the suite keeps its file name).
-cargo test --release -p awp-solver --test shell_overlap 2>&1 | grep -E "test result|FAILED"; echo "overlap_smoke exit ${PIPESTATUS[0]}"
+# Decomposition smoke: every rank decomposition must stay bit-exact to the
+# serial run across boundary kinds, media, LTS and delivery orders, and the
+# windowed kernels to the fused ones across backends (the suite keeps its
+# file name).
+cargo test --release -p awp-solver --test shell_overlap 2>&1 | grep -E "test result|FAILED"; echo "decomposition_smoke exit ${PIPESTATUS[0]}"
 # Absolute pins: every stepping path must reproduce its recorded hash.
 cargo test --release -p awp-solver --test step_golden 2>&1 | grep -E "test result|FAILED"; echo "step_golden exit ${PIPESTATUS[0]}"
 # Byte pins: every file a two-rank checkpointed workflow writes (mesh
@@ -80,7 +80,7 @@ cargo test --release -p awp-solver --test step_golden 2>&1 | grep -E "test resul
 cargo test --release -p awp-odc --test workflow workflow_files_are_byte_pinned 2>&1 | grep -E "test result|FAILED"; echo "byte_pins exit ${PIPESTATUS[0]}"
 # The folded sponge against the separate-pass stepper, every backend.
 cargo test --release -p awp-solver --lib fold_tests 2>&1 | grep -E "test result|FAILED"; echo "fold_tests exit ${PIPESTATUS[0]}"
-echo "=== OVERLAP SMOKE DONE ==="
+echo "=== STEPPER SMOKE DONE ==="
 # Perfbench gate: the benchmark's own traced smoke run of all six
 # workloads must pass every check, so the one stepper is exercised through
 # run_serial, core::workflow, the ensemble engine and the serve miss path.
