@@ -1,6 +1,5 @@
 //! Peak-ground-velocity maps (the paper's Figs. 15, 17, 21).
 
-use awp_grid::decomp::Subdomain;
 use awp_grid::dims::Dims3;
 use awp_solver::solver::RankResult;
 use serde::{Deserialize, Serialize};
@@ -21,22 +20,12 @@ impl PgvMap {
         Self { nx, ny, h, data: vec![0.0; nx * ny] }
     }
 
-    /// Assemble from per-rank results (surface-owning ranks carry PGV
-    /// fragments).
+    /// Assemble from per-rank results: each surface-owning rank carries its
+    /// subdomain's surface peaks, x-fastest; a rank off the free surface
+    /// (an empty fragment) writes nothing.
     pub fn from_rank_results(results: &[RankResult], global: Dims3, h: f64) -> Self {
-        Self::from_fragments(results.iter().map(|r| (&r.sub, &r.pgv_map[..])), global, h)
-    }
-
-    /// Assemble from `(subdomain, fragment)` pairs: each fragment is its
-    /// subdomain's surface peaks, x-fastest. An empty fragment (a rank off
-    /// the free surface) writes nothing.
-    pub fn from_fragments<'a>(
-        fragments: impl IntoIterator<Item = (&'a Subdomain, &'a [f32])>,
-        global: Dims3,
-        h: f64,
-    ) -> Self {
         let mut map = Self::zeros(global.nx, global.ny, h);
-        for (sub, pgv) in fragments {
+        for RankResult { sub, pgv_map: pgv, .. } in results {
             if pgv.is_empty() {
                 continue;
             }

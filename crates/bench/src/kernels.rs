@@ -20,10 +20,10 @@ use awp_solver::flops::per_point;
 use awp_solver::kernels::{update_stress, update_velocity};
 use awp_solver::medium::Medium;
 use awp_solver::simd::{detect, update_stress_simd, update_velocity_simd};
-use awp_solver::solver::{partition_mesh_direct, try_run_parallel_decomp, Solver};
+use awp_solver::solver::{partition_mesh_direct, Solver};
 use awp_solver::state::WaveState;
 use awp_solver::telemetry::Registry;
-use awp_solver::{LtsOpts, LtsPlan, SolverConfig, SolverOpts};
+use awp_solver::{LtsOpts, LtsPlan, SolvePlan, SolverConfig, SolverOpts};
 use awp_source::kinematic::KinematicSource;
 use awp_source::moment::MomentTensor;
 use awp_source::stf::Stf;
@@ -258,8 +258,15 @@ fn solve(global: Dims3, steps: usize) -> impl Fn(bool) -> f64 {
     move |telemetry| {
         let registry = telemetry.then(|| Registry::new(4));
         let t0 = Instant::now();
-        try_run_parallel_decomp(&cfg, decomp, &meshes, &source, &[], registry, None)
-            .expect("valid telemetry workload");
+        let plan =
+            SolvePlan::new(&cfg, decomp, &meshes, &source, &[]).expect("valid telemetry workload");
+        let mut cluster = plan.cluster();
+        if let Some(registry) = registry {
+            cluster = cluster.with_telemetry(registry);
+        }
+        for rank in plan.run(&cluster, &meshes) {
+            rank.expect("telemetry workload rank");
+        }
         t0.elapsed().as_secs_f64()
     }
 }

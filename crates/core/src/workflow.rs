@@ -32,15 +32,12 @@ use awp_pario::partition::{partition_ondemand, prepartition, read_prepartitioned
 use awp_pario::throttle::OpenThrottle;
 use awp_pario::Md5;
 use awp_solver::boundary::owns_free_surface;
-use awp_solver::config::SolverConfig;
-use awp_solver::solver::{update_pgv, Solver};
-use awp_solver::stations::{surface_velocities_into, Seismogram, Station};
-use awp_solver::{global_vp_max, LtsPlan};
-use awp_source::kinematic::KinematicSource;
+use awp_solver::stations::{surface_velocities_into, Seismogram};
+use awp_solver::{RankResult, SolvePlan};
 use awp_telemetry::{LiveStats, Registry};
 use awp_vcluster::fault::{FaultKind, FaultPlan, FaultReport, WatchdogConfig};
 use awp_vcluster::schedule::SchedulePlan;
-use awp_vcluster::{Cluster, DeadLetterStats, RecoveryEvent, RetryPolicy, Supervisor};
+use awp_vcluster::{DeadLetterStats, RecoveryEvent, RetryPolicy, SupervisedRun, Supervisor};
 use serde::Serialize;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -186,10 +183,6 @@ pub struct WorkflowSession {
     pub flight_dir: Option<PathBuf>,
 }
 
-/// Per-rank solve outcome.
-type RankOutcome =
-    (usize, awp_grid::decomp::Subdomain, Vec<f32>, String, u64, Vec<Seismogram>);
-
 impl WorkflowSession {
     pub fn new(parts: [usize; 3]) -> Self {
         Self {
@@ -260,12 +253,18 @@ impl WorkflowSession {
     /// Execute all stages for one prepared scenario in `workdir`. The
     /// session is borrowed immutably, so any number of worker threads may
     /// run disjoint scenarios through one shared session concurrently.
+    /// An inconsistent configuration (LTS on a z-cut decomposition, say)
+    /// is `InvalidInput` carrying the [`awp_solver::ConfigError`], before
+    /// any file is written.
     pub fn execute(&self, run: &ScenarioRun, workdir: &Path) -> io::Result<WorkflowReport> {
-        let mut stages = Vec::new();
-        std::fs::create_dir_all(workdir)?;
         let cfg = &run.cfg;
         let decomp = Decomp3::new(cfg.dims, self.parts);
         let n_ranks = decomp.rank_count();
+        let mesh = std::slice::from_ref(&*run.mesh);
+        let solve = SolvePlan::new(cfg, decomp, mesh, &run.source, &run.stations)
+            .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e))?;
+        let mut stages = Vec::new();
+        std::fs::create_dir_all(workdir)?;
 
         // 1. CVM2MESH: the global mesh file.
         let mesh_path = workdir.join("mesh.global.bin");
@@ -308,11 +307,10 @@ impl WorkflowSession {
             }
         };
 
-        // 3. dSrcG + PetaSrcP.
+        // 3. dSrcG (the plan holds PetaSrcP's per-rank subfaults).
         let src_path = workdir.join("source.bin");
         let t = Instant::now();
         awp_source::srcfile::write_source(&src_path, &run.source)?;
-        let rank_sources = awp_source::partition::partition_spatial(&run.source, &decomp);
         stages.push(StageTiming {
             stage: "dsrcg+petasrcp".into(),
             seconds: t.elapsed().as_secs_f64(),
@@ -337,7 +335,7 @@ impl WorkflowSession {
             })
             .max()
             .unwrap_or(0);
-        let plan = OutputPlan {
+        let output = OutputPlan {
             decimate: self.output_decimate,
             flush_every: self.flush_every,
             rank_len,
@@ -347,46 +345,24 @@ impl WorkflowSession {
         if self.checkpoint_every.is_some() {
             std::fs::create_dir_all(&ckpt_dir)?;
         }
-        // Clustered local time stepping: the plan is computed once from the
-        // *global* mesh so every rank arms the identical cluster ladder
-        // (per-rank CFL profiles would disagree across partition seams).
-        let lts_plan = cfg.opts.lts.map(|lo| LtsPlan::from_mesh(&run.mesh, cfg.dt, lo));
-        if lts_plan.is_some() {
-            assert_eq!(
-                self.parts[2], 1,
-                "LTS clusters are z-slabs: the workflow decomposition must keep a single z part"
-            );
-        }
         // Checkpoint epochs must land on cluster-aligned ticks: at a tick
         // that is a multiple of the slowest cadence every cluster fires and
         // the interface prev-planes are recaptured before first use, so a
         // restored pass needs no extra LTS state to be bit-exact. Round the
         // requested cadence up rather than rejecting it.
-        let lts_align = lts_plan.as_ref().map_or(1, |p| p.max_rate() as usize);
+        let lts_align = solve.lts.as_ref().map_or(1, |p| p.max_rate() as usize);
         let checkpoint_every = self.checkpoint_every.map(|e| e.div_ceil(lts_align) * lts_align);
         let env = SolveEnv {
-            cfg,
-            decomp: &decomp,
+            session: self,
+            plan: &solve,
             parts_dir: &parts_dir,
             throttle: &throttle,
             ondemand_meshes: &ondemand_meshes,
-            rank_sources: &rank_sources,
-            stations: &run.stations,
             writer: &writer,
-            plan,
+            output,
             surface_ranks: &surface_ranks,
             ckpt_dir: &ckpt_dir,
             checkpoint_every,
-            keep_checkpoints: self.keep_checkpoints,
-            lts_plan: &lts_plan,
-            vp_max: global_vp_max([&*run.mesh]),
-            fault_plan: self.fault_plan.clone(),
-            watchdog: self.watchdog,
-            schedule: self.schedule.clone(),
-            telemetry: self.telemetry.clone(),
-            recovery: self.recovery,
-            live: self.live.clone(),
-            flight_dir: self.flight_dir.clone(),
         };
         let t = Instant::now();
         if self.fault_plan.is_some() {
@@ -433,7 +409,7 @@ impl WorkflowSession {
                 failed_at.get_or_insert(step as usize);
             }
             faults.extend(pass.recovered_faults);
-            let outcomes = pass.outcomes;
+            let outcomes = pass.results;
             let pass_faults: Vec<FaultReport> =
                 outcomes.iter().filter_map(|r| r.as_ref().err().cloned()).collect();
             if pass_faults.is_empty() {
@@ -471,19 +447,10 @@ impl WorkflowSession {
         };
         let solve_seconds = t.elapsed().as_secs_f64();
 
-        let pgv_map = PgvMap::from_fragments(
-            results.iter().map(|(_, sub, pgv, ..)| (sub, &pgv[..])),
-            cfg.dims,
-            cfg.h,
-        );
-        let mut checksums = Vec::new();
-        let mut seismograms: Vec<Seismogram> = Vec::new();
-        for (_, _, _, digest, _, seis) in results {
-            if !digest.is_empty() {
-                checksums.push(digest);
-            }
-            seismograms.extend(seis);
-        }
+        let (ranks, digests): (Vec<RankResult>, Vec<String>) = results.into_iter().unzip();
+        let pgv_map = PgvMap::from_rank_results(&ranks, cfg.dims, cfg.h);
+        let checksums: Vec<String> = digests.into_iter().filter(|d| !d.is_empty()).collect();
+        let seismograms: Vec<Seismogram> = ranks.into_iter().flat_map(|r| r.seismograms).collect();
         stages.push(StageTiming {
             stage: "awm-solve".into(),
             seconds: solve_seconds,
@@ -543,94 +510,66 @@ impl WorkflowSession {
 /// Everything a solve pass needs (shared between the initial run and a
 /// restart).
 struct SolveEnv<'a> {
-    cfg: &'a SolverConfig,
-    decomp: &'a Decomp3,
+    session: &'a WorkflowSession,
+    plan: &'a SolvePlan,
     parts_dir: &'a Path,
     throttle: &'a OpenThrottle,
     ondemand_meshes: &'a Option<Vec<Mesh>>,
-    rank_sources: &'a [KinematicSource],
-    stations: &'a [Station],
     writer: &'a Arc<SharedFileWriter>,
-    plan: OutputPlan,
+    output: OutputPlan,
     surface_ranks: &'a [usize],
     ckpt_dir: &'a Path,
+    /// The session's cadence rounded up to the slowest dt-cluster's rate.
     checkpoint_every: Option<usize>,
-    keep_checkpoints: usize,
-    /// Cluster ladder for local time stepping, computed from the global
-    /// mesh (`None` = fused global-dt stepping).
-    lts_plan: &'a Option<LtsPlan>,
-    /// Maximum P speed of the global mesh: like the cluster ladder, a
-    /// quantity every rank must agree on (it scales the M-PML profile).
-    vp_max: f64,
-    fault_plan: Option<Arc<FaultPlan>>,
-    watchdog: Option<WatchdogConfig>,
-    schedule: Option<Arc<SchedulePlan>>,
-    telemetry: Option<Arc<Registry>>,
-    recovery: Option<RetryPolicy>,
-    live: Option<Arc<LiveStats>>,
-    flight_dir: Option<PathBuf>,
 }
 
-/// What one solve pass produced: per-rank outcomes plus the supervisor's
-/// recovery accounting (zeroed when recovery is off).
-struct PassOutput {
-    outcomes: Vec<Result<RankOutcome, FaultReport>>,
-    recoveries: u32,
-    degraded: bool,
-    recovered_faults: Vec<FaultReport>,
-    events: Vec<RecoveryEvent>,
-    dead_letters: DeadLetterStats,
-}
+/// What one solve pass produced: per rank its result and output digest,
+/// or its fault report, plus the supervisor's recovery accounting (zeroed
+/// when recovery is off).
+type Pass = SupervisedRun<(RankResult, String)>;
 
 /// Run all ranks from step 0 (or from the given checkpoint epoch) to
 /// completion. Ranks execute behind the cluster's fault boundary: the
-/// returned vector carries one `Ok(outcome)` or `Err(fault report)` per
-/// rank; rank-local I/O errors abort the whole pass as before.
-fn solve_ranks(env: &SolveEnv<'_>, resume_epoch: Option<u64>) -> io::Result<PassOutput> {
-    let cfg = env.cfg;
-    let n_ranks = env.decomp.rank_count();
-    let mut cluster = Cluster::new(n_ranks, cfg.opts.comm_mode.into());
-    if let Some(plan) = &env.fault_plan {
+/// pass carries one `Ok(outcome)` or `Err(fault report)` per rank;
+/// rank-local I/O errors abort the whole pass as before.
+fn solve_ranks(env: &SolveEnv<'_>, resume_epoch: Option<u64>) -> io::Result<Pass> {
+    let (session, cfg) = (env.session, &env.plan.cfg);
+    let n_ranks = env.plan.decomp.rank_count();
+    let mut cluster = env.plan.cluster();
+    if let Some(plan) = &session.fault_plan {
         cluster = cluster.with_fault_plan(Arc::clone(plan));
     }
-    if let Some(wd) = env.watchdog {
+    if let Some(wd) = session.watchdog {
         cluster = cluster.with_watchdog(wd);
     }
-    if let Some(plan) = &env.schedule {
+    if let Some(plan) = &session.schedule {
         cluster = cluster.with_schedule(Arc::clone(plan));
     }
-    if let Some(reg) = &env.telemetry {
+    if let Some(reg) = &session.telemetry {
         cluster = cluster.with_telemetry(Arc::clone(reg));
     }
-    if let Some(live) = &env.live {
+    if let Some(live) = &session.live {
         cluster = cluster.with_live_stats(Arc::clone(live));
     }
-    if let Some(dir) = &env.flight_dir {
+    if let Some(dir) = &session.flight_dir {
         cluster = cluster.with_flight_recorder(dir.clone());
     }
-    let body = |ctx: &mut awp_vcluster::RankCtx| -> io::Result<RankOutcome> {
+    // A rank's result and the digest of its final output block.
+    let body = |ctx: &mut awp_vcluster::RankCtx| -> io::Result<(RankResult, String)> {
         let rank = ctx.rank();
-        let sub = env.decomp.subdomain(rank);
         // Each rank obtains its sub-mesh per the configured input scheme.
+        let read;
         let local = match env.ondemand_meshes {
-            Some(meshes) => meshes[rank].clone(),
-            None => read_prepartitioned(env.parts_dir, rank, Some(env.throttle))?,
+            Some(meshes) => &meshes[rank],
+            None => {
+                read = read_prepartitioned(env.parts_dir, rank, Some(env.throttle))?;
+                &read
+            }
         };
-        let sources = &env.rank_sources[rank];
-        let mut solver =
-            Solver::try_new_rank(cfg.clone(), sub, &local, sources, env.stations, env.vp_max, ctx)
-                .expect("invalid solver configuration");
-        if let Some(plan) = env.lts_plan {
-            solver.enable_lts(plan);
-        }
+        let mut solve = env.plan.rank(ctx, local);
         let surf_slot = env.surface_ranks.iter().position(|&r| r == rank);
-        let mut agg = surf_slot.map(|slot| OutputAggregator::new(env.plan, slot));
-        let mut pgv = if surf_slot.is_some() {
-            vec![0.0f32; sub.dims.nx * sub.dims.ny]
-        } else {
-            Vec::new()
-        };
-        let store = CheckpointStore::new(env.ckpt_dir, rank, env.keep_checkpoints);
+        let mut agg = surf_slot.map(|slot| OutputAggregator::new(env.output, slot));
+        let store = CheckpointStore::new(env.ckpt_dir, rank, session.keep_checkpoints);
         let mut start_step = 0usize;
         // An in-flight recovery generation overrides the pass-level resume
         // epoch: the supervisor already picked the newest epoch that is
@@ -641,10 +580,10 @@ fn solve_ranks(env: &SolveEnv<'_>, resume_epoch: Option<u64>) -> io::Result<Pass
             // (selected by `consistent_epoch` before this pass started).
             let ckpt = store.load(epoch)?;
             start_step = ckpt.step as usize;
-            solver.restore_fields(&ckpt.fields);
-            solver.step = start_step;
-            if let (Some(saved), false) = (ckpt.field("workflow_pgv"), pgv.is_empty()) {
-                pgv.copy_from_slice(saved);
+            solve.solver.restore_fields(&ckpt.fields);
+            solve.solver.step = start_step;
+            if let (Some(saved), false) = (ckpt.field("workflow_pgv"), solve.pgv.is_empty()) {
+                solve.pgv.copy_from_slice(saved);
             }
             if let Some(phase) = ckpt.field("workflow_lts_phase") {
                 // The aligned checkpoint cadence guarantees every epoch sits
@@ -659,13 +598,11 @@ fn solve_ranks(env: &SolveEnv<'_>, resume_epoch: Option<u64>) -> io::Result<Pass
             }
         }
         for step in start_step..cfg.steps {
-            ctx.tick(step as u64);
-            solver.step_parallel(ctx);
+            solve.step(ctx);
             if let Some(agg) = agg.as_mut() {
                 agg.record_traced(step, env.writer, &mut ctx.telem, |rec| {
-                    surface_velocities_into(&solver.state, rec)
+                    surface_velocities_into(&solve.solver.state, rec)
                 })?;
-                update_pgv(&solver.state, &mut pgv);
             }
             if let Some(every) = env.checkpoint_every {
                 let done = step + 1;
@@ -679,11 +616,10 @@ fn solve_ranks(env: &SolveEnv<'_>, resume_epoch: Option<u64>) -> io::Result<Pass
                         agg.flush_traced(env.writer, &mut ctx.telem)?;
                     }
                     env.writer.sync()?;
-                    let mut fields = solver.checkpoint_fields();
-                    fields.push(("workflow_pgv".to_string(), pgv.clone()));
-                    if solver.lts_active() {
-                        let align =
-                            env.lts_plan.as_ref().map_or(1, |p| p.max_rate() as u64);
+                    let mut fields = solve.solver.checkpoint_fields();
+                    fields.push(("workflow_pgv".to_string(), solve.pgv.clone()));
+                    if solve.solver.lts_active() {
+                        let align = env.plan.lts.as_ref().map_or(1, |p| p.max_rate() as u64);
                         fields.push((
                             "workflow_lts_phase".to_string(),
                             vec![(done as u64 % align) as f32],
@@ -703,65 +639,44 @@ fn solve_ranks(env: &SolveEnv<'_>, resume_epoch: Option<u64>) -> io::Result<Pass
         // Parallel MD5 of this rank's final output block.
         let digest = match surf_slot {
             Some(slot) if cfg.steps > 0 => {
-                let last_rec = (cfg.steps - 1) / env.plan.decimate;
-                let block = env.plan.offset(last_rec, slot);
-                Md5::digest_hex(&env.writer.read_bytes_at(block, 4 * env.plan.rank_len)?)
+                let last_rec = (cfg.steps - 1) / env.output.decimate;
+                let block = env.output.offset(last_rec, slot);
+                Md5::digest_hex(&env.writer.read_bytes_at(block, 4 * env.output.rank_len)?)
             }
             _ => String::new(),
         };
-        if solver.lts_active() {
-            ctx.telem.set_lts_stats(solver.lts_stats());
-        }
-        let seis = solver.recorder.clone().into_seismograms();
-        Ok((rank, sub, pgv, digest, solver.flops.total, seis))
+        Ok((solve.finish(ctx), digest))
     };
-    let (results, recoveries, degraded, recovered_faults, events, dead_letters) =
-        match env.recovery {
-            Some(policy) => {
-                // Supervised pass: the supervisor owns rank lifecycles and
-                // absorbs faults via rollback-rejoin; the epoch source is
-                // the same consistent-line scan the whole-run restart path
-                // uses, so both rungs of the ladder agree on where "safe"
-                // is.
-                let ckpt_dir = env.ckpt_dir;
-                let run = Supervisor::new(&cluster, policy).run(body, || {
-                    consistent_epoch(ckpt_dir, n_ranks).ok().flatten()
-                });
-                (
-                    run.results,
-                    run.recoveries,
-                    run.degraded,
-                    run.recovered_faults,
-                    run.events,
-                    run.dead_letters,
-                )
-            }
-            None => (
-                cluster.try_run(body),
-                0,
-                false,
-                Vec::new(),
-                Vec::new(),
-                DeadLetterStats::default(),
-            ),
-        };
+    let run = match session.recovery {
+        // Supervised pass: the supervisor owns rank lifecycles and absorbs
+        // faults via rollback-rejoin; the epoch source is the same
+        // consistent-line scan the whole-run restart path uses, so both
+        // rungs of the ladder agree on where "safe" is.
+        Some(policy) => Supervisor::new(&cluster, policy)
+            .run(body, || consistent_epoch(env.ckpt_dir, n_ranks).ok().flatten()),
+        None => SupervisedRun {
+            results: cluster.try_run(body),
+            recoveries: 0,
+            recovered_faults: Vec::new(),
+            degraded: false,
+            events: Vec::new(),
+            dead_letters: DeadLetterStats::default(),
+        },
+    };
     // Transpose: a rank-local I/O error fails the whole pass (as the
     // pre-resilience code did); a fault report stays per-rank.
-    let outcomes: io::Result<Vec<Result<RankOutcome, FaultReport>>> = results
-        .into_iter()
-        .map(|r| match r {
-            Ok(Ok(outcome)) => Ok(Ok(outcome)),
-            Ok(Err(io_err)) => Err(io_err),
-            Err(fault) => Ok(Err(fault)),
-        })
-        .collect();
-    Ok(PassOutput {
-        outcomes: outcomes?,
-        recoveries,
-        degraded,
-        recovered_faults,
-        events,
-        dead_letters,
+    let results = run.results.into_iter().map(|r| match r {
+        Ok(Ok(outcome)) => Ok(Ok(outcome)),
+        Ok(Err(io_err)) => Err(io_err),
+        Err(fault) => Ok(Err(fault)),
+    });
+    Ok(Pass {
+        results: results.collect::<io::Result<_>>()?,
+        recoveries: run.recoveries,
+        recovered_faults: run.recovered_faults,
+        degraded: run.degraded,
+        events: run.events,
+        dead_letters: run.dead_letters,
     })
 }
 

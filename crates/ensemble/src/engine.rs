@@ -13,7 +13,7 @@
 //! archives them, because M8's mesh fits in no one memory and its outputs
 //! must outlive the run; an ensemble job holds its mesh in memory and its
 //! product is the PGV map plus seismograms that [`ResultsStore::put`]
-//! persists. So a miss runs the solver's rank driver on the shared mesh
+//! persists. So a miss runs its [`SolvePlan`] in memory on the shared mesh
 //! (`[1, 1, 1]` borrows it, more ranks cut it in memory) and publishes what
 //! the ranks return: the same bytes [`WorkflowSession::execute`] would
 //! produce for the run, with no work directory.
@@ -30,8 +30,9 @@ use awp_cvm::mesh::Mesh;
 use awp_grid::decomp::Decomp3;
 use awp_odc::scenario::ScenarioRun;
 use awp_odc::workflow::WorkflowSession;
-use awp_solver::solver::{partition_mesh_direct, try_run_parallel_isolated};
+use awp_solver::solver::partition_mesh_direct;
 use awp_solver::stations::Seismogram;
+use awp_solver::SolvePlan;
 use std::collections::HashMap;
 use std::io;
 use std::path::PathBuf;
@@ -139,37 +140,34 @@ impl EnsembleEngine {
 
     /// Same, but with a caller-configured session. Every job solves on
     /// `session.parts` ranks, under `session.schedule` (message-order
-    /// fuzzing) and into `session.telemetry`. A job solves in memory, so
-    /// the settings that drive the file pipeline's solve — `checkpoint_every`,
-    /// `fault_plan`, `recovery`, `resume`, `watchdog`, `live` and
-    /// `flight_dir` — would be dropped; a session that sets any of them is
-    /// refused with `InvalidInput` naming them. The file-layout settings
-    /// (`output_decimate`, `flush_every`, `open_limit`, `input`,
+    /// fuzzing) and into `session.telemetry`. A job solves in memory, so a
+    /// session setting that only the file pipeline's solve can honour is
+    /// refused with `InvalidInput` naming it and why. The file-layout
+    /// settings (`output_decimate`, `flush_every`, `open_limit`, `input`,
     /// `keep_checkpoints`, `max_restarts`) shape only files a job does not
     /// write, and change no stored byte.
     pub fn open_with_session(
         root: impl Into<PathBuf>,
         session: WorkflowSession,
     ) -> io::Result<Arc<Self>> {
-        let unsupported: Vec<&str> = [
-            ("checkpoint_every", session.checkpoint_every.is_some()),
-            ("fault_plan", session.fault_plan.is_some()),
-            ("recovery", session.recovery.is_some()),
-            ("resume", session.resume),
-            ("watchdog", session.watchdog.is_some()),
-            ("live", session.live.is_some()),
-            ("flight_dir", session.flight_dir.is_some()),
+        const EPOCHS: &str = "it needs checkpoint epochs, and a job writes none";
+        let refused: Vec<String> = [
+            ("checkpoint_every", session.checkpoint_every.is_some(), EPOCHS),
+            ("fault_plan", session.fault_plan.is_some(), "faulted passes restart from epochs"),
+            ("recovery", session.recovery.is_some(), EPOCHS),
+            ("resume", session.resume, EPOCHS),
+            ("watchdog", session.watchdog.is_some(), "it ends hangs a fault plan injects"),
+            ("live", session.live.is_some(), "one rank table cannot hold concurrent jobs"),
+            ("flight_dir", session.flight_dir.is_some(), "only the recovery supervisor dumps it"),
         ]
         .into_iter()
-        .filter_map(|(name, set)| set.then_some(name))
+        .filter(|&(_, set, _)| set)
+        .map(|(name, _, why)| format!("{name} ({why})"))
         .collect();
-        if !unsupported.is_empty() {
+        if !refused.is_empty() {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidInput,
-                format!(
-                    "ensemble jobs solve in memory and cannot honour session setting(s): {}",
-                    unsupported.join(", ")
-                ),
+                format!("ensemble jobs solve in memory and cannot honour: {}", refused.join("; ")),
             ));
         }
         let root = root.into();
@@ -216,27 +214,22 @@ impl EnsembleEngine {
             cut = partition_mesh_direct(&run.mesh, &decomp);
             &cut[..]
         };
-        let ranks = try_run_parallel_isolated(
-            cfg,
-            decomp,
-            meshes,
-            &run.source,
-            &run.stations,
-            self.session.telemetry.clone(),
-            self.session.schedule.clone(),
-        )
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))?;
-        let mut results = Vec::with_capacity(ranks.len());
-        let mut faults = Vec::new();
-        for rank in ranks {
-            match rank {
-                Ok(result) => results.push(result),
-                Err(fault) => faults.push(fault.to_string()),
-            }
+        let plan = SolvePlan::new(cfg, decomp, meshes, &run.source, &run.stations)
+            .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e))?;
+        let mut cluster = plan.cluster();
+        if let Some(registry) = &self.session.telemetry {
+            cluster = cluster.with_telemetry(Arc::clone(registry));
         }
+        if let Some(schedule) = &self.session.schedule {
+            cluster = cluster.with_schedule(Arc::clone(schedule));
+        }
+        let ranks = plan.run(&cluster, meshes);
+        let faults: Vec<String> =
+            ranks.iter().filter_map(|r| r.as_ref().err()).map(|f| f.to_string()).collect();
         if !faults.is_empty() {
             return Err(io::Error::other(format!("solve failed: {}", faults.join("; "))));
         }
+        let results: Vec<_> = ranks.into_iter().flatten().collect();
         let pgv = PgvMap::from_rank_results(&results, cfg.dims, cfg.h);
         Ok((pgv, results.into_iter().flat_map(|r| r.seismograms).collect()))
     }

@@ -6,7 +6,7 @@
 //! * [`machines`] — Table 1's systems with latency α, inverse bandwidth β
 //!   and per-flop time τ (Jaguar's values are the paper's §V.A numbers,
 //!   the others are documented estimates from their interconnects);
-//! * [`speedup`] — the Minkoff-style speedup formula of Eq. (8) and the
+//! * [`speedup`](mod@speedup) — the Minkoff-style speedup formula of Eq. (8) and the
 //!   parallel-efficiency / sustained-flop-rate calculators;
 //! * [`evolution`] — Table 2's code-version ladder with the paper's
 //!   per-optimisation gains, used to model Fig. 13's time-to-solution

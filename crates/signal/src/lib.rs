@@ -3,7 +3,7 @@
 //! The paper's workflow needs several classical DSP pieces that we implement
 //! from scratch (no external DSP crates):
 //!
-//! * a radix-2 complex [FFT](fft) — spectral analysis of synthetic
+//! * a radix-2 complex [FFT](mod@fft) — spectral analysis of synthetic
 //!   seismograms (§VII.C) and random-field synthesis;
 //! * [Butterworth low-pass filtering](filter) — the M8 source was inserted
 //!   "after applying temporal interpolation and a 4th-order low-pass filter

@@ -10,7 +10,7 @@
 //! traction-free constraint.
 //!
 //! **Sponge**: Cerjan et al. (1985) damping layers — "unconditionally
-//! stable [but] the ability … to absorb reflections is poorer than PMLs".
+//! stable \[but\] the ability … to absorb reflections is poorer than PMLs".
 
 use crate::medium::Medium;
 use crate::shell::Win;

@@ -315,7 +315,7 @@ pub struct SolverConfig {
 
 impl SolverConfig {
     /// Check option consistency. Called by `Solver::try_new` and
-    /// `try_run_parallel` so invalid combinations fail the run gracefully
+    /// `SolvePlan::new` so invalid combinations fail the run gracefully
     /// instead of panicking a rank thread.
     pub fn validate(&self) -> Result<(), ConfigError> {
         if let Some(lts) = self.opts.lts {

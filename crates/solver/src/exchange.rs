@@ -9,8 +9,8 @@
 //!   along the axes where the neighbouring stencils actually read it, with
 //!   the minimal asymmetric widths. For σxx this cuts the message volume by
 //!   75 % ("we only need to update xx in the x direction … by sending two
-//!   plane faces of xx information to [one] neighbor and one plane to the
-//!   [other]").
+//!   plane faces of xx information to \[one\] neighbor and one plane to the
+//!   \[other\]").
 //!
 //! Widths are *receiver-centric*: `(recv_lo, recv_hi)` layers land in this
 //! rank's low/high halo; the matching sends are derived symmetrically.

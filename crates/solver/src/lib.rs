@@ -29,10 +29,10 @@
 //! * [`stations`] — seismogram recording and surface-velocity capture;
 //! * [`lts`] — the plan of dt-clusters the stepper walks: one cluster for
 //!   global time stepping, a rate-2ᵏ ladder under local time stepping;
-//! * [`solver`] — the one stepper and the serial and rank-parallel drivers
-//!   around it, with Eq. (7) phase timing;
-//! * [`reference`] — an independent 2nd-order solver used as the Fig. 3
-//!   cross-verification partner;
+//! * [`solver`] — the one stepper, with Eq. (7) phase timing, and the
+//!   [`SolvePlan`] every run's ranks step by;
+//! * [`reference`](mod@reference) — an independent 2nd-order solver used
+//!   as the Fig. 3 cross-verification partner;
 //! * [`flops`] — per-point floating-point operation accounting feeding the
 //!   Eq. (8) performance model.
 
@@ -61,8 +61,6 @@ pub use lts::LtsPlan;
 pub use medium::{global_vp_max, Medium};
 pub use shell::Win;
 pub use simd::SimdBackend;
-pub use solver::{
-    run_parallel, try_run_parallel, try_run_parallel_decomp, RankResult, Solver,
-};
+pub use solver::{run_parallel, RankResult, RankStepper, SolvePlan, Solver};
 pub use state::WaveState;
 pub use stations::{Station, StationRecorder};

@@ -293,7 +293,7 @@ impl StepPlan {
 
     /// The plan for `specs`, which must come from the global profile
     /// (identical on every rank); the rank's subdomain must span the full
-    /// z extent (enforced by the drivers via the single-z-part config
+    /// z extent (enforced by `SolvePlan::new` via the single-z-part config
     /// rule). A census of one cluster, or one too fragmented for the tag
     /// space, yields [`StepPlan::global`].
     pub fn build(

@@ -37,12 +37,10 @@ use awp_grid::stagger::Component;
 use awp_source::kinematic::KinematicSource;
 use awp_source::partition::partition_spatial;
 use awp_telemetry::{
-    CausalKind, Counter as TelCounter, Phase as TelPhase, Recorder, Registry, Snapshot, NO_CLUSTER,
-    NO_PEER,
+    CausalKind, Counter as TelCounter, Phase as TelPhase, Recorder, Snapshot, NO_CLUSTER, NO_PEER,
 };
 use awp_vcluster::cluster::RankCtx;
-use awp_vcluster::{Category, Cluster, FaultReport, SchedulePlan, TimeLedger};
-use std::sync::Arc;
+use awp_vcluster::{Category, Cluster, FaultReport, TimeLedger};
 use std::time::{Duration, Instant};
 
 /// The update loops this solver runs, resolved once at construction.
@@ -305,9 +303,9 @@ pub struct RankResult {
     pub pgv_map: Vec<f32>,
     /// This rank's telemetry snapshot: per-phase span totals
     /// (`Phase::{Send, Wait, Inject}` replace the old `ExchangeStats`),
-    /// comm counters, and latency histograms. Empty/disabled unless the run
-    /// was started with a telemetry registry
-    /// ([`try_run_parallel_decomp`]).
+    /// comm counters, and latency histograms. Empty/disabled unless the
+    /// rank's cluster carries a telemetry registry
+    /// ([`Cluster::with_telemetry`]).
     pub telemetry: Snapshot,
     pub sub: Subdomain,
 }
@@ -519,7 +517,7 @@ impl Solver {
     /// no walk retired.
     ///
     /// Each firing cluster exchanges only its own k-range of the x/y halos
-    /// (ranks never split z under LTS — validated by the drivers — so
+    /// (ranks never split z under LTS — validated by `SolvePlan::new` — so
     /// z-plan entries have no neighbour and drop out). The tag's step field
     /// packs tick and cluster (< [`MAX_CLUSTERS`], `exchange::tag_step`),
     /// keeping every cluster phase in its own tag space.
@@ -734,8 +732,10 @@ impl Solver {
         self.injector = SourceInjector::new(source, self.cfg.h);
     }
 
-    /// The serial run loop: one rank over the whole grid, LTS armed from
-    /// the mesh when configured. `before_step` runs ahead of each step.
+    /// The serial run loop: one rank over the whole grid, validated and
+    /// LTS-armed by a `[1, 1, 1]` [`SolvePlan`]. The solver takes `source`
+    /// as given (a temporal segment, for [`Solver::run_serial_windowed`]).
+    /// `before_step` runs ahead of each step.
     fn run_serial_with(
         cfg: SolverConfig,
         mesh: &Mesh,
@@ -743,10 +743,13 @@ impl Solver {
         stations: &[Station],
         mut before_step: impl FnMut(&mut Solver, &mut TimeLedger),
     ) -> RankResult {
-        let sub = Decomp3::new(cfg.dims, [1, 1, 1]).subdomain(0);
+        let decomp = Decomp3::new(cfg.dims, [1, 1, 1]);
+        let plan = SolvePlan::new(&cfg, decomp, std::slice::from_ref(mesh), source, stations)
+            .expect("invalid solver configuration");
+        let sub = decomp.subdomain(0);
         let mut solver = Solver::new(cfg.clone(), sub, mesh, source, stations);
-        if let Some(lo) = cfg.opts.lts {
-            solver.enable_lts(&LtsPlan::from_mesh(mesh, cfg.dt, lo));
+        if let Some(lts) = &plan.lts {
+            solver.enable_lts(lts);
         }
         let mut ledger = TimeLedger::new();
         let mut pgv = vec![0.0f32; cfg.dims.nx * cfg.dims.ny];
@@ -821,10 +824,159 @@ pub fn update_pgv(state: &WaveState, pgv: &mut [f32]) {
     }
 }
 
-/// Run a configuration across `parts` ranks of the virtual cluster,
-/// partitioning the source internally. `meshes` must hold one local mesh
-/// per rank (use `awp_pario::partition` or [`partition_mesh_direct`]).
-/// Panics on an invalid configuration.
+/// What every rank of one solve must agree on, computed once before any
+/// rank runs: the validated configuration, the dt-cluster ladder and the
+/// maximum P speed of the whole grid, and each rank's share of the source.
+/// The serial driver takes its validation and ladder from a `[1, 1, 1]`
+/// plan; a rank runs as a [`RankStepper`] from [`SolvePlan::rank`], in
+/// memory under [`SolvePlan::run`] or inside a caller's own rank body.
+#[derive(Debug)]
+pub struct SolvePlan {
+    pub cfg: SolverConfig,
+    pub decomp: Decomp3,
+    /// The dt-cluster ladder (`None`: global time stepping), from the
+    /// elementwise maximum of the meshes' per-plane Vp — the global
+    /// profile, since LTS keeps depth whole on every rank.
+    pub lts: Option<LtsPlan>,
+    /// Maximum P speed of the whole grid ([`global_vp_max`]): it scales
+    /// the CFL guard and the M-PML profile on every rank alike.
+    vp_max: f64,
+    /// Each rank's subfaults, in its local frame.
+    sources: Vec<KinematicSource>,
+    stations: Vec<Station>,
+}
+
+impl SolvePlan {
+    /// Validate `cfg` on `decomp` and derive the rank-global facts from
+    /// `meshes`: the global mesh, or one local mesh per rank (use
+    /// `awp_pario::partition` or [`partition_mesh_direct`]). An inconsistent
+    /// option set — LTS on a z-cut decomposition, say — is a
+    /// [`ConfigError`] before any rank thread spawns.
+    pub fn new(
+        cfg: &SolverConfig,
+        decomp: Decomp3,
+        meshes: &[Mesh],
+        source: &KinematicSource,
+        stations: &[Station],
+    ) -> Result<Self, ConfigError> {
+        cfg.validate()?;
+        if cfg.opts.lts.is_some() && decomp.parts[2] != 1 {
+            return Err(ConfigError::LtsNeedsSingleZPart);
+        }
+        assert_eq!(decomp.global, cfg.dims, "decomposition does not match the configured grid");
+        let global = meshes.len() == 1 && meshes[0].dims == cfg.dims;
+        assert!(global || meshes.len() == decomp.rank_count(), "need one mesh, or one per rank");
+        let lts = cfg.opts.lts.map(|lo| {
+            let mut prof = vec![0.0f64; cfg.dims.nz];
+            for m in meshes {
+                for (p, v) in prof.iter_mut().zip(m.vp_max_per_k()) {
+                    *p = p.max(v);
+                }
+            }
+            LtsPlan::from_profile(&prof, cfg.h, cfg.dt, lo)
+        });
+        Ok(Self {
+            cfg: cfg.clone(),
+            decomp,
+            lts,
+            vp_max: global_vp_max(meshes),
+            sources: partition_spatial(source, &decomp),
+            stations: stations.to_vec(),
+        })
+    }
+
+    /// A virtual cluster of this plan's ranks in the configured comm mode.
+    pub fn cluster(&self) -> Cluster {
+        Cluster::new(self.decomp.rank_count(), self.cfg.opts.comm_mode.into())
+    }
+
+    /// Build `ctx`'s rank from its local `mesh` ([`Solver::try_new_rank`]),
+    /// armed with the plan's cluster ladder.
+    pub fn rank(&self, ctx: &mut RankCtx, mesh: &Mesh) -> RankStepper {
+        let rank = ctx.rank();
+        let sub = self.decomp.subdomain(rank);
+        let source = &self.sources[rank];
+        let mut solver = Solver::try_new_rank(
+            self.cfg.clone(),
+            sub,
+            mesh,
+            source,
+            &self.stations,
+            self.vp_max,
+            ctx,
+        )
+        .expect("validated by SolvePlan::new");
+        if let Some(lts) = &self.lts {
+            solver.enable_lts(lts);
+        }
+        let pgv =
+            if owns_free_surface(&sub) { vec![0.0; sub.dims.nx * sub.dims.ny] } else { Vec::new() };
+        RankStepper { solver, pgv }
+    }
+
+    /// The in-memory driver: every rank of `cluster` steps its local mesh
+    /// of `meshes` through all `cfg.steps` behind the cluster's fault
+    /// boundary ([`Cluster::try_run`]). A rank that panics yields its
+    /// [`FaultReport`], and the peers it tore down `Aborted` ones, instead
+    /// of the panic reaching the caller.
+    pub fn run(&self, cluster: &Cluster, meshes: &[Mesh]) -> Vec<Result<RankResult, FaultReport>> {
+        assert_eq!(meshes.len(), self.decomp.rank_count(), "need one local mesh per rank");
+        cluster.try_run(|ctx| {
+            let mut rank = self.rank(ctx, &meshes[ctx.rank()]);
+            for _ in 0..self.cfg.steps {
+                rank.step(ctx);
+            }
+            rank.finish(ctx)
+        })
+    }
+}
+
+/// One rank of a [`SolvePlan`]: its solver and running surface PGV.
+pub struct RankStepper {
+    pub solver: Solver,
+    /// Peak |v_horizontal| per surface cell so far (empty off the free
+    /// surface): the rank's [`RankResult::pgv_map`].
+    pub pgv: Vec<f32>,
+}
+
+impl RankStepper {
+    /// One step of this rank: the cluster's step-boundary tick (heartbeat,
+    /// live step, injected faults), the rank-parallel step, the PGV update.
+    pub fn step(&mut self, ctx: &mut RankCtx) {
+        ctx.tick(self.solver.step as u64);
+        self.solver.step_parallel(ctx);
+        if !self.pgv.is_empty() {
+            update_pgv(&self.solver.state, &mut self.pgv);
+        }
+    }
+
+    /// The rank's result, its LTS accounting and exchange-arena allocations
+    /// recorded into `ctx`'s telemetry first.
+    pub fn finish(self, ctx: &mut RankCtx) -> RankResult {
+        let Self { solver, pgv } = self;
+        ctx.telem.count(TelCounter::ArenaAllocs, solver.arena_allocations());
+        if solver.lts_active() {
+            ctx.telem.set_lts_stats(solver.lts_stats());
+        }
+        let sub = solver.sub;
+        RankResult {
+            rank: ctx.rank(),
+            surface: owns_free_surface(&sub)
+                .then(|| crate::stations::surface_velocities(&solver.state, 1)),
+            seismograms: solver.recorder.into_seismograms(),
+            ledger: ctx.ledger.clone(),
+            flops: solver.flops.total,
+            steps: solver.cfg.steps,
+            pgv_map: pgv,
+            telemetry: ctx.telem.snapshot(),
+            sub,
+        }
+    }
+}
+
+/// Run a configuration across `parts` ranks of the virtual cluster through
+/// a [`SolvePlan`]. `meshes` holds one local mesh per rank. Panics on an
+/// invalid configuration or a rank fault.
 pub fn run_parallel(
     cfg: &SolverConfig,
     parts: [usize; 3],
@@ -832,141 +984,13 @@ pub fn run_parallel(
     source: &KinematicSource,
     stations: &[Station],
 ) -> Vec<RankResult> {
-    try_run_parallel(cfg, parts, meshes, source, stations)
-        .expect("invalid solver configuration")
-}
-
-/// Fallible variant of [`run_parallel`]: validates the configuration
-/// before any rank thread spawns, so an inconsistent option set (e.g.
-/// LTS on a z-cut decomposition) surfaces as a [`ConfigError`]
-/// instead of a cross-thread panic.
-pub fn try_run_parallel(
-    cfg: &SolverConfig,
-    parts: [usize; 3],
-    meshes: &[Mesh],
-    source: &KinematicSource,
-    stations: &[Station],
-) -> Result<Vec<RankResult>, ConfigError> {
-    let decomp = Decomp3::new(cfg.dims, parts);
-    try_run_parallel_decomp(cfg, decomp, meshes, source, stations, None, None)
-}
-
-/// The general fallible driver: takes an explicit (possibly skewed)
-/// [`Decomp3`] instead of a balanced `parts` split (the equivalence tests
-/// cut deliberately skewed ones). With a telemetry registry every rank records
-/// phase spans / counters / histograms, each `RankResult` carries the
-/// rank's snapshot, and the registry can produce the aggregate
-/// [`awp_telemetry::TelemetryReport`] and Chrome trace after the run. With
-/// a [`SchedulePlan`] the virtual cluster deterministically perturbs
-/// message delivery order and wait-all polling per the plan's seed; the
-/// schedule fuzzer in `awp-verify` drives this to assert that results are
-/// bit-exact under any legal completion order.
-#[allow(clippy::too_many_arguments)]
-pub fn try_run_parallel_decomp(
-    cfg: &SolverConfig,
-    decomp: Decomp3,
-    meshes: &[Mesh],
-    source: &KinematicSource,
-    stations: &[Station],
-    telemetry: Option<Arc<Registry>>,
-    schedule: Option<Arc<SchedulePlan>>,
-) -> Result<Vec<RankResult>, ConfigError> {
-    let ranks =
-        try_run_parallel_isolated(cfg, decomp, meshes, source, stations, telemetry, schedule)?;
-    Ok(ranks
+    let plan = SolvePlan::new(cfg, Decomp3::new(cfg.dims, parts), meshes, source, stations)
+        .expect("invalid solver configuration");
+    let ranks = plan.run(&plan.cluster(), meshes);
+    ranks
         .into_iter()
         .map(|r| r.unwrap_or_else(|report| panic!("rank panicked: {report}")))
-        .collect())
-}
-
-/// [`try_run_parallel_decomp`] behind the cluster's fault boundary
-/// ([`Cluster::try_run`]): a rank that panics yields its [`FaultReport`],
-/// and the peers it tore down `Aborted` ones, instead of the panic
-/// reaching the caller. A long-lived caller (an ensemble worker) fails one
-/// job on a fault and goes on.
-#[allow(clippy::too_many_arguments)]
-pub fn try_run_parallel_isolated(
-    cfg: &SolverConfig,
-    decomp: Decomp3,
-    meshes: &[Mesh],
-    source: &KinematicSource,
-    stations: &[Station],
-    telemetry: Option<Arc<Registry>>,
-    schedule: Option<Arc<SchedulePlan>>,
-) -> Result<Vec<Result<RankResult, FaultReport>>, ConfigError> {
-    cfg.validate()?;
-    if cfg.opts.lts.is_some() && decomp.parts[2] != 1 {
-        return Err(ConfigError::LtsNeedsSingleZPart);
-    }
-    assert_eq!(decomp.global, cfg.dims, "decomposition does not match the configured grid");
-    let n = decomp.rank_count();
-    assert_eq!(meshes.len(), n, "need one local mesh per rank");
-    // The dt-cluster partition must be identical on every rank, so it is
-    // derived from the *global* per-plane Vp profile: with no z split each
-    // local mesh spans the full z extent, and the global profile is the
-    // elementwise max over ranks.
-    let lts_plan = cfg.opts.lts.map(|lo| {
-        let mut prof = vec![0.0f64; cfg.dims.nz];
-        for m in meshes {
-            for (p, v) in prof.iter_mut().zip(m.vp_max_per_k()) {
-                *p = p.max(v);
-            }
-        }
-        LtsPlan::from_profile(&prof, cfg.h, cfg.dt, lo)
-    });
-    let vp_max = global_vp_max(meshes);
-    let sources = partition_spatial(source, &decomp);
-    let mut cluster = Cluster::new(n, cfg.opts.comm_mode.into());
-    if let Some(reg) = telemetry {
-        cluster = cluster.with_telemetry(reg);
-    }
-    if let Some(plan) = schedule {
-        cluster = cluster.with_schedule(plan);
-    }
-    Ok(cluster.try_run(|ctx| {
-        let rank = ctx.rank();
-        let sub = decomp.subdomain(rank);
-        let mut solver = Solver::try_new_rank(
-            cfg.clone(),
-            sub,
-            &meshes[rank],
-            &sources[rank],
-            stations,
-            vp_max,
-            ctx,
-        )
-        .expect("validated above");
-        if let Some(plan) = &lts_plan {
-            solver.enable_lts(plan);
-        }
-        let mut pgv = if owns_free_surface(&sub) {
-            vec![0.0f32; sub.dims.nx * sub.dims.ny]
-        } else {
-            Vec::new()
-        };
-        for _ in 0..cfg.steps {
-            solver.step_parallel(ctx);
-            if !pgv.is_empty() {
-                update_pgv(&solver.state, &mut pgv);
-            }
-        }
-        ctx.telem.count(TelCounter::ArenaAllocs, solver.arena_allocations());
-        if solver.lts_active() {
-            ctx.telem.set_lts_stats(solver.lts_stats());
-        }
-        RankResult {
-            rank,
-            seismograms: solver.recorder.into_seismograms(),
-            ledger: ctx.ledger.clone(),
-            flops: solver.flops.total,
-            steps: cfg.steps,
-            surface: owns_free_surface(&sub)
-                .then(|| crate::stations::surface_velocities(&solver.state, 1)),
-            pgv_map: pgv,
-            telemetry: ctx.telem.snapshot(),
-            sub,
-        }
-    }))
+        .collect()
 }
 
 /// Fill the raw material halos once at startup (5 arrays) with what the

@@ -107,26 +107,16 @@ fn serial(c: &Case, walk: Walk, mut before_step: impl FnMut(&mut Solver)) -> Vec
     vec![outcome(solver)]
 }
 
-/// `step_parallel` on every rank of `decomp` — the body of
-/// `try_run_parallel_decomp` with the walk chosen per solver.
+/// `step_parallel` on every rank of `decomp`, each rank built by its
+/// [`SolvePlan`] with the walk chosen per solver.
 fn ranks(c: &Case, decomp: Decomp3, walk: Walk) -> Vec<Outcome> {
-    let cfg = &c.cfg;
-    cfg.validate().expect("valid case");
     let meshes = partition_mesh_direct(&c.mesh, &decomp);
-    let sources = partition_spatial(&c.source, &decomp);
-    let plan = cfg.opts.lts.map(|lo| LtsPlan::from_mesh(&c.mesh, cfg.dt, lo));
-    let vp_max = global_vp_max(&meshes);
-    Cluster::new(decomp.rank_count(), cfg.opts.comm_mode.into()).run(|ctx| {
-        let (rank, sub) = (ctx.rank(), decomp.subdomain(ctx.rank()));
-        let (mesh, source) = (&meshes[rank], &sources[rank]);
-        let mut solver =
-            Solver::try_new_rank(cfg.clone(), sub, mesh, source, &c.stations, vp_max, ctx)
-                .expect("validated above");
+    let plan = SolvePlan::new(&c.cfg, decomp, &meshes, &c.source, &c.stations).expect("valid case");
+    plan.cluster().run(|ctx| {
+        let mut solver = plan.rank(ctx, &meshes[ctx.rank()]).solver;
         set_walk(&mut solver, walk);
-        if let Some(p) = &plan {
-            assert!(solver.enable_lts(p), "ladder expected");
-        }
-        for _ in 0..cfg.steps {
+        assert_eq!(solver.lts_active(), plan.lts.is_some(), "ladder expected");
+        for _ in 0..c.cfg.steps {
             solver.step_parallel(ctx);
         }
         outcome(solver)

@@ -12,6 +12,7 @@ use awp_cvm::model::LayeredModel;
 use awp_grid::dims::{Dims3, Idx3};
 use awp_source::moment::MomentTensor;
 use awp_source::stf::Stf;
+use awp_telemetry::Registry;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 

@@ -26,8 +26,8 @@ use awp_solver::simd::{
 use awp_solver::solver::partition_mesh_direct;
 use awp_solver::state::MemoryVars;
 use awp_solver::{
-    global_vp_max, run_parallel, try_run_parallel_decomp, AbcKind, ConfigError, LtsOpts, LtsPlan,
-    Medium, RankResult, Solver, SolverConfig, Station, WaveState, Win,
+    global_vp_max, run_parallel, AbcKind, ConfigError, LtsOpts, LtsPlan, Medium, RankResult,
+    SolvePlan, Solver, SolverConfig, Station, WaveState, Win,
 };
 use awp_source::kinematic::KinematicSource;
 use awp_source::moment::MomentTensor;
@@ -247,9 +247,24 @@ fn observed(d: Dims3, results: &[RankResult]) -> Observed {
     Observed { surface, pgv, seis }
 }
 
+/// Every rank's result of `cfg` on `decomp`, over the plan's cluster as
+/// `arm` sets it up (a rank fault panics).
+fn solve(
+    cfg: &SolverConfig,
+    decomp: Decomp3,
+    meshes: &[Mesh],
+    src: &KinematicSource,
+    stations: &[Station],
+    arm: impl FnOnce(Cluster) -> Cluster,
+) -> Vec<RankResult> {
+    let plan = SolvePlan::new(cfg, decomp, meshes, src, stations).expect("valid config");
+    let ranks = plan.run(&arm(plan.cluster()), meshes);
+    ranks.into_iter().map(|r| r.unwrap_or_else(|fault| panic!("rank fault: {fault}"))).collect()
+}
+
 fn run_decomp(cfg: &SolverConfig, decomp: Decomp3, fx: &Fixture) -> Vec<RankResult> {
     let meshes = partition_mesh_direct(&fx.0, &decomp);
-    try_run_parallel_decomp(cfg, decomp, &meshes, &fx.1, &fx.2, None, None).expect("valid config")
+    solve(cfg, decomp, &meshes, &fx.1, &fx.2, |c| c)
 }
 
 fn run_serial(cfg: &SolverConfig, fx: &Fixture) -> Observed {
@@ -267,7 +282,7 @@ fn assert_parallel_matches_serial(cfg: &SolverConfig, decomps: &[Decomp3], fx: &
 }
 
 #[test]
-fn overlap_matches_plain_across_decompositions_with_all_features() {
+fn parallel_matches_serial_across_decompositions_with_all_features() {
     let d = Dims3::new(20, 18, 20);
     let fx = loh1_fixture(d, 24);
     // [1,1,1] is the rank with no neighbours: nothing is posted.
@@ -335,9 +350,42 @@ fn mpml_on_a_basin_is_decomposition_invariant() {
     // A z cut would split the rate ladder between ranks.
     let z_cut = Decomp3::new(d, [1, 1, 2]);
     let meshes = partition_mesh_direct(&fx.0, &z_cut);
-    let err = try_run_parallel_decomp(&fx.3, z_cut, &meshes, &fx.1, &fx.2, None, None)
+    let err = SolvePlan::new(&fx.3, z_cut, &meshes, &fx.1, &fx.2)
         .expect_err("LTS on a z cut must be rejected");
     assert_eq!(err, ConfigError::LtsNeedsSingleZPart);
+}
+
+#[test]
+fn lts_ladder_is_global_when_one_ranks_top_planes_are_all_soft() {
+    // The top planes are soft everywhere; the planes below them are soft
+    // too except in the quadrant x ≥ nx/2, y ≥ ny/2. Rank 0 of a [2,1,1]
+    // or a [1,2,1] cut then holds only soft cells down to the pocket's
+    // floor, so a ladder from its own per-plane Vp maximum would run the
+    // coarse cluster deeper than the global ladder does. Every rank must
+    // step the global ladder, or parallel drifts from serial.
+    let (d, h) = (Dims3::new(20, 18, 16), 150.0);
+    let soft = MaterialSample::from_speeds(3000.0, 1732.0, 2400.0);
+    let rock = MaterialSample::from_speeds(6000.0, 3464.0, 2700.0);
+    let model = LayeredModel::new(vec![(4.0 * h, soft), (f64::INFINITY, rock)]);
+    let mut fx = fixture(&model, d, h, 0.012, 10, 30);
+    for k in 4..8 {
+        for j in 0..d.ny {
+            for i in (0..d.nx).filter(|&i| i < d.nx / 2 || j < d.ny / 2) {
+                fx.0.set_sample(i, j, k, soft);
+            }
+        }
+    }
+    let lts = LtsOpts::new();
+    fx.3.opts.lts = Some(lts);
+    let global = LtsPlan::from_mesh(&fx.0, fx.3.dt, lts);
+    assert_eq!(global.clusters.len(), 2, "a two-cluster ladder: {:?}", global.clusters);
+    let cuts = [[2, 1, 1], [1, 2, 1]].map(|parts| Decomp3::new(d, parts));
+    for decomp in &cuts {
+        let rank0 = &partition_mesh_direct(&fx.0, decomp)[0];
+        let own = LtsPlan::from_mesh(rank0, fx.3.dt, lts);
+        assert_ne!(own, global, "{:?}: rank 0's own ladder must differ", decomp.parts);
+    }
+    assert_parallel_matches_serial(&fx.3, &cuts, &fx);
 }
 
 #[test]
@@ -381,7 +429,7 @@ fn random_layer_depths_and_cuts_match_serial() {
 }
 
 #[test]
-fn lts_clusters_pipeline_their_own_slabs() {
+fn lts_clusters_exchange_their_own_k_ranges() {
     // LTS on [2,2,1]: every firing cluster exchanges its own k-range once
     // per phase, under cluster-disambiguated tags.
     let d = Dims3::new(24, 20, 32);
@@ -392,7 +440,7 @@ fn lts_clusters_pipeline_their_own_slabs() {
 }
 
 #[test]
-fn skewed_slabs_are_delivery_order_invariant() {
+fn skewed_cuts_are_delivery_order_invariant() {
     // A skewed cut makes a straggler whose messages interleave with its
     // neighbours' on every face; fuzzed delivery and wait-all orders must
     // not show in the result.
@@ -404,8 +452,7 @@ fn skewed_slabs_are_delivery_order_invariant() {
     let meshes = partition_mesh_direct(&fx.0, &decomp);
     for seed in 0..4 {
         let plan = SchedulePlan::with_bounds(0x51ab_0000 + seed, 2, 3);
-        let fuzzed = try_run_parallel_decomp(cfg, decomp, &meshes, &fx.1, &fx.2, None, Some(plan))
-            .expect("valid config");
+        let fuzzed = solve(cfg, decomp, &meshes, &fx.1, &fx.2, |c| c.with_schedule(plan));
         assert!(observed(d, &fuzzed) == serial, "seed {seed}");
     }
 }
@@ -456,7 +503,7 @@ fn mpml_memory_follows_each_ranks_zone_cells() {
 }
 
 #[test]
-fn overlap_steady_state_is_allocation_free() {
+fn rank_step_is_allocation_free_in_steady_state() {
     // After warmup has sized the pooled halo buffers — one per face and
     // field — the exchange must never touch the heap again, and one request
     // list serves a whole phase.
@@ -544,7 +591,7 @@ fn health_probe_catches_a_nan_behind_every_communicating_face() {
 }
 
 #[test]
-fn overlap_records_exchange_phase_timing() {
+fn parallel_run_records_exchange_phase_timing() {
     // The per-phase breakdown the bench reads must be populated: a
     // multi-rank run with telemetry attached records send, wait, inject
     // and the window compute phases on every rank.
@@ -555,9 +602,7 @@ fn overlap_records_exchange_phase_timing() {
     let decomp = Decomp3::new(d, parts);
     let meshes = partition_mesh_direct(&mesh, &decomp);
     let reg = Registry::new(2);
-    let results =
-        try_run_parallel_decomp(&cfg, decomp, &meshes, &src, &stations, Some(reg.clone()), None)
-            .expect("valid workload");
+    let results = solve(&cfg, decomp, &meshes, &src, &stations, |c| c.with_telemetry(reg.clone()));
     // Reduced plans: 3 velocity + 3 stress components cross an x face, each
     // once per step, since a phase walks its one window and then exchanges
     // once. On top: the five material arrays of the startup halo exchange.

@@ -17,10 +17,9 @@ use awp_cvm::mesh::MeshGenerator;
 use awp_cvm::model::LayeredModel;
 use awp_grid::decomp::Decomp3;
 use awp_grid::dims::{Dims3, Idx3};
-use awp_solver::solver::{partition_mesh_direct, try_run_parallel_decomp, Solver};
+use awp_solver::solver::{partition_mesh_direct, Solver};
 use awp_solver::{
-    run_parallel, try_run_parallel, ConfigError, LtsOpts, LtsPlan, RankResult, SolverConfig,
-    Station,
+    run_parallel, ConfigError, LtsOpts, LtsPlan, RankResult, SolvePlan, SolverConfig, Station,
 };
 use awp_source::kinematic::KinematicSource;
 use awp_source::moment::MomentTensor;
@@ -180,7 +179,7 @@ fn lts_rejects_z_decomposition() {
     cfg.opts.lts = Some(LtsOpts::new());
     let parts = [1, 1, 2];
     let meshes = partition_mesh_direct(&mesh, &Decomp3::new(cfg.dims, parts));
-    let err = try_run_parallel(&cfg, parts, &meshes, &src, &stations)
+    let err = SolvePlan::new(&cfg, Decomp3::new(cfg.dims, parts), &meshes, &src, &stations)
         .expect_err("LTS clusters are z-slabs: z-decomposed runs must be rejected");
     assert_eq!(err, ConfigError::LtsNeedsSingleZPart);
 }
@@ -195,13 +194,14 @@ fn lts_stays_bitexact_under_schedule_fuzzing() {
     let parts = [2, 2, 1];
     let decomp = Decomp3::new(cfg.dims, parts);
     let meshes = partition_mesh_direct(&mesh, &decomp);
-    let baseline = try_run_parallel_decomp(&cfg, decomp, &meshes, &src, &stations, None, None)
-        .expect("valid LTS workload");
+    let plan = SolvePlan::new(&cfg, decomp, &meshes, &src, &stations).expect("valid LTS workload");
+    let solve = |cluster| {
+        let ranks = plan.run(&cluster, &meshes);
+        ranks.into_iter().map(|r| r.expect("no rank fault")).collect::<Vec<_>>()
+    };
+    let baseline = solve(plan.cluster());
     for seed in 101..104 {
-        let plan = SchedulePlan::with_bounds(seed, 3, 4);
-        let fuzzed =
-            try_run_parallel_decomp(&cfg, decomp, &meshes, &src, &stations, None, Some(plan))
-                .expect("valid LTS workload");
+        let fuzzed = solve(plan.cluster().with_schedule(SchedulePlan::with_bounds(seed, 3, 4)));
         assert_eq!(
             station_series(&baseline),
             station_series(&fuzzed),

@@ -18,12 +18,12 @@ use awp_cvm::mesh::MeshGenerator;
 use awp_cvm::model::HomogeneousModel;
 use awp_grid::decomp::Decomp3;
 use awp_grid::dims::{Dims3, Idx3};
-use awp_solver::solver::{partition_mesh_direct, try_run_parallel_decomp};
-use awp_solver::{AbcKind, RankResult, SolverConfig, Station};
+use awp_solver::solver::partition_mesh_direct;
+use awp_solver::{AbcKind, RankResult, SolvePlan, SolverConfig, Station};
 use awp_source::kinematic::KinematicSource;
 use awp_source::moment::MomentTensor;
 use awp_source::stf::Stf;
-use awp_vcluster::SchedulePlan;
+use awp_vcluster::{Cluster, SchedulePlan};
 use serde::Serialize;
 
 /// Fuzzer workload shape.
@@ -31,7 +31,7 @@ use serde::Serialize;
 pub struct FuzzSpec {
     /// Global grid.
     pub dims: [usize; 3],
-    /// Rank decomposition (the tentpole target is 8 ranks, [2,2,2]).
+    /// Rank decomposition (the tentpole target is 8 ranks, `[2, 2, 2]`).
     pub parts: [usize; 3],
     /// Timesteps per replay.
     pub steps: usize,
@@ -132,6 +132,12 @@ fn bit_identical(a: &[RankResult], b: &[RankResult]) -> bool {
     })
 }
 
+/// Every rank's result of `plan` on `cluster` (a rank fault panics).
+fn solve(plan: &SolvePlan, cluster: Cluster, meshes: &[awp_cvm::mesh::Mesh]) -> Vec<RankResult> {
+    let ranks = plan.run(&cluster, meshes);
+    ranks.into_iter().map(|r| r.unwrap_or_else(|fault| panic!("rank fault: {fault}"))).collect()
+}
+
 /// Build the shared workload: an asynchronous multi-rank run with a
 /// double-couple source straddling rank seams and stations on several
 /// ranks.
@@ -180,16 +186,15 @@ pub fn run_fuzz(spec: &FuzzSpec) -> FuzzResult {
     let (cfg, meshes, source, stations) = workload(spec);
     let ranks = spec.parts[0] * spec.parts[1] * spec.parts[2];
     let decomp = Decomp3::new(cfg.dims, spec.parts);
-    let baseline = try_run_parallel_decomp(&cfg, decomp, &meshes, &source, &stations, None, None)
+    let plan = SolvePlan::new(&cfg, decomp, &meshes, &source, &stations)
         .expect("fuzz workload config is valid");
+    let baseline = solve(&plan, plan.cluster(), &meshes);
     let baseline_fingerprint = fingerprint(&baseline);
 
     let mut mismatched = Vec::new();
     for seed in spec.base_seed..spec.base_seed + spec.seeds {
-        let plan = SchedulePlan::with_bounds(seed, spec.max_defer, spec.max_depth);
-        let fuzzed =
-            try_run_parallel_decomp(&cfg, decomp, &meshes, &source, &stations, None, Some(plan))
-                .expect("fuzz workload config is valid");
+        let schedule = SchedulePlan::with_bounds(seed, spec.max_defer, spec.max_depth);
+        let fuzzed = solve(&plan, plan.cluster().with_schedule(schedule), &meshes);
         if !bit_identical(&baseline, &fuzzed) {
             mismatched.push(seed);
         }
@@ -247,8 +252,13 @@ mod tests {
     ) -> Vec<Snapshot> {
         let reg = Registry::with_capacity(parts.iter().product(), 4096);
         let decomp = Decomp3::new(cfg.dims, parts);
-        try_run_parallel_decomp(cfg, decomp, meshes, source, stations, Some(Arc::clone(&reg)), plan)
+        let solve_plan = SolvePlan::new(cfg, decomp, meshes, source, stations)
             .expect("traced workload config is valid");
+        let mut cluster = solve_plan.cluster().with_telemetry(Arc::clone(&reg));
+        if let Some(plan) = plan {
+            cluster = cluster.with_schedule(plan);
+        }
+        solve(&solve_plan, cluster, meshes);
         let snaps = reg.snapshots();
         assert!(snaps.iter().all(|s| s.dropped_causal == 0), "causal ring overflowed");
         assert!(clocks_monotonic(&snaps), "per-rank causal clocks must strictly increase");
@@ -292,19 +302,10 @@ mod tests {
         let spec = tiny();
         let (cfg, meshes, source, stations) = workload(&spec);
         let decomp = Decomp3::new(cfg.dims, spec.parts);
-        let bare =
-            try_run_parallel_decomp(&cfg, decomp, &meshes, &source, &stations, None, None).unwrap();
+        let plan = SolvePlan::new(&cfg, decomp, &meshes, &source, &stations).unwrap();
+        let bare = solve(&plan, plan.cluster(), &meshes);
         let reg = Registry::with_capacity(4, 4096);
-        let traced = try_run_parallel_decomp(
-            &cfg,
-            decomp,
-            &meshes,
-            &source,
-            &stations,
-            Some(reg),
-            None,
-        )
-        .unwrap();
+        let traced = solve(&plan, plan.cluster().with_telemetry(reg), &meshes);
         assert!(bit_identical(&bare, &traced), "tracing perturbed the solve");
     }
 
@@ -312,10 +313,9 @@ mod tests {
     fn fingerprint_tracks_observable_state() {
         let (cfg, meshes, source, stations) = workload(&tiny());
         let decomp = Decomp3::new(cfg.dims, [2, 2, 1]);
-        let a =
-            try_run_parallel_decomp(&cfg, decomp, &meshes, &source, &stations, None, None).unwrap();
-        let mut b =
-            try_run_parallel_decomp(&cfg, decomp, &meshes, &source, &stations, None, None).unwrap();
+        let plan = SolvePlan::new(&cfg, decomp, &meshes, &source, &stations).unwrap();
+        let a = solve(&plan, plan.cluster(), &meshes);
+        let mut b = solve(&plan, plan.cluster(), &meshes);
         assert!(bit_identical(&a, &b), "identical configs replay bit-exactly");
         assert_eq!(fingerprint(&a), fingerprint(&b));
         // Any single-bit output perturbation must flip both detectors.

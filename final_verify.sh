@@ -16,6 +16,8 @@ echo "=== BUILD DONE ==="
 cargo clippy --workspace -- -D warnings 2>&1 | grep -E "^(error|warning)" | head -20
 echo "clippy exit ${PIPESTATUS[0]}"
 echo "=== CLIPPY DONE ==="
+# Doc links: a rustdoc link to a deleted or ambiguous item fails the step.
+RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" cargo doc --workspace --no-deps > results/logs/rustdoc.log 2>&1; echo "rustdoc_links exit $?"
 cargo test --workspace --no-fail-fast 2>&1 | tee results/logs/test_output.log | grep -E "test result|FAILED|error\[" | tail -60
 echo "=== TESTS DONE ==="
 # Smoke-run the examples and CLI.
@@ -70,9 +72,8 @@ awk '/^(OVL|LTS) +[^ ]+ expected/ { seen[$1] = 1; if (/DIFFERS/) bad = 1 }
 echo "=== BENCH GATE DONE ==="
 # Decomposition smoke: every rank decomposition must stay bit-exact to the
 # serial run across boundary kinds, media, LTS and delivery orders, and the
-# windowed kernels to the fused ones across backends (the suite keeps its
-# file name).
-cargo test --release -p awp-solver --test shell_overlap 2>&1 | grep -E "test result|FAILED"; echo "decomposition_smoke exit ${PIPESTATUS[0]}"
+# windowed kernels to the fused ones across backends.
+cargo test --release -p awp-solver --test decomposition 2>&1 | grep -E "test result|FAILED"; echo "decomposition_smoke exit ${PIPESTATUS[0]}"
 # Absolute pins: every stepping path must reproduce its recorded hash.
 cargo test --release -p awp-solver --test step_golden 2>&1 | grep -E "test result|FAILED"; echo "step_golden exit ${PIPESTATUS[0]}"
 # Byte pins: every file a two-rank checkpointed workflow writes (mesh

@@ -9,7 +9,7 @@ use awp_odc::cvm::model::LayeredModel;
 use awp_odc::grid::dims::{Dims3, Idx3};
 use awp_odc::pario::Md5;
 use awp_odc::scenario::Scenario;
-use awp_odc::solver::{LtsOpts, LtsPlan, SolverConfig};
+use awp_odc::solver::{ConfigError, LtsOpts, LtsPlan, SolverConfig};
 use awp_odc::source::kinematic::KinematicSource;
 use awp_odc::source::moment::MomentTensor;
 use awp_odc::source::stf::Stf;
@@ -18,6 +18,7 @@ use awp_odc::vcluster::fault::{FaultPlan, WatchdogConfig};
 use awp_odc::vcluster::RetryPolicy;
 use awp_odc::workflow::{scratch_dir, WorkflowSession};
 use awp_odc::ScenarioRun;
+use std::io;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -116,4 +117,19 @@ fn lts_workflow_absorbs_rank_crash_in_flight() {
 
     let _ = std::fs::remove_dir_all(&dir_a);
     let _ = std::fs::remove_dir_all(&dir_b);
+}
+
+/// LTS keeps depth whole on every rank, so the solve plan refuses a
+/// workflow that cuts z, before any file is written.
+#[test]
+fn lts_workflow_refuses_a_z_cut() {
+    let dir = scratch_dir("wf-lts-zcut");
+    let err = WorkflowSession::new([1, 1, 2])
+        .execute(&basin_run(8), &dir)
+        .expect_err("LTS on a z cut must be refused");
+    assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{err}");
+    let cause = err.get_ref().and_then(|e| e.downcast_ref::<ConfigError>());
+    assert_eq!(cause, Some(&ConfigError::LtsNeedsSingleZPart), "{err}");
+    assert!(!dir.join("mesh.global.bin").exists(), "no stage ran");
+    let _ = std::fs::remove_dir_all(&dir);
 }
