@@ -10,9 +10,8 @@ use awp_perfmodel::evolution::VersionFeatures;
 use awp_perfmodel::evolution::{model_breakdown, model_sustained_tflops, table2_reference};
 use awp_perfmodel::machines::Machine;
 use awp_perfmodel::memory::{budget, m8_inputs};
-use awp_perfmodel::resilience::{daly_interval, expected_wall_clock, expected_wall_clock_inflight};
-use awp_perfmodel::resilience::{inflight_saving, interval_to_steps, overhead_fraction, sweep};
-use awp_perfmodel::resilience::{young_interval, InFlightRecovery, ResilienceInput};
+use awp_perfmodel::resilience::{daly_interval, expected_wall_clock, interval_to_steps};
+use awp_perfmodel::resilience::{overhead_fraction, sweep, young_interval, ResilienceInput};
 use awp_perfmodel::scaling::{apply_cache_bonus, strong_scaling, weak_scaling, ScalingPoint};
 use awp_perfmodel::speedup::PAPER_C;
 use awp_perfmodel::speedup::{best_parts, efficiency, m8_mesh, m8_parts, speedup, ModelInput};
@@ -625,29 +624,21 @@ fn s7c(_: &Ctx) -> Value {
     section("§VII resilience — Young/Daly optimal checkpoint interval");
     // M8-scale reference point: a 24-hour solve whose full checkpoint
     // epoch costs 5 minutes and whose restart (teardown, newest-consistent-
-    // epoch read, output rewind) costs 10. Supervised in-flight recovery
-    // costs ~30 s per rollback-rejoin and absorbs ~90% of failures.
+    // epoch read, output rewind) costs 10.
     let (solve_time, ckpt_cost, restart_cost) = (24.0 * 3600.0, 300.0, 600.0);
-    let rec = InFlightRecovery { recovery_cost: 30.0, success_prob: 0.9 };
     // System MTBF shrinks inversely with partition size, anchored at 12 h
     // for the ~100k-core class the paper ran on.
     let input = |cores: usize| {
         let mtbf = 12.0 * 3600.0 * 100_000.0 / cores as f64;
         ResilienceInput { ckpt_cost, restart_cost, mtbf, solve_time }
     };
-    let mut t = Table::new(
-        "machine:8 mtbf_s:8 young_s daly_s overhead_at_daly.3 wall_clock_s \
-         inflight_wall_clock_s inflight_saving.4",
-    );
+    let mut t = Table::new("machine:8 mtbf_s:8 young_s daly_s overhead_at_daly.3 wall_clock_s");
     for p in Machine::ALL.map(|m| m.profile()) {
         let inp = input(p.cores_used);
         let td = daly_interval(ckpt_cost, inp.mtbf);
         let (ty, ov) =
             (young_interval(ckpt_cost, inp.mtbf), overhead_fraction(td, ckpt_cost, inp.mtbf));
-        let (wall, inflight) =
-            (expected_wall_clock(&inp, td), expected_wall_clock_inflight(&inp, &rec, td));
-        let saving = inflight_saving(&inp, &rec, td);
-        t.row(json!([p.name, inp.mtbf, ty, td, ov, wall, inflight, saving]));
+        t.row(json!([p.name, inp.mtbf, ty, td, ov, expected_wall_clock(&inp, td)]));
     }
     let machines = t.rows();
 
@@ -665,8 +656,6 @@ fn s7c(_: &Ctx) -> Value {
         "ckpt_cost_s": ckpt_cost,
         "restart_cost_s": restart_cost,
         "solve_time_s": solve_time,
-        "inflight_recovery_cost_s": rec.recovery_cost,
-        "inflight_success_prob": rec.success_prob,
         "machines": machines,
         "jaguar_wall_clock_at_daly_s": expected_wall_clock(&inp, t_opt),
         "jaguar_sweep": t.rows(),

@@ -108,10 +108,10 @@ pub fn validate_stream(lines: &[String]) -> Result<(usize, usize), String> {
     if ranks == 0 {
         return Err("hello advertises zero ranks".into());
     }
-    // Additive extras: a hello may advertise additional per-rank
-    // snapshot fields (e.g. ["recoveries","dead_letters"]). They are
-    // required only when advertised, so clients of this validator stay
-    // compatible with older servers that never emit them.
+    // Additive extras: a hello may advertise additional per-rank snapshot
+    // fields (e.g. ["retries"]). They are required only when advertised,
+    // so this validator accepts servers that emit them and servers that
+    // never do (this one advertises none).
     let extras: Vec<String> = hello["extras"]
         .as_array()
         .map(|a| a.iter().filter_map(|v| v.as_str().map(String::from)).collect())
@@ -241,24 +241,20 @@ mod tests {
 
     #[test]
     fn advertised_extras_are_required_but_backward_compatible() {
+        // This server advertises no extras; a stream from one that does
+        // must carry every advertised key in every rank cell.
         let live = LiveStats::new(1);
-        live.rank(0).recoveries.fetch_add(2, Ordering::Relaxed);
-        let ok = vec![live.hello_json(), live.snapshot_json(0, 10)];
+        let hello = r#"{"v":2,"kind":"hello","proto":"awp-stats","ranks":1,"extras":["retries"]}"#;
+        let plain = live.snapshot_json(0, 10);
+        let extra = plain.replace("}]}", ",\"retries\":2}]}");
+        let ok = vec![hello.to_string(), extra];
         assert_eq!(validate_stream(&ok), Ok((1, 1)), "v2 stream carries its extras");
         // A hello that advertises an extra the snapshots lack must fail...
-        let lying = vec![live.hello_json(), {
-            let s = live.snapshot_json(0, 10);
-            s.replace(",\"recoveries\":2", "")
-        }];
-        assert!(validate_stream(&lying).unwrap_err().contains("recoveries"));
-        // ...while an old-style hello without `extras` keeps validating
-        // snapshots that never carry them.
-        let old_hello = r#"{"v":2,"kind":"hello","proto":"awp-stats","ranks":1}"#.to_string();
-        let old_snap = live
-            .snapshot_json(0, 10)
-            .replace(",\"recoveries\":2", "")
-            .replace(",\"dead_letters\":0", "");
-        assert_eq!(validate_stream(&[old_hello, old_snap]), Ok((1, 1)));
+        let lying = vec![hello.to_string(), plain.clone()];
+        assert!(validate_stream(&lying).unwrap_err().contains("retries"));
+        // ...while a hello without `extras` keeps validating snapshots
+        // that never carry them.
+        assert_eq!(validate_stream(&[live.hello_json(), plain]), Ok((1, 1)));
     }
 
     #[test]

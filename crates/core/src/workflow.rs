@@ -37,7 +37,6 @@ use awp_solver::{RankResult, SolvePlan};
 use awp_telemetry::{LiveStats, Registry};
 use awp_vcluster::fault::{FaultKind, FaultPlan, FaultReport, WatchdogConfig};
 use awp_vcluster::schedule::SchedulePlan;
-use awp_vcluster::{DeadLetterStats, RecoveryEvent, RetryPolicy, SupervisedRun, Supervisor};
 use serde::Serialize;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -86,23 +85,10 @@ pub struct WorkflowReport {
     pub failed_at: Option<usize>,
     /// Whether a restart pass ran.
     pub restarted: bool,
-    /// Structured fault reports collected across all aborted passes,
-    /// including faults absorbed by in-flight recovery.
+    /// Structured fault reports collected across all aborted passes.
     pub faults: Vec<FaultReport>,
     /// Number of whole-run restart passes that were needed.
     pub restarts: usize,
-    /// Completed in-flight recovery cycles (rollback + respawn inside a
-    /// supervised pass, without tearing the cluster down).
-    pub in_flight_recoveries: u32,
-    /// True when at least one supervised pass exhausted its retry budget
-    /// (or had no epoch to roll back to) and fell back to the whole-run
-    /// restart ladder.
-    pub recovery_degraded: bool,
-    /// Supervisor state-machine transitions across all passes, in order.
-    pub recovery_events: Vec<RecoveryEvent>,
-    /// Dead-letter accounting summed across all supervised passes
-    /// (`retained` is the last pass's live count).
-    pub dead_letters: DeadLetterStats,
 }
 
 /// Mesh-input scheme — the paper's two PetaMeshP I/O models (§III.C):
@@ -139,7 +125,8 @@ pub struct WorkflowSession {
     pub keep_checkpoints: usize,
     /// Seeded chaos schedule: injected rank crashes/stalls and message
     /// faults. A faulted pass triggers teardown and restart from the
-    /// newest globally consistent checkpoint epoch.
+    /// newest globally consistent checkpoint epoch, so a fault plan needs
+    /// `checkpoint_every`.
     pub fault_plan: Option<Arc<FaultPlan>>,
     /// Heartbeat watchdog for the solve cluster (converts hangs into
     /// structured faults; required for drop/stall chaos to terminate).
@@ -163,23 +150,15 @@ pub struct WorkflowSession {
     /// `registry.chrome_trace()`. A restart pass overwrites the aborted
     /// pass's snapshots, so the report describes the pass that completed.
     pub telemetry: Option<Arc<Registry>>,
-    /// In-flight rank recovery: when set, every solve pass runs under a
-    /// [`Supervisor`] that rolls survivors back to the newest consistent
-    /// checkpoint epoch and respawns the failed rank instead of tearing
-    /// the whole cluster down. A pass that degrades (retry budget
-    /// exhausted, nothing to roll back to) falls through to the
-    /// whole-run restart ladder governed by `max_restarts`.
-    pub recovery: Option<RetryPolicy>,
     /// Live telemetry table (must be sized to the rank count of `parts`).
     /// When set, every solve pass publishes per-rank steps and phase
     /// timers into it — this is what a [`crate::stats`] endpoint
     /// streams to clients while the run is in flight.
     pub live: Option<Arc<LiveStats>>,
     /// Crash flight recorder: when set, every solve rank keeps an
-    /// always-on ring of its last message envelopes/span tails and the
-    /// supervisor dumps `flightrec-<rank>.json` into this directory on
-    /// quarantine or degradation (post-mortem triage without full
-    /// telemetry).
+    /// always-on ring of its last message envelopes/span tails, and a rank
+    /// that crashes, panics or hangs dumps it to `flightrec-<rank>.json`
+    /// in this directory (post-mortem triage without full telemetry).
     pub flight_dir: Option<PathBuf>,
 }
 
@@ -199,7 +178,6 @@ impl WorkflowSession {
             max_restarts: 3,
             resume: false,
             telemetry: None,
-            recovery: None,
             live: None,
             flight_dir: None,
         }
@@ -228,13 +206,6 @@ impl WorkflowSession {
         self
     }
 
-    /// Enable in-flight rank recovery under `policy` (requires
-    /// checkpointing so the supervisor has an epoch to roll back to).
-    pub fn with_recovery(mut self, policy: RetryPolicy) -> Self {
-        self.recovery = Some(policy);
-        self
-    }
-
     /// Publish live per-rank telemetry into `live` during every solve
     /// pass (serve it with [`crate::stats::StatsServer`]).
     pub fn with_live_stats(mut self, live: Arc<LiveStats>) -> Self {
@@ -242,9 +213,8 @@ impl WorkflowSession {
         self
     }
 
-    /// Arm the crash flight recorder: dumps land in `dir` as
-    /// `flightrec-<rank>.json` when a supervised pass quarantines a rank
-    /// or degrades.
+    /// Arm the crash flight recorder: a rank that crashes, panics or hangs
+    /// dumps its ring to `dir/flightrec-<rank>.json`.
     pub fn with_flight_recorder(mut self, dir: impl Into<PathBuf>) -> Self {
         self.flight_dir = Some(dir.into());
         self
@@ -254,9 +224,16 @@ impl WorkflowSession {
     /// session is borrowed immutably, so any number of worker threads may
     /// run disjoint scenarios through one shared session concurrently.
     /// An inconsistent configuration (LTS on a z-cut decomposition, say)
-    /// is `InvalidInput` carrying the [`awp_solver::ConfigError`], before
-    /// any file is written.
+    /// is `InvalidInput` carrying the [`awp_solver::ConfigError`], and a
+    /// fault plan without checkpointing (a faulted pass restarts from an
+    /// epoch) is `InvalidInput` too, before any file is written.
     pub fn execute(&self, run: &ScenarioRun, workdir: &Path) -> io::Result<WorkflowReport> {
+        if self.fault_plan.is_some() && self.checkpoint_every.is_none() {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "a fault plan needs checkpoint_every: a faulted pass restarts from an epoch",
+            ));
+        }
         let cfg = &run.cfg;
         let decomp = Decomp3::new(cfg.dims, self.parts);
         let n_ranks = decomp.rank_count();
@@ -365,51 +342,22 @@ impl WorkflowSession {
             checkpoint_every,
         };
         let t = Instant::now();
-        if self.fault_plan.is_some() {
-            assert!(self.checkpoint_every.is_some(), "failure injection requires checkpointing");
-        }
-        if self.recovery.is_some() {
-            assert!(
-                self.checkpoint_every.is_some(),
-                "in-flight recovery requires checkpointing (the rollback epoch)"
-            );
-        }
         let mut failed_at: Option<usize> = None;
         let mut restarted = false;
         let mut restarts = 0usize;
         let mut faults: Vec<FaultReport> = Vec::new();
-        let mut in_flight_recoveries = 0u32;
-        let mut recovery_degraded = false;
-        let mut recovery_events: Vec<RecoveryEvent> = Vec::new();
-        let mut dead_letters = DeadLetterStats::default();
-        // Solve / restart loop — the outer rung of the degradation ladder.
-        // With `recovery` set, faults are first absorbed *inside* a pass by
-        // the supervisor (rollback to the newest MD5-consistent epoch and
-        // respawn — one epoch of rework, no teardown). Only a degraded
-        // pass reaches this loop's restart path: the cluster is torn down,
-        // the newest epoch that is MD5-valid on *every* rank becomes the
-        // globally consistent restart line, and the next pass resumes from
-        // it. "This approach helps restart in the case of unexpected
-        // termination" (§III.F).
+        // Solve / restart loop, the one recovery path: a faulted pass tears
+        // the cluster down, the newest epoch that is MD5-valid on *every*
+        // rank becomes the globally consistent restart line, and the next
+        // pass resumes from it. "This approach helps restart in the case of
+        // unexpected termination" (§III.F).
         let results = loop {
             let resume_epoch = if restarts == 0 && !self.resume {
                 None
             } else {
                 consistent_epoch(&ckpt_dir, n_ranks)?
             };
-            let pass = solve_ranks(&env, resume_epoch)?;
-            in_flight_recoveries += pass.recoveries;
-            recovery_degraded |= pass.degraded;
-            recovery_events.extend(pass.events);
-            dead_letters.total += pass.dead_letters.total;
-            dead_letters.dropped += pass.dead_letters.dropped;
-            dead_letters.expired += pass.dead_letters.expired;
-            dead_letters.retained = pass.dead_letters.retained;
-            if let Some(step) = pass.recovered_faults.iter().filter_map(|f| f.step).min() {
-                failed_at.get_or_insert(step as usize);
-            }
-            faults.extend(pass.recovered_faults);
-            let outcomes = pass.results;
+            let outcomes = solve_ranks(&env, resume_epoch)?;
             let pass_faults: Vec<FaultReport> =
                 outcomes.iter().filter_map(|r| r.as_ref().err().cloned()).collect();
             if pass_faults.is_empty() {
@@ -499,10 +447,6 @@ impl WorkflowSession {
             restarted,
             faults,
             restarts,
-            in_flight_recoveries,
-            recovery_degraded,
-            recovery_events,
-            dead_letters,
         })
     }
 }
@@ -523,18 +467,15 @@ struct SolveEnv<'a> {
     checkpoint_every: Option<usize>,
 }
 
-/// What one solve pass produced: per rank its result and output digest,
-/// or its fault report, plus the supervisor's recovery accounting (zeroed
-/// when recovery is off).
-type Pass = SupervisedRun<(RankResult, String)>;
-
 /// Run all ranks from step 0 (or from the given checkpoint epoch) to
-/// completion. Ranks execute behind the cluster's fault boundary: the
-/// pass carries one `Ok(outcome)` or `Err(fault report)` per rank;
-/// rank-local I/O errors abort the whole pass as before.
-fn solve_ranks(env: &SolveEnv<'_>, resume_epoch: Option<u64>) -> io::Result<Pass> {
+/// completion. Ranks execute behind the cluster's fault boundary: per rank
+/// its result and output digest, or its fault report; a rank-local I/O
+/// error fails the whole pass.
+fn solve_ranks(
+    env: &SolveEnv<'_>,
+    resume_epoch: Option<u64>,
+) -> io::Result<Vec<Result<(RankResult, String), FaultReport>>> {
     let (session, cfg) = (env.session, &env.plan.cfg);
-    let n_ranks = env.plan.decomp.rank_count();
     let mut cluster = env.plan.cluster();
     if let Some(plan) = &session.fault_plan {
         cluster = cluster.with_fault_plan(Arc::clone(plan));
@@ -571,11 +512,7 @@ fn solve_ranks(env: &SolveEnv<'_>, resume_epoch: Option<u64>) -> io::Result<Pass
         let mut agg = surf_slot.map(|slot| OutputAggregator::new(env.output, slot));
         let store = CheckpointStore::new(env.ckpt_dir, rank, session.keep_checkpoints);
         let mut start_step = 0usize;
-        // An in-flight recovery generation overrides the pass-level resume
-        // epoch: the supervisor already picked the newest epoch that is
-        // MD5-valid on every rank, and every respawned/rolled-back rank
-        // must restart from that same line.
-        if let Some(epoch) = ctx.recovery_epoch().or(resume_epoch) {
+        if let Some(epoch) = resume_epoch {
             // Every rank resumes from the same globally consistent epoch
             // (selected by `consistent_epoch` before this pass started).
             let ckpt = store.load(epoch)?;
@@ -647,37 +584,8 @@ fn solve_ranks(env: &SolveEnv<'_>, resume_epoch: Option<u64>) -> io::Result<Pass
         };
         Ok((solve.finish(ctx), digest))
     };
-    let run = match session.recovery {
-        // Supervised pass: the supervisor owns rank lifecycles and absorbs
-        // faults via rollback-rejoin; the epoch source is the same
-        // consistent-line scan the whole-run restart path uses, so both
-        // rungs of the ladder agree on where "safe" is.
-        Some(policy) => Supervisor::new(&cluster, policy)
-            .run(body, || consistent_epoch(env.ckpt_dir, n_ranks).ok().flatten()),
-        None => SupervisedRun {
-            results: cluster.try_run(body),
-            recoveries: 0,
-            recovered_faults: Vec::new(),
-            degraded: false,
-            events: Vec::new(),
-            dead_letters: DeadLetterStats::default(),
-        },
-    };
-    // Transpose: a rank-local I/O error fails the whole pass (as the
-    // pre-resilience code did); a fault report stays per-rank.
-    let results = run.results.into_iter().map(|r| match r {
-        Ok(Ok(outcome)) => Ok(Ok(outcome)),
-        Ok(Err(io_err)) => Err(io_err),
-        Err(fault) => Ok(Err(fault)),
-    });
-    Ok(Pass {
-        results: results.collect::<io::Result<_>>()?,
-        recoveries: run.recoveries,
-        recovered_faults: run.recovered_faults,
-        degraded: run.degraded,
-        events: run.events,
-        dead_letters: run.dead_letters,
-    })
+    let pass = cluster.try_run(body).into_iter();
+    pass.map(|r| r.map_or_else(|fault| Ok(Err(fault)), |outcome| outcome.map(Ok))).collect()
 }
 
 /// Convenience: locate a stage by name.

@@ -12,7 +12,6 @@ use awp_odc::scenario::{RuptureDirection, Scenario, ScenarioRun};
 use awp_odc::stats::{read_stream, validate_stream, StatsAddr, StatsServer};
 use awp_odc::telemetry::{LiveStats, Registry, STATS_PROTO_VERSION};
 use awp_odc::vcluster::fault::{FaultPlan, WatchdogConfig};
-use awp_odc::vcluster::RetryPolicy;
 use awp_odc::workflow::{scratch_dir, WorkflowSession};
 use std::path::PathBuf;
 use std::str::FromStr;
@@ -105,16 +104,15 @@ const COMMANDS: &[Command] = &[
         args: "[name] [nx] [seconds]",
         flags: &[
             "--chaos-seed N",
-            "--recover",
             "--fault crash|stall|both",
             "--profile",
             "--health-every N",
             "--flight-dir DIR",
         ],
-        about: "seeded fault-injection soak: the chaos run must reproduce the clean run \
-                bit-for-bit or exit nonzero; --recover: a seeded rank failure must complete \
-                via in-flight supervisor recovery (rollback-rejoin, no whole-run restart) \
-                and stay bit-identical to the clean run",
+        about: "fault-injection drill: a seeded random fault plan, or with --fault a directed \
+                rank crash (rank 1, step 5) and/or stall (rank 0, step 6), is restarted from \
+                the newest consistent checkpoint epoch and must reproduce the clean run \
+                bit-for-bit or exit nonzero",
         run: chaos,
     },
 ];
@@ -124,9 +122,9 @@ const NOTES: &str = "  awp --profile [--trace-out FILE]
 
 --health-every N scans the shell slabs for NaN/Inf every N steps and
 aborts on the first non-finite velocity (0 = off, the default);
---flight-dir DIR arms the crash flight recorder: on a rank fault or
-degradation the supervisor dumps DIR/flightrec-<rank>.json with the last
-envelopes and span tails for each rank
+--flight-dir DIR arms the crash flight recorder: a rank that crashes,
+panics or hangs dumps DIR/flightrec-<rank>.json with its last envelopes
+and span tails
 
 scenario names: terashake-k | terashake-d | shakeout-k | shakeout-d |
                 wall-to-wall | m8 | pnw";
@@ -623,9 +621,10 @@ fn repro(a: &Args) {
 
 fn chaos(a: &Args) {
     let seed: u64 = a.value("--chaos-seed").unwrap_or(0xC4A0_5EED);
-    let fault_mode: String = a.value("--fault").unwrap_or_else(|| "crash".into());
-    if !matches!(fault_mode.as_str(), "crash" | "stall" | "both") {
-        usage_error(&format!("unknown --fault '{fault_mode}'"));
+    let fault_mode: Option<String> = a.value("--fault");
+    let known = |m: &str| matches!(m, "crash" | "stall" | "both");
+    if let Some(mode) = fault_mode.as_deref().filter(|m| !known(m)) {
+        usage_error(&format!("unknown --fault '{mode}'"));
     }
     let sc = scenario(a, 20, 20.0);
 
@@ -637,92 +636,42 @@ fn chaos(a: &Args) {
     let mut session = session(a, [2, 1, 1]);
     session.checkpoint_every = Some(4);
 
-    if a.has("--recover") {
-        // Recovery drill: a directed single-rank failure must be absorbed
-        // *in flight* — supervisor rollback to the last MD5-consistent
-        // epoch and respawn, costing one epoch of rework — with zero
-        // whole-run restarts and a bit-exact surface. Crash step 5 / stall
-        // step 6 sit just past the first checkpoint epoch (cadence 4), so a
-        // rollback line always exists.
-        let mut plan = FaultPlan::new(seed);
-        if matches!(fault_mode.as_str(), "crash" | "both") {
-            plan = plan.with_crash(1, 5);
+    let (plan, timeout, drill) = match fault_mode.as_deref() {
+        // Directed drill: crash step 5 / stall step 6 sit just past the
+        // first checkpoint epoch (cadence 4), so each fault costs one
+        // whole-run restart from epoch 4.
+        Some(mode) => {
+            let mut plan = FaultPlan::new(seed);
+            if mode != "stall" {
+                plan = plan.with_crash(1, 5);
+            }
+            if mode != "crash" {
+                plan = plan.with_stall(0, 6, 3600.0);
+            }
+            (plan, Duration::from_secs(2), format!("directed {mode} drill"))
         }
-        if matches!(fault_mode.as_str(), "stall" | "both") {
-            plan = plan.with_stall(0, 6, 3600.0);
+        None => {
+            session.max_restarts = 6;
+            let plan = FaultPlan::random(seed, 2, run.cfg.steps as u64);
+            (plan, Duration::from_secs(5), "chaos soak".to_string())
         }
-        let plan = Arc::new(plan);
-        println!(
-            "{} → recovery drill ({fault_mode}), seed {seed:#x}, schedule: {}",
-            sc.name,
-            plan.schedule_digest()
-        );
-        let drill_dir = scratch_dir("awp-chaos-recover");
-        let registry = a.has("--profile").then(|| Registry::new(2));
-        session = session
-            .with_chaos(
-                plan,
-                WatchdogConfig { timeout: Duration::from_secs(2), poll: Duration::from_millis(50) },
-            )
-            .with_recovery(RetryPolicy::new(3).with_jitter(0.25, seed));
-        if let Some(reg) = &registry {
-            session = session.with_telemetry(Arc::clone(reg));
-        }
-        let rep = session.execute(&run, &drill_dir).expect("recovery drill failed to converge");
-        for f in &rep.faults {
-            println!("  recovered: {f}");
-        }
-        println!(
-            "  in-flight recoveries: {}; whole-run restarts: {}; degraded: {}; \
-             dead letters: {} drained / {} retained",
-            rep.in_flight_recoveries,
-            rep.restarts,
-            rep.recovery_degraded,
-            rep.dead_letters.total,
-            rep.dead_letters.retained,
-        );
-        if let Some(reg) = &registry {
-            println!("\n{}", reg.report());
-        }
-        let clean_md5 =
-            awp_odc::pario::Md5::digest_hex(&std::fs::read(&rep_clean.surface_file).unwrap());
-        let drill_md5 = awp_odc::pario::Md5::digest_hex(&std::fs::read(&rep.surface_file).unwrap());
-        let pgv_ok = rep_clean.pgv.data == rep.pgv.data;
-        let _ = std::fs::remove_dir_all(&clean_dir);
-        let _ = std::fs::remove_dir_all(&drill_dir);
-        let recovered_in_flight =
-            rep.in_flight_recoveries >= 1 && rep.restarts == 0 && !rep.recovery_degraded;
-        if recovered_in_flight && pgv_ok && clean_md5 == drill_md5 {
-            println!(
-                "recovery drill passed: in-flight recovery, bit-identical surface \
-                 (MD5 {clean_md5})"
-            );
-        } else {
-            eprintln!(
-                "RECOVERY DRILL FAILED: in_flight={} restarts={} degraded={} \
-                 pgv_ok={pgv_ok} clean_md5={clean_md5} drill_md5={drill_md5}",
-                rep.in_flight_recoveries, rep.restarts, rep.recovery_degraded,
-            );
-            std::process::exit(1);
-        }
-        return;
+    };
+    println!("{} → {drill}, seed {seed:#x}, schedule: {}", sc.name, plan.schedule_digest());
+    let registry = a.has("--profile").then(|| Registry::new(2));
+    session = session
+        .with_chaos(Arc::new(plan), WatchdogConfig { timeout, poll: Duration::from_millis(50) });
+    if let Some(reg) = &registry {
+        session = session.with_telemetry(Arc::clone(reg));
     }
-
-    let plan = Arc::new(FaultPlan::random(seed, 2, run.cfg.steps as u64));
-    println!("{} → chaos soak, seed {seed:#x}, schedule: {}", sc.name, plan.schedule_digest());
     let chaos_dir = scratch_dir("awp-chaos");
-    session.max_restarts = 6;
-    let rep = session
-        .with_chaos(
-            plan,
-            WatchdogConfig { timeout: Duration::from_secs(5), poll: Duration::from_millis(50) },
-        )
-        .execute(&run, &chaos_dir)
-        .expect("chaos run failed to converge");
+    let rep = session.execute(&run, &chaos_dir).expect("chaos run failed to converge");
     for f in &rep.faults {
         println!("  injected: {f}");
     }
     println!("  restarts: {}", rep.restarts);
+    if let Some(reg) = &registry {
+        println!("\n{}", reg.report());
+    }
 
     let clean_md5 =
         awp_odc::pario::Md5::digest_hex(&std::fs::read(&rep_clean.surface_file).unwrap());
@@ -769,13 +718,12 @@ mod tests {
             "workflow shakeout-k 32 20 --health-every 8",
             "chaos --chaos-seed 99",
             "chaos --chaos-seed 3405691582",
-            "chaos --recover",
-            "chaos --recover --fault crash --chaos-seed 3405691582",
-            "chaos --recover --fault stall --chaos-seed 3405691582",
-            "chaos --recover --fault stall",
-            "chaos --recover --fault both --profile",
-            "chaos --recover --flight-dir results",
-            "chaos --recover --fault crash --flight-dir results --chaos-seed 3405691582",
+            "chaos --fault crash --chaos-seed 3405691582",
+            "chaos --fault stall --chaos-seed 3405691582",
+            "chaos --fault stall",
+            "chaos --fault both --profile",
+            "chaos --flight-dir results",
+            "chaos --fault crash --flight-dir results --chaos-seed 3405691582",
             "stats --smoke",
             "stats 127.0.0.1:9090",
             "analyze --smoke",
@@ -796,11 +744,11 @@ mod tests {
 
     #[test]
     fn flags_values_and_arguments_are_checked() {
-        let (_, a) = parsed("chaos m8 30 --chaos-seed 7 --recover --fault both").unwrap();
+        let (_, a) = parsed("chaos m8 30 --chaos-seed 7 --fault both").unwrap();
         assert_eq!(a.pos, ["m8", "30"]);
         assert_eq!(a.value::<u64>("--chaos-seed"), Some(7));
         assert_eq!(a.value::<String>("--fault").as_deref(), Some("both"));
-        assert!(a.has("--recover") && !a.has("--profile"));
+        assert!(!a.has("--profile"));
         assert_eq!(a.arg::<usize>(1), Some(30));
 
         for (line, why) in [

@@ -154,11 +154,14 @@ impl EnsembleEngine {
         let refused: Vec<String> = [
             ("checkpoint_every", session.checkpoint_every.is_some(), EPOCHS),
             ("fault_plan", session.fault_plan.is_some(), "faulted passes restart from epochs"),
-            ("recovery", session.recovery.is_some(), EPOCHS),
             ("resume", session.resume, EPOCHS),
             ("watchdog", session.watchdog.is_some(), "it ends hangs a fault plan injects"),
             ("live", session.live.is_some(), "one rank table cannot hold concurrent jobs"),
-            ("flight_dir", session.flight_dir.is_some(), "only the recovery supervisor dumps it"),
+            (
+                "flight_dir",
+                session.flight_dir.is_some(),
+                "concurrent jobs would share one flightrec-<rank>.json name",
+            ),
         ]
         .into_iter()
         .filter(|&(_, set, _)| set)

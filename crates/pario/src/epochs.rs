@@ -36,10 +36,8 @@ fn parse_epoch_name(name: &str) -> Option<(usize, u64)> {
     Some((rank_s.parse().ok()?, epoch_s.parse().ok()?))
 }
 
-/// Retry an I/O operation on transient errors under a shared
-/// [`RetryPolicy`] (the same bounded exponential-backoff /
-/// deterministic-jitter engine the rank supervisor uses for in-flight
-/// recovery). `Interrupted`, `WouldBlock` and `TimedOut` are treated as
+/// Retry an I/O operation on transient errors under a [`RetryPolicy`]
+/// (bounded exponential backoff with deterministic jitter). `Interrupted`, `WouldBlock` and `TimedOut` are treated as
 /// transient (contended parallel filesystems surface all three); anything
 /// else — including `InvalidData` from a checksum mismatch — fails
 /// immediately. `key` decorrelates jitter across callers (pass the rank

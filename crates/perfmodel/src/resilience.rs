@@ -76,57 +76,6 @@ pub fn expected_wall_clock(inp: &ResilienceInput, interval: f64) -> f64 {
         / interval
 }
 
-/// In-flight rank-recovery parameters (the supervised rollback-rejoin
-/// path): instead of tearing the whole run down and paying the restart
-/// cost R, a supervised cluster absorbs a fraction `success_prob` of
-/// failures by quarantining the dead rank, rolling survivors back one
-/// epoch and respawning — at per-event cost `recovery_cost` (quarantine
-/// drain + rollback barrier + backoff + respawn), which is typically
-/// orders of magnitude below R because no teardown, re-initialisation or
-/// full input re-read happens.
-#[derive(Debug, Clone, Copy, Serialize)]
-pub struct InFlightRecovery {
-    /// Seconds per absorbed failure, C_r.
-    pub recovery_cost: f64,
-    /// Fraction of failures absorbed in flight, p ∈ [0, 1]. The rest
-    /// (supervisor retry budget exhausted, no consistent epoch, rollback
-    /// barrier timeout) degrade to the whole-run restart path.
-    pub success_prob: f64,
-}
-
-/// First-order expected wall-clock at interval τ with in-flight recovery:
-///
-/// ```text
-/// T = T_s·(1 + δ/τ) + (T_s/M)·(τ/2 + p·C_r + (1−p)·R)
-/// ```
-///
-/// Both recovery paths rewind to the last epoch (τ/2 expected rework);
-/// they differ only in the fixed per-failure cost: C_r when absorbed in
-/// flight (probability p), the full restart R when degraded. Setting
-/// `p = 0` collapses to the first-order expansion of
-/// [`expected_wall_clock`].
-pub fn expected_wall_clock_inflight(
-    inp: &ResilienceInput,
-    rec: &InFlightRecovery,
-    interval: f64,
-) -> f64 {
-    assert!(interval > 0.0);
-    assert!((0.0..=1.0).contains(&rec.success_prob));
-    let failures = inp.solve_time / inp.mtbf;
-    let per_failure = interval / 2.0
-        + rec.success_prob * rec.recovery_cost
-        + (1.0 - rec.success_prob) * inp.restart_cost;
-    inp.solve_time * (1.0 + inp.ckpt_cost / interval) + failures * per_failure
-}
-
-/// Wall-clock saving fraction of in-flight recovery vs the restart-only
-/// baseline (`p = 0`) at the same interval: `1 − T_inflight/T_restart`.
-pub fn inflight_saving(inp: &ResilienceInput, rec: &InFlightRecovery, interval: f64) -> f64 {
-    let baseline = InFlightRecovery { success_prob: 0.0, ..*rec };
-    1.0 - expected_wall_clock_inflight(inp, rec, interval)
-        / expected_wall_clock_inflight(inp, &baseline, interval)
-}
-
 /// One row of the interval sweep.
 #[derive(Debug, Clone, Copy, Serialize)]
 pub struct SweepPoint {
@@ -239,41 +188,6 @@ mod tests {
         // Overhead is U-shaped: endpoints are worse than the interior min.
         let min = pts.iter().map(|p| p.overhead).fold(f64::INFINITY, f64::min);
         assert!(pts[0].overhead > min && pts[24].overhead > min);
-    }
-
-    #[test]
-    fn inflight_recovery_beats_restart_only_when_cheaper() {
-        let inp = m8ish();
-        let t = daly_interval(inp.ckpt_cost, inp.mtbf);
-        let rec = InFlightRecovery { recovery_cost: 30.0, success_prob: 0.9 };
-        let none = InFlightRecovery { success_prob: 0.0, ..rec };
-        let with = expected_wall_clock_inflight(&inp, &rec, t);
-        let without = expected_wall_clock_inflight(&inp, &none, t);
-        assert!(with < without, "C_r < R and p > 0 must shorten the run");
-        // Monotone in p: absorbing more failures in flight never hurts.
-        let half = InFlightRecovery { success_prob: 0.45, ..rec };
-        let mid = expected_wall_clock_inflight(&inp, &half, t);
-        assert!(with < mid && mid < without);
-        // Saving fraction agrees with the two endpoints.
-        let s = inflight_saving(&inp, &rec, t);
-        assert!((s - (1.0 - with / without)).abs() < 1e-12);
-        assert!(s > 0.0 && s < 1.0);
-    }
-
-    #[test]
-    fn inflight_with_zero_prob_matches_first_order_restart_model() {
-        // p = 0 must reproduce T_s·(1 + δ/τ) + (T_s/M)·(τ/2 + R) exactly.
-        let inp = m8ish();
-        let t = 3600.0;
-        let rec = InFlightRecovery { recovery_cost: 30.0, success_prob: 0.0 };
-        let got = expected_wall_clock_inflight(&inp, &rec, t);
-        let expected = inp.solve_time * (1.0 + inp.ckpt_cost / t)
-            + inp.solve_time / inp.mtbf * (t / 2.0 + inp.restart_cost);
-        assert!((got - expected).abs() < 1e-9);
-        // And it should sit near Daly's full model for these mild inputs
-        // (the exponential corrections are second-order when τ+δ ≪ M).
-        let daly = expected_wall_clock(&inp, t);
-        assert!((got - daly).abs() / daly < 0.05, "first-order {got} vs daly {daly}");
     }
 
     #[test]

@@ -38,8 +38,6 @@ pub enum CausalKind {
     Recv,
     /// A local-time-stepping dt-cluster fired (`tag` = cluster id).
     ClusterTick,
-    /// The rank rejoined a recovery generation (rollback + respawn).
-    Rollback,
     /// Simulation-health sentinel probe (`bytes` = velocity watermark
     /// bits, `tag` = 1 if the probe found a non-finite value).
     Health,
@@ -51,7 +49,6 @@ impl CausalKind {
             CausalKind::Send => "send",
             CausalKind::Recv => "recv",
             CausalKind::ClusterTick => "cluster_tick",
-            CausalKind::Rollback => "rollback",
             CausalKind::Health => "health",
         }
     }

@@ -1,14 +1,14 @@
 //! Crash flight recorder: a small always-on black box per rank.
 //!
-//! When a run is supervised (in-flight recovery armed), every rank keeps
-//! the last-N message envelopes and span tails in two preallocated rings,
-//! independent of whether full telemetry is enabled. On crash, stall, or
-//! degradation the supervisor serializes each ring to
-//! `flightrec-<rank>.json` so every `awp chaos --recover` drill leaves a
-//! reconstructable record of what each rank was doing when it died.
+//! When a cluster arms it (`--flight-dir`), every rank keeps the last-N
+//! message envelopes and span tails in two preallocated rings,
+//! independent of whether full telemetry is enabled. A rank that crashes,
+//! panics or hangs serializes its ring to `flightrec-<rank>.json` at the
+//! cluster's fault boundary, so a faulted pass leaves a reconstructable
+//! record of what the rank was doing when it died.
 //!
-//! The recorder is written only by its owning rank's probes and read by
-//! the supervisor's monitor thread at dump time, hence the `Mutex` in
+//! The recorder is written by its owning rank's probes and read from the
+//! cluster's copy of the handle at dump time, hence the `Mutex` in
 //! [`crate::Recorder`]'s handle; steady-state cost is one uncontended
 //! lock per probe, with no allocation after construction (both rings are
 //! preallocated and overwritten in place).

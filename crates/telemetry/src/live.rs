@@ -42,12 +42,6 @@ pub struct LiveRank {
     pub send_ns: AtomicU64,
     /// Cumulative ns injecting received halos.
     pub inject_ns: AtomicU64,
-    /// In-flight recovery cycles this rank rejoined (mirrors
-    /// `Counter::Recoveries`).
-    pub recoveries: AtomicU64,
-    /// Messages drained from this rank's quarantined mailbox (mirrors
-    /// `Counter::DeadLetters`).
-    pub dead_letters: AtomicU64,
 }
 
 impl LiveRank {
@@ -90,15 +84,12 @@ impl LiveStats {
     }
 
     /// The one-time header line a server writes to each new client:
-    /// `{"v":2,"kind":"hello","proto":"awp-stats","ranks":N,"extras":[...]}`.
-    /// `extras` advertises additive per-rank snapshot fields beyond the v2
-    /// base schema; clients that predate a field simply ignore it, clients
-    /// that know it require it only when advertised (backward compatible
-    /// within v2).
+    /// `{"v":2,"kind":"hello","proto":"awp-stats","ranks":N}`. This server
+    /// advertises no `extras` (additive per-rank snapshot fields beyond the
+    /// v2 base schema, which a client requires only when advertised).
     pub fn hello_json(&self) -> String {
         format!(
-            "{{\"v\":{STATS_PROTO_VERSION},\"kind\":\"hello\",\"proto\":\"{STATS_PROTO_NAME}\",\"ranks\":{},\
-             \"extras\":[\"recoveries\",\"dead_letters\"]}}",
+            "{{\"v\":{STATS_PROTO_VERSION},\"kind\":\"hello\",\"proto\":\"{STATS_PROTO_NAME}\",\"ranks\":{}}}",
             self.ranks.len()
         )
     }
@@ -137,14 +128,12 @@ impl LiveStats {
             let _ = write!(
                 out,
                 "{{\"rank\":{i},\"step\":{},\"compute_ms\":{:.3},\"wait_ms\":{:.3},\
-                 \"send_ms\":{:.3},\"inject_ms\":{:.3},\"recoveries\":{},\"dead_letters\":{}}}",
+                 \"send_ms\":{:.3},\"inject_ms\":{:.3}}}",
                 r.step.load(Ordering::Relaxed),
                 r.compute_ns.load(Ordering::Relaxed) as f64 / 1e6,
                 r.wait_ns.load(Ordering::Relaxed) as f64 / 1e6,
                 r.send_ns.load(Ordering::Relaxed) as f64 / 1e6,
                 r.inject_ns.load(Ordering::Relaxed) as f64 / 1e6,
-                r.recoveries.load(Ordering::Relaxed),
-                r.dead_letters.load(Ordering::Relaxed),
             );
         }
         out.push_str("]}");
@@ -183,19 +172,6 @@ mod tests {
         assert!(line.contains("\"send_ms\":1.500"), "{line}");
         assert!(line.contains("\"step\":7"), "{line}");
         assert!(!line.contains('\n'), "one line per snapshot");
-    }
-
-    #[test]
-    fn hello_advertises_recovery_extras_and_snapshots_carry_them() {
-        let live = LiveStats::new(2);
-        let hello = live.hello_json();
-        assert!(hello.contains("\"extras\":[\"recoveries\",\"dead_letters\"]"), "{hello}");
-        live.rank(1).recoveries.fetch_add(2, Ordering::Relaxed);
-        live.rank(1).dead_letters.fetch_add(5, Ordering::Relaxed);
-        let line = live.snapshot_json(0, 0);
-        assert!(line.contains("\"recoveries\":2"), "{line}");
-        assert!(line.contains("\"dead_letters\":5"), "{line}");
-        assert!(line.contains("\"recoveries\":0"), "{line}");
     }
 
     #[test]

@@ -36,14 +36,11 @@ pub enum Phase {
     Barrier,
     Checkpoint,
     Output,
-    /// Time a rank spends parked at the supervisor's rollback gate during
-    /// an in-flight recovery (quarantine → rollback barrier → respawn).
-    Recovery,
 }
 
 impl Phase {
     /// Number of phases; sizes the fixed per-recorder totals array.
-    pub const COUNT: usize = 13;
+    pub const COUNT: usize = 12;
 
     /// All phases in display order.
     pub const ALL: [Phase; Phase::COUNT] = [
@@ -59,7 +56,6 @@ impl Phase {
         Phase::Barrier,
         Phase::Checkpoint,
         Phase::Output,
-        Phase::Recovery,
     ];
 
     /// Phases whose per-rank totals define compute time for the
@@ -96,7 +92,6 @@ impl Phase {
             Phase::Barrier => "barrier",
             Phase::Checkpoint => "checkpoint",
             Phase::Output => "output",
-            Phase::Recovery => "recovery",
         }
     }
 }
@@ -117,18 +112,15 @@ pub enum Counter {
     FaultEvents,
     /// IO retry attempts beyond the first try (checkpoint write retries).
     IoRetries,
-    /// In-flight recovery cycles this rank rejoined (rollback + respawn
-    /// without a whole-run restart).
+    /// Nothing counts it since the in-flight recovery rung was deleted; it
+    /// reads 0 (kept for the allocation tests that probe with it).
     Recoveries,
-    /// Messages drained from this rank's quarantined mailbox into the
-    /// dead-letter buffer during in-flight recovery.
-    DeadLetters,
     /// Simulation-health sentinel probes executed (`--health-every N`).
     HealthProbes,
 }
 
 impl Counter {
-    pub const COUNT: usize = 12;
+    pub const COUNT: usize = 11;
 
     pub const ALL: [Counter; Counter::COUNT] = [
         Counter::MsgsSent,
@@ -141,7 +133,6 @@ impl Counter {
         Counter::FaultEvents,
         Counter::IoRetries,
         Counter::Recoveries,
-        Counter::DeadLetters,
         Counter::HealthProbes,
     ];
 
@@ -162,7 +153,6 @@ impl Counter {
             Counter::FaultEvents => "fault_events",
             Counter::IoRetries => "io_retries",
             Counter::Recoveries => "recoveries",
-            Counter::DeadLetters => "dead_letters",
             Counter::HealthProbes => "health_probes",
         }
     }

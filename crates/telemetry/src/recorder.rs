@@ -76,7 +76,7 @@ pub struct Snapshot {
     /// Per-dt-cluster substep accounting (empty unless the run used local
     /// time stepping and called [`Recorder::set_lts_stats`]).
     pub lts: Vec<LtsClusterStat>,
-    /// Causal events (message lineage, cluster/rollback/health marks) in
+    /// Causal events (message lineage, cluster/health marks) in
     /// chronological order; ring-bounded like `spans`.
     pub causal: Vec<CausalEvent>,
     pub dropped_causal: u64,
@@ -150,7 +150,7 @@ pub struct Recorder {
     causal_next: usize,
     dropped_causal: u64,
     /// Optional always-on flight recorder (black box). Armed by the
-    /// supervised-run path independently of `enabled`; `None` (the
+    /// cluster's `--flight-dir` path independently of `enabled`; `None` (the
     /// default) keeps disarmed probes allocation- and clock-read-free.
     flight: Option<Arc<Mutex<FlightRecorder>>>,
 }
@@ -233,8 +233,8 @@ impl Recorder {
 
     /// Arm the always-on flight recorder (black box). Subsequent message
     /// envelopes and finished spans are mirrored into its rings whether or
-    /// not span recording is enabled, so a supervised run without
-    /// `--profile` still leaves a dump-worthy tail on crash.
+    /// not span recording is enabled, so a run without `--profile` still
+    /// leaves a dump-worthy tail on crash.
     pub fn set_flight(&mut self, rec: Arc<Mutex<FlightRecorder>>) {
         self.flight = Some(rec);
     }
@@ -336,7 +336,7 @@ impl Recorder {
             l.add_phase(phase, dur.as_nanos() as u64);
         }
         // Likewise the flight-recorder tail: the black box stays current
-        // on supervised runs even without `--profile`.
+        // even without `--profile`.
         if let Some(f) = &self.flight {
             if let Ok(mut fr) = f.lock() {
                 fr.record_span(SpanTailRec {
@@ -387,19 +387,6 @@ impl Recorder {
     #[inline]
     pub fn count(&mut self, c: Counter, n: u64) {
         self.beat_pulse();
-        // Recovery accounting also feeds the live stream (the stats
-        // endpoint publishes recoveries/dead_letters per rank).
-        if let Some(l) = &self.live {
-            match c {
-                Counter::Recoveries => {
-                    l.recoveries.fetch_add(n, Ordering::Relaxed);
-                }
-                Counter::DeadLetters => {
-                    l.dead_letters.fetch_add(n, Ordering::Relaxed);
-                }
-                _ => {}
-            }
-        }
         if self.enabled {
             self.counters[c.index()] += n;
         }
@@ -493,8 +480,8 @@ impl Recorder {
         }
     }
 
-    /// Record a local causal mark (LTS cluster tick, recovery rollback,
-    /// health probe). Ticks the Lamport clock.
+    /// Record a local causal mark (LTS cluster tick, health probe). Ticks
+    /// the Lamport clock.
     #[inline]
     pub fn causal_mark(&mut self, kind: CausalKind, peer: u32, tag: u64, bytes: u64) {
         self.beat_pulse();

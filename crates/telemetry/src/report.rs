@@ -237,12 +237,6 @@ impl fmt::Display for TelemetryReport {
             self.counter(Counter::IoRetries),
             self.dropped_spans,
         )?;
-        writeln!(
-            f,
-            "  recoveries: {}   dead letters: {}",
-            self.counter(Counter::Recoveries),
-            self.counter(Counter::DeadLetters),
-        )?;
         if !self.lts.is_empty() {
             writeln!(f, "  dt-clusters (local time stepping):")?;
             writeln!(

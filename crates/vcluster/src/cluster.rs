@@ -8,8 +8,7 @@
 //! hangs into reportable faults.
 
 use crate::fault::{
-    AbortUnwind, FaultKind, FaultPlan, FaultReport, FaultUnwind, MsgFault, RollbackUnwind,
-    WatchdogConfig,
+    AbortUnwind, FaultKind, FaultPlan, FaultReport, FaultUnwind, MsgFault, WatchdogConfig,
 };
 use crate::ledger::{Category, TimeLedger};
 use crate::mailbox::Mailbox;
@@ -118,10 +117,9 @@ impl SyncBarrier {
         self.cv.notify_all();
     }
 
-    /// Clear poison and stale arrivals. Also used after a rollback
-    /// interrupt: ranks that unwound out of a barrier wait leave their
-    /// `arrived` contribution behind, so the count must restart from zero
-    /// before the next generation.
+    /// Clear poison and stale arrivals: ranks that unwound out of a
+    /// barrier wait leave their `arrived` contribution behind, so the count
+    /// must restart from zero before the next pass.
     fn unpoison(&self) {
         let mut s = self.state.lock();
         s.poisoned = false;
@@ -148,14 +146,10 @@ pub(crate) struct Shared {
     pub(crate) hung: Vec<AtomicBool>,
     /// Set once on teardown; blocks all further blocking communication.
     pub(crate) aborted: AtomicBool,
-    /// Set while the supervisor is coordinating an in-flight recovery:
-    /// surviving ranks unwind with [`RollbackUnwind`] at their next
-    /// cancellation point and park at the rollback gate instead of dying.
-    pub(crate) rollback: AtomicBool,
     /// Per-rank telemetry-probe pulse cells: bumped by every recorder
     /// probe so the liveness scan can tell a slow-but-instrumented rank
     /// from a wedged one. Wired into each rank's recorder only when a
-    /// watchdog (or supervisor) is attached.
+    /// watchdog is attached.
     pub(crate) pulses: Vec<Arc<AtomicU64>>,
     pub(crate) fault_plan: Option<Arc<FaultPlan>>,
     /// Opt-in telemetry hub. When attached, each rank gets an enabled
@@ -169,8 +163,8 @@ pub(crate) struct Shared {
     pub(crate) live: Option<Arc<LiveStats>>,
     /// Opt-in per-rank crash flight recorders (last-N message envelopes +
     /// span tails). Empty unless armed with
-    /// [`Cluster::with_flight_recorder`]; the supervisor dumps them to
-    /// `flight_dir/flightrec-<rank>.json` on quarantine/degradation.
+    /// [`Cluster::with_flight_recorder`]; a rank that faults dumps its own
+    /// to `flight_dir/flightrec-<rank>.json`.
     pub(crate) flight: Vec<Arc<Mutex<FlightRecorder>>>,
     /// Directory the flight-recorder dumps land in.
     pub(crate) flight_dir: Option<PathBuf>,
@@ -204,49 +198,33 @@ impl Shared {
         }
     }
 
-    /// Rollback cancellation point: while the supervisor is rewinding the
-    /// cluster, surviving ranks unwind here (recoverably) instead of
-    /// continuing a pass whose peer is gone.
-    pub(crate) fn check_rollback(&self) {
-        if self.rollback.load(Ordering::SeqCst) {
-            panic::panic_any(RollbackUnwind);
-        }
-    }
-
-    /// Reset communication state between supervised generations: every
-    /// mailbox is cleared of interrupt flags and stale traffic, the
-    /// barrier forgets arrivals left behind by unwound waiters, and the
-    /// per-rank progress/liveness markers restart. Called by the
-    /// supervisor once all ranks are parked at the rollback gate.
-    pub(crate) fn reset_for_generation(&self) {
-        self.barrier.unpoison();
-        for mb in &self.mailboxes {
-            mb.reset_for_rejoin();
-        }
-        for rank in 0..self.mailboxes.len() {
-            self.done[rank].store(false, Ordering::SeqCst);
-            self.hung[rank].store(false, Ordering::SeqCst);
-            self.steps[rank].store(NO_STEP, Ordering::Relaxed);
-            self.beat(rank);
-        }
-        self.rollback.store(false, Ordering::SeqCst);
+    /// Dump `rank`'s flight recorder to `flight_dir/flightrec-<rank>.json`.
+    /// No-op when the recorder is not armed
+    /// ([`Cluster::with_flight_recorder`]); IO failures are swallowed — a
+    /// post-mortem aid must never turn a fault report into a crash.
+    fn dump_flight(&self, rank: usize, reason: &str) {
+        let (Some(dir), Some(fr)) = (self.flight_dir.as_ref(), self.flight.get(rank)) else {
+            return;
+        };
+        let json = fr.lock().unwrap_or_else(|e| e.into_inner()).to_json(reason);
+        let _ = std::fs::create_dir_all(dir);
+        let _ = std::fs::write(dir.join(format!("flightrec-{rank}.json")), json);
     }
 }
 
-/// Pulse-aware liveness bookkeeping shared by the plain watchdog loop and
-/// the supervisor's monitor: a rank counts as alive at the later of its
-/// last explicit heartbeat and the last time its telemetry-probe pulse
-/// advanced. This is the fix for the "long interior window" false
-/// positive — a rank deep in compute that still emits phase spans is
-/// slow, not hung, while a genuinely wedged rank emits neither beats nor
-/// probes and is still caught.
-pub(crate) struct LivenessTracker {
+/// Pulse-aware liveness bookkeeping for the watchdog loop: a rank counts
+/// as alive at the later of its last explicit heartbeat and the last time
+/// its telemetry-probe pulse advanced. This is the fix for the "long
+/// interior window" false positive — a rank deep in compute that still
+/// emits phase spans is slow, not hung, while a genuinely wedged rank
+/// emits neither beats nor probes and is still caught.
+struct LivenessTracker {
     prev_pulse: Vec<u64>,
     pulse_ms: Vec<u64>,
 }
 
 impl LivenessTracker {
-    pub(crate) fn new(shared: &Shared) -> Self {
+    fn new(shared: &Shared) -> Self {
         let now = shared.start.elapsed().as_millis() as u64;
         LivenessTracker {
             prev_pulse: shared.pulses.iter().map(|p| p.load(Ordering::Relaxed)).collect(),
@@ -255,22 +233,13 @@ impl LivenessTracker {
     }
 
     /// Millis-since-start of `rank`'s most recent sign of life.
-    pub(crate) fn last_alive(&mut self, shared: &Shared, rank: usize, now: u64) -> u64 {
+    fn last_alive(&mut self, shared: &Shared, rank: usize, now: u64) -> u64 {
         let cur = shared.pulses[rank].load(Ordering::Relaxed);
         if cur != self.prev_pulse[rank] {
             self.prev_pulse[rank] = cur;
             self.pulse_ms[rank] = now;
         }
         shared.heartbeats[rank].load(Ordering::Relaxed).max(self.pulse_ms[rank])
-    }
-
-    /// Restart the staleness clock (rollback gate release).
-    pub(crate) fn reset(&mut self, shared: &Shared) {
-        let now = shared.start.elapsed().as_millis() as u64;
-        for rank in 0..self.pulse_ms.len() {
-            self.prev_pulse[rank] = shared.pulses[rank].load(Ordering::Relaxed);
-            self.pulse_ms[rank] = now;
-        }
     }
 }
 
@@ -295,15 +264,15 @@ pub struct Cluster {
 }
 
 /// Silence the panic-hook output for cluster-internal unwind payloads
-/// (injected faults, teardown aborts, and supervised rollback
-/// interrupts); genuine rank panics keep the default report.
-pub(crate) fn install_fault_hook() {
+/// (injected faults and teardown aborts); genuine rank panics keep the
+/// default report.
+fn install_fault_hook() {
     static INIT: std::sync::Once = std::sync::Once::new();
     INIT.call_once(|| {
         let prev = panic::take_hook();
         panic::set_hook(Box::new(move |info| {
             let p = info.payload();
-            if p.is::<AbortUnwind>() || p.is::<FaultUnwind>() || p.is::<RollbackUnwind>() {
+            if p.is::<AbortUnwind>() || p.is::<FaultUnwind>() {
                 return;
             }
             prev(info);
@@ -312,7 +281,7 @@ pub(crate) fn install_fault_hook() {
 }
 
 /// Convert a caught rank-thread panic payload into a structured report.
-pub(crate) fn classify_panic(
+fn classify_panic(
     rank: usize,
     payload: Box<dyn std::any::Any + Send>,
     shared: &Shared,
@@ -320,16 +289,6 @@ pub(crate) fn classify_panic(
     let step = shared.last_step(rank);
     if let Some(fu) = payload.downcast_ref::<FaultUnwind>() {
         return fu.0.clone();
-    }
-    if payload.is::<RollbackUnwind>() {
-        // Only reachable outside a supervised run (the supervisor's worker
-        // loop intercepts this payload before classification).
-        return FaultReport {
-            rank,
-            step,
-            kind: FaultKind::Aborted,
-            detail: "interrupted for rollback outside a supervised run".into(),
-        };
     }
     if payload.is::<AbortUnwind>() {
         if shared.hung[rank].load(Ordering::SeqCst) {
@@ -355,11 +314,14 @@ pub(crate) fn classify_panic(
     FaultReport { rank, step, kind: FaultKind::Panic, detail: msg }
 }
 
+/// Scan rank liveness every `cfg.poll` until `shutdown` is set. The wait
+/// is a park, so [`Cluster::try_run`] wakes it the moment the ranks are
+/// joined instead of paying up to one more `poll`.
 fn watchdog_loop(shared: &Shared, cfg: WatchdogConfig, shutdown: &AtomicBool) {
     let timeout_ms = cfg.timeout.as_millis() as u64;
     let mut liveness = LivenessTracker::new(shared);
     loop {
-        std::thread::sleep(cfg.poll);
+        std::thread::park_timeout(cfg.poll);
         if shutdown.load(Ordering::SeqCst) || shared.aborted.load(Ordering::SeqCst) {
             return;
         }
@@ -395,7 +357,6 @@ impl Cluster {
             done: (0..size).map(|_| AtomicBool::new(false)).collect(),
             hung: (0..size).map(|_| AtomicBool::new(false)).collect(),
             aborted: AtomicBool::new(false),
-            rollback: AtomicBool::new(false),
             pulses: (0..size).map(|_| Arc::new(AtomicU64::new(0))).collect(),
             fault_plan: None,
             telemetry: None,
@@ -452,9 +413,9 @@ impl Cluster {
     }
 
     /// Attach live streaming-stats cells (builder style; call before the
-    /// first `run`/`try_run`). Every rank's recorder then publishes step,
-    /// phase-time and recovery counters into its [`LiveStats`] cell with
-    /// relaxed atomic stores — a stats endpoint samples them concurrently.
+    /// first `run`/`try_run`). Every rank's recorder then publishes its step
+    /// and phase times into its [`LiveStats`] cell with relaxed atomic
+    /// stores — a stats endpoint samples them concurrently.
     pub fn with_live_stats(mut self, live: Arc<LiveStats>) -> Self {
         assert_eq!(
             live.ranks(),
@@ -472,8 +433,9 @@ impl Cluster {
     /// Arm the crash flight recorder (builder style; call before the first
     /// `run`/`try_run`): every rank keeps a small always-on ring of its
     /// last message envelopes and span tails, independent of whether full
-    /// telemetry is attached. On a fault the supervisor dumps each ring to
-    /// `dir/flightrec-<rank>.json` for post-mortem triage.
+    /// telemetry is attached. A rank that crashes, panics or hangs dumps its
+    /// ring to `dir/flightrec-<rank>.json` for post-mortem triage (a rank
+    /// torn down after a peer's fault does not).
     pub fn with_flight_recorder(mut self, dir: impl Into<PathBuf>) -> Self {
         let size = self.size;
         let shared = Arc::get_mut(&mut self.shared)
@@ -511,11 +473,6 @@ impl Cluster {
         self.shared.fault_plan.as_ref()
     }
 
-    /// The attached live streaming-stats cells, if any.
-    pub fn live_stats(&self) -> Option<&Arc<LiveStats>> {
-        self.shared.live.as_ref()
-    }
-
     /// Run `body(rank_ctx)` on every rank concurrently and collect the
     /// per-rank results in rank order. Panics in any rank propagate (with
     /// a `rank panicked` message, as before the resilience layer).
@@ -538,7 +495,9 @@ impl Cluster {
     /// rank poisons the cluster, so peers blocked in communication unwind
     /// with [`FaultKind::Aborted`] instead of deadlocking; ranks that
     /// already finished keep their `Ok` results. With a watchdog attached,
-    /// silent hangs become [`FaultKind::Hang`] reports.
+    /// silent hangs become [`FaultKind::Hang`] reports. With the flight
+    /// recorder armed, every rank whose report is not
+    /// [`FaultKind::Aborted`] dumps its ring.
     pub fn try_run<T, F>(&self, body: F) -> Vec<Result<T, FaultReport>>
     where
         T: Send,
@@ -572,6 +531,10 @@ impl Cluster {
                             Err(payload) => {
                                 let report = classify_panic(rank, payload, &shared);
                                 shared.poison();
+                                if report.kind != FaultKind::Aborted {
+                                    let reason = format!("{:?}: {}", report.kind, report.detail);
+                                    shared.dump_flight(rank, &reason);
+                                }
                                 Err(report)
                             }
                         }
@@ -589,6 +552,7 @@ impl Cluster {
                 .collect();
             shutdown.store(true, Ordering::SeqCst);
             if let Some(h) = wd {
+                h.thread().unpark();
                 let _ = h.join();
             }
             results
@@ -597,10 +561,9 @@ impl Cluster {
 
     /// Clear teardown state so a cluster object can host another pass
     /// (e.g. a restart after a fault).
-    pub(crate) fn reset_run_state(&self) {
+    fn reset_run_state(&self) {
         let shared = &self.shared;
         shared.aborted.store(false, Ordering::SeqCst);
-        shared.rollback.store(false, Ordering::SeqCst);
         shared.barrier.unpoison();
         for mb in &shared.mailboxes {
             mb.unpoison();
@@ -627,9 +590,6 @@ pub struct RankCtx {
     /// `wait_each`'s outstanding-request indices in polling order, kept
     /// between calls so a completion allocates nothing once warm.
     poll: Vec<usize>,
-    /// Checkpoint epoch the supervisor rewound this rank to, set at the
-    /// rollback gate before a body re-run. `None` on a fresh pass.
-    recovery_epoch: Option<u64>,
     /// Wall-time ledger; solvers charge phases through
     /// [`RankCtx::time`]. Communication calls charge themselves.
     pub ledger: TimeLedger,
@@ -643,9 +603,9 @@ pub struct RankCtx {
 impl RankCtx {
     /// Build the communicator handle for one rank. `wire_pulse` attaches
     /// the rank's liveness pulse cell to its recorder (only wanted when a
-    /// watchdog or supervisor is scanning — the plain path keeps telemetry
-    /// probes at a single not-taken branch).
-    pub(crate) fn new(
+    /// watchdog is scanning — the plain path keeps telemetry probes at a
+    /// single not-taken branch).
+    fn new(
         shared: Arc<Shared>,
         rank: usize,
         size: usize,
@@ -673,26 +633,9 @@ impl RankCtx {
             shared,
             waitall_calls: 0,
             poll: Vec::new(),
-            recovery_epoch: None,
             ledger: TimeLedger::new(),
             telem,
         }
-    }
-
-    /// Rewind this rank's per-pass state for a supervised body re-run:
-    /// schedule-plan polling restarts from call 0 (the re-run pass is
-    /// perturbed exactly like a fresh one) and the recovery epoch is what
-    /// the body should reload from.
-    pub(crate) fn reset_for_generation(&mut self, epoch: Option<u64>) {
-        self.waitall_calls = 0;
-        self.recovery_epoch = epoch;
-    }
-
-    /// The checkpoint epoch the supervisor rewound this rank to for the
-    /// current body invocation (`None` on the first, unrewound pass).
-    /// Supervised bodies should resume from this epoch when set.
-    pub fn recovery_epoch(&self) -> Option<u64> {
-        self.recovery_epoch
     }
 
     pub fn rank(&self) -> usize {
@@ -722,7 +665,6 @@ impl RankCtx {
         self.shared.steps[self.rank].store(step, Ordering::Relaxed);
         self.telem.set_step(step);
         self.shared.check_abort();
-        self.shared.check_rollback();
         let Some(plan) = self.shared.fault_plan.clone() else { return };
         let fault = plan.step_fault(self.rank, step);
         if fault.is_some() {
@@ -744,10 +686,6 @@ impl RankCtx {
                 while Instant::now() < deadline {
                     std::thread::sleep(Duration::from_millis(10));
                     self.shared.check_abort();
-                    // A supervised rollback recalls even a stalled rank:
-                    // the injected stall is "recovered around" instead of
-                    // waited out.
-                    self.shared.check_rollback();
                 }
             }
             _ => {}
@@ -763,14 +701,10 @@ impl RankCtx {
                 Ok(()) => return,
                 Err(RecvTimeoutError::Timeout) => {
                     self.shared.check_abort();
-                    self.shared.check_rollback();
                     self.shared.beat(self.rank);
                 }
                 Err(RecvTimeoutError::Disconnected) => {
                     self.shared.check_abort();
-                    // A quarantine drain closes ack channels; during a
-                    // rollback that is a recall, not a vanished peer.
-                    self.shared.check_rollback();
                     panic::panic_any(FaultUnwind(FaultReport {
                         rank: self.rank,
                         step: self.shared.last_step(self.rank),
@@ -969,10 +903,7 @@ impl RankCtx {
         let t0 = std::time::Instant::now();
         let shared = Arc::clone(&self.shared);
         let rank = self.rank;
-        self.shared.barrier.wait(&|| {
-            shared.beat(rank);
-            shared.check_rollback();
-        });
+        self.shared.barrier.wait(&|| shared.beat(rank));
         let el = t0.elapsed();
         self.ledger.add(Category::Sync, el);
         self.telem.span_at(Phase::Barrier, t0, el);
@@ -1291,6 +1222,47 @@ mod tests {
         assert!(out[1].is_err(), "receiver of a dropped message must not succeed");
         let err = out[1].as_ref().unwrap_err();
         assert!(matches!(err.kind, FaultKind::Hang | FaultKind::Aborted), "{err}");
+    }
+
+    #[test]
+    fn watchdog_wakes_when_the_ranks_finish() {
+        // The watchdog waits `poll` between scans; a pass whose ranks are
+        // done must not wait out the rest of that poll before returning.
+        let c = Cluster::new(2, CommMode::Asynchronous).with_watchdog(WatchdogConfig {
+            timeout: Duration::from_secs(10),
+            poll: Duration::from_secs(2),
+        });
+        let t0 = Instant::now();
+        let out = c.try_run(|ctx| ctx.rank());
+        let took = t0.elapsed();
+        assert!(out.iter().all(|r| r.is_ok()));
+        assert!(took < Duration::from_secs(1), "try_run took {took:?} for an empty body");
+    }
+
+    #[test]
+    fn faulted_rank_dumps_its_flight_recorder() {
+        // The crashed rank leaves its ring behind; the peer torn down by
+        // its fault (Aborted) does not.
+        let dir = std::env::temp_dir().join(format!("awp-vcluster-flight-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let plan = Arc::new(FaultPlan::new(8).with_crash(1, 3));
+        let c = Cluster::new(2, CommMode::Asynchronous)
+            .with_fault_plan(plan)
+            .with_flight_recorder(&dir);
+        let out = c.try_run(|ctx| {
+            let peer = 1 - ctx.rank();
+            for step in 0..6u64 {
+                ctx.tick(step);
+                ctx.send(peer, step, vec![step as f32]);
+                ctx.recv(peer, step);
+            }
+        });
+        assert_eq!(out[1].as_ref().unwrap_err().kind, FaultKind::Crash);
+        assert_eq!(out[0].as_ref().unwrap_err().kind, FaultKind::Aborted);
+        let dump = std::fs::read_to_string(dir.join("flightrec-1.json")).expect("rank 1 dumped");
+        assert!(dump.contains("Crash: injected fail-stop crash"), "{dump}");
+        assert!(!dir.join("flightrec-0.json").exists(), "an aborted peer does not dump");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -19,6 +19,7 @@
 
 use serde::Serialize;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::time::Duration;
 
 /// The kinds of fault the plan can inject or the harness can detect.
 #[derive(Debug, Clone, PartialEq, Serialize)]
@@ -73,13 +74,6 @@ pub(crate) struct FaultUnwind(pub FaultReport);
 /// cluster.
 pub(crate) struct AbortUnwind;
 
-/// Panic payload used by the supervisor to interrupt a surviving rank
-/// mid-pass for an in-flight recovery: the rank unwinds to its worker
-/// loop, parks at the rollback gate, and re-runs its body from the last
-/// validated checkpoint epoch. Unlike `AbortUnwind` this is recoverable —
-/// the rank is not dead, it is being rewound.
-pub(crate) struct RollbackUnwind;
-
 /// One scheduled step fault.
 #[derive(Debug)]
 struct StepFault {
@@ -98,9 +92,9 @@ fn splitmix64(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Stateless mixer for per-message decisions (also reused by the
-/// supervisor's deterministic backoff jitter).
-pub(crate) fn mix(seed: u64, generation: u64, src: u64, dst: u64, tag: u64) -> u64 {
+/// Stateless mixer for per-message decisions (also reused by
+/// [`RetryPolicy`]'s deterministic backoff jitter).
+fn mix(seed: u64, generation: u64, src: u64, dst: u64, tag: u64) -> u64 {
     let mut s = seed ^ 0xA076_1D64_78BD_642F;
     for v in [generation, src, dst, tag] {
         s ^= v.wrapping_mul(0xE703_7ED1_A0B4_28DB);
@@ -110,7 +104,7 @@ pub(crate) fn mix(seed: u64, generation: u64, src: u64, dst: u64, tag: u64) -> u
     splitmix64(&mut st)
 }
 
-pub(crate) fn unit(x: u64) -> f64 {
+fn unit(x: u64) -> f64 {
     (x >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
 }
 
@@ -288,6 +282,68 @@ impl WatchdogConfig {
     }
 }
 
+/// Bounded-retry policy for the pario checkpoint IO retry loop
+/// (`awp_pario::epochs::retry_io`): exponential backoff from
+/// `base_backoff` doubling per attempt, capped at `max_backoff`, with
+/// deterministic seeded jitter (no RNG stream — the jitter is a pure
+/// function of `(jitter_seed, attempt, key)`, so retries stay
+/// reproducible under any thread interleaving).
+#[derive(Debug, Clone, Copy)]
+pub struct RetryPolicy {
+    /// Attempts before giving up. Attempt numbers are 1-based.
+    pub max_attempts: u32,
+    pub base_backoff: Duration,
+    pub max_backoff: Duration,
+    /// Relative jitter half-width: the backoff is scaled by a factor in
+    /// `[1 - jitter_frac, 1 + jitter_frac]`.
+    pub jitter_frac: f64,
+    pub jitter_seed: u64,
+}
+
+impl Default for RetryPolicy {
+    fn default() -> Self {
+        RetryPolicy {
+            max_attempts: 3,
+            base_backoff: Duration::from_millis(10),
+            max_backoff: Duration::from_secs(2),
+            jitter_frac: 0.25,
+            jitter_seed: 0x5EED_BACC,
+        }
+    }
+}
+
+impl RetryPolicy {
+    pub fn new(max_attempts: u32) -> Self {
+        RetryPolicy { max_attempts, ..Default::default() }
+    }
+
+    pub fn with_backoff(mut self, base: Duration, max: Duration) -> Self {
+        self.base_backoff = base;
+        self.max_backoff = max;
+        self
+    }
+
+    pub fn with_jitter(mut self, frac: f64, seed: u64) -> Self {
+        assert!((0.0..=1.0).contains(&frac), "jitter fraction must be in [0, 1]");
+        self.jitter_frac = frac;
+        self.jitter_seed = seed;
+        self
+    }
+
+    /// Backoff before retry `attempt` (1-based) on stream `key` (distinct
+    /// keys — e.g. rank or file ids — decorrelate their jitter).
+    pub fn backoff(&self, attempt: u32, key: u64) -> Duration {
+        let exp = attempt.saturating_sub(1).min(32);
+        let raw = self
+            .base_backoff
+            .saturating_mul(1u32.checked_shl(exp).unwrap_or(u32::MAX))
+            .min(self.max_backoff);
+        let h = mix(self.jitter_seed, attempt as u64, key, 0, 0);
+        let factor = 1.0 + self.jitter_frac * (2.0 * unit(h) - 1.0);
+        Duration::from_secs_f64((raw.as_secs_f64() * factor).max(0.0))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -351,5 +407,26 @@ mod tests {
         assert!(!plan.is_active());
         assert_eq!(plan.msg_fault(0, 1, 42), None);
         assert_eq!(plan.step_fault(0, 0), None);
+    }
+
+    #[test]
+    fn backoff_is_deterministic_bounded_and_grows() {
+        let p = RetryPolicy::new(8)
+            .with_backoff(Duration::from_millis(10), Duration::from_millis(500))
+            .with_jitter(0.25, 42);
+        for attempt in 1..=8 {
+            assert_eq!(p.backoff(attempt, 7), p.backoff(attempt, 7), "same inputs, same backoff");
+        }
+        // Envelope: base·2^(n-1) scaled by at most ±25%, capped at max.
+        for attempt in 1..=8u32 {
+            let nominal = (10u64 << (attempt - 1)).min(500) as f64 / 1000.0;
+            let b = p.backoff(attempt, 0).as_secs_f64();
+            assert!(b >= nominal * 0.74 && b <= nominal * 1.26, "attempt {attempt}: {b}");
+        }
+        // Distinct keys decorrelate jitter somewhere in the schedule.
+        assert!(
+            (1..=8).any(|a| p.backoff(a, 1) != p.backoff(a, 2)),
+            "independent keys must draw independent jitter"
+        );
     }
 }

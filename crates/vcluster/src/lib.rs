@@ -32,16 +32,10 @@ pub mod mailbox;
 pub mod message;
 pub mod probe;
 pub mod schedule;
-pub mod supervisor;
-pub mod topology;
 
 pub use cluster::{Cluster, CommMode, RankCtx};
 pub use awp_telemetry as telemetry;
-pub use fault::{FaultKind, FaultPlan, FaultReport, WatchdogConfig};
-pub use supervisor::{
-    DeadLetterBuffer, DeadLetterStats, RecoveryEvent, RetryPolicy, SupervisedRun, Supervisor,
-};
+pub use fault::{FaultKind, FaultPlan, FaultReport, RetryPolicy, WatchdogConfig};
 pub use schedule::SchedulePlan;
 pub use ledger::{Category, TimeLedger};
 pub use message::Tag;
-pub use topology::CartTopology;

@@ -1,6 +1,6 @@
 //! Per-rank mailboxes with `(source, tag)` matching.
 
-use crate::fault::{AbortUnwind, RollbackUnwind};
+use crate::fault::AbortUnwind;
 use crate::message::{Message, Tag};
 use crate::schedule::SchedulePlan;
 use parking_lot::{Condvar, Mutex};
@@ -21,12 +21,6 @@ struct State {
     /// Set on cluster teardown: receivers unwind instead of blocking
     /// forever, new deliveries are discarded.
     poisoned: bool,
-    /// Set by the supervisor during an in-flight recovery: receivers that
-    /// would block unwind with the recoverable `RollbackUnwind` payload
-    /// instead of waiting for a message that may never come. Unlike
-    /// poisoning, queued messages are left in place (the supervisor drains
-    /// or clears them explicitly) and the rank rejoins afterwards.
-    interrupted: bool,
     /// Schedule-fuzz policy (None in production: zero-cost FIFO path).
     policy: Option<Arc<SchedulePlan>>,
     /// Rank that owns this mailbox, for policy hashing.
@@ -134,9 +128,8 @@ impl Mailbox {
     /// the envelope's Lamport stamp (the receiver merges it into its
     /// logical clock). Without `block`, returns `None` when nothing is
     /// eligible yet. Blocking, it naps while a match is held back by the
-    /// schedule policy, and unwinds when nothing is queued and the mailbox
-    /// is poisoned (`AbortUnwind`) or interrupted for a rollback
-    /// (`RollbackUnwind`).
+    /// schedule policy, and unwinds with `AbortUnwind` when nothing is
+    /// queued and the mailbox is poisoned.
     pub(crate) fn take(&self, src: usize, tag: Tag, block: bool) -> Option<(Vec<f32>, u64)> {
         let mut s = self.state.lock();
         loop {
@@ -163,10 +156,6 @@ impl Mailbox {
                         drop(s);
                         std::panic::panic_any(AbortUnwind);
                     }
-                    if s.interrupted {
-                        drop(s);
-                        std::panic::panic_any(RollbackUnwind);
-                    }
                     self.cv.wait(&mut s);
                 }
             }
@@ -191,36 +180,6 @@ impl Mailbox {
     pub(crate) fn unpoison(&self) {
         let mut s = self.state.lock();
         s.poisoned = false;
-        s.occ.clear();
-    }
-
-    /// Interrupt blocked receivers for an in-flight recovery: wake them so
-    /// they unwind with `RollbackUnwind` and park at the supervisor's
-    /// rollback gate. Queued messages stay put until the supervisor drains
-    /// or resets the mailbox.
-    pub(crate) fn interrupt(&self) {
-        let mut s = self.state.lock();
-        s.interrupted = true;
-        self.cv.notify_all();
-    }
-
-    /// Quarantine drain: remove and return every queued message (the
-    /// supervisor moves them to the dead-letter buffer). Dropping a
-    /// returned message later closes its rendezvous ack channel, which
-    /// unblocks any sender still parked on it.
-    pub(crate) fn drain(&self) -> Vec<Message> {
-        let mut s = self.state.lock();
-        s.queue.drain(..).map(|q| q.msg).collect()
-    }
-
-    /// Clear interrupt state and all queued traffic so the mailbox can
-    /// serve the rank's next generation after a rollback-rejoin. Arrival
-    /// counters restart so a schedule plan perturbs the re-run pass the
-    /// same way it perturbs a fresh one.
-    pub(crate) fn reset_for_rejoin(&self) {
-        let mut s = self.state.lock();
-        s.interrupted = false;
-        s.queue.clear();
         s.occ.clear();
     }
 

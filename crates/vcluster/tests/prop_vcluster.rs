@@ -3,7 +3,6 @@
 use awp_vcluster::cluster::{Cluster, CommMode};
 use awp_vcluster::ledger::{Category, TimeLedger};
 use awp_vcluster::message::make_tag;
-use awp_vcluster::topology::CartTopology;
 use proptest::prelude::*;
 use std::time::Duration;
 
@@ -46,22 +45,6 @@ proptest! {
             prop_assert_ne!(ta, tb);
         } else {
             prop_assert_eq!(ta, tb);
-        }
-    }
-
-    /// Cartesian topology round-trips and neighbour relations are
-    /// symmetric for arbitrary shapes.
-    #[test]
-    fn topology_symmetry(px in 1usize..5, py in 1usize..5, pz in 1usize..5) {
-        let t = CartTopology::new([px, py, pz]);
-        for r in 0..t.size() {
-            prop_assert_eq!(t.rank_of(t.coords_of(r)), r);
-            for axis in 0..3 {
-                if let Some(n) = t.neighbor(r, axis, 1) {
-                    prop_assert_eq!(t.neighbor(n, axis, -1), Some(r));
-                    prop_assert_eq!(t.hop_distance(r, n), 1);
-                }
-            }
         }
     }
 

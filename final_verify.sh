@@ -29,16 +29,14 @@ timeout 1800 ./target/release/examples/shakeout_scenario > results/logs/example_
 # Fixed-seed chaos soak: injected faults + epoch-fallback restart must
 # reproduce the clean run bit-for-bit (nonzero exit on any mismatch).
 timeout 900 ./target/release/awp chaos --chaos-seed 3405691582 > results/logs/cli_chaos.log 2>&1; echo "chaos exit $?"
-# Recovery drills: a seeded rank crash and a seeded rank stall must each be
-# absorbed *in flight* (supervisor rollback-rejoin: recovery counters > 0,
-# zero whole-run restarts, no degradation) and stay bit-identical to the
-# clean run. The awp binary enforces the gate and exits nonzero otherwise.
-timeout 900 ./target/release/awp chaos --recover --fault crash --chaos-seed 3405691582 > results/logs/cli_recover_crash.log 2>&1; echo "recover_crash exit $?"
-timeout 900 ./target/release/awp chaos --recover --fault stall --chaos-seed 3405691582 > results/logs/cli_recover_stall.log 2>&1; echo "recover_stall exit $?"
-grep -q "in-flight recoveries: [1-9]" results/logs/cli_recover_crash.log; echo "recover_crash_counted exit $?"
-grep -q "whole-run restarts: 0" results/logs/cli_recover_crash.log; echo "recover_crash_inflight exit $?"
-grep -q "in-flight recoveries: [1-9]" results/logs/cli_recover_stall.log; echo "recover_stall_counted exit $?"
-grep -q "whole-run restarts: 0" results/logs/cli_recover_stall.log; echo "recover_stall_inflight exit $?"
+# Directed-fault drills: a rank crash and a rank stall (caught by the
+# watchdog as a hang) must each cost exactly one whole-run restart from the
+# newest consistent checkpoint epoch and stay bit-identical to the clean
+# run. The awp binary enforces bit-identity and exits nonzero otherwise.
+timeout 900 ./target/release/awp chaos --fault crash --chaos-seed 3405691582 > results/logs/cli_recover_crash.log 2>&1; echo "recover_crash exit $?"
+timeout 900 ./target/release/awp chaos --fault stall --chaos-seed 3405691582 > results/logs/cli_recover_stall.log 2>&1; echo "recover_stall exit $?"
+grep -qx "  restarts: 1" results/logs/cli_recover_crash.log; echo "recover_crash_restarts exit $?"
+grep -qx "  restarts: 1" results/logs/cli_recover_stall.log; echo "recover_stall_restarts exit $?"
 echo "=== EXAMPLES DONE ==="
 # LTS trajectory gate: row LTS's committed full-mode record must exist,
 # carry a multi-rate ladder, and record the acceptance speedup (≥1.5×
@@ -131,8 +129,7 @@ cargo test --release -p awp-odc --lib wire:: 2>&1 | grep -E "test result|FAILED"
 cargo test --release -p awp-verify 2>&1 | grep -E "test result|FAILED"; echo "verify_tests exit ${PIPESTATUS[0]}"
 # Local time stepping: the LTS solver suite (multi-rate bit-exactness across
 # decomps, the schedule fuzzer, accuracy vs global dt) and the workflow
-# composition tests (cluster-aligned checkpoints, restart, in-flight
-# recovery).
+# composition tests (cluster-aligned checkpoints, restart).
 cargo test --release -p awp-solver --test lts 2>&1 | grep -E "test result|FAILED"; echo "lts_tests exit ${PIPESTATUS[0]}"
 cargo test --release -p awp-odc --test lts_workflow 2>&1 | grep -E "test result|FAILED"; echo "lts_workflow_tests exit ${PIPESTATUS[0]}"
 echo "=== VERIFY DONE ==="
@@ -155,12 +152,12 @@ assert r["phases"], "empty phase attribution"
 print(f"analyze.json: {r['hops']} hops, {r['edges']} edges, "
       f"coverage {r['coverage']*100:.1f}%")
 EOF
-# Flight-recorder drill: a seeded rank-1 crash with the black box armed
-# must dump results/flightrec-1.json before quarantine; the dump must
-# parse and carry envelope lineage (clock-stamped sends/recvs) and span
-# tails for the crashed rank.
+# Flight-recorder drill: a directed rank-1 crash with the black box armed
+# must dump results/flightrec-1.json at the cluster's fault boundary; the
+# dump must parse and carry envelope lineage (clock-stamped sends/recvs)
+# and span tails for the crashed rank.
 rm -f results/flightrec-*.json
-timeout 900 ./target/release/awp chaos --recover --fault crash --flight-dir results --chaos-seed 3405691582 > results/logs/cli_flightrec.log 2>&1; echo "flightrec_drill exit $?"
+timeout 900 ./target/release/awp chaos --fault crash --flight-dir results --chaos-seed 3405691582 > results/logs/cli_flightrec.log 2>&1; echo "flightrec_drill exit $?"
 python3 - <<'EOF'; echo "flightrec_artifact exit $?"
 import json
 r = json.load(open("results/flightrec-1.json"))

@@ -6,7 +6,7 @@ use awp_odc::pario::epochs::{consistent_epoch, epoch_file_name};
 use awp_odc::pario::Md5;
 use awp_odc::scenario::Scenario;
 use awp_odc::vcluster::fault::{FaultKind, FaultPlan, WatchdogConfig};
-use awp_odc::vcluster::{RecoveryEvent, RetryPolicy, SchedulePlan};
+use awp_odc::vcluster::SchedulePlan;
 use awp_odc::workflow::{scratch_dir, WorkflowSession};
 use std::sync::Arc;
 use std::time::Duration;
@@ -198,103 +198,92 @@ fn schedule_fuzz_composes_with_fault_injection() {
 }
 
 #[test]
-fn in_flight_recovery_composes_with_schedule_fuzz() {
-    // Composed chaos, supervised: a mid-run rank crash is absorbed
-    // *in flight* (supervisor rollback-rejoin, zero whole-run restarts)
-    // while ~5% of messages are duplicated, ~2% delayed, and the
-    // schedule fuzzer permutes delivery/waitall order under 8 different
-    // seeds. Every composition must converge via exactly the in-flight
-    // path and stay bit-identical to the unperturbed reference.
-    let sc = Scenario::shakeout_k(20, 0.3).with_duration(20.0);
-
-    let clean_dir = scratch_dir("recov-fuzz-clean");
-    let clean = WorkflowSession::new([2, 1, 1])
-        .execute(&sc.prepare(), &clean_dir)
-        .expect("clean reference run failed");
-
-    for fuzz_seed in 0..8u64 {
-        let run = sc.prepare();
-        assert!(run.cfg.steps > 8, "scenario too short to crash mid-run");
-        let faults = Arc::new(
-            FaultPlan::new(0xBAD0_0000 + fuzz_seed)
-                .with_crash(1, 6)
-                .with_msg_faults(0.0, 0.02, 0.05, 300),
-        );
-        let dir = scratch_dir(&format!("recov-fuzz-{fuzz_seed}"));
-        let mut wf = WorkflowSession::new([2, 1, 1])
-            .with_chaos(
-                faults,
-                WatchdogConfig { timeout: Duration::from_secs(10), poll: Duration::from_millis(50) },
-            )
-            .with_schedule(SchedulePlan::with_bounds(0xF077_u64 ^ fuzz_seed, 3, 4))
-            .with_recovery(RetryPolicy::new(3));
-        wf.checkpoint_every = Some(4);
-        let rep = wf.execute(&run, &dir).expect("supervised run must converge");
-
-        assert!(
-            rep.in_flight_recoveries >= 1,
-            "seed {fuzz_seed}: the crash must be absorbed in flight"
-        );
-        assert_eq!(rep.restarts, 0, "seed {fuzz_seed}: no whole-run restart allowed");
-        assert!(!rep.recovery_degraded, "seed {fuzz_seed}: must not degrade");
-        assert!(
-            rep.faults.iter().any(|f| f.kind == FaultKind::Crash),
-            "seed {fuzz_seed}: the recovered crash must still be reported: {:?}",
-            rep.faults
-        );
-        assert!(
-            rep.recovery_events
-                .iter()
-                .any(|e| matches!(e, RecoveryEvent::Respawned { .. })),
-            "seed {fuzz_seed}: a respawn event must be recorded"
-        );
-        assert_eq!(
-            surface_md5(&clean),
-            surface_md5(&rep),
-            "seed {fuzz_seed}: surface diverged under supervised chaos"
-        );
-        assert_eq!(clean.pgv.data, rep.pgv.data, "seed {fuzz_seed}: PGV diverged");
-        assert_eq!(clean.collection_checksum, rep.collection_checksum, "seed {fuzz_seed}");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-    let _ = std::fs::remove_dir_all(&clean_dir);
-}
-
-#[test]
-fn recovery_degrades_to_whole_run_restart_ladder() {
-    // Degradation ladder: a crash *before the first checkpoint epoch*
-    // leaves the supervisor nothing to roll back to — the pass must
-    // degrade, fall through to the whole-run restart rung, and the
-    // restarted run (one-shot fault already fired) must still finish
-    // bit-exact.
-    let rep_clean = clean_reference("recov-degrade-clean");
+fn crash_before_the_first_epoch_restarts_from_step_zero() {
+    // A crash before the first checkpoint epoch leaves no consistent
+    // line: the restart pass runs from step 0, and (the one-shot fault
+    // already fired) still finishes bit-exact.
+    let rep_clean = clean_reference("chaos-early-clean");
 
     let sc = Scenario::shakeout_k(20, 0.3).with_duration(20.0);
     let run = sc.prepare();
-    let dir = scratch_dir("recov-degrade");
-    let mut wf = WorkflowSession::new([2, 1, 1])
-        .with_chaos(
-            Arc::new(FaultPlan::new(0xDE6D).with_crash(1, 2)),
-            WatchdogConfig { timeout: Duration::from_secs(10), poll: Duration::from_millis(50) },
-        )
-        .with_recovery(RetryPolicy::new(3));
-    wf.checkpoint_every = Some(4);
-    let rep = wf.execute(&run, &dir).expect("degraded run must still converge via restart");
-
-    assert!(rep.recovery_degraded, "no epoch to roll back to ⇒ must degrade");
-    assert!(rep.restarts >= 1, "degradation must fall through to a whole-run restart");
-    assert!(
-        rep.recovery_events
-            .iter()
-            .any(|e| matches!(e, RecoveryEvent::Degraded { .. })),
-        "a Degraded event must be recorded: {:?}",
-        rep.recovery_events
+    let dir = scratch_dir("chaos-early");
+    let mut wf = WorkflowSession::new([2, 1, 1]).with_chaos(
+        Arc::new(FaultPlan::new(0xDE6D).with_crash(1, 2)),
+        WatchdogConfig { timeout: Duration::from_secs(10), poll: Duration::from_millis(50) },
     );
+    wf.checkpoint_every = Some(4);
+    let rep = wf.execute(&run, &dir).expect("an early crash must converge via restart");
+
+    assert_eq!(rep.restarts, 1);
+    assert_eq!(rep.failed_at, Some(2));
     assert!(rep.faults.iter().any(|f| f.kind == FaultKind::Crash));
-    assert_eq!(rep_clean.pgv.data, rep.pgv.data, "PGV must match bitwise after the ladder");
+    assert_eq!(rep_clean.pgv.data, rep.pgv.data, "PGV must match bitwise after the restart");
     assert_eq!(surface_md5(&rep_clean), surface_md5(&rep));
     assert!(rep.archive_verified);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn directed_hang_restarts_once_and_reproduces_clean_run() {
+    // A rank that stalls without a heartbeat is caught by the watchdog,
+    // the pass is torn down as a hang, and one restart from the newest
+    // consistent epoch reproduces the clean run bit for bit.
+    let rep_clean = clean_reference("chaos-hang-clean");
+
+    let sc = Scenario::shakeout_k(20, 0.3).with_duration(20.0);
+    let run = sc.prepare();
+    assert!(run.cfg.steps > 8, "scenario too short to stall mid-run");
+    let dir = scratch_dir("chaos-hang");
+    let mut wf = WorkflowSession::new([2, 1, 1]).with_chaos(
+        Arc::new(FaultPlan::new(0x4A46).with_stall(0, 6, 3600.0)),
+        WatchdogConfig { timeout: Duration::from_secs(1), poll: Duration::from_millis(50) },
+    );
+    wf.checkpoint_every = Some(4);
+    let rep = wf.execute(&run, &dir).expect("a hung pass must converge via restart");
+
+    assert_eq!(rep.restarts, 1, "exactly one restart: {:?}", rep.faults);
+    assert!(rep.faults.iter().any(|f| f.kind == FaultKind::Hang), "{:?}", rep.faults);
+    assert_eq!(rep_clean.pgv.data, rep.pgv.data, "PGV must match bitwise");
+    assert_eq!(surface_md5(&rep_clean), surface_md5(&rep), "surface output must be bit-identical");
+    assert!(rep.archive_verified);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn exhausted_restart_budget_names_the_crash() {
+    // No restart budget: the one crash ends the run with an error that
+    // says how many restarts were tried and which fault stopped it.
+    let sc = Scenario::shakeout_k(20, 0.3).with_duration(20.0);
+    let dir = scratch_dir("chaos-exhausted");
+    let mut wf = WorkflowSession::new([2, 1, 1]).with_chaos(
+        Arc::new(FaultPlan::new(0xE4A5).with_crash(1, 5)),
+        WatchdogConfig::with_timeout(Duration::from_secs(20)),
+    );
+    wf.checkpoint_every = Some(4);
+    wf.max_restarts = 0;
+    let err = wf.execute(&sc.prepare(), &dir).expect_err("a zero budget must surface the crash");
+    let msg = err.to_string();
+    assert!(msg.contains("did not complete after 0 restarts"), "{msg}");
+    assert!(msg.contains("rank 1 Crash at step 5: injected fail-stop crash"), "{msg}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn fault_plan_without_checkpointing_is_refused_before_any_file() {
+    // A faulted pass restarts from an epoch, so a fault plan with no
+    // checkpoint cadence is a configuration error, reported before any
+    // stage writes its files.
+    let sc = Scenario::shakeout_k(20, 0.3).with_duration(20.0);
+    let dir = scratch_dir("chaos-no-ckpt");
+    let _ = std::fs::remove_dir_all(&dir);
+    let wf = WorkflowSession::new([2, 1, 1]).with_chaos(
+        Arc::new(FaultPlan::new(1).with_crash(1, 5)),
+        WatchdogConfig::with_timeout(Duration::from_secs(20)),
+    );
+    let err = wf.execute(&sc.prepare(), &dir).expect_err("a fault plan needs checkpoints");
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "{err}");
+    assert!(err.to_string().contains("checkpoint_every"), "{err}");
+    assert!(!dir.exists(), "nothing may be written before the refusal");
 }
 
 #[test]

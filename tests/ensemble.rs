@@ -698,13 +698,12 @@ fn a_failed_solve_fails_its_job_and_the_worker_goes_on() {
 /// would drop, and applies `parts` and `telemetry` to every job.
 #[test]
 fn open_with_session_refuses_settings_it_would_drop_and_applies_the_rest() {
-    use awp_vcluster::{FaultPlan, RetryPolicy, WatchdogConfig};
+    use awp_vcluster::{FaultPlan, WatchdogConfig};
     let root = tmp_dir("session-settings");
     let base = || WorkflowSession::new([1, 1, 1]);
-    let refused: [(&str, WorkflowSession); 7] = [
+    let refused: [(&str, WorkflowSession); 6] = [
         ("checkpoint_every", WorkflowSession { checkpoint_every: Some(5), ..base() }),
         ("fault_plan", WorkflowSession { fault_plan: Some(Arc::new(FaultPlan::new(1))), ..base() }),
-        ("recovery", base().with_recovery(RetryPolicy::default())),
         ("resume", WorkflowSession { resume: true, ..base() }),
         ("watchdog", WorkflowSession { watchdog: Some(WatchdogConfig::default()), ..base() }),
         ("live", base().with_live_stats(awp_telemetry::LiveStats::new(1))),
