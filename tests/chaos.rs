@@ -221,6 +221,7 @@ fn crash_before_the_first_epoch_restarts_from_step_zero() {
     assert_eq!(surface_md5(&rep_clean), surface_md5(&rep));
     assert!(rep.archive_verified);
     let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(rep_clean.surface_file.parent().expect("a workdir"));
 }
 
 #[test]
@@ -247,6 +248,7 @@ fn directed_hang_restarts_once_and_reproduces_clean_run() {
     assert_eq!(surface_md5(&rep_clean), surface_md5(&rep), "surface output must be bit-identical");
     assert!(rep.archive_verified);
     let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(rep_clean.surface_file.parent().expect("a workdir"));
 }
 
 #[test]
