@@ -503,7 +503,6 @@ fn sync_vs_async(crust: &CrustBox) -> Vec<f64> {
     let run = |i: usize| {
         let mut opts = crust.cfg.opts;
         opts.comm_mode = modes[i];
-        opts.per_step_barrier = modes[i] == CommModeOpt::Synchronous;
         crust.run([2, 2, 2], opts).0
     };
     alternate(2, run, |&w| w)

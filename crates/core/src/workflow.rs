@@ -155,10 +155,11 @@ pub struct WorkflowSession {
     /// timers into it — this is what a [`crate::stats`] endpoint
     /// streams to clients while the run is in flight.
     pub live: Option<Arc<LiveStats>>,
-    /// Crash flight recorder: when set, every solve rank keeps an
-    /// always-on ring of its last message envelopes/span tails, and a rank
-    /// that crashes, panics or hangs dumps it to `flightrec-<rank>.json`
-    /// in this directory (post-mortem triage without full telemetry).
+    /// Crash flight recorder: when set, every solve rank records into a
+    /// small telemetry ring (or the attached registry's), and a rank that
+    /// crashes, panics or hangs dumps its newest envelopes and spans to
+    /// `flightrec-<rank>.json` in this directory (post-mortem triage
+    /// without a full profile).
     pub flight_dir: Option<PathBuf>,
 }
 
@@ -214,7 +215,7 @@ impl WorkflowSession {
     }
 
     /// Arm the crash flight recorder: a rank that crashes, panics or hangs
-    /// dumps its ring to `dir/flightrec-<rank>.json`.
+    /// dumps the tail of its telemetry rings to `dir/flightrec-<rank>.json`.
     pub fn with_flight_recorder(mut self, dir: impl Into<PathBuf>) -> Self {
         self.flight_dir = Some(dir.into());
         self

@@ -29,7 +29,7 @@ pub const HEADER_BYTES: u64 = 8 + 3 * 8 + 8;
 /// Records encoded or decoded per file transfer (80 KiB).
 const CHUNK_POINTS: usize = 4096;
 
-/// Write a mesh to `path`, [`CHUNK_POINTS`] records per write.
+/// Write a mesh to `path`, `CHUNK_POINTS` records per write.
 pub fn write_mesh(path: &Path, mesh: &Mesh) -> io::Result<()> {
     let mut w = BufWriter::new(File::create(path)?);
     w.write_all(MAGIC)?;

@@ -1,6 +1,6 @@
 //! `awp` — command-line front door to the AWP-ODC reproduction.
 //!
-//! Every subcommand is one row of [`COMMANDS`]: its name, its positional
+//! Every subcommand is one row of `COMMANDS`: its name, its positional
 //! arguments, the flags it accepts, a line of help and the function that
 //! runs it. The usage text is generated from that table, and a missing or
 //! unknown subcommand, a flag the subcommand does not declare, a missing or
@@ -256,37 +256,6 @@ fn main() {
     }
 }
 
-/// Validate a Chrome trace-event JSON string: it must parse, carry a
-/// non-empty `traceEvents` array, and every event must have the fields
-/// Perfetto needs (`name`/`ph`/`pid`, plus `ts`/`dur` on complete events).
-/// Returns the number of complete ("X") span events.
-fn validate_chrome_trace(trace: &str) -> Result<usize, String> {
-    let v: serde_json::Value =
-        serde_json::from_str(trace).map_err(|e| format!("trace is not valid JSON: {e}"))?;
-    let events = v["traceEvents"].as_array().ok_or("traceEvents missing or not an array")?;
-    if events.is_empty() {
-        return Err("traceEvents is empty".into());
-    }
-    let mut spans = 0usize;
-    for (i, ev) in events.iter().enumerate() {
-        let ph = ev["ph"].as_str().ok_or(format!("event {i}: missing ph"))?;
-        ev["name"].as_str().ok_or(format!("event {i}: missing name"))?;
-        ev["pid"].as_f64().ok_or(format!("event {i}: missing pid"))?;
-        if ph == "X" {
-            ev["ts"].as_f64().ok_or(format!("event {i}: X event missing ts"))?;
-            let dur = ev["dur"].as_f64().ok_or(format!("event {i}: X event missing dur"))?;
-            if dur < 0.0 {
-                return Err(format!("event {i}: negative dur"));
-            }
-            spans += 1;
-        }
-    }
-    if spans == 0 {
-        return Err("trace has metadata but no span events".into());
-    }
-    Ok(spans)
-}
-
 fn build_scenario(name: &str, nx: usize) -> Scenario {
     match name {
         "terashake-k" => Scenario::terashake_k(nx, RuptureDirection::SeToNw),
@@ -435,7 +404,11 @@ fn workflow(a: &Args) {
             // Self-validate: parse the emitted trace back before
             // claiming success, so a malformed trace is a CLI
             // failure, not a surprise inside Perfetto.
-            match validate_chrome_trace(&trace) {
+            let parsed = awp_odc::analyze::parse_trace(&trace).and_then(|g| match g.spans.len() {
+                0 => Err("trace has no span events".to_string()),
+                n => Ok(n),
+            });
+            match parsed {
                 Ok(spans) => println!("chrome trace → {} ({spans} span events)", path.display()),
                 Err(why) => {
                     eprintln!("INVALID chrome trace {}: {why}", path.display());

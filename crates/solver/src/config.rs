@@ -63,11 +63,10 @@ pub struct SolverOpts {
     /// width 1. Requires `reciprocal_media`; every width is bit-exact with
     /// the others, so it composes freely with every equivalence test.
     pub simd: bool,
-    /// §IV.A synchronous vs asynchronous engine.
+    /// §IV.A synchronous vs asynchronous engine. The synchronous engine
+    /// also inserts a global barrier every step (the redundant
+    /// synchronisation the paper removes along with the rendezvous sends).
     pub comm_mode: CommModeOpt,
-    /// Insert a global barrier every step (the redundant synchronisation
-    /// the paper removes; kept togglable to measure T_sync).
-    pub per_step_barrier: bool,
     /// Clustered local time stepping: partition the depth axis into
     /// rate-2ᵏ dt-clusters from the medium's per-plane CFL bounds and
     /// substep each at its own rate. `None` (the default, including in
@@ -139,7 +138,6 @@ impl SolverOpts {
             reduced_comm: true,
             simd: true,
             comm_mode: CommModeOpt::Asynchronous,
-            per_step_barrier: false,
             lts: None,
             health_every: 0,
         }
@@ -161,7 +159,6 @@ impl SolverOpts {
             reduced_comm: false,
             simd: false,
             comm_mode: CommModeOpt::Synchronous,
-            per_step_barrier: true,
             lts: None,
             health_every: 0,
         }
@@ -263,7 +260,6 @@ impl CodeVersion {
         let mut o = SolverOpts::legacy();
         if *self >= CodeVersion::V5_0 {
             o.comm_mode = CommModeOpt::Asynchronous;
-            o.per_step_barrier = false;
         }
         if *self >= CodeVersion::V6_0 {
             o.reciprocal_media = true;

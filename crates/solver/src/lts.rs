@@ -11,7 +11,7 @@
 //!
 //! # Schedule and interface coupling
 //!
-//! One base tick (`Solver::step`, which walks the [`StepPlan`] built here)
+//! One base tick (`Solver::step`, which walks the `StepPlan` built here)
 //! runs in lock-step sub-phases across all firing clusters:
 //!
 //! 1. **prev-capture** — for every interface whose coarse side fires, the

@@ -30,7 +30,7 @@
 //!   arrays per box. A rank or LTS cluster that holds no zone cell
 //!   allocates nothing and its passes return immediately.
 //! * **Branch-free rows.** A pass walks box ∩ window as contiguous i-rows
-//!   through one [`Lanes`]-generic body (separate mul/add like the SIMD
+//!   through one `Lanes`-generic body (separate mul/add like the SIMD
 //!   stencils, so every backend rounds identically) and stores ψ
 //!   unconditionally. A term whose own damping is zero inside the zone
 //!   (`pmax = 0` cross terms) has `(b, a) = (0, 0)`: its ψ stays `+0` and

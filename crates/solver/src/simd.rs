@@ -4,7 +4,7 @@
 //!
 //! Strategy:
 //!
-//! * one generic kernel body per update, written against the tiny [`Lanes`]
+//! * one generic kernel body per update, written against the tiny `Lanes`
 //!   abstraction and marked `#[inline(always)]`;
 //! * `#[target_feature]` wrappers monomorphise it for the vector widths
 //!   of [`SimdBackend`] (`core::arch` intrinsics); the `f32` instantiation

@@ -15,7 +15,7 @@ use crate::boundary::{
     apply_free_surface_stress_win, apply_free_surface_velocity, owns_free_surface, Sponge,
     SpongeFold,
 };
-use crate::config::{AbcKind, ConfigError, SolverConfig};
+use crate::config::{AbcKind, CommModeOpt, ConfigError, SolverConfig};
 use crate::exchange::{
     exchange_k, full_plan, reduced_stress_plan, reduced_velocity_plan, tag_step, FieldPlan, Phase,
 };
@@ -652,7 +652,7 @@ impl Solver {
             comm.tel().set_cluster(NO_CLUSTER);
         }
 
-        if let Some(ctx) = comm.rank().filter(|_| opts.per_step_barrier) {
+        if let Some(ctx) = comm.rank().filter(|_| opts.comm_mode == CommModeOpt::Synchronous) {
             ctx.barrier();
         }
         let t0 = Instant::now();

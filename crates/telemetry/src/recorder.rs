@@ -10,12 +10,11 @@
 //! recording never touches the allocator either.
 
 use crate::causal::{CausalEvent, CausalKind};
-use crate::flightrec::{EnvDir, EnvelopeRec, FlightRecorder, SpanTailRec};
 use crate::hist::Log2Hist;
 use crate::live::LiveRank;
 use crate::phase::{Counter, HistKind, Phase};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Cluster tag value meaning "not inside any dt-cluster's phase".
@@ -142,17 +141,13 @@ pub struct Recorder {
     live: Option<Arc<LiveRank>>,
     /// Lamport logical clock: ticked on every causal event, merged on
     /// receive. Maintained unconditionally (plain integer math) so message
-    /// envelopes are stamped even when recording is disarmed — the flight
-    /// recorder and any armed peer's trace still see coherent lineage.
+    /// envelopes are stamped even when recording is disarmed — an armed
+    /// peer's trace still sees coherent lineage.
     clock: u64,
     /// Causal-event ring, preallocated like `spans`.
     causal: Vec<CausalEvent>,
     causal_next: usize,
     dropped_causal: u64,
-    /// Optional always-on flight recorder (black box). Armed by the
-    /// cluster's `--flight-dir` path independently of `enabled`; `None` (the
-    /// default) keeps disarmed probes allocation- and clock-read-free.
-    flight: Option<Arc<Mutex<FlightRecorder>>>,
 }
 
 impl Recorder {
@@ -179,7 +174,6 @@ impl Recorder {
             causal: Vec::with_capacity(capacity.saturating_mul(2)),
             causal_next: 0,
             dropped_causal: 0,
-            flight: None,
         }
     }
 
@@ -205,7 +199,6 @@ impl Recorder {
             causal: Vec::new(),
             causal_next: 0,
             dropped_causal: 0,
-            flight: None,
         }
     }
 
@@ -229,14 +222,6 @@ impl Recorder {
     /// phase timers.
     pub fn set_live(&mut self, cells: Arc<LiveRank>) {
         self.live = Some(cells);
-    }
-
-    /// Arm the always-on flight recorder (black box). Subsequent message
-    /// envelopes and finished spans are mirrored into its rings whether or
-    /// not span recording is enabled, so a run without `--profile` still
-    /// leaves a dump-worthy tail on crash.
-    pub fn set_flight(&mut self, rec: Arc<Mutex<FlightRecorder>>) {
-        self.flight = Some(rec);
     }
 
     /// Current Lamport clock (diagnostics/tests).
@@ -274,9 +259,8 @@ impl Recorder {
         self.rank
     }
 
-    /// Tag subsequent spans with the current timestep. The step gauge is
-    /// kept even when recording is disabled (plain store) so flight-
-    /// recorder envelopes carry the right step.
+    /// Tag subsequent spans with the current timestep (also published to
+    /// the live-stats step gauge when one is attached).
     #[inline]
     pub fn set_step(&mut self, step: u64) {
         if let Some(l) = &self.live {
@@ -304,12 +288,11 @@ impl Recorder {
     }
 
     /// Begin timing a span. Returns `None` (no clock read) when neither
-    /// span recording, live streaming, nor the flight recorder wants the
-    /// interval.
+    /// span recording nor live streaming wants the interval.
     #[inline]
     pub fn start(&self) -> Option<Instant> {
         self.beat_pulse();
-        if self.enabled || self.live.is_some() || self.flight.is_some() {
+        if self.enabled || self.live.is_some() {
             Some(Instant::now())
         } else {
             None
@@ -334,18 +317,6 @@ impl Recorder {
         // run streams phase timers without paying for span recording.
         if let Some(l) = &self.live {
             l.add_phase(phase, dur.as_nanos() as u64);
-        }
-        // Likewise the flight-recorder tail: the black box stays current
-        // even without `--profile`.
-        if let Some(f) = &self.flight {
-            if let Ok(mut fr) = f.lock() {
-                fr.record_span(SpanTailRec {
-                    phase,
-                    step: self.cur_step,
-                    start_ns: t0.saturating_duration_since(self.epoch).as_nanos() as u64,
-                    dur_ns: dur.as_nanos() as u64,
-                });
-            }
         }
         if !self.enabled {
             return;
@@ -412,35 +383,20 @@ impl Recorder {
     #[inline]
     pub fn causal_send(&mut self, peer: u32, tag: u64, bytes: u64, clock: u64) {
         self.beat_pulse();
-        if !self.enabled && self.flight.is_none() {
+        if !self.enabled {
             return;
         }
         let t_ns = self.epoch.elapsed().as_nanos() as u64;
-        if let Some(f) = &self.flight {
-            if let Ok(mut fr) = f.lock() {
-                fr.record_env(EnvelopeRec {
-                    dir: EnvDir::Send,
-                    peer,
-                    tag,
-                    bytes,
-                    clock,
-                    step: self.cur_step,
-                    t_ns,
-                });
-            }
-        }
-        if self.enabled {
-            self.push_causal(CausalEvent {
-                kind: CausalKind::Send,
-                clock,
-                peer,
-                peer_clock: 0,
-                tag,
-                bytes,
-                step: self.cur_step,
-                t_ns,
-            });
-        }
+        self.push_causal(CausalEvent {
+            kind: CausalKind::Send,
+            clock,
+            peer,
+            peer_clock: 0,
+            tag,
+            bytes,
+            step: self.cur_step,
+            t_ns,
+        });
     }
 
     /// Record a message-receive causal event. `peer_clock` is the stamp
@@ -449,35 +405,20 @@ impl Recorder {
     #[inline]
     pub fn causal_recv(&mut self, peer: u32, tag: u64, bytes: u64, peer_clock: u64, clock: u64) {
         self.beat_pulse();
-        if !self.enabled && self.flight.is_none() {
+        if !self.enabled {
             return;
         }
         let t_ns = self.epoch.elapsed().as_nanos() as u64;
-        if let Some(f) = &self.flight {
-            if let Ok(mut fr) = f.lock() {
-                fr.record_env(EnvelopeRec {
-                    dir: EnvDir::Recv,
-                    peer,
-                    tag,
-                    bytes,
-                    clock,
-                    step: self.cur_step,
-                    t_ns,
-                });
-            }
-        }
-        if self.enabled {
-            self.push_causal(CausalEvent {
-                kind: CausalKind::Recv,
-                clock,
-                peer,
-                peer_clock,
-                tag,
-                bytes,
-                step: self.cur_step,
-                t_ns,
-            });
-        }
+        self.push_causal(CausalEvent {
+            kind: CausalKind::Recv,
+            clock,
+            peer,
+            peer_clock,
+            tag,
+            bytes,
+            step: self.cur_step,
+            t_ns,
+        });
     }
 
     /// Record a local causal mark (LTS cluster tick, health probe). Ticks

@@ -14,14 +14,14 @@ use crate::ledger::{Category, TimeLedger};
 use crate::mailbox::Mailbox;
 use crate::message::{Message, Tag};
 use crate::schedule::SchedulePlan;
+use awp_telemetry::trace::FLIGHT_SPANS;
 use awp_telemetry::{
-    Counter, FlightRecorder, HistKind, LiveStats, Phase, Recorder, Registry,
-    FLIGHT_ENV_CAPACITY, FLIGHT_SPAN_CAPACITY,
+    flight_dump, Counter, HistKind, LiveStats, Phase, Recorder, Registry, Snapshot,
 };
 use std::panic::{self, AssertUnwindSafe};
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Communication engine selection (paper §IV.A).
@@ -130,6 +130,9 @@ impl SyncBarrier {
 /// Heartbeat sentinel meaning "no step reported yet".
 pub(crate) const NO_STEP: u64 = u64::MAX;
 
+/// Wait-for sentinel meaning "not blocked in a receive".
+const NOT_BLOCKED: usize = usize::MAX;
+
 pub(crate) struct Shared {
     pub(crate) mailboxes: Vec<Mailbox>,
     pub(crate) barrier: SyncBarrier,
@@ -144,6 +147,10 @@ pub(crate) struct Shared {
     pub(crate) done: Vec<AtomicBool>,
     /// Watchdog verdicts, recorded before poisoning for fault attribution.
     pub(crate) hung: Vec<AtomicBool>,
+    /// The peer each rank is blocked receiving from ([`NOT_BLOCKED`]
+    /// otherwise), kept only while a watchdog is armed: it lets the scan
+    /// tell a wedged rank from the ranks waiting on it.
+    pub(crate) blocked_on: Vec<AtomicUsize>,
     /// Set once on teardown; blocks all further blocking communication.
     pub(crate) aborted: AtomicBool,
     /// Per-rank telemetry-probe pulse cells: bumped by every recorder
@@ -154,6 +161,7 @@ pub(crate) struct Shared {
     pub(crate) fault_plan: Option<Arc<FaultPlan>>,
     /// Opt-in telemetry hub. When attached, each rank gets an enabled
     /// recorder at spawn and its snapshot is submitted at rank completion.
+    /// Arming the flight recorder attaches a private one if none is.
     pub(crate) telemetry: Option<Arc<Registry>>,
     /// Opt-in seeded schedule perturbation (test harness): reorders
     /// eligible message delivery and `wait_each` polling deterministically.
@@ -161,12 +169,8 @@ pub(crate) struct Shared {
     /// Opt-in live streaming-stats cells (stats endpoint). Wired into each
     /// rank's recorder when attached.
     pub(crate) live: Option<Arc<LiveStats>>,
-    /// Opt-in per-rank crash flight recorders (last-N message envelopes +
-    /// span tails). Empty unless armed with
-    /// [`Cluster::with_flight_recorder`]; a rank that faults dumps its own
-    /// to `flight_dir/flightrec-<rank>.json`.
-    pub(crate) flight: Vec<Arc<Mutex<FlightRecorder>>>,
-    /// Directory the flight-recorder dumps land in.
+    /// Directory a faulted rank dumps its flight record to
+    /// ([`Cluster::with_flight_recorder`]).
     pub(crate) flight_dir: Option<PathBuf>,
 }
 
@@ -197,19 +201,15 @@ impl Shared {
             panic::panic_any(AbortUnwind);
         }
     }
+}
 
-    /// Dump `rank`'s flight recorder to `flight_dir/flightrec-<rank>.json`.
-    /// No-op when the recorder is not armed
-    /// ([`Cluster::with_flight_recorder`]); IO failures are swallowed — a
-    /// post-mortem aid must never turn a fault report into a crash.
-    fn dump_flight(&self, rank: usize, reason: &str) {
-        let (Some(dir), Some(fr)) = (self.flight_dir.as_ref(), self.flight.get(rank)) else {
-            return;
-        };
-        let json = fr.lock().unwrap_or_else(|e| e.into_inner()).to_json(reason);
-        let _ = std::fs::create_dir_all(dir);
-        let _ = std::fs::write(dir.join(format!("flightrec-{rank}.json")), json);
-    }
+/// Write a faulted rank's flight dump to `dir/flightrec-<rank>.json`. IO
+/// failures are swallowed: a post-mortem aid must never turn a fault
+/// report into a crash.
+fn dump_flight(dir: &Path, snap: &Snapshot, report: &FaultReport) {
+    let json = flight_dump(snap, &format!("{:?}: {}", report.kind, report.detail));
+    let _ = std::fs::create_dir_all(dir);
+    let _ = std::fs::write(dir.join(format!("flightrec-{}.json", snap.rank)), json);
 }
 
 /// Pulse-aware liveness bookkeeping for the watchdog loop: a rank counts
@@ -314,25 +314,44 @@ fn classify_panic(
     FaultReport { rank, step, kind: FaultKind::Panic, detail: msg }
 }
 
-/// Scan rank liveness every `cfg.poll` until `shutdown` is set. The wait
-/// is a park, so [`Cluster::try_run`] wakes it the moment the ranks are
-/// joined instead of paying up to one more `poll`.
+/// Whether silent `rank` is blocked receiving along a wait-for chain of
+/// silent ranks that ends at a silent rank that is *not* blocked: that
+/// rank is the wedged one and `rank` only its victim. A chain that cycles,
+/// or reaches a live or finished rank, is a deadlock of its own.
+fn waits_on_wedged_rank(shared: &Shared, silent: &[bool], rank: usize) -> bool {
+    let mut r = rank;
+    for _ in 0..silent.len() {
+        match shared.blocked_on[r].load(Ordering::Relaxed) {
+            NOT_BLOCKED => return r != rank,
+            peer if silent.get(peer) == Some(&true) => r = peer,
+            _ => return false,
+        }
+    }
+    false
+}
+
+/// Scan rank liveness every `cfg.poll` until `shutdown` is set. A silent
+/// rank is flagged as hung unless it waits on a wedged rank, which is
+/// flagged instead; the poison then tears the waiting rank down as
+/// `Aborted`. The wait is a park, so [`Cluster::try_run`] wakes it the
+/// moment the ranks are joined instead of paying up to one more `poll`.
 fn watchdog_loop(shared: &Shared, cfg: WatchdogConfig, shutdown: &AtomicBool) {
     let timeout_ms = cfg.timeout.as_millis() as u64;
     let mut liveness = LivenessTracker::new(shared);
+    let mut silent = vec![false; shared.heartbeats.len()];
     loop {
         std::thread::park_timeout(cfg.poll);
         if shutdown.load(Ordering::SeqCst) || shared.aborted.load(Ordering::SeqCst) {
             return;
         }
         let now = shared.start.elapsed().as_millis() as u64;
+        for (rank, s) in silent.iter_mut().enumerate() {
+            *s = !shared.done[rank].load(Ordering::SeqCst)
+                && now.saturating_sub(liveness.last_alive(shared, rank, now)) > timeout_ms;
+        }
         let mut any_hung = false;
-        for rank in 0..shared.heartbeats.len() {
-            if shared.done[rank].load(Ordering::SeqCst) {
-                continue;
-            }
-            let last = liveness.last_alive(shared, rank, now);
-            if now.saturating_sub(last) > timeout_ms {
+        for rank in (0..silent.len()).filter(|&r| silent[r]) {
+            if !waits_on_wedged_rank(shared, &silent, rank) {
                 shared.hung[rank].store(true, Ordering::SeqCst);
                 any_hung = true;
             }
@@ -356,13 +375,13 @@ impl Cluster {
             steps: (0..size).map(|_| AtomicU64::new(NO_STEP)).collect(),
             done: (0..size).map(|_| AtomicBool::new(false)).collect(),
             hung: (0..size).map(|_| AtomicBool::new(false)).collect(),
+            blocked_on: (0..size).map(|_| AtomicUsize::new(NOT_BLOCKED)).collect(),
             aborted: AtomicBool::new(false),
             pulses: (0..size).map(|_| Arc::new(AtomicU64::new(0))).collect(),
             fault_plan: None,
             telemetry: None,
             schedule: None,
             live: None,
-            flight: Vec::new(),
             flight_dir: None,
         });
         Self { shared, size, mode, watchdog: None }
@@ -400,8 +419,7 @@ impl Cluster {
     /// call before the first `run`/`try_run`). Every mailbox then applies
     /// seeded delivery reordering and hold-backs, and every
     /// [`RankCtx::wait_each`] polls its request set in a seeded order — see
-    /// [`SchedulePlan`](crate::schedule::SchedulePlan). Production runs
-    /// (no plan) keep the plain FIFO path.
+    /// [`SchedulePlan`]. Production runs (no plan) keep the plain FIFO path.
     pub fn with_schedule(mut self, plan: Arc<SchedulePlan>) -> Self {
         let shared = Arc::get_mut(&mut self.shared)
             .expect("attach the schedule plan before running the cluster");
@@ -431,24 +449,17 @@ impl Cluster {
     }
 
     /// Arm the crash flight recorder (builder style; call before the first
-    /// `run`/`try_run`): every rank keeps a small always-on ring of its
-    /// last message envelopes and span tails, independent of whether full
-    /// telemetry is attached. A rank that crashes, panics or hangs dumps its
-    /// ring to `dir/flightrec-<rank>.json` for post-mortem triage (a rank
-    /// torn down after a peer's fault does not).
+    /// `run`/`try_run`). Each rank's own telemetry rings are the record:
+    /// without an attached registry every rank gets an enabled recorder
+    /// with a [`FLIGHT_SPANS`]-span ring. A rank that crashes, panics or
+    /// hangs writes the newest envelopes and spans of its rings to
+    /// `dir/flightrec-<rank>.json` ([`flight_dump`]) for post-mortem triage
+    /// (a rank torn down after a peer's fault does not).
     pub fn with_flight_recorder(mut self, dir: impl Into<PathBuf>) -> Self {
         let size = self.size;
         let shared = Arc::get_mut(&mut self.shared)
             .expect("arm the flight recorder before running the cluster");
-        shared.flight = (0..size)
-            .map(|r| {
-                Arc::new(Mutex::new(FlightRecorder::new(
-                    r,
-                    FLIGHT_ENV_CAPACITY,
-                    FLIGHT_SPAN_CAPACITY,
-                )))
-            })
-            .collect();
+        shared.telemetry.get_or_insert_with(|| Registry::with_capacity(size, FLIGHT_SPANS));
         shared.flight_dir = Some(dir.into());
         self
     }
@@ -514,30 +525,31 @@ impl Cluster {
                 .map(|rank| {
                     let shared = Arc::clone(shared);
                     let body = &body;
-                    let wire_pulse = self.watchdog.is_some();
+                    let watched = self.watchdog.is_some();
                     scope.spawn(move || {
                         shared.beat(rank);
                         // The ctx lives outside the panic boundary so its
                         // telemetry survives a mid-run fault: the partial
-                        // timeline is submitted either way.
-                        let mut ctx = RankCtx::new(Arc::clone(&shared), rank, size, mode, wire_pulse);
+                        // timeline is submitted, and dumped, either way.
+                        let mut ctx = RankCtx::new(Arc::clone(&shared), rank, size, mode, watched);
                         let result = panic::catch_unwind(AssertUnwindSafe(|| body(&mut ctx)));
                         shared.done[rank].store(true, Ordering::SeqCst);
+                        let result = result.map_err(|payload| {
+                            let report = classify_panic(rank, payload, &shared);
+                            shared.poison();
+                            report
+                        });
                         if let Some(reg) = &shared.telemetry {
-                            reg.submit(ctx.telem.snapshot());
-                        }
-                        match result {
-                            Ok(v) => Ok(v),
-                            Err(payload) => {
-                                let report = classify_panic(rank, payload, &shared);
-                                shared.poison();
-                                if report.kind != FaultKind::Aborted {
-                                    let reason = format!("{:?}: {}", report.kind, report.detail);
-                                    shared.dump_flight(rank, &reason);
+                            let snap = ctx.telem.snapshot();
+                            match (&result, &shared.flight_dir) {
+                                (Err(report), Some(dir)) if report.kind != FaultKind::Aborted => {
+                                    dump_flight(dir, &snap, report)
                                 }
-                                Err(report)
+                                _ => {}
                             }
+                            reg.submit(snap);
                         }
+                        result
                     })
                 })
                 .collect();
@@ -571,6 +583,7 @@ impl Cluster {
         for rank in 0..self.size {
             shared.done[rank].store(false, Ordering::SeqCst);
             shared.hung[rank].store(false, Ordering::SeqCst);
+            shared.blocked_on[rank].store(NOT_BLOCKED, Ordering::Relaxed);
             shared.steps[rank].store(NO_STEP, Ordering::Relaxed);
             shared.beat(rank);
         }
@@ -590,8 +603,11 @@ pub struct RankCtx {
     /// `wait_each`'s outstanding-request indices in polling order, kept
     /// between calls so a completion allocates nothing once warm.
     poll: Vec<usize>,
-    /// Wall-time ledger; solvers charge phases through
-    /// [`RankCtx::time`]. Communication calls charge themselves.
+    /// A watchdog is scanning: blocking receives publish the peer they
+    /// wait on ([`Shared::blocked_on`]).
+    watched: bool,
+    /// Wall-time ledger; solvers charge their phases into it directly.
+    /// Communication calls charge themselves.
     pub ledger: TimeLedger,
     /// Telemetry recorder — enabled when the cluster was built
     /// [`with_telemetry`](Cluster::with_telemetry), otherwise a disabled
@@ -601,30 +617,21 @@ pub struct RankCtx {
 }
 
 impl RankCtx {
-    /// Build the communicator handle for one rank. `wire_pulse` attaches
-    /// the rank's liveness pulse cell to its recorder (only wanted when a
-    /// watchdog is scanning — the plain path keeps telemetry probes at a
-    /// single not-taken branch).
-    fn new(
-        shared: Arc<Shared>,
-        rank: usize,
-        size: usize,
-        mode: CommMode,
-        wire_pulse: bool,
-    ) -> Self {
+    /// Build the communicator handle for one rank. `watched` (a watchdog
+    /// is scanning) attaches the rank's liveness pulse cell to its recorder
+    /// and publishes blocking receives' peers — the plain path keeps
+    /// telemetry probes at a single not-taken branch.
+    fn new(shared: Arc<Shared>, rank: usize, size: usize, mode: CommMode, watched: bool) -> Self {
         let mut telem = shared
             .telemetry
             .as_ref()
             .map(|reg| reg.recorder(rank))
             .unwrap_or_else(Recorder::disabled);
-        if wire_pulse {
+        if watched {
             telem.set_pulse(Arc::clone(&shared.pulses[rank]));
         }
         if let Some(live) = &shared.live {
             telem.set_live(Arc::clone(live.rank(rank)));
-        }
-        if let Some(flight) = shared.flight.get(rank) {
-            telem.set_flight(Arc::clone(flight));
         }
         RankCtx {
             rank,
@@ -633,6 +640,7 @@ impl RankCtx {
             shared,
             waitall_calls: 0,
             poll: Vec::new(),
+            watched,
             ledger: TimeLedger::new(),
             telem,
         }
@@ -648,12 +656,6 @@ impl RankCtx {
 
     pub fn mode(&self) -> CommMode {
         self.mode
-    }
-
-    /// Report liveness to the watchdog. Communication calls do this
-    /// implicitly; compute-heavy loops should call [`RankCtx::tick`].
-    pub fn heartbeat(&self) {
-        self.shared.beat(self.rank);
     }
 
     /// Per-step progress report: beats the heartbeat, fires any injected
@@ -817,13 +819,22 @@ impl RankCtx {
     /// Matched take from this rank's mailbox with the per-message
     /// bookkeeping every receive shares: the Lamport merge and causal recv
     /// event, the `MsgsRecv`/`BytesRecv` counters and, when blocking, the
-    /// blocked time charged to `Comm` and the recv latency histogram.
+    /// blocked time charged to `Comm` and the recv latency histogram. A
+    /// blocking take does not beat while it waits; under a watchdog it
+    /// publishes the peer it waits on instead.
     fn take(&mut self, src: usize, tag: Tag, block: bool) -> Option<Vec<f32>> {
+        let watched = block && self.watched;
         if block {
             self.shared.beat(self.rank);
         }
+        if watched {
+            self.shared.blocked_on[self.rank].store(src, Ordering::Relaxed);
+        }
         let t0 = block.then(Instant::now);
         let (data, peer_clock) = self.shared.mailboxes[self.rank].take(src, tag, block)?;
+        if watched {
+            self.shared.blocked_on[self.rank].store(NOT_BLOCKED, Ordering::Relaxed);
+        }
         if let Some(t0) = t0 {
             let el = t0.elapsed();
             self.ledger.add(Category::Comm, el);
@@ -911,14 +922,6 @@ impl RankCtx {
         if self.rank == 0 {
             self.shared.stats.barriers.fetch_add(1, Ordering::Relaxed);
         }
-    }
-
-    /// Charge a closure's duration to a ledger category.
-    pub fn time<T>(&mut self, cat: Category, f: impl FnOnce() -> T) -> T {
-        let t0 = std::time::Instant::now();
-        let out = f();
-        self.ledger.add(cat, t0.elapsed());
-        out
     }
 }
 
@@ -1175,6 +1178,27 @@ mod tests {
                 "rank {r}: {err}"
             );
         }
+    }
+
+    #[test]
+    fn watchdog_names_the_wedged_rank_not_the_rank_waiting_on_it() {
+        // Rank 0 stalls at step 2; rank 1 blocks on rank 0's message and
+        // goes silent too. The wait-for chain names rank 0; rank 1 is torn
+        // down by the poison.
+        let plan = Arc::new(FaultPlan::new(9).with_stall(0, 2, 30.0));
+        let c = Cluster::new(2, CommMode::Asynchronous).with_fault_plan(plan).with_watchdog(
+            WatchdogConfig { timeout: Duration::from_millis(300), poll: Duration::from_millis(25) },
+        );
+        let out = c.try_run(|ctx| {
+            let peer = 1 - ctx.rank();
+            for step in 0..10u64 {
+                ctx.tick(step);
+                ctx.send(peer, step, vec![step as f32]);
+                ctx.recv(peer, step);
+            }
+        });
+        assert_eq!(out[0].as_ref().unwrap_err().kind, FaultKind::Hang);
+        assert_eq!(out[1].as_ref().unwrap_err().kind, FaultKind::Aborted);
     }
 
     #[test]

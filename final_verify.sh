@@ -16,8 +16,9 @@ echo "=== BUILD DONE ==="
 cargo clippy --workspace -- -D warnings 2>&1 | grep -E "^(error|warning)" | head -20
 echo "clippy exit ${PIPESTATUS[0]}"
 echo "=== CLIPPY DONE ==="
-# Doc links: a rustdoc link to a deleted or ambiguous item fails the step.
-RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" cargo doc --workspace --no-deps > results/logs/rustdoc.log 2>&1; echo "rustdoc_links exit $?"
+# Doc links: a rustdoc link to a deleted, ambiguous or private item fails
+# the step (a public page cannot link a private item).
+RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links -D rustdoc::private_intra_doc_links" cargo doc --workspace --no-deps > results/logs/rustdoc.log 2>&1; echo "rustdoc_links exit $?"
 cargo test --workspace --no-fail-fast 2>&1 | tee results/logs/test_output.log | grep -E "test result|FAILED|error\[" | tail -60
 echo "=== TESTS DONE ==="
 # Smoke-run the examples and CLI.

@@ -61,6 +61,7 @@ fn chaos_crash_recovers_bit_exact() {
     );
     assert!(rep.archive_verified);
     let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(rep_clean.surface_file.parent().expect("a workdir"));
 }
 
 #[test]
@@ -115,6 +116,7 @@ fn chaos_corrupt_epoch_falls_back_and_recovers() {
     );
     assert!(rep.archive_verified);
     let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(rep_clean.surface_file.parent().expect("a workdir"));
 }
 
 #[test]
@@ -143,6 +145,7 @@ fn chaos_soak_random_plan_converges() {
     assert_eq!(rep_clean.pgv.data, rep.pgv.data, "PGV must match bitwise");
     assert_eq!(surface_md5(&rep_clean), surface_md5(&rep));
     let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(rep_clean.surface_file.parent().expect("a workdir"));
 }
 
 #[test]

@@ -94,3 +94,28 @@ fn workflow_telemetry_end_to_end() {
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn flight_dump_reason_is_escaped_json() {
+    // A panic message may carry quotes and newlines (any `assert_eq!` or
+    // io-error `unwrap` does); the faulted rank's dump must still parse
+    // and give the reason back verbatim.
+    use awp_odc::vcluster::{Cluster, CommMode};
+    let dir = scratch_dir("flight-escape");
+    let c = Cluster::new(2, CommMode::Asynchronous).with_flight_recorder(&dir);
+    let out = c.try_run(|ctx| {
+        let peer = 1 - ctx.rank();
+        ctx.send(peer, 1, vec![1.0f32]);
+        ctx.recv(peer, 1);
+        if ctx.rank() == 1 {
+            panic!("bad \"x\"\nsecond line");
+        }
+    });
+    assert!(out[1].is_err(), "rank 1 panicked");
+    let dump = std::fs::read_to_string(dir.join("flightrec-1.json")).expect("rank 1 dumped");
+    let v: serde_json::Value = serde_json::from_str(&dump).expect("the dump is valid JSON");
+    assert_eq!(v["reason"].as_str(), Some("Panic: bad \"x\"\nsecond line"), "{dump}");
+    assert_eq!(v["total_envelopes"].as_f64(), Some(2.0), "{dump}");
+    assert_eq!(v["envelopes"].as_array().map(|e| e.len()), Some(2), "{dump}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
