@@ -1,249 +1,152 @@
-//! Crash flight recorder: a small always-on black box per rank.
+//! The crash flight dump: a faulted rank's last spans and message envelopes,
+//! written as one JSON object (`flightrec-<rank>.json`, schema v1).
 //!
-//! When a cluster arms it (`--flight-dir`), every rank keeps the last-N
-//! message envelopes and span tails in two preallocated rings,
-//! independent of whether full telemetry is enabled. A rank that crashes,
-//! panics or hangs serializes its ring to `flightrec-<rank>.json` at the
-//! cluster's fault boundary, so a faulted pass leaves a reconstructable
-//! record of what the rank was doing when it died.
-//!
-//! The recorder is written by its owning rank's probes and read from the
-//! cluster's copy of the handle at dump time, hence the `Mutex` in
-//! [`crate::Recorder`]'s handle; steady-state cost is one uncontended
-//! lock per probe, with no allocation after construction (both rings are
-//! preallocated and overwritten in place).
+//! It is a view of the rank's own [`Snapshot`] rings, not a second record:
+//! envelopes are read from the causal ring, spans from the span ring, and
+//! the totals from the exact counters. The one free-text field, `reason`,
+//! is escaped.
 
-use crate::phase::Phase;
+use crate::causal::{CausalEvent, CausalKind};
+use crate::phase::Counter;
+use crate::recorder::Snapshot;
 use std::fmt::Write as _;
 
-/// Envelope direction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EnvDir {
-    Send,
-    Recv,
-}
+/// Spans a flight dump keeps (the newest); it keeps twice as many message
+/// envelopes, as the causal ring holds twice as many events as the span
+/// ring. A cluster armed only for flight dumps sizes its rings to this.
+pub const FLIGHT_SPANS: usize = 32;
 
-impl EnvDir {
-    pub const fn name(self) -> &'static str {
-        match self {
-            EnvDir::Send => "send",
-            EnvDir::Recv => "recv",
+/// A faulted rank's flight dump (`flightrec-<rank>.json`, schema v1): the
+/// newest spans and message envelopes of its rings, with exact totals.
+/// Envelopes are the `Send`/`Recv` causal events; cluster-tick and health
+/// marks are skipped.
+pub fn flight_dump(s: &Snapshot, reason: &str) -> String {
+    let is_env = |e: &&CausalEvent| matches!(e.kind, CausalKind::Send | CausalKind::Recv);
+    let envs = s.causal.iter().filter(is_env).count();
+    let total_spans: u64 = s.totals.iter().map(|t| t.count).sum();
+    let total_envs = s.counter(Counter::MsgsSent) + s.counter(Counter::MsgsRecv);
+    let mut out = String::with_capacity(256 + 96 * 3 * FLIGHT_SPANS);
+    let _ = write!(out, "{{\"v\":1,\"kind\":\"flightrec\",\"rank\":{},\"reason\":\"", s.rank);
+    for c in reason.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            c if u32::from(c) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", u32::from(c));
+            }
+            c => out.push(c),
         }
     }
-}
-
-/// One recorded message envelope (payload bytes are never kept).
-#[derive(Debug, Clone, Copy)]
-pub struct EnvelopeRec {
-    pub dir: EnvDir,
-    pub peer: u32,
-    pub tag: u64,
-    pub bytes: u64,
-    pub clock: u64,
-    pub step: u32,
-    /// Offset from the recorder epoch, ns.
-    pub t_ns: u64,
-}
-
-/// One span tail (most recent finished phase intervals).
-#[derive(Debug, Clone, Copy)]
-pub struct SpanTailRec {
-    pub phase: Phase,
-    pub step: u32,
-    pub start_ns: u64,
-    pub dur_ns: u64,
-}
-
-/// Default envelope-ring capacity.
-pub const FLIGHT_ENV_CAPACITY: usize = 64;
-/// Default span-tail ring capacity.
-pub const FLIGHT_SPAN_CAPACITY: usize = 32;
-
-#[derive(Debug)]
-pub struct FlightRecorder {
-    rank: usize,
-    envs: Vec<EnvelopeRec>,
-    env_next: usize,
-    env_total: u64,
-    spans: Vec<SpanTailRec>,
-    span_next: usize,
-    span_total: u64,
-}
-
-impl FlightRecorder {
-    pub fn new(rank: usize, env_capacity: usize, span_capacity: usize) -> Self {
-        FlightRecorder {
-            rank,
-            envs: Vec::with_capacity(env_capacity),
-            env_next: 0,
-            env_total: 0,
-            spans: Vec::with_capacity(span_capacity),
-            span_next: 0,
-            span_total: 0,
-        }
-    }
-
-    pub fn rank(&self) -> usize {
-        self.rank
-    }
-
-    /// Total envelopes ever recorded (ring keeps only the newest).
-    pub fn env_total(&self) -> u64 {
-        self.env_total
-    }
-
-    #[inline]
-    pub fn record_env(&mut self, rec: EnvelopeRec) {
-        self.env_total += 1;
-        if self.envs.len() < self.envs.capacity() {
-            self.envs.push(rec);
-        } else if self.envs.capacity() > 0 {
-            self.envs[self.env_next] = rec;
-            self.env_next = (self.env_next + 1) % self.envs.capacity();
-        }
-    }
-
-    #[inline]
-    pub fn record_span(&mut self, rec: SpanTailRec) {
-        self.span_total += 1;
-        if self.spans.len() < self.spans.capacity() {
-            self.spans.push(rec);
-        } else if self.spans.capacity() > 0 {
-            self.spans[self.span_next] = rec;
-            self.span_next = (self.span_next + 1) % self.spans.capacity();
-        }
-    }
-
-    /// Envelopes in chronological order (oldest surviving first).
-    pub fn envelopes(&self) -> Vec<EnvelopeRec> {
-        rotate(&self.envs, self.env_next)
-    }
-
-    /// Span tails in chronological order (oldest surviving first).
-    pub fn span_tails(&self) -> Vec<SpanTailRec> {
-        rotate(&self.spans, self.span_next)
-    }
-
-    /// Serialize the black box. Hand-rolled (this crate is std-only);
-    /// `reason` must be a plain identifier-ish string (it is not escaped).
-    pub fn to_json(&self, reason: &str) -> String {
-        let mut out = String::with_capacity(256 + 96 * (self.envs.len() + self.spans.len()));
+    let _ = write!(
+        out,
+        "\",\"total_envelopes\":{total_envs},\"total_spans\":{total_spans},\"envelopes\":["
+    );
+    let tail = envs.saturating_sub(2 * FLIGHT_SPANS);
+    for (i, e) in s.causal.iter().filter(is_env).skip(tail).enumerate() {
+        let CausalEvent { peer, tag, bytes, clock, step, t_ns, .. } = *e;
         let _ = write!(
             out,
-            "{{\"v\":1,\"kind\":\"flightrec\",\"rank\":{},\"reason\":\"{}\",\
-             \"total_envelopes\":{},\"total_spans\":{},\"envelopes\":[",
-            self.rank, reason, self.env_total, self.span_total
+            "{}{{\"dir\":\"{}\",\"peer\":{peer},\"tag\":{tag},\"bytes\":{bytes},\"clock\":{clock},\"step\":{step},\"t_us\":{:.3}}}",
+            if i > 0 { "," } else { "" },
+            e.kind.name(),
+            t_ns as f64 / 1e3,
         );
-        for (i, e) in self.envelopes().iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"dir\":\"{}\",\"peer\":{},\"tag\":{},\"bytes\":{},\"clock\":{},\
-                 \"step\":{},\"t_us\":{:.3}}}",
-                e.dir.name(),
-                e.peer,
-                e.tag,
-                e.bytes,
-                e.clock,
-                e.step,
-                e.t_ns as f64 / 1e3,
-            );
-        }
-        out.push_str("],\"spans\":[");
-        for (i, s) in self.span_tails().iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"phase\":\"{}\",\"step\":{},\"ts_us\":{:.3},\"dur_us\":{:.3}}}",
-                s.phase.name(),
-                s.step,
-                s.start_ns as f64 / 1e3,
-                s.dur_ns as f64 / 1e3,
-            );
-        }
-        out.push_str("]}");
-        out
     }
-}
-
-fn rotate<T: Copy>(ring: &[T], next: usize) -> Vec<T> {
-    let mut out = Vec::with_capacity(ring.len());
-    if next > 0 && next < ring.len() {
-        out.extend_from_slice(&ring[next..]);
-        out.extend_from_slice(&ring[..next]);
-    } else {
-        out.extend_from_slice(ring);
+    out.push_str("],\"spans\":[");
+    for (i, sp) in s.spans[s.spans.len().saturating_sub(FLIGHT_SPANS)..].iter().enumerate() {
+        let _ = write!(
+            out,
+            "{}{{\"phase\":\"{}\",\"step\":{},\"ts_us\":{:.3},\"dur_us\":{:.3}}}",
+            if i > 0 { "," } else { "" },
+            sp.phase.name(),
+            sp.step,
+            sp.start_ns as f64 / 1e3,
+            sp.dur_ns as f64 / 1e3,
+        );
     }
+    out.push_str("]}");
     out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::causal::NO_PEER;
+    use crate::phase::Phase;
+    use crate::recorder::Recorder;
+    use std::time::{Duration, Instant};
 
-    fn env(peer: u32, tag: u64, clock: u64) -> EnvelopeRec {
-        EnvelopeRec { dir: EnvDir::Send, peer, tag, bytes: 8, clock, step: 0, t_ns: tag * 10 }
+    /// A flight-sized recorder after 200 steps of one send and one span each,
+    /// so both rings (32 spans, 64 causal events) have wrapped.
+    fn wrapped_dump() -> String {
+        let epoch = Instant::now();
+        let mut r = Recorder::enabled(0, epoch, FLIGHT_SPANS);
+        for i in 0..200u64 {
+            r.set_step(i);
+            let c = r.clock_send();
+            r.causal_send(1, i, 4, c);
+            r.count(Counter::MsgsSent, 1);
+            r.span_at(Phase::Wait, epoch, Duration::from_nanos(1));
+        }
+        flight_dump(&r.snapshot(), "wrapped")
     }
 
     #[test]
     fn envelope_ring_keeps_newest_in_order() {
-        let mut fr = FlightRecorder::new(2, 4, 2);
-        for t in 0..10u64 {
-            fr.record_env(env(1, t, t + 1));
-        }
-        assert_eq!(fr.env_total(), 10);
-        let tags: Vec<u64> = fr.envelopes().iter().map(|e| e.tag).collect();
-        assert_eq!(tags, vec![6, 7, 8, 9]);
+        let json = wrapped_dump();
+        assert_eq!(json.matches("\"dir\"").count(), 2 * FLIGHT_SPANS);
+        assert!(json.contains("\"total_envelopes\":200,"), "{json}");
+        let (first, last) = (json.find("\"tag\":136,"), json.find("\"tag\":199,"));
+        assert!(first.is_some() && first < last, "oldest kept first: {json}");
+        assert!(!json.contains("\"tag\":135,"), "{json}");
     }
 
     #[test]
     fn span_tail_ring_wraps() {
-        let mut fr = FlightRecorder::new(0, 2, 3);
-        for i in 0..5u32 {
-            fr.record_span(SpanTailRec {
-                phase: Phase::Wait,
-                step: i,
-                start_ns: i as u64,
-                dur_ns: 1,
-            });
-        }
-        let steps: Vec<u32> = fr.span_tails().iter().map(|s| s.step).collect();
-        assert_eq!(steps, vec![2, 3, 4]);
+        let json = wrapped_dump();
+        assert_eq!(json.matches("\"phase\"").count(), FLIGHT_SPANS);
+        assert!(json.contains("\"total_spans\":200,"), "{json}");
+        let (first, last) =
+            (json.find("\"step\":168,\"ts_us\""), json.find("\"step\":199,\"ts_us\""));
+        assert!(first.is_some() && first < last, "oldest kept first: {json}");
+        assert!(!json.contains("\"phase\":\"wait\",\"step\":167,"), "{json}");
     }
 
     #[test]
     fn json_is_balanced_and_self_describing() {
-        let mut fr = FlightRecorder::new(1, 8, 8);
-        fr.record_env(env(0, 42, 3));
-        fr.record_env(EnvelopeRec {
-            dir: EnvDir::Recv,
-            peer: 2,
-            tag: 43,
-            bytes: 16,
-            clock: 5,
-            step: 7,
-            t_ns: 1500,
-        });
-        fr.record_span(SpanTailRec { phase: Phase::Send, step: 7, start_ns: 100, dur_ns: 50 });
-        let json = fr.to_json("crash");
+        let epoch = Instant::now();
+        let mut r = Recorder::enabled(1, epoch, 8);
+        r.set_step(7);
+        let c = r.clock_send();
+        r.causal_send(0, 42, 8, c);
+        r.causal_mark(CausalKind::ClusterTick, NO_PEER, 0, 0);
+        let m = r.clock_recv(5);
+        r.causal_recv(2, 43, 16, 5, m);
+        r.count(Counter::MsgsSent, 1);
+        r.count(Counter::MsgsRecv, 1);
+        r.span_at(Phase::Send, epoch, Duration::from_nanos(50));
+        let json = flight_dump(&r.snapshot(), "crash");
         assert!(json.starts_with("{\"v\":1,\"kind\":\"flightrec\",\"rank\":1,"), "{json}");
         assert!(json.contains("\"reason\":\"crash\""), "{json}");
         assert!(json.contains("\"dir\":\"recv\""), "{json}");
-        assert!(json.contains("\"total_envelopes\":2"), "{json}");
+        assert!(json.contains("\"total_envelopes\":2,\"total_spans\":1,"), "{json}");
         assert!(json.contains("\"phase\":\"send\""), "{json}");
+        assert_eq!(json.matches("\"dir\"").count(), 2, "marks are not envelopes: {json}");
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert_eq!(json.matches('[').count(), json.matches(']').count());
     }
 
     #[test]
     fn empty_recorder_serializes() {
-        let fr = FlightRecorder::new(0, 0, 0);
-        let json = fr.to_json("degraded");
+        let json = flight_dump(&Recorder::disabled().snapshot(), "degraded");
         assert!(json.contains("\"envelopes\":[]"), "{json}");
         assert!(json.contains("\"spans\":[]"), "{json}");
+    }
+
+    #[test]
+    fn reason_is_escaped() {
+        let json = flight_dump(&Recorder::disabled().snapshot(), "a \"b\"\n\\c\t");
+        assert!(json.contains("\"reason\":\"a \\\"b\\\"\\n\\\\c\\u0009\""), "{json}");
     }
 }

@@ -4,7 +4,7 @@
 //! - **Opt-in**: a run owns an `Arc<Registry>`; each vcluster rank gets an
 //!   enabled [`Recorder`] at spawn. Arming only the crash flight recorder
 //!   gives each rank an enabled recorder with a small ring
-//!   ([`trace::FLIGHT_SPANS`] spans), which a faulted rank dumps through
+//!   ([`flightrec::FLIGHT_SPANS`] spans), which a faulted rank dumps through
 //!   [`flight_dump`]. Otherwise every probe site holds a
 //!   [`Recorder::disabled`] and compiles to a not-taken branch with zero
 //!   allocation and zero clock reads (enforced by `tests/zero_alloc.rs`).
@@ -23,6 +23,7 @@
 //! workspace and must build offline with no registry dependencies.
 
 pub mod causal;
+pub mod flightrec;
 pub mod hist;
 pub mod live;
 pub mod phase;
@@ -35,10 +36,11 @@ pub use causal::{
     clocks_monotonic, CausalEdge, CausalEvent, CausalGraph, CausalKind, CriticalPath, GraphSpan,
     Hop, NO_PEER,
 };
+pub use flightrec::flight_dump;
 pub use hist::{Log2Hist, HIST_BUCKETS};
 pub use live::{LiveRank, LiveStats, STATS_PROTO_NAME, STATS_PROTO_VERSION};
 pub use phase::{Counter, HistKind, Phase};
 pub use recorder::{LtsClusterStat, PhaseTotal, Recorder, Snapshot, SpanRec, NO_CLUSTER};
 pub use registry::{Registry, DEFAULT_SPAN_CAPACITY};
 pub use report::{LtsClusterAgg, PhaseAgg, TelemetryReport};
-pub use trace::{chrome_trace, flight_dump};
+pub use trace::chrome_trace;

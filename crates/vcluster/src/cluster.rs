@@ -14,7 +14,7 @@ use crate::ledger::{Category, TimeLedger};
 use crate::mailbox::Mailbox;
 use crate::message::{Message, Tag};
 use crate::schedule::SchedulePlan;
-use awp_telemetry::trace::FLIGHT_SPANS;
+use awp_telemetry::flightrec::FLIGHT_SPANS;
 use awp_telemetry::{
     flight_dump, Counter, HistKind, LiveStats, Phase, Recorder, Registry, Snapshot,
 };
